@@ -19,7 +19,8 @@
 //! the comparison isolates reaction policy. Metrics: quality-weighted
 //! camera-seconds served per server-second (benefit per server),
 //! arrival rejection rate, p99 scheduling reaction latency per event
-//! kind, and the incremental/full replan split. Acceptance: in the
+//! kind (modeled seconds: boundary wait plus charged control work), and
+//! the incremental/full replan split. Acceptance: in the
 //! storm regime the event-driven discipline must beat the
 //! epoch-synchronous baseline on benefit per server, and admission must
 //! keep incumbent benefit above the floor in every run.
@@ -30,9 +31,9 @@
 
 use eva_bench::Table;
 use eva_fault::FaultPlan;
+use eva_obs::NoopRecorder;
 use eva_serve::ArrivalModel;
-use eva_stats::rng::seeded;
-use eva_workload::{DriftingScenario, Scenario};
+use eva_workload::Scenario;
 use pamo_core::{run_serving, PamoConfig, PreferenceSource, ServingConfig, ServingRun};
 
 const N_CAMS: usize = 4;
@@ -45,7 +46,7 @@ const EPOCH_S: f64 = 20.0;
 /// don't.
 const MEAN_HOLD_S: f64 = 30.0;
 
-/// Sub-50 ms reactions (the event-driven side) print in milliseconds.
+/// Sub-50 ms (modeled) reactions print in milliseconds.
 fn fmt_reaction(s: f64) -> String {
     if s < 0.05 {
         format!("{:.2}ms", s * 1e3)
@@ -103,15 +104,17 @@ fn main() {
                 churn_seed: 7,
                 ..ServingConfig::default()
             };
-            let mut d = DriftingScenario::new(&base, 0.05);
             let run = run_serving(
-                &mut d,
+                &base,
+                0.05,
                 &cfg,
                 weights,
                 Some(&plan),
                 &serving,
-                &mut seeded(17),
-            );
+                17,
+                &NoopRecorder,
+            )
+            .expect("valid inputs");
             let policy = if event_driven {
                 "event-driven"
             } else {

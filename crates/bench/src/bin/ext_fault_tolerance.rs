@@ -28,6 +28,7 @@
 
 use eva_bench::Table;
 use eva_fault::{FaultPlan, RetryPolicy};
+use eva_obs::NoopRecorder;
 use eva_sim::{simulate_scenario_faulted, PhasePolicy};
 use eva_stats::rng::seeded;
 use eva_workload::{DriftingScenario, Scenario, VideoConfig};
@@ -84,7 +85,9 @@ fn main() {
             None,
             &run_cfg,
             &mut seeded(17),
+            &NoopRecorder,
         )
+        .expect("valid inputs")
         .mean_online_benefit()
     };
 
@@ -132,7 +135,9 @@ fn main() {
                     ..run_cfg
                 },
                 &mut seeded(17),
+                &NoopRecorder,
             )
+            .expect("valid inputs")
         };
         let oblivious_run = run(false);
         let aware_run = run(true);

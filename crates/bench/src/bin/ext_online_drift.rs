@@ -9,6 +9,7 @@
 //! ```
 
 use eva_bench::Table;
+use eva_obs::NoopRecorder;
 use eva_stats::rng::seeded;
 use eva_workload::{DriftingScenario, Scenario};
 use pamo_core::{run_online, PamoConfig, PreferenceSource};
@@ -42,7 +43,15 @@ fn main() {
     for &step in &[0.0, 0.05, 0.10, 0.20] {
         let base = Scenario::uniform(5, 3, 20e6, 99);
         let mut drifting = DriftingScenario::new(&base, step);
-        let run = run_online(&mut drifting, &cfg, [1.0; 5], n_epochs, &mut seeded(17));
+        let run = run_online(
+            &mut drifting,
+            &cfg,
+            [1.0; 5],
+            n_epochs,
+            &mut seeded(17),
+            &NoopRecorder,
+        )
+        .expect("valid inputs");
         let online = run.mean_online_benefit();
         let fixed = run.mean_static_benefit();
         let infeasible = run

@@ -52,8 +52,8 @@ use eva_serve::{AdmissionConfig, ArrivalModel};
 use eva_stats::rng::seeded;
 use eva_workload::Scenario;
 use pamo_core::{
-    run_serving_overloaded, ControlPlaneSnapshot, OverloadConfig, PamoConfig, PreferenceSource,
-    ServingConfig, ServingRun, ServingSession,
+    ControlPlaneSnapshot, OverloadConfig, PamoConfig, PreferenceSource, ServingConfig, ServingRun,
+    ServingSession,
 };
 
 /// Accuracy-weighted operator, as in the churn/fault extensions.
@@ -269,7 +269,8 @@ fn main() {
         } else {
             OverloadConfig::unbudgeted(chaos, policy)
         };
-        let run = run_serving_overloaded(&sc, DRIFT_STEP, &cfg, WEIGHTS, &serving, &overload, 17);
+        let run = ServingSession::new(&sc, DRIFT_STEP, &cfg, WEIGHTS, &serving, &overload, 17)
+            .run(&NoopRecorder);
         runs.push((if enforce { "budgeted" } else { "unbudgeted" }, run));
     }
     let unbudgeted_value = runs[1].1.value_integral;

@@ -65,9 +65,8 @@ use eva_sim::{simulate_scenario_with_deadline_recorded, PhasePolicy};
 use eva_stats::rng::seeded;
 use eva_workload::{DriftingScenario, Scenario, VideoConfig};
 use pamo_core::{
-    run_online_faulted_recorded, run_online_recorded, run_serving_overloaded_recorded,
-    run_serving_recorded, FaultedRunConfig, OverloadConfig, PamoConfig, PreferenceSource,
-    ServingConfig,
+    run_online, run_online_faulted, run_serving, FaultedRunConfig, OverloadConfig, PamoConfig,
+    PreferenceSource, ServingConfig, ServingSession,
 };
 
 /// Schema tag of the emitted file; bump on breaking layout changes.
@@ -114,7 +113,8 @@ fn run_workload(name: &str, quick: bool, rec: &FlightRecorder) -> String {
             let base = Scenario::uniform(3, 2, 20e6, 101);
             let mut d = DriftingScenario::new(&base, 0.05);
             let cfg = pamo_config(quick, PreferenceSource::Learned);
-            let run = run_online_recorded(&mut d, &cfg, [1.0; 5], n_epochs, &mut seeded(11), rec);
+            let run = run_online(&mut d, &cfg, [1.0; 5], n_epochs, &mut seeded(11), rec)
+                .expect("valid inputs");
             format!(
                 "3 cams x 2 servers, learned preference, {n_epochs} epochs, \
                  mean benefit {:.4}",
@@ -126,7 +126,8 @@ fn run_workload(name: &str, quick: bool, rec: &FlightRecorder) -> String {
             let base = Scenario::uniform(6, 3, 20e6, 102);
             let mut d = DriftingScenario::new(&base, 0.05);
             let cfg = pamo_config(quick, PreferenceSource::Oracle);
-            let run = run_online_recorded(&mut d, &cfg, [1.0; 5], n_epochs, &mut seeded(12), rec);
+            let run = run_online(&mut d, &cfg, [1.0; 5], n_epochs, &mut seeded(12), rec)
+                .expect("valid inputs");
             format!(
                 "6 cams x 3 servers, oracle preference, {n_epochs} epochs, \
                  mean benefit {:.4}",
@@ -142,7 +143,7 @@ fn run_workload(name: &str, quick: bool, rec: &FlightRecorder) -> String {
                 .with_retry(RetryPolicy::standard());
             let mut d = DriftingScenario::new(&base, 0.05);
             let cfg = pamo_config(quick, PreferenceSource::Oracle);
-            let run = run_online_faulted_recorded(
+            let run = run_online_faulted(
                 &mut d,
                 &cfg,
                 [1.0, 3.0, 1.0, 1.0, 1.0],
@@ -155,7 +156,8 @@ fn run_workload(name: &str, quick: bool, rec: &FlightRecorder) -> String {
                 },
                 &mut seeded(13),
                 rec,
-            );
+            )
+            .expect("valid inputs");
             format!(
                 "3 cams x 2 servers under crashes (MTTF 20 s / MTTR 40 s), \
                  {n_epochs} epochs, mean benefit {:.4}",
@@ -189,7 +191,6 @@ fn run_workload(name: &str, quick: bool, rec: &FlightRecorder) -> String {
             let n_epochs = if quick { 3 } else { 5 };
             let base = Scenario::uniform(4, 3, 20e6, 105);
             let plan = FaultPlan::none(3, 4).with_server_crashes(90.0, 25.0, 42);
-            let mut d = DriftingScenario::new(&base, 0.05);
             let cfg = pamo_config(quick, PreferenceSource::Oracle);
             let serving = ServingConfig {
                 epoch_s: 20.0,
@@ -200,15 +201,17 @@ fn run_workload(name: &str, quick: bool, rec: &FlightRecorder) -> String {
                 churn_seed: 7,
                 ..ServingConfig::default()
             };
-            let run = run_serving_recorded(
-                &mut d,
+            let run = run_serving(
+                &base,
+                0.05,
                 &cfg,
                 [1.0, 3.0, 1.0, 1.0, 1.0],
                 Some(&plan),
                 &serving,
-                &mut seeded(14),
+                14,
                 rec,
-            );
+            )
+            .expect("valid inputs");
             format!(
                 "4 cams x 3 servers, Poisson storm 0.3/s under crashes, {n_epochs} epochs, \
                  {} accepted / {} rejected, {} incremental / {} full replans, \
@@ -277,7 +280,7 @@ fn run_workload(name: &str, quick: bool, rec: &FlightRecorder) -> String {
                 },
             );
             let cfg = pamo_config(quick, PreferenceSource::Oracle);
-            let run = run_serving_overloaded_recorded(
+            let run = ServingSession::new(
                 &base,
                 0.05,
                 &cfg,
@@ -285,8 +288,8 @@ fn run_workload(name: &str, quick: bool, rec: &FlightRecorder) -> String {
                 &serving,
                 &overload,
                 16,
-                rec,
-            );
+            )
+            .run(rec);
             format!(
                 "4 cams x 3 servers, composed chaos + enforced budget, {n_epochs} epochs, \
                  {} accepted / {} rejected / {} shed, rungs {}/{}/{}, \

@@ -41,6 +41,13 @@ pub enum CoreError {
         /// Which part of the snapshot was malformed.
         context: &'static str,
     },
+    /// A run entry point was called with inputs that break its
+    /// preconditions (zero epochs, a non-positive epoch, or a plan or
+    /// estimator set sized for another deployment).
+    InvalidInput {
+        /// Which precondition failed.
+        context: &'static str,
+    },
 }
 
 impl std::fmt::Display for CoreError {
@@ -61,6 +68,7 @@ impl std::fmt::Display for CoreError {
             CoreError::Snapshot { context } => {
                 write!(f, "malformed control-plane snapshot: {context}")
             }
+            CoreError::InvalidInput { context } => write!(f, "invalid input: {context}"),
         }
     }
 }
@@ -74,7 +82,17 @@ impl std::error::Error for CoreError {
             CoreError::NonFinite { .. } => None,
             CoreError::InsufficientProfiling { .. } => None,
             CoreError::Snapshot { .. } => None,
+            CoreError::InvalidInput { .. } => None,
         }
+    }
+}
+
+/// `Err(InvalidInput { context })` unless `ok`.
+pub(crate) fn require(ok: bool, context: &'static str) -> Result<(), CoreError> {
+    if ok {
+        Ok(())
+    } else {
+        Err(CoreError::InvalidInput { context })
     }
 }
 

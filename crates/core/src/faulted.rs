@@ -27,13 +27,14 @@
 
 use eva_fault::process::secs_to_ticks;
 use eva_fault::{AvailabilityTrace, FaultPlan};
-use eva_obs::{emit_warn, span, NoopRecorder, ObsEvent, Phase, Recorder};
+use eva_obs::{emit_warn, span, ObsEvent, Phase, Recorder};
 use eva_sched::Assignment;
 use eva_workload::{DriftingScenario, Outcome, Scenario, VideoConfig};
 use rand::Rng;
 
 use crate::benefit::TruePreference;
-use crate::online::{run_online_recorded, EpochRecord, OnlineRun};
+use crate::error::{require, CoreError};
+use crate::online::{run_online, EpochRecord, OnlineRun};
 use crate::pamo::{Pamo, PamoConfig};
 
 /// Knobs of the failure-aware online loop.
@@ -70,6 +71,14 @@ impl Default for FaultedRunConfig {
 /// `cfg.fault_aware`), degrades to a feasible uniform fallback when the
 /// decision pipeline fails, and records the *realized* benefit under
 /// the materialized fault traces.
+///
+/// Epochs run under `epoch` spans, fallback-ladder scans under
+/// `fallback` spans, liveness transitions become structured info
+/// events, and degradations become warn events (mirrored to stderr).
+/// Recorders never touch the RNG stream: a
+/// [`eva_obs::NoopRecorder`] run and a recorded run are bit-identical.
+/// Errors on zero epochs, a non-positive epoch, a negative heartbeat,
+/// or a plan sized for another deployment.
 #[allow(clippy::too_many_arguments)]
 pub fn run_online_faulted<R: Rng + ?Sized>(
     drifting: &mut DriftingScenario,
@@ -79,58 +88,18 @@ pub fn run_online_faulted<R: Rng + ?Sized>(
     plan: Option<&FaultPlan>,
     cfg: &FaultedRunConfig,
     rng: &mut R,
-) -> OnlineRun {
-    run_online_faulted_recorded(
-        drifting,
-        config,
-        weights,
-        n_epochs,
-        plan,
-        cfg,
-        rng,
-        &NoopRecorder,
-    )
-}
-
-/// [`run_online_faulted`] with telemetry: epochs run under `epoch`
-/// spans, fallback-ladder scans under `fallback` spans, liveness
-/// transitions become structured info events, and degradations become
-/// warn events (mirrored to stderr). With a [`NoopRecorder`] this is
-/// exactly the plain path — same RNG stream, bit-identical records.
-#[allow(clippy::too_many_arguments)]
-pub fn run_online_faulted_recorded<R: Rng + ?Sized>(
-    drifting: &mut DriftingScenario,
-    config: &PamoConfig,
-    weights: [f64; eva_workload::N_OBJECTIVES],
-    n_epochs: usize,
-    plan: Option<&FaultPlan>,
-    cfg: &FaultedRunConfig,
-    rng: &mut R,
     rec: &dyn Recorder,
-) -> OnlineRun {
-    assert!(n_epochs > 0, "run_online_faulted: zero epochs");
-    assert!(cfg.epoch_s > 0.0, "run_online_faulted: non-positive epoch");
-    assert!(
-        cfg.heartbeat_s >= 0.0,
-        "run_online_faulted: negative heartbeat"
-    );
+) -> Result<OnlineRun, CoreError> {
+    require(n_epochs > 0, "zero epochs")?;
+    check_timing(cfg.epoch_s, cfg.heartbeat_s)?;
     let Some(plan) = plan.filter(|p| !p.is_zero()) else {
         // The observational identity: nothing can fail, so the
         // fault-free engine runs — bit-identical by delegation.
-        return run_online_recorded(drifting, config, weights, n_epochs, rng, rec);
+        return run_online(drifting, config, weights, n_epochs, rng, rec);
     };
 
     let initial = drifting.snapshot();
-    assert_eq!(
-        plan.servers.len(),
-        initial.n_servers(),
-        "run_online_faulted: plan/server count mismatch"
-    );
-    assert_eq!(
-        plan.cameras.len(),
-        initial.n_videos(),
-        "run_online_faulted: plan/camera count mismatch"
-    );
+    check_plan(plan, &initial)?;
     let pamo = Pamo::new(config.clone());
 
     let epoch_len = secs_to_ticks(cfg.epoch_s).max(1);
@@ -334,10 +303,29 @@ pub fn run_online_faulted_recorded<R: Rng + ?Sized>(
         });
         drifting.advance(rng);
     }
-    OnlineRun {
+    Ok(OnlineRun {
         epochs,
         degraded: any_degraded,
-    }
+    })
+}
+
+/// Preconditions on an epoch clock: `epoch_s > 0`, `heartbeat_s ≥ 0`.
+pub(crate) fn check_timing(epoch_s: f64, heartbeat_s: f64) -> Result<(), CoreError> {
+    require(epoch_s > 0.0, "epoch length must be positive")?;
+    require(heartbeat_s >= 0.0, "heartbeat must be non-negative")
+}
+
+/// Preconditions on a fault plan: one server entry per server and one
+/// camera entry per camera of `scenario`.
+pub(crate) fn check_plan(plan: &FaultPlan, scenario: &Scenario) -> Result<(), CoreError> {
+    require(
+        plan.servers.len() == scenario.n_servers(),
+        "fault plan / server count mismatch",
+    )?;
+    require(
+        plan.cameras.len() == scenario.n_videos(),
+        "fault plan / camera count mismatch",
+    )
 }
 
 /// The fallback ladder: scan the (resolution-, fps-ordered) config grid
@@ -438,6 +426,7 @@ mod tests {
     use crate::online::run_online;
     use crate::pamo::PreferenceSource;
     use eva_bo::{AcqKind, BoConfig};
+    use eva_obs::NoopRecorder;
     use eva_stats::rng::seeded;
 
     fn tiny_config() -> PamoConfig {
@@ -468,7 +457,15 @@ mod tests {
         let sc = base();
         let plain = {
             let mut d = DriftingScenario::new(&sc, 0.08);
-            run_online(&mut d, &tiny_config(), [1.0; 5], 4, &mut seeded(9))
+            run_online(
+                &mut d,
+                &tiny_config(),
+                [1.0; 5],
+                4,
+                &mut seeded(9),
+                &NoopRecorder,
+            )
+            .expect("valid inputs")
         };
         for plan in [None, Some(FaultPlan::none(2, 3))] {
             let mut d = DriftingScenario::new(&sc, 0.08);
@@ -480,7 +477,9 @@ mod tests {
                 plan.as_ref(),
                 &FaultedRunConfig::default(),
                 &mut seeded(9),
-            );
+                &NoopRecorder,
+            )
+            .expect("valid inputs");
             assert_eq!(faulted.epochs.len(), plain.epochs.len());
             assert!(!faulted.degraded);
             for (f, p) in faulted.epochs.iter().zip(&plain.epochs) {
@@ -514,7 +513,9 @@ mod tests {
             Some(&plan),
             &FaultedRunConfig::default(),
             &mut seeded(3),
-        );
+            &NoopRecorder,
+        )
+        .expect("valid inputs");
         assert!(run.degraded, "heavy crashes must degrade the run");
         let saw_dead = run
             .epochs
@@ -547,7 +548,9 @@ mod tests {
                     ..FaultedRunConfig::default()
                 },
                 &mut seeded(7),
+                &NoopRecorder,
             )
+            .expect("valid inputs")
         };
         let aware = run(true).mean_online_benefit();
         let oblivious = run(false).mean_online_benefit();
@@ -571,7 +574,9 @@ mod tests {
                 plan,
                 &FaultedRunConfig::default(),
                 &mut seeded(21),
+                &NoopRecorder,
             )
+            .expect("valid inputs")
             .mean_online_benefit()
         };
         let clean = run(None);
@@ -580,5 +585,57 @@ mod tests {
             dropped < clean,
             "camera dropout did not hurt: {dropped} vs {clean}"
         );
+    }
+
+    fn faulted(
+        n_epochs: usize,
+        plan: &FaultPlan,
+        cfg: &FaultedRunConfig,
+    ) -> Result<OnlineRun, CoreError> {
+        let mut d = DriftingScenario::new(&base(), 0.05);
+        run_online_faulted(
+            &mut d,
+            &tiny_config(),
+            [1.0; 5],
+            n_epochs,
+            Some(plan),
+            cfg,
+            &mut seeded(1),
+            &NoopRecorder,
+        )
+    }
+
+    fn assert_invalid(r: Result<OnlineRun, CoreError>) {
+        let err = r.map(|_| ()).unwrap_err();
+        assert!(matches!(err, CoreError::InvalidInput { .. }), "{err}");
+    }
+
+    #[test]
+    fn zero_epochs_is_an_input_error() {
+        let plan = FaultPlan::none(2, 3);
+        assert_invalid(faulted(0, &plan, &FaultedRunConfig::default()));
+    }
+
+    #[test]
+    fn epoch_must_be_positive_and_heartbeat_non_negative() {
+        let plan = FaultPlan::none(2, 3);
+        for (epoch_s, heartbeat_s) in [(0.0, 2.0), (-1.0, 2.0), (30.0, -0.5)] {
+            let cfg = FaultedRunConfig {
+                epoch_s,
+                heartbeat_s,
+                ..FaultedRunConfig::default()
+            };
+            assert_invalid(faulted(2, &plan, &cfg));
+        }
+    }
+
+    #[test]
+    fn plan_must_match_the_server_and_camera_counts() {
+        let cfg = FaultedRunConfig::default();
+        // `base()` has 2 servers and 3 cameras.
+        for plan in [FaultPlan::none(3, 3), FaultPlan::none(2, 4)] {
+            let plan = plan.with_server_crashes(20.0, 40.0, 11);
+            assert_invalid(faulted(2, &plan, &cfg));
+        }
     }
 }

@@ -35,16 +35,11 @@ pub mod snapshot;
 pub use benefit::{normalized_benefit, OutcomeNormalizer, TruePreference};
 pub use composite::{CompositeSampler, PreferenceEval};
 pub use error::CoreError;
-pub use faulted::{run_online_faulted, run_online_faulted_recorded, FaultedRunConfig};
+pub use faulted::{run_online_faulted, FaultedRunConfig};
 pub use models::{OutcomeModelBank, ProfilingDesign};
-pub use online::{
-    run_online, run_online_estimated, run_online_estimated_recorded, run_online_recorded,
-    EpochRecord, OnlineRun,
-};
-pub use overload::{
-    run_serving_overloaded, run_serving_overloaded_recorded, OverloadConfig, ServingSession,
-};
+pub use online::{run_online, run_online_estimated, EpochRecord, OnlineRun};
+pub use overload::{OverloadConfig, ServingSession};
 pub use pamo::{Pamo, PamoConfig, PamoDecision, PreferenceSource};
 pub use pool::{build_pool, decode_joint, encode_joint};
-pub use serving::{run_serving, run_serving_recorded, ServeEvent, ServingConfig, ServingRun};
+pub use serving::{run_serving, ServeEvent, ServingConfig, ServingRun, SERVING_POLICY};
 pub use snapshot::{ControlPlaneSnapshot, SnapshotCursor};

@@ -13,11 +13,12 @@
 //! given once and reused across epochs.
 
 use eva_net::LinkEstimator;
-use eva_obs::{emit_warn, span, DecisionRung, NoopRecorder, ObsEvent, Phase, Recorder};
+use eva_obs::{emit_warn, span, DecisionRung, ObsEvent, Phase, Recorder};
 use eva_workload::{DriftingScenario, Scenario, VideoConfig};
 use rand::Rng;
 
 use crate::benefit::TruePreference;
+use crate::error::{require, CoreError};
 use crate::pamo::{Pamo, PamoConfig};
 
 /// Per-epoch record of the online run.
@@ -102,122 +103,21 @@ impl OnlineRun {
 /// re-anchored to the *initial* scenario's normalization and reused
 /// across epochs (pricing rules do not drift here). The per-epoch
 /// scheduler uses `config` as-is; pass small budgets for fast epochs.
+///
+/// Each epoch runs under an `epoch` span, skip decisions become
+/// structured warn events (still mirrored to stderr), and per-epoch
+/// counters accumulate in `rec`. Recorders never touch the RNG stream:
+/// a [`eva_obs::NoopRecorder`] run and a recorded run are
+/// bit-identical. Errors only on `n_epochs == 0`.
 pub fn run_online<R: Rng + ?Sized>(
     drifting: &mut DriftingScenario,
     config: &PamoConfig,
     weights: [f64; eva_workload::N_OBJECTIVES],
     n_epochs: usize,
     rng: &mut R,
-) -> OnlineRun {
-    run_online_recorded(drifting, config, weights, n_epochs, rng, &NoopRecorder)
-}
-
-/// [`run_online`] with telemetry: each epoch runs under an `epoch` span,
-/// skip decisions become structured warn events (still mirrored to
-/// stderr), and per-epoch counters accumulate in `rec`. With a
-/// [`NoopRecorder`] this is exactly the plain path — same RNG stream,
-/// bit-identical records.
-pub fn run_online_recorded<R: Rng + ?Sized>(
-    drifting: &mut DriftingScenario,
-    config: &PamoConfig,
-    weights: [f64; eva_workload::N_OBJECTIVES],
-    n_epochs: usize,
-    rng: &mut R,
     rec: &dyn Recorder,
-) -> OnlineRun {
-    assert!(n_epochs > 0, "run_online: zero epochs");
-    let initial = drifting.snapshot();
-    // One scheduler for the whole run: per-epoch refits warm-start from
-    // the previous epoch's fitted GP hyperparameters (see `Pamo`).
-    let pamo = Pamo::new(config.clone());
-
-    let mut static_configs: Option<Vec<VideoConfig>> = None;
-    let mut epochs = Vec::with_capacity(n_epochs);
-    let mut skipped = false;
-
-    for epoch in 0..n_epochs {
-        let _epoch_span = span(rec, Phase::Epoch);
-        if rec.enabled() {
-            rec.add("online.epochs", 1);
-        }
-        let scenario = drifting.snapshot();
-        // Preference anchored per-epoch scenario so benefit scales stay
-        // comparable (the weights, i.e. the pricing, are constant).
-        let pref = TruePreference::new(&scenario, weights);
-
-        // A failed or non-finite decision degrades to a skipped epoch
-        // (the deployment keeps serving its previous configuration);
-        // it must never abort the run.
-        let decision = match pamo.decide_surviving_recorded(&scenario, &pref, None, rng, rec) {
-            Ok(d) if d.true_benefit.is_finite() => d,
-            Ok(d) => {
-                emit_warn(
-                    rec,
-                    ObsEvent::warn(
-                        "epoch_skipped",
-                        format!(
-                            "run_online: epoch {epoch}: non-finite benefit {} — skipping",
-                            d.true_benefit
-                        ),
-                    )
-                    .with("epoch", epoch)
-                    .with("rung", DecisionRung::Stale.as_str()),
-                );
-                if rec.enabled() {
-                    rec.add("online.epochs_skipped", 1);
-                }
-                skipped = true;
-                drifting.advance(rng);
-                continue;
-            }
-            Err(e) => {
-                emit_warn(
-                    rec,
-                    ObsEvent::warn(
-                        "epoch_skipped",
-                        format!("run_online: epoch {epoch}: decision failed ({e}) — skipping"),
-                    )
-                    .with("epoch", epoch)
-                    .with("rung", DecisionRung::Stale.as_str()),
-                );
-                if rec.enabled() {
-                    rec.add("online.epochs_skipped", 1);
-                }
-                skipped = true;
-                drifting.advance(rng);
-                continue;
-            }
-        };
-        if static_configs.is_none() {
-            static_configs = Some(decision.configs.clone());
-        }
-        let static_benefit = static_configs
-            .as_ref()
-            .and_then(|configs| {
-                scenario
-                    .evaluate(configs)
-                    .ok()
-                    .map(|so| pref.benefit(&so.outcome))
-            })
-            .filter(|b| b.is_finite());
-
-        epochs.push(EpochRecord {
-            epoch,
-            divergence: drifting.divergence_from(&initial),
-            online_benefit: decision.true_benefit,
-            static_benefit,
-            configs: decision.configs,
-            planning_bps: None,
-            alive: vec![true; scenario.n_servers()],
-            degraded: false,
-            rung: DecisionRung::Full,
-        });
-        drifting.advance(rng);
-    }
-    OnlineRun {
-        epochs,
-        degraded: skipped,
-    }
+) -> Result<OnlineRun, CoreError> {
+    online_loop(drifting, config, weights, n_epochs, None, rng, rec)
 }
 
 /// Noise-free delivery samples fed per stream each epoch. Enough for an
@@ -232,7 +132,8 @@ const DELIVERY_SAMPLES_PER_STREAM: usize = 8;
 /// bandwidth ([`Scenario::with_planning_uplinks`]); realized outcomes
 /// keep being charged at the true uplink rates. Epoch 0 — before any
 /// observation exists — plans on the provisioned uplinks, as does any
-/// server that has not yet carried a stream.
+/// server that has not yet carried a stream. Errors on
+/// `n_epochs == 0` or when `estimators` is not one per server.
 #[allow(clippy::too_many_arguments)]
 pub fn run_online_estimated<R: Rng + ?Sized>(
     drifting: &mut DriftingScenario,
@@ -242,39 +143,97 @@ pub fn run_online_estimated<R: Rng + ?Sized>(
     estimators: &mut [Box<dyn LinkEstimator>],
     headroom: f64,
     rng: &mut R,
-) -> OnlineRun {
-    run_online_estimated_recorded(
-        drifting,
-        config,
-        weights,
-        n_epochs,
+    rec: &dyn Recorder,
+) -> Result<OnlineRun, CoreError> {
+    require(
+        estimators.len() == drifting.snapshot().n_servers(),
+        "one link estimator per server",
+    )?;
+    let feed = EstimatorFeed {
         estimators,
         headroom,
-        rng,
-        &NoopRecorder,
-    )
+    };
+    online_loop(drifting, config, weights, n_epochs, Some(feed), rng, rec)
 }
 
-/// [`run_online_estimated`] with telemetry — the estimated-bandwidth
-/// analogue of [`run_online_recorded`].
+/// The bandwidth-estimation side of [`run_online_estimated`].
+struct EstimatorFeed<'a> {
+    estimators: &'a mut [Box<dyn LinkEstimator>],
+    headroom: f64,
+}
+
+impl EstimatorFeed<'_> {
+    /// Per-server estimates (`None` until any estimator has been fed).
+    /// A server that has never carried a stream has no observations; it
+    /// keeps planning at its provisioned rate (encoded as
+    /// `provisioned * headroom` so the planning division lands back on
+    /// the provisioned value).
+    fn estimates(&self, base: &Scenario) -> Option<Vec<f64>> {
+        let warmed = self.estimators.iter().any(|e| e.estimate_bps().is_some());
+        warmed.then(|| {
+            self.estimators
+                .iter()
+                .zip(base.uplinks())
+                .map(|(e, &b)| e.estimate_bps().unwrap_or(b * self.headroom))
+                .collect()
+        })
+    }
+
+    /// Re-feed the estimators with one epoch's realized deliveries:
+    /// each placed stream part transmitted frames of `bits` at the
+    /// *true* uplink rate of its server.
+    fn observe(&mut self, scenario: &Scenario, configs: &[VideoConfig]) {
+        let Ok(assignment) = scenario.schedule(configs) else {
+            return;
+        };
+        for (i, st) in assignment.streams.iter().enumerate() {
+            let src = st.id.source;
+            let server = assignment.server_of[i];
+            let bits = scenario
+                .surfaces(src)
+                .bits_per_frame(configs[src].resolution);
+            let duration_s = bits / scenario.uplinks()[server];
+            for _ in 0..DELIVERY_SAMPLES_PER_STREAM {
+                self.estimators[server].observe(bits / 8.0, duration_s);
+            }
+        }
+    }
+}
+
+/// Log one skipped epoch: a structured warn event (mirrored to stderr)
+/// carrying the stale rung, plus the skip counter.
+fn skip_epoch(rec: &dyn Recorder, epoch: usize, why: &str) {
+    emit_warn(
+        rec,
+        ObsEvent::warn(
+            "epoch_skipped",
+            format!("run_online: epoch {epoch}: {why} — skipping"),
+        )
+        .with("epoch", epoch)
+        .with("rung", DecisionRung::Stale.as_str()),
+    );
+    if rec.enabled() {
+        rec.add("online.epochs_skipped", 1);
+    }
+}
+
+/// The one online loop body behind [`run_online`] and
+/// [`run_online_estimated`]; `feed` switches planning onto estimated
+/// bandwidths.
 #[allow(clippy::too_many_arguments)]
-pub fn run_online_estimated_recorded<R: Rng + ?Sized>(
+fn online_loop<R: Rng + ?Sized>(
     drifting: &mut DriftingScenario,
     config: &PamoConfig,
     weights: [f64; eva_workload::N_OBJECTIVES],
     n_epochs: usize,
-    estimators: &mut [Box<dyn LinkEstimator>],
-    headroom: f64,
+    mut feed: Option<EstimatorFeed<'_>>,
     rng: &mut R,
     rec: &dyn Recorder,
-) -> OnlineRun {
-    assert!(n_epochs > 0, "run_online_estimated: zero epochs");
+) -> Result<OnlineRun, CoreError> {
+    require(n_epochs > 0, "zero epochs")?;
     let initial = drifting.snapshot();
-    assert_eq!(
-        estimators.len(),
-        initial.n_servers(),
-        "run_online_estimated: one estimator per server"
-    );
+    // One scheduler for the whole run: per-epoch refits warm-start from
+    // the previous epoch's fitted GP hyperparameters (see `Pamo`).
     let pamo = Pamo::new(config.clone());
 
     let mut static_configs: Option<Vec<VideoConfig>> = None;
@@ -286,64 +245,33 @@ pub fn run_online_estimated_recorded<R: Rng + ?Sized>(
         if rec.enabled() {
             rec.add("online.epochs", 1);
         }
-        let base: Scenario = drifting.snapshot();
-        // A server that has never carried a stream has no observations;
-        // it keeps planning at its provisioned rate (encoded as
-        // `provisioned * headroom` so the division below lands back on
-        // the provisioned value). The override only activates once at
-        // least one estimator has been fed.
-        let warmed = estimators.iter().any(|e| e.estimate_bps().is_some());
-        let estimates: Option<Vec<f64>> = warmed.then(|| {
-            estimators
-                .iter()
-                .zip(base.uplinks())
-                .map(|(e, &b)| e.estimate_bps().unwrap_or(b * headroom))
-                .collect()
-        });
-        let scenario = match &estimates {
-            Some(est) => base.clone().with_planning_uplinks(est.clone(), headroom),
-            None => base.clone(),
+        let base = drifting.snapshot();
+        let estimates = feed.as_ref().and_then(|f| f.estimates(&base));
+        let scenario = match (&estimates, &feed) {
+            (Some(est), Some(f)) => base.with_planning_uplinks(est.clone(), f.headroom),
+            _ => base,
         };
+        // Preference anchored per-epoch scenario so benefit scales stay
+        // comparable (the weights, i.e. the pricing, are constant).
         let pref = TruePreference::new(&scenario, weights);
 
-        // Same skip-and-log degradation policy as `run_online`.
-        let decision = match pamo.decide_surviving_recorded(&scenario, &pref, None, rng, rec) {
-            Ok(d) if d.true_benefit.is_finite() => d,
-            Ok(d) => {
-                emit_warn(
-                    rec,
-                    ObsEvent::warn(
-                        "epoch_skipped",
-                        format!(
-                            "run_online_estimated: epoch {epoch}: non-finite benefit {} — skipping",
-                            d.true_benefit
-                        ),
-                    )
-                    .with("epoch", epoch)
-                    .with("rung", DecisionRung::Stale.as_str()),
-                );
-                if rec.enabled() {
-                    rec.add("online.epochs_skipped", 1);
+        // A failed or non-finite decision degrades to a skipped epoch
+        // (the deployment keeps serving its previous configuration);
+        // it must never abort the run.
+        let decided = pamo
+            .decide_surviving_recorded(&scenario, &pref, None, rng, rec)
+            .map_err(|e| format!("decision failed ({e})"))
+            .and_then(|d| {
+                if d.true_benefit.is_finite() {
+                    Ok(d)
+                } else {
+                    Err(format!("non-finite benefit {}", d.true_benefit))
                 }
-                skipped = true;
-                drifting.advance(rng);
-                continue;
-            }
-            Err(e) => {
-                emit_warn(
-                    rec,
-                    ObsEvent::warn(
-                        "epoch_skipped",
-                        format!(
-                            "run_online_estimated: epoch {epoch}: decision failed ({e}) — skipping"
-                        ),
-                    )
-                    .with("epoch", epoch)
-                    .with("rung", DecisionRung::Stale.as_str()),
-                );
-                if rec.enabled() {
-                    rec.add("online.epochs_skipped", 1);
-                }
+            });
+        let decision = match decided {
+            Ok(d) => d,
+            Err(why) => {
+                skip_epoch(rec, epoch, &why);
                 skipped = true;
                 drifting.advance(rng);
                 continue;
@@ -361,23 +289,13 @@ pub fn run_online_estimated_recorded<R: Rng + ?Sized>(
                     .map(|so| pref.benefit(&so.outcome))
             })
             .filter(|b| b.is_finite());
-
-        // Re-feed the estimators with this epoch's realized deliveries:
-        // each placed stream part transmitted frames of `bits` at the
-        // *true* uplink rate of its server.
-        if let Ok(assignment) = scenario.schedule(&decision.configs) {
-            for (i, st) in assignment.streams.iter().enumerate() {
-                let src = st.id.source;
-                let server = assignment.server_of[i];
-                let bits = scenario
-                    .surfaces(src)
-                    .bits_per_frame(decision.configs[src].resolution);
-                let duration_s = bits / base.uplinks()[server];
-                for _ in 0..DELIVERY_SAMPLES_PER_STREAM {
-                    estimators[server].observe(bits / 8.0, duration_s);
-                }
+        let planning_bps = match &mut feed {
+            Some(f) => {
+                f.observe(&scenario, &decision.configs);
+                estimates.map(|est| est.iter().map(|b| b / f.headroom).collect())
             }
-        }
+            None => None,
+        };
 
         epochs.push(EpochRecord {
             epoch,
@@ -385,17 +303,17 @@ pub fn run_online_estimated_recorded<R: Rng + ?Sized>(
             online_benefit: decision.true_benefit,
             static_benefit,
             configs: decision.configs,
-            planning_bps: estimates.map(|est| est.iter().map(|b| b / headroom).collect()),
+            planning_bps,
             alive: vec![true; scenario.n_servers()],
             degraded: false,
             rung: DecisionRung::Full,
         });
         drifting.advance(rng);
     }
-    OnlineRun {
+    Ok(OnlineRun {
         epochs,
         degraded: skipped,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -403,8 +321,8 @@ mod tests {
     use super::*;
     use crate::pamo::PreferenceSource;
     use eva_bo::{AcqKind, BoConfig};
+    use eva_obs::NoopRecorder;
     use eva_stats::rng::seeded;
-    use eva_workload::Scenario;
 
     fn tiny_config() -> PamoConfig {
         PamoConfig {
@@ -429,7 +347,15 @@ mod tests {
     fn online_runs_all_epochs_and_tracks_divergence() {
         let base = Scenario::uniform(3, 2, 20e6, 61);
         let mut drifting = DriftingScenario::new(&base, 0.08);
-        let run = run_online(&mut drifting, &tiny_config(), [1.0; 5], 5, &mut seeded(1));
+        let run = run_online(
+            &mut drifting,
+            &tiny_config(),
+            [1.0; 5],
+            5,
+            &mut seeded(1),
+            &NoopRecorder,
+        )
+        .expect("valid inputs");
         assert_eq!(run.epochs.len(), 5);
         assert_eq!(run.epochs[0].divergence, 0.0);
         assert!(run.epochs[4].divergence > 0.0);
@@ -448,7 +374,15 @@ mod tests {
         // frozen epoch-0 decision (it can always re-pick it).
         let base = Scenario::uniform(3, 2, 20e6, 62);
         let mut drifting = DriftingScenario::new(&base, 0.10);
-        let run = run_online(&mut drifting, &tiny_config(), [1.0; 5], 6, &mut seeded(2));
+        let run = run_online(
+            &mut drifting,
+            &tiny_config(),
+            [1.0; 5],
+            6,
+            &mut seeded(2),
+            &NoopRecorder,
+        )
+        .expect("valid inputs");
         let online = run.mean_online_benefit();
         let fixed = run.mean_static_benefit();
         // Tolerance for observation noise in tiny-budget BO runs.
@@ -489,7 +423,9 @@ mod tests {
             &mut estimators,
             1.1,
             &mut seeded(4),
-        );
+            &NoopRecorder,
+        )
+        .expect("valid inputs");
         assert_eq!(run.epochs.len(), 4);
         // Epoch 0 has no observations — the oracle-B path.
         assert!(run.epochs[0].planning_bps.is_none());
@@ -527,9 +463,56 @@ mod tests {
     fn first_epoch_static_equals_online() {
         let base = Scenario::uniform(3, 2, 20e6, 63);
         let mut drifting = DriftingScenario::new(&base, 0.05);
-        let run = run_online(&mut drifting, &tiny_config(), [1.0; 5], 3, &mut seeded(3));
+        let run = run_online(
+            &mut drifting,
+            &tiny_config(),
+            [1.0; 5],
+            3,
+            &mut seeded(3),
+            &NoopRecorder,
+        )
+        .expect("valid inputs");
         let e0 = &run.epochs[0];
         let sb = e0.static_benefit.expect("epoch 0 is feasible");
         assert!((sb - e0.online_benefit).abs() < 1e-9);
+    }
+
+    #[test]
+    fn zero_epochs_is_an_input_error() {
+        let base = Scenario::uniform(3, 2, 20e6, 61);
+        let mut drifting = DriftingScenario::new(&base, 0.05);
+        let err = run_online(
+            &mut drifting,
+            &tiny_config(),
+            [1.0; 5],
+            0,
+            &mut seeded(1),
+            &NoopRecorder,
+        )
+        .map(|_| ())
+        .unwrap_err();
+        assert!(matches!(err, CoreError::InvalidInput { .. }), "{err}");
+    }
+
+    #[test]
+    fn estimator_count_must_match_the_servers() {
+        use eva_net::EwmaEstimator;
+
+        let base = Scenario::uniform(3, 2, 20e6, 64);
+        let mut drifting = DriftingScenario::new(&base, 0.05);
+        let mut estimators: Vec<Box<dyn LinkEstimator>> = vec![Box::new(EwmaEstimator::default())];
+        let err = run_online_estimated(
+            &mut drifting,
+            &tiny_config(),
+            [1.0; 5],
+            2,
+            &mut estimators,
+            1.1,
+            &mut seeded(4),
+            &NoopRecorder,
+        )
+        .map(|_| ())
+        .unwrap_err();
+        assert!(matches!(err, CoreError::InvalidInput { .. }), "{err}");
     }
 }

@@ -1,14 +1,15 @@
-//! The overload-resilient control plane: budgeted serving with load
-//! shedding, coalesced repairs, and checkpoint/restore.
+//! The serving control plane: the [`ServingSession`] step machine that
+//! every serving run executes, with decision budgets, load shedding,
+//! coalesced repairs, and checkpoint/restore.
 //!
-//! [`run_serving_recorded`](crate::serving::run_serving_recorded)
-//! assumes the controller always has time to think: every epoch runs
-//! the full PaMO pipeline and every event gets an immediate replan.
-//! Under a composed overload storm (churn burst × crash burst × link
-//! collapse × control-plane stragglers) that assumption breaks — the
-//! decision loop itself becomes the bottleneck, and a scheduler that
-//! insists on full decisions stops *serving* while it keeps
-//! *optimizing*. This module adds the missing feedback loop:
+//! [`run_serving`](crate::serving::run_serving) runs a session with an
+//! unlimited budget: every epoch runs the full PaMO pipeline and every
+//! event gets an immediate replan. Under a composed overload storm
+//! (churn burst × crash burst × link collapse × control-plane
+//! stragglers) that assumption breaks — the decision loop itself
+//! becomes the bottleneck, and a scheduler that insists on full
+//! decisions stops *serving* while it keeps *optimizing*. An enforced
+//! budget adds the missing feedback loop:
 //!
 //! * **Decision deadline budgets.** Each epoch window grants a
 //!   [`DecisionBudget`] of work units (divided by the active
@@ -35,23 +36,21 @@
 //!   into a fresh session finishes with a bit-identical
 //!   [`ServingRun`].
 //!
-//! The unbudgeted serving loop in [`crate::serving`] is untouched: an
-//! inert [`ChaosSpec`] with an unenforced budget reproduces its
-//! epochs, decisions and value integral exactly (only reaction times
-//! differ — modeled here, wall-clock there).
+//! Budgeted or not, every reaction time is modeled the same way (see
+//! [`crate::serving`]): the wait until the handling step plus the
+//! handler's charged units × `unit_time_s` × the straggler divisor.
 
 use std::collections::BTreeSet;
 
 use eva_fault::process::secs_to_ticks;
-use eva_fault::{AvailabilityTrace, ChaosSpec, ChaosWindow};
+use eva_fault::{AvailabilityTrace, ChaosSpec, ChaosWindow, FaultPlan};
 use eva_obs::{
-    cost, emit_warn, span, BudgetPolicy, DecisionBudget, DecisionRung, NoopRecorder, ObsEvent,
-    Phase, Recorder,
+    cost, emit_warn, span, BudgetPolicy, DecisionBudget, DecisionRung, ObsEvent, Phase, Recorder,
 };
 use eva_sched::{Assignment, TICKS_PER_SEC};
 use eva_serve::{
-    subset_outcome, AdmissionController, AdmissionDecision, ChurnAction, ChurnConfig, ChurnEvent,
-    ChurnTrace, ProbeReport, ReplanTrigger, Rescheduler, RetryQueue,
+    subset_outcome, AdmissionController, AdmissionDecision, ChurnAction, ChurnEvent, ChurnTrace,
+    ProbeReport, ReplanScope, ReplanTrigger, Rescheduler, RetryQueue,
 };
 use eva_workload::{ClipProfile, DriftingScenario, Scenario, VideoConfig, N_OBJECTIVES};
 use rand::rngs::StdRng;
@@ -61,8 +60,31 @@ use crate::error::CoreError;
 use crate::faulted::fallback_uniform;
 use crate::online::EpochRecord;
 use crate::pamo::{Pamo, PamoConfig};
-use crate::serving::{churn_clip, scope_label, Happening, ServeEvent, ServingConfig, ServingRun};
+use crate::serving::{ServeEvent, ServingConfig, ServingRun};
 use crate::snapshot::{ControlPlaneSnapshot, SnapshotCursor};
+
+/// A timeline entry: churn or a server liveness toggle.
+#[derive(Debug, Clone, Copy)]
+enum Happening {
+    Churn(ChurnEvent),
+    Server { server: usize, up: bool },
+}
+
+/// The churn tenant's content — a pure function of the churn seed, so
+/// retries (queue drains) and both reaction disciplines see the same
+/// clip for the same tenant.
+fn churn_clip(churn_seed: u64, tenant: u64, index: usize) -> ClipProfile {
+    let seed = eva_stats::rng::child_seed(churn_seed, tenant.wrapping_add(0xC11F));
+    let mut rng = eva_stats::rng::seeded(seed);
+    ClipProfile::random(&mut rng, index)
+}
+
+fn scope_label(scope: ReplanScope) -> &'static str {
+    match scope {
+        ReplanScope::Incremental { .. } => "incremental",
+        ReplanScope::Full => "full",
+    }
+}
 
 /// Overload-control knobs layered on top of a [`ServingConfig`].
 ///
@@ -105,10 +127,10 @@ impl OverloadConfig {
     }
 }
 
-/// Mutable loop state of the budgeted serving session — the overload
-/// analogue of the plain serving loop, with a shedding retry queue, a
-/// coalescing counter, and modeled (never wall-clock) reactions.
-struct OverloadLoop {
+/// Mutable loop state of a [`ServingSession`]: the deployed plan, the
+/// admitted tenants, the shedding retry queue, the coalescing counter,
+/// and the accumulated outputs.
+struct SessionState {
     weights: [f64; N_OBJECTIVES],
     serving: ServingConfig,
     policy: BudgetPolicy,
@@ -140,7 +162,7 @@ struct OverloadLoop {
     pending_batch: u64,
 }
 
-impl OverloadLoop {
+impl SessionState {
     /// The ladder rung affordable right now.
     fn rung(&self, budget: &DecisionBudget) -> DecisionRung {
         if self.enforce {
@@ -329,6 +351,58 @@ impl OverloadLoop {
         )
     }
 
+    /// Row-repair `trigger` (already charged by the caller); when the
+    /// repair fails, a full re-solve is the last resort, affordable
+    /// only on the full rung. Each trigger is repaired and counted once.
+    fn repair_or_resolve(
+        &mut self,
+        rec: &dyn Recorder,
+        trigger: ReplanTrigger,
+        budget: &DecisionBudget,
+        rung: DecisionRung,
+    ) -> Option<(Assignment, &'static str)> {
+        let mask = self.mask_vec();
+        let repaired = self.rescheduler.replan_limited(
+            &self.scenario,
+            &self.configs,
+            mask.as_deref(),
+            trigger,
+            rec,
+        );
+        let planned = match repaired {
+            Some(ok) => Some(ok),
+            None if rung == DecisionRung::Full && budget.try_charge(cost::FULL_SOLVE) => self
+                .rescheduler
+                .replan_full(&self.scenario, &self.configs, mask.as_deref(), rec)
+                .ok(),
+            None => None,
+        };
+        planned.map(|(a, scope)| (a, scope_label(scope)))
+    }
+
+    /// One batched full re-solve (already charged by the caller)
+    /// absorbing this trigger plus every probe skipped under pressure.
+    fn coalesce(&mut self, rec: &dyn Recorder) -> Option<(Assignment, &'static str)> {
+        let batched = self.pending_batch + 1;
+        self.pending_batch = 0;
+        let mask = self.mask_vec();
+        self.rescheduler
+            .replan_coalesced(&self.scenario, &self.configs, mask.as_deref(), batched, rec)
+            .ok()
+            .map(|a| (a, "coalesced"))
+    }
+
+    /// Queue `tenant` (arrived at `arrived_s`) for a retry, or reject it
+    /// when the queue is full. Returns the event outcome.
+    fn enqueue(&mut self, tenant: u64, arrived_s: f64) -> &'static str {
+        if self.queue.try_push(tenant, arrived_s) {
+            "queued"
+        } else {
+            self.rejected += 1;
+            "rejected"
+        }
+    }
+
     /// Install an accepted tenant within budget: charge a repair,
     /// escalate to a charged full solve on the full rung, and roll the
     /// admit back (returning `None` → re-queue) when neither is
@@ -353,37 +427,7 @@ impl OverloadLoop {
         self.configs.push(report.newcomer_config);
         self.rebuild_scenario();
         let camera = self.configs.len() - 1;
-        let mask = self.mask_vec();
-        let planned = self
-            .rescheduler
-            .replan_limited(
-                &self.scenario,
-                &self.configs,
-                mask.as_deref(),
-                ReplanTrigger::Arrival { camera },
-                rec,
-            )
-            .map(|(a, scope)| (a, scope_label(scope)))
-            .or_else(|| {
-                // Row repair could not place the newcomer: a full
-                // re-solve is the last resort, affordable only on the
-                // full rung.
-                if rung == DecisionRung::Full && budget.try_charge(cost::FULL_SOLVE) {
-                    self.rescheduler
-                        .replan(
-                            &self.scenario,
-                            &self.configs,
-                            mask.as_deref(),
-                            ReplanTrigger::Arrival { camera },
-                            rec,
-                        )
-                        .ok()
-                        .map(|(a, scope)| (a, scope_label(scope)))
-                } else {
-                    None
-                }
-            });
-        match planned {
+        match self.repair_or_resolve(rec, ReplanTrigger::Arrival { camera }, budget, rung) {
             Some((a, scope)) => {
                 let floor = report.incumbent_before - self.controller.config().max_benefit_drop;
                 self.min_floor_margin = self.min_floor_margin.min(report.incumbent_after - floor);
@@ -430,12 +474,7 @@ impl OverloadLoop {
             if pressured {
                 self.pending_batch += 1;
             }
-            let outcome = if self.queue.try_push(ev.tenant, ev.time_s) {
-                "queued"
-            } else {
-                self.rejected += 1;
-                "rejected"
-            };
+            let outcome = self.enqueue(ev.tenant, ev.time_s);
             let reaction = self.reaction(wait, budget.spent() - before, divisor);
             self.push_event(
                 rec,
@@ -460,25 +499,11 @@ impl OverloadLoop {
                     None => {
                         // Feasible but unaffordable: wait for a richer
                         // window instead of overrunning.
-                        let outcome = if self.queue.try_push(ev.tenant, ev.time_s) {
-                            "queued"
-                        } else {
-                            self.rejected += 1;
-                            "rejected"
-                        };
-                        (outcome, None)
+                        (self.enqueue(ev.tenant, ev.time_s), None)
                     }
                 }
             }
-            AdmissionDecision::Queue { .. } => {
-                let outcome = if self.queue.try_push(ev.tenant, ev.time_s) {
-                    "queued"
-                } else {
-                    self.rejected += 1;
-                    "rejected"
-                };
-                (outcome, None)
-            }
+            AdmissionDecision::Queue { .. } => (self.enqueue(ev.tenant, ev.time_s), None),
             AdmissionDecision::Reject { .. } => {
                 self.rejected += 1;
                 ("rejected", None)
@@ -545,40 +570,10 @@ impl OverloadLoop {
         self.zombies.remove(&ev.tenant);
         self.rebuild_scenario();
         let (outcome, scope) = if self.assignment.is_some() {
-            let mask = self.mask_vec();
             let planned = if pressured {
-                let batched = self.pending_batch + 1;
-                self.pending_batch = 0;
-                self.rescheduler
-                    .replan_coalesced(&self.scenario, &self.configs, mask.as_deref(), batched, rec)
-                    .ok()
-                    .map(|a| (a, "coalesced"))
+                self.coalesce(rec)
             } else {
-                self.rescheduler
-                    .replan_limited(
-                        &self.scenario,
-                        &self.configs,
-                        mask.as_deref(),
-                        ReplanTrigger::Departure { camera },
-                        rec,
-                    )
-                    .map(|(a, scope)| (a, scope_label(scope)))
-                    .or_else(|| {
-                        if rung == DecisionRung::Full && budget.try_charge(cost::FULL_SOLVE) {
-                            self.rescheduler
-                                .replan(
-                                    &self.scenario,
-                                    &self.configs,
-                                    mask.as_deref(),
-                                    ReplanTrigger::Departure { camera },
-                                    rec,
-                                )
-                                .ok()
-                                .map(|(a, scope)| (a, scope_label(scope)))
-                        } else {
-                            None
-                        }
-                    })
+                self.repair_or_resolve(rec, ReplanTrigger::Departure { camera }, budget, rung)
             };
             match planned {
                 Some((a, scope)) => {
@@ -636,57 +631,18 @@ impl OverloadLoop {
         let consistent = self.configs.len() == self.scenario.n_videos() && !self.configs.is_empty();
         let (outcome, scope) = if !consistent {
             ("ignored", None)
-        } else if rung == DecisionRung::Stale {
-            // Belief is updated but the plan stays stale; the next
-            // boundary (or a richer window) re-places.
-            emit_warn(
-                rec,
-                ObsEvent::warn("replan_deferred", "server toggle left the plan stale")
-                    .with("server", server as u64)
-                    .with("up", up)
-                    .with("rung", rung.as_str()),
-            );
-            ("deferred", None)
         } else {
             let pressured = self.enforce && self.queue.under_pressure();
-            let mask = self.mask_vec();
-            let planned = if pressured {
+            let planned = if rung == DecisionRung::Stale {
+                None
+            } else if pressured {
                 if budget.try_charge(cost::FULL_SOLVE) {
-                    let batched = self.pending_batch + 1;
-                    self.pending_batch = 0;
-                    self.rescheduler
-                        .replan_coalesced(
-                            &self.scenario,
-                            &self.configs,
-                            mask.as_deref(),
-                            batched,
-                            rec,
-                        )
-                        .ok()
-                        .map(|a| (a, "coalesced"))
+                    self.coalesce(rec)
                 } else {
                     None
                 }
             } else if budget.try_charge(cost::REPAIR_EVENT) {
-                self.rescheduler
-                    .replan_limited(&self.scenario, &self.configs, mask.as_deref(), trigger, rec)
-                    .map(|(a, scope)| (a, scope_label(scope)))
-                    .or_else(|| {
-                        if rung == DecisionRung::Full && budget.try_charge(cost::FULL_SOLVE) {
-                            self.rescheduler
-                                .replan(
-                                    &self.scenario,
-                                    &self.configs,
-                                    mask.as_deref(),
-                                    trigger,
-                                    rec,
-                                )
-                                .ok()
-                                .map(|(a, scope)| (a, scope_label(scope)))
-                        } else {
-                            None
-                        }
-                    })
+                self.repair_or_resolve(rec, trigger, budget, rung)
             } else {
                 None
             };
@@ -698,7 +654,8 @@ impl OverloadLoop {
                 None => {
                     // A toggle leaves the camera set intact, so the
                     // deployed plan stays *consistent* — just stale
-                    // with respect to the new liveness.
+                    // with respect to the new liveness. The next
+                    // boundary (or a richer window) re-places.
                     emit_warn(
                         rec,
                         ObsEvent::warn("replan_deferred", "server toggle left the plan stale")
@@ -780,10 +737,11 @@ impl OverloadLoop {
     }
 }
 
-/// A resumable budgeted serving run: an explicit step machine over the
-/// serving timeline whose entire mutable state can be checkpointed
+/// The serving loop: an explicit step machine over the serving
+/// timeline whose entire mutable state can be checkpointed
 /// ([`ServingSession::snapshot`]) between any two steps and restored
-/// ([`ServingSession::restore`]) bit-identically.
+/// ([`ServingSession::restore`]) bit-identically. Every serving run,
+/// budgeted or not, is one session.
 pub struct ServingSession {
     weights: [f64; N_OBJECTIVES],
     serving: ServingConfig,
@@ -798,7 +756,7 @@ pub struct ServingSession {
     pamo: Pamo,
     drifting: DriftingScenario,
     rng: StdRng,
-    state: OverloadLoop,
+    state: SessionState,
     epochs: Vec<EpochRecord>,
     deferred: Vec<ChurnEvent>,
     idx: usize,
@@ -833,21 +791,43 @@ impl ServingSession {
         overload: &OverloadConfig,
         seed: u64,
     ) -> Self {
+        let plan = overload
+            .chaos
+            .fault_plan(initial.n_servers(), initial.n_videos());
+        ServingSession::with_plan(
+            initial,
+            drift_step,
+            config,
+            weights,
+            serving,
+            overload,
+            Some(&plan),
+            serving.churn_trace(),
+            seed,
+        )
+    }
+
+    /// [`new`](Self::new) with a caller-composed crash plan (whose
+    /// server count the caller has checked) in place of the one
+    /// `overload.chaos` would derive, and a pre-generated churn trace.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn with_plan(
+        initial: &Scenario,
+        drift_step: f64,
+        config: &PamoConfig,
+        weights: [f64; N_OBJECTIVES],
+        serving: &ServingConfig,
+        overload: &OverloadConfig,
+        plan: Option<&FaultPlan>,
+        trace: ChurnTrace,
+        seed: u64,
+    ) -> Self {
         let n_servers = initial.n_servers();
         let horizon_s = serving.horizon_s();
-        let trace = ChurnTrace::generate(&ChurnConfig {
-            model: serving.arrivals,
-            mean_hold_s: serving.mean_hold_s,
-            horizon_s,
-            seed: serving.churn_seed,
-        });
-        let plan = overload.chaos.fault_plan(n_servers, initial.n_videos());
         let horizon_ticks = secs_to_ticks(horizon_s).max(1) + 1;
-        let server_up = if plan.is_zero() {
-            None
-        } else {
-            Some(plan.server_availability(horizon_ticks))
-        };
+        let server_up = plan
+            .filter(|p| !p.is_zero())
+            .map(|p| p.server_availability(horizon_ticks));
         let mut timeline: Vec<(f64, Happening)> = trace
             .events()
             .iter()
@@ -870,7 +850,7 @@ impl ServingSession {
             }
         }
         timeline.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let state = OverloadLoop {
+        let state = SessionState {
             weights,
             serving: *serving,
             policy: overload.policy,
@@ -1058,28 +1038,28 @@ impl ServingSession {
         }
         match rung {
             DecisionRung::Full => {
-                let planned = match self.pamo.decide_surviving_budgeted_recorded(
-                    &self.state.scenario,
-                    &pref,
-                    mask.as_deref(),
-                    &self.budget,
-                    &mut self.rng,
-                    rec,
-                ) {
-                    Ok(d) => match self.state.scenario.schedule_surviving_recorded(
-                        &d.configs,
+                let scenario = &self.state.scenario;
+                let planned = self
+                    .pamo
+                    .decide_surviving_budgeted_recorded(
+                        scenario,
+                        &pref,
                         mask.as_deref(),
+                        &self.budget,
+                        &mut self.rng,
                         rec,
-                    ) {
-                        Ok(a) => Some((d.configs, a, false)),
-                        Err(_) => {
-                            fallback_uniform(&self.state.scenario, &pref, mask.as_deref(), rec)
-                                .map(|(c, a)| (c, a, true))
-                        }
-                    },
-                    Err(_) => fallback_uniform(&self.state.scenario, &pref, mask.as_deref(), rec)
-                        .map(|(c, a)| (c, a, true)),
-                };
+                    )
+                    .ok()
+                    .and_then(|d| {
+                        let a = scenario
+                            .schedule_surviving_recorded(&d.configs, mask.as_deref(), rec)
+                            .ok()?;
+                        Some((d.configs, a, false))
+                    })
+                    .or_else(|| {
+                        fallback_uniform(scenario, &pref, mask.as_deref(), rec)
+                            .map(|(c, a)| (c, a, true))
+                    });
                 epoch_degraded = match planned {
                     Some((c, a, fell_back)) => {
                         self.state.configs = c;
@@ -1463,55 +1443,13 @@ impl ServingSession {
     }
 }
 
-/// [`run_serving_overloaded_recorded`] without telemetry.
-#[allow(clippy::too_many_arguments)]
-pub fn run_serving_overloaded(
-    initial: &Scenario,
-    drift_step: f64,
-    config: &PamoConfig,
-    weights: [f64; N_OBJECTIVES],
-    serving: &ServingConfig,
-    overload: &OverloadConfig,
-    seed: u64,
-) -> ServingRun {
-    run_serving_overloaded_recorded(
-        initial,
-        drift_step,
-        config,
-        weights,
-        serving,
-        overload,
-        seed,
-        &NoopRecorder,
-    )
-}
-
-/// Drive a budgeted overload serving run end to end: build a
-/// [`ServingSession`] and run it to completion.
-#[allow(clippy::too_many_arguments)]
-pub fn run_serving_overloaded_recorded(
-    initial: &Scenario,
-    drift_step: f64,
-    config: &PamoConfig,
-    weights: [f64; N_OBJECTIVES],
-    serving: &ServingConfig,
-    overload: &OverloadConfig,
-    seed: u64,
-    rec: &dyn Recorder,
-) -> ServingRun {
-    ServingSession::new(
-        initial, drift_step, config, weights, serving, overload, seed,
-    )
-    .run(rec)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pamo::PreferenceSource;
-    use crate::serving::run_serving;
     use eva_bo::{AcqKind, BoConfig};
     use eva_fault::{ControlStragglers, CrashBursts, LinkCollapse};
+    use eva_obs::NoopRecorder;
     use eva_serve::{AdmissionConfig, ArrivalModel};
     use eva_stats::rng::seeded;
 
@@ -1599,46 +1537,6 @@ mod tests {
         assert_eq!(a.rung_counts, b.rung_counts);
     }
 
-    #[test]
-    fn inert_unbudgeted_session_reproduces_the_serving_loop() {
-        let sc = base();
-        let serving = storm(true);
-        let mut d = DriftingScenario::new(&sc, 0.05);
-        let plain = run_serving(
-            &mut d,
-            &tiny_config(),
-            [1.0; 5],
-            None,
-            &serving,
-            &mut seeded(2),
-        );
-        let overload = OverloadConfig::unbudgeted(ChaosSpec::none(0), policy());
-        let session_run =
-            run_serving_overloaded(&sc, 0.05, &tiny_config(), [1.0; 5], &serving, &overload, 2);
-        // Decisions, events and the value integral are bit-identical;
-        // only reaction times differ (modeled vs wall clock).
-        assert_eq!(session_run.epochs.len(), plain.epochs.len());
-        for (s, p) in session_run.epochs.iter().zip(&plain.epochs) {
-            assert_eq!(s.online_benefit.to_bits(), p.online_benefit.to_bits());
-            assert_eq!(s.configs, p.configs);
-        }
-        assert_eq!(session_run.events.len(), plain.events.len());
-        for (s, p) in session_run.events.iter().zip(&plain.events) {
-            assert_eq!(
-                (s.kind, s.tenant, s.outcome, s.scope),
-                (p.kind, p.tenant, p.outcome, p.scope)
-            );
-        }
-        assert_eq!(session_run.accepted, plain.accepted);
-        assert_eq!(session_run.rejected, plain.rejected);
-        assert_eq!(
-            session_run.value_integral.to_bits(),
-            plain.value_integral.to_bits()
-        );
-        assert_eq!(session_run.budget_overruns, 0);
-        assert_eq!(session_run.rung_counts, [serving.n_epochs as u64, 0, 0]);
-    }
-
     fn chaotic() -> (ServingConfig, OverloadConfig) {
         let chaos = ChaosSpec {
             seed: 11,
@@ -1679,8 +1577,8 @@ mod tests {
     fn budgeted_chaos_run_never_overruns_and_records_rungs() {
         let sc = base();
         let (serving, overload) = chaotic();
-        let run =
-            run_serving_overloaded(&sc, 0.05, &tiny_config(), [1.0; 5], &serving, &overload, 3);
+        let run = ServingSession::new(&sc, 0.05, &tiny_config(), [1.0; 5], &serving, &overload, 3)
+            .run(&NoopRecorder);
         assert_eq!(run.budget_overruns, 0, "budget overran");
         assert_eq!(
             run.rung_counts.iter().sum::<u64>(),
@@ -1846,8 +1744,8 @@ mod tests {
                 deadline_s: 5.0,
             },
         );
-        let run =
-            run_serving_overloaded(&sc, 0.05, &tiny_config(), [1.0; 5], &serving, &starved, 2);
+        let run = ServingSession::new(&sc, 0.05, &tiny_config(), [1.0; 5], &serving, &starved, 2)
+            .run(&NoopRecorder);
         // Epoch 0 bootstraps at full; every later window is starved.
         assert_eq!(run.rung_counts[DecisionRung::Full.index()], 1);
         assert_eq!(
@@ -1885,8 +1783,8 @@ mod tests {
             ..ServingConfig::default()
         };
         let overload = OverloadConfig::budgeted(ChaosSpec::none(0), policy());
-        let run =
-            run_serving_overloaded(&sc, 0.05, &tiny_config(), [1.0; 5], &serving, &overload, 4);
+        let run = ServingSession::new(&sc, 0.05, &tiny_config(), [1.0; 5], &serving, &overload, 4)
+            .run(&NoopRecorder);
         assert!(run.shed > 0, "an arrival flood past a tiny cap must shed");
         assert!(
             run.events.iter().any(|e| e.outcome == "shed"),

@@ -1,28 +1,45 @@
-//! Continuous-arrival serving: the event loop that drives `eva-serve`.
+//! Continuous-arrival serving: its configuration, its result, and the
+//! [`run_serving`] entry point.
 //!
-//! Every other runner in this crate replays a *fixed* tenant set.
-//! [`run_serving`] instead drives a discrete-event simulation whose
-//! stream set mutates mid-run: a pre-generated churn trace
+//! Every other runner in this crate replays a *fixed* tenant set. A
+//! serving run instead drives a discrete-event simulation whose stream
+//! set mutates mid-run: a pre-generated churn trace
 //! ([`eva_serve::ChurnTrace`]) injects tenant arrivals and departures,
 //! an optional [`FaultPlan`] injects server crashes and restores, and
 //! the loop reacts to all four event kinds uniformly as replan
-//! triggers.
+//! triggers. The loop is the [`ServingSession`] step machine of
+//! [`crate::overload`]; [`run_serving`] runs one to completion with an
+//! unlimited decision budget and the caller's fault plan as its only
+//! chaos.
 //!
 //! Two reaction disciplines are compared:
 //!
 //! * **event-driven** (`event_driven = true`): every event is handled
 //!   at its event time — arrivals get an admission probe and, when
 //!   accepted, an incremental row repair; departures/failures/restores
-//!   get a row repair immediately. Reaction latency is the handler's
-//!   compute time.
+//!   get a row repair immediately.
 //! * **epoch-synchronous** (`event_driven = false`): churn events are
 //!   deferred to the next epoch boundary and failures are only noticed
-//!   by the boundary heartbeat check. Reaction latency is the wait
-//!   until the boundary plus the handler's compute time.
+//!   by the boundary heartbeat check.
 //!
 //! Both disciplines re-optimize with the full PaMO pipeline at every
 //! epoch boundary, so the comparison isolates *reaction policy*, not
 //! decision quality.
+//!
+//! **Reaction time** has one definition: the wait until the step that
+//! handled the event (0 at event time, the boundary wait when
+//! deferred) plus the handler's *modeled* control work — the
+//! [`eva_obs::cost`] units it charged, times
+//! [`BudgetPolicy::modeled_time_s`], times the active straggler
+//! divisor. It never reads the wall clock, so a seeded run reproduces
+//! bit for bit, reaction times included. [`run_serving`] models work
+//! with [`SERVING_POLICY`].
+//!
+//! **Server failures.** When the survivor re-solve after a failure is
+//! infeasible, the deployed plan stays in place and the event records
+//! `"deferred"`: cameras on the dead server already stop counting
+//! towards served value (ground-truth liveness), while the survivors
+//! keep serving until the next boundary re-plans.
 //!
 //! **Serving value.** The run integrates `served(t) · quality(t)` over
 //! time, where `served(t)` counts cameras whose post-split streams all
@@ -35,29 +52,39 @@
 //! benefit" objective, per provisioned server, under churn.
 //!
 //! **Determinism.** The churn trace and each tenant's clip profile are
-//! pure functions of `churn_seed`; mid-window event handling consumes
-//! no randomness from the run's RNG. A silent arrival model with no
-//! fault plan therefore delegates to [`run_online_recorded`] outright,
-//! and the epochs are bit-identical to a plain online run.
+//! pure functions of `churn_seed`; the drift walk and the PaMO
+//! decisions draw from one RNG seeded with the run seed, and
+//! mid-window event handling consumes none of it. A silent arrival
+//! model with no fault plan therefore delegates to [`run_online`]
+//! outright, and the epochs are bit-identical to a plain online run.
 
-use std::collections::{HashSet, VecDeque};
-use std::time::Instant;
+use eva_fault::{ChaosSpec, FaultPlan};
+use eva_obs::{BudgetPolicy, Recorder};
+use eva_serve::{AdmissionConfig, ArrivalModel, ChurnConfig, ChurnTrace};
+use eva_stats::rng::seeded;
+use eva_workload::{DriftingScenario, Scenario, N_OBJECTIVES};
 
-use eva_fault::process::secs_to_ticks;
-use eva_fault::{AvailabilityTrace, FaultPlan};
-use eva_obs::{span, DecisionRung, NoopRecorder, Phase, Recorder};
-use eva_sched::{Assignment, TICKS_PER_SEC};
-use eva_serve::{
-    subset_outcome, AdmissionConfig, AdmissionController, AdmissionDecision, ArrivalModel,
-    ChurnAction, ChurnConfig, ChurnEvent, ChurnTrace, ReplanScope, ReplanTrigger, Rescheduler,
+use crate::benefit::normalized_benefit;
+use crate::error::{require, CoreError};
+use crate::faulted::{check_plan, check_timing};
+use crate::online::{run_online, EpochRecord};
+use crate::overload::{OverloadConfig, ServingSession};
+use crate::pamo::PamoConfig;
+
+/// The reaction-time model of [`run_serving`]: an unlimited window
+/// (the budget is metered, never enforced), no deadline, and
+/// `unit_time_s = 0.01` modeled seconds per work unit — the unit time
+/// the unbudgeted serve workloads of `perf_baseline` and `perfbench`
+/// already use. Uncalibrated: the [`eva_obs::cost`] units are constants
+/// not yet fitted to measured CPU time (ROADMAP item 5), so reaction
+/// times compare policies, not hardware.
+pub const SERVING_POLICY: BudgetPolicy = BudgetPolicy {
+    window_units: u64::MAX,
+    full_floor: 0,
+    repair_floor: 0,
+    unit_time_s: 0.01,
+    deadline_s: f64::INFINITY,
 };
-use eva_workload::{ClipProfile, DriftingScenario, Scenario, VideoConfig, N_OBJECTIVES};
-use rand::Rng;
-
-use crate::benefit::{normalized_benefit, TruePreference};
-use crate::faulted::fallback_uniform;
-use crate::online::{run_online_recorded, EpochRecord};
-use crate::pamo::{Pamo, PamoConfig};
 
 /// Knobs of a serving run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -102,6 +129,16 @@ impl ServingConfig {
     pub fn horizon_s(&self) -> f64 {
         self.epoch_s * self.n_epochs as f64
     }
+
+    /// The seeded churn trace over the run horizon.
+    pub(crate) fn churn_trace(&self) -> ChurnTrace {
+        ChurnTrace::generate(&ChurnConfig {
+            model: self.arrivals,
+            mean_hold_s: self.mean_hold_s,
+            horizon_s: self.horizon_s(),
+            seed: self.churn_seed,
+        })
+    }
 }
 
 /// One handled serving event (simulation-time stamped).
@@ -125,9 +162,9 @@ pub struct ServeEvent {
     /// handled this event (`"full"`, `"repair"` or `"stale"`); always
     /// `"full"` outside budgeted overload runs.
     pub rung: &'static str,
-    /// Scheduling reaction latency in seconds: handler compute time,
-    /// plus (epoch-synchronous only) the wait until the boundary that
-    /// finally handled the event.
+    /// Scheduling reaction latency in modeled seconds: the wait until
+    /// the step that handled the event (0 at event time) plus the
+    /// handler's modeled control work (see the module docs).
     pub reaction_s: f64,
     /// Live churn tenants after handling.
     pub live_tenants: usize,
@@ -181,7 +218,7 @@ pub struct ServingRun {
     /// Decision windows that missed the modeled deadline.
     pub deadline_misses: u64,
     /// Epoch decisions taken per escalation-ladder rung, indexed by
-    /// [`DecisionRung::index`] (`[full, repair, stale]`).
+    /// [`eva_obs::DecisionRung::index`] (`[full, repair, stale]`).
     pub rung_counts: [u64; 3],
 }
 
@@ -246,429 +283,51 @@ pub(crate) fn percentile_99(values: impl Iterator<Item = f64>) -> f64 {
     v[idx]
 }
 
-/// A timeline entry: churn or a server liveness toggle.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Happening {
-    Churn(ChurnEvent),
-    Server { server: usize, up: bool },
-}
-
-/// The churn tenant's content — a pure function of the churn seed, so
-/// retries (queue drains) and both reaction disciplines see the same
-/// clip for the same tenant.
-pub(crate) fn churn_clip(churn_seed: u64, tenant: u64, index: usize) -> ClipProfile {
-    let seed = eva_stats::rng::child_seed(churn_seed, tenant.wrapping_add(0xC11F));
-    let mut rng = eva_stats::rng::seeded(seed);
-    ClipProfile::random(&mut rng, index)
-}
-
-/// Mutable serving-loop state, factored out so event handlers can be
-/// methods instead of closures over a dozen locals.
-struct ServingLoop<'a> {
-    weights: [f64; N_OBJECTIVES],
-    serving: &'a ServingConfig,
-    rec: &'a dyn Recorder,
-    controller: AdmissionController,
-    rescheduler: Rescheduler,
-    /// Current epoch's base (non-churn) scenario snapshot.
-    base: Scenario,
-    base_n: usize,
-    /// Admitted churn tenants, in camera order (`base_n + i`).
-    extras: Vec<(u64, ClipProfile)>,
-    /// Deployed configurations, parallel to `scenario`'s cameras.
-    configs: Vec<VideoConfig>,
-    /// Effective scenario: base cameras plus admitted extras.
-    scenario: Scenario,
-    /// Deployed placement; `None` while degraded (dark).
-    assignment: Option<Assignment>,
-    /// Ground-truth server liveness.
-    truly_up: Vec<bool>,
-    /// The scheduler's belief about server liveness.
-    belief: Vec<bool>,
-    /// Waiting tenants, FIFO.
-    queue: VecDeque<u64>,
-    /// Departed-but-unprocessed tenants (epoch-synchronous only).
-    zombies: HashSet<u64>,
-    events: Vec<ServeEvent>,
-    accepted: u64,
-    rejected: u64,
-    queued_peak: usize,
-    min_floor_margin: f64,
-    value_integral: f64,
-    seg_start: f64,
-    rate: f64,
-    degraded: bool,
-}
-
-impl<'a> ServingLoop<'a> {
-    /// Accumulate serving value up to `t`.
-    fn advance_value(&mut self, t: f64) {
-        if t > self.seg_start {
-            self.value_integral += self.rate * (t - self.seg_start);
-            self.seg_start = t;
-        }
-    }
-
-    /// Recompute the instantaneous serving-value rate.
-    fn recompute_rate(&mut self) {
-        let Some(a) = &self.assignment else {
-            self.rate = 0.0;
-            return;
-        };
-        let n = self.scenario.n_videos();
-        let pref = TruePreference::new(&self.scenario, self.weights);
-        let out = subset_outcome(&self.scenario, &self.configs, a, n);
-        let quality = normalized_benefit(pref.benefit(&out), 0.0, pref.min_reference());
-        let mut down = vec![false; n];
-        for (i, st) in a.streams.iter().enumerate() {
-            if !self.truly_up[a.server_of[i]] {
-                down[st.id.source] = true;
-            }
-        }
-        let served = (0..n)
-            .filter(|&c| !down[c] && !self.is_zombie_camera(c))
-            .count();
-        self.rate = served as f64 * quality;
-    }
-
-    fn is_zombie_camera(&self, camera: usize) -> bool {
-        camera >= self.base_n
-            && self
-                .extras
-                .get(camera - self.base_n)
-                .is_some_and(|(id, _)| self.zombies.contains(id))
-    }
-
-    fn mask_vec(&self) -> Option<Vec<bool>> {
-        if self.belief.iter().all(|&b| b) {
-            None
-        } else {
-            Some(self.belief.clone())
-        }
-    }
-
-    /// Rebuild the effective scenario from the base snapshot + extras.
-    fn rebuild_scenario(&mut self) {
-        let mut clips: Vec<ClipProfile> = (0..self.base_n)
-            .map(|i| self.base.clip(i).clone())
-            .collect();
-        clips.extend(self.extras.iter().map(|(_, c)| c.clone()));
-        self.scenario = Scenario::new(
-            clips,
-            self.base.uplinks().to_vec(),
-            self.base.config_space().clone(),
-        );
-    }
-
-    fn push_event(
-        &mut self,
-        time_s: f64,
-        kind: &'static str,
-        tenant: Option<u64>,
-        outcome: &'static str,
-        scope: Option<&'static str>,
-        reaction_s: f64,
-    ) {
-        if self.rec.enabled() {
-            self.rec.observe("serve.reaction_s", reaction_s);
-        }
-        self.events.push(ServeEvent {
-            time_s,
-            kind,
-            tenant,
-            outcome,
-            scope,
-            reaction_s,
-            live_tenants: self.extras.len(),
-            rung: DecisionRung::Full.as_str(),
-        });
-    }
-
-    /// Probe admission of `tenant` against the current system.
-    /// `queue_len` is the number of *other* waiting tenants.
-    fn admit_probe(&self, tenant: u64, queue_len: usize) -> AdmissionDecision {
-        if self.assignment.is_none() || self.configs.len() != self.scenario.n_videos() {
-            // Dark or inconsistent system: don't admit into chaos.
-            return if queue_len < self.controller.config().queue_capacity {
-                AdmissionDecision::Queue {
-                    reason: "system degraded",
-                }
-            } else {
-                AdmissionDecision::Reject {
-                    reason: "system degraded",
-                }
-            };
-        }
-        let clip = churn_clip(
-            self.serving.churn_seed,
-            tenant,
-            self.base_n + tenant as usize,
-        );
-        let mut clips: Vec<ClipProfile> = (0..self.scenario.n_videos())
-            .map(|i| self.scenario.clip(i).clone())
-            .collect();
-        clips.push(clip);
-        let trial = Scenario::new(
-            clips,
-            self.scenario.uplinks().to_vec(),
-            self.scenario.config_space().clone(),
-        );
-        let pref = TruePreference::new(&trial, self.weights);
-        let incumbent_before = match &self.assignment {
-            Some(a) => pref.benefit(&subset_outcome(
-                &trial,
-                &self.configs,
-                a,
-                self.scenario.n_videos(),
-            )),
-            None => f64::NEG_INFINITY,
-        };
-        let mask = self.mask_vec();
-        self.controller.admit(
-            &trial,
-            &self.configs,
-            mask.as_deref(),
-            incumbent_before,
-            &|o| pref.benefit(o),
-            self.extras.len(),
-            queue_len,
-            self.rec,
-        )
-    }
-
-    /// Install an accepted tenant and replan around it. Returns the
-    /// replan scope label.
-    fn apply_accept(&mut self, tenant: u64, report: &eva_serve::ProbeReport) -> &'static str {
-        let floor = report.incumbent_before - self.controller.config().max_benefit_drop;
-        self.min_floor_margin = self.min_floor_margin.min(report.incumbent_after - floor);
-        let clip = churn_clip(
-            self.serving.churn_seed,
-            tenant,
-            self.base_n + tenant as usize,
-        );
-        self.extras.push((tenant, clip));
-        self.configs.push(report.newcomer_config);
-        self.rebuild_scenario();
-        let camera = self.configs.len() - 1;
-        let mask = self.mask_vec();
-        match self.rescheduler.replan(
-            &self.scenario,
-            &self.configs,
-            mask.as_deref(),
-            ReplanTrigger::Arrival { camera },
-            self.rec,
-        ) {
-            Ok((a, scope)) => {
-                self.assignment = Some(a);
-                scope_label(scope)
-            }
-            Err(_) => {
-                // The probe proved feasibility, so this is effectively
-                // unreachable; degrade rather than panic if it happens.
-                self.assignment = None;
-                self.degraded = true;
-                "none"
-            }
-        }
-    }
-
-    /// Handle one arrival at simulation time `now`; `reaction_base` is
-    /// the already-elapsed wait (0 for event-driven handling).
-    fn handle_arrival(&mut self, ev: ChurnEvent, now: f64, reaction_base: f64) {
-        let t0 = Instant::now();
-        let decision = self.admit_probe(ev.tenant, self.queue.len());
-        let (outcome, scope) = match decision {
-            AdmissionDecision::Accept(report) => {
-                self.accepted += 1;
-                let scope = self.apply_accept(ev.tenant, &report);
-                ("accepted", Some(scope))
-            }
-            AdmissionDecision::Queue { .. } => {
-                self.queue.push_back(ev.tenant);
-                self.queued_peak = self.queued_peak.max(self.queue.len());
-                ("queued", None)
-            }
-            AdmissionDecision::Reject { .. } => {
-                self.rejected += 1;
-                ("rejected", None)
-            }
-        };
-        let reaction = reaction_base + t0.elapsed().as_secs_f64();
-        self.push_event(now, "arrival", Some(ev.tenant), outcome, scope, reaction);
-    }
-
-    /// Handle one departure at simulation time `now`.
-    fn handle_departure(&mut self, ev: ChurnEvent, now: f64, reaction_base: f64) {
-        let t0 = Instant::now();
-        let (outcome, scope) =
-            if let Some(pos) = self.extras.iter().position(|(id, _)| *id == ev.tenant) {
-                let camera = self.base_n + pos;
-                self.extras.remove(pos);
-                self.configs.remove(camera);
-                self.zombies.remove(&ev.tenant);
-                self.rebuild_scenario();
-                if self.assignment.is_some() {
-                    let mask = self.mask_vec();
-                    match self.rescheduler.replan(
-                        &self.scenario,
-                        &self.configs,
-                        mask.as_deref(),
-                        ReplanTrigger::Departure { camera },
-                        self.rec,
-                    ) {
-                        Ok((a, scope)) => {
-                            self.assignment = Some(a);
-                            ("replanned", Some(scope_label(scope)))
-                        }
-                        Err(_) => {
-                            self.assignment = None;
-                            self.degraded = true;
-                            ("degraded", None)
-                        }
-                    }
-                } else {
-                    ("ignored", None)
-                }
-            } else if let Some(pos) = self.queue.iter().position(|&id| id == ev.tenant) {
-                // Waiting tenant gave up before being admitted.
-                self.queue.remove(pos);
-                ("ignored", None)
-            } else {
-                ("ignored", None)
-            };
-        let reaction = reaction_base + t0.elapsed().as_secs_f64();
-        self.push_event(now, "departure", Some(ev.tenant), outcome, scope, reaction);
-        if outcome == "replanned" {
-            self.drain_queue(now);
-        }
-    }
-
-    /// Handle a server toggle the event-driven way: update belief and
-    /// replan immediately.
-    fn handle_toggle_event_driven(&mut self, server: usize, up: bool, now: f64) {
-        let t0 = Instant::now();
-        self.belief[server] = up;
-        let kind = if up { "restore" } else { "failure" };
-        let trigger = if up {
-            ReplanTrigger::ServerRestore { server }
-        } else {
-            ReplanTrigger::ServerFailure { server }
-        };
-        let (outcome, scope) =
-            if self.configs.len() == self.scenario.n_videos() && !self.configs.is_empty() {
-                let mask = self.mask_vec();
-                match self.rescheduler.replan(
-                    &self.scenario,
-                    &self.configs,
-                    mask.as_deref(),
-                    trigger,
-                    self.rec,
-                ) {
-                    Ok((a, scope)) => {
-                        self.assignment = Some(a);
-                        ("replanned", Some(scope_label(scope)))
-                    }
-                    Err(_) => {
-                        self.assignment = None;
-                        self.degraded = true;
-                        ("degraded", None)
-                    }
-                }
-            } else {
-                ("ignored", None)
-            };
-        let reaction = t0.elapsed().as_secs_f64();
-        self.push_event(now, kind, None, outcome, scope, reaction);
-        if up && outcome == "replanned" {
-            self.drain_queue(now);
-        }
-    }
-
-    /// Retry waiting tenants FIFO until one re-queues (or the queue is
-    /// empty). Called whenever capacity may have freed up.
-    fn drain_queue(&mut self, now: f64) {
-        while let Some(&tenant) = self.queue.front() {
-            let t0 = Instant::now();
-            let decision = self.admit_probe(tenant, self.queue.len() - 1);
-            match decision {
-                AdmissionDecision::Accept(report) => {
-                    self.queue.pop_front();
-                    self.accepted += 1;
-                    let scope = self.apply_accept(tenant, &report);
-                    let reaction = t0.elapsed().as_secs_f64();
-                    self.push_event(
-                        now,
-                        "arrival",
-                        Some(tenant),
-                        "accepted",
-                        Some(scope),
-                        reaction,
-                    );
-                }
-                AdmissionDecision::Queue { .. } => break,
-                AdmissionDecision::Reject { .. } => {
-                    self.queue.pop_front();
-                    self.rejected += 1;
-                    let reaction = t0.elapsed().as_secs_f64();
-                    self.push_event(now, "arrival", Some(tenant), "rejected", None, reaction);
-                }
-            }
-        }
-    }
-}
-
-pub(crate) fn scope_label(scope: ReplanScope) -> &'static str {
-    match scope {
-        ReplanScope::Incremental { .. } => "incremental",
-        ReplanScope::Full => "full",
-    }
-}
-
-/// [`run_serving_recorded`] without telemetry.
-#[allow(clippy::too_many_arguments)]
-pub fn run_serving<R: Rng + ?Sized>(
-    drifting: &mut DriftingScenario,
-    config: &PamoConfig,
-    weights: [f64; N_OBJECTIVES],
-    plan: Option<&FaultPlan>,
-    serving: &ServingConfig,
-    rng: &mut R,
-) -> ServingRun {
-    run_serving_recorded(drifting, config, weights, plan, serving, rng, &NoopRecorder)
-}
-
-/// Drive the continuous-serving DES for `serving.n_epochs` epochs.
+/// Drive a continuous-serving run of `serving.n_epochs` epochs over
+/// `initial`, whose content drifts by `drift_step` per epoch; the run
+/// RNG is seeded from `seed`.
 ///
 /// `plan` injects server crashes/restores (camera faults and retry
 /// budgets are ignored here — serving models churn and crashes, not
-/// frame loss). A silent arrival model with no effective fault plan
-/// delegates to [`run_online_recorded`]: the epochs of such a run are
-/// bit-identical to the plain online runner's, which pins the serving
-/// loop's bookkeeping as overhead-free.
+/// frame loss). The run is a [`ServingSession`] over the caller's plan
+/// with an inert [`ChaosSpec`], an unlimited budget and
+/// [`SERVING_POLICY`], stepped to completion. A silent arrival model
+/// with no effective fault plan delegates to [`run_online`]: the epochs
+/// of such a run are bit-identical to the plain online runner's, which
+/// pins the serving bookkeeping as overhead-free.
+///
+/// Errors on zero epochs, a non-positive epoch, a negative heartbeat,
+/// or a plan sized for another deployment.
 #[allow(clippy::too_many_arguments)]
-pub fn run_serving_recorded<R: Rng + ?Sized>(
-    drifting: &mut DriftingScenario,
+pub fn run_serving(
+    initial: &Scenario,
+    drift_step: f64,
     config: &PamoConfig,
     weights: [f64; N_OBJECTIVES],
     plan: Option<&FaultPlan>,
     serving: &ServingConfig,
-    rng: &mut R,
+    seed: u64,
     rec: &dyn Recorder,
-) -> ServingRun {
-    let initial = drifting.snapshot();
-    let n_servers = initial.n_servers();
-    let horizon_s = serving.horizon_s();
-    let trace = ChurnTrace::generate(&ChurnConfig {
-        model: serving.arrivals,
-        mean_hold_s: serving.mean_hold_s,
-        horizon_s,
-        seed: serving.churn_seed,
-    });
+) -> Result<ServingRun, CoreError> {
+    require(serving.n_epochs > 0, "zero epochs")?;
+    check_timing(serving.epoch_s, serving.heartbeat_s)?;
+    if let Some(p) = plan {
+        check_plan(p, initial)?;
+    }
     let plan = plan.filter(|p| !p.is_zero());
+    let trace = serving.churn_trace();
 
     if trace.is_empty() && plan.is_none() {
         // No churn, no faults: the serving loop is the online loop.
-        let run = run_online_recorded(drifting, config, weights, serving.n_epochs, rng, rec);
+        let mut drifting = DriftingScenario::new(initial, drift_step);
+        let run = run_online(
+            &mut drifting,
+            config,
+            weights,
+            serving.n_epochs,
+            &mut seeded(seed),
+            rec,
+        )?;
         let min_ref = -0.5 * weights.iter().sum::<f64>();
         let value_integral = run
             .epochs
@@ -679,7 +338,7 @@ pub fn run_serving_recorded<R: Rng + ?Sized>(
                     * serving.epoch_s
             })
             .sum();
-        return ServingRun {
+        return Ok(ServingRun {
             epochs: run.epochs,
             events: Vec::new(),
             accepted: 0,
@@ -688,8 +347,8 @@ pub fn run_serving_recorded<R: Rng + ?Sized>(
             replan_incremental: 0,
             replan_full: 0,
             value_integral,
-            horizon_s,
-            n_servers,
+            horizon_s: serving.horizon_s(),
+            n_servers: initial.n_servers(),
             min_floor_margin: f64::INFINITY,
             degraded: run.degraded,
             shed: 0,
@@ -699,251 +358,23 @@ pub fn run_serving_recorded<R: Rng + ?Sized>(
             deadline_hits: 0,
             deadline_misses: 0,
             rung_counts: [serving.n_epochs as u64, 0, 0],
-        };
-    }
-
-    // Ground-truth server availability over the horizon.
-    let horizon_ticks = secs_to_ticks(horizon_s).max(1) + 1;
-    let server_up: Option<Vec<AvailabilityTrace>> =
-        plan.map(|p| p.server_availability(horizon_ticks));
-
-    // Merge churn and liveness toggles into one timeline.
-    let mut timeline: Vec<(f64, Happening)> = trace
-        .events()
-        .iter()
-        .map(|&e| (e.time_s, Happening::Churn(e)))
-        .collect();
-    if let Some(traces) = &server_up {
-        for (server, tr) in traces.iter().enumerate() {
-            for (i, &tick) in tr.toggles().iter().enumerate() {
-                let t = tick as f64 / TICKS_PER_SEC as f64;
-                if t < horizon_s {
-                    timeline.push((
-                        t,
-                        Happening::Server {
-                            server,
-                            up: i % 2 == 1,
-                        },
-                    ));
-                }
-            }
-        }
-    }
-    timeline.sort_by(|a, b| a.0.total_cmp(&b.0));
-
-    // One scheduler for the whole serving run: every replan warm-starts
-    // its GP fits from the previous decision's hyperparameters.
-    let pamo = Pamo::new(config.clone());
-    let heartbeat = secs_to_ticks(serving.heartbeat_s);
-    let mut state = ServingLoop {
-        weights,
-        serving,
-        rec,
-        controller: AdmissionController::new(serving.admission),
-        rescheduler: Rescheduler::new(),
-        base: initial.clone(),
-        base_n: initial.n_videos(),
-        extras: Vec::new(),
-        configs: Vec::new(),
-        scenario: initial.clone(),
-        assignment: None,
-        truly_up: vec![true; n_servers],
-        belief: vec![true; n_servers],
-        queue: VecDeque::new(),
-        zombies: HashSet::new(),
-        events: Vec::new(),
-        accepted: 0,
-        rejected: 0,
-        queued_peak: 0,
-        min_floor_margin: f64::INFINITY,
-        value_integral: 0.0,
-        seg_start: 0.0,
-        rate: 0.0,
-        degraded: false,
-    };
-    let mut epochs: Vec<EpochRecord> = Vec::with_capacity(serving.n_epochs);
-    let mut deferred: Vec<ChurnEvent> = Vec::new();
-    let mut idx = 0usize;
-
-    for epoch in 0..serving.n_epochs {
-        let t0 = epoch as f64 * serving.epoch_s;
-        let t1 = t0 + serving.epoch_s;
-        state.advance_value(t0);
-
-        // ---- Epoch boundary ----
-        let _epoch_span = span(rec, Phase::Epoch);
-        state.base = drifting.snapshot();
-        state.rebuild_scenario();
-
-        // Failure detection.
-        if serving.event_driven {
-            state.belief.copy_from_slice(&state.truly_up);
-        } else if let Some(traces) = &server_up {
-            let now_ticks = secs_to_ticks(t0);
-            for (s, tr) in traces.iter().enumerate() {
-                state.belief[s] =
-                    tr.is_up_throughout(now_ticks.saturating_sub(heartbeat), now_ticks);
-            }
-        }
-
-        // Epoch-synchronous: churn deferred from the last window lands
-        // here, charged its full boundary wait.
-        for ev in std::mem::take(&mut deferred) {
-            let wait = t0 - ev.time_s;
-            match ev.action {
-                ChurnAction::Arrive => state.handle_arrival(ev, t0, wait),
-                ChurnAction::Depart => state.handle_departure(ev, t0, wait),
-            }
-        }
-        state.zombies.clear();
-
-        // Full PaMO re-optimization over the effective tenant set.
-        let pref = TruePreference::new(&state.scenario, weights);
-        let mask = state.mask_vec();
-        let planned =
-            match pamo.decide_surviving_recorded(&state.scenario, &pref, mask.as_deref(), rng, rec)
-            {
-                Ok(d) => match state.scenario.schedule_surviving_recorded(
-                    &d.configs,
-                    mask.as_deref(),
-                    rec,
-                ) {
-                    Ok(a) => Some((d.configs, a, false)),
-                    Err(_) => fallback_uniform(&state.scenario, &pref, mask.as_deref(), rec)
-                        .map(|(c, a)| (c, a, true)),
-                },
-                Err(_) => fallback_uniform(&state.scenario, &pref, mask.as_deref(), rec)
-                    .map(|(c, a)| (c, a, true)),
-            };
-        let epoch_degraded = match planned {
-            Some((c, a, fell_back)) => {
-                state.configs = c;
-                state.rescheduler.install(&a);
-                state.assignment = Some(a);
-                fell_back
-            }
-            None => {
-                state.assignment = None;
-                state.degraded = true;
-                true
-            }
-        };
-        state.degraded |= epoch_degraded || state.belief.iter().any(|&b| !b);
-        let online_benefit = match &state.assignment {
-            Some(a) => pref.benefit(&subset_outcome(
-                &state.scenario,
-                &state.configs,
-                a,
-                state.scenario.n_videos(),
-            )),
-            // Dark epoch: worse than any feasible decision, but finite
-            // so run-level means stay usable.
-            None => pref.min_reference() - 1.0,
-        };
-        epochs.push(EpochRecord {
-            epoch,
-            divergence: drifting.divergence_from(&initial),
-            online_benefit,
-            static_benefit: None,
-            configs: state.configs.clone(),
-            planning_bps: None,
-            alive: state.belief.clone(),
-            degraded: epoch_degraded,
-            rung: DecisionRung::Full,
         });
-        if rec.enabled() {
-            rec.add("serve.epochs", 1);
-        }
-
-        // Boundary capacity may admit waiting tenants.
-        state.drain_queue(t0);
-        state.recompute_rate();
-        drop(_epoch_span);
-
-        // ---- Event window [t0, t1) ----
-        while idx < timeline.len() && timeline[idx].0 < t1 {
-            let (t, what) = timeline[idx];
-            idx += 1;
-            state.advance_value(t.max(t0));
-            match what {
-                Happening::Server { server, up } => {
-                    state.truly_up[server] = up;
-                    if !up {
-                        state.degraded = true;
-                    }
-                    if serving.event_driven {
-                        state.handle_toggle_event_driven(server, up, t);
-                    }
-                    // Epoch-synchronous: the heartbeat notices at the
-                    // next boundary; only ground truth changes now.
-                }
-                Happening::Churn(ev) => {
-                    if serving.event_driven {
-                        match ev.action {
-                            ChurnAction::Arrive => state.handle_arrival(ev, t, 0.0),
-                            ChurnAction::Depart => state.handle_departure(ev, t, 0.0),
-                        }
-                    } else {
-                        if ev.action == ChurnAction::Depart
-                            && state.extras.iter().any(|(id, _)| *id == ev.tenant)
-                        {
-                            // Gone in reality; value stops counting it
-                            // even though the scheduler hasn't noticed.
-                            state.zombies.insert(ev.tenant);
-                        }
-                        deferred.push(ev);
-                    }
-                }
-            }
-            state.recompute_rate();
-        }
-
-        drifting.advance(rng);
     }
 
-    // Close the last segment and flush epoch-sync events that never
-    // reached a boundary (charged the wait to end-of-run).
-    state.advance_value(horizon_s);
-    for ev in std::mem::take(&mut deferred) {
-        let wait = horizon_s - ev.time_s;
-        match ev.action {
-            ChurnAction::Arrive => state.handle_arrival(ev, horizon_s, wait),
-            ChurnAction::Depart => state.handle_departure(ev, horizon_s, wait),
-        }
-    }
-
-    let stats = state.rescheduler.stats();
-    let n_epochs = epochs.len() as u64;
-    ServingRun {
-        epochs,
-        events: state.events,
-        accepted: state.accepted,
-        rejected: state.rejected,
-        queued_peak: state.queued_peak,
-        replan_incremental: stats.incremental,
-        replan_full: stats.full,
-        value_integral: state.value_integral,
-        horizon_s,
-        n_servers,
-        min_floor_margin: state.min_floor_margin,
-        degraded: state.degraded,
-        shed: 0,
-        replan_coalesced: stats.coalesced,
-        budget_spent: 0,
-        budget_overruns: 0,
-        deadline_hits: 0,
-        deadline_misses: 0,
-        rung_counts: [n_epochs, 0, 0],
-    }
+    let overload = OverloadConfig::unbudgeted(ChaosSpec::none(0), SERVING_POLICY);
+    let mut session = ServingSession::with_plan(
+        initial, drift_step, config, weights, serving, &overload, plan, trace, seed,
+    );
+    Ok(session.run(rec))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::online::run_online;
     use crate::pamo::PreferenceSource;
     use eva_bo::{AcqKind, BoConfig};
-    use eva_stats::rng::seeded;
+    use eva_obs::NoopRecorder;
+    use std::collections::HashSet;
 
     fn tiny_config() -> PamoConfig {
         PamoConfig {
@@ -980,12 +411,37 @@ mod tests {
         }
     }
 
+    fn serve(
+        drift_step: f64,
+        plan: Option<&FaultPlan>,
+        serving: &ServingConfig,
+        seed: u64,
+    ) -> Result<ServingRun, CoreError> {
+        run_serving(
+            &base(),
+            drift_step,
+            &tiny_config(),
+            [1.0; 5],
+            plan,
+            serving,
+            seed,
+            &NoopRecorder,
+        )
+    }
+
     #[test]
     fn zero_churn_run_is_bit_identical_to_run_online() {
-        let sc = base();
         let plain = {
-            let mut d = DriftingScenario::new(&sc, 0.08);
-            run_online(&mut d, &tiny_config(), [1.0; 5], 4, &mut seeded(9))
+            let mut d = DriftingScenario::new(&base(), 0.08);
+            run_online(
+                &mut d,
+                &tiny_config(),
+                [1.0; 5],
+                4,
+                &mut seeded(9),
+                &NoopRecorder,
+            )
+            .expect("valid inputs")
         };
         let silent = ServingConfig {
             epoch_s: 30.0,
@@ -994,15 +450,7 @@ mod tests {
             ..ServingConfig::default()
         };
         for plan in [None, Some(FaultPlan::none(3, 3))] {
-            let mut d = DriftingScenario::new(&sc, 0.08);
-            let served = run_serving(
-                &mut d,
-                &tiny_config(),
-                [1.0; 5],
-                plan.as_ref(),
-                &silent,
-                &mut seeded(9),
-            );
+            let served = serve(0.08, plan.as_ref(), &silent, 9).expect("valid inputs");
             assert!(served.events.is_empty());
             assert_eq!(served.epochs.len(), plain.epochs.len());
             for (s, p) in served.epochs.iter().zip(&plain.epochs) {
@@ -1020,16 +468,7 @@ mod tests {
 
     #[test]
     fn storm_run_admits_tenants_and_respects_the_floor() {
-        let sc = base();
-        let mut d = DriftingScenario::new(&sc, 0.05);
-        let run = run_serving(
-            &mut d,
-            &tiny_config(),
-            [1.0; 5],
-            None,
-            &storm(true),
-            &mut seeded(2),
-        );
+        let run = serve(0.05, None, &storm(true), 2).expect("valid inputs");
         let arrivals = run.events.iter().filter(|e| e.kind == "arrival").count();
         assert!(arrivals > 0, "storm produced no arrival events");
         assert!(run.accepted > 0, "nothing admitted under a light storm");
@@ -1047,23 +486,11 @@ mod tests {
 
     #[test]
     fn event_driven_reacts_faster_than_epoch_synchronous() {
-        let sc = base();
-        let mut runs = Vec::new();
-        for event_driven in [true, false] {
-            let mut d = DriftingScenario::new(&sc, 0.05);
-            runs.push(run_serving(
-                &mut d,
-                &tiny_config(),
-                [1.0; 5],
-                None,
-                &storm(event_driven),
-                &mut seeded(2),
-            ));
-        }
-        let (ed, es) = (&runs[0], &runs[1]);
+        let ed = serve(0.05, None, &storm(true), 2).expect("valid inputs");
+        let es = serve(0.05, None, &storm(false), 2).expect("valid inputs");
         assert!(ed.events.iter().any(|e| e.outcome == "accepted"));
         // Epoch-sync charges boundary waits (seconds); event-driven
-        // charges compute only (far below a second per event).
+        // charges modeled handler work only.
         assert!(
             ed.reaction_p99_s() < es.reaction_p99_s(),
             "event-driven p99 {} !< epoch-sync p99 {}",
@@ -1074,14 +501,20 @@ mod tests {
     }
 
     #[test]
+    fn event_driven_reactions_are_whole_modeled_work_units() {
+        let run = serve(0.05, None, &storm(true), 2).expect("valid inputs");
+        for e in run.events.iter().filter(|e| e.outcome != "ignored") {
+            let units = e.reaction_s / SERVING_POLICY.unit_time_s;
+            assert!(units >= 1.0, "{e:?}");
+            assert!((units - units.round()).abs() < 1e-9, "{e:?}");
+        }
+    }
+
+    #[test]
     fn server_crashes_surface_as_failure_and_restore_events() {
-        let sc = base();
         let plan = FaultPlan::none(3, 3).with_server_crashes(25.0, 15.0, 11);
-        let mut d = DriftingScenario::new(&sc, 0.05);
-        let run = run_serving(
-            &mut d,
-            &tiny_config(),
-            [1.0; 5],
+        let run = serve(
+            0.05,
             Some(&plan),
             &ServingConfig {
                 epoch_s: 20.0,
@@ -1089,8 +522,9 @@ mod tests {
                 arrivals: ArrivalModel::Poisson { rate_hz: 0.0 },
                 ..ServingConfig::default()
             },
-            &mut seeded(4),
-        );
+            4,
+        )
+        .expect("valid inputs");
         let kinds: HashSet<&str> = run.events.iter().map(|e| e.kind).collect();
         assert!(
             kinds.contains("failure"),
@@ -1098,5 +532,81 @@ mod tests {
             run.events.len()
         );
         assert!(run.degraded, "crash-heavy run must be flagged degraded");
+    }
+
+    #[test]
+    fn serving_inputs_are_checked() {
+        let bad = [
+            ServingConfig {
+                n_epochs: 0,
+                ..storm(true)
+            },
+            ServingConfig {
+                epoch_s: 0.0,
+                ..storm(true)
+            },
+            ServingConfig {
+                heartbeat_s: -1.0,
+                ..storm(true)
+            },
+        ];
+        for serving in &bad {
+            let err = serve(0.05, None, serving, 2).map(|_| ()).unwrap_err();
+            assert!(matches!(err, CoreError::InvalidInput { .. }), "{err}");
+        }
+        // `base()` has 3 servers and 3 cameras.
+        for plan in [FaultPlan::none(2, 3), FaultPlan::none(3, 4)] {
+            let err = serve(0.05, Some(&plan), &storm(true), 2)
+                .map(|_| ())
+                .unwrap_err();
+            assert!(matches!(err, CoreError::InvalidInput { .. }), "{err}");
+        }
+    }
+
+    #[test]
+    fn infeasible_survivor_resolve_keeps_serving_the_stale_plan() {
+        // The quick `ext_churn` storm: a crash lands while the admitted
+        // tenants fill every server, so the survivors cannot host the
+        // whole placement.
+        let mut cfg = PamoConfig {
+            preference: PreferenceSource::Oracle,
+            ..Default::default()
+        };
+        cfg.bo.max_iters = 3;
+        cfg.pool_size = 20;
+        cfg.profiling_per_camera = 20;
+        let serving = ServingConfig {
+            epoch_s: 20.0,
+            n_epochs: 4,
+            event_driven: true,
+            arrivals: ArrivalModel::Poisson { rate_hz: 0.3 },
+            mean_hold_s: 30.0,
+            churn_seed: 7,
+            ..ServingConfig::default()
+        };
+        let plan = FaultPlan::none(3, 4).with_server_crashes(90.0, 25.0, 42);
+        let run = run_serving(
+            &Scenario::uniform(4, 3, 20e6, 99),
+            0.05,
+            &cfg,
+            [1.0, 3.0, 1.0, 1.0, 1.0],
+            Some(&plan),
+            &serving,
+            17,
+            &NoopRecorder,
+        )
+        .expect("valid inputs");
+        let failures: Vec<&ServeEvent> =
+            run.events.iter().filter(|e| e.kind == "failure").collect();
+        let deferred = failures
+            .iter()
+            .find(|e| e.outcome == "deferred")
+            .expect("a failure whose survivor re-solve is infeasible");
+        assert_eq!(deferred.scope, None);
+        // No failure takes the plan dark: the survivors keep serving.
+        assert!(
+            failures.iter().all(|e| e.outcome != "degraded"),
+            "{failures:?}"
+        );
     }
 }

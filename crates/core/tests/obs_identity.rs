@@ -1,7 +1,6 @@
-//! Telemetry must be observationally free: an instrumented run under
-//! the [`eva_obs::NoopRecorder`] — or even a live
-//! [`eva_obs::FlightRecorder`] — must produce bit-identical scheduler
-//! output to the plain entry points. Recorders never touch RNG state or
+//! Telemetry must be observationally free: a run under a live
+//! [`eva_obs::FlightRecorder`] must produce bit-identical scheduler
+//! output to the same run under the [`eva_obs::NoopRecorder`]. Recorders never touch RNG state or
 //! numeric inputs; these tests pin that contract end to end across the
 //! whole pipeline (profiling, GP fits, elicitation, BO search,
 //! Algorithm-1 placement, the fault loop).
@@ -12,8 +11,7 @@ use eva_obs::{FlightRecorder, NoopRecorder, Phase, Recorder};
 use eva_stats::rng::seeded;
 use eva_workload::{DriftingScenario, Scenario};
 use pamo_core::{
-    run_online, run_online_faulted, run_online_faulted_recorded, run_online_recorded,
-    FaultedRunConfig, OnlineRun, PamoConfig, PreferenceSource,
+    run_online, run_online_faulted, FaultedRunConfig, OnlineRun, PamoConfig, PreferenceSource,
 };
 
 fn tiny_config(preference: PreferenceSource) -> PamoConfig {
@@ -70,21 +68,16 @@ fn online_run_identical_under_noop_and_flight_recorders() {
     // profiling + GP fit, elicitation, qNEI, Algorithm-1 placement.
     let cfg = tiny_config(PreferenceSource::Learned);
     let base = Scenario::uniform(3, 2, 20e6, 71);
-    let run = |rec: Option<&dyn Recorder>| {
+    let run = |rec: &dyn Recorder| {
         let mut d = DriftingScenario::new(&base, 0.08);
-        match rec {
-            None => run_online(&mut d, &cfg, [1.0; 5], 3, &mut seeded(5)),
-            Some(r) => run_online_recorded(&mut d, &cfg, [1.0; 5], 3, &mut seeded(5), r),
-        }
+        run_online(&mut d, &cfg, [1.0; 5], 3, &mut seeded(5), rec).expect("valid inputs")
     };
 
-    let plain = run(None);
-    let noop = run(Some(&NoopRecorder));
+    let noop = run(&NoopRecorder);
     let flight = FlightRecorder::new();
-    let recorded = run(Some(&flight));
+    let recorded = run(&flight);
 
-    assert_runs_bit_identical(&plain, &noop, "plain vs noop");
-    assert_runs_bit_identical(&plain, &recorded, "plain vs flight");
+    assert_runs_bit_identical(&noop, &recorded, "noop vs flight");
 
     // And the flight recorder actually saw the pipeline: every phase of
     // the fault-free path has completed spans.
@@ -122,38 +115,26 @@ fn faulted_run_identical_under_recorders() {
     let base = Scenario::uniform(3, 2, 20e6, 72);
     let plan = FaultPlan::none(2, 3).with_server_crashes(20.0, 40.0, 11);
     let run_cfg = FaultedRunConfig::default();
-    let run = |rec: Option<&dyn Recorder>| {
+    let run = |rec: &dyn Recorder| {
         let mut d = DriftingScenario::new(&base, 0.05);
-        match rec {
-            None => run_online_faulted(
-                &mut d,
-                &cfg,
-                [1.0; 5],
-                4,
-                Some(&plan),
-                &run_cfg,
-                &mut seeded(9),
-            ),
-            Some(r) => run_online_faulted_recorded(
-                &mut d,
-                &cfg,
-                [1.0; 5],
-                4,
-                Some(&plan),
-                &run_cfg,
-                &mut seeded(9),
-                r,
-            ),
-        }
+        run_online_faulted(
+            &mut d,
+            &cfg,
+            [1.0; 5],
+            4,
+            Some(&plan),
+            &run_cfg,
+            &mut seeded(9),
+            rec,
+        )
+        .expect("valid inputs")
     };
 
-    let plain = run(None);
-    let noop = run(Some(&NoopRecorder));
+    let noop = run(&NoopRecorder);
     let flight = FlightRecorder::new();
-    let recorded = run(Some(&flight));
+    let recorded = run(&flight);
 
-    assert_runs_bit_identical(&plain, &noop, "faulted plain vs noop");
-    assert_runs_bit_identical(&plain, &recorded, "faulted plain vs flight");
+    assert_runs_bit_identical(&noop, &recorded, "faulted noop vs flight");
 
     let snap = flight.snapshot();
     assert_eq!(snap.metrics.counter("online.epochs"), 4);
@@ -171,15 +152,14 @@ fn faulted_run_identical_under_recorders() {
 
 #[test]
 fn zero_fault_recorded_run_delegates_to_online_path() {
-    // A zero plan through the *recorded* faulted entry point must equal
-    // the recorded fault-free loop bit for bit (same delegation as the
-    // plain entry points).
+    // A zero plan through the faulted entry point must equal the
+    // fault-free loop bit for bit (the faulted loop delegates).
     let cfg = tiny_config(PreferenceSource::Oracle);
     let base = Scenario::uniform(3, 2, 20e6, 73);
     let flight_a = FlightRecorder::new();
     let a = {
         let mut d = DriftingScenario::new(&base, 0.05);
-        run_online_faulted_recorded(
+        run_online_faulted(
             &mut d,
             &cfg,
             [1.0; 5],
@@ -189,11 +169,12 @@ fn zero_fault_recorded_run_delegates_to_online_path() {
             &mut seeded(13),
             &flight_a,
         )
+        .expect("valid inputs")
     };
     let b = {
         let mut d = DriftingScenario::new(&base, 0.05);
         let mut rng = seeded(13);
-        run_online_recorded(&mut d, &cfg, [1.0; 5], 3, &mut rng, &NoopRecorder)
+        run_online(&mut d, &cfg, [1.0; 5], 3, &mut rng, &NoopRecorder).expect("valid inputs")
     };
     assert_runs_bit_identical(&a, &b, "zero-plan faulted vs online");
     assert_eq!(flight_a.snapshot().metrics.counter("online.epochs"), 3);

@@ -4,6 +4,7 @@
 //! the serving machinery costs nothing when nothing churns.
 
 use eva_bo::{AcqKind, BoConfig};
+use eva_obs::NoopRecorder;
 use eva_serve::ArrivalModel;
 use eva_stats::rng::seeded;
 use eva_workload::{DriftingScenario, Scenario};
@@ -43,24 +44,32 @@ proptest! {
         let base = Scenario::uniform(3, 2, 20e6, scenario_seed);
         let plain = {
             let mut d = DriftingScenario::new(&base, drift);
-            run_online(&mut d, &tiny_config(), [1.0; 5], n_epochs, &mut seeded(rng_seed))
+            run_online(
+                &mut d,
+                &tiny_config(),
+                [1.0; 5],
+                n_epochs,
+                &mut seeded(rng_seed),
+                &NoopRecorder,
+            )
+            .expect("valid inputs")
         };
         let serving = ServingConfig {
             n_epochs,
             arrivals: ArrivalModel::Poisson { rate_hz: 0.0 },
             ..ServingConfig::default()
         };
-        let served = {
-            let mut d = DriftingScenario::new(&base, drift);
-            run_serving(
-                &mut d,
-                &tiny_config(),
-                [1.0; 5],
-                None,
-                &serving,
-                &mut seeded(rng_seed),
-            )
-        };
+        let served = run_serving(
+            &base,
+            drift,
+            &tiny_config(),
+            [1.0; 5],
+            None,
+            &serving,
+            rng_seed,
+            &NoopRecorder,
+        )
+        .expect("valid inputs");
         prop_assert!(served.events.is_empty());
         prop_assert_eq!(served.epochs.len(), plain.epochs.len());
         prop_assert_eq!(served.degraded, plain.degraded);

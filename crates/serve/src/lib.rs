@@ -17,15 +17,17 @@
 //!   replan triggers and repairs only the perturbed assignment rows
 //!   (one row = one zero-jitter group), falling back to a full
 //!   Algorithm-1 re-solve when row repair cannot restore feasibility —
-//!   or, under a decision budget, running repair-only
-//!   ([`Rescheduler::replan_limited`]) and coalesced batch repairs
-//!   ([`Rescheduler::replan_coalesced`]),
+//!   or, under a decision budget, running the repair step
+//!   ([`Rescheduler::replan_limited`]) and the full re-solve
+//!   ([`Rescheduler::replan_full`]) as separately charged steps, plus
+//!   coalesced batch repairs ([`Rescheduler::replan_coalesced`]),
 //! * [`queue`] — the admission retry queue with overload backpressure:
 //!   age-based shedding and a high-water mark that flips the serving
 //!   loop into coalesced-repair mode.
 //!
 //! The serving *loop* that drives these against live PaMO decisions
-//! (`run_serving`) lives in `pamo-core`, which composes this crate with
+//! (`ServingSession`, run end to end by `run_serving`) lives in
+//! `pamo-core`, which composes this crate with
 //! the BO pipeline; this crate stays below `pamo-core` in the layering
 //! and is usable with any benefit function.
 

@@ -155,10 +155,10 @@ impl Rescheduler {
     /// React to one event. `scenario` / `configs` describe the world
     /// *after* the event (the departed camera removed, the arrived one
     /// appended); `alive` is the post-event server liveness. Attempts a
-    /// row repair, verifies it against the zero-jitter predicate and
-    /// the scenario's stream set, and falls back to a full
-    /// survivor-restricted re-solve when repair fails. On `Err` the
-    /// internal placement is left unchanged (and stale) — callers
+    /// row repair ([`replan_limited`](Self::replan_limited)) and falls
+    /// back to a full survivor-restricted re-solve
+    /// ([`replan_full`](Self::replan_full)) when repair fails. On `Err`
+    /// the internal placement is left unchanged (and stale) — callers
     /// degrade exactly as they would on an epoch-boundary failure.
     pub fn replan(
         &mut self,
@@ -168,31 +168,20 @@ impl Rescheduler {
         trigger: ReplanTrigger,
         rec: &dyn Recorder,
     ) -> Result<(Assignment, ReplanScope), GroupingError> {
-        let _replan = span(rec, Phase::Replan);
-        self.count_trigger(trigger, rec);
-        if let Some(ok) = self.try_repair(scenario, configs, alive, trigger, rec) {
-            return Ok(ok);
-        }
-        // Row repair failed or verification rejected it: the state was
-        // rolled back by `try_repair`; re-solve from scratch.
-        match scenario.schedule_surviving_recorded(configs, alive, rec) {
-            Ok(a) => {
-                self.install(&a);
-                self.stats.full += 1;
-                if rec.enabled() {
-                    rec.add("serve.replan_full", 1);
-                }
-                Ok((a, ReplanScope::Full))
-            }
-            Err(e) => Err(e),
+        match self.replan_limited(scenario, configs, alive, trigger, rec) {
+            Some(ok) => Ok(ok),
+            None => self.replan_full(scenario, configs, alive, rec),
         }
     }
 
-    /// [`replan`](Self::replan) without the full-re-solve fallback:
-    /// the incremental row repair either succeeds or the placement is
-    /// left unchanged and `None` is returned — the budgeted control
-    /// plane's *repair* rung, which may not afford a full Algorithm-1
-    /// pass. On `None` the caller keeps serving the stale plan.
+    /// The repair step of [`replan`](Self::replan), without the full
+    /// re-solve: the incremental row repair is verified against the
+    /// zero-jitter predicate and the scenario's stream set, and either
+    /// succeeds or the placement is left unchanged and `None` is
+    /// returned. Counts the trigger once. The budgeted control plane
+    /// calls [`replan_full`](Self::replan_full) itself when its rung
+    /// affords the fallback; on `None` alone the caller keeps serving
+    /// the stale plan.
     pub fn replan_limited(
         &mut self,
         scenario: &Scenario,
@@ -204,6 +193,28 @@ impl Rescheduler {
         let _replan = span(rec, Phase::Replan);
         self.count_trigger(trigger, rec);
         self.try_repair(scenario, configs, alive, trigger, rec)
+    }
+
+    /// The fallback step of [`replan`](Self::replan): a full
+    /// survivor-restricted Algorithm 1 + Hungarian re-solve, for a
+    /// trigger that [`replan_limited`](Self::replan_limited) already
+    /// counted and failed to repair. On `Err` the internal placement is
+    /// left unchanged (stale).
+    pub fn replan_full(
+        &mut self,
+        scenario: &Scenario,
+        configs: &[VideoConfig],
+        alive: Option<&[bool]>,
+        rec: &dyn Recorder,
+    ) -> Result<(Assignment, ReplanScope), GroupingError> {
+        let _replan = span(rec, Phase::Replan);
+        let a = scenario.schedule_surviving_recorded(configs, alive, rec)?;
+        self.install(&a);
+        self.stats.full += 1;
+        if rec.enabled() {
+            rec.add("serve.replan_full", 1);
+        }
+        Ok((a, ReplanScope::Full))
     }
 
     /// One full re-solve absorbing a whole burst of `batched` pending
@@ -241,8 +252,8 @@ impl Rescheduler {
         }
     }
 
-    /// The incremental repair path shared by [`replan`](Self::replan)
-    /// and [`replan_limited`](Self::replan_limited): repair, verify,
+    /// The incremental repair path of
+    /// [`replan_limited`](Self::replan_limited): repair, verify,
     /// reprice. Rolls the placement back and returns `None` when the
     /// repair fails or verification rejects it.
     fn try_repair(
@@ -918,6 +929,44 @@ mod tests {
         );
         assert!(matches!(out, Some((_, ReplanScope::Incremental { .. }))));
         assert_eq!(r.stats().incremental, 1);
+    }
+
+    #[test]
+    fn failed_repair_then_full_resolve_counts_the_trigger_once() {
+        use eva_obs::FlightRecorder;
+        let sc = scenario(4, 3);
+        let cfgs = low(4);
+        let trigger = ReplanTrigger::ServerRestore { server: 0 };
+        // Never installed: the repair cannot verify, so both the split
+        // steps and the composed `replan` reach the full re-solve.
+        let split = FlightRecorder::new();
+        let mut r = Rescheduler::new();
+        assert!(r
+            .replan_limited(&sc, &cfgs, None, trigger, &split)
+            .is_none());
+        let (_, scope) = r
+            .replan_full(&sc, &cfgs, None, &split)
+            .expect("full re-solve");
+        assert_eq!(scope, ReplanScope::Full);
+        let composed = FlightRecorder::new();
+        let mut c = Rescheduler::new();
+        c.replan(&sc, &cfgs, None, trigger, &composed)
+            .expect("full re-solve");
+        for (rec, r) in [(&split, &r), (&composed, &c)] {
+            let m = rec.snapshot().metrics;
+            assert_eq!(m.counter("serve.replans"), 1);
+            assert_eq!(m.counter("serve.replan_restores"), 1);
+            assert_eq!(m.counter("serve.replan_full"), 1);
+            assert_eq!(m.counter("serve.replan_incremental"), 0);
+            assert_eq!(
+                r.stats(),
+                ReplanStats {
+                    incremental: 0,
+                    full: 1,
+                    coalesced: 0
+                }
+            );
+        }
     }
 
     #[test]

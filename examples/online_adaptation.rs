@@ -8,6 +8,7 @@
 //! ```
 
 use pamo::core::{run_online, PamoConfig, PreferenceSource};
+use pamo::obs::NoopRecorder;
 use pamo::prelude::*;
 use pamo::stats::rng::seeded;
 use pamo::workload::DriftingScenario;
@@ -22,7 +23,15 @@ fn main() {
     cfg.profiling_per_camera = 25;
     cfg.preference = PreferenceSource::Oracle; // isolate the adaptation effect
 
-    let run = run_online(&mut drifting, &cfg, [1.0; 5], 8, &mut seeded(17));
+    let run = run_online(
+        &mut drifting,
+        &cfg,
+        [1.0; 5],
+        8,
+        &mut seeded(17),
+        &NoopRecorder,
+    )
+    .expect("valid inputs");
 
     println!("epoch  divergence  online_U    static_U");
     println!("------------------------------------------");

@@ -11,10 +11,10 @@
 //! ```
 
 use pamo::core::{run_serving, PamoConfig, PreferenceSource, ServingConfig};
+use pamo::fault::FaultPlan;
+use pamo::obs::NoopRecorder;
 use pamo::prelude::*;
 use pamo::serve::ArrivalModel;
-use pamo::stats::rng::seeded;
-use pamo::workload::{DriftingScenario, FaultPlan};
 
 fn main() {
     // Four resident cameras on three servers; tenants arrive as a
@@ -45,15 +45,17 @@ fn main() {
         serving.epoch_s, serving.admission.max_benefit_drop, serving.admission.queue_capacity
     );
 
-    let mut d = DriftingScenario::new(&base, 0.05);
     let run = run_serving(
-        &mut d,
+        &base,
+        0.05,
         &cfg,
         [1.0, 3.0, 1.0, 1.0, 1.0],
         Some(&plan),
         &serving,
-        &mut seeded(17),
-    );
+        17,
+        &NoopRecorder,
+    )
+    .expect("valid inputs");
 
     for e in &run.events {
         let who = match e.tenant {

@@ -15,6 +15,8 @@
 //! | [`prefgp`] | `eva-prefgp` | pairwise preference GP + EUBO |
 //! | [`bo`] | `eva-bo` | qNEI/qEI/qUCB/qSR + BO driver |
 //! | [`sched`] | `eva-sched` | zero-jitter grouping + Hungarian |
+//! | [`fault`] | `eva-fault` | seeded fault plans, composed chaos |
+//! | [`obs`] | `eva-obs` | recorders, phase spans, decision budgets |
 //! | [`serve`] | `eva-serve` | churn, admission control, rescheduling |
 //! | [`sim`] | `eva-sim` | discrete-event cluster simulator |
 //! | [`workload`] | `eva-workload` | synthetic MOT16-like workload |
@@ -43,8 +45,10 @@
 
 pub use eva_baselines as baselines;
 pub use eva_bo as bo;
+pub use eva_fault as fault;
 pub use eva_gp as gp;
 pub use eva_linalg as linalg;
+pub use eva_obs as obs;
 pub use eva_opt as opt;
 pub use eva_prefgp as prefgp;
 pub use eva_sched as sched;

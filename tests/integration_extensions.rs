@@ -2,6 +2,7 @@
 //! drift + online adaptation, and the shared-uplink tandem model.
 
 use pamo::core::{run_online, PamoConfig, PreferenceSource};
+use pamo::obs::NoopRecorder;
 use pamo::prelude::*;
 use pamo::sim::des::{simulate, SimConfig, SimStream};
 use pamo::sim::tandem::simulate_shared_uplink;
@@ -51,10 +52,18 @@ fn virtualized_cluster_schedules_zero_jitter_end_to_end() {
 fn online_loop_survives_aggressive_drift() {
     let base = Scenario::uniform(4, 3, 20e6, 71);
     let mut drifting = DriftingScenario::new(&base, 0.25);
-    let run = run_online(&mut drifting, &tiny_cfg(), [1.0; 5], 5, &mut seeded(2));
+    let run = run_online(
+        &mut drifting,
+        &tiny_cfg(),
+        [1.0; 5],
+        5,
+        &mut seeded(2),
+        &NoopRecorder,
+    )
+    .expect("valid inputs");
     assert_eq!(run.epochs.len(), 5);
-    // Every epoch's fresh decision is feasible (run_online would panic
-    // otherwise); benefits stay on the meaningful scale.
+    // Every epoch's fresh decision is feasible (a skipped epoch would
+    // shorten the run); benefits stay on the meaningful scale.
     for e in &run.epochs {
         assert!(e.online_benefit > -5.0 && e.online_benefit <= 0.0);
     }

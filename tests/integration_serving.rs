@@ -1,0 +1,180 @@
+//! Tier-1 guards for the serving loop: a seeded serving run under churn
+//! and crashes reproduces bit for bit — reaction times included, since
+//! they are modeled work rather than wall-clock time — and the session
+//! behind `run_serving` restores bit-identically from a checkpoint taken
+//! at any step.
+
+use pamo::core::{
+    run_serving, ControlPlaneSnapshot, OverloadConfig, PamoConfig, PreferenceSource, ServingConfig,
+    ServingRun, ServingSession, SERVING_POLICY,
+};
+use pamo::fault::{ChaosSpec, CrashBursts};
+use pamo::obs::NoopRecorder;
+use pamo::prelude::*;
+use pamo::serve::ArrivalModel;
+
+const WEIGHTS: [f64; 5] = [1.0; 5];
+const DRIFT: f64 = 0.05;
+const SEED: u64 = 2;
+
+fn tiny_cfg() -> PamoConfig {
+    let mut cfg = PamoConfig::default();
+    cfg.bo.n_init = 4;
+    cfg.bo.batch = 2;
+    cfg.bo.max_iters = 3;
+    cfg.bo.mc_samples = 16;
+    cfg.pool_size = 20;
+    cfg.profiling_per_camera = 20;
+    cfg.preference = PreferenceSource::Oracle;
+    cfg
+}
+
+fn scenario() -> Scenario {
+    Scenario::uniform(3, 3, 20e6, 61)
+}
+
+/// Crash bursts only; the caller composes the plan from it.
+fn chaos() -> ChaosSpec {
+    ChaosSpec {
+        crash_bursts: Some(CrashBursts {
+            mttf_s: 25.0,
+            mttr_s: 15.0,
+        }),
+        ..ChaosSpec::none(11)
+    }
+}
+
+fn serving() -> ServingConfig {
+    ServingConfig {
+        epoch_s: 20.0,
+        n_epochs: 3,
+        event_driven: true,
+        arrivals: ArrivalModel::Poisson { rate_hz: 0.15 },
+        mean_hold_s: 25.0,
+        churn_seed: 5,
+        ..ServingConfig::default()
+    }
+}
+
+fn serve() -> ServingRun {
+    let sc = scenario();
+    let plan = chaos().fault_plan(sc.n_servers(), sc.n_videos());
+    run_serving(
+        &sc,
+        DRIFT,
+        &tiny_cfg(),
+        WEIGHTS,
+        Some(&plan),
+        &serving(),
+        SEED,
+        &NoopRecorder,
+    )
+    .expect("valid inputs")
+}
+
+/// The session `run_serving` runs for `serve()`: the same crash plan
+/// (derived from the chaos spec), an unlimited budget and
+/// [`SERVING_POLICY`].
+fn session() -> ServingSession {
+    ServingSession::new(
+        &scenario(),
+        DRIFT,
+        &tiny_cfg(),
+        WEIGHTS,
+        &serving(),
+        &OverloadConfig::unbudgeted(chaos(), SERVING_POLICY),
+        SEED,
+    )
+}
+
+fn assert_bit_identical(a: &ServingRun, b: &ServingRun) {
+    assert_eq!(a.epochs.len(), b.epochs.len(), "epoch count");
+    for (x, y) in a.epochs.iter().zip(&b.epochs) {
+        assert_eq!(x.epoch, y.epoch);
+        assert_eq!(x.online_benefit.to_bits(), y.online_benefit.to_bits());
+        assert_eq!(x.divergence.to_bits(), y.divergence.to_bits());
+        assert_eq!(x.configs, y.configs);
+        assert_eq!(x.alive, y.alive);
+        assert_eq!(x.degraded, y.degraded);
+        assert_eq!(x.rung, y.rung);
+    }
+    assert_eq!(a.events.len(), b.events.len(), "event count");
+    for (x, y) in a.events.iter().zip(&b.events) {
+        assert_eq!(x.time_s.to_bits(), y.time_s.to_bits());
+        assert_eq!((x.kind, x.tenant, x.outcome), (y.kind, y.tenant, y.outcome));
+        assert_eq!(
+            (x.scope, x.rung, x.live_tenants),
+            (y.scope, y.rung, y.live_tenants)
+        );
+        assert_eq!(
+            x.reaction_s.to_bits(),
+            y.reaction_s.to_bits(),
+            "reaction of {x:?}"
+        );
+    }
+    assert_eq!((a.accepted, a.rejected), (b.accepted, b.rejected));
+    assert_eq!(a.queued_peak, b.queued_peak);
+    assert_eq!(
+        (a.replan_incremental, a.replan_full, a.replan_coalesced),
+        (b.replan_incremental, b.replan_full, b.replan_coalesced)
+    );
+    assert_eq!(a.value_integral.to_bits(), b.value_integral.to_bits());
+    assert_eq!(a.min_floor_margin.to_bits(), b.min_floor_margin.to_bits());
+    assert_eq!((a.degraded, a.shed), (b.degraded, b.shed));
+    assert_eq!(
+        (a.budget_spent, a.budget_overruns),
+        (b.budget_spent, b.budget_overruns)
+    );
+    assert_eq!(
+        (a.deadline_hits, a.deadline_misses),
+        (b.deadline_hits, b.deadline_misses)
+    );
+    assert_eq!(a.rung_counts, b.rung_counts);
+}
+
+#[test]
+fn seeded_serving_runs_are_bit_identical_reactions_included() {
+    let first = serve();
+    let kinds: Vec<&str> = first.events.iter().map(|e| e.kind).collect();
+    for kind in ["arrival", "failure"] {
+        assert!(kinds.contains(&kind), "no {kind} event in {kinds:?}");
+    }
+    assert_bit_identical(&first, &serve());
+}
+
+#[test]
+fn serving_session_restores_bit_identically_at_every_step() {
+    let reference = serve();
+    // `run_serving` is exactly this session run to completion.
+    assert_bit_identical(&reference, &session().run(&NoopRecorder));
+    let total_steps = {
+        let mut s = session();
+        let mut n = 0;
+        while s.step(&NoopRecorder) {
+            n += 1;
+        }
+        n
+    };
+    assert!(total_steps > 4, "run too short to exercise restore");
+    // Crash after k steps, checkpoint through JSON, restore, finish.
+    for k in 0..=total_steps {
+        let mut s = session();
+        for _ in 0..k {
+            s.step(&NoopRecorder);
+        }
+        let text = s.snapshot().to_json();
+        drop(s);
+        let snap = ControlPlaneSnapshot::from_json(&text).expect("snapshot decodes");
+        let mut restored = ServingSession::restore(
+            &scenario(),
+            DRIFT,
+            &tiny_cfg(),
+            WEIGHTS,
+            &serving(),
+            &OverloadConfig::unbudgeted(chaos(), SERVING_POLICY),
+            snap,
+        )
+        .expect("restore");
+        assert_bit_identical(&reference, &restored.run(&NoopRecorder));
+    }
+}
