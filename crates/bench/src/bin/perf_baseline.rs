@@ -72,10 +72,12 @@ use pamo_core::{
 /// Schema tag of the emitted file; bump on breaking layout changes.
 const SCHEMA: &str = "eva-obs/perf-baseline/v1";
 /// Phases the suite must exercise for the baseline to be trustworthy.
-const REQUIRED_PHASES: [&str; 10] = [
+const REQUIRED_PHASES: [&str; 12] = [
     "outcome_fit",
     "pref_model",
     "bo_search",
+    "bo_prepare",
+    "bank_update",
     "grouping",
     "assignment",
     "des",

@@ -19,6 +19,7 @@ use std::collections::{HashMap, HashSet};
 
 use eva_bo::SurrogateSampler;
 use eva_linalg::Mat;
+use eva_obs::{span, NoopRecorder, Phase, Recorder};
 use eva_prefgp::PreferenceModel;
 use eva_stats::rng::{child_seed, standard_normal, standard_normal_vec};
 use eva_workload::outcome::idx;
@@ -30,7 +31,7 @@ use rand::SeedableRng;
 use rayon::prelude::*;
 
 use crate::benefit::{OutcomeNormalizer, TruePreference};
-use crate::models::OutcomeModelBank;
+use crate::models::{OutcomeModelBank, PrefixMemo};
 use crate::pool::decode_joint;
 
 /// Benefit assigned to joint configs with no zero-jitter placement.
@@ -76,6 +77,9 @@ pub struct CompositeSampler<'a> {
     /// Memo: (point hash, seed, n_mc) → benefit samples. Exact because
     /// every sample stream is deterministic in those keys.
     cache: Mutex<HashMap<(u64, u64, usize), Vec<f64>>>,
+    /// Telemetry for batched posteriors (`bo_prepare` spans and
+    /// `gp.prefix_solves`).
+    rec: &'a dyn Recorder,
 }
 
 impl<'a> CompositeSampler<'a> {
@@ -92,7 +96,14 @@ impl<'a> CompositeSampler<'a> {
             pref,
             normalizer,
             cache: Mutex::new(HashMap::new()),
+            rec: &NoopRecorder,
         }
+    }
+
+    /// Report batched-posterior work to `rec`.
+    pub fn recorded(mut self, rec: &'a dyn Recorder) -> Self {
+        self.rec = rec;
+        self
     }
 
     /// Predictive mean aggregate outcome of a joint config (Eq. 2-5
@@ -151,6 +162,24 @@ impl<'a> CompositeSampler<'a> {
             }
         }
         map.into_iter().map(|u| u.unwrap_or(ups[0])).collect()
+    }
+
+    /// Posteriors of one (camera, objective) model at `xs`, given each
+    /// query's memoized prefix solve.
+    fn predict_batch(
+        &self,
+        cam: usize,
+        obj: usize,
+        xs: &[Vec<f64>],
+        slots: &[usize],
+        solves: &[eva_gp::PrefixSolve],
+    ) -> Vec<(f64, f64)> {
+        let model = self.bank.model(cam, obj);
+        let mut scratch = Vec::new();
+        xs.iter()
+            .zip(slots)
+            .map(|(x, &slot)| model.predict_with(x, &solves[slot], &mut scratch))
+            .collect()
     }
 
     /// Benefit samples at one joint-config point.
@@ -285,18 +314,20 @@ impl SurrogateSampler for CompositeSampler<'_> {
         }
     }
 
-    /// Batch-fill the sample cache for a whole candidate set: evaluate
-    /// each (camera, objective) model once over the queries all
-    /// uncached feasible points make against it
-    /// ([`OutcomeModelBank::predict_objective_many`] shares a single
-    /// cross-kernel matrix per model), then assemble samples per point
-    /// from the batched posteriors. Query positions are pure indices —
-    /// aggregate objectives query exactly once per (point, camera), and
-    /// latency once per (point, split part) — so no hashing or dedup
-    /// bookkeeping sits on the hot path. Bit-identical to the per-point
-    /// path, so the driver's subsequent indexed calls are pure cache
-    /// hits.
+    /// Batch-fill the sample cache for a whole candidate set, then
+    /// assemble samples per point from the batched posteriors. Query
+    /// positions are pure indices — aggregate objectives query exactly
+    /// once per (point, camera), and latency once per (point, split
+    /// part). Every camera's GP for an objective shares the profiling
+    /// design's prefix, so a first sequential pass registers each
+    /// query's design-row solve in a [`PrefixMemo`] (one solve per
+    /// distinct (config, uplink) per objective, not per camera) and the
+    /// per-camera pass only adds each camera's tail rows
+    /// ([`eva_gp::GpModel::predict_with`]). Bit-identical to the
+    /// per-point path, so the driver's subsequent indexed calls are
+    /// pure cache hits.
     fn prepare(&self, xs: &[Vec<f64>], n_mc: usize, seed: u64) {
+        let _prepare_span = span(self.rec, Phase::BoPrepare);
         // Uncached points, deduped by content hash.
         let mut todo: Vec<(u64, &Vec<f64>)> = Vec::new();
         {
@@ -347,53 +378,69 @@ impl SurrogateSampler for CompositeSampler<'_> {
         let n_videos = self.scenario.n_videos();
         let planning = self.scenario.planning_uplinks();
 
-        // Aggregate objectives: point `p` queries camera `cam` at
-        // `(configs[cam], uplinks[cam])`, so the batch for each model is
-        // simply the points in order — `agg_post[cam * 4 + slot][p]`.
-        // Cameras are independent (pure posterior reads), so the
-        // batches run in parallel; ordered collect keeps the layout.
-        let agg_post: Vec<Vec<(f64, f64)>> = (0..n_videos)
-            .into_par_iter()
-            .flat_map(|cam| {
-                // One feature build per camera, shared by all four
-                // objective batches (the GPs agree on the feature map).
-                let xs: Vec<Vec<f64>> = feasible
+        // Queries per camera: point `p` queries the aggregate objectives
+        // at `(configs[cam], uplinks[cam])`, and the latency model once
+        // per split part at the part's server; `lat_slot[p][part]` is
+        // the part's position in its camera's latency batch.
+        let agg_xs: Vec<Vec<Vec<f64>>> = (0..n_videos)
+            .map(|cam| {
+                feasible
                     .iter()
                     .map(|f| features_of(&f.configs[cam], f.uplinks[cam]))
-                    .collect();
-                AGG_OBJS
-                    .iter()
-                    .map(|&obj| self.bank.model(cam, obj).predict_many(&xs))
-                    .collect::<Vec<_>>()
+                    .collect()
             })
             .collect();
-
-        // Latency: one query per (point, split part), batched per
-        // camera; `lat_slot[p][part]` is the part's position in its
-        // camera's batch.
-        let mut lat_queries: Vec<Vec<(eva_workload::VideoConfig, f64)>> =
-            vec![Vec::new(); n_videos];
+        let mut lat_xs: Vec<Vec<Vec<f64>>> = vec![Vec::new(); n_videos];
         let mut lat_slot: Vec<Vec<usize>> = Vec::with_capacity(feasible.len());
         for f in &feasible {
             let mut slots = Vec::with_capacity(f.assignment.streams.len());
             for (i, st) in f.assignment.streams.iter().enumerate() {
                 let cam = st.id.source;
-                let batch = &mut lat_queries[cam];
+                let batch = &mut lat_xs[cam];
                 slots.push(batch.len());
-                batch.push((f.configs[cam], planning[f.assignment.server_of[i]]));
+                batch.push(features_of(
+                    &f.configs[cam],
+                    planning[f.assignment.server_of[i]],
+                ));
             }
             lat_slot.push(slots);
         }
-        let lat_post: Vec<Vec<(f64, f64)>> = lat_queries
-            .par_iter()
-            .enumerate()
-            .map(|(cam, batch)| {
-                if batch.is_empty() {
-                    Vec::new()
-                } else {
-                    self.bank.predict_objective_many(cam, idx::LATENCY, batch)
-                }
+
+        // First pass (sequential): the memo slot of every query, laid
+        // out like the posteriors below.
+        let mut memo = PrefixMemo::default();
+        let agg_memo: Vec<Vec<usize>> = (0..n_videos)
+            .flat_map(|cam| AGG_OBJS.iter().map(move |&obj| (cam, obj)))
+            .map(|(cam, obj)| {
+                let model = self.bank.model(cam, obj);
+                agg_xs[cam].iter().map(|x| memo.slot(model, x)).collect()
             })
+            .collect();
+        let lat_memo: Vec<Vec<usize>> = (0..n_videos)
+            .map(|cam| {
+                let model = self.bank.model(cam, idx::LATENCY);
+                lat_xs[cam].iter().map(|x| memo.slot(model, x)).collect()
+            })
+            .collect();
+        let solves = memo.solve();
+        if self.rec.enabled() {
+            self.rec.add("gp.prefix_solves", solves.len() as u64);
+        }
+
+        // Second pass: per-camera posteriors, `agg_post[cam * 4 +
+        // slot][p]` and `lat_post[cam][part slot]`. Cameras are
+        // independent (pure posterior reads), so they run in parallel;
+        // ordered collect keeps the layout.
+        let agg_post: Vec<Vec<(f64, f64)>> = (0..n_videos * AGG_OBJS.len())
+            .into_par_iter()
+            .map(|b| {
+                let (cam, obj) = (b / AGG_OBJS.len(), AGG_OBJS[b % AGG_OBJS.len()]);
+                self.predict_batch(cam, obj, &agg_xs[cam], &agg_memo[b], &solves)
+            })
+            .collect();
+        let lat_post: Vec<Vec<(f64, f64)>> = (0..n_videos)
+            .into_par_iter()
+            .map(|cam| self.predict_batch(cam, idx::LATENCY, &lat_xs[cam], &lat_memo[cam], &solves))
             .collect();
 
         // Points are independent too: every CRN stream is seeded by its

@@ -12,16 +12,17 @@
 //! camera's data and reused — data (not hypers) stays per-camera. This
 //! cuts fitting cost by ~M× without hurting accuracy.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
-use eva_gp::{fit_gp_recorded, theta_of, FitConfig, GpModel};
+use eva_gp::{fit_gp_recorded, theta_of, FitConfig, GpModel, PrefixSolve};
 use eva_obs::{span, NoopRecorder, Phase, Recorder};
-use eva_workload::profiler::features_of;
+use eva_workload::profiler::{features_of, N_FEATURES};
 use eva_workload::{Outcome, ProfileSample, Profiler, Scenario, VideoConfig, N_OBJECTIVES};
 use rand::Rng;
 use rayon::prelude::*;
 
-use crate::error::CoreError;
+use crate::error::{require, CoreError};
 
 /// Minimum profiling samples per camera the initial GP fits need.
 const MIN_PROFILING_SAMPLES: usize = 4;
@@ -299,32 +300,81 @@ impl OutcomeModelBank {
     }
 
     /// [`Self::update`] for every camera at once, one sample per
-    /// camera, conditioning the rows in parallel. Per-camera semantics
-    /// are identical to a sequential `update` loop that ignores errors
-    /// (a failing camera keeps its previous row); conditioning is
-    /// deterministic linear algebra, so the resulting bank is
-    /// bit-identical regardless of thread schedule.
-    pub fn update_all(&mut self, samples: &[ProfileSample]) {
-        self.models
-            .par_iter_mut()
-            .zip(samples.par_iter())
-            .for_each(|(row, sample)| {
+    /// camera (Algorithm 2 line 18 for a whole measured configuration).
+    ///
+    /// Every camera's GP for an objective starts from the shared
+    /// profiling design, so the design-row part of each new factor row
+    /// is the same for all cameras measured at the same (config,
+    /// uplink): a sequential first pass registers each distinct query
+    /// in a [`PrefixMemo`], the memo solves it once, and the per-camera
+    /// pass ([`GpModel::condition_with`]) only adds each camera's own
+    /// tail rows. The result is bit-identical to per-camera
+    /// [`Self::update`] calls that ignore errors.
+    ///
+    /// A camera whose sample is non-finite or whose conditioning fails
+    /// keeps its previous row; the returned [`BankUpdate`] counts those
+    /// skips, the conditionings that fell back to a full rebuild, and
+    /// the prefix solves computed. A sample count that does not match
+    /// the bank's cameras is [`CoreError::InvalidInput`].
+    pub fn update_all(&mut self, samples: &[ProfileSample]) -> Result<BankUpdate, CoreError> {
+        require(
+            samples.len() == self.models.len(),
+            "update_all needs exactly one sample per camera",
+        )?;
+        let inputs: Vec<Option<Vec<f64>>> = samples
+            .iter()
+            .map(|sample| {
                 let x = sample.features();
-                if x.iter().any(|v| !v.is_finite())
-                    || sample.outcome.to_vec().iter().any(|v| !v.is_finite())
-                {
-                    return;
-                }
-                let mut staged = Vec::with_capacity(N_OBJECTIVES);
-                for obj in 0..N_OBJECTIVES {
-                    let y = objective_value(&sample.outcome, obj);
-                    match row[obj].condition(std::slice::from_ref(&x), &[y]) {
-                        Ok(m) => staged.push(m),
-                        Err(_) => return,
+                let finite = x.iter().all(|v| v.is_finite())
+                    && sample.outcome.to_vec().iter().all(|v| v.is_finite());
+                finite.then_some(x)
+            })
+            .collect();
+        let mut memo = PrefixMemo::default();
+        let slots: Vec<[usize; N_OBJECTIVES]> = self
+            .models
+            .iter()
+            .zip(&inputs)
+            .map(|(row, x)| {
+                let mut slots = [0; N_OBJECTIVES];
+                if let Some(x) = x {
+                    for (slot, model) in slots.iter_mut().zip(row.iter()) {
+                        *slot = memo.slot(model, x);
                     }
                 }
+                slots
+            })
+            .collect();
+        let solves = memo.solve();
+
+        // Per camera: `None` when skipped, else the number of its
+        // conditionings that fell back to a rebuild.
+        let outcomes: Vec<Option<usize>> = self
+            .models
+            .par_iter_mut()
+            .zip(samples.par_iter())
+            .zip(inputs.par_iter().zip(slots.par_iter()))
+            .map(|((row, sample), (x, slots))| {
+                let x = x.as_ref()?;
+                let mut staged = Vec::with_capacity(N_OBJECTIVES);
+                let mut rebuilds = 0;
+                for (obj, &slot) in slots.iter().enumerate() {
+                    let y = objective_value(&sample.outcome, obj);
+                    let model = row[obj].condition_with(x, y, &solves[slot]).ok()?;
+                    if !model.shares_prefix(&row[obj]) {
+                        rebuilds += 1;
+                    }
+                    staged.push(model);
+                }
                 *row = Arc::new(staged);
-            });
+                Some(rebuilds)
+            })
+            .collect();
+        Ok(BankUpdate {
+            skipped: outcomes.iter().filter(|o| o.is_none()).count(),
+            rebuilds: outcomes.iter().flatten().sum(),
+            prefix_solves: solves.len(),
+        })
     }
 
     /// Predictive mean outcome of one camera under a config + uplink.
@@ -350,9 +400,9 @@ impl OutcomeModelBank {
     }
 
     /// Batched [`OutcomeModelBank::predict_objective`]: mean/variance at
-    /// many (config, uplink) queries against one GP, sharing a single
-    /// cross-kernel matrix ([`GpModel::predict_many`]). Bit-identical to
-    /// the per-query path.
+    /// many (config, uplink) queries against one GP, reusing one scratch
+    /// buffer ([`GpModel::predict_many`]). Bit-identical to the
+    /// per-query path.
     pub fn predict_objective_many(
         &self,
         camera: usize,
@@ -367,6 +417,80 @@ impl OutcomeModelBank {
     }
 }
 
+/// What one [`OutcomeModelBank::update_all`] pass did.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BankUpdate {
+    /// Cameras that kept their previous row: a non-finite sample or a
+    /// conditioning failure.
+    pub skipped: usize,
+    /// Conditionings that fell back to a full rebuild and so left the
+    /// shared design prefix.
+    pub rebuilds: usize,
+    /// Distinct design-row solves computed ([`PrefixMemo`] misses).
+    pub prefix_solves: usize,
+}
+
+impl BankUpdate {
+    /// Report the pass as `core.bank_update_skipped`,
+    /// `core.bank_rebuilds` and `gp.prefix_solves`.
+    pub fn record(&self, rec: &dyn Recorder) {
+        if rec.enabled() {
+            rec.add("core.bank_update_skipped", self.skipped as u64);
+            rec.add("core.bank_rebuilds", self.rebuilds as u64);
+            rec.add("gp.prefix_solves", self.prefix_solves as u64);
+        }
+    }
+}
+
+/// Design-row solves shared across cameras within one bank pass.
+///
+/// Models built on one profiling design share a prefix
+/// ([`GpModel::prefix_id`]), and a query's work against it
+/// ([`GpModel::prefix_solve`]) is the same for all of them. The memo
+/// keys that work by prefix and query bits: a sequential first pass
+/// registers every query ([`PrefixMemo::slot`]), [`PrefixMemo::solve`]
+/// computes each distinct one once, and the per-camera pass reads the
+/// solves by slot — so readers never share mutable state and the result
+/// does not depend on thread scheduling. Prefix ids are addresses, so a
+/// memo must not outlive the pass whose models it was filled from.
+#[derive(Default)]
+pub(crate) struct PrefixMemo<'m> {
+    index: HashMap<(usize, [u64; N_FEATURES]), usize>,
+    pending: Vec<(&'m GpModel, Vec<f64>)>,
+}
+
+impl<'m> PrefixMemo<'m> {
+    /// Slot of `model`'s prefix solve at `x` (a [`features_of`] vector),
+    /// registering the query on first sight.
+    pub(crate) fn slot(&mut self, model: &'m GpModel, x: &[f64]) -> usize {
+        debug_assert_eq!(
+            x.len(),
+            N_FEATURES,
+            "PrefixMemo::slot: not a feature vector"
+        );
+        let mut bits = [0u64; N_FEATURES];
+        for (b, v) in bits.iter_mut().zip(x) {
+            *b = v.to_bits();
+        }
+        let pending = &mut self.pending;
+        *self
+            .index
+            .entry((model.prefix_id(), bits))
+            .or_insert_with(|| {
+                pending.push((model, x.to_vec()));
+                pending.len() - 1
+            })
+    }
+
+    /// Every registered solve, indexed by slot.
+    pub(crate) fn solve(self) -> Vec<PrefixSolve> {
+        self.pending
+            .par_iter()
+            .map(|(model, x)| model.prefix_solve(x))
+            .collect()
+    }
+}
+
 /// Extract objective `obj` (canonical order) from an outcome.
 fn objective_value(outcome: &Outcome, obj: usize) -> f64 {
     outcome.to_vec()[obj]
@@ -378,6 +502,10 @@ mod tests {
     use eva_stats::metrics::r_squared;
     use eva_stats::rng::seeded;
     use eva_workload::outcome::idx;
+
+    use crate::benefit::{OutcomeNormalizer, TruePreference};
+    use crate::composite::{CompositeSampler, PreferenceEval};
+    use eva_bo::SurrogateSampler as _;
 
     fn bank(samples: usize) -> (Scenario, OutcomeModelBank) {
         let sc = Scenario::uniform(3, 2, 20e6, 31);
@@ -616,5 +744,128 @@ mod tests {
         let t1 = sc.evaluate_stream(1, &c, 20e6).accuracy;
         // Predicted ordering matches the true ordering.
         assert_eq!(a0 > a1, t0 > t1, "a0={a0} a1={a1} t0={t0} t1={t1}");
+    }
+
+    /// A camera whose models left the shared design prefix (the state a
+    /// fallback rebuild leaves behind).
+    fn rebuild_row(bank: &mut OutcomeModelBank, cam: usize) {
+        let row: Vec<GpModel> = bank.models[cam]
+            .iter()
+            .map(|m| m.with_added(&[], &[]).unwrap())
+            .collect();
+        bank.models[cam] = Arc::new(row);
+    }
+
+    fn assert_banks_bit_identical(a: &OutcomeModelBank, b: &OutcomeModelBank, sc: &Scenario) {
+        let space = sc.config_space();
+        for cam in 0..a.n_cameras() {
+            for obj in 0..N_OBJECTIVES {
+                let (ma, mb) = (a.model(cam, obj), b.model(cam, obj));
+                assert_eq!(ma.n(), mb.n(), "camera {cam} objective {obj}");
+                assert_eq!(ma.prefix_len(), mb.prefix_len(), "camera {cam}");
+                for q in [0, space.len() / 3, space.len() - 1] {
+                    for &uplink in sc.uplinks() {
+                        let x = features_of(&space.at(q), uplink);
+                        let (pa, pb) = (ma.predict(&x), mb.predict(&x));
+                        assert_eq!(pa.0.to_bits(), pb.0.to_bits(), "mean, camera {cam}");
+                        assert_eq!(pa.1.to_bits(), pb.1.to_bits(), "var, camera {cam}");
+                    }
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(6))]
+
+        /// `update_all` (design-row solves memoized across cameras) is
+        /// bit-identical to per-camera `update` calls (each model doing
+        /// its own solves, the path the eva-gp dense oracle pins) over
+        /// up to 15 rounds, on a bank mixing shared and rebuilt rows —
+        /// and so are the sampler's memoized batched posteriors.
+        #[test]
+        fn update_all_matches_per_camera_updates(
+            seed in 0u64..1_000,
+            rounds in 1usize..=15,
+            rebuilt in 0usize..5,
+        ) {
+            let sc = Scenario::standard(5, 3, &mut seeded(seed));
+            let mut bank = OutcomeModelBank::fit_initial(&sc, 12, 0.02, &mut seeded(seed + 1))
+                .unwrap();
+            rebuild_row(&mut bank, rebuilt);
+            let mut oracle = bank.clone();
+            let space = sc.config_space();
+            let mut rng = seeded(seed + 2);
+            for round in 0..rounds {
+                // A few configs only, so cameras share queries.
+                let samples: Vec<ProfileSample> = (0..sc.n_videos())
+                    .map(|cam| {
+                        let c = space.at(rng.gen_range(0..3) * (space.len() / 3));
+                        let up = sc.uplinks()[rng.gen_range(0..sc.n_servers())];
+                        Profiler::new(sc.surfaces(cam).clone())
+                            .with_noise(0.02, 0.02)
+                            .measure(&c, up, &mut rng)
+                    })
+                    .collect();
+                let report = bank.update_all(&samples).unwrap();
+                proptest::prop_assert_eq!(report.skipped, 0);
+                proptest::prop_assert!(report.prefix_solves <= samples.len() * N_OBJECTIVES);
+                for (cam, s) in samples.iter().enumerate() {
+                    oracle.update(cam, s).unwrap();
+                }
+                if round % 4 == 0 {
+                    assert_banks_bit_identical(&bank, &oracle, &sc);
+                }
+            }
+            assert_banks_bit_identical(&bank, &oracle, &sc);
+            // The rebuilt camera kept its own prefix; the rest still share.
+            let shared = (rebuilt + 1) % sc.n_videos();
+            proptest::prop_assert!(!bank.model(rebuilt, 0).shares_prefix(bank.model(shared, 0)));
+
+            let pref = TruePreference::uniform(&sc);
+            let normalizer = OutcomeNormalizer::for_scenario(&sc);
+            let batched = CompositeSampler::new(
+                &sc,
+                bank,
+                PreferenceEval::Oracle(pref.clone()),
+                normalizer.clone(),
+            );
+            let scalar = CompositeSampler::new(&sc, oracle, PreferenceEval::Oracle(pref), normalizer);
+            let pool = crate::pool::build_pool(&sc, 6, &mut rng);
+            batched.prepare(&pool, 8, seed);
+            let a = batched.joint_samples(&pool, 8, seed);
+            let b = scalar.joint_samples(&pool, 8, seed);
+            proptest::prop_assert!(
+                a.as_slice().iter().zip(b.as_slice()).all(|(u, v)| u.to_bits() == v.to_bits())
+            );
+        }
+    }
+
+    #[test]
+    fn update_all_reports_bad_input_instead_of_truncating() {
+        let (sc, mut bank) = bank(12);
+        let c = VideoConfig::new(1080.0, 15.0);
+        let sample = |cam: usize| {
+            Profiler::new(sc.surfaces(cam).clone())
+                .with_noise(0.0, 0.0)
+                .measure(&c, 20e6, &mut seeded(4))
+        };
+        let mut samples: Vec<ProfileSample> = (0..sc.n_videos()).map(sample).collect();
+        // One sample short: an error, and no camera is touched.
+        let before = bank.model(0, 0).n();
+        let err = bank.update_all(&samples[1..]).unwrap_err();
+        assert!(matches!(err, CoreError::InvalidInput { .. }), "{err:?}");
+        assert_eq!(bank.model(0, 0).n(), before);
+        // A non-finite sample is skipped and counted; the rest update.
+        samples[1].outcome.latency_s = f64::NAN;
+        let report = bank.update_all(&samples).unwrap();
+        assert_eq!(report.skipped, 1);
+        assert_eq!(report.rebuilds, 0);
+        assert_eq!(bank.model(1, 0).n(), before);
+        assert_eq!(bank.model(0, 0).n(), before + 1);
+        assert_eq!(bank.model(2, 0).n(), before + 1);
+        // Cameras 0 and 2 measured the same point: one solve per
+        // objective serves both.
+        assert_eq!(report.prefix_solves, N_OBJECTIVES);
     }
 }

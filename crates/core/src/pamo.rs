@@ -11,7 +11,7 @@
 use eva_bo::{bo_maximize_budgeted, AcqKind, BoConfig, BoResult};
 use eva_obs::{cost, span, DecisionBudget, NoopRecorder, Phase, Recorder};
 use eva_prefgp::{elicit_preferences, ElicitConfig, PreferenceModel};
-use eva_workload::{Outcome, Profiler, Scenario, VideoConfig};
+use eva_workload::{Outcome, ProfileSample, Profiler, Scenario, VideoConfig};
 use parking_lot::Mutex;
 use rand::Rng;
 
@@ -320,21 +320,26 @@ impl Pamo {
             // profiling noise, feed them back into the outcome models
             // (Algorithm 2 lines 16-18), and score the aggregate with
             // the preference layer (line 17).
-            let mut locked = bank.lock();
-            let agg = measure_aggregate(
-                scenario,
-                &configs,
-                &assignment,
-                cfg.profile_noise,
-                Some(&mut locked),
-            );
-            drop(locked);
-            if let Some(outcome) = agg {
-                let y = normalizer.normalize(&outcome);
-                pref_eval.mean_and_std(&y).0
-            } else {
-                INFEASIBLE_BENEFIT
+            let Some((outcome, samples)) =
+                measure_aggregate(scenario, &configs, &assignment, cfg.profile_noise)
+            else {
+                return INFEASIBLE_BENEFIT;
+            };
+            {
+                // Conditioning failures keep a camera's previous models
+                // (stale beats poisoned); the measurements still count.
+                let _update_span = span(rec, Phase::BankUpdate);
+                match bank.lock().update_all(&samples) {
+                    Ok(report) => report.record(rec),
+                    Err(_) => {
+                        if rec.enabled() {
+                            rec.add("core.bank_update_skipped", samples.len() as u64);
+                        }
+                    }
+                }
             }
+            let y = normalizer.normalize(&outcome);
+            pref_eval.mean_and_std(&y).0
         };
         let fit = |_observations: &[(Vec<f64>, f64)]| -> CompositeSampler<'_> {
             CompositeSampler::new(
@@ -343,6 +348,7 @@ impl Pamo {
                 pref_eval.clone(),
                 normalizer.clone(),
             )
+            .recorded(rec)
         };
         let bo = {
             let _bo_span = span(rec, Phase::BoSearch);
@@ -414,15 +420,15 @@ impl Pamo {
 }
 
 /// Measure the aggregate outcome of a scheduled configuration with
-/// profiling noise, optionally feeding per-camera samples back into the
-/// outcome-model bank.
+/// profiling noise. Returns the aggregate and the per-camera samples it
+/// was assembled from (the observations Algorithm 2 line 18 feeds back
+/// into the outcome-model bank); `None` when a camera is unplaced.
 pub fn measure_aggregate(
     scenario: &Scenario,
     configs: &[VideoConfig],
     assignment: &eva_sched::Assignment,
     rel_noise: f64,
-    update_bank: Option<&mut OutcomeModelBank>,
-) -> Option<Outcome> {
+) -> Option<(Outcome, Vec<ProfileSample>)> {
     let m = scenario.n_videos();
     let mut rng = eva_stats::rng::seeded(hash_configs(configs));
     // First split part of each camera, found in one pass (the
@@ -440,9 +446,8 @@ pub fn measure_aggregate(
     let mut eng = 0.0;
     let mut lat = 0.0;
     // Measurements draw from one shared RNG stream, so this loop is
-    // sequential; the per-camera GP conditioning below is not, so the
-    // samples are collected and fed to the bank as one parallel pass.
-    let mut samples = Vec::with_capacity(if update_bank.is_some() { m } else { 0 });
+    // sequential.
+    let mut samples = Vec::with_capacity(m);
     #[allow(clippy::needless_range_loop)]
     for cam in 0..m {
         let uplink = first_part[cam].map(|i| scenario.uplinks()[assignment.server_of[i]])?;
@@ -454,22 +459,16 @@ pub fn measure_aggregate(
         com += sample.outcome.compute_tflops;
         eng += sample.outcome.power_w;
         lat += sample.outcome.latency_s;
-        if update_bank.is_some() {
-            samples.push(sample);
-        }
+        samples.push(sample);
     }
-    if let Some(bank) = update_bank {
-        // Conditioning failures keep a camera's previous models (stale
-        // beats poisoned); the measurements themselves still count.
-        bank.update_all(&samples);
-    }
-    Some(Outcome {
+    let outcome = Outcome {
         latency_s: lat / m as f64,
         accuracy: acc / m as f64,
         network_bps: net,
         compute_tflops: com,
         power_w: eng,
-    })
+    };
+    Some((outcome, samples))
 }
 
 fn hash_configs(configs: &[VideoConfig]) -> u64 {
@@ -673,7 +672,8 @@ mod tests {
         let sc = scenario();
         let configs = vec![VideoConfig::new(600.0, 5.0); 3];
         let assignment = sc.schedule(&configs).unwrap();
-        let measured = measure_aggregate(&sc, &configs, &assignment, 0.0, None).unwrap();
+        let (measured, samples) = measure_aggregate(&sc, &configs, &assignment, 0.0).unwrap();
+        assert_eq!(samples.len(), sc.n_videos());
         let analytic = sc.evaluate(&configs).unwrap().outcome;
         assert!((measured.accuracy - analytic.accuracy).abs() < 1e-9);
         assert!((measured.network_bps - analytic.network_bps).abs() < 1e-6);

@@ -89,6 +89,8 @@ fn online_run_identical_under_noop_and_flight_recorders() {
         Phase::OutcomeFit,
         Phase::PrefModel,
         Phase::BoSearch,
+        Phase::BoPrepare,
+        Phase::BankUpdate,
         Phase::GpFit,
         Phase::Grouping,
         Phase::Assignment,
@@ -105,6 +107,7 @@ fn online_run_identical_under_noop_and_flight_recorders() {
     assert_eq!(snap.metrics.counter("online.epochs"), 3);
     assert!(snap.metrics.counter("core.objective_evals") > 0);
     assert!(snap.metrics.counter("gp.fits") > 0);
+    assert!(snap.metrics.counter("gp.prefix_solves") > 0);
 }
 
 #[test]

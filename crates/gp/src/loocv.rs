@@ -64,7 +64,7 @@ pub fn loo_diagnostics(model: &GpModel) -> Result<LooDiagnostics> {
 
     // Rebuild K_y and factor (the model's internal factorization is not
     // exposed; n here is small enough that one extra Cholesky is cheap).
-    let mut k = model.kernel().matrix(model.train_x());
+    let mut k = model.kernel().matrix(&model.train_x());
     k.add_diag(model.noise_var());
     let chol = eva_linalg::Cholesky::decompose_jittered(&k)?;
     let alpha = chol.solve(&z)?;

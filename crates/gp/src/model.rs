@@ -1,10 +1,83 @@
 //! Exact GP regression: posterior means, variances, joint covariance
 //! and posterior sampling.
+//!
+//! A model's training rows split into a *prefix* and a *tail*. The
+//! prefix — inputs, kernel, noise and the leading rows of the Cholesky
+//! factor — sits behind an `Arc`, so the models of one shared profiling
+//! design ([`GpModel::with_targets`]) hold a single copy of it between
+//! them. The tail holds the rows a model added itself through
+//! [`GpModel::condition`]. A model built from scratch owns its prefix
+//! (refcount 1) and takes exactly the same code path.
+//!
+//! The factor is stored as packed lower-triangular rows (row `i` holds
+//! `i + 1` entries) and inputs as flat row-major arrays. Every dot
+//! product runs over the same slices in the same order as a dense
+//! factor would, so the packed model is bit-identical to the dense one.
+//!
+//! A query's design-row work — its cross-kernel entries against the
+//! prefix inputs and their forward solve `L₀⁻¹k₀` — depends only on the
+//! prefix. Callers that query many models sharing one prefix compute it
+//! once per distinct query ([`GpModel::prefix_solve`]) and hand it to
+//! [`GpModel::predict_with`] / [`GpModel::condition_with`], which then
+//! only do each model's own tail rows.
 
-use eva_linalg::{vecops, Cholesky, Mat};
+use std::sync::Arc;
+
+use eva_linalg::{vecops, Cholesky, LinalgError, Mat};
 use rand::Rng;
 
 use crate::{GpError, Kernel, Result};
+
+/// Start of row `i` in packed lower-triangular storage.
+#[inline]
+fn tri(i: usize) -> usize {
+    i * (i + 1) / 2
+}
+
+/// Forward substitution `L y = b` over factor rows `from..to`, with
+/// `y[..from]` already solved. `rows` packs the factor's rows from row
+/// `base` on (row `i` starts at `tri(i) - tri(base)`). The arithmetic is
+/// that of [`eva_linalg::solve::forward_substitution`] row for row.
+fn forward_packed(
+    rows: &[f64],
+    base: usize,
+    from: usize,
+    to: usize,
+    b: &[f64],
+    y: &mut [f64],
+) -> std::result::Result<(), LinalgError> {
+    let mut off = tri(from) - tri(base);
+    for i in from..to {
+        let row = &rows[off..off + i + 1];
+        let s = vecops::dot(&row[..i], &y[..i]);
+        let d = row[i];
+        if d == 0.0 {
+            return Err(LinalgError::Singular { pivot: i });
+        }
+        y[i] = (b[i] - s) / d;
+        off += i + 1;
+    }
+    Ok(())
+}
+
+/// The training rows a model may share with others.
+#[derive(Debug)]
+struct Prefix {
+    kernel: Kernel,
+    noise_var: f64,
+    /// Inputs, row-major `n × dim`.
+    x: Vec<f64>,
+    /// Packed factor rows `0..n`.
+    l: Vec<f64>,
+    n: usize,
+}
+
+impl Prefix {
+    fn point(&self, i: usize) -> &[f64] {
+        let d = self.kernel.dim();
+        &self.x[i * d..(i + 1) * d]
+    }
+}
 
 /// An exact Gaussian-process regression model.
 ///
@@ -14,15 +87,33 @@ use crate::{GpError, Kernel, Result};
 /// (seconds vs. TFLOPs).
 #[derive(Debug, Clone)]
 pub struct GpModel {
-    kernel: Kernel,
-    noise_var: f64,
-    x: Vec<Vec<f64>>,
+    prefix: Arc<Prefix>,
+    /// Inputs this model added after the prefix, row-major.
+    tail_x: Vec<f64>,
+    /// Packed factor rows `prefix.n..n`.
+    tail_l: Vec<f64>,
+    tail_n: usize,
+    /// Largest diagonal jitter in effect on any factor row.
+    jitter: f64,
     y_raw: Vec<f64>,
     y_mean: f64,
     y_std: f64,
-    chol: Cholesky,
     /// `(K + σ² I)^{-1} z` where `z` is the standardized target vector.
     alpha: Vec<f64>,
+}
+
+/// A query's design-row work against one model prefix: the cross-kernel
+/// entries `k₀ = k(x, X₀)`, their forward solve `L₀⁻¹k₀`, and `k(x, x)`.
+/// Computed once by [`GpModel::prefix_solve`], it serves every model
+/// that shares the prefix.
+#[derive(Debug, Clone)]
+pub struct PrefixSolve {
+    /// [`GpModel::prefix_id`] of the prefix this was solved against.
+    prefix: usize,
+    k: Vec<f64>,
+    /// `None` when the prefix factor is singular.
+    w: Option<Vec<f64>>,
+    kxx: f64,
 }
 
 /// Joint latent posterior at a set of query points.
@@ -103,6 +194,7 @@ impl GpModel {
         Self::build(kernel, noise_var, x, y, y_mean, y_std)
     }
 
+    /// Factor from scratch; the model owns its whole factor as prefix.
     fn build(
         kernel: Kernel,
         noise_var: f64,
@@ -115,42 +207,57 @@ impl GpModel {
         let mut k = kernel.matrix(&x);
         k.add_diag(noise_var);
         let chol = Cholesky::decompose_jittered(&k)?;
-        let alpha = chol.solve(&z)?;
-        Ok(GpModel {
+        let n = x.len();
+        let mut l = Vec::with_capacity(tri(n));
+        for i in 0..n {
+            l.extend_from_slice(&chol.l().row(i)[..=i]);
+        }
+        let prefix = Prefix {
             kernel,
             noise_var,
-            x,
+            x: x.concat(),
+            l,
+            n,
+        };
+        let mut model = GpModel {
+            prefix: Arc::new(prefix),
+            tail_x: Vec::new(),
+            tail_l: Vec::new(),
+            tail_n: 0,
+            jitter: chol.jitter(),
             y_raw: y,
             y_mean,
             y_std,
-            chol,
-            alpha,
-        })
+            alpha: Vec::new(),
+        };
+        model.alpha = model.solve(&z)?;
+        Ok(model)
     }
 
     /// Number of training points.
     pub fn n(&self) -> usize {
-        self.x.len()
+        self.prefix.n + self.tail_n
     }
 
     /// Input dimensionality.
     pub fn dim(&self) -> usize {
-        self.kernel.dim()
+        self.prefix.kernel.dim()
     }
 
     /// The kernel in use.
     pub fn kernel(&self) -> &Kernel {
-        &self.kernel
+        &self.prefix.kernel
     }
 
     /// Observation noise variance (standardized units).
     pub fn noise_var(&self) -> f64 {
-        self.noise_var
+        self.prefix.noise_var
     }
 
-    /// Training inputs.
-    pub fn train_x(&self) -> &[Vec<f64>] {
-        &self.x
+    /// Training inputs, one vector per point (a copy: inputs are stored
+    /// flat, split between the shared prefix and this model's tail).
+    pub fn train_x(&self) -> Vec<Vec<f64>> {
+        (0..self.n()).map(|i| self.point(i).to_vec()).collect()
     }
 
     /// Training targets (original units).
@@ -158,17 +265,135 @@ impl GpModel {
         &self.y_raw
     }
 
+    /// Identity of this model's shared prefix: equal ids mean the same
+    /// design rows, kernel and factor, so one [`PrefixSolve`] serves all
+    /// models that report it. Valid as a memo key while those models are
+    /// alive.
+    pub fn prefix_id(&self) -> usize {
+        Arc::as_ptr(&self.prefix) as usize
+    }
+
+    /// Whether `other` shares this model's prefix.
+    pub fn shares_prefix(&self, other: &GpModel) -> bool {
+        Arc::ptr_eq(&self.prefix, &other.prefix)
+    }
+
+    /// Number of factor rows in the shared prefix.
+    pub fn prefix_len(&self) -> usize {
+        self.prefix.n
+    }
+
+    fn point(&self, i: usize) -> &[f64] {
+        if i < self.prefix.n {
+            self.prefix.point(i)
+        } else {
+            let d = self.dim();
+            let t = i - self.prefix.n;
+            &self.tail_x[t * d..(t + 1) * d]
+        }
+    }
+
+    /// Factor row `i` (its `i + 1` lower-triangular entries).
+    fn row(&self, i: usize) -> &[f64] {
+        let n0 = self.prefix.n;
+        if i < n0 {
+            &self.prefix.l[tri(i)..tri(i) + i + 1]
+        } else {
+            let off = tri(i) - tri(n0);
+            &self.tail_l[off..off + i + 1]
+        }
+    }
+
+    /// Forward substitution over factor rows `from..n`, with
+    /// `y[..from]` already solved.
+    fn forward_from(
+        &self,
+        from: usize,
+        b: &[f64],
+        y: &mut [f64],
+    ) -> std::result::Result<(), LinalgError> {
+        let n0 = self.prefix.n;
+        if from < n0 {
+            forward_packed(&self.prefix.l, 0, from, n0, b, y)?;
+        }
+        forward_packed(&self.tail_l, n0, from.max(n0), self.n(), b, y)
+    }
+
+    /// Solve `(K + σ²I) x = b` through the factor: the two triangular
+    /// solves of [`Cholesky::solve`], row for row.
+    fn solve(&self, b: &[f64]) -> std::result::Result<Vec<f64>, LinalgError> {
+        let n = self.n();
+        let mut x = vec![0.0; n];
+        self.forward_from(0, b, &mut x)?;
+        for i in (0..n).rev() {
+            let row = self.row(i);
+            let d = row[i];
+            if d == 0.0 {
+                return Err(LinalgError::Singular { pivot: i });
+            }
+            x[i] /= d;
+            let xi = x[i];
+            // Column i of L below the diagonal eliminates into earlier rows of x.
+            for j in 0..i {
+                x[j] -= row[j] * xi;
+            }
+        }
+        Ok(x)
+    }
+
+    /// The design-row work of query `x` against this model's prefix,
+    /// shareable by every model with the same [`GpModel::prefix_id`].
+    pub fn prefix_solve(&self, x: &[f64]) -> PrefixSolve {
+        let p = &*self.prefix;
+        let k: Vec<f64> = (0..p.n).map(|i| p.kernel.eval(x, p.point(i))).collect();
+        let mut w = vec![0.0; p.n];
+        let solved = forward_packed(&p.l, 0, 0, p.n, &k, &mut w).is_ok();
+        PrefixSolve {
+            prefix: self.prefix_id(),
+            k,
+            w: solved.then_some(w),
+            kxx: p.kernel.eval(x, x),
+        }
+    }
+
     /// Predictive mean and *latent* variance at one point, in original
     /// target units. Add `noise_var * y_std²` for an observation.
     pub fn predict(&self, x: &[f64]) -> (f64, f64) {
         debug_assert_eq!(x.len(), self.dim(), "predict: dim mismatch");
-        let kx: Vec<f64> = self.x.iter().map(|xi| self.kernel.eval(xi, x)).collect();
-        let mean_z = vecops::dot(&kx, &self.alpha);
+        self.predict_with(x, &self.prefix_solve(x), &mut Vec::new())
+    }
+
+    /// [`GpModel::predict`] given the query's [`PrefixSolve`]: only the
+    /// tail kernel entries and tail forward rows are computed here.
+    /// `scratch` is a reusable buffer. Bit-identical to `predict`; a
+    /// solve made against another prefix is ignored and recomputed.
+    pub fn predict_with(&self, x: &[f64], pre: &PrefixSolve, scratch: &mut Vec<f64>) -> (f64, f64) {
+        if pre.prefix != self.prefix_id() {
+            return self.predict_with(x, &self.prefix_solve(x), scratch);
+        }
+        let (n0, n) = (self.prefix.n, self.n());
+        scratch.clear();
+        scratch.resize(2 * n, 0.0);
+        let (kx, y) = scratch.split_at_mut(n);
+        kx[..n0].copy_from_slice(&pre.k);
+        for (i, slot) in kx.iter_mut().enumerate().skip(n0) {
+            *slot = self.kernel().eval(x, self.point(i));
+        }
+        let mean_z = vecops::dot(kx, &self.alpha);
         // var = k(x,x) - kx^T (K+σ²I)^{-1} kx. The factorization
         // dimension is consistent by construction; if it ever were not,
         // fall back to the (conservative) prior variance.
-        let v = self.chol.quad_form(&kx).unwrap_or(0.0);
-        let var_z = (self.kernel.eval(x, x) - v).max(0.0);
+        let v = match &pre.w {
+            Some(w) => {
+                y[..n0].copy_from_slice(w);
+                match self.forward_from(n0, kx, y) {
+                    Ok(()) => vecops::dot(y, y),
+                    Err(_) => 0.0,
+                }
+            }
+            None => 0.0,
+        };
+        let var_z = (pre.kxx - v).max(0.0);
         (
             self.y_mean + self.y_std * mean_z,
             self.y_std * self.y_std * var_z,
@@ -185,49 +410,32 @@ impl GpModel {
         xs.iter().map(|x| self.predict(x)).collect()
     }
 
-    /// Vectorized [`GpModel::predict`] over many points: builds the
-    /// q×n cross-kernel matrix once (query-major, so each query's
-    /// kernel row is a contiguous slice) and reuses one triangular-solve
-    /// scratch buffer across queries instead of allocating per call.
-    /// Per-point results are bit-identical to [`GpModel::predict`] —
-    /// each row sees the same kernel evaluations (the scaled squared
-    /// distance is exactly symmetric), the same dot order, and the same
-    /// substitution.
+    /// [`GpModel::predict`] over many points, reusing one scratch
+    /// buffer across queries. Bit-identical to per-point `predict`.
     pub fn predict_many(&self, xs: &[Vec<f64>]) -> Vec<(f64, f64)> {
-        if xs.is_empty() {
-            return Vec::new();
-        }
         debug_assert!(
             xs.iter().all(|x| x.len() == self.dim()),
             "predict_many: dim mismatch"
         );
-        let kqx = self.kernel.cross_matrix(xs, &self.x); // q x n
-        let s2 = self.y_std * self.y_std;
-        let mut scratch = vec![0.0; self.x.len()];
-        (0..xs.len())
-            .map(|j| {
-                let kx = kqx.row(j);
-                let mean_z = vecops::dot(kx, &self.alpha);
-                let v = self.chol.quad_form_into(kx, &mut scratch).unwrap_or(0.0);
-                let var_z = (self.kernel.eval(&xs[j], &xs[j]) - v).max(0.0);
-                (self.y_mean + self.y_std * mean_z, s2 * var_z)
-            })
+        let mut scratch = Vec::new();
+        xs.iter()
+            .map(|x| self.predict_with(x, &self.prefix_solve(x), &mut scratch))
             .collect()
     }
 
     /// A model over the *same inputs and hyperparameters* but fresh
-    /// targets: reuses this model's cached Cholesky factor (the Gram
-    /// matrix depends only on the inputs, kernel, and noise) and only
-    /// re-solves for the weight vector. Bit-identical to
+    /// targets: shares this model's prefix and reuses its factor (the
+    /// Gram matrix depends only on the inputs, kernel, and noise), only
+    /// re-solving for the weight vector. Bit-identical to
     /// `GpModel::new(kernel, noise_var, x, y)` on the same inputs, at
     /// O(n²) instead of O(n³) — the shared-profiling-design fit path
-    /// builds one factor per objective and reuses it across all cameras.
+    /// builds one factor per objective and shares it across all cameras.
     pub fn with_targets(&self, y: Vec<f64>) -> Result<GpModel> {
-        if y.len() != self.x.len() {
+        if y.len() != self.n() {
             return Err(GpError::BadData(format!(
                 "with_targets: {} targets vs {} inputs",
                 y.len(),
-                self.x.len()
+                self.n()
             )));
         }
         if y.iter().any(|v| !v.is_finite()) {
@@ -235,22 +443,24 @@ impl GpModel {
         }
         let (y_mean, y_std) = standardization_of(&y);
         let z: Vec<f64> = y.iter().map(|&v| (v - y_mean) / y_std).collect();
-        let alpha = self.chol.solve(&z)?;
-        Ok(GpModel {
-            kernel: self.kernel.clone(),
-            noise_var: self.noise_var,
-            x: self.x.clone(),
+        let mut model = GpModel {
+            prefix: Arc::clone(&self.prefix),
+            tail_x: self.tail_x.clone(),
+            tail_l: self.tail_l.clone(),
+            tail_n: self.tail_n,
+            jitter: self.jitter,
             y_raw: y,
             y_mean,
             y_std,
-            chol: self.chol.clone(),
-            alpha,
-        })
+            alpha: Vec::new(),
+        };
+        model.alpha = model.solve(&z)?;
+        Ok(model)
     }
 
     /// Observation-noise variance in original units.
     pub fn observation_noise(&self) -> f64 {
-        self.noise_var * self.y_std * self.y_std
+        self.noise_var() * self.y_std * self.y_std
     }
 
     /// Joint latent posterior (mean vector + full covariance) at `xs`.
@@ -258,7 +468,7 @@ impl GpModel {
         if xs.is_empty() {
             return Err(GpError::BadData("posterior: empty query set".into()));
         }
-        let kxq = self.kernel.cross_matrix(&self.x, xs); // n x q
+        let kxq = self.kernel().cross_matrix(&self.train_x(), xs); // n x q
         let mean: Vec<f64> = (0..xs.len())
             .map(|j| {
                 let col = kxq.col(j);
@@ -266,8 +476,13 @@ impl GpModel {
             })
             .collect();
         // cov = K(Q,Q) - Kxq^T (K+σ²I)^{-1} Kxq
-        let kqq = self.kernel.matrix(xs);
-        let w = self.chol.solve_mat(&kxq)?; // n x q
+        let kqq = self.kernel().matrix(xs);
+        let mut w = Mat::zeros(kxq.rows(), kxq.cols()); // n x q
+        for j in 0..kxq.cols() {
+            for (i, v) in self.solve(&kxq.col(j))?.into_iter().enumerate() {
+                w[(i, j)] = v;
+            }
+        }
         let reduction = kxq.transpose().matmul(&w)?; // q x q
         let mut cov = kqq.sub(&reduction)?;
         cov.symmetrize();
@@ -288,14 +503,15 @@ impl GpModel {
     /// hyperparameters, computed on the standardized scale (the quantity
     /// [`crate::fit`] maximizes).
     pub fn log_marginal_likelihood(&self) -> f64 {
-        let n = self.n() as f64;
+        let n = self.n();
         let z: Vec<f64> = self
             .y_raw
             .iter()
             .map(|&v| (v - self.y_mean) / self.y_std)
             .collect();
         let data_fit = vecops::dot(&z, &self.alpha);
-        -0.5 * data_fit - 0.5 * self.chol.log_det() - 0.5 * n * (2.0 * std::f64::consts::PI).ln()
+        let log_det = (0..n).map(|i| self.row(i)[i].ln()).sum::<f64>() * 2.0;
+        -0.5 * data_fit - 0.5 * log_det - 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln()
     }
 
     /// Target standardization `(y_mean, y_std)` this model predicts in.
@@ -312,18 +528,18 @@ impl GpModel {
     /// from the grown target vector would silently re-scale the noise in
     /// original units. This rebuilds the factorization from scratch —
     /// it is the O(n³) reference path that [`GpModel::condition`] must
-    /// match.
+    /// match — and the result owns its whole factor as its prefix.
     pub fn with_added(&self, x_new: &[Vec<f64>], y_new: &[f64]) -> Result<GpModel> {
         if x_new.len() != y_new.len() {
             return Err(GpError::BadData("with_added: length mismatch".into()));
         }
-        let mut x = self.x.clone();
+        let mut x = self.train_x();
         x.extend(x_new.iter().cloned());
         let mut y = self.y_raw.clone();
         y.extend_from_slice(y_new);
         GpModel::with_standardization(
-            self.kernel.clone(),
-            self.noise_var,
+            self.kernel().clone(),
+            self.noise_var(),
             x,
             y,
             self.y_mean,
@@ -331,14 +547,16 @@ impl GpModel {
         )
     }
 
-    /// Incremental version of [`GpModel::with_added`]: extends the cached
-    /// Cholesky factor by the `k` new rows via [`Cholesky::extend`]
-    /// (O(k·n²) instead of O(n³)) and reuses the frozen standardization.
+    /// Incremental version of [`GpModel::with_added`]: appends the `k`
+    /// new factor rows to this model's tail (O(k·n²) instead of O(n³),
+    /// the arithmetic of [`Cholesky::extend`]) and reuses the frozen
+    /// standardization. The shared prefix is untouched and stays shared.
     ///
     /// Falls back to the from-scratch rebuild when the extension is not
     /// numerically positive definite (e.g. a new point that duplicates a
     /// training point while the old factor carries jitter the new block
-    /// can't absorb) — correctness never depends on the fast path.
+    /// can't absorb) — correctness never depends on the fast path. The
+    /// rebuilt model no longer shares this model's prefix.
     pub fn condition(&self, x_new: &[Vec<f64>], y_new: &[f64]) -> Result<GpModel> {
         if x_new.len() != y_new.len() {
             return Err(GpError::BadData("condition: length mismatch".into()));
@@ -346,38 +564,111 @@ impl GpModel {
         if x_new.is_empty() {
             return Ok(self.clone());
         }
-        if x_new.iter().any(|p| p.len() != self.dim()) {
+        let xs: Vec<&[f64]> = x_new.iter().map(Vec::as_slice).collect();
+        self.check_update(&xs, y_new)?;
+        let pres: Vec<PrefixSolve> = xs.iter().map(|x| self.prefix_solve(x)).collect();
+        self.extended(&xs, y_new, &pres)
+    }
+
+    /// [`GpModel::condition`] on one observation given the new input's
+    /// [`PrefixSolve`]; only the tail rows of the new factor row are
+    /// computed here. Bit-identical to `condition`.
+    pub fn condition_with(&self, x_new: &[f64], y_new: f64, pre: &PrefixSolve) -> Result<GpModel> {
+        self.check_update(&[x_new], &[y_new])?;
+        if pre.prefix != self.prefix_id() {
+            return self.extended(&[x_new], &[y_new], &[self.prefix_solve(x_new)]);
+        }
+        self.extended(&[x_new], &[y_new], std::slice::from_ref(pre))
+    }
+
+    fn check_update(&self, xs: &[&[f64]], ys: &[f64]) -> Result<()> {
+        if xs.iter().any(|p| p.len() != self.dim()) {
             return Err(GpError::BadData(format!(
                 "condition: input dim != kernel dim {}",
                 self.dim()
             )));
         }
-        if y_new.iter().any(|v| !v.is_finite()) {
+        if ys.iter().any(|v| !v.is_finite()) {
             return Err(GpError::BadData("condition: non-finite target".into()));
         }
-        let cross = self.kernel.cross_matrix(&self.x, x_new); // n x k
-        let mut corner = self.kernel.matrix(x_new); // k x k
-        corner.add_diag(self.noise_var);
-        let chol = match self.chol.extend(&cross, &corner) {
-            Ok(c) => c,
-            Err(_) => return self.with_added(x_new, y_new),
+        Ok(())
+    }
+
+    /// Append the factor rows of `xs` (whose prefix solves are `pres`):
+    /// `L21` rows from forward solves of the new cross-kernel columns,
+    /// then the Schur complement `C + jitter·I − L21·L21ᵀ` factored with
+    /// the jitter ladder.
+    fn extended(&self, xs: &[&[f64]], ys: &[f64], pres: &[PrefixSolve]) -> Result<GpModel> {
+        let rebuild = || {
+            let x_new: Vec<Vec<f64>> = xs.iter().map(|x| x.to_vec()).collect();
+            self.with_added(&x_new, ys)
         };
-        let mut x = self.x.clone();
-        x.extend(x_new.iter().cloned());
-        let mut y = self.y_raw.clone();
-        y.extend_from_slice(y_new);
-        let z: Vec<f64> = y.iter().map(|&v| (v - self.y_mean) / self.y_std).collect();
-        let alpha = chol.solve(&z)?;
-        Ok(GpModel {
-            kernel: self.kernel.clone(),
-            noise_var: self.noise_var,
-            x,
-            y_raw: y,
+        let (n0, n, k) = (self.prefix.n, self.n(), xs.len());
+        let kernel = self.kernel();
+        let mut l21 = vec![0.0; k * n];
+        let mut b = vec![0.0; n];
+        for (j, (x, pre)) in xs.iter().zip(pres).enumerate() {
+            let Some(w) = &pre.w else {
+                return rebuild();
+            };
+            b[..n0].copy_from_slice(&pre.k);
+            for (i, slot) in b.iter_mut().enumerate().skip(n0) {
+                *slot = kernel.eval(x, self.point(i));
+            }
+            let row = &mut l21[j * n..(j + 1) * n];
+            row[..n0].copy_from_slice(w);
+            if self.forward_from(n0, &b, row).is_err() {
+                return rebuild();
+            }
+        }
+        let mut s = Mat::zeros(k, k);
+        for i in 0..k {
+            for j in 0..=i {
+                let corner = if i == j {
+                    pres[i].kxx + self.noise_var()
+                } else {
+                    kernel.eval(xs[i], xs[j])
+                };
+                let v = corner - vecops::dot(&l21[i * n..(i + 1) * n], &l21[j * n..(j + 1) * n]);
+                s[(i, j)] = v;
+                s[(j, i)] = v;
+            }
+            s[(i, i)] += self.jitter;
+        }
+        let Ok(s_ch) = Cholesky::decompose_jittered(&s) else {
+            return rebuild();
+        };
+        let mut tail_l = Vec::with_capacity(self.tail_l.len() + k * n + tri(k));
+        tail_l.extend_from_slice(&self.tail_l);
+        for i in 0..k {
+            tail_l.extend_from_slice(&l21[i * n..(i + 1) * n]);
+            tail_l.extend_from_slice(&s_ch.l().row(i)[..=i]);
+        }
+        let mut tail_x = Vec::with_capacity(self.tail_x.len() + k * self.dim());
+        tail_x.extend_from_slice(&self.tail_x);
+        for x in xs {
+            tail_x.extend_from_slice(x);
+        }
+        let mut y_raw = Vec::with_capacity(n + k);
+        y_raw.extend_from_slice(&self.y_raw);
+        y_raw.extend_from_slice(ys);
+        let z: Vec<f64> = y_raw
+            .iter()
+            .map(|&v| (v - self.y_mean) / self.y_std)
+            .collect();
+        let mut model = GpModel {
+            prefix: Arc::clone(&self.prefix),
+            tail_x,
+            tail_l,
+            tail_n: self.tail_n + k,
+            jitter: self.jitter.max(s_ch.jitter()),
+            y_raw,
             y_mean: self.y_mean,
             y_std: self.y_std,
-            chol,
-            alpha,
-        })
+            alpha: Vec::new(),
+        };
+        model.alpha = model.solve(&z)?;
+        Ok(model)
     }
 }
 
@@ -690,5 +981,245 @@ mod tests {
         let m = GpModel::new(kernel, 1e-4, x, y).unwrap();
         let (mean, _) = m.predict(&[2.5]);
         assert!((mean - 3.0).abs() < 1e-6);
+    }
+
+    /// The dense representation the packed, prefix-sharing model
+    /// replaced — every model a full copy of its inputs and `n × n`
+    /// factor, conditioned through [`Cholesky::extend`] — kept as the
+    /// bit-identity oracle.
+    #[derive(Clone)]
+    struct DenseOracle {
+        kernel: Kernel,
+        noise_var: f64,
+        x: Vec<Vec<f64>>,
+        y_raw: Vec<f64>,
+        y_mean: f64,
+        y_std: f64,
+        chol: Cholesky,
+        alpha: Vec<f64>,
+    }
+
+    impl DenseOracle {
+        fn new(kernel: Kernel, noise_var: f64, x: Vec<Vec<f64>>, y: Vec<f64>) -> Self {
+            let (y_mean, y_std) = standardization_of(&y);
+            Self::build(kernel, noise_var, x, y, y_mean, y_std)
+        }
+
+        fn build(
+            kernel: Kernel,
+            noise_var: f64,
+            x: Vec<Vec<f64>>,
+            y: Vec<f64>,
+            y_mean: f64,
+            y_std: f64,
+        ) -> Self {
+            let z: Vec<f64> = y.iter().map(|&v| (v - y_mean) / y_std).collect();
+            let mut k = kernel.matrix(&x);
+            k.add_diag(noise_var);
+            let chol = Cholesky::decompose_jittered(&k).unwrap();
+            let alpha = chol.solve(&z).unwrap();
+            DenseOracle {
+                kernel,
+                noise_var,
+                x,
+                y_raw: y,
+                y_mean,
+                y_std,
+                chol,
+                alpha,
+            }
+        }
+
+        fn with_targets(&self, y: Vec<f64>) -> Self {
+            let (y_mean, y_std) = standardization_of(&y);
+            let z: Vec<f64> = y.iter().map(|&v| (v - y_mean) / y_std).collect();
+            let alpha = self.chol.solve(&z).unwrap();
+            DenseOracle {
+                y_raw: y,
+                y_mean,
+                y_std,
+                alpha,
+                ..self.clone()
+            }
+        }
+
+        fn with_added(&self, x_new: &[f64], y_new: f64) -> Self {
+            let mut x = self.x.clone();
+            x.push(x_new.to_vec());
+            let mut y = self.y_raw.clone();
+            y.push(y_new);
+            let (kernel, noise) = (self.kernel.clone(), self.noise_var);
+            Self::build(kernel, noise, x, y, self.y_mean, self.y_std)
+        }
+
+        /// Conditioning and whether it fell back to the rebuild.
+        fn condition(&self, x_new: &[f64], y_new: f64) -> (Self, bool) {
+            let xs = [x_new.to_vec()];
+            let cross = self.kernel.cross_matrix(&self.x, &xs);
+            let mut corner = self.kernel.matrix(&xs);
+            corner.add_diag(self.noise_var);
+            let chol = match self.chol.extend(&cross, &corner) {
+                Ok(c) => c,
+                Err(_) => return (self.with_added(x_new, y_new), true),
+            };
+            let mut x = self.x.clone();
+            x.push(x_new.to_vec());
+            let mut y = self.y_raw.clone();
+            y.push(y_new);
+            let z: Vec<f64> = y.iter().map(|&v| (v - self.y_mean) / self.y_std).collect();
+            let alpha = chol.solve(&z).unwrap();
+            let next = DenseOracle {
+                x,
+                y_raw: y,
+                chol,
+                alpha,
+                ..self.clone()
+            };
+            (next, false)
+        }
+
+        fn predict(&self, x: &[f64]) -> (f64, f64) {
+            let kx: Vec<f64> = self.x.iter().map(|xi| self.kernel.eval(xi, x)).collect();
+            let mean_z = vecops::dot(&kx, &self.alpha);
+            let v = self.chol.quad_form(&kx).unwrap_or(0.0);
+            let var_z = (self.kernel.eval(x, x) - v).max(0.0);
+            (
+                self.y_mean + self.y_std * mean_z,
+                self.y_std * self.y_std * var_z,
+            )
+        }
+    }
+
+    fn same_bits(a: &[f64], b: &[f64]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(u, v)| u.to_bits() == v.to_bits())
+    }
+
+    fn assert_matches(model: &GpModel, oracle: &DenseOracle, queries: &[Vec<f64>], what: &str) {
+        assert!(same_bits(&model.alpha, &oracle.alpha), "{what}: alpha");
+        assert_eq!(model.train_x(), oracle.x, "{what}: inputs");
+        let mut scratch = Vec::new();
+        for q in queries {
+            let (m, v) = oracle.predict(q);
+            let direct = model.predict(q);
+            let shared = model.predict_with(q, &model.prefix_solve(q), &mut scratch);
+            for (mm, vv) in [direct, shared] {
+                assert_eq!(mm.to_bits(), m.to_bits(), "{what}: mean at {q:?}");
+                assert_eq!(vv.to_bits(), v.to_bits(), "{what}: var at {q:?}");
+            }
+        }
+    }
+
+    /// A 3-d shared design of `n` points and targets for `cams` cameras.
+    fn design(n: usize, cams: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
+        let mut rng = seeded(seed);
+        let x: Vec<Vec<f64>> = (0..n)
+            .map(|_| (0..3).map(|_| rng.gen_range(0.0..1.0)).collect())
+            .collect();
+        let ys = (0..cams)
+            .map(|c| {
+                x.iter()
+                    .map(|p| {
+                        (p[0] * 3.0 + c as f64).sin() + p[1] * p[2] + rng.gen_range(-0.05..0.05)
+                    })
+                    .collect()
+            })
+            .collect();
+        (x, ys)
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Cameras sharing one design prefix, conditioned one point at a
+        /// time through shared prefix solves, stay bit-identical to
+        /// dense per-camera models — for up to 15 updates, with one
+        /// camera rebuilt mid-way so the bank mixes shared and own
+        /// prefixes.
+        #[test]
+        fn shared_prefix_matches_dense_oracle(
+            seed in 0u64..10_000,
+            updates in 1usize..=15,
+            family in 0usize..3,
+            rebuild_at in 0usize..15,
+        ) {
+            let family = [KernelType::Rbf, KernelType::Matern32, KernelType::Matern52][family];
+            let kernel = Kernel::new(family, vec![0.4, 0.7, 1.3], 1.5);
+            let (x, ys) = design(25, 4, seed);
+            let base = GpModel::new(kernel.clone(), 1e-3, x.clone(), ys[0].clone()).unwrap();
+            let dense0 = DenseOracle::new(kernel, 1e-3, x, ys[0].clone());
+            let mut models: Vec<GpModel> =
+                ys.iter().map(|y| base.with_targets(y.clone()).unwrap()).collect();
+            let mut dense: Vec<DenseOracle> =
+                ys.iter().map(|y| dense0.with_targets(y.clone())).collect();
+            let mut rng = seeded(seed ^ 0x9e37);
+            // A coarse query grid, so cameras often repeat a query.
+            let grid = |rng: &mut rand::rngs::StdRng| -> Vec<f64> {
+                (0..3).map(|_| rng.gen_range(0..4) as f64 / 3.0).collect()
+            };
+            let queries: Vec<Vec<f64>> = (0..4).map(|_| grid(&mut rng)).collect();
+            for (c, (m, d)) in models.iter().zip(&dense).enumerate() {
+                assert_matches(m, d, &queries, &format!("camera {c} initial"));
+            }
+            for u in 0..updates {
+                if u == rebuild_at {
+                    // Camera 1 leaves the shared prefix (the fallback's
+                    // outcome) and keeps conditioning on its own.
+                    let (xr, yr) = (grid(&mut rng), rng.gen_range(-1.0..1.0));
+                    models[1] = models[1].with_added(std::slice::from_ref(&xr), &[yr]).unwrap();
+                    dense[1] = dense[1].with_added(&xr, yr);
+                    prop_assert!(!models[1].shares_prefix(&models[0]));
+                }
+                // One memo of prefix solves per update pass, keyed like
+                // the outcome-model bank keys it.
+                let mut memo: std::collections::HashMap<(usize, Vec<u64>), PrefixSolve> =
+                    Default::default();
+                for c in 0..models.len() {
+                    let (xn, yn) = (grid(&mut rng), rng.gen_range(-1.0..1.0));
+                    let key = (models[c].prefix_id(), xn.iter().map(|v| v.to_bits()).collect());
+                    let pre = memo.entry(key).or_insert_with(|| models[c].prefix_solve(&xn));
+                    let next = models[c].condition_with(&xn, yn, pre).unwrap();
+                    prop_assert!(next.shares_prefix(&models[c]));
+                    let (next_dense, fell_back) = dense[c].condition(&xn, yn);
+                    prop_assert!(!fell_back);
+                    models[c] = next;
+                    dense[c] = next_dense;
+                }
+                for (c, (m, d)) in models.iter().zip(&dense).enumerate() {
+                    assert_matches(m, d, &queries, &format!("camera {c} after update {u}"));
+                }
+            }
+            prop_assert!(models[0].shares_prefix(&models[3]));
+        }
+    }
+
+    #[test]
+    fn duplicate_point_falls_back_like_the_oracle() {
+        // A near-noiseless smooth kernel makes the Gram matrix so
+        // ill-conditioned that re-observing a training input leaves a
+        // non-positive Schur complement: conditioning must rebuild from
+        // scratch (and leave the shared prefix), exactly like the dense
+        // path did.
+        let kernel = Kernel::isotropic(KernelType::Rbf, 1, 1.0, 1.0);
+        let x: Vec<Vec<f64>> = (0..8).map(|i| vec![i as f64 / 7.0]).collect();
+        let y: Vec<f64> = x.iter().map(|p| (p[0] * 5.0).sin()).collect();
+        let base = GpModel::new(kernel.clone(), 1e-300, x.clone(), y.clone()).unwrap();
+        let dense = DenseOracle::new(kernel, 1e-300, x.clone(), y.clone());
+        let queries = [vec![0.2], vec![0.5], vec![0.95]];
+        let mut rebuilds = 0;
+        for (dup, &y_dup) in x.iter().zip(&y) {
+            let (d2, rebuilt) = dense.condition(dup, y_dup);
+            let m2 = base
+                .condition_with(dup, y_dup, &base.prefix_solve(dup))
+                .unwrap();
+            assert_eq!(m2.shares_prefix(&base), !rebuilt, "at {dup:?}");
+            assert_matches(&m2, &d2, &queries, &format!("duplicate {dup:?}"));
+            if rebuilt {
+                assert_eq!(m2.prefix_len(), m2.n());
+                rebuilds += 1;
+            }
+        }
+        assert!(rebuilds > 0, "no duplicate forced the rebuild");
     }
 }

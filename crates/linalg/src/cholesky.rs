@@ -211,13 +211,6 @@ impl Cholesky {
         let y = solve::forward_substitution(&self.l, b)?;
         Ok(crate::vecops::dot(&y, &y))
     }
-
-    /// [`Self::quad_form`] with a caller-provided scratch buffer of
-    /// length `n` — identical arithmetic, no allocation per call.
-    pub fn quad_form_into(&self, b: &[f64], scratch: &mut [f64]) -> Result<f64> {
-        solve::forward_substitution_into(&self.l, b, scratch)?;
-        Ok(crate::vecops::dot(scratch, scratch))
-    }
 }
 
 #[cfg(test)]

@@ -5,19 +5,9 @@ use crate::{LinalgError, Mat, Result};
 /// Solve `L y = b` with `L` lower triangular (entries above the diagonal
 /// are ignored).
 pub fn forward_substitution(l: &Mat, b: &[f64]) -> Result<Vec<f64>> {
-    let mut y = vec![0.0; l.rows()];
-    forward_substitution_into(l, b, &mut y)?;
-    Ok(y)
-}
-
-/// [`forward_substitution`] writing into a caller-provided buffer of
-/// length `l.rows()` — identical arithmetic, no allocation. Batched
-/// prediction paths reuse one scratch vector across many right-hand
-/// sides.
-pub fn forward_substitution_into(l: &Mat, b: &[f64], y: &mut [f64]) -> Result<()> {
     check_square_rhs(l, b, "forward_substitution")?;
     let n = l.rows();
-    assert_eq!(y.len(), n, "forward_substitution_into: bad buffer length");
+    let mut y = vec![0.0; n];
     for i in 0..n {
         let s = crate::vecops::dot(&l.row(i)[..i], &y[..i]);
         let d = l[(i, i)];
@@ -26,7 +16,7 @@ pub fn forward_substitution_into(l: &Mat, b: &[f64], y: &mut [f64]) -> Result<()
         }
         y[i] = (b[i] - s) / d;
     }
-    Ok(())
+    Ok(y)
 }
 
 /// Solve `U x = b` with `U` upper triangular (entries below the diagonal

@@ -26,6 +26,13 @@ pub enum Phase {
     PrefModel,
     /// The qNEI/BO search loop (lines 12-26).
     BoSearch,
+    /// Batched composite-surrogate posteriors for one candidate scan
+    /// (inside `BoSearch`).
+    BoPrepare,
+    /// Conditioning the outcome-model bank on one objective
+    /// evaluation's measurements (Algorithm 2 line 18, inside
+    /// `BoSearch`).
+    BankUpdate,
     /// One GP hyperparameter fit (inside `OutcomeFit`).
     GpFit,
     /// Algorithm-1 splitting + Theorem-3 grouping.
@@ -52,12 +59,14 @@ pub enum Phase {
 
 impl Phase {
     /// All phases, in pipeline order (the order summaries print in).
-    pub const ALL: [Phase; 14] = [
+    pub const ALL: [Phase; 16] = [
         Phase::Epoch,
         Phase::Decide,
         Phase::OutcomeFit,
         Phase::PrefModel,
         Phase::BoSearch,
+        Phase::BoPrepare,
+        Phase::BankUpdate,
         Phase::GpFit,
         Phase::Grouping,
         Phase::Assignment,
@@ -77,6 +86,8 @@ impl Phase {
             Phase::OutcomeFit => "outcome_fit",
             Phase::PrefModel => "pref_model",
             Phase::BoSearch => "bo_search",
+            Phase::BoPrepare => "bo_prepare",
+            Phase::BankUpdate => "bank_update",
             Phase::GpFit => "gp_fit",
             Phase::Grouping => "grouping",
             Phase::Assignment => "assignment",
@@ -97,15 +108,17 @@ impl Phase {
             Phase::OutcomeFit => 2,
             Phase::PrefModel => 3,
             Phase::BoSearch => 4,
-            Phase::GpFit => 5,
-            Phase::Grouping => 6,
-            Phase::Assignment => 7,
-            Phase::Des => 8,
-            Phase::Fallback => 9,
-            Phase::Admission => 10,
-            Phase::Replan => 11,
-            Phase::Shed => 12,
-            Phase::BondStripe => 13,
+            Phase::BoPrepare => 5,
+            Phase::BankUpdate => 6,
+            Phase::GpFit => 7,
+            Phase::Grouping => 8,
+            Phase::Assignment => 9,
+            Phase::Des => 10,
+            Phase::Fallback => 11,
+            Phase::Admission => 12,
+            Phase::Replan => 13,
+            Phase::Shed => 14,
+            Phase::BondStripe => 15,
         }
     }
 }

@@ -29,6 +29,9 @@ impl ProfileSample {
     }
 }
 
+/// Length of a [`features_of`] vector.
+pub const N_FEATURES: usize = 3;
+
 /// Shared feature mapping (profiling and prediction must agree).
 pub fn features_of(config: &VideoConfig, uplink_bps: f64) -> Vec<f64> {
     vec![

@@ -1,0 +1,116 @@
+//! Tier-1 guards for the outcome-model bank, pinned bit for bit.
+//!
+//! Every camera's GPs start from the same profiling design, and the BO
+//! loop conditions them on one measurement per camera per objective
+//! evaluation and queries them for every candidate. Any numeric drift in
+//! that bank (conditioning, batched posteriors, the design-row solves
+//! shared across cameras) moves the pinned posteriors, the BO loop's
+//! choices, or the decided configurations.
+
+use pamo::core::{OutcomeModelBank, PamoConfig, PreferenceSource, ProfilingDesign};
+use pamo::obs::NoopRecorder;
+use pamo::prelude::*;
+use pamo::stats::rng::seeded;
+use pamo::workload::{Profiler, N_OBJECTIVES};
+
+/// `true_benefit` bits of the cold decide and of the warm-started one.
+const PINNED_BENEFIT_BITS: [u64; 2] = [13829155640526625027, 13829155640526625027];
+/// FNV-1a hash of both decides' BO observations and per-camera configs.
+const PINNED_DECIDE_HASH: u64 = 0x3586_f081_2651_d3cc;
+/// FNV-1a hash of the conditioned bank's posterior means and variances.
+const PINNED_BANK_HASH: u64 = 0x778a_9ba7_cba9_c2c6;
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+fn fnv(h: u64, v: f64) -> u64 {
+    (h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01B3)
+}
+
+fn scenario() -> Scenario {
+    Scenario::standard(40, 6, &mut seeded(17))
+}
+
+fn cfg() -> PamoConfig {
+    let mut cfg = PamoConfig::default();
+    cfg.bo.n_init = 2;
+    cfg.bo.batch = 1;
+    cfg.bo.max_iters = 2;
+    cfg.bo.mc_samples = 8;
+    cfg.bo.delta = 0.0;
+    cfg.pool_size = 6;
+    cfg.profiling_per_camera = 25;
+    cfg.preference = PreferenceSource::Oracle;
+    cfg
+}
+
+#[test]
+fn shared_design_decide_is_bit_pinned() {
+    let scenario = scenario();
+    let pref = TruePreference::uniform(&scenario);
+    let pamo = Pamo::new(cfg());
+    let mut rng = seeded(23);
+    let mut bits = Vec::new();
+    let mut hash = FNV_OFFSET;
+    for _ in 0..2 {
+        let d = pamo.decide(&scenario, &pref, &mut rng).unwrap();
+        assert!(scenario.schedule(&d.configs).is_ok());
+        bits.push(d.true_benefit.to_bits());
+        for (x, y) in &d.bo.observations {
+            hash = x.iter().fold(fnv(hash, *y), |h, &v| fnv(h, v));
+        }
+        for c in &d.configs {
+            hash = fnv(fnv(hash, c.resolution), c.fps);
+        }
+    }
+    println!("benefit bits {bits:?}, decide hash {hash:#x}");
+    assert_eq!(bits, PINNED_BENEFIT_BITS, "true_benefit drifted");
+    assert_eq!(
+        hash, PINNED_DECIDE_HASH,
+        "BO choices or decided configs drifted"
+    );
+}
+
+#[test]
+fn conditioned_bank_posteriors_are_bit_pinned() {
+    let scenario = scenario();
+    let mut rng = seeded(29);
+    let design = ProfilingDesign::draw(&scenario, 25, &mut rng);
+    let mut bank = OutcomeModelBank::fit_initial_designed_recorded(
+        &scenario,
+        &design,
+        0.02,
+        None,
+        &mut rng,
+        &NoopRecorder,
+    )
+    .unwrap();
+    let space = scenario.config_space();
+    let uplinks = scenario.uplinks();
+    // Six measured rounds; cameras repeat (config, uplink) pairs so the
+    // shared design-row solves are exercised.
+    for round in 0..6 {
+        let samples: Vec<_> = (0..scenario.n_videos())
+            .map(|cam| {
+                let config = space.at((cam % 5 + 3 * round) % space.len());
+                let uplink = uplinks[(cam + round) % uplinks.len()];
+                Profiler::new(scenario.surfaces(cam).clone())
+                    .with_noise(0.02, 0.02)
+                    .measure(&config, uplink, &mut rng)
+            })
+            .collect();
+        let report = bank.update_all(&samples).unwrap();
+        assert_eq!(report.skipped, 0);
+    }
+    let mut hash = FNV_OFFSET;
+    for cam in 0..scenario.n_videos() {
+        for obj in 0..N_OBJECTIVES {
+            for q in [0, space.len() / 2, space.len() - 1] {
+                let (mu, var) =
+                    bank.predict_objective(cam, obj, &space.at(q), uplinks[q % uplinks.len()]);
+                hash = fnv(fnv(hash, mu), var);
+            }
+        }
+    }
+    println!("bank hash {hash:#x}");
+    assert_eq!(hash, PINNED_BANK_HASH, "bank posteriors drifted");
+}
