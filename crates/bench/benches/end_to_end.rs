@@ -27,7 +27,7 @@ fn bench_composite_sampler(c: &mut Criterion) {
     let bank = OutcomeModelBank::fit_initial(&scenario, 30, 0.02, &mut rng).unwrap();
     let pref = TruePreference::uniform(&scenario);
     let normalizer = OutcomeNormalizer::for_scenario(&scenario);
-    let pool = build_pool(&scenario, 20, &mut rng);
+    let pool = build_pool(&scenario, 20, &mut rng, &Default::default()).unwrap();
     c.bench_function("composite_joint_samples_20pts", |bench| {
         let mut seed = 0u64;
         bench.iter(|| {

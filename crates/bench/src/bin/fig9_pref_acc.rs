@@ -44,7 +44,7 @@ fn main() {
         PreferenceEval::Oracle(pref.clone()),
         normalizer.clone(),
     );
-    let pool = build_pool(&scenario, 60, &mut rng);
+    let pool = build_pool(&scenario, 60, &mut rng, &Default::default()).expect("candidate pool");
     let candidates: Vec<Vec<f64>> = pool
         .iter()
         .filter_map(|x| sampler.predict_outcome(x))
@@ -57,7 +57,8 @@ fn main() {
     // outcome vectors of the analytics system, not arbitrary points of
     // the unit cube.
     let mut test_rng = seeded(777_001);
-    let test_pool = build_pool(&scenario, 80, &mut test_rng);
+    let test_pool =
+        build_pool(&scenario, 80, &mut test_rng, &Default::default()).expect("test pool");
     let test_items: Vec<Vec<f64>> = test_pool
         .iter()
         .filter_map(|x| {

@@ -72,11 +72,13 @@ use pamo_core::{
 /// Schema tag of the emitted file; bump on breaking layout changes.
 const SCHEMA: &str = "eva-obs/perf-baseline/v1";
 /// Phases the suite must exercise for the baseline to be trustworthy.
-const REQUIRED_PHASES: [&str; 12] = [
+const REQUIRED_PHASES: [&str; 14] = [
     "outcome_fit",
     "pref_model",
     "bo_search",
     "bo_prepare",
+    "bo_posterior",
+    "bo_assemble",
     "bank_update",
     "grouping",
     "assignment",

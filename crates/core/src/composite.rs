@@ -16,6 +16,7 @@
 //! MC-with-CRN trade, just with full joint GP sampling.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use eva_bo::SurrogateSampler;
 use eva_linalg::Mat;
@@ -31,8 +32,8 @@ use rand::SeedableRng;
 use rayon::prelude::*;
 
 use crate::benefit::{OutcomeNormalizer, TruePreference};
-use crate::models::{OutcomeModelBank, PrefixMemo};
-use crate::pool::decode_joint;
+use crate::models::{OutcomeModelBank, SharedWork, SolveMemo};
+use crate::pool::{decode_joint, Placements};
 
 /// Benefit assigned to joint configs with no zero-jitter placement.
 /// Far below any reachable utility on either the learned (GP-prior
@@ -77,8 +78,12 @@ pub struct CompositeSampler<'a> {
     /// Memo: (point hash, seed, n_mc) → benefit samples. Exact because
     /// every sample stream is deterministic in those keys.
     cache: Mutex<HashMap<(u64, u64, usize), Vec<f64>>>,
-    /// Telemetry for batched posteriors (`bo_prepare` spans and
-    /// `gp.prefix_solves`).
+    /// Algorithm-1 placements, shared with the candidate pool and the
+    /// other samplers of one decide.
+    placements: Arc<Placements>,
+    /// Telemetry for batched posteriors (`bo_prepare` spans and the
+    /// `gp.posterior_queries` / `gp.prefix_solves` / `gp.tail_solves`
+    /// counters).
     rec: &'a dyn Recorder,
 }
 
@@ -96,8 +101,16 @@ impl<'a> CompositeSampler<'a> {
             pref,
             normalizer,
             cache: Mutex::new(HashMap::new()),
+            placements: Arc::default(),
             rec: &NoopRecorder,
         }
+    }
+
+    /// Read and record placements in `placements` (the decide's shared
+    /// cache) instead of a cache of this sampler's own.
+    pub(crate) fn with_placements(mut self, placements: Arc<Placements>) -> Self {
+        self.placements = placements;
+        self
     }
 
     /// Report batched-posterior work to `rec`.
@@ -111,7 +124,7 @@ impl<'a> CompositeSampler<'a> {
     /// placement); `None` if unschedulable.
     pub fn predict_outcome(&self, x: &[f64]) -> Option<Outcome> {
         let configs = decode_joint(self.scenario, x);
-        let assignment = self.scenario.schedule(&configs).ok()?;
+        let assignment = self.placements.schedule(self.scenario, &configs)?;
         let m = self.scenario.n_videos() as f64;
 
         let uplinks = self.uplink_map(&assignment);
@@ -165,20 +178,22 @@ impl<'a> CompositeSampler<'a> {
     }
 
     /// Posteriors of one (camera, objective) model at `xs`, given each
-    /// query's memoized prefix solve.
+    /// query's memoized factor solve.
     fn predict_batch(
         &self,
         cam: usize,
         obj: usize,
         xs: &[Vec<f64>],
         slots: &[usize],
-        solves: &[eva_gp::PrefixSolve],
+        solves: &SharedWork<eva_gp::FactorSolve>,
     ) -> Vec<(f64, f64)> {
         let model = self.bank.model(cam, obj);
-        let mut scratch = Vec::new();
         xs.iter()
             .zip(slots)
-            .map(|(x, &slot)| model.predict_with(x, &solves[slot], &mut scratch))
+            .map(|(x, &slot)| {
+                let (pre, solve) = solves.get(slot, |pre| model.factor_solve(x, pre));
+                model.predict_with(x, pre, solve)
+            })
             .collect()
     }
 
@@ -195,9 +210,8 @@ impl<'a> CompositeSampler<'a> {
 
     fn compute_point_samples(&self, x: &[f64], n_mc: usize, seed: u64) -> Vec<f64> {
         let configs = decode_joint(self.scenario, x);
-        let assignment = match self.scenario.schedule(&configs) {
-            Ok(a) => a,
-            Err(_) => return vec![INFEASIBLE_BENEFIT; n_mc],
+        let Some(assignment) = self.placements.schedule(self.scenario, &configs) else {
+            return vec![INFEASIBLE_BENEFIT; n_mc];
         };
         let uplinks = self.uplink_map(&assignment);
         self.assemble_point_samples(
@@ -318,14 +332,15 @@ impl SurrogateSampler for CompositeSampler<'_> {
     /// assemble samples per point from the batched posteriors. Query
     /// positions are pure indices — aggregate objectives query exactly
     /// once per (point, camera), and latency once per (point, split
-    /// part). Every camera's GP for an objective shares the profiling
-    /// design's prefix, so a first sequential pass registers each
-    /// query's design-row solve in a [`PrefixMemo`] (one solve per
-    /// distinct (config, uplink) per objective, not per camera) and the
-    /// per-camera pass only adds each camera's tail rows
-    /// ([`eva_gp::GpModel::predict_with`]). Bit-identical to the
-    /// per-point path, so the driver's subsequent indexed calls are
-    /// pure cache hits.
+    /// part). Cameras with the same observation history share one GP
+    /// factor, so a first sequential pass registers every query in a
+    /// [`SolveMemo`]: each distinct (prefix, query) design-row solve and
+    /// each distinct (factor, query) tail cross-kernel vector and latent
+    /// variance is computed once, by the first camera that needs it,
+    /// and every camera then only takes its model's mean dot
+    /// ([`eva_gp::GpModel::predict_with`]).
+    /// Bit-identical to the per-point path, so the driver's subsequent
+    /// indexed calls are pure cache hits.
     fn prepare(&self, xs: &[Vec<f64>], n_mc: usize, seed: u64) {
         let _prepare_span = span(self.rec, Phase::BoPrepare);
         // Uncached points, deduped by content hash.
@@ -348,15 +363,15 @@ impl SurrogateSampler for CompositeSampler<'_> {
             hash: u64,
             x: &'p [f64],
             configs: Vec<eva_workload::VideoConfig>,
-            assignment: eva_sched::Assignment,
+            assignment: Arc<eva_sched::Assignment>,
             uplinks: Vec<f64>,
         }
         let mut feasible: Vec<Feasible> = Vec::new();
         let mut settled: Vec<((u64, u64, usize), Vec<f64>)> = Vec::new();
         for (hash, x) in todo {
             let configs = decode_joint(self.scenario, x);
-            match self.scenario.schedule(&configs) {
-                Ok(assignment) => {
+            match self.placements.schedule(self.scenario, &configs) {
+                Some(assignment) => {
                     let uplinks = self.uplink_map(&assignment);
                     feasible.push(Feasible {
                         hash,
@@ -366,7 +381,7 @@ impl SurrogateSampler for CompositeSampler<'_> {
                         uplinks,
                     });
                 }
-                Err(_) => settled.push(((hash, seed, n_mc), vec![INFEASIBLE_BENEFIT; n_mc])),
+                None => settled.push(((hash, seed, n_mc), vec![INFEASIBLE_BENEFIT; n_mc])),
             }
         }
 
@@ -378,6 +393,7 @@ impl SurrogateSampler for CompositeSampler<'_> {
         let n_videos = self.scenario.n_videos();
         let planning = self.scenario.planning_uplinks();
 
+        let posterior_span = span(self.rec, Phase::BoPosterior);
         // Queries per camera: point `p` queries the aggregate objectives
         // at `(configs[cam], uplinks[cam])`, and the latency model once
         // per split part at the part's server; `lat_slot[p][part]` is
@@ -408,7 +424,7 @@ impl SurrogateSampler for CompositeSampler<'_> {
 
         // First pass (sequential): the memo slot of every query, laid
         // out like the posteriors below.
-        let mut memo = PrefixMemo::default();
+        let mut memo = SolveMemo::default();
         let agg_memo: Vec<Vec<usize>> = (0..n_videos)
             .flat_map(|cam| AGG_OBJS.iter().map(move |&obj| (cam, obj)))
             .map(|(cam, obj)| {
@@ -422,15 +438,13 @@ impl SurrogateSampler for CompositeSampler<'_> {
                 lat_xs[cam].iter().map(|x| memo.slot(model, x)).collect()
             })
             .collect();
-        let solves = memo.solve();
-        if self.rec.enabled() {
-            self.rec.add("gp.prefix_solves", solves.len() as u64);
-        }
+        let solves = memo.finish();
 
         // Second pass: per-camera posteriors, `agg_post[cam * 4 +
         // slot][p]` and `lat_post[cam][part slot]`. Cameras are
-        // independent (pure posterior reads), so they run in parallel;
-        // ordered collect keeps the layout.
+        // independent (a shared slot holds the same value whichever
+        // camera fills it), so they run in parallel; ordered collect
+        // keeps the layout.
         let agg_post: Vec<Vec<(f64, f64)>> = (0..n_videos * AGG_OBJS.len())
             .into_par_iter()
             .map(|b| {
@@ -442,11 +456,25 @@ impl SurrogateSampler for CompositeSampler<'_> {
             .into_par_iter()
             .map(|cam| self.predict_batch(cam, idx::LATENCY, &lat_xs[cam], &lat_memo[cam], &solves))
             .collect();
+        if self.rec.enabled() {
+            let queries = agg_memo
+                .iter()
+                .chain(&lat_memo)
+                .map(Vec::len)
+                .sum::<usize>();
+            self.rec.add("gp.posterior_queries", queries as u64);
+            self.rec
+                .add("gp.prefix_solves", solves.prefix_solves() as u64);
+            self.rec
+                .add("gp.tail_solves", solves.computed().count() as u64);
+        }
+        drop(posterior_span);
 
         // Points are independent too: every CRN stream is seeded by its
         // own (seed, sub-key) pair and accumulation stays sequential
         // *within* a point, so the samples are bit-identical to the
         // sequential per-point loop.
+        let _assemble_span = span(self.rec, Phase::BoAssemble);
         let assembled: Vec<((u64, u64, usize), Vec<f64>)> = feasible
             .par_iter()
             .enumerate()

@@ -41,6 +41,13 @@ pub enum CoreError {
         /// Which part of the snapshot was malformed.
         context: &'static str,
     },
+    /// No joint configuration the candidate pool tried has a zero-jitter
+    /// placement: every camera at the cheapest knobs already overloads
+    /// the servers.
+    NoFeasibleConfig {
+        /// Joint configurations tried.
+        tried: usize,
+    },
     /// A run entry point was called with inputs that break its
     /// preconditions (zero epochs, a non-positive epoch, or a plan or
     /// estimator set sized for another deployment).
@@ -68,6 +75,10 @@ impl std::fmt::Display for CoreError {
             CoreError::Snapshot { context } => {
                 write!(f, "malformed control-plane snapshot: {context}")
             }
+            CoreError::NoFeasibleConfig { tried } => write!(
+                f,
+                "no zero-jitter placement for any of {tried} joint configurations tried"
+            ),
             CoreError::InvalidInput { context } => write!(f, "invalid input: {context}"),
         }
     }
@@ -82,6 +93,7 @@ impl std::error::Error for CoreError {
             CoreError::NonFinite { .. } => None,
             CoreError::InsufficientProfiling { .. } => None,
             CoreError::Snapshot { .. } => None,
+            CoreError::NoFeasibleConfig { .. } => None,
             CoreError::InvalidInput { .. } => None,
         }
     }

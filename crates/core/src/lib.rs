@@ -40,6 +40,6 @@ pub use models::{OutcomeModelBank, ProfilingDesign};
 pub use online::{run_online, run_online_estimated, EpochRecord, OnlineRun};
 pub use overload::{OverloadConfig, ServingSession};
 pub use pamo::{Pamo, PamoConfig, PamoDecision, PreferenceSource};
-pub use pool::{build_pool, decode_joint, encode_joint};
+pub use pool::{build_pool, decode_joint, encode_joint, Placements};
 pub use serving::{run_serving, ServeEvent, ServingConfig, ServingRun, SERVING_POLICY};
 pub use snapshot::{ControlPlaneSnapshot, SnapshotCursor};

@@ -13,7 +13,7 @@
 //! cuts fitting cost by ~M× without hurting accuracy.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use eva_gp::{fit_gp_recorded, theta_of, FitConfig, GpModel, PrefixSolve};
 use eva_obs::{span, NoopRecorder, Phase, Recorder};
@@ -190,7 +190,7 @@ impl OutcomeModelBank {
         for obj in 0..N_OBJECTIVES {
             let ys: Vec<f64> = cam0_samples
                 .iter()
-                .map(|s| objective_value(&s.outcome, obj))
+                .map(|s| s.outcome.to_array()[obj])
                 .collect();
             // 60 evals per local search: the solver's simplex starts at
             // ~10 % of the (log-space) bound span and spends everything
@@ -222,10 +222,8 @@ impl OutcomeModelBank {
             .map(|samples| {
                 (0..N_OBJECTIVES)
                     .map(|obj| {
-                        let ys: Vec<f64> = samples
-                            .iter()
-                            .map(|s| objective_value(&s.outcome, obj))
-                            .collect();
+                        let ys: Vec<f64> =
+                            samples.iter().map(|s| s.outcome.to_array()[obj]).collect();
                         cam0_models[obj].with_targets(ys)
                     })
                     .collect::<Result<Vec<_>, _>>()
@@ -277,9 +275,8 @@ impl OutcomeModelBank {
     /// than poisoning the run.
     pub fn update(&mut self, camera: usize, sample: &ProfileSample) -> Result<(), CoreError> {
         let x = sample.features();
-        if x.iter().any(|v| !v.is_finite())
-            || sample.outcome.to_vec().iter().any(|v| !v.is_finite())
-        {
+        let ys = sample.outcome.to_array();
+        if x.iter().chain(&ys).any(|v| !v.is_finite()) {
             return Err(CoreError::NonFinite {
                 context: "profile sample fed to OutcomeModelBank::update",
             });
@@ -291,9 +288,8 @@ impl OutcomeModelBank {
         // row is swapped in as one new `Arc`: clones of this bank held
         // by in-flight surrogates keep the pre-update row.
         let mut staged = Vec::with_capacity(N_OBJECTIVES);
-        for obj in 0..N_OBJECTIVES {
-            let y = objective_value(&sample.outcome, obj);
-            staged.push(self.models[camera][obj].condition(std::slice::from_ref(&x), &[y])?);
+        for (model, y) in self.models[camera].iter().zip(ys) {
+            staged.push(model.condition(std::slice::from_ref(&x), &[y])?);
         }
         self.models[camera] = Arc::new(staged);
         Ok(())
@@ -302,42 +298,51 @@ impl OutcomeModelBank {
     /// [`Self::update`] for every camera at once, one sample per
     /// camera (Algorithm 2 line 18 for a whole measured configuration).
     ///
-    /// Every camera's GP for an objective starts from the shared
-    /// profiling design, so the design-row part of each new factor row
-    /// is the same for all cameras measured at the same (config,
-    /// uplink): a sequential first pass registers each distinct query
-    /// in a [`PrefixMemo`], the memo solves it once, and the per-camera
-    /// pass ([`GpModel::condition_with`]) only adds each camera's own
-    /// tail rows. The result is bit-identical to per-camera
-    /// [`Self::update`] calls that ignore errors.
+    /// A GP's factor depends only on its inputs, and cameras measured
+    /// at the same (config, uplink) in every evaluation share one: a
+    /// sequential first pass registers each (factor, input) pair in a
+    /// [`SolveMemo`], and in the per-camera pass the first camera to
+    /// reach a pair builds its grown factor ([`GpModel::extend_factor`],
+    /// seeded from the design-row solve shared by the whole prefix).
+    /// Per camera, [`GpModel::condition_on`] then only appends the
+    /// target, one forward row and the back-substitution for its
+    /// weights. Every camera conditioned on one pair receives the same
+    /// factor, so sharing follows from construction and never compares
+    /// histories. Building on first use keeps a factor's parent alive
+    /// only until the last camera on it has moved on.
+    /// The result is bit-identical to per-camera [`Self::update`] calls
+    /// that ignore errors.
     ///
     /// A camera whose sample is non-finite or whose conditioning fails
     /// keeps its previous row; the returned [`BankUpdate`] counts those
     /// skips, the conditionings that fell back to a full rebuild, and
-    /// the prefix solves computed. A sample count that does not match
-    /// the bank's cameras is [`CoreError::InvalidInput`].
+    /// the prefix solves and factor extensions computed. A sample count
+    /// that does not match the bank's cameras is
+    /// [`CoreError::InvalidInput`].
     pub fn update_all(&mut self, samples: &[ProfileSample]) -> Result<BankUpdate, CoreError> {
         require(
             samples.len() == self.models.len(),
             "update_all needs exactly one sample per camera",
         )?;
-        let inputs: Vec<Option<Vec<f64>>> = samples
+        // Per camera: the measured objectives, or `None` for a
+        // non-finite sample.
+        let measured: Vec<Option<(Vec<f64>, [f64; N_OBJECTIVES])>> = samples
             .iter()
             .map(|sample| {
                 let x = sample.features();
-                let finite = x.iter().all(|v| v.is_finite())
-                    && sample.outcome.to_vec().iter().all(|v| v.is_finite());
-                finite.then_some(x)
+                let y = sample.outcome.to_array();
+                let finite = x.iter().chain(&y).all(|v| v.is_finite());
+                finite.then_some((x, y))
             })
             .collect();
-        let mut memo = PrefixMemo::default();
+        let mut memo = SolveMemo::default();
         let slots: Vec<[usize; N_OBJECTIVES]> = self
             .models
             .iter()
-            .zip(&inputs)
-            .map(|(row, x)| {
+            .zip(&measured)
+            .map(|(row, m)| {
                 let mut slots = [0; N_OBJECTIVES];
-                if let Some(x) = x {
+                if let Some((x, _)) = m {
                     for (slot, model) in slots.iter_mut().zip(row.iter()) {
                         *slot = memo.slot(model, x);
                     }
@@ -345,35 +350,35 @@ impl OutcomeModelBank {
                 slots
             })
             .collect();
-        let solves = memo.solve();
+        let extensions = memo.finish();
 
         // Per camera: `None` when skipped, else the number of its
         // conditionings that fell back to a rebuild.
         let outcomes: Vec<Option<usize>> = self
             .models
             .par_iter_mut()
-            .zip(samples.par_iter())
-            .zip(inputs.par_iter().zip(slots.par_iter()))
-            .map(|((row, sample), (x, slots))| {
-                let x = x.as_ref()?;
+            .zip(measured.par_iter().zip(slots.par_iter()))
+            .map(|(row, (m, slots))| {
+                let (x, y) = m.as_ref()?;
                 let mut staged = Vec::with_capacity(N_OBJECTIVES);
                 let mut rebuilds = 0;
-                for (obj, &slot) in slots.iter().enumerate() {
-                    let y = objective_value(&sample.outcome, obj);
-                    let model = row[obj].condition_with(x, y, &solves[slot]).ok()?;
-                    if !model.shares_prefix(&row[obj]) {
-                        rebuilds += 1;
-                    }
-                    staged.push(model);
+                for ((model, &slot), &y) in row.iter().zip(slots).zip(y) {
+                    let (_, ext) = extensions.get(slot, |pre| model.extend_factor(x, pre));
+                    let ext = ext.as_ref().ok()?;
+                    staged.push(model.condition_on(ext, &[y]).ok()?);
+                    rebuilds += usize::from(ext.rebuilt());
                 }
                 *row = Arc::new(staged);
                 Some(rebuilds)
             })
             .collect();
+        let skipped = outcomes.iter().filter(|o| o.is_none()).count();
         Ok(BankUpdate {
-            skipped: outcomes.iter().filter(|o| o.is_none()).count(),
+            skipped,
             rebuilds: outcomes.iter().flatten().sum(),
-            prefix_solves: solves.len(),
+            conditioned: (outcomes.len() - skipped) * N_OBJECTIVES,
+            prefix_solves: extensions.prefix_solves(),
+            factor_extensions: extensions.computed().filter(|e| e.is_ok()).count(),
         })
     }
 
@@ -400,9 +405,8 @@ impl OutcomeModelBank {
     }
 
     /// Batched [`OutcomeModelBank::predict_objective`]: mean/variance at
-    /// many (config, uplink) queries against one GP, reusing one scratch
-    /// buffer ([`GpModel::predict_many`]). Bit-identical to the
-    /// per-query path.
+    /// many (config, uplink) queries against one GP
+    /// ([`GpModel::predict_batch`]). Bit-identical to the per-query path.
     pub fn predict_objective_many(
         &self,
         camera: usize,
@@ -413,7 +417,7 @@ impl OutcomeModelBank {
             .iter()
             .map(|(cfg, uplink)| features_of(cfg, *uplink))
             .collect();
-        self.models[camera][objective].predict_many(&xs)
+        self.models[camera][objective].predict_batch(&xs)
     }
 }
 
@@ -426,74 +430,123 @@ pub struct BankUpdate {
     /// Conditionings that fell back to a full rebuild and so left the
     /// shared design prefix.
     pub rebuilds: usize,
-    /// Distinct design-row solves computed ([`PrefixMemo`] misses).
+    /// Models conditioned: one per objective of every updated camera.
+    pub conditioned: usize,
+    /// Distinct design-row solves computed ([`SolveMemo`] prefix misses).
     pub prefix_solves: usize,
+    /// Grown factors built: one per distinct (factor, input) pair,
+    /// against one conditioning per camera and objective.
+    pub factor_extensions: usize,
 }
 
 impl BankUpdate {
     /// Report the pass as `core.bank_update_skipped`,
-    /// `core.bank_rebuilds` and `gp.prefix_solves`.
+    /// `core.bank_rebuilds`, `gp.conditionings`, `gp.prefix_solves` and
+    /// `gp.factor_extensions`.
     pub fn record(&self, rec: &dyn Recorder) {
         if rec.enabled() {
             rec.add("core.bank_update_skipped", self.skipped as u64);
             rec.add("core.bank_rebuilds", self.rebuilds as u64);
+            rec.add("gp.conditionings", self.conditioned as u64);
             rec.add("gp.prefix_solves", self.prefix_solves as u64);
+            rec.add("gp.factor_extensions", self.factor_extensions as u64);
         }
     }
 }
 
-/// Design-row solves shared across cameras within one bank pass.
+/// Query work shared across cameras within one bank pass, at the two
+/// levels a model shares: its design prefix and its whole factor.
 ///
-/// Models built on one profiling design share a prefix
-/// ([`GpModel::prefix_id`]), and a query's work against it
-/// ([`GpModel::prefix_solve`]) is the same for all of them. The memo
-/// keys that work by prefix and query bits: a sequential first pass
-/// registers every query ([`PrefixMemo::slot`]), [`PrefixMemo::solve`]
-/// computes each distinct one once, and the per-camera pass reads the
-/// solves by slot — so readers never share mutable state and the result
-/// does not depend on thread scheduling. Prefix ids are addresses, so a
-/// memo must not outlive the pass whose models it was filled from.
+/// A sequential first pass registers every (model, input) query
+/// ([`SolveMemo::slot`]); [`SolveMemo::finish`] computes each distinct
+/// (prefix, input) design-row solve once, and the per-camera pass fills
+/// each distinct (factor, input) slot of the returned [`SharedWork`] on
+/// first use. Every camera that reaches a slot receives the same
+/// value, computed from the same factor and input, so the result does
+/// not depend on which camera (or thread) fills it. Ids are addresses,
+/// so a memo must not outlive the pass whose models it was filled from.
 #[derive(Default)]
-pub(crate) struct PrefixMemo<'m> {
-    index: HashMap<(usize, [u64; N_FEATURES]), usize>,
-    pending: Vec<(&'m GpModel, Vec<f64>)>,
+pub(crate) struct SolveMemo<'m> {
+    prefixes: HashMap<(usize, [u64; N_FEATURES]), usize>,
+    prefix_queries: Vec<(&'m GpModel, [f64; N_FEATURES])>,
+    /// Keyed by factor id and prefix slot (which stands for the input);
+    /// the value is the factor slot.
+    factors: HashMap<(usize, usize), usize>,
+    /// Prefix slot of every factor slot.
+    factor_prefix: Vec<usize>,
 }
 
-impl<'m> PrefixMemo<'m> {
-    /// Slot of `model`'s prefix solve at `x` (a [`features_of`] vector),
-    /// registering the query on first sight.
+impl<'m> SolveMemo<'m> {
+    /// Slot of `model`'s factor-level work at `x` (a [`features_of`]
+    /// vector), registering the query on first sight.
     pub(crate) fn slot(&mut self, model: &'m GpModel, x: &[f64]) -> usize {
-        debug_assert_eq!(
-            x.len(),
-            N_FEATURES,
-            "PrefixMemo::slot: not a feature vector"
-        );
-        let mut bits = [0u64; N_FEATURES];
-        for (b, v) in bits.iter_mut().zip(x) {
-            *b = v.to_bits();
-        }
-        let pending = &mut self.pending;
-        *self
-            .index
-            .entry((model.prefix_id(), bits))
+        let mut point = [0.0; N_FEATURES];
+        point.copy_from_slice(x);
+        let prefix_queries = &mut self.prefix_queries;
+        let prefix = *self
+            .prefixes
+            .entry((model.prefix_id(), point.map(f64::to_bits)))
             .or_insert_with(|| {
-                pending.push((model, x.to_vec()));
-                pending.len() - 1
+                prefix_queries.push((model, point));
+                prefix_queries.len() - 1
+            });
+        let factor_prefix = &mut self.factor_prefix;
+        *self
+            .factors
+            .entry((model.factor_id(), prefix))
+            .or_insert_with(|| {
+                factor_prefix.push(prefix);
+                factor_prefix.len() - 1
             })
     }
 
-    /// Every registered solve, indexed by slot.
-    pub(crate) fn solve(self) -> Vec<PrefixSolve> {
-        self.pending
+    /// Solve every registered design-row query; the factor-level work
+    /// is left to the per-camera pass.
+    pub(crate) fn finish<T>(self) -> SharedWork<T> {
+        let prefix = self
+            .prefix_queries
             .par_iter()
             .map(|(model, x)| model.prefix_solve(x))
-            .collect()
+            .collect();
+        let work = self
+            .factor_prefix
+            .into_iter()
+            .map(|p| (p, OnceLock::new()))
+            .collect();
+        SharedWork { prefix, work }
     }
 }
 
-/// Extract objective `obj` (canonical order) from an outcome.
-fn objective_value(outcome: &Outcome, obj: usize) -> f64 {
-    outcome.to_vec()[obj]
+/// The design-row solves of one pass and its factor-level work, filled
+/// on first use by whichever camera reaches a slot first.
+pub(crate) struct SharedWork<T> {
+    prefix: Vec<PrefixSolve>,
+    /// Prefix slot and value of every factor slot.
+    work: Vec<(usize, OnceLock<T>)>,
+}
+
+impl<T> SharedWork<T> {
+    /// The design-row solve and work of the query at `slot`, computing
+    /// the work from the design-row solve on first use.
+    pub(crate) fn get(
+        &self,
+        slot: usize,
+        work: impl FnOnce(&PrefixSolve) -> T,
+    ) -> (&PrefixSolve, &T) {
+        let (prefix, cell) = &self.work[slot];
+        let pre = &self.prefix[*prefix];
+        (pre, cell.get_or_init(|| work(pre)))
+    }
+
+    /// Distinct design-row solves computed.
+    pub(crate) fn prefix_solves(&self) -> usize {
+        self.prefix.len()
+    }
+
+    /// The factor-level work computed so far.
+    pub(crate) fn computed(&self) -> impl Iterator<Item = &T> {
+        self.work.iter().filter_map(|(_, cell)| cell.get())
+    }
 }
 
 #[cfg(test)]
@@ -778,11 +831,15 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(6))]
 
-        /// `update_all` (design-row solves memoized across cameras) is
-        /// bit-identical to per-camera `update` calls (each model doing
-        /// its own solves, the path the eva-gp dense oracle pins) over
-        /// up to 15 rounds, on a bank mixing shared and rebuilt rows —
-        /// and so are the sampler's memoized batched posteriors.
+        /// `update_all` (design-row solves and grown factors memoized
+        /// across cameras) is bit-identical to per-camera `update` calls
+        /// (each model growing its own factor, the path the eva-gp dense
+        /// oracle pins) over up to 15 rounds, on a bank mixing shared
+        /// and rebuilt rows. Cameras share a factor exactly when they
+        /// were fed the same inputs in every round: camera 1 always
+        /// copies camera 0, camera 3 copies camera 2 for the first half
+        /// of the rounds. The sampler's memoized batched posteriors on
+        /// that bank match the per-point path on the unshared one.
         #[test]
         fn update_all_matches_per_camera_updates(
             seed in 0u64..1_000,
@@ -796,25 +853,49 @@ mod tests {
             let mut oracle = bank.clone();
             let space = sc.config_space();
             let mut rng = seeded(seed + 2);
+            let mut histories: Vec<Vec<(usize, usize)>> = vec![Vec::new(); sc.n_videos()];
             for round in 0..rounds {
                 // A few configs only, so cameras share queries.
-                let samples: Vec<ProfileSample> = (0..sc.n_videos())
-                    .map(|cam| {
-                        let c = space.at(rng.gen_range(0..3) * (space.len() / 3));
-                        let up = sc.uplinks()[rng.gen_range(0..sc.n_servers())];
+                let mut inputs: Vec<(usize, usize)> = (0..sc.n_videos())
+                    .map(|_| (rng.gen_range(0..3), rng.gen_range(0..sc.n_servers())))
+                    .collect();
+                inputs[1] = inputs[0];
+                if 2 * round < rounds {
+                    inputs[3] = inputs[2];
+                }
+                let samples: Vec<ProfileSample> = inputs
+                    .iter()
+                    .enumerate()
+                    .map(|(cam, &(c, up))| {
                         Profiler::new(sc.surfaces(cam).clone())
                             .with_noise(0.02, 0.02)
-                            .measure(&c, up, &mut rng)
+                            .measure(&space.at(c * (space.len() / 3)), sc.uplinks()[up], &mut rng)
                     })
                     .collect();
                 let report = bank.update_all(&samples).unwrap();
                 proptest::prop_assert_eq!(report.skipped, 0);
-                proptest::prop_assert!(report.prefix_solves <= samples.len() * N_OBJECTIVES);
+                proptest::prop_assert!(report.prefix_solves <= report.factor_extensions);
+                // Cameras 0 and 1 grow one factor between them.
+                let pairs = usize::from(rebuilt > 1);
+                proptest::prop_assert!(
+                    report.factor_extensions <= (samples.len() - pairs) * N_OBJECTIVES
+                );
                 for (cam, s) in samples.iter().enumerate() {
                     oracle.update(cam, s).unwrap();
+                    histories[cam].push(inputs[cam]);
                 }
                 if round % 4 == 0 {
                     assert_banks_bit_identical(&bank, &oracle, &sc);
+                }
+                for a in 0..sc.n_videos() {
+                    for b in 0..sc.n_videos() {
+                        let same = a == b
+                            || (histories[a] == histories[b] && a != rebuilt && b != rebuilt);
+                        for obj in 0..N_OBJECTIVES {
+                            let (ma, mb) = (bank.model(a, obj), bank.model(b, obj));
+                            proptest::prop_assert_eq!(ma.factor_id() == mb.factor_id(), same);
+                        }
+                    }
                 }
             }
             assert_banks_bit_identical(&bank, &oracle, &sc);
@@ -824,14 +905,16 @@ mod tests {
 
             let pref = TruePreference::uniform(&sc);
             let normalizer = OutcomeNormalizer::for_scenario(&sc);
+            let placements = Arc::new(crate::pool::Placements::default());
+            let pool = crate::pool::build_pool(&sc, 6, &mut rng, &placements).unwrap();
             let batched = CompositeSampler::new(
                 &sc,
                 bank,
                 PreferenceEval::Oracle(pref.clone()),
                 normalizer.clone(),
-            );
+            )
+            .with_placements(placements);
             let scalar = CompositeSampler::new(&sc, oracle, PreferenceEval::Oracle(pref), normalizer);
-            let pool = crate::pool::build_pool(&sc, 6, &mut rng);
             batched.prepare(&pool, 8, seed);
             let a = batched.joint_samples(&pool, 8, seed);
             let b = scalar.joint_samples(&pool, 8, seed);
@@ -864,8 +947,11 @@ mod tests {
         assert_eq!(bank.model(1, 0).n(), before);
         assert_eq!(bank.model(0, 0).n(), before + 1);
         assert_eq!(bank.model(2, 0).n(), before + 1);
-        // Cameras 0 and 2 measured the same point: one solve per
-        // objective serves both.
+        // Cameras 0 and 2 measured the same point: one solve and one
+        // grown factor per objective serve both.
         assert_eq!(report.prefix_solves, N_OBJECTIVES);
+        assert_eq!(report.factor_extensions, N_OBJECTIVES);
+        assert_eq!(report.conditioned, 2 * N_OBJECTIVES);
+        assert!(bank.model(0, 0).shares_factor(bank.model(2, 0)));
     }
 }

@@ -8,6 +8,8 @@
 //!    the feasible joint-configuration pool with Algorithm-1 placement
 //!    inside the loop (lines 12-26).
 
+use std::sync::Arc;
+
 use eva_bo::{bo_maximize_budgeted, AcqKind, BoConfig, BoResult};
 use eva_obs::{cost, span, DecisionBudget, NoopRecorder, Phase, Recorder};
 use eva_prefgp::{elicit_preferences, ElicitConfig, PreferenceModel};
@@ -19,7 +21,7 @@ use crate::benefit::{OutcomeNormalizer, TruePreference, TruePreferenceOracle};
 use crate::composite::{CompositeSampler, PreferenceEval, INFEASIBLE_BENEFIT};
 use crate::error::CoreError;
 use crate::models::{OutcomeModelBank, ProfilingDesign};
-use crate::pool::{build_pool, decode_joint};
+use crate::pool::{build_pool, decode_joint, Placements};
 
 /// Where the preference layer comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -287,14 +289,23 @@ impl Pamo {
         )?;
         *self.warm.lock() = Some(bank.shared_thetas());
 
-        // (2) System preference modeling.
+        // (2) System preference modeling. The pool's placements serve
+        // every surrogate of this decide.
+        let placements = Arc::new(Placements::default());
         let (pool, pref_eval, comparisons_used) = {
             let _pref_span = span(rec, Phase::PrefModel);
-            let pool = build_pool(scenario, cfg.pool_size, rng);
+            let pool = build_pool(scenario, cfg.pool_size, rng, &placements)?;
             let (pref_eval, comparisons_used) = match cfg.preference {
                 PreferenceSource::Oracle => (PreferenceEval::Oracle(true_pref.clone()), 0),
                 PreferenceSource::Learned => {
-                    let model = self.elicit(scenario, &bank, &normalizer, true_pref, &pool, rng)?;
+                    let predictor = CompositeSampler::new(
+                        scenario,
+                        bank.clone(),
+                        PreferenceEval::Oracle(true_pref.clone()), // unused: predict only
+                        normalizer.clone(),
+                    )
+                    .with_placements(Arc::clone(&placements));
+                    let model = self.elicit(&predictor, &normalizer, true_pref, &pool, rng)?;
                     (PreferenceEval::Learned(model), cfg.n_comparisons)
                 }
             };
@@ -348,6 +359,7 @@ impl Pamo {
                 pref_eval.clone(),
                 normalizer.clone(),
             )
+            .with_placements(Arc::clone(&placements))
             .recorded(rec)
         };
         let bo = {
@@ -380,29 +392,22 @@ impl Pamo {
         })
     }
 
-    /// Preference elicitation over predicted outcome vectors of pool
-    /// configurations (Algorithm 2 lines 5-11).
+    /// Preference elicitation over outcome vectors `predictor` predicts
+    /// for pool configurations (Algorithm 2 lines 5-11).
     fn elicit<R: Rng + ?Sized>(
         &self,
-        scenario: &Scenario,
-        bank: &OutcomeModelBank,
+        predictor: &CompositeSampler<'_>,
         normalizer: &OutcomeNormalizer,
         true_pref: &TruePreference,
         pool: &[Vec<f64>],
         rng: &mut R,
     ) -> Result<PreferenceModel, CoreError> {
-        let sampler = CompositeSampler::new(
-            scenario,
-            bank.clone(),
-            PreferenceEval::Oracle(true_pref.clone()), // unused: predict only
-            normalizer.clone(),
-        );
         let mut candidates: Vec<Vec<f64>> = Vec::new();
         for x in pool.iter() {
             if candidates.len() >= self.config.elicit_candidates {
                 break;
             }
-            if let Some(outcome) = sampler.predict_outcome(x) {
+            if let Some(outcome) = predictor.predict_outcome(x) {
                 candidates.push(normalizer.normalize(&outcome));
             }
         }

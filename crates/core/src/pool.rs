@@ -8,8 +8,15 @@
 //! configs (all cameras share one knob pair) plus Latin-hypercube mixed
 //! configs, all pre-filtered by Algorithm-1 schedulability.
 
+use std::collections::HashMap;
+use std::sync::Arc;
+
+use eva_sched::Assignment;
 use eva_workload::{Scenario, VideoConfig};
+use parking_lot::Mutex;
 use rand::Rng;
+
+use crate::error::{require, CoreError};
 
 /// Encode per-camera configs as a flat normalized vector
 /// `[r₀/2160, s₀/30, r₁/2160, …]`.
@@ -30,8 +37,53 @@ pub fn decode_joint(scenario: &Scenario, x: &[f64]) -> Vec<VideoConfig> {
         .collect()
 }
 
+/// Algorithm-1 placements of joint configurations, computed once per
+/// distinct configuration and shared for the life of one decide.
+///
+/// The candidate pool places every entry it admits, and every BO scan
+/// scores entries of that same pool, so the surrogates read the pool's
+/// placements instead of re-running [`Scenario::schedule`]. Placements
+/// are `schedule`'s: on *all* servers of the one scenario the cache is
+/// used with.
+#[derive(Debug, Default)]
+pub struct Placements {
+    memo: Mutex<HashMap<Vec<u64>, Option<Arc<Assignment>>>>,
+}
+
+impl Placements {
+    /// The placement of `configs` (`None` when unschedulable),
+    /// scheduled on first sight.
+    pub(crate) fn schedule(
+        &self,
+        scenario: &Scenario,
+        configs: &[VideoConfig],
+    ) -> Option<Arc<Assignment>> {
+        let key = config_key(configs);
+        if let Some(hit) = self.memo.lock().get(&key) {
+            return hit.clone();
+        }
+        let placed = scenario.schedule(configs).ok().map(Arc::new);
+        self.memo.lock().insert(key, placed.clone());
+        placed
+    }
+
+    fn insert(&self, configs: &[VideoConfig], assignment: Assignment) {
+        self.memo
+            .lock()
+            .insert(config_key(configs), Some(Arc::new(assignment)));
+    }
+}
+
+fn config_key(configs: &[VideoConfig]) -> Vec<u64> {
+    configs
+        .iter()
+        .flat_map(|c| [c.resolution.to_bits(), c.fps.to_bits()])
+        .collect()
+}
+
 /// Build a feasible candidate pool of roughly `target_size` joint
-/// configurations.
+/// configurations, recording each admitted entry's placement in
+/// `placements`.
 ///
 /// Composition:
 /// 1. every *uniform* config (all cameras at the same knob pair) that is
@@ -39,12 +91,20 @@ pub fn decode_joint(scenario: &Scenario, x: &[f64]) -> Vec<VideoConfig> {
 ///    Pareto "diagonal",
 /// 2. Latin-hypercube mixed configs (independent knobs per camera),
 ///    kept only if schedulable, until the target is reached.
+///
+/// A zero `target_size` is [`CoreError::InvalidInput`]; a scenario in
+/// which no tried configuration can be placed is
+/// [`CoreError::NoFeasibleConfig`].
 pub fn build_pool<R: Rng + ?Sized>(
     scenario: &Scenario,
     target_size: usize,
     rng: &mut R,
-) -> Vec<Vec<f64>> {
-    assert!(target_size >= 1, "build_pool: empty target");
+    placements: &Placements,
+) -> Result<Vec<Vec<f64>>, CoreError> {
+    require(
+        target_size >= 1,
+        "build_pool needs a pool size of at least 1",
+    )?;
     let space = scenario.config_space();
     let m = scenario.n_videos();
     let mut pool: Vec<Vec<f64>> = Vec::new();
@@ -52,11 +112,12 @@ pub fn build_pool<R: Rng + ?Sized>(
     // (1) Uniform diagonals.
     for c in space.iter() {
         let configs = vec![c; m];
-        if scenario.schedule(&configs).is_ok() {
+        if let Ok(assignment) = scenario.schedule(&configs) {
             pool.push(encode_joint(scenario, &configs));
+            placements.insert(&configs, assignment);
         }
         if pool.len() >= target_size {
-            return pool;
+            return Ok(pool);
         }
     }
 
@@ -68,10 +129,11 @@ pub fn build_pool<R: Rng + ?Sized>(
         for u in batch {
             attempts += 1;
             let configs = decode_joint(scenario, &u);
-            if scenario.schedule(&configs).is_ok() {
+            if let Ok(assignment) = scenario.schedule(&configs) {
                 let enc = encode_joint(scenario, &configs);
                 if !pool.contains(&enc) {
                     pool.push(enc);
+                    placements.insert(&configs, assignment);
                 }
                 if pool.len() >= target_size {
                     break;
@@ -79,11 +141,12 @@ pub fn build_pool<R: Rng + ?Sized>(
             }
         }
     }
-    assert!(
-        !pool.is_empty(),
-        "build_pool: no feasible joint configuration exists for this scenario"
-    );
-    pool
+    if pool.is_empty() {
+        return Err(CoreError::NoFeasibleConfig {
+            tried: space.len() + attempts,
+        });
+    }
+    Ok(pool)
 }
 
 #[cfg(test)]
@@ -113,7 +176,7 @@ mod tests {
     #[test]
     fn pool_entries_are_feasible_and_distinct() {
         let sc = scenario();
-        let pool = build_pool(&sc, 40, &mut seeded(1));
+        let pool = build_pool(&sc, 40, &mut seeded(1), &Placements::default()).unwrap();
         assert!(pool.len() >= 20, "pool too small: {}", pool.len());
         for x in &pool {
             let configs = decode_joint(&sc, x);
@@ -128,7 +191,7 @@ mod tests {
     #[test]
     fn pool_contains_cheap_diagonal() {
         let sc = scenario();
-        let pool = build_pool(&sc, 30, &mut seeded(2));
+        let pool = build_pool(&sc, 30, &mut seeded(2), &Placements::default()).unwrap();
         let cheapest = encode_joint(&sc, &[VideoConfig::new(360.0, 1.0); 4]);
         assert!(pool.contains(&cheapest));
     }
@@ -137,10 +200,37 @@ mod tests {
     fn overconstrained_scenario_still_yields_some_pool() {
         // 6 cameras, 1 server: only frugal configs are feasible.
         let sc = Scenario::uniform(6, 1, 20e6, 5);
-        let pool = build_pool(&sc, 25, &mut seeded(3));
+        let pool = build_pool(&sc, 25, &mut seeded(3), &Placements::default()).unwrap();
         assert!(!pool.is_empty());
         for x in &pool {
             assert!(sc.schedule(&decode_joint(&sc, x)).is_ok());
         }
+    }
+
+    #[test]
+    fn pool_records_the_placements_it_admits() {
+        let sc = scenario();
+        let placements = Placements::default();
+        let pool = build_pool(&sc, 30, &mut seeded(4), &placements).unwrap();
+        assert_eq!(placements.memo.lock().len(), pool.len());
+        for x in &pool {
+            let configs = decode_joint(&sc, x);
+            let cached = placements.schedule(&sc, &configs).unwrap();
+            assert_eq!(*cached, sc.schedule(&configs).unwrap());
+        }
+        // Nothing new was scheduled: every lookup hit an admitted entry.
+        assert_eq!(placements.memo.lock().len(), pool.len());
+    }
+
+    #[test]
+    fn impossible_pools_are_errors_not_panics() {
+        let sc = scenario();
+        let err = build_pool(&sc, 0, &mut seeded(5), &Placements::default()).unwrap_err();
+        assert!(matches!(err, CoreError::InvalidInput { .. }), "{err}");
+        // 200 cameras on one 5 Mb/s server: not even the cheapest
+        // uniform config can be placed.
+        let packed = Scenario::uniform(200, 1, 5e6, 5);
+        let err = build_pool(&packed, 8, &mut seeded(6), &Placements::default()).unwrap_err();
+        assert!(matches!(err, CoreError::NoFeasibleConfig { .. }), "{err}");
     }
 }

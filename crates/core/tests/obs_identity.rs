@@ -90,6 +90,8 @@ fn online_run_identical_under_noop_and_flight_recorders() {
         Phase::PrefModel,
         Phase::BoSearch,
         Phase::BoPrepare,
+        Phase::BoPosterior,
+        Phase::BoAssemble,
         Phase::BankUpdate,
         Phase::GpFit,
         Phase::Grouping,
@@ -108,6 +110,8 @@ fn online_run_identical_under_noop_and_flight_recorders() {
     assert!(snap.metrics.counter("core.objective_evals") > 0);
     assert!(snap.metrics.counter("gp.fits") > 0);
     assert!(snap.metrics.counter("gp.prefix_solves") > 0);
+    assert!(snap.metrics.counter("gp.factor_extensions") > 0);
+    assert!(snap.metrics.counter("gp.tail_solves") > 0);
 }
 
 #[test]

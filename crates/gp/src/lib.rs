@@ -23,7 +23,7 @@ pub mod poly;
 pub use fit::{fit_gp, fit_gp_recorded, theta_of, FitConfig};
 pub use kernel::{Kernel, KernelType};
 pub use loocv::{loo_diagnostics, LooDiagnostics};
-pub use model::{GpModel, GpPosterior, PrefixSolve};
+pub use model::{FactorExtension, FactorSolve, GpModel, GpPosterior, PrefixSolve};
 pub use poly::PolyModel;
 
 /// Errors produced by GP construction or prediction.

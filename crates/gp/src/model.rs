@@ -1,25 +1,32 @@
 //! Exact GP regression: posterior means, variances, joint covariance
 //! and posterior sampling.
 //!
-//! A model's training rows split into a *prefix* and a *tail*. The
-//! prefix — inputs, kernel, noise and the leading rows of the Cholesky
-//! factor — sits behind an `Arc`, so the models of one shared profiling
-//! design ([`GpModel::with_targets`]) hold a single copy of it between
-//! them. The tail holds the rows a model added itself through
-//! [`GpModel::condition`]. A model built from scratch owns its prefix
-//! (refcount 1) and takes exactly the same code path.
+//! A model splits into an input-determined **factor** and its own
+//! targets. The factor — kernel, noise, training inputs and the packed
+//! Cholesky rows of `K + σ²I` (plus the jitter they carry) — sits behind
+//! an `Arc`, so every model with the same inputs points at one copy:
+//! the models of one shared profiling design ([`GpModel::with_targets`])
+//! and, after conditioning, every model that observed the same inputs
+//! in the same order ([`GpModel::extend_factor`]). Per model only the
+//! targets remain: the raw values, the frozen standardization, the
+//! forward-solved targets `u = L⁻¹z` and the weights `α = L⁻ᵀu`. A
+//! model built from scratch owns its factor (refcount 1) and takes
+//! exactly the same code path.
 //!
-//! The factor is stored as packed lower-triangular rows (row `i` holds
-//! `i + 1` entries) and inputs as flat row-major arrays. Every dot
-//! product runs over the same slices in the same order as a dense
-//! factor would, so the packed model is bit-identical to the dense one.
+//! Inside a factor the rows split once more into the design *prefix*,
+//! shared by every factor grown from one profiling design, and the
+//! factor's own *tail*. Rows are packed lower-triangular (row `i` holds
+//! `i + 1` entries) and inputs flat row-major. Every dot product runs
+//! over the same slices in the same order as a dense factor would, so a
+//! shared factor is bit-identical to a dense per-model one.
 //!
-//! A query's design-row work — its cross-kernel entries against the
-//! prefix inputs and their forward solve `L₀⁻¹k₀` — depends only on the
-//! prefix. Callers that query many models sharing one prefix compute it
-//! once per distinct query ([`GpModel::prefix_solve`]) and hand it to
-//! [`GpModel::predict_with`] / [`GpModel::condition_with`], which then
-//! only do each model's own tail rows.
+//! Query work is shared at both levels. A query's design-row work —
+//! cross-kernel entries against the prefix inputs and their forward
+//! solve — depends only on the prefix ([`GpModel::prefix_solve`]); its
+//! tail cross-kernel entries and latent variance depend only on the
+//! factor ([`GpModel::factor_solve`]). Callers that query many models
+//! compute each once per distinct query and pass both to
+//! [`GpModel::predict_with`], which then does only the model's mean dot.
 
 use std::sync::Arc;
 
@@ -60,7 +67,7 @@ fn forward_packed(
     Ok(())
 }
 
-/// The training rows a model may share with others.
+/// The design rows a factor may share with others.
 #[derive(Debug)]
 struct Prefix {
     kernel: Kernel,
@@ -79,6 +86,176 @@ impl Prefix {
     }
 }
 
+/// The input-determined part of a model: the shared design prefix, the
+/// inputs and packed factor rows added after it, and the largest
+/// diagonal jitter in effect on any row.
+#[derive(Debug)]
+struct Factor {
+    prefix: Arc<Prefix>,
+    /// Inputs added after the prefix, row-major.
+    tail_x: Vec<f64>,
+    /// Packed factor rows `prefix.n..n`.
+    tail_l: Vec<f64>,
+    tail_n: usize,
+    jitter: f64,
+}
+
+impl Factor {
+    /// Factor `K + σ²I` of `x` from scratch; the factor owns all its
+    /// rows as prefix.
+    fn build(kernel: Kernel, noise_var: f64, x: &[Vec<f64>]) -> Result<Factor> {
+        let mut k = kernel.matrix(x);
+        k.add_diag(noise_var);
+        let chol = Cholesky::decompose_jittered(&k)?;
+        let n = x.len();
+        let mut l = Vec::with_capacity(tri(n));
+        for i in 0..n {
+            l.extend_from_slice(&chol.l().row(i)[..=i]);
+        }
+        let prefix = Prefix {
+            kernel,
+            noise_var,
+            x: x.concat(),
+            l,
+            n,
+        };
+        Ok(Factor {
+            prefix: Arc::new(prefix),
+            tail_x: Vec::new(),
+            tail_l: Vec::new(),
+            tail_n: 0,
+            jitter: chol.jitter(),
+        })
+    }
+
+    fn n(&self) -> usize {
+        self.prefix.n + self.tail_n
+    }
+
+    fn kernel(&self) -> &Kernel {
+        &self.prefix.kernel
+    }
+
+    fn point(&self, i: usize) -> &[f64] {
+        if i < self.prefix.n {
+            self.prefix.point(i)
+        } else {
+            let d = self.kernel().dim();
+            let t = i - self.prefix.n;
+            &self.tail_x[t * d..(t + 1) * d]
+        }
+    }
+
+    /// Factor row `i` (its `i + 1` lower-triangular entries).
+    fn row(&self, i: usize) -> &[f64] {
+        let n0 = self.prefix.n;
+        if i < n0 {
+            &self.prefix.l[tri(i)..tri(i) + i + 1]
+        } else {
+            let off = tri(i) - tri(n0);
+            &self.tail_l[off..off + i + 1]
+        }
+    }
+
+    /// Forward substitution over factor rows `from..to`, with
+    /// `y[..from]` already solved.
+    fn forward(
+        &self,
+        from: usize,
+        to: usize,
+        b: &[f64],
+        y: &mut [f64],
+    ) -> std::result::Result<(), LinalgError> {
+        let n0 = self.prefix.n;
+        if from < n0 {
+            forward_packed(&self.prefix.l, 0, from, n0.min(to), b, y)?;
+        }
+        forward_packed(&self.tail_l, n0, from.max(n0), to, b, y)
+    }
+
+    /// Back substitution `Lᵀ x = y` in place: the second triangular
+    /// solve of [`Cholesky::solve`], row for row.
+    fn backward(&self, x: &mut [f64]) -> std::result::Result<(), LinalgError> {
+        for i in (0..x.len()).rev() {
+            let row = self.row(i);
+            let d = row[i];
+            if d == 0.0 {
+                return Err(LinalgError::Singular { pivot: i });
+            }
+            x[i] /= d;
+            let xi = x[i];
+            // Column i of L below the diagonal eliminates into earlier rows of x.
+            for j in 0..i {
+                x[j] -= row[j] * xi;
+            }
+        }
+        Ok(())
+    }
+
+    /// Solve `(K + σ²I) x = b` through the factor.
+    fn solve(&self, b: &[f64]) -> std::result::Result<Vec<f64>, LinalgError> {
+        let mut x = vec![0.0; self.n()];
+        self.forward(0, self.n(), b, &mut x)?;
+        self.backward(&mut x)?;
+        Ok(x)
+    }
+
+    /// This factor grown by the rows of `xs` (whose prefix solves are
+    /// `pres`): `L21` rows from forward solves of the new cross-kernel
+    /// columns, then the Schur complement `C + jitter·I − L21·L21ᵀ`
+    /// factored with the jitter ladder. `None` when the extension is
+    /// not numerically positive definite.
+    fn extended(&self, xs: &[&[f64]], pres: &[PrefixSolve]) -> Option<Factor> {
+        let (n0, n, k) = (self.prefix.n, self.n(), xs.len());
+        let kernel = self.kernel();
+        let mut l21 = vec![0.0; k * n];
+        let mut b = vec![0.0; n];
+        for (j, (x, pre)) in xs.iter().zip(pres).enumerate() {
+            let w = pre.w.as_ref()?;
+            b[..n0].copy_from_slice(&pre.k);
+            for (i, slot) in b.iter_mut().enumerate().skip(n0) {
+                *slot = kernel.eval(x, self.point(i));
+            }
+            let row = &mut l21[j * n..(j + 1) * n];
+            row[..n0].copy_from_slice(w);
+            self.forward(n0, n, &b, row).ok()?;
+        }
+        let mut s = Mat::zeros(k, k);
+        for i in 0..k {
+            for j in 0..=i {
+                let corner = if i == j {
+                    pres[i].kxx + self.prefix.noise_var
+                } else {
+                    kernel.eval(xs[i], xs[j])
+                };
+                let v = corner - vecops::dot(&l21[i * n..(i + 1) * n], &l21[j * n..(j + 1) * n]);
+                s[(i, j)] = v;
+                s[(j, i)] = v;
+            }
+            s[(i, i)] += self.jitter;
+        }
+        let s_ch = Cholesky::decompose_jittered(&s).ok()?;
+        let mut tail_l = Vec::with_capacity(self.tail_l.len() + k * n + tri(k));
+        tail_l.extend_from_slice(&self.tail_l);
+        for i in 0..k {
+            tail_l.extend_from_slice(&l21[i * n..(i + 1) * n]);
+            tail_l.extend_from_slice(&s_ch.l().row(i)[..=i]);
+        }
+        let mut tail_x = Vec::with_capacity(self.tail_x.len() + k * kernel.dim());
+        tail_x.extend_from_slice(&self.tail_x);
+        for x in xs {
+            tail_x.extend_from_slice(x);
+        }
+        Some(Factor {
+            prefix: Arc::clone(&self.prefix),
+            tail_x,
+            tail_l,
+            tail_n: self.tail_n + k,
+            jitter: self.jitter.max(s_ch.jitter()),
+        })
+    }
+}
+
 /// An exact Gaussian-process regression model.
 ///
 /// Targets are standardized internally (zero mean, unit variance) so the
@@ -87,18 +264,13 @@ impl Prefix {
 /// (seconds vs. TFLOPs).
 #[derive(Debug, Clone)]
 pub struct GpModel {
-    prefix: Arc<Prefix>,
-    /// Inputs this model added after the prefix, row-major.
-    tail_x: Vec<f64>,
-    /// Packed factor rows `prefix.n..n`.
-    tail_l: Vec<f64>,
-    tail_n: usize,
-    /// Largest diagonal jitter in effect on any factor row.
-    jitter: f64,
+    factor: Arc<Factor>,
     y_raw: Vec<f64>,
     y_mean: f64,
     y_std: f64,
-    /// `(K + σ² I)^{-1} z` where `z` is the standardized target vector.
+    /// `L⁻¹z`, the forward-solved standardized targets.
+    u: Vec<f64>,
+    /// `(K + σ² I)^{-1} z = L⁻ᵀu`.
     alpha: Vec<f64>,
 }
 
@@ -114,6 +286,41 @@ pub struct PrefixSolve {
     /// `None` when the prefix factor is singular.
     w: Option<Vec<f64>>,
     kxx: f64,
+}
+
+/// A query's work against one whole factor beyond its design prefix:
+/// the tail cross-kernel entries (the prefix entries stay in the
+/// query's [`PrefixSolve`]) and the standardized latent variance
+/// `k(x,x) − ‖L⁻¹k‖²`. Computed once by [`GpModel::factor_solve`], it
+/// serves every model that shares the factor.
+#[derive(Debug, Clone)]
+pub struct FactorSolve {
+    /// [`GpModel::factor_id`] of the factor this was solved against.
+    factor: usize,
+    k_tail: Vec<f64>,
+    var_z: f64,
+}
+
+/// A model's factor grown by new inputs, built once by
+/// [`GpModel::extend_factor`] and handed to [`GpModel::condition_on`]
+/// for every model that shares the parent factor and observed the same
+/// inputs: they all receive the same `Arc`.
+#[derive(Debug, Clone)]
+pub struct FactorExtension {
+    /// [`GpModel::factor_id`] of the parent factor.
+    parent: usize,
+    factor: Arc<Factor>,
+    /// First row whose forward-solved target is new: the parent's row
+    /// count, or 0 when the extension fell back to a full rebuild.
+    from: usize,
+}
+
+impl FactorExtension {
+    /// Whether the extension fell back to a from-scratch rebuild (the
+    /// new factor then owns its rows and shares no prefix).
+    pub fn rebuilt(&self) -> bool {
+        self.from == 0
+    }
 }
 
 /// Joint latent posterior at a set of query points.
@@ -151,7 +358,8 @@ impl GpModel {
             return Err(GpError::BadData("noise_var must be positive".into()));
         }
         let (y_mean, y_std) = standardization_of(&y);
-        Self::build(kernel, noise_var, x, y, y_mean, y_std)
+        let factor = Factor::build(kernel, noise_var, &x)?;
+        Self::on_factor(Arc::new(factor), y, y_mean, y_std)
     }
 
     /// Build a GP with an *explicitly given* target standardization
@@ -185,79 +393,55 @@ impl GpModel {
         if !(noise_var > 0.0) {
             return Err(GpError::BadData("noise_var must be positive".into()));
         }
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        if !(y_std > 0.0) || !y_mean.is_finite() {
-            return Err(GpError::BadData(format!(
-                "bad standardization: mean {y_mean}, std {y_std}"
-            )));
-        }
-        Self::build(kernel, noise_var, x, y, y_mean, y_std)
+        check_standardization(y_mean, y_std)?;
+        let factor = Factor::build(kernel, noise_var, &x)?;
+        Self::on_factor(Arc::new(factor), y, y_mean, y_std)
     }
 
-    /// Factor from scratch; the model owns its whole factor as prefix.
-    fn build(
-        kernel: Kernel,
-        noise_var: f64,
-        x: Vec<Vec<f64>>,
-        y: Vec<f64>,
-        y_mean: f64,
-        y_std: f64,
-    ) -> Result<Self> {
+    /// A model of targets `y` on `factor`: both triangular solves from
+    /// scratch.
+    fn on_factor(factor: Arc<Factor>, y: Vec<f64>, y_mean: f64, y_std: f64) -> Result<Self> {
         let z: Vec<f64> = y.iter().map(|&v| (v - y_mean) / y_std).collect();
-        let mut k = kernel.matrix(&x);
-        k.add_diag(noise_var);
-        let chol = Cholesky::decompose_jittered(&k)?;
-        let n = x.len();
-        let mut l = Vec::with_capacity(tri(n));
-        for i in 0..n {
-            l.extend_from_slice(&chol.l().row(i)[..=i]);
-        }
-        let prefix = Prefix {
-            kernel,
-            noise_var,
-            x: x.concat(),
-            l,
-            n,
-        };
-        let mut model = GpModel {
-            prefix: Arc::new(prefix),
-            tail_x: Vec::new(),
-            tail_l: Vec::new(),
-            tail_n: 0,
-            jitter: chol.jitter(),
+        let mut u = vec![0.0; factor.n()];
+        factor.forward(0, factor.n(), &z, &mut u)?;
+        let mut alpha = u.clone();
+        factor.backward(&mut alpha)?;
+        Ok(GpModel {
+            factor,
             y_raw: y,
             y_mean,
             y_std,
-            alpha: Vec::new(),
-        };
-        model.alpha = model.solve(&z)?;
-        Ok(model)
+            u,
+            alpha,
+        })
     }
 
     /// Number of training points.
     pub fn n(&self) -> usize {
-        self.prefix.n + self.tail_n
+        self.factor.n()
     }
 
     /// Input dimensionality.
     pub fn dim(&self) -> usize {
-        self.prefix.kernel.dim()
+        self.kernel().dim()
     }
 
     /// The kernel in use.
     pub fn kernel(&self) -> &Kernel {
-        &self.prefix.kernel
+        self.factor.kernel()
     }
 
     /// Observation noise variance (standardized units).
     pub fn noise_var(&self) -> f64 {
-        self.prefix.noise_var
+        self.factor.prefix.noise_var
     }
 
     /// Training inputs, one vector per point (a copy: inputs are stored
-    /// flat, split between the shared prefix and this model's tail).
+    /// flat in the shared factor).
     pub fn train_x(&self) -> Vec<Vec<f64>> {
-        (0..self.n()).map(|i| self.point(i).to_vec()).collect()
+        (0..self.n())
+            .map(|i| self.factor.point(i).to_vec())
+            .collect()
     }
 
     /// Training targets (original units).
@@ -265,86 +449,41 @@ impl GpModel {
         &self.y_raw
     }
 
-    /// Identity of this model's shared prefix: equal ids mean the same
-    /// design rows, kernel and factor, so one [`PrefixSolve`] serves all
-    /// models that report it. Valid as a memo key while those models are
-    /// alive.
+    /// Identity of this model's shared design prefix: equal ids mean the
+    /// same design rows, kernel and factor rows, so one [`PrefixSolve`]
+    /// serves all models that report it. Valid as a memo key while those
+    /// models are alive.
     pub fn prefix_id(&self) -> usize {
-        Arc::as_ptr(&self.prefix) as usize
+        Arc::as_ptr(&self.factor.prefix) as usize
     }
 
-    /// Whether `other` shares this model's prefix.
+    /// Whether `other` shares this model's design prefix.
     pub fn shares_prefix(&self, other: &GpModel) -> bool {
-        Arc::ptr_eq(&self.prefix, &other.prefix)
+        Arc::ptr_eq(&self.factor.prefix, &other.factor.prefix)
     }
 
-    /// Number of factor rows in the shared prefix.
+    /// Number of factor rows in the shared design prefix.
     pub fn prefix_len(&self) -> usize {
-        self.prefix.n
+        self.factor.prefix.n
     }
 
-    fn point(&self, i: usize) -> &[f64] {
-        if i < self.prefix.n {
-            self.prefix.point(i)
-        } else {
-            let d = self.dim();
-            let t = i - self.prefix.n;
-            &self.tail_x[t * d..(t + 1) * d]
-        }
+    /// Identity of this model's factor: equal ids mean the same inputs,
+    /// kernel, noise and factor rows, so one [`FactorSolve`] or
+    /// [`FactorExtension`] serves all models that report it. Valid as a
+    /// memo key while those models are alive.
+    pub fn factor_id(&self) -> usize {
+        Arc::as_ptr(&self.factor) as usize
     }
 
-    /// Factor row `i` (its `i + 1` lower-triangular entries).
-    fn row(&self, i: usize) -> &[f64] {
-        let n0 = self.prefix.n;
-        if i < n0 {
-            &self.prefix.l[tri(i)..tri(i) + i + 1]
-        } else {
-            let off = tri(i) - tri(n0);
-            &self.tail_l[off..off + i + 1]
-        }
-    }
-
-    /// Forward substitution over factor rows `from..n`, with
-    /// `y[..from]` already solved.
-    fn forward_from(
-        &self,
-        from: usize,
-        b: &[f64],
-        y: &mut [f64],
-    ) -> std::result::Result<(), LinalgError> {
-        let n0 = self.prefix.n;
-        if from < n0 {
-            forward_packed(&self.prefix.l, 0, from, n0, b, y)?;
-        }
-        forward_packed(&self.tail_l, n0, from.max(n0), self.n(), b, y)
-    }
-
-    /// Solve `(K + σ²I) x = b` through the factor: the two triangular
-    /// solves of [`Cholesky::solve`], row for row.
-    fn solve(&self, b: &[f64]) -> std::result::Result<Vec<f64>, LinalgError> {
-        let n = self.n();
-        let mut x = vec![0.0; n];
-        self.forward_from(0, b, &mut x)?;
-        for i in (0..n).rev() {
-            let row = self.row(i);
-            let d = row[i];
-            if d == 0.0 {
-                return Err(LinalgError::Singular { pivot: i });
-            }
-            x[i] /= d;
-            let xi = x[i];
-            // Column i of L below the diagonal eliminates into earlier rows of x.
-            for j in 0..i {
-                x[j] -= row[j] * xi;
-            }
-        }
-        Ok(x)
+    /// Whether `other` shares this model's factor.
+    pub fn shares_factor(&self, other: &GpModel) -> bool {
+        Arc::ptr_eq(&self.factor, &other.factor)
     }
 
     /// The design-row work of query `x` against this model's prefix,
     /// shareable by every model with the same [`GpModel::prefix_id`].
     pub fn prefix_solve(&self, x: &[f64]) -> PrefixSolve {
-        let p = &*self.prefix;
+        let p = &*self.factor.prefix;
         let k: Vec<f64> = (0..p.n).map(|i| p.kernel.eval(x, p.point(i))).collect();
         let mut w = vec![0.0; p.n];
         let solved = forward_packed(&p.l, 0, 0, p.n, &k, &mut w).is_ok();
@@ -356,47 +495,61 @@ impl GpModel {
         }
     }
 
-    /// Predictive mean and *latent* variance at one point, in original
-    /// target units. Add `noise_var * y_std²` for an observation.
-    pub fn predict(&self, x: &[f64]) -> (f64, f64) {
-        debug_assert_eq!(x.len(), self.dim(), "predict: dim mismatch");
-        self.predict_with(x, &self.prefix_solve(x), &mut Vec::new())
-    }
-
-    /// [`GpModel::predict`] given the query's [`PrefixSolve`]: only the
-    /// tail kernel entries and tail forward rows are computed here.
-    /// `scratch` is a reusable buffer. Bit-identical to `predict`; a
-    /// solve made against another prefix is ignored and recomputed.
-    pub fn predict_with(&self, x: &[f64], pre: &PrefixSolve, scratch: &mut Vec<f64>) -> (f64, f64) {
+    /// The work of query `x` against this model's whole factor, given
+    /// its [`PrefixSolve`]: only the tail kernel entries and tail
+    /// forward rows are computed here. Shareable by every model with the
+    /// same [`GpModel::factor_id`]; a prefix solve made against another
+    /// prefix is ignored and recomputed.
+    pub fn factor_solve(&self, x: &[f64], pre: &PrefixSolve) -> FactorSolve {
         if pre.prefix != self.prefix_id() {
-            return self.predict_with(x, &self.prefix_solve(x), scratch);
+            return self.factor_solve(x, &self.prefix_solve(x));
         }
-        let (n0, n) = (self.prefix.n, self.n());
-        scratch.clear();
-        scratch.resize(2 * n, 0.0);
-        let (kx, y) = scratch.split_at_mut(n);
-        kx[..n0].copy_from_slice(&pre.k);
-        for (i, slot) in kx.iter_mut().enumerate().skip(n0) {
-            *slot = self.kernel().eval(x, self.point(i));
-        }
-        let mean_z = vecops::dot(kx, &self.alpha);
+        let f = &*self.factor;
+        let (n0, n) = (f.prefix.n, f.n());
+        let mut kx = Vec::with_capacity(n);
+        kx.extend_from_slice(&pre.k);
+        kx.extend((n0..n).map(|i| f.kernel().eval(x, f.point(i))));
         // var = k(x,x) - kx^T (K+σ²I)^{-1} kx. The factorization
         // dimension is consistent by construction; if it ever were not,
         // fall back to the (conservative) prior variance.
         let v = match &pre.w {
             Some(w) => {
+                let mut y = vec![0.0; n];
                 y[..n0].copy_from_slice(w);
-                match self.forward_from(n0, kx, y) {
-                    Ok(()) => vecops::dot(y, y),
+                match f.forward(n0, n, &kx, &mut y) {
+                    Ok(()) => vecops::dot(&y, &y),
                     Err(_) => 0.0,
                 }
             }
             None => 0.0,
         };
-        let var_z = (pre.kxx - v).max(0.0);
+        FactorSolve {
+            factor: self.factor_id(),
+            k_tail: kx.split_off(n0),
+            var_z: (pre.kxx - v).max(0.0),
+        }
+    }
+
+    /// Predictive mean and *latent* variance at one point, in original
+    /// target units. Add `noise_var * y_std²` for an observation.
+    pub fn predict(&self, x: &[f64]) -> (f64, f64) {
+        debug_assert_eq!(x.len(), self.dim(), "predict: dim mismatch");
+        let pre = self.prefix_solve(x);
+        self.predict_with(x, &pre, &self.factor_solve(x, &pre))
+    }
+
+    /// [`GpModel::predict`] given the query's [`PrefixSolve`] and
+    /// [`FactorSolve`]: only this model's mean dot and the variance
+    /// scaling are computed here. Bit-identical to `predict`; solves
+    /// made against another prefix or factor are ignored and recomputed.
+    pub fn predict_with(&self, x: &[f64], pre: &PrefixSolve, solve: &FactorSolve) -> (f64, f64) {
+        if pre.prefix != self.prefix_id() || solve.factor != self.factor_id() {
+            return self.predict(x);
+        }
+        let mean_z = vecops::dot_concat(&pre.k, &solve.k_tail, &self.alpha);
         (
             self.y_mean + self.y_std * mean_z,
-            self.y_std * self.y_std * var_z,
+            self.y_std * self.y_std * solve.var_z,
         )
     }
 
@@ -410,26 +563,13 @@ impl GpModel {
         xs.iter().map(|x| self.predict(x)).collect()
     }
 
-    /// [`GpModel::predict`] over many points, reusing one scratch
-    /// buffer across queries. Bit-identical to per-point `predict`.
-    pub fn predict_many(&self, xs: &[Vec<f64>]) -> Vec<(f64, f64)> {
-        debug_assert!(
-            xs.iter().all(|x| x.len() == self.dim()),
-            "predict_many: dim mismatch"
-        );
-        let mut scratch = Vec::new();
-        xs.iter()
-            .map(|x| self.predict_with(x, &self.prefix_solve(x), &mut scratch))
-            .collect()
-    }
-
     /// A model over the *same inputs and hyperparameters* but fresh
-    /// targets: shares this model's prefix and reuses its factor (the
-    /// Gram matrix depends only on the inputs, kernel, and noise), only
-    /// re-solving for the weight vector. Bit-identical to
-    /// `GpModel::new(kernel, noise_var, x, y)` on the same inputs, at
-    /// O(n²) instead of O(n³) — the shared-profiling-design fit path
-    /// builds one factor per objective and shares it across all cameras.
+    /// targets: shares this model's factor (the Gram matrix depends only
+    /// on the inputs, kernel, and noise), only re-solving for the weight
+    /// vector. Bit-identical to `GpModel::new(kernel, noise_var, x, y)`
+    /// on the same inputs, at O(n²) instead of O(n³) — the
+    /// shared-profiling-design fit path builds one factor per objective
+    /// and shares it across all cameras.
     pub fn with_targets(&self, y: Vec<f64>) -> Result<GpModel> {
         if y.len() != self.n() {
             return Err(GpError::BadData(format!(
@@ -442,20 +582,7 @@ impl GpModel {
             return Err(GpError::BadData("with_targets: non-finite target".into()));
         }
         let (y_mean, y_std) = standardization_of(&y);
-        let z: Vec<f64> = y.iter().map(|&v| (v - y_mean) / y_std).collect();
-        let mut model = GpModel {
-            prefix: Arc::clone(&self.prefix),
-            tail_x: self.tail_x.clone(),
-            tail_l: self.tail_l.clone(),
-            tail_n: self.tail_n,
-            jitter: self.jitter,
-            y_raw: y,
-            y_mean,
-            y_std,
-            alpha: Vec::new(),
-        };
-        model.alpha = model.solve(&z)?;
-        Ok(model)
+        Self::on_factor(Arc::clone(&self.factor), y, y_mean, y_std)
     }
 
     /// Observation-noise variance in original units.
@@ -479,7 +606,7 @@ impl GpModel {
         let kqq = self.kernel().matrix(xs);
         let mut w = Mat::zeros(kxq.rows(), kxq.cols()); // n x q
         for j in 0..kxq.cols() {
-            for (i, v) in self.solve(&kxq.col(j))?.into_iter().enumerate() {
+            for (i, v) in self.factor.solve(&kxq.col(j))?.into_iter().enumerate() {
                 w[(i, j)] = v;
             }
         }
@@ -510,7 +637,7 @@ impl GpModel {
             .map(|&v| (v - self.y_mean) / self.y_std)
             .collect();
         let data_fit = vecops::dot(&z, &self.alpha);
-        let log_det = (0..n).map(|i| self.row(i)[i].ln()).sum::<f64>() * 2.0;
+        let log_det = (0..n).map(|i| self.factor.row(i)[i].ln()).sum::<f64>() * 2.0;
         -0.5 * data_fit - 0.5 * log_det - 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln()
     }
 
@@ -547,16 +674,10 @@ impl GpModel {
         )
     }
 
-    /// Incremental version of [`GpModel::with_added`]: appends the `k`
-    /// new factor rows to this model's tail (O(k·n²) instead of O(n³),
-    /// the arithmetic of [`Cholesky::extend`]) and reuses the frozen
-    /// standardization. The shared prefix is untouched and stays shared.
-    ///
-    /// Falls back to the from-scratch rebuild when the extension is not
-    /// numerically positive definite (e.g. a new point that duplicates a
-    /// training point while the old factor carries jitter the new block
-    /// can't absorb) — correctness never depends on the fast path. The
-    /// rebuilt model no longer shares this model's prefix.
+    /// Incremental version of [`GpModel::with_added`]: grows the factor
+    /// by the `k` new rows ([`GpModel::extend_factor`], O(k·n²), the
+    /// arithmetic of [`Cholesky::extend`]) and reuses the frozen
+    /// standardization ([`GpModel::condition_on`]).
     pub fn condition(&self, x_new: &[Vec<f64>], y_new: &[f64]) -> Result<GpModel> {
         if x_new.len() != y_new.len() {
             return Err(GpError::BadData("condition: length mismatch".into()));
@@ -567,18 +688,84 @@ impl GpModel {
         let xs: Vec<&[f64]> = x_new.iter().map(Vec::as_slice).collect();
         self.check_update(&xs, y_new)?;
         let pres: Vec<PrefixSolve> = xs.iter().map(|x| self.prefix_solve(x)).collect();
-        self.extended(&xs, y_new, &pres)
+        let ext = self.extension(&xs, &pres)?;
+        self.condition_on(&ext, y_new)
     }
 
-    /// [`GpModel::condition`] on one observation given the new input's
-    /// [`PrefixSolve`]; only the tail rows of the new factor row are
-    /// computed here. Bit-identical to `condition`.
-    pub fn condition_with(&self, x_new: &[f64], y_new: f64, pre: &PrefixSolve) -> Result<GpModel> {
-        self.check_update(&[x_new], &[y_new])?;
+    /// This model's factor grown by input `x_new`, given its
+    /// [`PrefixSolve`]. The result depends only on the factor and the
+    /// input, so one extension serves every model with the same
+    /// [`GpModel::factor_id`] that observes `x_new`.
+    ///
+    /// Falls back to the from-scratch rebuild of [`GpModel::with_added`]
+    /// when the extension is not numerically positive definite (e.g. a
+    /// new point that duplicates a training point while the old factor
+    /// carries jitter the new block can't absorb) — correctness never
+    /// depends on the fast path. The rebuilt factor owns its rows; it is
+    /// still shared by every model conditioned through this extension.
+    pub fn extend_factor(&self, x_new: &[f64], pre: &PrefixSolve) -> Result<FactorExtension> {
+        self.check_update(&[x_new], &[])?;
         if pre.prefix != self.prefix_id() {
-            return self.extended(&[x_new], &[y_new], &[self.prefix_solve(x_new)]);
+            return self.extension(&[x_new], &[self.prefix_solve(x_new)]);
         }
-        self.extended(&[x_new], &[y_new], std::slice::from_ref(pre))
+        self.extension(&[x_new], std::slice::from_ref(pre))
+    }
+
+    fn extension(&self, xs: &[&[f64]], pres: &[PrefixSolve]) -> Result<FactorExtension> {
+        let (factor, from) = match self.factor.extended(xs, pres) {
+            Some(f) => (f, self.n()),
+            None => {
+                let mut x = self.train_x();
+                x.extend(xs.iter().map(|p| p.to_vec()));
+                let f = Factor::build(self.kernel().clone(), self.noise_var(), &x)?;
+                (f, 0)
+            }
+        };
+        Ok(FactorExtension {
+            parent: self.factor_id(),
+            factor: Arc::new(factor),
+            from,
+        })
+    }
+
+    /// Condition on observations `y_new` at the inputs `ext` grew this
+    /// model's factor by: append the targets, forward-solve their new
+    /// rows of `u` (all rows after a rebuild) and back-substitute for
+    /// `α`. Bit-identical to [`GpModel::condition`]; an extension of
+    /// another factor is rejected.
+    pub fn condition_on(&self, ext: &FactorExtension, y_new: &[f64]) -> Result<GpModel> {
+        if ext.parent != self.factor_id() || self.n() + y_new.len() != ext.factor.n() {
+            return Err(GpError::BadData(
+                "condition_on: extension of another factor".into(),
+            ));
+        }
+        self.check_update(&[], y_new)?;
+        let mut y_raw = Vec::with_capacity(ext.factor.n());
+        y_raw.extend_from_slice(&self.y_raw);
+        y_raw.extend_from_slice(y_new);
+        if ext.rebuilt() {
+            check_standardization(self.y_mean, self.y_std)?;
+            return Self::on_factor(Arc::clone(&ext.factor), y_raw, self.y_mean, self.y_std);
+        }
+        let z: Vec<f64> = y_raw
+            .iter()
+            .map(|&v| (v - self.y_mean) / self.y_std)
+            .collect();
+        let n = ext.factor.n();
+        let mut u = Vec::with_capacity(n);
+        u.extend_from_slice(&self.u);
+        u.resize(n, 0.0);
+        ext.factor.forward(ext.from, n, &z, &mut u)?;
+        let mut alpha = u.clone();
+        ext.factor.backward(&mut alpha)?;
+        Ok(GpModel {
+            factor: Arc::clone(&ext.factor),
+            y_raw,
+            y_mean: self.y_mean,
+            y_std: self.y_std,
+            u,
+            alpha,
+        })
     }
 
     fn check_update(&self, xs: &[&[f64]], ys: &[f64]) -> Result<()> {
@@ -593,83 +780,17 @@ impl GpModel {
         }
         Ok(())
     }
+}
 
-    /// Append the factor rows of `xs` (whose prefix solves are `pres`):
-    /// `L21` rows from forward solves of the new cross-kernel columns,
-    /// then the Schur complement `C + jitter·I − L21·L21ᵀ` factored with
-    /// the jitter ladder.
-    fn extended(&self, xs: &[&[f64]], ys: &[f64], pres: &[PrefixSolve]) -> Result<GpModel> {
-        let rebuild = || {
-            let x_new: Vec<Vec<f64>> = xs.iter().map(|x| x.to_vec()).collect();
-            self.with_added(&x_new, ys)
-        };
-        let (n0, n, k) = (self.prefix.n, self.n(), xs.len());
-        let kernel = self.kernel();
-        let mut l21 = vec![0.0; k * n];
-        let mut b = vec![0.0; n];
-        for (j, (x, pre)) in xs.iter().zip(pres).enumerate() {
-            let Some(w) = &pre.w else {
-                return rebuild();
-            };
-            b[..n0].copy_from_slice(&pre.k);
-            for (i, slot) in b.iter_mut().enumerate().skip(n0) {
-                *slot = kernel.eval(x, self.point(i));
-            }
-            let row = &mut l21[j * n..(j + 1) * n];
-            row[..n0].copy_from_slice(w);
-            if self.forward_from(n0, &b, row).is_err() {
-                return rebuild();
-            }
-        }
-        let mut s = Mat::zeros(k, k);
-        for i in 0..k {
-            for j in 0..=i {
-                let corner = if i == j {
-                    pres[i].kxx + self.noise_var()
-                } else {
-                    kernel.eval(xs[i], xs[j])
-                };
-                let v = corner - vecops::dot(&l21[i * n..(i + 1) * n], &l21[j * n..(j + 1) * n]);
-                s[(i, j)] = v;
-                s[(j, i)] = v;
-            }
-            s[(i, i)] += self.jitter;
-        }
-        let Ok(s_ch) = Cholesky::decompose_jittered(&s) else {
-            return rebuild();
-        };
-        let mut tail_l = Vec::with_capacity(self.tail_l.len() + k * n + tri(k));
-        tail_l.extend_from_slice(&self.tail_l);
-        for i in 0..k {
-            tail_l.extend_from_slice(&l21[i * n..(i + 1) * n]);
-            tail_l.extend_from_slice(&s_ch.l().row(i)[..=i]);
-        }
-        let mut tail_x = Vec::with_capacity(self.tail_x.len() + k * self.dim());
-        tail_x.extend_from_slice(&self.tail_x);
-        for x in xs {
-            tail_x.extend_from_slice(x);
-        }
-        let mut y_raw = Vec::with_capacity(n + k);
-        y_raw.extend_from_slice(&self.y_raw);
-        y_raw.extend_from_slice(ys);
-        let z: Vec<f64> = y_raw
-            .iter()
-            .map(|&v| (v - self.y_mean) / self.y_std)
-            .collect();
-        let mut model = GpModel {
-            prefix: Arc::clone(&self.prefix),
-            tail_x,
-            tail_l,
-            tail_n: self.tail_n + k,
-            jitter: self.jitter.max(s_ch.jitter()),
-            y_raw,
-            y_mean: self.y_mean,
-            y_std: self.y_std,
-            alpha: Vec::new(),
-        };
-        model.alpha = model.solve(&z)?;
-        Ok(model)
+/// Reject a standardization no model can predict in.
+fn check_standardization(y_mean: f64, y_std: f64) -> Result<()> {
+    #[allow(clippy::neg_cmp_op_on_partial_ord)] // also rejects NaN
+    if !(y_std > 0.0) || !y_mean.is_finite() {
+        return Err(GpError::BadData(format!(
+            "bad standardization: mean {y_mean}, std {y_std}"
+        )));
     }
+    Ok(())
 }
 
 /// Standardization `(mean, std)` derived from a target vector; the std
@@ -910,17 +1031,24 @@ mod tests {
     }
 
     #[test]
-    fn predict_many_is_bit_identical_to_predict() {
+    fn one_factor_solve_serves_every_model_on_the_factor() {
         let m = toy_model();
-        let qs: Vec<Vec<f64>> = (0..7).map(|i| vec![i as f64 * 0.55 - 0.4]).collect();
-        let batch = m.predict_many(&qs);
-        assert_eq!(batch.len(), qs.len());
-        for (q, &(mean_b, var_b)) in qs.iter().zip(&batch) {
-            let (mean, var) = m.predict(q);
-            assert_eq!(mean.to_bits(), mean_b.to_bits(), "mean at {q:?}");
-            assert_eq!(var.to_bits(), var_b.to_bits(), "var at {q:?}");
+        let y2: Vec<f64> = m.train_y().iter().map(|v| v * 0.5 - 1.0).collect();
+        let sibling = m.with_targets(y2).unwrap();
+        assert!(sibling.shares_factor(&m));
+        let other = m.condition(&[vec![1.1]], &[4.0]).unwrap();
+        assert!(!other.shares_factor(&m) && other.shares_prefix(&m));
+        for q in (0..7).map(|i| vec![i as f64 * 0.55 - 0.4]) {
+            let pre = m.prefix_solve(&q);
+            let solve = m.factor_solve(&q, &pre);
+            for model in [&m, &sibling, &other] {
+                // A solve of another factor is recomputed, not misused.
+                let (mean, var) = model.predict(&q);
+                let (mean_s, var_s) = model.predict_with(&q, &pre, &solve);
+                assert_eq!(mean.to_bits(), mean_s.to_bits(), "mean at {q:?}");
+                assert_eq!(var.to_bits(), var_s.to_bits(), "var at {q:?}");
+            }
         }
-        assert!(m.predict_many(&[]).is_empty());
     }
 
     #[test]
@@ -1097,11 +1225,11 @@ mod tests {
     fn assert_matches(model: &GpModel, oracle: &DenseOracle, queries: &[Vec<f64>], what: &str) {
         assert!(same_bits(&model.alpha, &oracle.alpha), "{what}: alpha");
         assert_eq!(model.train_x(), oracle.x, "{what}: inputs");
-        let mut scratch = Vec::new();
         for q in queries {
             let (m, v) = oracle.predict(q);
             let direct = model.predict(q);
-            let shared = model.predict_with(q, &model.prefix_solve(q), &mut scratch);
+            let pre = model.prefix_solve(q);
+            let shared = model.predict_with(q, &pre, &model.factor_solve(q, &pre));
             for (mm, vv) in [direct, shared] {
                 assert_eq!(mm.to_bits(), m.to_bits(), "{what}: mean at {q:?}");
                 assert_eq!(vv.to_bits(), v.to_bits(), "{what}: var at {q:?}");
@@ -1129,24 +1257,51 @@ mod tests {
 
     use proptest::prelude::*;
 
+    /// Memoized per-pass work, keyed like the outcome-model bank keys
+    /// it: prefix solves by (prefix, input) and extensions by (factor,
+    /// input).
+    #[derive(Default)]
+    struct PassMemo {
+        prefix: HashMap<(usize, Vec<u64>), PrefixSolve>,
+        extensions: HashMap<(usize, Vec<u64>), FactorExtension>,
+    }
+
+    impl PassMemo {
+        fn extension(&mut self, model: &GpModel, x: &[f64]) -> FactorExtension {
+            let bits: Vec<u64> = x.iter().map(|v| v.to_bits()).collect();
+            let pre = self
+                .prefix
+                .entry((model.prefix_id(), bits.clone()))
+                .or_insert_with(|| model.prefix_solve(x));
+            self.extensions
+                .entry((model.factor_id(), bits))
+                .or_insert_with(|| model.extend_factor(x, pre).unwrap())
+                .clone()
+        }
+    }
+
+    use std::collections::HashMap;
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// Cameras sharing one design prefix, conditioned one point at a
-        /// time through shared prefix solves, stay bit-identical to
-        /// dense per-camera models — for up to 15 updates, with one
-        /// camera rebuilt mid-way so the bank mixes shared and own
-        /// prefixes.
+        /// Cameras on one design, conditioned one point at a time
+        /// through memoized prefix solves and factor extensions, stay
+        /// bit-identical to dense per-camera models for up to 15
+        /// updates. Cameras fed the same inputs share one factor `Arc`;
+        /// a pair whose histories diverge stops sharing; a camera
+        /// rebuilt mid-way owns its prefix and keeps conditioning.
         #[test]
-        fn shared_prefix_matches_dense_oracle(
+        fn shared_factor_matches_dense_oracle(
             seed in 0u64..10_000,
             updates in 1usize..=15,
             family in 0usize..3,
+            split_at in 0usize..15,
             rebuild_at in 0usize..15,
         ) {
             let family = [KernelType::Rbf, KernelType::Matern32, KernelType::Matern52][family];
             let kernel = Kernel::new(family, vec![0.4, 0.7, 1.3], 1.5);
-            let (x, ys) = design(25, 4, seed);
+            let (x, ys) = design(25, 6, seed);
             let base = GpModel::new(kernel.clone(), 1e-3, x.clone(), ys[0].clone()).unwrap();
             let dense0 = DenseOracle::new(kernel, 1e-3, x, ys[0].clone());
             let mut models: Vec<GpModel> =
@@ -1161,36 +1316,49 @@ mod tests {
             let queries: Vec<Vec<f64>> = (0..4).map(|_| grid(&mut rng)).collect();
             for (c, (m, d)) in models.iter().zip(&dense).enumerate() {
                 assert_matches(m, d, &queries, &format!("camera {c} initial"));
+                prop_assert!(m.shares_factor(&models[0]));
             }
             for u in 0..updates {
                 if u == rebuild_at {
-                    // Camera 1 leaves the shared prefix (the fallback's
+                    // Camera 4 leaves the shared design (a fallback's
                     // outcome) and keeps conditioning on its own.
                     let (xr, yr) = (grid(&mut rng), rng.gen_range(-1.0..1.0));
-                    models[1] = models[1].with_added(std::slice::from_ref(&xr), &[yr]).unwrap();
-                    dense[1] = dense[1].with_added(&xr, yr);
-                    prop_assert!(!models[1].shares_prefix(&models[0]));
+                    models[4] = models[4].with_added(std::slice::from_ref(&xr), &[yr]).unwrap();
+                    dense[4] = dense[4].with_added(&xr, yr);
+                    prop_assert!(!models[4].shares_prefix(&models[0]));
                 }
-                // One memo of prefix solves per update pass, keyed like
-                // the outcome-model bank keys it.
-                let mut memo: std::collections::HashMap<(usize, Vec<u64>), PrefixSolve> =
-                    Default::default();
+                // Cameras 0 and 1 always observe one input; 2 and 3 do
+                // until `split_at`, then 3 observes another one.
+                let pair = grid(&mut rng);
+                let mut inputs: Vec<Vec<f64>> = (0..models.len()).map(|_| grid(&mut rng)).collect();
+                inputs[1] = inputs[0].clone();
+                inputs[3] = inputs[2].clone();
+                if u >= split_at {
+                    inputs[3] = pair;
+                    if inputs[3] == inputs[2] {
+                        inputs[3][0] += 0.5;
+                    }
+                }
+                let mut memo = PassMemo::default();
                 for c in 0..models.len() {
-                    let (xn, yn) = (grid(&mut rng), rng.gen_range(-1.0..1.0));
-                    let key = (models[c].prefix_id(), xn.iter().map(|v| v.to_bits()).collect());
-                    let pre = memo.entry(key).or_insert_with(|| models[c].prefix_solve(&xn));
-                    let next = models[c].condition_with(&xn, yn, pre).unwrap();
-                    prop_assert!(next.shares_prefix(&models[c]));
-                    let (next_dense, fell_back) = dense[c].condition(&xn, yn);
+                    let yn = rng.gen_range(-1.0..1.0);
+                    let ext = memo.extension(&models[c], &inputs[c]);
+                    let next = models[c].condition_on(&ext, &[yn]).unwrap();
+                    let (next_dense, fell_back) = dense[c].condition(&inputs[c], yn);
+                    prop_assert_eq!(ext.rebuilt(), fell_back);
                     prop_assert!(!fell_back);
+                    prop_assert!(next.shares_prefix(&models[c]));
                     models[c] = next;
                     dense[c] = next_dense;
                 }
                 for (c, (m, d)) in models.iter().zip(&dense).enumerate() {
                     assert_matches(m, d, &queries, &format!("camera {c} after update {u}"));
                 }
+                prop_assert!(models[0].shares_factor(&models[1]));
+                prop_assert_eq!(models[2].shares_factor(&models[3]), u < split_at);
             }
-            prop_assert!(models[0].shares_prefix(&models[3]));
+            prop_assert!(models[0].shares_prefix(&models[5]));
+            prop_assert!(!models[0].shares_factor(&models[5]));
         }
     }
 
@@ -1200,26 +1368,41 @@ mod tests {
         // ill-conditioned that re-observing a training input leaves a
         // non-positive Schur complement: conditioning must rebuild from
         // scratch (and leave the shared prefix), exactly like the dense
-        // path did.
+        // path did. The rebuild depends only on the inputs, so two
+        // models conditioned through one extension share the rebuilt
+        // factor.
         let kernel = Kernel::isotropic(KernelType::Rbf, 1, 1.0, 1.0);
         let x: Vec<Vec<f64>> = (0..8).map(|i| vec![i as f64 / 7.0]).collect();
         let y: Vec<f64> = x.iter().map(|p| (p[0] * 5.0).sin()).collect();
+        let y2: Vec<f64> = y.iter().map(|v| v * 2.0 + 0.3).collect();
         let base = GpModel::new(kernel.clone(), 1e-300, x.clone(), y.clone()).unwrap();
+        let sibling = base.with_targets(y2.clone()).unwrap();
         let dense = DenseOracle::new(kernel, 1e-300, x.clone(), y.clone());
+        let dense_sibling = dense.with_targets(y2);
         let queries = [vec![0.2], vec![0.5], vec![0.95]];
         let mut rebuilds = 0;
         for (dup, &y_dup) in x.iter().zip(&y) {
+            let ext = base.extend_factor(dup, &base.prefix_solve(dup)).unwrap();
+            let m2 = base.condition_on(&ext, &[y_dup]).unwrap();
+            let s2 = sibling.condition_on(&ext, &[y_dup + 1.0]).unwrap();
             let (d2, rebuilt) = dense.condition(dup, y_dup);
-            let m2 = base
-                .condition_with(dup, y_dup, &base.prefix_solve(dup))
-                .unwrap();
+            let (ds2, _) = dense_sibling.condition(dup, y_dup + 1.0);
+            assert_eq!(ext.rebuilt(), rebuilt, "at {dup:?}");
             assert_eq!(m2.shares_prefix(&base), !rebuilt, "at {dup:?}");
+            assert!(m2.shares_factor(&s2), "at {dup:?}");
             assert_matches(&m2, &d2, &queries, &format!("duplicate {dup:?}"));
+            assert_matches(&s2, &ds2, &queries, &format!("sibling, duplicate {dup:?}"));
             if rebuilt {
                 assert_eq!(m2.prefix_len(), m2.n());
                 rebuilds += 1;
             }
         }
         assert!(rebuilds > 0, "no duplicate forced the rebuild");
+        // An extension only conditions models of its parent factor.
+        let ext = base
+            .extend_factor(&x[0], &base.prefix_solve(&x[0]))
+            .unwrap();
+        let other = base.condition(&[vec![0.33]], &[0.1]).unwrap();
+        assert!(other.condition_on(&ext, &[0.0]).is_err());
     }
 }

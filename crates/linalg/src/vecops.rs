@@ -26,6 +26,39 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     (s0 + s1) + (s2 + s3) + tail
 }
 
+/// [`dot`] of the concatenation `a0 ++ a1` with `b`, without building
+/// it: the same four lanes over the same indices, so the result is
+/// bit-identical to `dot(&[a0, a1].concat(), b)`. Panics if lengths
+/// differ.
+pub fn dot_concat(a0: &[f64], a1: &[f64], b: &[f64]) -> f64 {
+    let n0 = a0.len();
+    assert_eq!(n0 + a1.len(), b.len(), "dot_concat: length mismatch");
+    let at = |j: usize| if j < n0 { a0[j] } else { a1[j - n0] };
+    let chunks = b.len() / 4;
+    let (mut s0, mut s1, mut s2, mut s3) = (0.0, 0.0, 0.0, 0.0);
+    // Chunks that lie wholly in `a0` skip the per-element split.
+    let whole = (n0 / 4).min(chunks);
+    for i in 0..whole {
+        let j = i * 4;
+        s0 += a0[j] * b[j];
+        s1 += a0[j + 1] * b[j + 1];
+        s2 += a0[j + 2] * b[j + 2];
+        s3 += a0[j + 3] * b[j + 3];
+    }
+    for i in whole..chunks {
+        let j = i * 4;
+        s0 += at(j) * b[j];
+        s1 += at(j + 1) * b[j + 1];
+        s2 += at(j + 2) * b[j + 2];
+        s3 += at(j + 3) * b[j + 3];
+    }
+    let mut tail = 0.0;
+    for (j, &bj) in b.iter().enumerate().skip(chunks * 4) {
+        tail += at(j) * bj;
+    }
+    (s0 + s1) + (s2 + s3) + tail
+}
+
 /// `y += alpha * x` in place.
 #[inline]
 pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
@@ -155,6 +188,23 @@ mod tests {
             let b: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
             let naive: f64 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
             assert!((dot(&a, &b) - naive).abs() < 1e-12, "n = {n}");
+        }
+    }
+
+    #[test]
+    fn dot_concat_is_bit_identical_to_dot_of_the_concatenation() {
+        for n in 0..19 {
+            let a: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).cos() * 1e3).collect();
+            let b: Vec<f64> = (0..n).map(|i| (i as f64).sin() / 7.0).collect();
+            let whole = dot(&a, &b);
+            for split in 0..=n {
+                let (a0, a1) = a.split_at(split);
+                assert_eq!(
+                    dot_concat(a0, a1, &b).to_bits(),
+                    whole.to_bits(),
+                    "{n}/{split}"
+                );
+            }
         }
     }
 

@@ -29,6 +29,12 @@ pub enum Phase {
     /// Batched composite-surrogate posteriors for one candidate scan
     /// (inside `BoSearch`).
     BoPrepare,
+    /// The per-camera outcome-GP posteriors of one batched scan
+    /// (inside `BoPrepare`).
+    BoPosterior,
+    /// Common-random-number sample assembly of one batched scan: draws
+    /// pushed through the preference layer (inside `BoPrepare`).
+    BoAssemble,
     /// Conditioning the outcome-model bank on one objective
     /// evaluation's measurements (Algorithm 2 line 18, inside
     /// `BoSearch`).
@@ -59,13 +65,15 @@ pub enum Phase {
 
 impl Phase {
     /// All phases, in pipeline order (the order summaries print in).
-    pub const ALL: [Phase; 16] = [
+    pub const ALL: [Phase; 18] = [
         Phase::Epoch,
         Phase::Decide,
         Phase::OutcomeFit,
         Phase::PrefModel,
         Phase::BoSearch,
         Phase::BoPrepare,
+        Phase::BoPosterior,
+        Phase::BoAssemble,
         Phase::BankUpdate,
         Phase::GpFit,
         Phase::Grouping,
@@ -87,6 +95,8 @@ impl Phase {
             Phase::PrefModel => "pref_model",
             Phase::BoSearch => "bo_search",
             Phase::BoPrepare => "bo_prepare",
+            Phase::BoPosterior => "bo_posterior",
+            Phase::BoAssemble => "bo_assemble",
             Phase::BankUpdate => "bank_update",
             Phase::GpFit => "gp_fit",
             Phase::Grouping => "grouping",
@@ -109,16 +119,18 @@ impl Phase {
             Phase::PrefModel => 3,
             Phase::BoSearch => 4,
             Phase::BoPrepare => 5,
-            Phase::BankUpdate => 6,
-            Phase::GpFit => 7,
-            Phase::Grouping => 8,
-            Phase::Assignment => 9,
-            Phase::Des => 10,
-            Phase::Fallback => 11,
-            Phase::Admission => 12,
-            Phase::Replan => 13,
-            Phase::Shed => 14,
-            Phase::BondStripe => 15,
+            Phase::BoPosterior => 6,
+            Phase::BoAssemble => 7,
+            Phase::BankUpdate => 8,
+            Phase::GpFit => 9,
+            Phase::Grouping => 10,
+            Phase::Assignment => 11,
+            Phase::Des => 12,
+            Phase::Fallback => 13,
+            Phase::Admission => 14,
+            Phase::Replan => 15,
+            Phase::Shed => 16,
+            Phase::BondStripe => 17,
         }
     }
 }

@@ -44,7 +44,12 @@ pub struct Outcome {
 impl Outcome {
     /// As a raw vector in canonical order (accuracy kept higher-is-better).
     pub fn to_vec(&self) -> Vec<f64> {
-        vec![
+        self.to_array().to_vec()
+    }
+
+    /// [`Outcome::to_vec`] without the allocation.
+    pub fn to_array(&self) -> [f64; N_OBJECTIVES] {
+        [
             self.latency_s,
             self.accuracy,
             self.network_bps,

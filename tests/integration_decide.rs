@@ -4,7 +4,8 @@
 //! loop conditions them on one measurement per camera per objective
 //! evaluation and queries them for every candidate. Any numeric drift in
 //! that bank (conditioning, batched posteriors, the design-row solves
-//! shared across cameras) moves the pinned posteriors, the BO loop's
+//! shared across cameras, the factors shared by cameras with one
+//! observation history) moves the pinned posteriors, the BO loop's
 //! choices, or the decided configurations.
 
 use pamo::core::{OutcomeModelBank, PamoConfig, PreferenceSource, ProfilingDesign};
@@ -19,6 +20,9 @@ const PINNED_BENEFIT_BITS: [u64; 2] = [13829155640526625027, 1382915564052662502
 const PINNED_DECIDE_HASH: u64 = 0x3586_f081_2651_d3cc;
 /// FNV-1a hash of the conditioned bank's posterior means and variances.
 const PINNED_BANK_HASH: u64 = 0x778a_9ba7_cba9_c2c6;
+/// FNV-1a hash of a 60-camera bank's posteriors after six rounds in
+/// which groups of cameras share observation histories and split.
+const PINNED_SHARED_HISTORY_HASH: u64 = 0xbf2e_994c_e4bc_4abe;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
@@ -113,4 +117,79 @@ fn conditioned_bank_posteriors_are_bit_pinned() {
     }
     println!("bank hash {hash:#x}");
     assert_eq!(hash, PINNED_BANK_HASH, "bank posteriors drifted");
+}
+
+/// Round `round`'s (config index, uplink index) for camera `cam`: the
+/// camera's uplink group is `cam / 20`, and its config class `cam % 2^r`
+/// doubles the number of classes each round up to eight, so groups of
+/// cameras observe identical histories and split as rounds pass.
+fn shared_history_input(cam: usize, round: usize) -> (usize, usize) {
+    let classes = 1 << round.min(3);
+    ((cam % classes) * 5 + round, (cam / 20 + round) % 3)
+}
+
+#[test]
+fn shared_history_bank_posteriors_are_bit_pinned() {
+    let scenario = Scenario::new(
+        pamo::workload::clip::clip_set(60, 41),
+        vec![6e6, 12e6, 24e6],
+        ConfigSpace::default(),
+    );
+    let mut rng = seeded(43);
+    let design = ProfilingDesign::draw(&scenario, 25, &mut rng);
+    let mut bank = OutcomeModelBank::fit_initial_designed_recorded(
+        &scenario,
+        &design,
+        0.02,
+        None,
+        &mut rng,
+        &NoopRecorder,
+    )
+    .unwrap();
+    let space = scenario.config_space();
+    let uplinks = scenario.uplinks();
+    let rounds = 6;
+    for round in 0..rounds {
+        let samples: Vec<_> = (0..scenario.n_videos())
+            .map(|cam| {
+                let (config, uplink) = shared_history_input(cam, round);
+                Profiler::new(scenario.surfaces(cam).clone())
+                    .with_noise(0.02, 0.02)
+                    .measure(&space.at(config % space.len()), uplinks[uplink], &mut rng)
+            })
+            .collect();
+        let report = bank.update_all(&samples).unwrap();
+        assert_eq!(report.skipped, 0);
+        assert!(report.factor_extensions < samples.len() * N_OBJECTIVES);
+    }
+    let mut hash = FNV_OFFSET;
+    for cam in 0..scenario.n_videos() {
+        for obj in 0..N_OBJECTIVES {
+            for q in [0, space.len() / 3, space.len() - 1] {
+                for &uplink in uplinks {
+                    let (mu, var) = bank.predict_objective(cam, obj, &space.at(q), uplink);
+                    hash = fnv(fnv(hash, mu), var);
+                }
+            }
+        }
+    }
+    println!("shared-history bank hash {hash:#x}");
+    assert_eq!(hash, PINNED_SHARED_HISTORY_HASH, "bank posteriors drifted");
+
+    // Cameras share a GP factor exactly when they observed the same
+    // inputs in every round.
+    let history = |cam: usize| -> Vec<(usize, usize)> {
+        (0..rounds).map(|r| shared_history_input(cam, r)).collect()
+    };
+    for a in 0..scenario.n_videos() {
+        for b in 0..scenario.n_videos() {
+            for obj in 0..N_OBJECTIVES {
+                assert_eq!(
+                    bank.model(a, obj).shares_factor(bank.model(b, obj)),
+                    history(a) == history(b),
+                    "cameras {a} and {b}, objective {obj}"
+                );
+            }
+        }
+    }
 }

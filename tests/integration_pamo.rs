@@ -3,7 +3,7 @@
 
 use pamo::baselines::measure_decision;
 use pamo::bo::{AcqKind, BoConfig};
-use pamo::core::{PamoConfig, PreferenceSource};
+use pamo::core::{CoreError, PamoConfig, PreferenceSource};
 use pamo::prelude::*;
 use pamo::stats::rng::seeded;
 
@@ -136,4 +136,30 @@ fn acquisition_variants_all_work_end_to_end() {
             d.true_benefit
         );
     }
+}
+
+#[test]
+fn impossible_decides_are_errors_not_panics() {
+    // 200 cameras on one 5 Mb/s server: no joint configuration, not even
+    // every camera at the cheapest knobs, has a zero-jitter placement.
+    let packed = Scenario::uniform(200, 1, 5e6, 5);
+    let pref = TruePreference::uniform(&packed);
+    let mut cfg = PamoConfig {
+        profiling_per_camera: 8,
+        pool_size: 2,
+        preference: PreferenceSource::Oracle,
+        ..PamoConfig::default()
+    };
+    let err = Pamo::new(cfg.clone())
+        .decide(&packed, &pref, &mut seeded(1))
+        .unwrap_err();
+    assert!(matches!(err, CoreError::NoFeasibleConfig { .. }), "{err}");
+
+    // An empty candidate pool is a caller error.
+    let sc = Scenario::uniform(3, 2, 20e6, 47);
+    cfg.pool_size = 0;
+    let err = Pamo::new(cfg)
+        .decide(&sc, &TruePreference::uniform(&sc), &mut seeded(2))
+        .unwrap_err();
+    assert!(matches!(err, CoreError::InvalidInput { .. }), "{err}");
 }

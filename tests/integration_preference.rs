@@ -13,7 +13,7 @@ use rand::Rng;
 fn outcome_candidates(scenario: &Scenario, n: usize, seed: u64) -> Vec<Vec<f64>> {
     let normalizer = OutcomeNormalizer::for_scenario(scenario);
     let mut rng = seeded(seed);
-    let pool = build_pool(scenario, n, &mut rng);
+    let pool = build_pool(scenario, n, &mut rng, &Default::default()).unwrap();
     pool.iter()
         .filter_map(|x| {
             scenario
