@@ -303,10 +303,11 @@ mod tests {
 
         let bonded = scenario()
             .with_link_bundles(vec![trio(); 6], BondPolicy::EarliestDelivery)
-            .with_bonded_planning(frame_bits, 1.0);
+            .with_bonded_planning(frame_bits, 1.0)
+            .unwrap();
         assert_eq!(bonded.planning_uplinks(), &[eff; 4]);
 
-        let explicit = scenario().with_planning_uplinks(vec![eff; 4], 1.0);
+        let explicit = scenario().with_planning_uplinks(vec![eff; 4], 1.0).unwrap();
         let via_bond = Jcab::default().decide(&bonded);
         let via_override = Jcab::default().decide(&explicit);
         assert_eq!(via_bond.configs, via_override.configs);

@@ -95,13 +95,15 @@ fn main() {
             "estimated-B",
             truth
                 .clone()
-                .with_planning_uplinks(estimates.clone(), HEADROOM),
+                .with_planning_uplinks(estimates.clone(), HEADROOM)
+                .expect("warmed estimates are positive rates"),
         ),
         (
             "stale-B",
             truth
                 .clone()
-                .with_planning_uplinks(vec![GOOD_BPS; N_SERVERS], 1.0),
+                .with_planning_uplinks(vec![GOOD_BPS; N_SERVERS], 1.0)
+                .expect("one positive rate per server"),
         ),
     ];
 

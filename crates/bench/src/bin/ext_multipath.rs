@@ -161,7 +161,8 @@ fn main() {
         let sc = truth
             .clone()
             .with_link_bundles(bundles.clone(), *policy)
-            .with_bonded_planning(frame_bits, HEADROOM);
+            .with_bonded_planning(frame_bits, HEADROOM)
+            .expect("bundles are attached");
         let belief = sc.planning_uplinks().iter().sum::<f64>() / sc.planning_uplinks().len() as f64;
         let d = jcab.decide(&sc);
         let jcab_acc = (0..N_CAMS)

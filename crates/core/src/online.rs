@@ -133,7 +133,9 @@ const DELIVERY_SAMPLES_PER_STREAM: usize = 8;
 /// keep being charged at the true uplink rates. Epoch 0 — before any
 /// observation exists — plans on the provisioned uplinks, as does any
 /// server that has not yet carried a stream. Errors on
-/// `n_epochs == 0` or when `estimators` is not one per server.
+/// `n_epochs == 0`, when `estimators` is not one per server, or when
+/// `headroom` is not finite and positive. An epoch whose estimates are
+/// not finite positive rates is skipped like a failed decision.
 #[allow(clippy::too_many_arguments)]
 pub fn run_online_estimated<R: Rng + ?Sized>(
     drifting: &mut DriftingScenario,
@@ -148,6 +150,10 @@ pub fn run_online_estimated<R: Rng + ?Sized>(
     require(
         estimators.len() == drifting.snapshot().n_servers(),
         "one link estimator per server",
+    )?;
+    require(
+        headroom.is_finite() && headroom > 0.0,
+        "headroom must be finite and positive",
     )?;
     let feed = EstimatorFeed {
         estimators,
@@ -248,7 +254,15 @@ fn online_loop<R: Rng + ?Sized>(
         let base = drifting.snapshot();
         let estimates = feed.as_ref().and_then(|f| f.estimates(&base));
         let scenario = match (&estimates, &feed) {
-            (Some(est), Some(f)) => base.with_planning_uplinks(est.clone(), f.headroom),
+            (Some(est), Some(f)) => match base.with_planning_uplinks(est.clone(), f.headroom) {
+                Ok(planned) => planned,
+                Err(e) => {
+                    skip_epoch(rec, epoch, &format!("unusable bandwidth estimates ({e})"));
+                    skipped = true;
+                    drifting.advance(rng);
+                    continue;
+                }
+            },
             _ => base,
         };
         // Preference anchored per-epoch scenario so benefit scales stay
@@ -492,6 +506,53 @@ mod tests {
         .map(|_| ())
         .unwrap_err();
         assert!(matches!(err, CoreError::InvalidInput { .. }), "{err}");
+    }
+
+    fn estimated_run_with_headroom(headroom: f64) -> Result<OnlineRun, CoreError> {
+        use eva_net::EwmaEstimator;
+
+        let base = Scenario::uniform(3, 2, 20e6, 64);
+        let mut drifting = DriftingScenario::new(&base, 0.05);
+        let mut estimators: Vec<Box<dyn LinkEstimator>> = (0..2)
+            .map(|_| Box::new(EwmaEstimator::default()) as Box<dyn LinkEstimator>)
+            .collect();
+        run_online_estimated(
+            &mut drifting,
+            &tiny_config(),
+            [1.0; 5],
+            3,
+            &mut estimators,
+            headroom,
+            &mut seeded(4),
+            &NoopRecorder,
+        )
+    }
+
+    fn assert_headroom_rejected(headroom: f64) {
+        let err = estimated_run_with_headroom(headroom)
+            .map(|_| ())
+            .unwrap_err();
+        assert!(matches!(err, CoreError::InvalidInput { .. }), "{err}");
+    }
+
+    #[test]
+    fn zero_headroom_is_an_input_error() {
+        assert_headroom_rejected(0.0);
+    }
+
+    #[test]
+    fn negative_headroom_is_an_input_error() {
+        assert_headroom_rejected(-1.1);
+    }
+
+    #[test]
+    fn nan_headroom_is_an_input_error() {
+        assert_headroom_rejected(f64::NAN);
+    }
+
+    #[test]
+    fn infinite_headroom_is_an_input_error() {
+        assert_headroom_rejected(f64::INFINITY);
     }
 
     #[test]

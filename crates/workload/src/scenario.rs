@@ -24,6 +24,42 @@ use crate::surfaces::SurfaceModel;
 /// ("randomly select bandwidth values for servers from (5..30 Mbps)").
 pub const UPLINK_POOL_MBPS: [f64; 6] = [5.0, 10.0, 15.0, 20.0, 25.0, 30.0];
 
+/// Why a planning-bandwidth belief was rejected
+/// ([`Scenario::with_planning_uplinks`], [`Scenario::with_bonded_planning`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum PlanningError {
+    /// Not one estimate per server.
+    WrongLength {
+        /// Servers in the scenario.
+        expected: usize,
+        /// Estimates given.
+        got: usize,
+    },
+    /// The headroom divisor is not a finite positive number.
+    Headroom(f64),
+    /// A bandwidth estimate is not a finite positive rate.
+    Estimate(f64),
+    /// Bonded planning was asked for before any bundles were attached.
+    NoBundles,
+}
+
+impl std::fmt::Display for PlanningError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            PlanningError::WrongLength { expected, got } => {
+                write!(f, "{got} bandwidth estimates for {expected} servers")
+            }
+            PlanningError::Headroom(h) => write!(f, "headroom {h} is not finite and positive"),
+            PlanningError::Estimate(b) => {
+                write!(f, "bandwidth estimate {b} is not finite and positive")
+            }
+            PlanningError::NoBundles => write!(f, "bonded planning needs attached link bundles"),
+        }
+    }
+}
+
+impl std::error::Error for PlanningError {}
+
 /// An EVA deployment instance.
 #[derive(Debug, Clone)]
 pub struct Scenario {
@@ -149,9 +185,15 @@ impl Scenario {
     /// bonded rate wherever it places a stream. Algorithm-1 placement,
     /// JCAB, FACT and the BO composite sampler all consume the result
     /// through [`Scenario::planning_uplinks`].
-    pub fn with_bonded_planning(self, frame_bits: f64, headroom: f64) -> Self {
+    /// Errors without attached bundles, or as
+    /// [`Scenario::with_planning_uplinks`] does.
+    pub fn with_bonded_planning(
+        self,
+        frame_bits: f64,
+        headroom: f64,
+    ) -> Result<Self, PlanningError> {
         let Some(bundles) = self.bundles.as_ref() else {
-            panic!("Scenario::with_bonded_planning: attach bundles first");
+            return Err(PlanningError::NoBundles);
         };
         let mean_eff = bundles
             .iter()
@@ -176,20 +218,27 @@ impl Scenario {
     /// `est_bps[q] / headroom` instead of the true uplink. `headroom >=
     /// 1` hedges estimation optimism (BBR-style max-filters overshoot a
     /// fading link's sustainable rate). Evaluation of realized latency
-    /// keeps using the true uplinks.
-    pub fn with_planning_uplinks(mut self, est_bps: Vec<f64>, headroom: f64) -> Self {
-        assert_eq!(
-            est_bps.len(),
-            self.n_servers(),
-            "Scenario::with_planning_uplinks: one estimate per server"
-        );
-        assert!(headroom > 0.0, "Scenario: non-positive headroom");
-        assert!(
-            est_bps.iter().all(|&b| b > 0.0),
-            "Scenario: non-positive bandwidth estimate"
-        );
+    /// keeps using the true uplinks. Errors unless there is one finite
+    /// positive estimate per server and `headroom` is finite and positive.
+    pub fn with_planning_uplinks(
+        mut self,
+        est_bps: Vec<f64>,
+        headroom: f64,
+    ) -> Result<Self, PlanningError> {
+        if est_bps.len() != self.n_servers() {
+            return Err(PlanningError::WrongLength {
+                expected: self.n_servers(),
+                got: est_bps.len(),
+            });
+        }
+        if !(headroom.is_finite() && headroom > 0.0) {
+            return Err(PlanningError::Headroom(headroom));
+        }
+        if let Some(&bad) = est_bps.iter().find(|&&b| !(b.is_finite() && b > 0.0)) {
+            return Err(PlanningError::Estimate(bad));
+        }
         self.planning_bps = Some(est_bps.iter().map(|&b| b / headroom).collect());
-        self
+        Ok(self)
     }
 
     /// Drop any planning-bandwidth override (back to oracle-B).
@@ -605,12 +654,40 @@ mod tests {
 
     #[test]
     fn planning_override_divides_by_headroom() {
-        let sc = Scenario::uniform(4, 2, 20e6, 5).with_planning_uplinks(vec![30e6, 10e6], 1.25);
+        let sc = Scenario::uniform(4, 2, 20e6, 5)
+            .with_planning_uplinks(vec![30e6, 10e6], 1.25)
+            .unwrap();
         assert_eq!(sc.planning_uplinks(), &[24e6, 8e6]);
         // True uplinks untouched.
         assert_eq!(sc.uplinks(), &[20e6, 20e6]);
         let back = sc.clear_planning_uplinks();
         assert_eq!(back.planning_uplinks(), &[20e6, 20e6]);
+    }
+
+    #[test]
+    fn bad_planning_beliefs_are_errors() {
+        let sc = || Scenario::uniform(4, 2, 20e6, 5);
+        let err =
+            |est: Vec<f64>, headroom: f64| sc().with_planning_uplinks(est, headroom).unwrap_err();
+        assert_eq!(
+            err(vec![20e6], 1.0),
+            PlanningError::WrongLength {
+                expected: 2,
+                got: 1
+            }
+        );
+        assert_eq!(err(vec![20e6; 2], 0.0), PlanningError::Headroom(0.0));
+        assert_eq!(err(vec![20e6; 2], -1.0), PlanningError::Headroom(-1.0));
+        assert!(matches!(err(vec![20e6; 2], f64::NAN), PlanningError::Headroom(h) if h.is_nan()));
+        assert_eq!(err(vec![20e6, 0.0], 1.0), PlanningError::Estimate(0.0));
+        assert_eq!(
+            err(vec![f64::INFINITY, 20e6], 1.0),
+            PlanningError::Estimate(f64::INFINITY)
+        );
+        assert_eq!(
+            sc().with_bonded_planning(5e5, 1.0).unwrap_err(),
+            PlanningError::NoBundles
+        );
     }
 
     #[test]
@@ -628,7 +705,8 @@ mod tests {
         let eff = trio().effective_rate_bps(BondPolicy::EarliestDelivery, frame_bits);
         let sc = Scenario::uniform(4, 2, 20e6, 5)
             .with_link_bundles(vec![trio(); 4], BondPolicy::EarliestDelivery)
-            .with_bonded_planning(frame_bits, 1.25);
+            .with_bonded_planning(frame_bits, 1.25)
+            .unwrap();
         assert_eq!(sc.bond_policy(), BondPolicy::EarliestDelivery);
         assert_eq!(sc.link_bundles().map(<[LinkBundle]>::len), Some(4));
         assert_eq!(sc.planning_uplinks(), &[eff / 1.25; 2]);
@@ -661,10 +739,12 @@ mod tests {
         let fast1 = sc
             .clone()
             .with_planning_uplinks(vec![1e6, 50e6], 1.0)
+            .unwrap()
             .schedule(&cfgs)
             .unwrap();
         let fast0 = sc
             .with_planning_uplinks(vec![50e6, 1e6], 1.0)
+            .unwrap()
             .schedule(&cfgs)
             .unwrap();
         let on =
@@ -682,6 +762,7 @@ mod tests {
         let optimistic = sc
             .clone()
             .with_planning_uplinks(vec![100e6; 3], 1.0)
+            .unwrap()
             .evaluate(&cfgs)
             .unwrap()
             .outcome;
