@@ -112,6 +112,8 @@ fn online_run_identical_under_noop_and_flight_recorders() {
     assert!(snap.metrics.counter("gp.prefix_solves") > 0);
     assert!(snap.metrics.counter("gp.factor_extensions") > 0);
     assert!(snap.metrics.counter("gp.tail_solves") > 0);
+    assert!(snap.metrics.counter("bo.mc_draws") > 0);
+    assert!(snap.metrics.counter("bo.clip_moments") > 0);
 }
 
 #[test]

@@ -141,6 +141,53 @@ pub fn norm_quantile(p: f64) -> f64 {
     x - u / (1.0 + x * u / 2.0)
 }
 
+/// Distance, in standard deviations, beyond which a clip bound leaves a
+/// normal's mean and variance unchanged to double precision
+/// (`Phi(-8) ≈ 6e-16`).
+pub const CLIP_FAR_SDS: f64 = 8.0;
+
+/// Whether clipping `N(mu, sd²)` to `[lo, hi]` is a no-op to double
+/// precision: `sd > 0` and both bounds more than [`CLIP_FAR_SDS`]
+/// standard deviations from the mean. Infinite bounds are always far.
+#[inline]
+pub fn clip_is_far(mu: f64, sd: f64, lo: f64, hi: f64) -> bool {
+    sd > 0.0 && (mu - lo) > CLIP_FAR_SDS * sd && (hi - mu) > CLIP_FAR_SDS * sd
+}
+
+/// Mean and variance of `clamp(X, lo, hi)` for `X ~ N(mu, sd²)`, with
+/// `lo < hi` (either may be infinite).
+///
+/// Returns `(mu, sd²)` unchanged when [`clip_is_far`] holds, the
+/// clamped point mass when `sd = 0` or the mean lies more than
+/// [`CLIP_FAR_SDS`] standard deviations outside a bound, and otherwise
+/// the closed form over the standardized bounds `a = (lo-mu)/sd`,
+/// `b = (hi-mu)/sd` with `W = clamp(Z, a, b)`:
+/// `E[W] = a·Phi(a) + b·Phi(-b) + phi(a) - phi(b)` and
+/// `E[W²] = a²·Phi(a) + b²·Phi(-b) + Phi(b) - Phi(a) + a·phi(a) - b·phi(b)`,
+/// so the mean is `mu + sd·E[W]` and the variance `sd²·Var[W]`.
+pub fn clipped_moments(mu: f64, sd: f64, lo: f64, hi: f64) -> (f64, f64) {
+    if clip_is_far(mu, sd, lo, hi) {
+        return (mu, sd * sd);
+    }
+    if sd <= 0.0 || lo - mu > CLIP_FAR_SDS * sd || mu - hi > CLIP_FAR_SDS * sd {
+        return (mu.clamp(lo, hi), 0.0);
+    }
+    // Tail mass, density and the bound-weighted terms of one side; an
+    // infinite bound contributes nothing (avoiding `inf · 0`).
+    let side = |bound: f64, sign: f64| -> (f64, f64, f64) {
+        if bound.is_infinite() {
+            return (0.0, 0.0, 0.0);
+        }
+        let z = (bound - mu) / sd;
+        (norm_cdf(sign * z), norm_pdf(z), z)
+    };
+    let (p_lo, pdf_a, a) = side(lo, 1.0);
+    let (p_hi, pdf_b, b) = side(hi, -1.0);
+    let m1 = a * p_lo + b * p_hi + pdf_a - pdf_b;
+    let m2 = a * a * p_lo + b * b * p_hi + (1.0 - p_lo - p_hi) + a * pdf_a - b * pdf_b;
+    (mu + sd * m1, sd * sd * (m2 - m1 * m1).max(0.0))
+}
+
 /// Ratio `phi(x) / Phi(x)` — the "inverse Mills ratio" appearing in the
 /// probit Laplace-approximation derivatives. Stable in the left tail.
 pub fn mills_ratio_inv(x: f64) -> f64 {
@@ -246,6 +293,83 @@ mod tests {
         let a = log_norm_cdf(-10.0 - 1e-9);
         let b = log_norm_cdf(-10.0 + 1e-9);
         assert!((a - b).abs() < 1e-4);
+    }
+
+    #[test]
+    fn clipped_moments_of_a_point_mass_clamp_the_mean() {
+        assert_eq!(clipped_moments(0.4, 0.0, 0.0, 1.0), (0.4, 0.0));
+        assert_eq!(clipped_moments(1.3, 0.0, 0.0, 1.0), (1.0, 0.0));
+        assert_eq!(clipped_moments(-2.0, 0.0, 0.0, f64::INFINITY), (0.0, 0.0));
+        // A mean far outside a bound is a point mass at the bound.
+        assert_eq!(clipped_moments(-1.0, 0.1, 0.0, f64::INFINITY), (0.0, 0.0));
+    }
+
+    #[test]
+    fn clipped_moments_far_from_the_bounds_are_the_input() {
+        for (mu, sd, lo, hi) in [
+            (0.5, 0.05, 0.0, 1.0),
+            (3.0e6, 1.0e5, 0.0, f64::INFINITY),
+            (-7.0, 1.0, f64::NEG_INFINITY, f64::INFINITY),
+        ] {
+            assert!(clip_is_far(mu, sd, lo, hi));
+            let (m, v) = clipped_moments(mu, sd, lo, hi);
+            assert_eq!(m.to_bits(), mu.to_bits());
+            assert_eq!(v.to_bits(), (sd * sd).to_bits());
+        }
+        assert!(!clip_is_far(0.5, 0.0, 0.0, 1.0), "sd = 0 is never far");
+        assert!(!clip_is_far(0.5, 0.07, 0.0, 1.0));
+    }
+
+    #[test]
+    fn clipped_moments_match_closed_forms() {
+        // Tolerances follow the ~1.2e-7 relative accuracy of `erfc`.
+        // One-sided at the mean: E[max(Z, 0)] = phi(0), E[max(Z, 0)²] = 1/2.
+        let (m, v) = clipped_moments(0.0, 1.0, 0.0, f64::INFINITY);
+        let phi0 = norm_pdf(0.0);
+        assert!((m - phi0).abs() < 1e-6);
+        assert!((v - (0.5 - phi0 * phi0)).abs() < 1e-6);
+        // Mirror image: an upper bound at the mean.
+        let (m, v2) = clipped_moments(0.0, 1.0, f64::NEG_INFINITY, 0.0);
+        assert!((m + phi0).abs() < 1e-6);
+        assert!((v2 - v).abs() < 1e-9);
+        // Symmetric two-sided clip keeps the mean and shrinks the variance.
+        let (m, v) = clipped_moments(2.0, 0.5, 1.5, 2.5);
+        assert!((m - 2.0).abs() < 1e-6);
+        assert!(v < 0.25 && v > 0.0);
+        // Scale and shift equivariance.
+        let (ma, va) = clipped_moments(0.3, 1.0, 0.0, 1.0);
+        let (mb, vb) = clipped_moments(3.0, 10.0, 0.0, 10.0);
+        assert!((mb - 10.0 * ma).abs() < 1e-9);
+        assert!((vb - 100.0 * va).abs() < 1e-7);
+    }
+
+    #[test]
+    fn clipped_moments_agree_with_monte_carlo() {
+        use crate::rng::{seeded, standard_normal};
+        let n = 100_000;
+        let mut rng = seeded(5);
+        let z: Vec<f64> = (0..n).map(|_| standard_normal(&mut rng)).collect();
+        for (mu, sd, lo, hi) in [
+            (0.1, 0.2, 0.0, f64::INFINITY),
+            (0.95, 0.1, 0.0, 1.0),
+            (0.5, 0.4, 0.0, 1.0),
+            (-0.3, 1.0, 0.0, f64::INFINITY),
+            (1.0, 2.0, f64::NEG_INFINITY, 0.5),
+        ] {
+            let xs: Vec<f64> = z.iter().map(|z| (mu + sd * z).clamp(lo, hi)).collect();
+            let mean = xs.iter().sum::<f64>() / n as f64;
+            let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1) as f64;
+            let m4 = xs.iter().map(|x| (x - mean).powi(4)).sum::<f64>() / n as f64;
+            let (m, v) = clipped_moments(mu, sd, lo, hi);
+            // Within five standard errors of the sample mean and variance.
+            let se_mean = (var / n as f64).sqrt();
+            let se_var = ((m4 - var * var) / n as f64).sqrt();
+            assert!(
+                (mean - m).abs() < 5.0 * se_mean,
+                "mean {mean} vs {m} at {mu}"
+            );
+            assert!((var - v).abs() < 5.0 * se_var, "var {var} vs {v} at {mu}");
+        }
     }
 
     #[test]

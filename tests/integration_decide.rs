@@ -6,10 +6,12 @@
 //! that bank (conditioning, batched posteriors, the design-row solves
 //! shared across cameras, the factors shared by cameras with one
 //! observation history) moves the pinned posteriors, the BO loop's
-//! choices, or the decided configurations.
+//! choices, or the decided configurations. The same seeded decides must
+//! also come out bit-identical with a flight recorder attached:
+//! telemetry is observationally free.
 
 use pamo::core::{OutcomeModelBank, PamoConfig, PreferenceSource, ProfilingDesign};
-use pamo::obs::NoopRecorder;
+use pamo::obs::{FlightRecorder, NoopRecorder, Recorder};
 use pamo::prelude::*;
 use pamo::stats::rng::seeded;
 use pamo::workload::{Profiler, N_OBJECTIVES};
@@ -72,6 +74,44 @@ fn shared_design_decide_is_bit_pinned() {
         hash, PINNED_DECIDE_HASH,
         "BO choices or decided configs drifted"
     );
+}
+
+/// Bits of the cold and warm-started decides' `true_benefit`, BO
+/// observations and per-camera configs, decided under `rec`.
+fn decide_bits(rec: &dyn Recorder) -> Vec<u64> {
+    let scenario = scenario();
+    let pref = TruePreference::uniform(&scenario);
+    let pamo = Pamo::new(cfg());
+    let mut rng = seeded(23);
+    let mut bits = Vec::new();
+    for _ in 0..2 {
+        let d = pamo
+            .decide_surviving_recorded(&scenario, &pref, None, &mut rng, rec)
+            .unwrap();
+        bits.push(d.true_benefit.to_bits());
+        for (x, y) in &d.bo.observations {
+            bits.push(y.to_bits());
+            bits.extend(x.iter().map(|v| v.to_bits()));
+        }
+        for c in &d.configs {
+            bits.extend([c.resolution.to_bits(), c.fps.to_bits()]);
+        }
+    }
+    bits
+}
+
+#[test]
+fn telemetry_is_observationally_free() {
+    let flight = FlightRecorder::new();
+    assert_eq!(
+        decide_bits(&NoopRecorder),
+        decide_bits(&flight),
+        "a flight recorder changed the decides"
+    );
+    // The traced run really recorded the sample assembly.
+    let metrics = flight.snapshot().metrics;
+    assert!(metrics.counter("bo.mc_draws") > 0);
+    assert!(metrics.counter("gp.posterior_queries") > 0);
 }
 
 #[test]
