@@ -10,9 +10,11 @@
 //! JCAB, FACT and the BO sampler consume as the camera's Eq. 5 `B`.
 //!
 //! A [`BundleSim`] is the *materialization*: per-member traces, per-link
-//! BBR-style estimators feeding the striping scheduler's beliefs, and a
-//! receiver [`ReorderBuffer`] converting per-packet arrivals into the
-//! in-order frame delivery instant the DES charges. Scheduling runs on
+//! BBR-style estimators feeding the striping scheduler's beliefs, and an
+//! in-order receiver (the [`ReorderBuffer`](crate::ReorderBuffer)
+//! semantics, computed by merging the per-member arrival lists)
+//! converting per-packet arrivals into the in-order frame delivery
+//! instant the DES charges. Scheduling runs on
 //! believed rates, physics on the true trace rates — the same
 //! belief/truth split the rest of the system observes.
 //!
@@ -23,7 +25,6 @@
 use eva_net::{LinkEstimator, LinkModel, LinkTrace, MaxFilterEstimator};
 use eva_sched::Ticks;
 
-use crate::reorder::ReorderBuffer;
 use crate::sched::{BondPolicy, BondScheduler, LinkSnapshot};
 
 /// Default packet quantum: 1500-byte MTU = 12 kbit.
@@ -238,6 +239,7 @@ impl LinkBundle {
             packets: 0,
             hol_wait_s_total: 0.0,
             max_reorder_depth: 0,
+            scratch: Scratch::default(),
         }
     }
 }
@@ -281,6 +283,112 @@ pub struct FrameDelivery {
     pub max_reorder_depth: usize,
 }
 
+/// Per-frame buffers of [`BundleSim`]'s striping path, kept across
+/// frames so striping allocates nothing but the returned
+/// [`FrameDelivery::per_link_bits`].
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// True trace rate of each member at the frame's capture time.
+    true_rates: Vec<f64>,
+    /// What the scheduler sees of each member.
+    snaps: Vec<LinkSnapshot>,
+    /// Arrival time of each packet, indexed by sequence number.
+    arrival: Vec<f64>,
+    /// The sequence numbers each member carried, in send order.
+    by_link: Vec<Vec<usize>>,
+    /// Merge position in each member's `by_link` list.
+    cursor: Vec<usize>,
+    /// Whether each sequence number has reached the receiver.
+    arrived: Vec<bool>,
+}
+
+/// What the receiver measured for one frame.
+struct Received {
+    delay_s: f64,
+    hol_wait_s: f64,
+    max_depth: usize,
+}
+
+impl Scratch {
+    /// Reset for a frame of `n_pkts` packets captured at `t`.
+    fn start_frame(&mut self, members: &[MemberState], t: Ticks, n_pkts: usize) {
+        self.true_rates.clear();
+        self.true_rates
+            .extend(members.iter().map(|m| m.trace.rate_at(t)));
+        self.snaps.clear();
+        self.snaps.extend(members.iter().map(|m| LinkSnapshot {
+            rate_bps: m.believed_bps(),
+            queued_bits: 0.0,
+            rtt_s: m.rtt_s,
+        }));
+        self.arrival.clear();
+        self.by_link.resize_with(members.len(), Vec::new);
+        self.by_link.iter_mut().for_each(Vec::clear);
+        self.cursor.clear();
+        self.cursor.resize(members.len(), 0);
+        self.arrived.clear();
+        self.arrived.resize(n_pkts, false);
+    }
+
+    /// Feed the striped packets to an in-order receiver.
+    ///
+    /// A member's arrivals never decrease along its sequence list (its
+    /// cumulative bits only grow), so merging the per-member lists
+    /// yields the packets in `(arrival, seq)` order without a sort.
+    /// Released packets accumulate their HoL wait in sequence order,
+    /// exactly as a [`crate::ReorderBuffer`] reports them, and the depth
+    /// is arrived-but-unreleased packets after each arrival.
+    fn receive(&mut self) -> Received {
+        let mut rx = Received {
+            delay_s: 0.0,
+            hol_wait_s: 0.0,
+            max_depth: 0,
+        };
+        let mut released = 0;
+        for n_arrived in 1..=self.arrival.len() {
+            // The member whose next packet lands first (lower sequence
+            // number on a tie).
+            let mut next: Option<(usize, usize)> = None;
+            for (l, seqs) in self.by_link.iter().enumerate() {
+                let Some(&seq) = seqs.get(self.cursor[l]) else {
+                    continue;
+                };
+                let earlier = next.is_none_or(|(_, best)| {
+                    self.arrival[seq]
+                        .total_cmp(&self.arrival[best])
+                        .then(seq.cmp(&best))
+                        .is_lt()
+                });
+                if earlier {
+                    next = Some((l, seq));
+                }
+            }
+            let Some((l, seq)) = next else { break };
+            debug_assert!(
+                self.by_link[l]
+                    .get(self.cursor[l] + 1)
+                    .is_none_or(|&after| self.arrival[after] >= self.arrival[seq]),
+                "member arrivals must be non-decreasing"
+            );
+            self.cursor[l] += 1;
+            self.arrived[seq] = true;
+            rx.max_depth = rx.max_depth.max(n_arrived - released);
+            // Only the packet the receiver waits for can release a run,
+            // and the whole run releases at its arrival instant.
+            if seq == released {
+                let now = self.arrival[seq];
+                while self.arrived.get(released) == Some(&true) {
+                    rx.hol_wait_s += now - self.arrival[released];
+                    released += 1;
+                }
+                rx.delay_s = rx.delay_s.max(now);
+            }
+        }
+        debug_assert_eq!(released, self.arrival.len(), "receiver drained");
+        rx
+    }
+}
+
 /// A stateful bonded-uplink simulator for one camera: true per-member
 /// traces drive physics, per-member estimators drive the scheduler's
 /// beliefs, and a reorder buffer produces the in-order delivery time.
@@ -293,6 +401,7 @@ pub struct BundleSim {
     packets: u64,
     hol_wait_s_total: f64,
     max_reorder_depth: usize,
+    scratch: Scratch,
 }
 
 impl std::fmt::Debug for BundleSim {
@@ -346,73 +455,55 @@ impl BundleSim {
     fn striped_delivery(&mut self, t: Ticks, bits: f64) -> FrameDelivery {
         let n = self.members.len();
         let n_pkts = (bits / self.packet_bits).ceil().max(1.0) as u64;
-        let true_rates: Vec<f64> = self.members.iter().map(|m| m.trace.rate_at(t)).collect();
-        let mut snaps: Vec<LinkSnapshot> = self
-            .members
-            .iter()
-            .map(|m| LinkSnapshot {
-                rate_bps: m.believed_bps(),
-                queued_bits: 0.0,
-                rtt_s: m.rtt_s,
-            })
-            .collect();
+        let sc = &mut self.scratch;
+        sc.start_frame(&self.members, t, n_pkts as usize);
 
         // Stripe: the scheduler sees believed rates and this frame's
         // queue build-up; each packet's true arrival is its link-local
         // cumulative serialization (on the true rate) plus one-way
         // delay.
         let mut per_link_bits = vec![0.0_f64; n];
-        let mut arrivals: Vec<(f64, u64)> = Vec::with_capacity(n_pkts as usize);
         let mut remaining = bits;
-        for seq in 0..n_pkts {
+        for seq in 0..n_pkts as usize {
             let pkt = remaining.min(self.packet_bits);
             remaining -= pkt;
-            let idx = self.scheduler.pick(pkt, &snaps);
+            let idx = self.scheduler.pick(pkt, &sc.snaps);
             debug_assert!(idx < n, "scheduler returned out-of-range link");
             let idx = idx.min(n - 1);
-            snaps[idx].queued_bits += pkt;
+            sc.snaps[idx].queued_bits += pkt;
             per_link_bits[idx] += pkt;
-            let arrival = per_link_bits[idx] / true_rates[idx] + self.members[idx].rtt_s * 0.5;
-            arrivals.push((arrival, seq));
+            let arrival = per_link_bits[idx] / sc.true_rates[idx] + self.members[idx].rtt_s * 0.5;
+            sc.arrival.push(arrival);
+            sc.by_link[idx].push(seq);
             self.members[idx].delivered_packets += 1;
         }
 
-        // Receiver: feed the reorder buffer in arrival order (sequence
-        // breaks exact ties so the feed is deterministic).
-        arrivals.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let mut rb = ReorderBuffer::new();
-        let mut delay_s = 0.0_f64;
-        let mut hol_wait_s = 0.0_f64;
-        for &(arrival, seq) in &arrivals {
-            for rel in rb.push(seq, arrival) {
-                hol_wait_s += rel.release_s - rel.arrival_s;
-                delay_s = delay_s.max(rel.release_s);
-            }
-        }
-        debug_assert_eq!(rb.pending(), 0, "reorder buffer drained");
+        // Receiver: packets reach it in `(arrival, seq)` order and are
+        // released in sequence order.
+        let rx = sc.receive();
 
         // Book-keeping and estimator feedback: each used member saw
         // `per_link_bits` delivered over its true serialization time.
         let mut serialization_s = 0.0_f64;
         for (i, m) in self.members.iter_mut().enumerate() {
             if per_link_bits[i] > 0.0 {
-                let ser = per_link_bits[i] / true_rates[i];
+                let ser = per_link_bits[i] / sc.true_rates[i];
                 serialization_s = serialization_s.max(ser);
                 m.estimator.observe(per_link_bits[i] / 8.0, ser);
                 m.delivered_bits += per_link_bits[i];
             }
         }
         self.packets += n_pkts;
-        self.hol_wait_s_total += hol_wait_s;
-        self.max_reorder_depth = self.max_reorder_depth.max(rb.max_depth());
+        self.hol_wait_s_total += rx.hol_wait_s;
+        self.max_reorder_depth = self.max_reorder_depth.max(rx.max_depth);
 
         FrameDelivery {
-            delay_s,
+            delay_s: rx.delay_s,
             serialization_s,
             per_link_bits,
             packets: n_pkts,
-            hol_wait_s,
-            max_reorder_depth: rb.max_depth(),
+            hol_wait_s: rx.hol_wait_s,
+            max_reorder_depth: rx.max_depth,
         }
     }
 
@@ -466,7 +557,9 @@ impl BundleSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reorder::ReorderBuffer;
     use eva_sched::TICKS_PER_SEC;
+    use proptest::prelude::*;
 
     const HORIZON: Ticks = 60 * TICKS_PER_SEC;
 
@@ -477,6 +570,165 @@ mod tests {
             BondedLink::new(LinkModel::constant(8e6), 0.080),
             BondedLink::new(LinkModel::constant(5e6), 0.200),
         ])
+    }
+
+    /// The striping path as it was before the merge-based receiver:
+    /// fresh buffers per frame, arrivals sorted by `(arrival, seq)` and
+    /// fed through a [`ReorderBuffer`]. Mutates `sim` the same way
+    /// [`BundleSim::frame_delivery`] does for a multi-member bundle.
+    fn reference_delivery(sim: &mut BundleSim, t: Ticks, bits: f64) -> FrameDelivery {
+        sim.frames += 1;
+        let n = sim.members.len();
+        let n_pkts = (bits / sim.packet_bits).ceil().max(1.0) as u64;
+        let true_rates: Vec<f64> = sim.members.iter().map(|m| m.trace.rate_at(t)).collect();
+        let mut snaps: Vec<LinkSnapshot> = sim
+            .members
+            .iter()
+            .map(|m| LinkSnapshot {
+                rate_bps: m.believed_bps(),
+                queued_bits: 0.0,
+                rtt_s: m.rtt_s,
+            })
+            .collect();
+        let mut per_link_bits = vec![0.0_f64; n];
+        let mut arrivals: Vec<(f64, u64)> = Vec::with_capacity(n_pkts as usize);
+        let mut remaining = bits;
+        for seq in 0..n_pkts {
+            let pkt = remaining.min(sim.packet_bits);
+            remaining -= pkt;
+            let idx = sim.scheduler.pick(pkt, &snaps).min(n - 1);
+            snaps[idx].queued_bits += pkt;
+            per_link_bits[idx] += pkt;
+            let arrival = per_link_bits[idx] / true_rates[idx] + sim.members[idx].rtt_s * 0.5;
+            arrivals.push((arrival, seq));
+            sim.members[idx].delivered_packets += 1;
+        }
+        arrivals.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let mut rb = ReorderBuffer::new();
+        let mut delay_s = 0.0_f64;
+        let mut hol_wait_s = 0.0_f64;
+        for &(arrival, seq) in &arrivals {
+            for rel in rb.push(seq, arrival) {
+                hol_wait_s += rel.release_s - rel.arrival_s;
+                delay_s = delay_s.max(rel.release_s);
+            }
+        }
+        assert_eq!(rb.pending(), 0, "reorder buffer drained");
+        let mut serialization_s = 0.0_f64;
+        for (i, m) in sim.members.iter_mut().enumerate() {
+            if per_link_bits[i] > 0.0 {
+                let ser = per_link_bits[i] / true_rates[i];
+                serialization_s = serialization_s.max(ser);
+                m.estimator.observe(per_link_bits[i] / 8.0, ser);
+                m.delivered_bits += per_link_bits[i];
+            }
+        }
+        sim.packets += n_pkts;
+        sim.hol_wait_s_total += hol_wait_s;
+        sim.max_reorder_depth = sim.max_reorder_depth.max(rb.max_depth());
+        FrameDelivery {
+            delay_s,
+            serialization_s,
+            per_link_bits,
+            packets: n_pkts,
+            hol_wait_s,
+            max_reorder_depth: rb.max_depth(),
+        }
+    }
+
+    fn bits_of(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn assert_same_delivery(a: &FrameDelivery, b: &FrameDelivery, frame: usize) {
+        assert_eq!(
+            a.delay_s.to_bits(),
+            b.delay_s.to_bits(),
+            "frame {frame}: delay"
+        );
+        assert_eq!(
+            a.serialization_s.to_bits(),
+            b.serialization_s.to_bits(),
+            "frame {frame}: serialization"
+        );
+        assert_eq!(
+            bits_of(&a.per_link_bits),
+            bits_of(&b.per_link_bits),
+            "frame {frame}: per-link bits"
+        );
+        assert_eq!(a.packets, b.packets, "frame {frame}: packets");
+        assert_eq!(
+            a.hol_wait_s.to_bits(),
+            b.hol_wait_s.to_bits(),
+            "frame {frame}: HoL wait"
+        );
+        assert_eq!(
+            a.max_reorder_depth, b.max_reorder_depth,
+            "frame {frame}: reorder depth"
+        );
+    }
+
+    fn assert_same_state(a: &BundleSim, b: &BundleSim) {
+        assert_eq!(a.frames(), b.frames());
+        assert_eq!(a.packets(), b.packets());
+        assert_eq!(
+            a.hol_wait_s_total().to_bits(),
+            b.hol_wait_s_total().to_bits()
+        );
+        assert_eq!(a.max_reorder_depth(), b.max_reorder_depth());
+        assert_eq!(bits_of(&a.delivered_bits()), bits_of(&b.delivered_bits()));
+        assert_eq!(a.delivered_packets(), b.delivered_packets());
+        assert_eq!(
+            bits_of(&a.believed_rates_bps()),
+            bits_of(&b.believed_rates_bps())
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The merge-based receiver reproduces the sorted
+        /// `ReorderBuffer` feed bit for bit, frame after frame, with the
+        /// estimator and scheduler state carried along: 2–6 members,
+        /// constant or Markov rates, all three policies, and 1–200
+        /// packet frames. `tied == 0` gives every member the first one's
+        /// constant rate and RTT, so arrivals on different members tie
+        /// exactly.
+        #[test]
+        fn merge_receiver_matches_reorder_buffer(
+            members in prop::collection::vec((1e5f64..5e7, 0.0f64..0.3, 0u64..1000), 2..=6),
+            tied in 0usize..3,
+            policy in 0usize..3,
+            frames in prop::collection::vec((0u64..50 * TICKS_PER_SEC, 1u64..=200, 0.0f64..1.0), 1..24),
+        ) {
+            let links: Vec<BondedLink> = members
+                .iter()
+                .map(|&(rate, rtt, seed)| match tied {
+                    0 => BondedLink::new(LinkModel::constant(members[0].0), members[0].1),
+                    _ if seed % 2 == 0 => BondedLink::new(LinkModel::constant(rate), rtt),
+                    _ => BondedLink::new(
+                        LinkModel::gilbert_elliott(rate, rate / 3.0, 2.0, 1.0, seed),
+                        rtt,
+                    ),
+                })
+                .collect();
+            let policy = [
+                BondPolicy::RoundRobin,
+                BondPolicy::RateWeighted,
+                BondPolicy::EarliestDelivery,
+            ][policy];
+            let bundle = LinkBundle::new(links);
+            let mut fast = bundle.simulator(HORIZON, policy);
+            let mut reference = bundle.simulator(HORIZON, policy);
+            for (k, &(t, n_pkts, frac)) in frames.iter().enumerate() {
+                // `frac == 0` makes the frame a whole number of packets.
+                let bits = (n_pkts as f64 - frac) * bundle.packet_bits();
+                let got = fast.frame_delivery(t, bits);
+                let want = reference_delivery(&mut reference, t, bits);
+                assert_same_delivery(&got, &want, k);
+                assert_same_state(&fast, &reference);
+            }
+        }
     }
 
     #[test]

@@ -20,9 +20,11 @@
 //!   packet from *believed* rates (per-link BBR-style estimators),
 //!   queue depths and RTTs,
 //! * [`BundleSim`] / [`ReorderBuffer`] — the materialization the DES
-//!   drives: true traces carry the packets, the reorder buffer charges
-//!   HoL blocking, and [`FrameDelivery`] reports the in-order frame
-//!   delivery time plus per-link accounting.
+//!   drives: true traces carry the packets, the in-order receiver
+//!   charges HoL blocking, and [`FrameDelivery`] reports the in-order
+//!   frame delivery time plus per-link accounting. [`ReorderBuffer`] is
+//!   the receiver's reference model; `BundleSim` computes the same
+//!   releases by merging its per-member arrival lists.
 //!
 //! A single-member zero-RTT bundle is bit-identical to the unbonded
 //! single-trace path (property-tested in `eva-sim`), so bundles are a

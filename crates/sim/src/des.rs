@@ -10,7 +10,7 @@ use eva_obs::{span, NoopRecorder, Phase, Recorder};
 use eva_sched::{StreamId, Ticks, TICKS_PER_SEC};
 use eva_stats::RunningStats;
 
-use crate::event::{Event, EventQueue};
+use crate::event::{ArrivalList, Event, EventQueue};
 use crate::fault::{plan_stream_deliveries, service_end, SimFaults};
 
 /// Per-stream uplink binding for the time-varying-link engine: the
@@ -142,6 +142,23 @@ struct ServerState {
     busy_ticks: Ticks,
 }
 
+/// How frames reach the servers: the engine's one uplink selector.
+/// Faults ride only on fixed or traced links, never on bundles.
+enum Uplinks<'a> {
+    /// The fixed per-stream `trans` pipeline delay.
+    Fixed,
+    /// Per-stream time-varying link traces.
+    Links(&'a [StreamLink]),
+    /// Per-stream bonded bundles, striped frame by frame.
+    Bundles(&'a mut [StreamBundle]),
+    /// Planned fault-shaped deliveries over fixed (`None`) or traced
+    /// links, with crash/straggler service on the servers.
+    Faulted {
+        links: Option<&'a [StreamLink]>,
+        faults: &'a SimFaults,
+    },
+}
+
 /// Run the simulation.
 ///
 /// The engine is a classic event-driven loop: `FrameArrival` events
@@ -149,7 +166,7 @@ struct ServerState {
 /// immediately and self-schedule a `ServerDone`. FIFO order plus
 /// deterministic tie-breaking makes runs exactly replayable.
 pub fn simulate(streams: &[SimStream], n_servers: usize, cfg: &SimConfig) -> SimReport {
-    simulate_inner(streams, None, None, None, n_servers, cfg, &NoopRecorder)
+    simulate_inner(streams, Uplinks::Fixed, n_servers, cfg, &NoopRecorder)
 }
 
 /// [`simulate`] with telemetry: the run executes under a [`Phase::Des`]
@@ -162,7 +179,7 @@ pub fn simulate_recorded(
     cfg: &SimConfig,
     rec: &dyn Recorder,
 ) -> SimReport {
-    simulate_inner(streams, None, None, None, n_servers, cfg, rec)
+    simulate_inner(streams, Uplinks::Fixed, n_servers, cfg, rec)
 }
 
 /// Run the simulation with per-stream *time-varying* uplinks: frame
@@ -178,20 +195,7 @@ pub fn simulate_with_links(
     n_servers: usize,
     cfg: &SimConfig,
 ) -> SimReport {
-    assert_eq!(
-        streams.len(),
-        links.len(),
-        "simulate_with_links: one link per stream"
-    );
-    simulate_inner(
-        streams,
-        Some(links),
-        None,
-        None,
-        n_servers,
-        cfg,
-        &NoopRecorder,
-    )
+    simulate_with_links_recorded(streams, links, n_servers, cfg, &NoopRecorder)
 }
 
 /// Run the simulation with per-stream *bonded multipath* uplinks: frame
@@ -230,7 +234,7 @@ pub fn simulate_with_bundles_recorded(
         bundles.len(),
         "simulate_with_bundles: one bundle per stream"
     );
-    simulate_inner(streams, None, Some(bundles), None, n_servers, cfg, rec)
+    simulate_inner(streams, Uplinks::Bundles(bundles), n_servers, cfg, rec)
 }
 
 /// [`simulate_with_links`] with telemetry (see [`simulate_recorded`]).
@@ -246,7 +250,7 @@ pub fn simulate_with_links_recorded(
         links.len(),
         "simulate_with_links: one link per stream"
     );
-    simulate_inner(streams, Some(links), None, None, n_servers, cfg, rec)
+    simulate_inner(streams, Uplinks::Links(links), n_servers, cfg, rec)
 }
 
 /// Run the simulation under a materialized fault schedule: camera
@@ -287,7 +291,8 @@ pub fn simulate_faulted_recorded(
         );
     }
     if faults.is_inert() {
-        return simulate_inner(streams, links, None, None, n_servers, cfg, rec);
+        let uplinks = links.map_or(Uplinks::Fixed, Uplinks::Links);
+        return simulate_inner(streams, uplinks, n_servers, cfg, rec);
     }
     assert!(
         faults.server_up.len() >= n_servers && faults.server_slow.len() >= n_servers,
@@ -299,15 +304,26 @@ pub fn simulate_faulted_recorded(
             .all(|s| s.id.source < faults.camera_up.len() && s.id.source < faults.loss.len()),
         "simulate_faulted: missing camera fault traces"
     );
-    simulate_inner(streams, links, None, Some(faults), n_servers, cfg, rec)
+    simulate_inner(
+        streams,
+        Uplinks::Faulted { links, faults },
+        n_servers,
+        cfg,
+        rec,
+    )
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Frame slots `phase + k·period` of `s` inside the horizon.
+fn slots_in_horizon(s: &SimStream, cfg: &SimConfig) -> usize {
+    match cfg.horizon.checked_sub(s.phase) {
+        Some(span) if span > 0 => ((span - 1) / s.period + 1) as usize,
+        _ => 0,
+    }
+}
+
 fn simulate_inner(
     streams: &[SimStream],
-    links: Option<&[StreamLink]>,
-    bundles: Option<&mut [StreamBundle]>,
-    faults: Option<&SimFaults>,
+    uplinks: Uplinks<'_>,
     n_servers: usize,
     cfg: &SimConfig,
     rec: &dyn Recorder,
@@ -322,7 +338,8 @@ fn simulate_inner(
         "simulate: degenerate stream timing"
     );
 
-    let mut queue = EventQueue::new();
+    let mut arrivals =
+        ArrivalList::with_capacity(streams.iter().map(|s| slots_in_horizon(s, cfg)).sum());
     let mut drop_counts = vec![0u64; streams.len()];
     // Hot-loop telemetry accumulates in locals and is emitted once at
     // the end: no recorder dispatch inside the event loop.
@@ -335,110 +352,36 @@ fn simulate_inner(
     // realized transmission time and the nominal one, while capture
     // stays anchored to the slot. Slow links can reorder arrivals of
     // consecutive frames' slots; the FIFO server queue absorbs that.
-    match (faults, bundles) {
-        (None, Some(bundles)) => {
-            // Bonded path: stripe each frame across its bundle at
-            // capture time. Frames are seeded in capture order per
-            // stream, so the bundle's estimator/scheduler state evolves
-            // exactly as a live sender's would.
-            let _stripe_span = span(rec, Phase::BondStripe);
-            let mut bond_frames = 0u64;
-            let mut bond_packets = 0u64;
-            let mut bond_hol_s = 0.0f64;
-            let mut bond_depth = 0usize;
-            for (i, s) in streams.iter().enumerate() {
-                let b = &mut bundles[i];
-                let mut k: Ticks = 0;
-                loop {
-                    let slot = s.phase + k * s.period;
-                    if slot >= cfg.horizon {
-                        break;
-                    }
-                    let gen_time = slot.saturating_sub(s.trans);
-                    let fd = b.sim.frame_delivery(gen_time, b.bits_per_frame);
-                    let d = secs_to_ticks(fd.delay_s);
-                    let arrival = (slot + d).saturating_sub(s.trans);
-                    bond_frames += 1;
-                    bond_packets += fd.packets;
-                    bond_hol_s += fd.hol_wait_s;
-                    bond_depth = bond_depth.max(fd.max_reorder_depth);
-                    queue.push(
-                        arrival,
-                        Event::FrameArrival {
-                            stream: i,
-                            gen_time,
-                        },
-                    );
-                    k += 1;
-                }
-            }
-            if rec.enabled() {
-                rec.add("bond.frames", bond_frames);
-                rec.add("bond.packets", bond_packets);
-                rec.observe("bond.hol_wait_s", bond_hol_s);
-                rec.observe("bond.max_reorder_depth", bond_depth as f64);
-            }
+    let faults = match uplinks {
+        Uplinks::Fixed => {
+            seed_linked(streams, None, cfg, &mut arrivals);
+            None
         }
-        (None, None) => {
-            for (i, s) in streams.iter().enumerate() {
-                let mut k: Ticks = 0;
-                loop {
-                    let slot = s.phase + k * s.period;
-                    if slot >= cfg.horizon {
-                        break;
-                    }
-                    // Capture time; saturates at 0 for the first frames
-                    // whose transmission would have started before t = 0.
-                    let gen_time = slot.saturating_sub(s.trans);
-                    let arrival = match links.map(|ls| &ls[i]) {
-                        None => slot,
-                        Some(link) => {
-                            let d =
-                                secs_to_ticks(link.bits_per_frame / link.trace.rate_at(gen_time));
-                            (slot + d).saturating_sub(s.trans)
-                        }
-                    };
-                    queue.push(
-                        arrival,
-                        Event::FrameArrival {
-                            stream: i,
-                            gen_time,
-                        },
-                    );
-                    k += 1;
-                }
-            }
+        Uplinks::Links(links) => {
+            seed_linked(streams, Some(links), cfg, &mut arrivals);
+            None
         }
-        (Some(_), Some(_)) => {
-            // The fault planner reasons about single-trace retries;
-            // bundle-level faults are modeled at the belief layer
-            // (degrade one member via `LinkBundle::scaled_link`) rather
-            // than in the DES retry machinery.
-            panic!("simulate: faults and bundles cannot be combined (degrade a bundle member via LinkBundle::scaled_link instead)");
+        Uplinks::Bundles(bundles) => {
+            seed_bonded(streams, bundles, cfg, rec, &mut arrivals);
+            None
         }
-        (Some(f), None) => {
-            // Faulted path: frame fates (camera dropout, loss, retry,
-            // deadline give-up) are planned up front, deterministically.
+        Uplinks::Faulted { links, faults } => {
+            // Frame fates (camera dropout, loss, retry, deadline
+            // give-up) are planned up front, deterministically.
             for (i, s) in streams.iter().enumerate() {
                 let planned = plan_stream_deliveries(
                     i,
                     s,
                     links.map(|ls| &ls[i]),
-                    &f.camera_up[s.id.source],
-                    &f.loss[s.id.source],
-                    &f.retry,
+                    &faults.camera_up[s.id.source],
+                    &faults.loss[s.id.source],
+                    &faults.retry,
                     cfg,
                 );
                 for pf in planned {
                     n_retries += u64::from(pf.attempts.saturating_sub(1));
                     match pf.arrival {
-                        Some(t) => queue.push(
-                            t,
-                            Event::FrameArrival {
-                                stream: i,
-                                gen_time: pf.gen_time,
-                            },
-                        ),
+                        Some(t) => arrivals.push(t, i, pf.gen_time),
                         // Eligibility mirrors the completion path: keyed
                         // to the nominal arrival slot.
                         None => {
@@ -449,8 +392,10 @@ fn simulate_inner(
                     }
                 }
             }
+            Some(faults)
         }
-    }
+    };
+    let mut queue = EventQueue::new(arrivals);
 
     let mut servers: Vec<ServerState> = (0..n_servers)
         .map(|_| ServerState {
@@ -572,6 +517,7 @@ fn simulate_inner(
         );
         rec.add("des.dropped", reports.iter().map(|r| r.dropped).sum());
         rec.observe("des.max_queue_len", max_queue_len as f64);
+        rec.observe("des.heap_peak", queue.heap_peak() as f64);
     }
     SimReport {
         streams: reports,
@@ -582,6 +528,80 @@ fn simulate_inner(
         mean_latency_s: total_lat.mean(),
         max_jitter_s,
         max_queue_len,
+    }
+}
+
+/// Seed the arrivals of fixed (`links = None`) or traced uplinks.
+fn seed_linked(
+    streams: &[SimStream],
+    links: Option<&[StreamLink]>,
+    cfg: &SimConfig,
+    arrivals: &mut ArrivalList,
+) {
+    for (i, s) in streams.iter().enumerate() {
+        let mut k: Ticks = 0;
+        loop {
+            let slot = s.phase + k * s.period;
+            if slot >= cfg.horizon {
+                break;
+            }
+            // Capture time; saturates at 0 for the first frames whose
+            // transmission would have started before t = 0.
+            let gen_time = slot.saturating_sub(s.trans);
+            let arrival = match links.map(|ls| &ls[i]) {
+                None => slot,
+                Some(link) => {
+                    let d = secs_to_ticks(link.bits_per_frame / link.trace.rate_at(gen_time));
+                    (slot + d).saturating_sub(s.trans)
+                }
+            };
+            arrivals.push(arrival, i, gen_time);
+            k += 1;
+        }
+    }
+}
+
+/// Seed the arrivals of bonded uplinks: stripe each frame across its
+/// bundle at capture time. Frames are seeded in capture order per
+/// stream, so the bundle's estimator/scheduler state evolves exactly as
+/// a live sender's would.
+fn seed_bonded(
+    streams: &[SimStream],
+    bundles: &mut [StreamBundle],
+    cfg: &SimConfig,
+    rec: &dyn Recorder,
+    arrivals: &mut ArrivalList,
+) {
+    let _stripe_span = span(rec, Phase::BondStripe);
+    let mut bond_frames = 0u64;
+    let mut bond_packets = 0u64;
+    let mut bond_hol_s = 0.0f64;
+    let mut bond_depth = 0usize;
+    for (i, s) in streams.iter().enumerate() {
+        let b = &mut bundles[i];
+        let mut k: Ticks = 0;
+        loop {
+            let slot = s.phase + k * s.period;
+            if slot >= cfg.horizon {
+                break;
+            }
+            let gen_time = slot.saturating_sub(s.trans);
+            let fd = b.sim.frame_delivery(gen_time, b.bits_per_frame);
+            let d = secs_to_ticks(fd.delay_s);
+            let arrival = (slot + d).saturating_sub(s.trans);
+            bond_frames += 1;
+            bond_packets += fd.packets;
+            bond_hol_s += fd.hol_wait_s;
+            bond_depth = bond_depth.max(fd.max_reorder_depth);
+            arrivals.push(arrival, i, gen_time);
+            k += 1;
+        }
+    }
+    if rec.enabled() {
+        rec.add("bond.frames", bond_frames);
+        rec.add("bond.packets", bond_packets);
+        rec.observe("bond.hol_wait_s", bond_hol_s);
+        rec.observe("bond.max_reorder_depth", bond_depth as f64);
     }
 }
 
@@ -617,7 +637,7 @@ fn start_next(
         ),
     };
     if let Some(t) = done {
-        queue.push(t, Event::ServerDone { server });
+        queue.push_done(t, server);
     }
 }
 

@@ -1,6 +1,16 @@
 //! Time-ordered event queue for the DES engine.
+//!
+//! Every frame arrival of a run is known before the event loop starts,
+//! and the loop itself only ever schedules server completions. The
+//! queue exploits that split: arrivals are collected into an
+//! [`ArrivalList`], sorted once by `(time, push order)` and read by a
+//! cursor, while completions live in a small heap holding at most one
+//! event per busy station. Popping merges the two, arrival first on
+//! equal time. That is exactly the `(time, push sequence)` order of one
+//! heap holding every event, because every arrival is pushed before any
+//! completion.
 
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use eva_sched::Ticks;
@@ -23,110 +33,219 @@ pub enum Event {
     },
 }
 
-/// An event stamped with its firing time and a tie-breaking sequence
-/// number (FIFO among simultaneous events — determinism matters for
-/// replaying jitter measurements).
+/// One seeded frame arrival (24 bytes). `push_idx` breaks time ties in
+/// push order, so simultaneous arrivals replay FIFO.
 #[derive(Debug, Clone, Copy)]
-struct Scheduled {
+struct Arrival {
     time: Ticks,
-    seq: u64,
-    event: Event,
+    gen_time: Ticks,
+    stream: u32,
+    push_idx: u32,
 }
 
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for Scheduled {}
-
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse for min-heap behaviour in BinaryHeap (max-heap).
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
+/// The frame arrivals of one run, collected before the event loop
+/// starts. [`EventQueue::new`] sorts them once.
+#[derive(Debug, Default)]
+pub struct ArrivalList {
+    items: Vec<Arrival>,
 }
 
-/// Min-time event queue with deterministic FIFO tie-breaking.
+impl ArrivalList {
+    /// Empty list.
+    pub fn new() -> Self {
+        ArrivalList::default()
+    }
+
+    /// Empty list with room for `n` arrivals.
+    pub fn with_capacity(n: usize) -> Self {
+        ArrivalList {
+            items: Vec::with_capacity(n),
+        }
+    }
+
+    /// Record that a frame of `stream`, captured at `gen_time`, arrives
+    /// at `time`.
+    ///
+    /// # Panics
+    /// With more than `u32::MAX` streams or arrivals.
+    pub fn push(&mut self, time: Ticks, stream: usize, gen_time: Ticks) {
+        let (Ok(stream), Ok(push_idx)) = (u32::try_from(stream), u32::try_from(self.items.len()))
+        else {
+            panic!("ArrivalList: more than u32::MAX streams or arrivals");
+        };
+        self.items.push(Arrival {
+            time,
+            gen_time,
+            stream,
+            push_idx,
+        });
+    }
+}
+
+/// Min-time event queue with deterministic FIFO tie-breaking: seeded
+/// arrivals first, then completions in push order.
 #[derive(Debug, Default)]
 pub struct EventQueue {
-    heap: BinaryHeap<Scheduled>,
+    /// Seeded arrivals sorted by `(time, push_idx)`.
+    arrivals: Vec<Arrival>,
+    /// Index of the next unread arrival.
+    next_arrival: usize,
+    /// Pending completions keyed by `(time, push sequence, server)`.
+    done: BinaryHeap<Reverse<(Ticks, u64, usize)>>,
     next_seq: u64,
+    heap_peak: usize,
 }
 
 impl EventQueue {
-    /// Empty queue.
-    pub fn new() -> Self {
-        EventQueue::default()
+    /// A queue over the run's seeded `arrivals`.
+    pub fn new(arrivals: ArrivalList) -> Self {
+        let mut arrivals = arrivals.items;
+        // In place: keys are unique, so the unstable sort's order is
+        // fully determined, and it needs no scratch buffer.
+        arrivals.sort_unstable_by_key(|a| (a.time, a.push_idx));
+        EventQueue {
+            arrivals,
+            ..EventQueue::default()
+        }
     }
 
-    /// Schedule `event` at absolute `time`.
-    pub fn push(&mut self, time: Ticks, event: Event) {
-        let seq = self.next_seq;
+    /// Schedule `server`'s completion at absolute `time`.
+    pub fn push_done(&mut self, time: Ticks, server: usize) {
+        self.done.push(Reverse((time, self.next_seq, server)));
         self.next_seq += 1;
-        self.heap.push(Scheduled { time, seq, event });
+        self.heap_peak = self.heap_peak.max(self.done.len());
     }
 
     /// Pop the earliest event, returning `(time, event)`.
     pub fn pop(&mut self) -> Option<(Ticks, Event)> {
-        self.heap.pop().map(|s| (s.time, s.event))
+        let arrival = self.arrivals.get(self.next_arrival).copied();
+        let done_time = self.done.peek().map(|Reverse((t, _, _))| *t);
+        match (arrival, done_time) {
+            (Some(a), Some(t)) if t < a.time => self.pop_done(),
+            (Some(a), _) => {
+                self.next_arrival += 1;
+                Some((
+                    a.time,
+                    Event::FrameArrival {
+                        stream: a.stream as usize,
+                        gen_time: a.gen_time,
+                    },
+                ))
+            }
+            (None, _) => self.pop_done(),
+        }
+    }
+
+    fn pop_done(&mut self) -> Option<(Ticks, Event)> {
+        let Reverse((time, _, server)) = self.done.pop()?;
+        Some((time, Event::ServerDone { server }))
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.arrivals.len() - self.next_arrival + self.done.len()
     }
 
     /// True when no events remain.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
+    }
+
+    /// The most completions the heap has held at once: at most one per
+    /// station, since a station schedules its next completion only
+    /// after the previous one fired.
+    pub fn heap_peak(&self) -> usize {
+        self.heap_peak
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::cmp::Ordering;
 
-    #[test]
-    fn pops_in_time_order() {
-        let mut q = EventQueue::new();
-        q.push(30, Event::ServerDone { server: 0 });
-        q.push(10, Event::ServerDone { server: 1 });
-        q.push(20, Event::ServerDone { server: 2 });
-        let order: Vec<Ticks> = std::iter::from_fn(|| q.pop().map(|(t, _)| t)).collect();
-        assert_eq!(order, vec![10, 20, 30]);
+    /// The all-in-one heap the queue replaces: every event, arrivals
+    /// included, ordered by `(time, push sequence)`.
+    #[derive(Default)]
+    struct HeapQueue {
+        heap: BinaryHeap<Scheduled>,
+        next_seq: u64,
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    struct Scheduled {
+        time: Ticks,
+        seq: u64,
+        event: Event,
+    }
+
+    impl PartialEq for Scheduled {
+        fn eq(&self, other: &Self) -> bool {
+            self.time == other.time && self.seq == other.seq
+        }
+    }
+    impl Eq for Scheduled {}
+
+    impl Ord for Scheduled {
+        fn cmp(&self, other: &Self) -> Ordering {
+            // Reverse for min-heap behaviour in BinaryHeap (max-heap).
+            other
+                .time
+                .cmp(&self.time)
+                .then_with(|| other.seq.cmp(&self.seq))
+        }
+    }
+    impl PartialOrd for Scheduled {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl HeapQueue {
+        fn push(&mut self, time: Ticks, event: Event) {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.heap.push(Scheduled { time, seq, event });
+        }
+
+        fn pop(&mut self) -> Option<(Ticks, Event)> {
+            self.heap.pop().map(|s| (s.time, s.event))
+        }
+    }
+
+    fn drain(q: &mut EventQueue) -> Vec<(Ticks, Event)> {
+        std::iter::from_fn(|| q.pop()).collect()
     }
 
     #[test]
-    fn ties_break_fifo() {
-        let mut q = EventQueue::new();
-        q.push(
-            5,
-            Event::FrameArrival {
-                stream: 0,
-                gen_time: 0,
-            },
-        );
-        q.push(
-            5,
-            Event::FrameArrival {
-                stream: 1,
-                gen_time: 0,
-            },
-        );
-        q.push(5, Event::ServerDone { server: 9 });
-        let events: Vec<Event> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+    fn pops_in_time_order() {
+        let mut q = EventQueue::new(ArrivalList::new());
+        q.push_done(30, 0);
+        q.push_done(10, 1);
+        q.push_done(20, 2);
+        let order: Vec<Ticks> = drain(&mut q).into_iter().map(|(t, _)| t).collect();
+        assert_eq!(order, vec![10, 20, 30]);
+        assert_eq!(q.heap_peak(), 3);
+    }
+
+    #[test]
+    fn ties_break_fifo_arrivals_first() {
+        let mut arrivals = ArrivalList::new();
+        arrivals.push(5, 0, 0);
+        arrivals.push(5, 1, 0);
+        arrivals.push(3, 2, 1);
+        let mut q = EventQueue::new(arrivals);
+        q.push_done(5, 9);
+        q.push_done(5, 8);
+        let events: Vec<Event> = drain(&mut q).into_iter().map(|(_, e)| e).collect();
         assert_eq!(
             events,
             vec![
+                Event::FrameArrival {
+                    stream: 2,
+                    gen_time: 1
+                },
                 Event::FrameArrival {
                     stream: 0,
                     gen_time: 0
@@ -136,17 +255,64 @@ mod tests {
                     gen_time: 0
                 },
                 Event::ServerDone { server: 9 },
+                Event::ServerDone { server: 8 },
             ]
         );
     }
 
     #[test]
     fn empty_queue_behaviour() {
-        let mut q = EventQueue::new();
+        let mut q = EventQueue::new(ArrivalList::new());
         assert!(q.is_empty());
         assert_eq!(q.pop(), None);
-        q.push(1, Event::ServerDone { server: 0 });
+        q.push_done(1, 0);
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
+        let mut arrivals = ArrivalList::new();
+        arrivals.push(4, 0, 0);
+        let mut q = EventQueue::new(arrivals);
+        assert_eq!(q.len(), 1);
+        assert!(q.pop().is_some());
+        assert!(q.is_empty());
+        assert_eq!(q.heap_peak(), 0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// On dense time ties with completions scheduled between pops,
+        /// the merge pops exactly the `(time, event)` sequence of the
+        /// one-heap oracle.
+        #[test]
+        fn merge_matches_the_one_heap_oracle(
+            seeded in prop::collection::vec((0u64..20, 0usize..6, 0u64..20), 0..300),
+            // Per pop: how many completions to schedule, how far ahead
+            // of the popped time, and on which server.
+            pushes in prop::collection::vec((0usize..3, 0u64..6, 0usize..8), 0..400),
+        ) {
+            let mut arrivals = ArrivalList::new();
+            let mut oracle = HeapQueue::default();
+            for &(time, stream, gen_time) in &seeded {
+                arrivals.push(time, stream, gen_time);
+                oracle.push(time, Event::FrameArrival { stream, gen_time });
+            }
+            let mut q = EventQueue::new(arrivals);
+            let mut n = 0;
+            loop {
+                prop_assert_eq!(q.len(), oracle.heap.len());
+                let got = q.pop();
+                prop_assert_eq!(got, oracle.pop(), "pop {}", n);
+                let Some((now, _)) = got else { break };
+                if let Some(&(k, ahead, server)) = pushes.get(n) {
+                    for j in 0..k {
+                        let server = server + j;
+                        q.push_done(now + ahead, server);
+                        oracle.push(now + ahead, Event::ServerDone { server });
+                    }
+                }
+                n += 1;
+            }
+            prop_assert_eq!(n, seeded.len() + pushes.iter().take(n).map(|p| p.0).sum::<usize>());
+        }
     }
 }

@@ -17,11 +17,12 @@
 use std::collections::VecDeque;
 
 use eva_net::link::secs_to_ticks;
+use eva_obs::{NoopRecorder, Recorder};
 use eva_sched::{Ticks, TICKS_PER_SEC};
 use eva_stats::RunningStats;
 
 use crate::des::{SimConfig, SimStream, StreamLink};
-use crate::event::{Event, EventQueue};
+use crate::event::{ArrivalList, Event, EventQueue};
 
 /// Per-stream results of a tandem run.
 #[derive(Debug, Clone)]
@@ -73,7 +74,7 @@ pub fn simulate_shared_uplink(
     n_servers: usize,
     cfg: &SimConfig,
 ) -> TandemReport {
-    tandem_inner(streams, None, n_servers, cfg)
+    tandem_inner(streams, None, n_servers, cfg, &NoopRecorder)
 }
 
 /// Shared-uplink tandem simulation with *time-varying* link rates: a
@@ -94,22 +95,25 @@ pub fn simulate_shared_uplink_with_links(
         links.len(),
         "tandem: one link binding per stream"
     );
-    tandem_inner(streams, Some(links), n_servers, cfg)
+    tandem_inner(streams, Some(links), n_servers, cfg, &NoopRecorder)
 }
 
+/// The shared-uplink engine. `rec` receives `des.heap_peak`: the
+/// completion heap holds at most one event per uplink and one per CPU.
 fn tandem_inner(
     streams: &[SimStream],
     links: Option<&[StreamLink]>,
     n_servers: usize,
     cfg: &SimConfig,
+    rec: &dyn Recorder,
 ) -> TandemReport {
     assert!(
         streams.iter().all(|s| s.server < n_servers),
         "tandem: stream assigned to nonexistent server"
     );
-    let mut queue = EventQueue::new();
     // Generation events. We reuse `Event::FrameArrival` as "frame
     // captured" and encode the pipeline stage in the handler's state.
+    let mut arrivals = ArrivalList::new();
     for (i, s) in streams.iter().enumerate() {
         let mut k: Ticks = 0;
         loop {
@@ -117,16 +121,11 @@ fn tandem_inner(
             if gen >= cfg.horizon {
                 break;
             }
-            queue.push(
-                gen,
-                Event::FrameArrival {
-                    stream: i,
-                    gen_time: gen,
-                },
-            );
+            arrivals.push(gen, i, gen);
             k += 1;
         }
     }
+    let mut queue = EventQueue::new(arrivals);
 
     let mut link_q: Vec<Station> = (0..n_servers).map(|_| Station::new()).collect();
     let mut cpus: Vec<Station> = (0..n_servers).map(|_| Station::new()).collect();
@@ -216,6 +215,9 @@ fn tandem_inner(
         })
         .collect();
     let max_jitter_s = reports.iter().map(|r| r.jitter_s).fold(0.0, f64::max);
+    if rec.enabled() {
+        rec.observe("des.heap_peak", queue.heap_peak() as f64);
+    }
     TandemReport {
         streams: reports,
         mean_latency_s: total.mean(),
@@ -246,7 +248,7 @@ fn start_link(
         Some(link) => secs_to_ticks(link.bits_per_frame / link.trace.rate_at(now)).max(1),
     };
     link_frame[sv] = Some(frame);
-    queue.push(now + trans, Event::ServerDone { server: 2 * sv });
+    queue.push_done(now + trans, 2 * sv);
 }
 
 fn start_cpu(
@@ -264,7 +266,7 @@ fn start_cpu(
     cpus[sv].busy = true;
     let proc = streams[frame.stream].proc;
     cpu_frame[sv] = Some(frame);
-    queue.push(now + proc, Event::ServerDone { server: 2 * sv + 1 });
+    queue.push_done(now + proc, 2 * sv + 1);
 }
 
 #[cfg(test)]
@@ -408,6 +410,24 @@ mod tests {
             a.mean_latency_s
         );
         assert!(b.max_jitter_s > a.max_jitter_s);
+    }
+
+    #[test]
+    fn completion_heap_holds_at_most_two_events_per_server() {
+        // Six bursty streams on three servers keep both stages of every
+        // server busy at once.
+        let streams: Vec<SimStream> = (0..6)
+            .map(|i| stream(i, 100_000, 40_000, 30_000, i % 3, 0))
+            .collect();
+        let flight = eva_obs::FlightRecorder::new();
+        let _ = tandem_inner(&streams, None, 3, &cfg(), &flight);
+        let peak = flight
+            .snapshot()
+            .metrics
+            .histogram("des.heap_peak")
+            .and_then(|h| h.max())
+            .unwrap_or(0.0);
+        assert!(peak > 3.0 && peak <= 6.0, "heap peak {peak}");
     }
 
     #[test]
