@@ -12,7 +12,7 @@
 //!   on the full server list; placements that land on dead machines
 //!   deliver nothing,
 //! * **aware** — heartbeat-timeout failure detection at each epoch
-//!   boundary, Algorithm-1 + Hungarian re-run on the survivors, uniform
+//!   boundary, Algorithm-1 re-run on the survivors, uniform
 //!   config fallback when the survivors cannot host a zero-jitter
 //!   placement, automatic restore on recovery.
 //!
@@ -212,8 +212,8 @@ fn main() {
         "Reading: the oblivious controller keeps assigning streams to dead\n\
          servers, so its realized benefit collapses with availability. The\n\
          aware controller detects the outage at the next heartbeat, re-runs\n\
-         Algorithm 1 + Hungarian on the survivors (falling back to cheaper\n\
-         uniform configs when the survivors cannot host the full placement)\n\
+         Algorithm 1 on the survivors (falling back to cheaper uniform\n\
+         configs when the survivors cannot host the full placement)\n\
          and restores as soon as servers rejoin — recovering most of the\n\
          gap without touching the no-fault code path."
     );

@@ -6,14 +6,15 @@
 //! pool-drawn uplinks, oracle preference. For each scale the binary
 //! reports the epoch wall-clock and process CPU time (profiling +
 //! GP fit + BO search + Algorithm-1 placement) and the realized
-//! benefit of the decision, then re-evaluates the decided configs
-//! under forced-Hungarian and forced-auction placement to isolate
-//! the assignment quality gap.
+//! benefit of the decision, then checks that the rank-paired placement
+//! of the decided configs is an exact optimum of Algorithm 1's line-20
+//! matching: its transmission latency must equal the Hungarian
+//! optimum on the same groups.
 //!
-//! Gates (full mode): the M = 2000 epoch must finish under 2 s of
-//! process CPU time (steal-immune on shared hosts; wall-clock is
-//! charted alongside), and the auction's realized benefit must stay
-//! within 1 % of Hungarian's at every scale.
+//! Gates: at every scale the placement's latency equals the Hungarian
+//! optimum within 1e-12 relative; in full mode the M = 2000 epoch must
+//! also finish under 2 s of process CPU time (steal-immune on shared
+//! hosts; wall-clock is charted alongside).
 //!
 //! ```text
 //! cargo run --release -p eva-bench --bin fig7_scale [--quick]
@@ -23,7 +24,7 @@ use std::time::Instant;
 
 use eva_bench::Table;
 use eva_bo::{AcqKind, BoConfig};
-use eva_sched::AssignStrategy;
+use eva_sched::hungarian_min_cost;
 use eva_stats::rng::seeded;
 use eva_workload::Scenario;
 use pamo_core::{Pamo, PamoConfig, PreferenceSource, TruePreference};
@@ -81,9 +82,10 @@ fn main() {
         "decide_ms",
         "cpu_ms",
         "benefit",
-        "hungarian_U",
-        "auction_U",
-        "gap",
+        "groups",
+        "latency_s",
+        "hungarian_s",
+        "rel_gap",
     ]);
     let mut results = Vec::new();
     let mut gate_failures: Vec<String> = Vec::new();
@@ -119,23 +121,28 @@ fn main() {
         }
         let d = decision.expect("at least one rep ran");
 
-        // Assignment-quality gap: the same decided configs, realized
-        // under each forced solver. Deterministic — no BO noise.
-        let hungarian_u = pref.benefit(
-            &sc.clone()
-                .with_assign_strategy(AssignStrategy::Hungarian)
-                .evaluate(&d.configs)
-                .expect("decided configs schedulable (hungarian)")
-                .outcome,
-        );
-        let auction_u = pref.benefit(
-            &sc.clone()
-                .with_assign_strategy(AssignStrategy::Auction { top_k: 8 })
-                .evaluate(&d.configs)
-                .expect("decided configs schedulable (auction)")
-                .outcome,
-        );
-        let gap = (hungarian_u - auction_u).abs() / hungarian_u.abs().max(1e-9);
+        // Exactness: the decided configs' placement against the
+        // Hungarian optimum over the same groups and servers.
+        let a = sc
+            .schedule(&d.configs)
+            .expect("decided configs schedulable");
+        let bits: Vec<f64> = d
+            .configs
+            .iter()
+            .enumerate()
+            .map(|(i, c)| sc.surfaces(i).bits_per_frame(c.resolution))
+            .collect();
+        let uplinks = sc.planning_uplinks();
+        let cost: Vec<Vec<f64>> = a
+            .groups
+            .iter()
+            .map(|g| {
+                let gb: f64 = g.iter().map(|&i| bits[a.streams[i].id.source]).sum();
+                uplinks.iter().map(|&b| gb / b).collect()
+            })
+            .collect();
+        let (_, hungarian_s) = hungarian_min_cost(&cost);
+        let gap = (a.total_comm_latency - hungarian_s).abs() / hungarian_s;
 
         table.row(vec![
             format!("{m}"),
@@ -143,9 +150,10 @@ fn main() {
             format!("{decide_ms:.0}"),
             format!("{decide_cpu_ms:.0}"),
             format!("{:.4}", d.true_benefit),
-            format!("{hungarian_u:.4}"),
-            format!("{auction_u:.4}"),
-            format!("{:.3}%", gap * 100.0),
+            format!("{}", a.groups.len()),
+            format!("{:.6}", a.total_comm_latency),
+            format!("{hungarian_s:.6}"),
+            format!("{gap:.1e}"),
         ]);
         results.push(serde_json::json!({
             "m": m,
@@ -153,15 +161,17 @@ fn main() {
             "decide_ms": decide_ms,
             "decide_cpu_ms": decide_cpu_ms,
             "benefit": d.true_benefit,
-            "hungarian_benefit": hungarian_u,
-            "auction_benefit": auction_u,
-            "assignment_gap": gap,
+            "groups": a.groups.len(),
+            "comm_latency_s": a.total_comm_latency,
+            "hungarian_latency_s": hungarian_s,
+            "latency_rel_gap": gap,
         }));
 
-        if gap > 0.01 {
+        if gap > 1e-12 {
             gate_failures.push(format!(
-                "M={m}: auction benefit {auction_u:.4} deviates {:.2}% from Hungarian {hungarian_u:.4}",
-                gap * 100.0
+                "M={m}: placement latency {} s is {gap:.1e} relative off the Hungarian optimum \
+                 {hungarian_s} s",
+                a.total_comm_latency
             ));
         }
         if m == 2000 && decide_cpu_ms > 2000.0 {
@@ -182,7 +192,7 @@ fn main() {
     println!("(wrote results/fig7_scale.json)");
 
     if gate_failures.is_empty() {
-        println!("gates: OK (epoch < 2 s CPU at M=2000, auction within 1% of Hungarian)");
+        println!("gates: OK (epoch < 2 s CPU at M=2000, placement latency = Hungarian optimum)");
     } else {
         for f in &gate_failures {
             eprintln!("gate FAILED: {f}");

@@ -23,7 +23,7 @@
 //!   replan and shed phases,
 //! * `scale_m2000` — one oracle decision epoch at fleet scale (2000
 //!   cameras × 200 servers; quick: 240 × 24), pinning the sharded
-//!   grouping, sparse auction assignment and batched posterior paths,
+//!   grouping, rank-pairing assignment and batched posterior paths,
 //! * `bonded` — the DES with every camera on a heterogeneous three-link
 //!   bonded uplink under HoL-aware striping, pinning the packet-level
 //!   `bond_stripe` seeding path.
@@ -349,7 +349,7 @@ fn run_workload(name: &str, quick: bool, rec: &FlightRecorder) -> String {
         "scale_m2000" => {
             // One decision epoch at fleet scale: 2000 cameras on 200
             // servers (quick: 240 on 24), oracle preference. Exercises
-            // sharded grouping, sparse auction assignment, the shared
+            // sharded grouping, rank-pairing assignment, the shared
             // profiling design, and the batched posterior path.
             let (m, n) = if quick { (240, 24) } else { (2000, 200) };
             let sc = Scenario::standard(m, n, &mut seeded(106));

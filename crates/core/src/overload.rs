@@ -1303,7 +1303,7 @@ impl ServingSession {
     /// Checkpoint every piece of mutable state between steps.
     pub fn snapshot(&self) -> ControlPlaneSnapshot {
         let (warm, design) = self.pamo.warm_state();
-        let (groups, group_server, prices, stats) = self.state.rescheduler.parts();
+        let (groups, group_server, stats) = self.state.rescheduler.parts();
         ControlPlaneSnapshot {
             cursor: self.cursor,
             idx: self.idx,
@@ -1321,7 +1321,6 @@ impl ServingSession {
             assignment: self.state.assignment.clone(),
             resch_groups: groups.to_vec(),
             resch_group_server: group_server.to_vec(),
-            resch_prices: prices.to_vec(),
             resch_stats: stats,
             truly_up: self.state.truly_up.clone(),
             belief: self.state.belief.clone(),
@@ -1414,12 +1413,8 @@ impl ServingSession {
         state.extras = snap.extras;
         state.configs = snap.configs;
         state.assignment = snap.assignment;
-        state.rescheduler = Rescheduler::from_parts(
-            snap.resch_groups,
-            snap.resch_group_server,
-            snap.resch_prices,
-            snap.resch_stats,
-        );
+        state.rescheduler =
+            Rescheduler::from_parts(snap.resch_groups, snap.resch_group_server, snap.resch_stats);
         state.truly_up = snap.truly_up;
         state.belief = snap.belief;
         state.queue = RetryQueue::from_parts(

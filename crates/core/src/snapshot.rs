@@ -39,7 +39,7 @@ use crate::online::EpochRecord;
 use crate::serving::ServeEvent;
 
 /// Current snapshot format version.
-pub const SNAPSHOT_VERSION: u64 = 1;
+pub const SNAPSHOT_VERSION: u64 = 2;
 
 /// The step cursor: where in the serving run the session stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,7 +96,6 @@ pub struct ControlPlaneSnapshot {
     pub(crate) assignment: Option<Assignment>,
     pub(crate) resch_groups: Vec<Vec<StreamTiming>>,
     pub(crate) resch_group_server: Vec<usize>,
-    pub(crate) resch_prices: Vec<f64>,
     pub(crate) resch_stats: ReplanStats,
     pub(crate) truly_up: Vec<bool>,
     pub(crate) belief: Vec<bool>,
@@ -552,7 +551,6 @@ impl ControlPlaneSnapshot {
             ),
         );
         o.insert("resch_group_server".into(), juv(&self.resch_group_server));
-        o.insert("resch_prices".into(), jfv(&self.resch_prices));
         o.insert(
             "resch_stats".into(),
             Value::Array(vec![
@@ -714,7 +712,6 @@ impl ControlPlaneSnapshot {
                 })
                 .collect::<Result<_, _>>()?,
             resch_group_server: duv(get(o, "resch_group_server")?, "resch_group_server")?,
-            resch_prices: dfv(o, "resch_prices")?,
             resch_stats: ReplanStats {
                 incremental: du(&stats_vals[0], "resch_stats")?,
                 full: du(&stats_vals[1], "resch_stats")?,
@@ -823,7 +820,6 @@ mod tests {
                 proc: 40,
             }]],
             resch_group_server: vec![2],
-            resch_prices: vec![0.25],
             resch_stats: ReplanStats {
                 incremental: 5,
                 full: 1,

@@ -43,7 +43,7 @@ pub enum Phase {
     GpFit,
     /// Algorithm-1 splitting + Theorem-3 grouping.
     Grouping,
-    /// Hungarian group→server assignment.
+    /// Rank-pairing group→server assignment.
     Assignment,
     /// A discrete-event simulation run.
     Des,

@@ -1,6 +1,6 @@
 //! Final placement: Algorithm 1 end-to-end.
 //!
-//! Combines high-rate splitting, Theorem-3 grouping and Hungarian
+//! Combines high-rate splitting, Theorem-3 grouping and rank-pairing
 //! assignment into the scheduling vector `q` of the paper: each (split)
 //! stream is mapped to a server such that every server's stream set is
 //! zero-jitter feasible and total uplink transmission latency is
@@ -9,70 +9,36 @@
 
 use eva_obs::{span, NoopRecorder, Phase, Recorder};
 
-use crate::auction::{AuctionConfig, AuctionSolver, SparseCost};
 use crate::group::{group_streams, GroupingError};
-use crate::hungarian::hungarian_min_cost;
 use crate::stream::{split_high_rate, StreamTiming};
 
-/// Group count at and above which [`AssignStrategy::Auto`] switches
-/// from the dense Hungarian to the sparse auction. Below this the dense
-/// solver is already microseconds and keeps the historical bit-exact
-/// output.
-pub const AUTO_AUCTION_THRESHOLD: usize = 64;
-
-/// Candidate servers per group the auto strategy prices (plus the seed
-/// arc; see [`sparse_candidates`]).
-const AUTO_AUCTION_TOP_K: usize = 8;
-
-/// How Algorithm 1's line-20 group-to-server matching is solved.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AssignStrategy {
-    /// Dense Hungarian below [`AUTO_AUCTION_THRESHOLD`] groups (the
-    /// historical, bit-exact path), sparse auction above it.
-    #[default]
-    Auto,
-    /// Always the dense O(n³) Hungarian solver.
-    Hungarian,
-    /// Always the ε-scaling auction over sparse candidates: each group
-    /// prices its `top_k` cheapest servers plus a seed server chosen by
-    /// rank-pairing (heaviest group ↔ fastest uplink), which guarantees
-    /// a perfect matching exists within the sparse arcs. Falls back to
-    /// Hungarian if the auction errors.
-    Auction {
-        /// Cheapest candidate servers per group.
-        top_k: usize,
-    },
-}
-
-/// Build the sparse candidate cost matrix for the auction: per group
-/// the `top_k` cheapest servers, plus a *seed* arc pairing groups and
-/// servers rank-by-rank (bits descending ↔ uplink descending). The
-/// per-group cost is rank-1 in the uplink (`bits_g / B_j`), so the
-/// rank-paired seed assignment is optimal by the rearrangement
-/// inequality — including it both guarantees the sparse instance has a
-/// perfect matching and keeps a near-optimal solution inside the arcs.
-fn sparse_candidates(group_bits: &[f64], uplinks: &[f64], top_k: usize) -> SparseCost {
-    let n = group_bits.len();
-    let m = uplinks.len();
-    let mut col_order: Vec<usize> = (0..m).collect();
-    col_order.sort_by(|&a, &b| uplinks[b].total_cmp(&uplinks[a]).then(a.cmp(&b)));
-    let mut row_order: Vec<usize> = (0..n).collect();
-    row_order.sort_by(|&a, &b| group_bits[b].total_cmp(&group_bits[a]).then(a.cmp(&b)));
-    let mut seed_col = vec![0usize; n];
-    for (rank, &g) in row_order.iter().enumerate() {
-        seed_col[g] = col_order[rank];
+/// Algorithm 1, line 20: map groups to distinct servers minimizing
+/// total transmission latency `Σ_g group_bits[g] / uplink_bps[server_g]`.
+///
+/// The cost of group `g` on server `j` is `bits_g · (1/B_j)`, a rank-1
+/// matrix, so by the rearrangement inequality pairing the heaviest
+/// group with the fastest uplink, the next heaviest with the next
+/// fastest, and so on is an exact optimum. Groups sort by bits
+/// descending and `candidate_servers` by uplink descending; ties go to
+/// the lower group index and the lower server index respectively.
+///
+/// Returns the server (an index into `uplink_bps`) of each group. The
+/// caller supplies at least as many candidates as groups.
+pub fn rank_pair(
+    group_bits: &[f64],
+    candidate_servers: &[usize],
+    uplink_bps: &[f64],
+) -> Vec<usize> {
+    debug_assert!(group_bits.len() <= candidate_servers.len());
+    let mut groups: Vec<usize> = (0..group_bits.len()).collect();
+    groups.sort_by(|&a, &b| group_bits[b].total_cmp(&group_bits[a]).then(a.cmp(&b)));
+    let mut servers = candidate_servers.to_vec();
+    servers.sort_by(|&a, &b| uplink_bps[b].total_cmp(&uplink_bps[a]).then(a.cmp(&b)));
+    let mut server_of_group = vec![0; group_bits.len()];
+    for (&g, &j) in groups.iter().zip(&servers) {
+        server_of_group[g] = j;
     }
-    let mut sparse = SparseCost::new(m);
-    for (g, &bits) in group_bits.iter().enumerate() {
-        let mut arcs: Vec<(usize, f64)> = col_order
-            .iter()
-            .take(top_k)
-            .map(|&j| (j, bits / uplinks[j]))
-            .collect();
-        arcs.push((seed_col[g], bits / uplinks[seed_col[g]]));
-        sparse.push_row(arcs);
-    }
-    sparse
+    server_of_group
 }
 
 /// A complete placement decision.
@@ -103,7 +69,7 @@ impl Assignment {
 }
 
 /// Run Algorithm 1: split high-rate streams, group, then assign groups
-/// to servers by Hungarian matching on communication latency.
+/// to servers by [`rank_pair`] on communication latency.
 ///
 /// * `streams` — original (pre-split) stream timings,
 /// * `bits_per_frame[i]` — transmitted bits of one frame of source
@@ -113,6 +79,9 @@ impl Assignment {
 /// The per-group cost on server `j` is
 /// `Σ_{i ∈ G} bits_per_frame[src(i)] / uplink_bps[j]` — each frame's
 /// transmission latency, matching Eq. 5's `θ_bit(r_i)/B_{q_i}` term.
+///
+/// Malformed inputs are errors: `bits_per_frame` must have one entry
+/// per stream and every uplink must be positive and finite.
 pub fn assign_groups_to_servers(
     streams: &[StreamTiming],
     bits_per_frame: &[f64],
@@ -123,14 +92,14 @@ pub fn assign_groups_to_servers(
 
 /// Failure-aware Algorithm 1: identical to [`assign_groups_to_servers`]
 /// but restricted to the servers marked `true` in `alive` — dead servers
-/// receive no groups and contribute no Hungarian columns. Server indices
+/// receive no groups and are never rank-paired. Server indices
 /// in the returned [`Assignment`] still refer to the *full* server list,
 /// so placements map directly onto the unreduced cluster.
 ///
 /// With `alive = None` (or all-true) this is exactly the unrestricted
 /// Algorithm 1 — same operations in the same order, bit-identical
 /// output — which is what keeps the zero-fault online path identical to
-/// the fault-oblivious one.
+/// the fault-oblivious one. `alive` must have one entry per server.
 pub fn assign_groups_to_surviving_servers(
     streams: &[StreamTiming],
     bits_per_frame: &[f64],
@@ -147,10 +116,10 @@ pub fn assign_groups_to_surviving_servers(
 }
 
 /// [`assign_groups_to_surviving_servers`] with telemetry: splitting +
-/// grouping run under a [`Phase::Grouping`] span, the Hungarian
-/// matching under a [`Phase::Assignment`] span, and group/stream
-/// counts land on `rec`. With a [`NoopRecorder`] this is bit-identical
-/// to the plain entry point (which delegates here).
+/// grouping run under a [`Phase::Grouping`] span, the rank pairing
+/// under a [`Phase::Assignment`] span, and group/stream counts land on
+/// `rec`. With a [`NoopRecorder`] this is bit-identical to the plain
+/// entry point (which delegates here).
 pub fn assign_groups_to_surviving_servers_recorded(
     streams: &[StreamTiming],
     bits_per_frame: &[f64],
@@ -158,45 +127,22 @@ pub fn assign_groups_to_surviving_servers_recorded(
     alive: Option<&[bool]>,
     rec: &dyn Recorder,
 ) -> Result<Assignment, GroupingError> {
-    assign_groups_with_strategy_recorded(
-        streams,
-        bits_per_frame,
-        uplink_bps,
-        alive,
-        AssignStrategy::Auto,
-        rec,
-    )
-}
-
-/// [`assign_groups_to_surviving_servers_recorded`] with an explicit
-/// matching strategy. [`AssignStrategy::Auto`] keeps the dense
-/// Hungarian (bit-exact historical output) below
-/// [`AUTO_AUCTION_THRESHOLD`] groups and switches to the sparse
-/// ε-scaling auction above it, where the dense O(n³) solve becomes the
-/// asymptotic wall.
-pub fn assign_groups_with_strategy_recorded(
-    streams: &[StreamTiming],
-    bits_per_frame: &[f64],
-    uplink_bps: &[f64],
-    alive: Option<&[bool]>,
-    strategy: AssignStrategy,
-    rec: &dyn Recorder,
-) -> Result<Assignment, GroupingError> {
-    assert_eq!(
-        streams.len(),
-        bits_per_frame.len(),
-        "assign: bits_per_frame length mismatch"
-    );
-    assert!(
-        uplink_bps.iter().all(|&b| b > 0.0),
-        "assign: non-positive uplink bandwidth"
-    );
+    if bits_per_frame.len() != streams.len() {
+        return Err(GroupingError::BitsLengthMismatch {
+            streams: streams.len(),
+            bits: bits_per_frame.len(),
+        });
+    }
+    if let Some(server) = uplink_bps.iter().position(|&b| !(b > 0.0 && b.is_finite())) {
+        return Err(GroupingError::InvalidUplink { server });
+    }
     if let Some(alive) = alive {
-        assert_eq!(
-            alive.len(),
-            uplink_bps.len(),
-            "assign: alive length mismatch"
-        );
+        if alive.len() != uplink_bps.len() {
+            return Err(GroupingError::AliveLengthMismatch {
+                alive: alive.len(),
+                servers: uplink_bps.len(),
+            });
+        }
     }
     // Indices of usable servers in the full list. The all-alive case
     // keeps the identity mapping and reproduces the unrestricted path.
@@ -241,54 +187,12 @@ pub fn assign_groups_with_strategy_recorded(
         .iter()
         .map(|g| g.iter().map(|&i| bits_per_frame[split[i].id.source]).sum())
         .collect();
-    let top_k = match strategy {
-        AssignStrategy::Hungarian => None,
-        AssignStrategy::Auction { top_k } => Some(top_k.max(1)),
-        AssignStrategy::Auto => {
-            (groups.len() >= AUTO_AUCTION_THRESHOLD).then_some(AUTO_AUCTION_TOP_K)
-        }
-    };
-    let solve_dense = |rec: &dyn Recorder| {
-        // Cost matrix: group g on usable server j.
-        let cost: Vec<Vec<f64>> = group_bits
-            .iter()
-            .map(|&gb| usable.iter().map(|&j| gb / uplink_bps[j]).collect())
-            .collect();
-        if rec.enabled() {
-            rec.add("sched.hungarian_solves", 1);
-        }
-        hungarian_min_cost(&cost)
-    };
-    let (chosen, total_comm_latency) = match top_k {
-        Some(top_k) => {
-            let uplinks: Vec<f64> = usable.iter().map(|&j| uplink_bps[j]).collect();
-            let sparse = sparse_candidates(&group_bits, &uplinks, top_k);
-            match AuctionSolver::solve(&sparse, &AuctionConfig::default()) {
-                Ok(solver) => {
-                    if rec.enabled() {
-                        rec.add("sched.auction_solves", 1);
-                    }
-                    let chosen = solver.assignment().to_vec();
-                    let total: f64 = chosen
-                        .iter()
-                        .enumerate()
-                        .map(|(g, &j)| group_bits[g] / uplinks[j])
-                        .sum();
-                    (chosen, total)
-                }
-                Err(_) => {
-                    // The seeded candidate set always admits a perfect
-                    // matching; this is a belt-and-braces safety net.
-                    if rec.enabled() {
-                        rec.add("sched.auction_fallbacks", 1);
-                    }
-                    solve_dense(rec)
-                }
-            }
-        }
-        None => solve_dense(rec),
-    };
-    let group_server: Vec<usize> = chosen.into_iter().map(|j| usable[j]).collect();
+    let group_server = rank_pair(&group_bits, &usable, uplink_bps);
+    let total_comm_latency: f64 = group_bits
+        .iter()
+        .zip(&group_server)
+        .map(|(&bits, &j)| bits / uplink_bps[j])
+        .sum();
 
     let mut server_of = vec![usize::MAX; split.len()];
     for (g, members) in groups.iter().enumerate() {
@@ -492,73 +396,76 @@ mod tests {
     }
 
     #[test]
-    fn auction_strategy_matches_hungarian_latency() {
+    fn rank_pairing_matches_hungarian_latency_at_scale() {
         let (streams, bits, uplinks) = many_groups(80);
-        let rec = eva_obs::NoopRecorder;
-        let hung = assign_groups_with_strategy_recorded(
-            &streams,
-            &bits,
-            &uplinks,
-            None,
-            AssignStrategy::Hungarian,
-            &rec,
-        )
-        .unwrap();
-        let auct = assign_groups_with_strategy_recorded(
-            &streams,
-            &bits,
-            &uplinks,
-            None,
-            AssignStrategy::Auction { top_k: 8 },
-            &rec,
-        )
-        .unwrap();
-        // Groups are identical (grouping is strategy-independent); the
-        // auction matching must be within its advertised tolerance of
-        // the Hungarian optimum (1e-4 relative, plus fp slack).
-        assert_eq!(hung.groups, auct.groups);
-        let tol = 1e-4 * hung.total_comm_latency.max(1.0) + 1e-9;
+        let a = assign_groups_to_servers(&streams, &bits, &uplinks).unwrap();
+        assert_eq!(a.groups.len(), 80);
+        let group_bits: Vec<f64> = a
+            .groups
+            .iter()
+            .map(|g| g.iter().map(|&i| bits[a.streams[i].id.source]).sum())
+            .collect();
+        let cost: Vec<Vec<f64>> = group_bits
+            .iter()
+            .map(|&gb| uplinks.iter().map(|&b| gb / b).collect())
+            .collect();
+        let (_, optimum) = crate::hungarian::hungarian_min_cost(&cost);
         assert!(
-            auct.total_comm_latency <= hung.total_comm_latency + tol,
-            "auction {} vs hungarian {}",
-            auct.total_comm_latency,
-            hung.total_comm_latency
+            (a.total_comm_latency - optimum).abs() <= 1e-12 * optimum,
+            "rank pairing {} vs hungarian {optimum}",
+            a.total_comm_latency
         );
-        // Valid placement: distinct servers per group.
-        let mut servers = auct.group_server.clone();
+        let mut servers = a.group_server.clone();
         servers.sort_unstable();
         servers.dedup();
-        assert_eq!(servers.len(), auct.groups.len());
+        assert_eq!(servers.len(), a.groups.len());
     }
 
     #[test]
-    fn auto_strategy_is_bit_identical_below_threshold() {
-        let streams = vec![st(0, 10.0, 0.03), st(1, 5.0, 0.05), st(2, 7.0, 0.02)];
-        let bits = vec![1e6, 2e6, 0.5e6];
-        let uplinks = vec![10e6, 20e6, 30e6];
-        let rec = eva_obs::NoopRecorder;
-        let auto = assign_groups_with_strategy_recorded(
-            &streams,
-            &bits,
-            &uplinks,
-            None,
-            AssignStrategy::Auto,
-            &rec,
-        )
-        .unwrap();
-        let hung = assign_groups_with_strategy_recorded(
-            &streams,
-            &bits,
-            &uplinks,
-            None,
-            AssignStrategy::Hungarian,
-            &rec,
-        )
-        .unwrap();
-        assert_eq!(auto.server_of, hung.server_of);
+    fn rank_pair_breaks_ties_by_index() {
+        // Groups 0 and 2 tie on bits, servers 1 and 3 tie on uplink: the
+        // lower group index takes the lower server index.
+        let bits = [2.0, 1.0, 2.0];
+        let uplinks = [10.0, 30.0, 5.0, 30.0];
+        assert_eq!(rank_pair(&bits, &[0, 1, 2, 3], &uplinks), vec![1, 0, 3]);
+        // Only the candidates are used, whatever order they come in.
+        assert_eq!(rank_pair(&bits, &[2, 3, 0], &uplinks), vec![3, 2, 0]);
+        assert!(rank_pair(&[], &[0], &uplinks).is_empty());
+    }
+
+    #[test]
+    fn bits_length_mismatch_is_an_error() {
+        let streams = vec![st(0, 10.0, 0.03), st(1, 5.0, 0.05)];
         assert_eq!(
-            auto.total_comm_latency.to_bits(),
-            hung.total_comm_latency.to_bits()
+            assign_groups_to_servers(&streams, &[1e6], &[10e6]),
+            Err(GroupingError::BitsLengthMismatch {
+                streams: 2,
+                bits: 1
+            })
+        );
+    }
+
+    #[test]
+    fn bad_uplinks_are_errors() {
+        let streams = vec![st(0, 10.0, 0.03)];
+        for bad in [0.0, -5e6, f64::NAN, f64::INFINITY] {
+            assert_eq!(
+                assign_groups_to_servers(&streams, &[1e6], &[10e6, bad]),
+                Err(GroupingError::InvalidUplink { server: 1 }),
+                "uplink {bad}"
+            );
+        }
+    }
+
+    #[test]
+    fn alive_length_mismatch_is_an_error() {
+        let streams = vec![st(0, 10.0, 0.03)];
+        assert_eq!(
+            assign_groups_to_surviving_servers(&streams, &[1e6], &[10e6, 20e6], Some(&[true])),
+            Err(GroupingError::AliveLengthMismatch {
+                alive: 1,
+                servers: 2
+            })
         );
     }
 

@@ -5,10 +5,13 @@
 //! such that every group satisfies Theorem 3's condition — hence
 //! `Const2`, hence zero delay jitter.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use crate::stream::{StreamTiming, Ticks};
 use crate::theory::theorem3_group_ok;
 
-/// Failure modes of the grouping heuristic.
+/// Failure modes of Algorithm 1: malformed placement inputs, or no
+/// feasible grouping.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GroupingError {
     /// A single stream violates even a solo group (`p > T` after split —
@@ -20,6 +23,15 @@ pub enum GroupingError {
         needed_at_least: usize,
         available: usize,
     },
+    /// The placement inputs give `bits` per-frame sizes for `streams`
+    /// streams; there must be one per stream.
+    BitsLengthMismatch { streams: usize, bits: usize },
+    /// Server `server`'s uplink bandwidth is not a positive finite
+    /// number of bits per second.
+    InvalidUplink { server: usize },
+    /// The liveness mask has `alive` entries for `servers` servers;
+    /// there must be one per server.
+    AliveLengthMismatch { alive: usize, servers: usize },
 }
 
 impl std::fmt::Display for GroupingError {
@@ -36,53 +48,28 @@ impl std::fmt::Display for GroupingError {
                 f,
                 "no feasible grouping: needs > {needed_at_least} groups, only {available} servers"
             ),
+            GroupingError::BitsLengthMismatch { streams, bits } => write!(
+                f,
+                "{bits} bits-per-frame entries for {streams} streams; need one per stream"
+            ),
+            GroupingError::InvalidUplink { server } => write!(
+                f,
+                "server {server} has a non-positive or non-finite uplink bandwidth"
+            ),
+            GroupingError::AliveLengthMismatch { alive, servers } => write!(
+                f,
+                "liveness mask has {alive} entries for {servers} servers; need one per server"
+            ),
         }
     }
 }
 
 impl std::error::Error for GroupingError {}
 
-/// Stream count at and above which [`group_streams`] switches from the
-/// direct sequential first-fit to the sharded path — small (paper-scale)
-/// instances keep the original code path untouched.
-pub const SHARD_GROUPING_THRESHOLD: usize = 64;
-
-/// Run Algorithm 1's grouping phase (lines 1-19): partition `streams`
-/// into at most `n_servers` groups, each satisfying Theorem 3.
-///
-/// Returns the groups as vectors of indices into `streams`. Groups may
-/// be fewer than `n_servers`; empty groups are not returned.
-///
-/// Below [`SHARD_GROUPING_THRESHOLD`] streams this runs the direct
-/// sequential first-fit; at or above it, the gcd-compatibility-sharded
-/// variant ([`group_streams_sharded`]) — the two produce identical
-/// output, so the dispatch is purely a performance decision.
-///
-/// ```
-/// use eva_sched::{group_streams, StreamId, StreamTiming};
-/// // Two harmonic 10/5 fps streams pack together; a 7 fps stream cannot.
-/// let streams = vec![
-///     StreamTiming::from_rate(StreamId::source(0), 10.0, 0.030),
-///     StreamTiming::from_rate(StreamId::source(1), 5.0, 0.050),
-///     StreamTiming::from_rate(StreamId::source(2), 7.0, 0.050),
-/// ];
-/// let groups = group_streams(&streams, 3).unwrap();
-/// assert_eq!(groups.len(), 2);
-/// ```
-pub fn group_streams(
-    streams: &[StreamTiming],
-    n_servers: usize,
-) -> Result<Vec<Vec<usize>>, GroupingError> {
-    if streams.len() >= SHARD_GROUPING_THRESHOLD {
-        group_streams_sharded(streams, n_servers)
-    } else {
-        group_streams_sequential(streams, n_servers)
-    }
-}
-
 /// The original direct implementation of Algorithm 1's grouping:
-/// quadratic priority counting and linear-scan first-fit. Kept as the
-/// reference oracle the sharded path is property-tested against.
+/// quadratic priority counting and linear-scan first-fit. No production
+/// code calls it; it is the reference oracle [`group_streams`] is
+/// property-tested against.
 pub fn group_streams_sequential(
     streams: &[StreamTiming],
     n_servers: usize,
@@ -211,8 +198,15 @@ struct GroupAcc {
 /// First-fit over one shard's streams, given as `(final_pos, index)`
 /// pairs in global priority order. Equivalent to the sequential loop
 /// restricted to this shard (cross-shard admissions are impossible —
-/// see [`group_streams_sharded`]).
-fn shard_first_fit(streams: &[StreamTiming], shard: &[(usize, usize)]) -> Vec<GroupAcc> {
+/// see [`group_streams`]). `opened` counts the groups opened across all
+/// shards; once it passes `cap` the grouping has failed, and the shard
+/// stops with `None`.
+fn shard_first_fit(
+    streams: &[StreamTiming],
+    shard: &[(usize, usize)],
+    opened: &AtomicUsize,
+    cap: usize,
+) -> Option<Vec<GroupAcc>> {
     let mut groups: Vec<GroupAcc> = Vec::new();
     for &(pos, i) in shard {
         let s = streams[i];
@@ -235,6 +229,10 @@ fn shard_first_fit(streams: &[StreamTiming], shard: &[(usize, usize)]) -> Vec<Gr
             }
         }
         if !placed {
+            // A plain count that publishes no other data: `Relaxed`.
+            if opened.fetch_add(1, Ordering::Relaxed) >= cap {
+                return None;
+            }
             groups.push(GroupAcc {
                 members: vec![i],
                 first_pos: pos,
@@ -244,11 +242,16 @@ fn shard_first_fit(streams: &[StreamTiming], shard: &[(usize, usize)]) -> Vec<Gr
             });
         }
     }
-    groups
+    Some(groups)
 }
 
-/// Sharded Algorithm-1 grouping: identical output to
-/// [`group_streams_sequential`], built scalably.
+/// Run Algorithm 1's grouping phase (lines 1-19): partition `streams`
+/// into at most `n_servers` groups, each satisfying Theorem 3.
+///
+/// Returns the groups as vectors of indices into `streams`. Groups may
+/// be fewer than `n_servers`; empty groups are not returned. The output
+/// is identical to [`group_streams_sequential`], the paper's direct
+/// first-fit, built scalably.
 ///
 /// Two streams can share a group only if some common member period
 /// divides both of theirs, so the *distinct period values*, connected by
@@ -264,7 +267,19 @@ fn shard_first_fit(streams: &[StreamTiming], shard: &[(usize, usize)]) -> Vec<Gr
 /// Priorities are computed per distinct period value (`O(D² + M)`
 /// instead of `O(M²)` for `D` distinct values), and the admission check
 /// is O(1) via cached per-group `(min period, gcd, processing sum)`.
-pub fn group_streams_sharded(
+///
+/// ```
+/// use eva_sched::{group_streams, StreamId, StreamTiming};
+/// // Two harmonic 10/5 fps streams pack together; a 7 fps stream cannot.
+/// let streams = vec![
+///     StreamTiming::from_rate(StreamId::source(0), 10.0, 0.030),
+///     StreamTiming::from_rate(StreamId::source(1), 5.0, 0.050),
+///     StreamTiming::from_rate(StreamId::source(2), 7.0, 0.050),
+/// ];
+/// let groups = group_streams(&streams, 3).unwrap();
+/// assert_eq!(groups.len(), 2);
+/// ```
+pub fn group_streams(
     streams: &[StreamTiming],
     n_servers: usize,
 ) -> Result<Vec<Vec<usize>>, GroupingError> {
@@ -353,21 +368,35 @@ pub fn group_streams_sharded(
         shards[shard].push((fp, order[pos]));
     }
 
-    let shard_groups: Vec<Vec<GroupAcc>> = shards
-        .par_iter()
-        .map(|shard| shard_first_fit(streams, shard))
-        .collect();
-    let mut all: Vec<GroupAcc> = shard_groups.into_iter().flatten().collect();
-    all.sort_by_key(|g| g.first_pos);
-
     // Error semantics identical to the sequential pass: it errors at the
     // first priority-order position where either a stream is infeasible
     // (proc > period) or a new group would exceed `n_servers`; group
     // counts before any such position are unaffected by later streams.
+    // Without an infeasible stream, the first group past `n_servers`
+    // decides the error, so the shards stop there.
     let first_infeasible = final_pos.iter().enumerate().find_map(|(fp, &pos)| {
         let s = streams[order[pos]];
         (s.proc > s.period).then_some((fp, s))
     });
+    let cap = if first_infeasible.is_some() {
+        usize::MAX
+    } else {
+        n_servers
+    };
+    let opened = AtomicUsize::new(0);
+    let shard_groups: Option<Vec<Vec<GroupAcc>>> = shards
+        .par_iter()
+        .map(|shard| shard_first_fit(streams, shard, &opened, cap))
+        .collect();
+    let Some(shard_groups) = shard_groups else {
+        return Err(GroupingError::NotEnoughServers {
+            needed_at_least: n_servers,
+            available: n_servers,
+        });
+    };
+    let mut all: Vec<GroupAcc> = shard_groups.into_iter().flatten().collect();
+    all.sort_by_key(|g| g.first_pos);
+
     if let Some((fi, s)) = first_infeasible {
         let groups_before = all.iter().filter(|g| g.first_pos < fi).count();
         if groups_before > n_servers {
@@ -524,7 +553,7 @@ mod tests {
             .collect();
         for n_servers in 1..=8 {
             let seq = group_streams_sequential(&streams, n_servers);
-            let sharded = group_streams_sharded(&streams, n_servers);
+            let sharded = group_streams(&streams, n_servers);
             assert_eq!(seq, sharded, "n_servers = {n_servers}");
         }
     }
@@ -546,16 +575,16 @@ mod tests {
                 .collect();
             let n_servers = rng.gen_range(0..=n + 2);
             let seq = group_streams_sequential(&streams, n_servers);
-            let sharded = group_streams_sharded(&streams, n_servers);
+            let sharded = group_streams(&streams, n_servers);
             assert_eq!(seq, sharded, "trial {trial}, n_servers {n_servers}");
         }
     }
 
     #[test]
-    fn dispatch_threshold_paths_agree() {
-        // Build an instance just above the threshold and check the
-        // public entry point (sharded) against the sequential oracle.
-        let streams: Vec<StreamTiming> = (0..SHARD_GROUPING_THRESHOLD + 8)
+    fn sharded_matches_sequential_past_the_proptest_size() {
+        // 72 streams in two divisibility families: larger than the
+        // property test's instances.
+        let streams: Vec<StreamTiming> = (0..72)
             .map(|i| {
                 let period = [50_000u64, 100_000, 70_000, 140_000][i % 4];
                 st(i, period, 10_000 + (i as Ticks % 7) * 1_000)

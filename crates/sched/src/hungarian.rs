@@ -1,9 +1,12 @@
 //! Kuhn-Munkres (Hungarian) algorithm for minimum-cost assignment.
 //!
 //! Algorithm 1, line 20 maps stream groups onto servers by solving an
-//! assignment problem minimizing total communication latency. This is
-//! the O(n³) potentials formulation; it handles rectangular instances
-//! with `rows <= cols` directly (each row gets a distinct column).
+//! assignment problem minimizing total communication latency. That
+//! problem's cost matrix is rank 1, so production code solves it by
+//! [`crate::rank_pair`]; this general solver is the reference tests and
+//! the `fig7_scale` exactness gate compare it against. This is the
+//! O(n³) potentials formulation; it handles rectangular instances with
+//! `rows <= cols` directly (each row gets a distinct column).
 
 /// Solve min-cost assignment for a `rows x cols` cost matrix with
 /// `rows <= cols`. Returns `(assignment, total_cost)` where

@@ -11,17 +11,17 @@
 //!   sufficient condition) and the Theorem-3 grouping condition as
 //!   checkable predicates,
 //! * [`group`] — the group-based heuristic of Algorithm 1,
-//! * [`hungarian`] — Kuhn-Munkres optimal assignment, used to map groups
-//!   to servers minimizing total communication latency (Algorithm 1,
-//!   line 20),
-//! * [`assign`] — the glue producing the final scheduling vector `q`.
+//! * [`assign`] — the glue producing the final scheduling vector `q`,
+//!   mapping groups to servers by rank pairing, which minimizes total
+//!   communication latency exactly (Algorithm 1, line 20),
+//! * [`hungarian`] — Kuhn-Munkres optimal assignment on a general cost
+//!   matrix: the reference the rank pairing is checked against.
 //!
 //! Timing is integer microseconds ([`Ticks`]): `gcd` on floats is
 //! ill-defined, and the paper's constraints are all divisibility
 //! statements.
 
 pub mod assign;
-pub mod auction;
 pub mod group;
 pub mod hungarian;
 pub mod oracle;
@@ -30,14 +30,9 @@ pub mod theory;
 
 pub use assign::{
     assign_groups_to_servers, assign_groups_to_surviving_servers,
-    assign_groups_to_surviving_servers_recorded, assign_groups_with_strategy_recorded,
-    AssignStrategy, Assignment,
+    assign_groups_to_surviving_servers_recorded, rank_pair, Assignment,
 };
-pub use auction::{AuctionConfig, AuctionError, AuctionSolver, SparseCost, UNASSIGNED};
-pub use group::{
-    group_streams, group_streams_sequential, group_streams_sharded, GroupingError,
-    SHARD_GROUPING_THRESHOLD,
-};
+pub use group::{group_streams, group_streams_sequential, GroupingError};
 pub use hungarian::hungarian_min_cost;
 pub use stream::{split_high_rate, StreamId, StreamTiming, Ticks, TICKS_PER_SEC};
 pub use theory::{const1_utilization_ok, const2_zero_jitter_ok, theorem3_group_ok};

@@ -1,7 +1,7 @@
 //! Admission control: accept a tenant only if a feasibility probe finds
 //! a placement that keeps the incumbents' benefit above a floor.
 //!
-//! The probe is the survivor-restricted Algorithm 1 + Hungarian path
+//! The probe is the survivor-restricted Algorithm 1 path
 //! ([`Scenario::evaluate_surviving_recorded`]) run once per candidate
 //! configuration of the newcomer, with every incumbent pinned to its
 //! currently deployed configuration. That makes the probe cheap — one

@@ -9,7 +9,7 @@
 //! * [`arrival`] — seeded Poisson / MMPP arrival–departure processes
 //!   that generate a deterministic churn trace over a horizon,
 //! * [`admission`] — an admission controller whose fast feasibility
-//!   probe re-runs the survivor-restricted Algorithm 1 + Hungarian path
+//!   probe re-runs the survivor-restricted Algorithm 1 path
 //!   for a candidate tenant and accepts only placements that keep the
 //!   *incumbent* tenants' benefit above a configured floor,
 //! * [`reschedule`] — an event-driven rescheduler that treats

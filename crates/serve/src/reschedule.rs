@@ -3,7 +3,7 @@
 //! Arrival, departure, server failure and server restore are treated
 //! uniformly as *replan triggers*. The [`Rescheduler`] keeps the live
 //! placement as materialized zero-jitter groups (one group per server —
-//! the Hungarian matching assigns distinct servers, so a "row" of the
+//! the rank pairing assigns distinct servers, so a "row" of the
 //! assignment is exactly one group) and repairs only the rows an event
 //! perturbs:
 //!
@@ -20,15 +20,15 @@
 //! Every repair is verified against the full zero-jitter feasibility
 //! predicate before being adopted; when repair fails (or drifts from
 //! the scenario's stream set), the rescheduler falls back to a full
-//! survivor-restricted Algorithm 1 + Hungarian re-solve. Incremental
-//! repairs skip the Hungarian step, so they trade a little
+//! survivor-restricted Algorithm 1 re-solve. Incremental repairs
+//! rank-pair only the rows they touched, so they trade a little
 //! communication-latency optimality for reaction time — the epoch
 //! boundary's full re-optimization wins it back.
 
 use eva_obs::{span, Phase, Recorder};
 use eva_sched::{
-    const2_zero_jitter_ok, split_high_rate, Assignment, AuctionConfig, AuctionSolver,
-    GroupingError, SparseCost, StreamId, StreamTiming, Ticks, UNASSIGNED,
+    const2_zero_jitter_ok, rank_pair, split_high_rate, Assignment, GroupingError, StreamId,
+    StreamTiming, Ticks,
 };
 use eva_workload::{Scenario, VideoConfig};
 
@@ -78,7 +78,7 @@ pub enum ReplanScope {
         /// Number of assignment rows (groups) modified or created.
         rows_resolved: usize,
     },
-    /// Full Algorithm 1 + Hungarian re-solve.
+    /// Full Algorithm 1 re-solve.
     Full,
 }
 
@@ -101,10 +101,6 @@ pub struct Rescheduler {
     groups: Vec<Vec<StreamTiming>>,
     /// Server hosting each group (parallel to `groups`; distinct).
     group_server: Vec<usize>,
-    /// Persisted auction prices per server: the dual state that lets
-    /// [`reprice`](Self::reprice) re-bid only the touched assignment
-    /// rows after an incremental repair.
-    prices: Vec<f64>,
     stats: ReplanStats,
 }
 
@@ -130,24 +126,20 @@ impl Rescheduler {
     }
 
     /// The internal placement state, for checkpointing: materialized
-    /// groups, their servers, the persisted auction prices, and the
-    /// replan totals.
-    #[allow(clippy::type_complexity)]
-    pub fn parts(&self) -> (&[Vec<StreamTiming>], &[usize], &[f64], ReplanStats) {
-        (&self.groups, &self.group_server, &self.prices, self.stats)
+    /// groups, their servers, and the replan totals.
+    pub fn parts(&self) -> (&[Vec<StreamTiming>], &[usize], ReplanStats) {
+        (&self.groups, &self.group_server, self.stats)
     }
 
     /// Rebuild from checkpointed [`parts`](Self::parts).
     pub fn from_parts(
         groups: Vec<Vec<StreamTiming>>,
         group_server: Vec<usize>,
-        prices: Vec<f64>,
         stats: ReplanStats,
     ) -> Self {
         Rescheduler {
             groups,
             group_server,
-            prices,
             stats,
         }
     }
@@ -196,7 +188,7 @@ impl Rescheduler {
     }
 
     /// The fallback step of [`replan`](Self::replan): a full
-    /// survivor-restricted Algorithm 1 + Hungarian re-solve, for a
+    /// survivor-restricted Algorithm 1 re-solve, for a
     /// trigger that [`replan_limited`](Self::replan_limited) already
     /// counted and failed to repair. On `Err` the internal placement is
     /// left unchanged (stale).
@@ -274,11 +266,10 @@ impl Rescheduler {
         if let Some((rows, touched)) = repaired {
             if self.verify(scenario, configs, alive) {
                 if !touched.is_empty() {
-                    // Auction repricing: re-bid only the rows the repair
-                    // touched (costs changed), letting displacement
-                    // cascades recover communication latency the greedy
-                    // repair left on the table. A zero-touched repair
-                    // (restore) changes nothing.
+                    // Re-place only the rows the repair touched (their
+                    // costs changed), recovering communication latency
+                    // the greedy repair left on the table. A
+                    // zero-touched repair (restore) changes nothing.
                     self.reprice(scenario, configs, alive, &touched, rec);
                     debug_assert!(self.verify(scenario, configs, alive));
                 }
@@ -410,7 +401,7 @@ impl Rescheduler {
         }
         let mut touched = 0usize;
         let mut touched_idx: Vec<usize> = Vec::new();
-        // Hungarian gives one group per server, but handle any count.
+        // Algorithm 1 gives one group per server, but handle any count.
         for &g in orphans.iter().rev() {
             if let Some(free) = self.best_free_server_excluding(scenario, alive, server) {
                 self.group_server[g] = free;
@@ -470,13 +461,10 @@ impl Rescheduler {
         Some((touched, touched_idx))
     }
 
-    /// Re-bid only the `touched` assignment rows through the ε-scaling
-    /// auction, warm-started from the installed matching and the
-    /// persisted per-server prices. Displacement cascades may move
-    /// untouched groups too — that is the point: the greedy repair
-    /// optimizes locally, the auction recovers global communication
-    /// latency. Adopted only when the re-bid lands every group on a
-    /// server; otherwise the (already verified) greedy repair stands.
+    /// Re-place only the `touched` assignment rows by [`rank_pair`].
+    /// Their candidates are their own servers plus every free survivor;
+    /// untouched rows stay put. The touched rows' current servers are
+    /// candidates, so their total latency never rises.
     fn reprice(
         &mut self,
         scenario: &Scenario,
@@ -485,53 +473,38 @@ impl Rescheduler {
         touched: &[usize],
         rec: &dyn Recorder,
     ) {
-        let n_servers = scenario.n_servers();
-        let uplinks = scenario.planning_uplinks();
-        let mut sparse = SparseCost::new(n_servers);
-        for members in &self.groups {
-            let bits: f64 = members
-                .iter()
-                .map(|s| {
-                    scenario
-                        .surfaces(s.id.source)
-                        .bits_per_frame(configs[s.id.source].resolution)
-                })
-                .sum();
-            let arcs: Vec<(usize, f64)> = (0..n_servers)
-                .filter(|&j| is_alive(alive, j))
-                .map(|j| (j, bits / uplinks[j]))
-                .collect();
-            sparse.push_row(arcs);
-        }
-        if self.prices.len() != n_servers {
-            self.prices = vec![0.0; n_servers];
-        }
-        let mut solver = AuctionSolver::from_matching(
-            &sparse,
-            &self.group_server,
-            self.prices.clone(),
-            &AuctionConfig::default(),
+        let bits: Vec<f64> = touched
+            .iter()
+            .map(|&g| {
+                self.groups[g]
+                    .iter()
+                    .map(|s| {
+                        scenario
+                            .surfaces(s.id.source)
+                            .bits_per_frame(configs[s.id.source].resolution)
+                    })
+                    .sum()
+            })
+            .collect();
+        let mut candidates: Vec<usize> = touched.iter().map(|&g| self.group_server[g]).collect();
+        candidates.extend(
+            (0..scenario.n_servers())
+                .filter(|&j| is_alive(alive, j) && !self.group_server.contains(&j)),
         );
+        let servers = rank_pair(&bits, &candidates, scenario.planning_uplinks());
+        let mut moves = 0u64;
+        for (&g, &j) in touched.iter().zip(&servers) {
+            if self.group_server[g] != j {
+                self.group_server[g] = j;
+                moves += 1;
+            }
+        }
         if rec.enabled() {
             rec.add("serve.reprice_runs", 1);
+            if moves > 0 {
+                rec.add("serve.reprice_moves", moves);
+            }
         }
-        if solver.resolve_rows(&sparse, touched).is_err() {
-            return;
-        }
-        let assignment = solver.assignment();
-        if assignment.contains(&UNASSIGNED) {
-            return;
-        }
-        let moves = assignment
-            .iter()
-            .zip(&self.group_server)
-            .filter(|(a, b)| a != b)
-            .count();
-        if rec.enabled() && moves > 0 {
-            rec.add("serve.reprice_moves", moves as u64);
-        }
-        self.group_server = assignment.to_vec();
-        self.prices = solver.prices().to_vec();
     }
 
     /// Fastest (planning-uplink) surviving server hosting no group.
@@ -595,7 +568,7 @@ impl Rescheduler {
 
     /// Materialize the current placement as an [`Assignment`]
     /// (group-major stream order; communication latency priced on the
-    /// planning uplinks, like the Hungarian objective).
+    /// planning uplinks, like Algorithm 1's line-20 objective).
     fn assignment(&self, scenario: &Scenario, configs: &[VideoConfig]) -> Assignment {
         let uplinks = scenario.planning_uplinks();
         let mut streams = Vec::new();
@@ -876,7 +849,8 @@ mod tests {
         assert!(matches!(scope, ReplanScope::Incremental { .. }));
         // Repricing moves the touched light group onto the idle fast
         // server; the untouched heavy group stays put. Without the
-        // auction pass the light group would stay on the 5 Mbps server.
+        // rank-pairing pass the light group would stay on the 5 Mbps
+        // server.
         for (g, &server) in a.group_server.iter().enumerate() {
             let source = a.streams[a.groups[g][0]].id.source;
             if source == 1 {
@@ -885,6 +859,73 @@ mod tests {
                 assert_eq!(server, 2, "heavy group stays put");
             }
         }
+    }
+
+    #[test]
+    fn reprice_keeps_untouched_rows_and_never_raises_touched_latency() {
+        use rand::Rng;
+        let mut checked = 0;
+        for seed in 0..60u64 {
+            let mut rng = eva_stats::rng::seeded(seed);
+            let n_servers = rng.gen_range(3..=8);
+            let n_cams = rng.gen_range(2..=n_servers);
+            // Pool-drawn uplinks, so servers tie often.
+            let sc = Scenario::standard(n_cams, n_servers, &mut rng);
+            let cfgs: Vec<VideoConfig> = (0..n_cams)
+                .map(|_| {
+                    VideoConfig::new(
+                        [480.0, 720.0, 1080.0][rng.gen_range(0..3)],
+                        [2.0, 5.0, 7.0, 10.0][rng.gen_range(0..4)],
+                    )
+                })
+                .collect();
+            let Ok(a) = sc.schedule(&cfgs) else { continue };
+            let mut r = Rescheduler::new();
+            r.install(&a);
+            // Scatter the groups over a random injection of servers and
+            // kill some of the servers left free.
+            let n_groups = r.groups.len();
+            r.group_server = eva_stats::rng::sample_indices(&mut rng, n_servers, n_groups);
+            let alive: Vec<bool> = (0..n_servers)
+                .map(|j| r.group_server.contains(&j) || rng.gen_bool(0.6))
+                .collect();
+            let touched: Vec<usize> = (0..n_groups).filter(|_| rng.gen_bool(0.5)).collect();
+            let uplinks = sc.planning_uplinks();
+            let bits = |g: &[StreamTiming]| -> f64 {
+                g.iter()
+                    .map(|s| {
+                        sc.surfaces(s.id.source)
+                            .bits_per_frame(cfgs[s.id.source].resolution)
+                    })
+                    .sum()
+            };
+            let touched_latency = |r: &Rescheduler| -> f64 {
+                touched
+                    .iter()
+                    .map(|&g| bits(&r.groups[g]) / uplinks[r.group_server[g]])
+                    .sum()
+            };
+            let before = r.group_server.clone();
+            let latency_before = touched_latency(&r);
+            r.reprice(&sc, &cfgs, Some(&alive), &touched, &NoopRecorder);
+            for g in (0..n_groups).filter(|g| !touched.contains(g)) {
+                assert_eq!(
+                    r.group_server[g], before[g],
+                    "seed {seed}: untouched row moved"
+                );
+            }
+            assert!(
+                touched_latency(&r) <= latency_before * (1.0 + 1e-12),
+                "seed {seed}: touched latency rose"
+            );
+            let mut servers = r.group_server.clone();
+            assert!(servers.iter().all(|&j| alive[j]), "seed {seed}");
+            servers.sort_unstable();
+            servers.dedup();
+            assert_eq!(servers.len(), n_groups, "seed {seed}: shared server");
+            checked += 1;
+        }
+        assert!(checked >= 30, "only {checked} seeds had a placement");
     }
 
     #[test]
@@ -996,11 +1037,10 @@ mod tests {
             ReplanTrigger::ServerRestore { server: 0 },
             &NoopRecorder,
         );
-        let (g, s, p, st) = r.parts();
-        let clone = Rescheduler::from_parts(g.to_vec(), s.to_vec(), p.to_vec(), st);
+        let (g, s, st) = r.parts();
+        let clone = Rescheduler::from_parts(g.to_vec(), s.to_vec(), st);
         assert_eq!(clone.groups, r.groups);
         assert_eq!(clone.group_server, r.group_server);
-        assert_eq!(clone.prices, r.prices);
         assert_eq!(clone.stats(), r.stats());
     }
 

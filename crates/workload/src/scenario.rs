@@ -10,8 +10,7 @@ use eva_fault::FaultPlan;
 use eva_net::LinkModel;
 use eva_obs::{NoopRecorder, Recorder};
 use eva_sched::{
-    assign_groups_with_strategy_recorded, AssignStrategy, Assignment, GroupingError, StreamId,
-    StreamTiming,
+    assign_groups_to_surviving_servers_recorded, Assignment, GroupingError, StreamId, StreamTiming,
 };
 use rand::Rng;
 
@@ -85,10 +84,6 @@ pub struct Scenario {
     /// Optional fault plan (server crash/recovery, camera dropout,
     /// frame loss, stragglers). `None` = nothing ever fails.
     faults: Option<FaultPlan>,
-    /// How Algorithm-1 group→server assignment is solved. The default
-    /// `Auto` keeps small instances on the bit-exact Hungarian path and
-    /// switches to the sparse ε-scaling auction at scale.
-    assign_strategy: AssignStrategy,
 }
 
 /// Result of evaluating a joint configuration on a scenario.
@@ -119,23 +114,7 @@ impl Scenario {
             bond_policy: BondPolicy::default(),
             planning_bps: None,
             faults: None,
-            assign_strategy: AssignStrategy::Auto,
         }
-    }
-
-    /// Override how group→server assignment is solved (see
-    /// [`AssignStrategy`]). `Auto` (the default) is bit-identical to
-    /// the historical Hungarian path on small instances and switches to
-    /// the sparse auction at scale; forcing `Hungarian` or `Auction`
-    /// pins one solver for comparisons and experiments.
-    pub fn with_assign_strategy(mut self, strategy: AssignStrategy) -> Self {
-        self.assign_strategy = strategy;
-        self
-    }
-
-    /// The configured assignment strategy.
-    pub fn assign_strategy(&self) -> AssignStrategy {
-        self.assign_strategy
     }
 
     /// Attach per-camera time-varying link models (one per camera).
@@ -398,12 +377,11 @@ impl Scenario {
             .enumerate()
             .map(|(i, c)| self.surfaces[i].bits_per_frame(c.resolution))
             .collect();
-        assign_groups_with_strategy_recorded(
+        assign_groups_to_surviving_servers_recorded(
             &timings,
             &bits,
             self.planning_uplinks(),
             alive,
-            self.assign_strategy,
             rec,
         )
     }
@@ -731,7 +709,7 @@ mod tests {
     #[test]
     fn schedule_follows_planning_not_truth() {
         // Two servers, uniform true uplinks. Planning believes server 1
-        // is far faster: the comm-latency Hungarian must send every
+        // is far faster: the comm-latency matching must send every
         // group there or to equally-cheap options — compare against the
         // belief-swapped override, which must mirror the preference.
         let sc = Scenario::uniform(2, 2, 20e6, 8);
@@ -805,37 +783,6 @@ mod tests {
         let alive = vec![true, false, true];
         let out = sc.evaluate_surviving(&cfgs, Some(&alive)).unwrap();
         assert!(out.assignment.server_of.iter().all(|&s| s != 1));
-    }
-
-    #[test]
-    fn assign_strategy_override_keeps_placement_feasible() {
-        use eva_sched::AssignStrategy;
-        assert_eq!(small_scenario().assign_strategy(), AssignStrategy::Auto);
-        let sc = small_scenario().with_assign_strategy(AssignStrategy::Auction { top_k: 2 });
-        assert_eq!(sc.assign_strategy(), AssignStrategy::Auction { top_k: 2 });
-        let cfgs = low_config(4);
-        let auction = sc.evaluate(&cfgs).unwrap();
-        for server in 0..sc.n_servers() {
-            let members: Vec<StreamTiming> = auction
-                .assignment
-                .streams_on(server)
-                .into_iter()
-                .map(|i| auction.assignment.streams[i])
-                .collect();
-            assert!(const2_zero_jitter_ok(&members));
-        }
-        // On a uniform-uplink scenario every placement has the same
-        // communication cost, so realized outcomes agree exactly.
-        let hungarian = small_scenario()
-            .with_assign_strategy(AssignStrategy::Hungarian)
-            .evaluate(&cfgs)
-            .unwrap();
-        assert!(
-            (auction.outcome.latency_s - hungarian.outcome.latency_s).abs() < 1e-12,
-            "auction {} vs hungarian {}",
-            auction.outcome.latency_s,
-            hungarian.outcome.latency_s
-        );
     }
 
     #[test]

@@ -72,7 +72,7 @@ fn main() {
     for (p, count) in per_box.iter().enumerate() {
         println!("  {}: {count} streams", servers[p].name);
     }
-    // With 30 Mbps per xeon VM vs 15 on the Jetsons, the Hungarian
+    // With 30 Mbps per xeon VM vs 15 on the Jetsons, the rank-pairing
     // matching pulls groups toward the workstation.
     assert!(
         per_box[2] > 0,

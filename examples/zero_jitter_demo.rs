@@ -1,5 +1,5 @@
 //! The scheduling substrate on its own: high-rate splitting, Theorem-3
-//! grouping, Hungarian placement, and discrete-event verification that
+//! grouping, rank-pairing placement, and discrete-event verification that
 //! the resulting schedule is jitter-free while a naive placement is not.
 //!
 //! ```text
@@ -44,7 +44,7 @@ fn main() {
         split.len()
     );
 
-    // Step 2+3: Theorem-3 grouping + Hungarian onto 6 servers with
+    // Step 2+3: Theorem-3 grouping + rank pairing onto 6 servers with
     // heterogeneous uplinks.
     let bits = vec![8e5, 1.5e6, 4e5, 8e5, 1.2e6];
     let uplinks = vec![5e6, 10e6, 15e6, 20e6, 25e6, 30e6];

@@ -14,7 +14,7 @@
 //! | [`gp`] | `eva-gp` | Gaussian-process regression (ARD kernels) |
 //! | [`prefgp`] | `eva-prefgp` | pairwise preference GP + EUBO |
 //! | [`bo`] | `eva-bo` | qNEI/qEI/qUCB/qSR + BO driver |
-//! | [`sched`] | `eva-sched` | zero-jitter grouping + Hungarian |
+//! | [`sched`] | `eva-sched` | zero-jitter grouping + rank-pairing placement |
 //! | [`fault`] | `eva-fault` | seeded fault plans, composed chaos |
 //! | [`obs`] | `eva-obs` | recorders, phase spans, decision budgets |
 //! | [`serve`] | `eva-serve` | churn, admission control, rescheduling |
