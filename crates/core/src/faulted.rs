@@ -426,7 +426,7 @@ mod tests {
     use crate::online::run_online;
     use crate::pamo::PreferenceSource;
     use eva_bo::{AcqKind, BoConfig};
-    use eva_obs::NoopRecorder;
+    use eva_obs::{FlightRecorder, NoopRecorder};
     use eva_stats::rng::seeded;
 
     fn tiny_config() -> PamoConfig {
@@ -637,5 +637,46 @@ mod tests {
             let plan = plan.with_server_crashes(20.0, 40.0, 11);
             assert_invalid(faulted(2, &plan, &cfg));
         }
+    }
+
+    #[test]
+    fn fallback_picks_the_best_uniform_config_on_the_survivors() {
+        let sc = base();
+        let pref = TruePreference::new(&sc, [1.0, 3.0, 1.0, 1.0, 1.0]);
+        let alive = [false, true];
+        let flight = FlightRecorder::new();
+        let (configs, assignment) =
+            fallback_uniform(&sc, &pref, Some(&alive), &flight).expect("server 1 hosts a config");
+        assert!(configs.iter().all(|c| *c == configs[0]), "not uniform");
+        assert!(assignment.server_of.iter().all(|&s| s == 1));
+        // Brute force over the grid: no feasible uniform config plans a
+        // higher benefit.
+        let feasible: Vec<f64> = sc
+            .config_space()
+            .iter()
+            .filter_map(|c| sc.evaluate_surviving(&[c; 3], Some(&alive)).ok())
+            .map(|out| pref.benefit(&out.outcome))
+            .collect();
+        let best = feasible.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let chosen = sc
+            .evaluate_surviving(&configs, Some(&alive))
+            .expect("the fallback is feasible");
+        assert_eq!(pref.benefit(&chosen.outcome), best);
+        let spans = flight.snapshot().phase_stats();
+        assert_eq!(
+            spans
+                .iter()
+                .find(|(p, _)| *p == Phase::Fallback)
+                .map(|(_, s)| s.count),
+            Some(1)
+        );
+    }
+
+    #[test]
+    fn fallback_is_none_when_nothing_fits_the_survivors() {
+        let sc = base();
+        let pref = TruePreference::uniform(&sc);
+        let dead = [false, false];
+        assert!(fallback_uniform(&sc, &pref, Some(&dead), &NoopRecorder).is_none());
     }
 }

@@ -118,8 +118,9 @@ fn online_run_identical_under_noop_and_flight_recorders() {
 
 #[test]
 fn faulted_run_identical_under_recorders() {
-    // Heavy crashes force detection, survivor re-planning and the
-    // fallback ladder through the recorded path.
+    // Heavy crashes force detection, whole-cluster outages and survivor
+    // re-planning through the recorded path. No decide here fails, so
+    // the fallback ladder never runs; unit tests in `faulted.rs` cover it.
     let cfg = tiny_config(PreferenceSource::Oracle);
     let base = Scenario::uniform(3, 2, 20e6, 72);
     let plan = FaultPlan::none(2, 3).with_server_crashes(20.0, 40.0, 11);

@@ -1,7 +1,6 @@
 //! The flight recorder: an in-memory [`Recorder`] that keeps per-phase
 //! duration histograms, a metrics registry and a bounded event log,
-//! and exports them as JSONL, a machine-readable JSON snapshot, or a
-//! human-readable summary table.
+//! and exports them as JSONL or a machine-readable JSON snapshot.
 
 use std::fmt::Write as _;
 use std::sync::Mutex;
@@ -12,7 +11,7 @@ use crate::recorder::{Field, ObsEvent, Phase, Recorder};
 use crate::registry::MetricsRegistry;
 
 /// Default cap on retained events; past it, new events are dropped and
-/// counted in the `obs.events_dropped` counter.
+/// counted in the snapshot's `events_dropped` field.
 pub const DEFAULT_MAX_EVENTS: usize = 65_536;
 
 struct Inner {
@@ -288,48 +287,6 @@ impl ObsSnapshot {
         out.push('}');
         out
     }
-
-    /// Human-readable summary: a per-phase timing table followed by
-    /// counters and gauges.
-    pub fn summary_table(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{:<12} {:>8} {:>12} {:>10} {:>10} {:>10} {:>10}",
-            "phase", "count", "total ms", "mean ms", "p50 ms", "p95 ms", "max ms"
-        );
-        for (p, s) in self.phase_stats() {
-            let _ = writeln!(
-                out,
-                "{:<12} {:>8} {:>12.3} {:>10.3} {:>10.3} {:>10.3} {:>10.3}",
-                p.as_str(),
-                s.count,
-                s.total_s * 1e3,
-                s.mean_s * 1e3,
-                s.p50_s * 1e3,
-                s.p95_s * 1e3,
-                s.max_s * 1e3,
-            );
-        }
-        let counters: Vec<(&str, u64)> = self.metrics.counters().collect();
-        if !counters.is_empty() {
-            let _ = writeln!(out, "counters:");
-            for (k, v) in counters {
-                let _ = writeln!(out, "  {k:<32} {v}");
-            }
-        }
-        let gauges: Vec<(&str, f64)> = self.metrics.gauges().collect();
-        if !gauges.is_empty() {
-            let _ = writeln!(out, "gauges:");
-            for (k, v) in gauges {
-                let _ = writeln!(out, "  {k:<32} {v}");
-            }
-        }
-        if self.events_dropped > 0 {
-            let _ = writeln!(out, "events dropped: {}", self.events_dropped);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -405,16 +362,5 @@ mod tests {
         assert!(js.contains("\"des.events\":10"));
         assert!(js.contains("\"gp.cholesky.dim\":{\"count\":1"));
         assert_eq!(js.matches('{').count(), js.matches('}').count());
-    }
-
-    #[test]
-    fn summary_table_lists_phases_and_counters() {
-        let rec = FlightRecorder::new();
-        rec.record_span(Phase::OutcomeFit, 5_000_000);
-        rec.add("online.epochs", 4);
-        let table = rec.snapshot().summary_table();
-        assert!(table.contains("outcome_fit"));
-        assert!(table.contains("online.epochs"));
-        assert!(table.contains("total ms"));
     }
 }

@@ -11,9 +11,9 @@
 //!   clock, so telemetry-off runs are bit-identical to uninstrumented
 //!   ones (telemetry never touches RNG state or numeric inputs),
 //! * [`flight`] — the [`FlightRecorder`]: an in-memory sink exporting
-//!   JSONL events, a machine-readable JSON snapshot, and a
-//!   human-readable summary table. `perf_baseline` builds
-//!   `BENCH_perf.json` from its snapshots.
+//!   JSONL events and a machine-readable JSON snapshot. `perf_baseline`
+//!   keeps the snapshots' clock-free part (span counts, counters,
+//!   histogram extremes) as `BENCH_perf.json`.
 //!
 //! The crate is intentionally dependency-free (std only) so every
 //! workspace crate can accept a recorder without pulling anything in.

@@ -7,8 +7,10 @@
 //! shared across cameras, the factors shared by cameras with one
 //! observation history) moves the pinned posteriors, the BO loop's
 //! choices, or the decided configurations. The same seeded decides must
-//! also come out bit-identical with a flight recorder attached:
-//! telemetry is observationally free.
+//! also come out bit-identical with a flight recorder attached
+//! (telemetry is observationally free), and that recorder pins the
+//! exact work they did: objective evaluations, GP conditionings and
+//! posterior queries, sample draws, placements and span counts.
 
 use pamo::core::{OutcomeModelBank, PamoConfig, PreferenceSource, ProfilingDesign};
 use pamo::obs::{FlightRecorder, NoopRecorder, Recorder};
@@ -25,6 +27,28 @@ const PINNED_BANK_HASH: u64 = 0x778a_9ba7_cba9_c2c6;
 /// FNV-1a hash of a 60-camera bank's posteriors after six rounds in
 /// which groups of cameras share observation histories and split.
 const PINNED_SHARED_HISTORY_HASH: u64 = 0xbf2e_994c_e4bc_4abe;
+/// Exact work of `decide_bits`' two decides under a flight recorder:
+/// counter values, then span counts per phase. Any change means the
+/// algorithm did more or less work, even if every decided bit held.
+const PINNED_WORK: [(&str, u64); 16] = [
+    ("core.objective_evals", 8),
+    ("gp.fits", 10),
+    ("gp.conditionings", 1600),
+    ("gp.factor_extensions", 190),
+    ("gp.posterior_queries", 4800),
+    ("gp.tail_solves", 685),
+    ("gp.prefix_solves", 350),
+    ("bo.mc_draws", 1152),
+    ("bo.clip_moments", 3061),
+    ("sched.assignments", 10),
+    // Span counts.
+    ("decide", 2),
+    ("bo_prepare", 4),
+    ("bank_update", 8),
+    ("gp_fit", 10),
+    ("grouping", 10),
+    ("assignment", 10),
+];
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
@@ -108,10 +132,19 @@ fn telemetry_is_observationally_free() {
         decide_bits(&flight),
         "a flight recorder changed the decides"
     );
-    // The traced run really recorded the sample assembly.
-    let metrics = flight.snapshot().metrics;
-    assert!(metrics.counter("bo.mc_draws") > 0);
-    assert!(metrics.counter("gp.posterior_queries") > 0);
+    let snap = flight.snapshot();
+    let spans = snap.phase_stats();
+    let work: Vec<(&str, u64)> = PINNED_WORK
+        .iter()
+        .map(|&(name, _)| {
+            let count = spans
+                .iter()
+                .find(|(p, _)| p.as_str() == name)
+                .map_or_else(|| snap.metrics.counter(name), |(_, s)| s.count);
+            (name, count)
+        })
+        .collect();
+    assert_eq!(work, PINNED_WORK, "the decides' work drifted");
 }
 
 #[test]
