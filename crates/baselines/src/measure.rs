@@ -12,8 +12,9 @@
 //! starts. Zero-jitter placements measure exactly their analytic
 //! latency (Theorem 1).
 
+use eva_obs::NoopRecorder;
 use eva_sched::{StreamId, StreamTiming, Ticks, TICKS_PER_SEC};
-use eva_sim::des::{simulate, SimConfig, SimStream};
+use eva_sim::des::{simulate, SimConfig, SimStream, Uplinks};
 use eva_workload::{Outcome, Scenario, VideoConfig};
 
 /// A baseline scheduler's decision: per-camera configuration plus a
@@ -86,7 +87,14 @@ pub fn measure_decision(scenario: &Scenario, decision: &Decision) -> Outcome {
         warmup: TICKS_PER_SEC,
         deadline: 0,
     };
-    let report = simulate(&sim_streams, scenario.n_servers(), &cfg);
+    let report = simulate(
+        &sim_streams,
+        Uplinks::Fixed,
+        scenario.n_servers(),
+        &cfg,
+        &NoopRecorder,
+    )
+    .unwrap_or_else(|e| panic!("{e}"));
     let measured: Vec<f64> = report
         .streams
         .iter()

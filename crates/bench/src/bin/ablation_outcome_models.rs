@@ -14,6 +14,7 @@
 
 use eva_bench::Table;
 use eva_gp::{fit_gp, FitConfig, PolyModel};
+use eva_obs::NoopRecorder;
 use eva_stats::metrics::r_squared;
 use eva_stats::rng::{child_seed, seeded};
 use eva_workload::{
@@ -69,7 +70,7 @@ fn main() {
                     max_evals: 80,
                     ..Default::default()
                 };
-                let gp = fit_gp(&xs, &ys, &cfg, &mut rng).expect("GP fit");
+                let gp = fit_gp(&xs, &ys, &cfg, &mut rng, &NoopRecorder).expect("GP fit");
                 let gp_pred: Vec<f64> = test_cfgs
                     .iter()
                     .map(|c| gp.predict_mean(&eva_workload::profiler::features_of(c, uplink)))

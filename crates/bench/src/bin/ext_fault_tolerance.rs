@@ -29,7 +29,7 @@
 use eva_bench::Table;
 use eva_fault::{FaultPlan, RetryPolicy};
 use eva_obs::NoopRecorder;
-use eva_sim::{simulate_scenario_faulted, PhasePolicy};
+use eva_sim::{simulate_scenario_faulted_recorded, PhasePolicy};
 use eva_stats::rng::seeded;
 use eva_workload::{DriftingScenario, Scenario, VideoConfig};
 use pamo_core::{run_online_faulted, FaultedRunConfig, PamoConfig, PreferenceSource};
@@ -243,13 +243,14 @@ fn des_miss_rate(base: &Scenario, plan: &FaultPlan) -> f64 {
         return f64::NAN; // mid-grid uniform config should always fit
     };
     let faulted_sc = base.clone().with_fault_plan(plan.clone());
-    let r = simulate_scenario_faulted(
+    let r = simulate_scenario_faulted_recorded(
         &faulted_sc,
         &configs,
         &assignment,
         PhasePolicy::ZeroJitter,
         DES_HORIZON_S,
         DES_DEADLINE_S,
+        &NoopRecorder,
     );
     let (misses, frames) = r.report.streams.iter().fold((0u64, 0u64), |(m, f), s| {
         (m + s.deadline_misses, f + s.frames)

@@ -28,8 +28,9 @@
 use eva_baselines::jcab::Jcab;
 use eva_bench::Table;
 use eva_net::{EwmaEstimator, LinkEstimator, LinkModel};
+use eva_obs::NoopRecorder;
 use eva_sched::{Ticks, TICKS_PER_SEC};
-use eva_sim::{simulate_with_links, SimConfig, SimStream, StreamLink};
+use eva_sim::{simulate, SimConfig, SimStream, StreamLink, Uplinks};
 use eva_workload::{Outcome, Scenario};
 use pamo_core::TruePreference;
 
@@ -178,7 +179,14 @@ fn main() {
                 trace: models[i].trace(cfg.horizon),
             })
             .collect();
-        let r = simulate_with_links(&streams, &links, N_SERVERS, &cfg);
+        let r = simulate(
+            &streams,
+            Uplinks::Links(&links),
+            N_SERVERS,
+            &cfg,
+            &NoopRecorder,
+        )
+        .expect("valid DES input");
         let (misses, frames) = r.streams.iter().fold((0u64, 0u64), |(m, f), s| {
             (m + s.deadline_misses, f + s.frames)
         });

@@ -46,8 +46,9 @@ use eva_baselines::jcab::{Jcab, JcabConfig};
 use eva_bench::Table;
 use eva_bond::{BondPolicy, BondedLink, LinkBundle};
 use eva_net::LinkModel;
+use eva_obs::NoopRecorder;
 use eva_sched::{Ticks, TICKS_PER_SEC};
-use eva_sim::{simulate_with_bundles, SimConfig, SimStream, StreamBundle};
+use eva_sim::{simulate, SimConfig, SimStream, StreamBundle, Uplinks};
 use eva_workload::{clip_set, ConfigSpace, Outcome, Scenario, VideoConfig};
 use pamo_core::TruePreference;
 
@@ -198,7 +199,14 @@ fn main() {
                 sim: bundles[i].simulator(cfg.horizon, *policy),
             })
             .collect();
-        let r = simulate_with_bundles(&streams, &mut stream_bundles, N_SERVERS, &cfg);
+        let r = simulate(
+            &streams,
+            Uplinks::Bundles(&mut stream_bundles),
+            N_SERVERS,
+            &cfg,
+            &NoopRecorder,
+        )
+        .expect("valid DES input");
 
         let (misses, frames) = r.streams.iter().fold((0u64, 0u64), |(m, f), s| {
             (m + s.deadline_misses, f + s.frames)

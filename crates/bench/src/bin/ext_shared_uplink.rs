@@ -13,8 +13,9 @@
 //! ```
 
 use eva_bench::Table;
+use eva_obs::NoopRecorder;
 use eva_sched::{Ticks, TICKS_PER_SEC};
-use eva_sim::des::{simulate, SimConfig, SimStream};
+use eva_sim::des::{simulate, SimConfig, SimStream, Uplinks};
 use eva_sim::tandem::simulate_shared_uplink;
 use eva_stats::rng::seeded;
 use eva_workload::Scenario;
@@ -76,8 +77,9 @@ fn main() {
                 ..*s
             })
             .collect();
-        let dedicated = simulate(&streams, n_servers, &sim_cfg);
-        let shared = simulate_shared_uplink(&streams, n_servers, &sim_cfg);
+        let dedicated = simulate(&streams, Uplinks::Fixed, n_servers, &sim_cfg, &NoopRecorder)
+            .expect("valid DES input");
+        let shared = simulate_shared_uplink(&streams, None, n_servers, &sim_cfg);
         table.row(vec![
             format!("{slowdown}x"),
             format!("{:.4}", dedicated.mean_latency_s),

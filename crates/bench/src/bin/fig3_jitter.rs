@@ -7,8 +7,9 @@
 //! ```
 
 use eva_bench::Table;
+use eva_obs::NoopRecorder;
 use eva_sched::{StreamId, Ticks, TICKS_PER_SEC};
-use eva_sim::des::{simulate, SimConfig, SimStream};
+use eva_sim::des::{simulate, SimConfig, SimStream, Uplinks};
 
 fn stream(source: usize, period_ms: u64, proc_ms: u64, phase_ms: u64) -> SimStream {
     SimStream {
@@ -27,7 +28,8 @@ fn run(streams: &[SimStream], label: &str, table: &mut Table) {
         warmup: TICKS_PER_SEC,
         deadline: 0,
     };
-    let report = simulate(streams, 1, &cfg);
+    let report =
+        simulate(streams, Uplinks::Fixed, 1, &cfg, &NoopRecorder).expect("valid DES input");
     for s in &report.streams {
         table.row(vec![
             label.to_string(),

@@ -10,6 +10,7 @@
 
 use eva_bench::Table;
 use eva_gp::{fit_gp, FitConfig};
+use eva_obs::NoopRecorder;
 use eva_stats::metrics::r_squared;
 use eva_stats::rng::{child_seed, seeded};
 use eva_workload::{
@@ -69,8 +70,8 @@ fn main() {
                     ..Default::default()
                 };
                 let sub = n.min(hyperfit_cap);
-                let hyper_model =
-                    fit_gp(&xs[..sub], &ys[..sub], &cfg, &mut rng).expect("GP hyperfit");
+                let hyper_model = fit_gp(&xs[..sub], &ys[..sub], &cfg, &mut rng, &NoopRecorder)
+                    .expect("GP hyperfit");
                 let model = if sub < n {
                     eva_gp::GpModel::new(
                         hyper_model.kernel().clone(),

@@ -11,6 +11,7 @@
 //! ```
 
 use eva_bench::Table;
+use eva_obs::NoopRecorder;
 use eva_prefgp::{elicit_preferences, ElicitConfig};
 use eva_stats::rng::{child_seed, seeded};
 use eva_workload::{Scenario, N_OBJECTIVES};
@@ -36,8 +37,8 @@ fn main() {
     let pref = TruePreference::new(&scenario, [1.0, 2.0, 0.5, 1.5, 1.0]);
     let normalizer = OutcomeNormalizer::for_scenario(&scenario);
     let mut rng = seeded(5150);
-    let bank =
-        OutcomeModelBank::fit_initial(&scenario, 30, 0.02, &mut rng).expect("profiling GP fit");
+    let bank = OutcomeModelBank::fit_initial(&scenario, 30, 0.02, None, &mut rng, &NoopRecorder)
+        .expect("profiling GP fit");
     let sampler = CompositeSampler::new(
         &scenario,
         bank,

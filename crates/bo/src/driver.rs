@@ -70,31 +70,14 @@ pub struct BoResult {
     pub budget_stopped: bool,
 }
 
-/// Maximize a black-box objective over a finite pool.
+/// Maximize a black-box objective over a finite pool, under a
+/// deterministic work-unit budget with anytime early-exit.
 ///
 /// * `objective(x)` — the (possibly noisy, possibly penalized)
 ///   observation; Algorithm 2's "Profile_and_Algorithm1",
 /// * `fit(observations)` — rebuild the surrogate from all data so far;
 ///   Algorithm 2's model-update steps (lines 18-19),
 /// * `pool` — the feasible candidate set.
-pub fn bo_maximize<S, FObj, FFit, R>(
-    objective: FObj,
-    fit: FFit,
-    pool: &[Vec<f64>],
-    cfg: &BoConfig,
-    rng: &mut R,
-) -> BoResult
-where
-    S: SurrogateSampler + Sync,
-    FObj: FnMut(&[f64]) -> f64,
-    FFit: FnMut(&[(Vec<f64>, f64)]) -> S,
-    R: Rng + ?Sized,
-{
-    bo_maximize_budgeted(objective, fit, pool, cfg, rng, &DecisionBudget::unlimited())
-}
-
-/// [`bo_maximize`] with a deterministic work-unit budget and anytime
-/// early-exit.
 ///
 /// Charges (check-before-work, see [`eva_obs::budget`]):
 /// [`cost::OBJ_EVAL`] per objective evaluation, [`cost::GP_FIT`] per
@@ -104,9 +87,9 @@ where
 /// far with `budget_stopped = true`; the very first objective
 /// evaluation is mandatory (a result needs at least one observation)
 /// and is force-charged, so callers should size budgets to at least
-/// [`cost::OBJ_EVAL`]. With [`DecisionBudget::unlimited`] this is
-/// behavior-identical to [`bo_maximize`].
-pub fn bo_maximize_budgeted<S, FObj, FFit, R>(
+/// [`cost::OBJ_EVAL`]. [`DecisionBudget::unlimited`] never refuses a
+/// charge, so the loop then runs to convergence or `max_iters`.
+pub fn bo_maximize<S, FObj, FFit, R>(
     mut objective: FObj,
     mut fit: FFit,
     pool: &[Vec<f64>],
@@ -271,6 +254,7 @@ mod tests {
     use super::*;
     use crate::surrogate::GpSurrogate;
     use eva_gp::{fit_gp, FitConfig};
+    use eva_obs::NoopRecorder;
     use eva_stats::rng::seeded;
 
     /// Fit callback: a fresh GP on all observations, cheap settings.
@@ -282,7 +266,7 @@ mod tests {
             max_evals: 60,
             ..Default::default()
         };
-        GpSurrogate::new(fit_gp(&xs, &ys, &cfg, &mut seeded(0)).unwrap())
+        GpSurrogate::new(fit_gp(&xs, &ys, &cfg, &mut seeded(0), &NoopRecorder).unwrap())
     }
 
     fn grid_pool(n: usize) -> Vec<Vec<f64>> {
@@ -302,7 +286,14 @@ mod tests {
             delta: 1e-6,
             kind: AcqKind::QNei,
         };
-        let r = bo_maximize(f, gp_fit, &pool, &cfg, &mut seeded(1));
+        let r = bo_maximize(
+            f,
+            gp_fit,
+            &pool,
+            &cfg,
+            &mut seeded(1),
+            &DecisionBudget::unlimited(),
+        );
         assert!((r.best_x[0] - 0.3).abs() <= 0.05, "best_x = {:?}", r.best_x);
         assert!(r.best_value > -0.003);
     }
@@ -326,7 +317,14 @@ mod tests {
                 delta: 1e-9,
                 kind: AcqKind::QNei,
             };
-            let r = bo_maximize(f, gp_fit, &pool, &cfg, &mut seeded(seed));
+            let r = bo_maximize(
+                f,
+                gp_fit,
+                &pool,
+                &cfg,
+                &mut seeded(seed),
+                &DecisionBudget::unlimited(),
+            );
             // Judge by TRUE value at the recommended point.
             1.0 - 4.0 * (r.best_x[0] - 0.7) * (r.best_x[0] - 0.7)
         };
@@ -369,7 +367,14 @@ mod tests {
             delta: 10.0, // absurdly loose: stop after two iterations
             kind: AcqKind::QNei,
         };
-        let r = bo_maximize(f, gp_fit, &pool, &cfg, &mut seeded(2));
+        let r = bo_maximize(
+            f,
+            gp_fit,
+            &pool,
+            &cfg,
+            &mut seeded(2),
+            &DecisionBudget::unlimited(),
+        );
         assert!(r.converged);
         assert!(r.iters_run <= 2, "ran {} iters", r.iters_run);
     }
@@ -392,7 +397,14 @@ mod tests {
                 delta: 1e-9,
                 kind,
             };
-            let r = bo_maximize(f, gp_fit, &pool, &cfg, &mut seeded(3));
+            let r = bo_maximize(
+                f,
+                gp_fit,
+                &pool,
+                &cfg,
+                &mut seeded(3),
+                &DecisionBudget::unlimited(),
+            );
             assert!(
                 (r.best_x[0] - 0.5).abs() < 0.2,
                 "{kind:?} landed at {:?}",
@@ -413,13 +425,20 @@ mod tests {
             delta: 1e-12,
             kind: AcqKind::QSr,
         };
-        let r = bo_maximize(f, gp_fit, &pool, &cfg, &mut seeded(4));
+        let r = bo_maximize(
+            f,
+            gp_fit,
+            &pool,
+            &cfg,
+            &mut seeded(4),
+            &DecisionBudget::unlimited(),
+        );
         assert!(r.best_trace.windows(2).all(|w| w[1] >= w[0] - 1e-15));
         assert_eq!(r.best_trace.len(), r.iters_run + 1);
     }
 
     #[test]
-    fn unlimited_budget_is_identical_to_unbudgeted() {
+    fn ample_budget_is_identical_to_unlimited() {
         let f = |x: &[f64]| -(x[0] - 0.3) * (x[0] - 0.3);
         let pool = grid_pool(31);
         let cfg = BoConfig {
@@ -430,8 +449,9 @@ mod tests {
             delta: 1e-9,
             kind: AcqKind::QNei,
         };
-        let a = bo_maximize(f, gp_fit, &pool, &cfg, &mut seeded(9));
-        let b = bo_maximize_budgeted(
+        // A finite budget that never refuses a charge must not perturb
+        // the search: charging is bookkeeping, not control flow.
+        let a = bo_maximize(
             f,
             gp_fit,
             &pool,
@@ -439,6 +459,9 @@ mod tests {
             &mut seeded(9),
             &DecisionBudget::unlimited(),
         );
+        let ample = DecisionBudget::limited(u64::MAX / 2);
+        let b = bo_maximize(f, gp_fit, &pool, &cfg, &mut seeded(9), &ample);
+        assert!(ample.spent() > 0);
         assert_eq!(a.best_x, b.best_x);
         assert_eq!(a.best_value.to_bits(), b.best_value.to_bits());
         assert_eq!(a.observations.len(), b.observations.len());
@@ -460,7 +483,7 @@ mod tests {
         };
         // Enough for the initial design plus one refit, then dry.
         let budget = DecisionBudget::limited(4 * cost::OBJ_EVAL + cost::GP_FIT);
-        let r = bo_maximize_budgeted(f, gp_fit, &pool, &cfg, &mut seeded(6), &budget);
+        let r = bo_maximize(f, gp_fit, &pool, &cfg, &mut seeded(6), &budget);
         assert!(r.budget_stopped);
         assert!(!r.converged);
         assert_eq!(r.observations.len(), 4, "only the initial design ran");
@@ -487,7 +510,7 @@ mod tests {
             kind: AcqKind::QNei,
         };
         let budget = DecisionBudget::limited(1); // below even one OBJ_EVAL
-        let r = bo_maximize_budgeted(f, gp_fit, &pool, &cfg, &mut seeded(7), &budget);
+        let r = bo_maximize(f, gp_fit, &pool, &cfg, &mut seeded(7), &budget);
         assert_eq!(r.observations.len(), 1);
         assert!(r.budget_stopped);
         assert_eq!(budget.overruns(), 1, "the mandatory floor overran");
@@ -507,7 +530,7 @@ mod tests {
         };
         let run = || {
             let budget = DecisionBudget::limited(120);
-            let r = bo_maximize_budgeted(f, gp_fit, &pool, &cfg, &mut seeded(8), &budget);
+            let r = bo_maximize(f, gp_fit, &pool, &cfg, &mut seeded(8), &budget);
             (
                 r.best_x,
                 r.best_value.to_bits(),
@@ -530,7 +553,14 @@ mod tests {
             delta: 1e-12,
             kind: AcqKind::QNei,
         };
-        let r = bo_maximize(f, gp_fit, &pool, &cfg, &mut seeded(5));
+        let r = bo_maximize(
+            f,
+            gp_fit,
+            &pool,
+            &cfg,
+            &mut seeded(5),
+            &DecisionBudget::unlimited(),
+        );
         assert!(r.best_value >= 0.5);
     }
 }

@@ -21,5 +21,5 @@ pub mod surrogate;
 
 pub use acquisition::AcqKind;
 pub use analytic::{expected_improvement, probability_of_improvement, upper_confidence_bound};
-pub use driver::{bo_maximize, bo_maximize_budgeted, BoConfig, BoResult};
+pub use driver::{bo_maximize, BoConfig, BoResult};
 pub use surrogate::{GpSurrogate, SurrogateSampler};

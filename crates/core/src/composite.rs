@@ -392,7 +392,7 @@ impl SurrogateSampler for CompositeSampler<'_> {
     /// once per (point, camera), and latency once per (point, split
     /// part). Cameras with the same observation history share one GP
     /// factor, so a first sequential pass registers every query in a
-    /// [`SolveMemo`]: each distinct (prefix, query) design-row solve and
+    /// `SolveMemo`: each distinct (prefix, query) design-row solve and
     /// each distinct (factor, query) tail cross-kernel vector and latent
     /// variance is computed once, by the first camera that needs it,
     /// and every camera then only takes its model's mean dot
@@ -612,7 +612,8 @@ mod tests {
     fn setup() -> (Scenario, OutcomeModelBank, TruePreference) {
         let sc = Scenario::uniform(3, 2, 20e6, 41);
         let mut rng = seeded(9);
-        let bank = OutcomeModelBank::fit_initial(&sc, 40, 0.01, &mut rng).unwrap();
+        let bank =
+            OutcomeModelBank::fit_initial(&sc, 40, 0.01, None, &mut rng, &NoopRecorder).unwrap();
         let pref = TruePreference::uniform(&sc);
         (sc, bank, pref)
     }
@@ -733,7 +734,8 @@ mod tests {
         let sc = Scenario::uniform(m, n_servers, 20e6, 41);
         // Few profiling samples keep the posteriors wide enough for the
         // clip bounds to matter.
-        let bank = OutcomeModelBank::fit_initial(&sc, 6, 0.05, &mut seeded(9)).unwrap();
+        let bank = OutcomeModelBank::fit_initial(&sc, 6, 0.05, None, &mut seeded(9), &NoopRecorder)
+            .unwrap();
         let pref = TruePreference::uniform(&sc);
         let normalizer = OutcomeNormalizer::for_scenario(&sc);
         let sampler = CompositeSampler::new(&sc, bank, PreferenceEval::Oracle(pref), normalizer);

@@ -8,7 +8,7 @@
 //! through the trailing heartbeat window — a freshly recovered server
 //! is still invisible for one detection lag). The fault-aware scheduler
 //! then re-runs Algorithm 1 + the BO loop restricted to survivors
-//! ([`crate::pamo::Pamo::decide_surviving`]); the fault-oblivious
+//! ([`crate::pamo::Pamo::decide_surviving_recorded`]); the fault-oblivious
 //! baseline keeps planning on the full server list and pays for it when
 //! its placements land on dead machines. When even the survivors cannot
 //! host a zero-jitter placement, the aware loop degrades to the best
@@ -27,7 +27,7 @@
 
 use eva_fault::process::secs_to_ticks;
 use eva_fault::{AvailabilityTrace, FaultPlan};
-use eva_obs::{emit_warn, span, ObsEvent, Phase, Recorder};
+use eva_obs::{emit_warn, span, NoopRecorder, ObsEvent, Phase, Recorder};
 use eva_sched::Assignment;
 use eva_workload::{DriftingScenario, Outcome, Scenario, VideoConfig};
 use rand::Rng;
@@ -189,62 +189,47 @@ pub fn run_online_faulted<R: Rng + ?Sized>(
             continue;
         }
 
-        // Plan the epoch; degrade through the fallback ladder rather
-        // than dying when the full pipeline cannot run.
-        let (configs, assignment, fell_back) =
-            match pamo.decide_surviving_recorded(&scenario, &pref, mask, rng, rec) {
-                Ok(d) => match scenario.schedule_surviving_recorded(&d.configs, mask, rec) {
-                    Ok(a) => (d.configs, a, false),
-                    Err(_) => match fallback_uniform(&scenario, &pref, mask, rec) {
-                        Some((c, a)) => (c, a, true),
-                        None => {
-                            emit_warn(
-                                rec,
-                                ObsEvent::warn(
-                                    "no_fallback",
-                                    format!(
-                                        "run_online_faulted: epoch {epoch}: \
-                                         no feasible fallback — skipping"
-                                    ),
-                                )
-                                .with("epoch", epoch),
-                            );
-                            any_degraded = true;
-                            drifting.advance(rng);
-                            continue;
-                        }
-                    },
-                },
-                Err(e) => {
+        // Plan the epoch; a failed decision or placement degrades to
+        // the uniform fallback rather than ending the run.
+        let planned = match pamo.decide_surviving_recorded(&scenario, &pref, mask, rng, rec) {
+            Ok(d) => scenario
+                .schedule_surviving(&d.configs, mask, rec)
+                .ok()
+                .map(|a| (d.configs, a)),
+            Err(e) => {
+                emit_warn(
+                    rec,
+                    ObsEvent::warn(
+                        "decision_failed",
+                        format!("run_online_faulted: epoch {epoch}: decision failed ({e})"),
+                    )
+                    .with("epoch", epoch),
+                );
+                None
+            }
+        };
+        let (configs, assignment, fell_back) = match planned {
+            Some((c, a)) => (c, a, false),
+            None => match fallback_uniform(&scenario, &pref, mask, rec) {
+                Some((c, a)) => (c, a, true),
+                None => {
                     emit_warn(
                         rec,
                         ObsEvent::warn(
-                            "decision_failed",
-                            format!("run_online_faulted: epoch {epoch}: decision failed ({e})"),
+                            "no_fallback",
+                            format!(
+                                "run_online_faulted: epoch {epoch}: \
+                                 no feasible fallback — skipping"
+                            ),
                         )
                         .with("epoch", epoch),
                     );
-                    match fallback_uniform(&scenario, &pref, mask, rec) {
-                        Some((c, a)) => (c, a, true),
-                        None => {
-                            emit_warn(
-                                rec,
-                                ObsEvent::warn(
-                                    "no_fallback",
-                                    format!(
-                                        "run_online_faulted: epoch {epoch}: \
-                                         no feasible fallback — skipping"
-                                    ),
-                                )
-                                .with("epoch", epoch),
-                            );
-                            any_degraded = true;
-                            drifting.advance(rng);
-                            continue;
-                        }
-                    }
+                    any_degraded = true;
+                    drifting.advance(rng);
+                    continue;
                 }
-            };
+            },
+        };
         if fell_back && rec.enabled() {
             rec.add("fault.fallbacks", 1);
         }
@@ -344,7 +329,7 @@ pub(crate) fn fallback_uniform(
     let mut best: Option<(f64, Vec<VideoConfig>, Assignment)> = None;
     for c in scenario.config_space().iter() {
         let configs = vec![c; m];
-        let Ok(out) = scenario.evaluate_surviving(&configs, alive) else {
+        let Ok(out) = scenario.evaluate_surviving(&configs, alive, &NoopRecorder) else {
             continue;
         };
         let b = pref.benefit(&out.outcome);
@@ -654,12 +639,15 @@ mod tests {
         let feasible: Vec<f64> = sc
             .config_space()
             .iter()
-            .filter_map(|c| sc.evaluate_surviving(&[c; 3], Some(&alive)).ok())
+            .filter_map(|c| {
+                sc.evaluate_surviving(&[c; 3], Some(&alive), &NoopRecorder)
+                    .ok()
+            })
             .map(|out| pref.benefit(&out.outcome))
             .collect();
         let best = feasible.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         let chosen = sc
-            .evaluate_surviving(&configs, Some(&alive))
+            .evaluate_surviving(&configs, Some(&alive), &NoopRecorder)
             .expect("the fallback is feasible");
         assert_eq!(pref.benefit(&chosen.outcome), best);
         let spans = flight.snapshot().phase_stats();

@@ -15,8 +15,8 @@
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-use eva_gp::{fit_gp_recorded, theta_of, FitConfig, GpModel, PrefixSolve};
-use eva_obs::{span, NoopRecorder, Phase, Recorder};
+use eva_gp::{fit_gp, theta_of, FitConfig, GpModel, PrefixSolve};
+use eva_obs::{span, Phase, Recorder};
 use eva_workload::profiler::{features_of, N_FEATURES};
 use eva_workload::{Outcome, ProfileSample, Profiler, Scenario, VideoConfig, N_OBJECTIVES};
 use rand::Rng;
@@ -90,43 +90,17 @@ impl OutcomeModelBank {
     /// configurations (uplinks drawn from the scenario's pool) and fit
     /// the 5·M GPs. `rel_noise` is the profiling measurement noise.
     ///
+    /// `warm[obj]` optionally seeds the hyperparameter search with the
+    /// log-parameter vector of a previous epoch's fitted model for
+    /// objective `obj` (see [`OutcomeModelBank::shared_thetas`]); with
+    /// `warm: None` this draws exactly the same RNG stream as a cold
+    /// fit. The whole fit runs under an `outcome_fit` span and per-GP
+    /// fit internals go through `rec`.
+    ///
     /// Numerical failure (a kernel matrix that stays non-PD after the
     /// Cholesky jitter ladder) is returned as
     /// [`CoreError::OutcomeModel`], not panicked.
     pub fn fit_initial<R: Rng + ?Sized>(
-        scenario: &Scenario,
-        samples_per_camera: usize,
-        rel_noise: f64,
-        rng: &mut R,
-    ) -> Result<Self, CoreError> {
-        Self::fit_initial_recorded(scenario, samples_per_camera, rel_noise, rng, &NoopRecorder)
-    }
-
-    /// [`OutcomeModelBank::fit_initial`] with telemetry: the whole fit
-    /// runs under an `outcome_fit` span and per-GP fit internals go
-    /// through `rec` (a [`NoopRecorder`] makes this the plain path).
-    pub fn fit_initial_recorded<R: Rng + ?Sized>(
-        scenario: &Scenario,
-        samples_per_camera: usize,
-        rel_noise: f64,
-        rng: &mut R,
-        rec: &dyn Recorder,
-    ) -> Result<Self, CoreError> {
-        Self::fit_initial_warm_recorded(scenario, samples_per_camera, rel_noise, None, rng, rec)
-    }
-
-    /// [`OutcomeModelBank::fit_initial_recorded`] with optional warm-start
-    /// hyperparameters: `warm[obj]` is the log-parameter vector of a
-    /// previous epoch's fitted model for objective `obj` (see
-    /// [`OutcomeModelBank::shared_thetas`]). With `warm: None` this draws
-    /// exactly the same RNG stream as the cold path.
-    ///
-    /// Camera 0 fits hyperparameters per objective (seeded from `warm`
-    /// when given); all later cameras are hyperparameter-free rebuilds
-    /// sharing camera 0's kernels, so they are built in parallel after
-    /// their profiling samples are drawn sequentially (keeping the RNG
-    /// stream deterministic and independent of thread scheduling).
-    pub fn fit_initial_warm_recorded<R: Rng + ?Sized>(
         scenario: &Scenario,
         samples_per_camera: usize,
         rel_noise: f64,
@@ -141,17 +115,21 @@ impl OutcomeModelBank {
             });
         }
         let design = ProfilingDesign::draw(scenario, samples_per_camera, rng);
-        Self::fit_initial_designed_recorded(scenario, &design, rel_noise, warm, rng, rec)
+        Self::fit_designed(scenario, &design, rel_noise, warm, rng, rec)
     }
 
-    /// [`OutcomeModelBank::fit_initial_warm_recorded`] on an explicit
-    /// profiling design. All cameras measure the *same* (config, uplink)
-    /// points, so the GP inputs `X` are identical bank-wide: camera 0
-    /// fits hyperparameters per objective (one O(n³) Cholesky each) and
-    /// every later camera reuses that factor through
-    /// [`GpModel::with_targets`] (O(n²) per model). Callers that cache
-    /// the design across epochs also skip re-drawing it.
-    pub fn fit_initial_designed_recorded<R: Rng + ?Sized>(
+    /// [`OutcomeModelBank::fit_initial`] on an explicit profiling
+    /// design. All cameras measure the *same* (config, uplink) points,
+    /// so the GP inputs `X` are identical bank-wide: camera 0 fits
+    /// hyperparameters per objective (one O(n³) Cholesky each), seeded
+    /// from `warm` when given, and every later camera is a
+    /// hyperparameter-free rebuild that reuses that factor through
+    /// [`GpModel::with_targets`] (O(n²) per model). Their profiling
+    /// samples are drawn sequentially and the models built in parallel,
+    /// keeping the RNG stream deterministic and independent of thread
+    /// scheduling. Callers that cache the design across epochs also
+    /// skip re-drawing it.
+    pub fn fit_designed<R: Rng + ?Sized>(
         scenario: &Scenario,
         design: &ProfilingDesign,
         rel_noise: f64,
@@ -206,7 +184,7 @@ impl OutcomeModelBank {
                 warm_start: warm.and_then(|w| w.get(obj)).cloned(),
                 ..Default::default()
             };
-            cam0_models.push(fit_gp_recorded(&xs0, &ys, &cfg, rng, rec)?);
+            cam0_models.push(fit_gp(&xs0, &ys, &cfg, rng, rec)?);
         }
 
         // Remaining cameras: draw sequentially (deterministic RNG
@@ -248,7 +226,7 @@ impl OutcomeModelBank {
 
     /// The fitted log-parameter vectors `[obj] -> theta` of the shared
     /// (camera 0) kernels — the warm-start seed for the next epoch's
-    /// [`OutcomeModelBank::fit_initial_warm_recorded`].
+    /// [`OutcomeModelBank::fit_initial`].
     pub fn shared_thetas(&self) -> Vec<Vec<f64>> {
         self.models
             .first()
@@ -301,7 +279,7 @@ impl OutcomeModelBank {
     /// A GP's factor depends only on its inputs, and cameras measured
     /// at the same (config, uplink) in every evaluation share one: a
     /// sequential first pass registers each (factor, input) pair in a
-    /// [`SolveMemo`], and in the per-camera pass the first camera to
+    /// `SolveMemo`, and in the per-camera pass the first camera to
     /// reach a pair builds its grown factor ([`GpModel::extend_factor`],
     /// seeded from the design-row solve shared by the whole prefix).
     /// Per camera, [`GpModel::condition_on`] then only appends the
@@ -432,7 +410,7 @@ pub struct BankUpdate {
     pub rebuilds: usize,
     /// Models conditioned: one per objective of every updated camera.
     pub conditioned: usize,
-    /// Distinct design-row solves computed ([`SolveMemo`] prefix misses).
+    /// Distinct design-row solves computed (`SolveMemo` prefix misses).
     pub prefix_solves: usize,
     /// Grown factors built: one per distinct (factor, input) pair,
     /// against one conditioning per camera and objective.
@@ -552,6 +530,7 @@ impl<T> SharedWork<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eva_obs::NoopRecorder;
     use eva_stats::metrics::r_squared;
     use eva_stats::rng::seeded;
     use eva_workload::outcome::idx;
@@ -563,7 +542,8 @@ mod tests {
     fn bank(samples: usize) -> (Scenario, OutcomeModelBank) {
         let sc = Scenario::uniform(3, 2, 20e6, 31);
         let mut rng = seeded(1);
-        let bank = OutcomeModelBank::fit_initial(&sc, samples, 0.02, &mut rng).unwrap();
+        let bank = OutcomeModelBank::fit_initial(&sc, samples, 0.02, None, &mut rng, &NoopRecorder)
+            .unwrap();
         (sc, bank)
     }
 
@@ -621,7 +601,8 @@ mod tests {
         // punching through the panic-free scheduler contract.
         let sc = Scenario::uniform(2, 2, 20e6, 31);
         let mut rng = seeded(9);
-        let err = OutcomeModelBank::fit_initial(&sc, 3, 0.02, &mut rng).unwrap_err();
+        let err =
+            OutcomeModelBank::fit_initial(&sc, 3, 0.02, None, &mut rng, &NoopRecorder).unwrap_err();
         match err {
             CoreError::InsufficientProfiling { needed, got } => {
                 assert_eq!((needed, got), (4, 3));
@@ -633,20 +614,19 @@ mod tests {
     #[test]
     fn warm_fit_matches_cold_rng_stream_and_quality() {
         let sc = Scenario::uniform(3, 2, 20e6, 31);
-        // warm: None must be byte-for-byte the cold path (same RNG
-        // stream), so downstream seeded experiments are unchanged.
+        // warm: None is the cold path; telemetry must not perturb its
+        // RNG stream, so a recorded fit equals an unrecorded one.
         let mut rng_a = seeded(5);
         let mut rng_b = seeded(5);
-        let cold = OutcomeModelBank::fit_initial(&sc, 20, 0.02, &mut rng_a).unwrap();
-        let cold2 = OutcomeModelBank::fit_initial_warm_recorded(
-            &sc,
-            20,
-            0.02,
-            None,
-            &mut rng_b,
-            &eva_obs::NoopRecorder,
-        )
-        .unwrap();
+        let cold =
+            OutcomeModelBank::fit_initial(&sc, 20, 0.02, None, &mut rng_a, &NoopRecorder).unwrap();
+        let flight = eva_obs::FlightRecorder::new();
+        let cold2 =
+            OutcomeModelBank::fit_initial(&sc, 20, 0.02, None, &mut rng_b, &flight).unwrap();
+        assert_eq!(
+            flight.snapshot().metrics.counter("gp.fits"),
+            N_OBJECTIVES as u64
+        );
         let c = VideoConfig::new(1440.0, 20.0);
         for cam in 0..3 {
             let a = cold.predict(cam, &c, 20e6).to_vec();
@@ -657,7 +637,7 @@ mod tests {
         let thetas = cold.shared_thetas();
         assert_eq!(thetas.len(), N_OBJECTIVES);
         let mut rng_c = seeded(6);
-        let warm = OutcomeModelBank::fit_initial_warm_recorded(
+        let warm = OutcomeModelBank::fit_initial(
             &sc,
             20,
             0.02,
@@ -678,25 +658,12 @@ mod tests {
         // public warm path exactly (it is the same RNG stream).
         let mut rng_a = seeded(5);
         let mut rng_b = seeded(5);
-        let via_warm = OutcomeModelBank::fit_initial_warm_recorded(
-            &sc,
-            20,
-            0.02,
-            None,
-            &mut rng_a,
-            &NoopRecorder,
-        )
-        .unwrap();
+        let via_warm =
+            OutcomeModelBank::fit_initial(&sc, 20, 0.02, None, &mut rng_a, &NoopRecorder).unwrap();
         let design = ProfilingDesign::draw(&sc, 20, &mut rng_b);
-        let via_design = OutcomeModelBank::fit_initial_designed_recorded(
-            &sc,
-            &design,
-            0.02,
-            None,
-            &mut rng_b,
-            &NoopRecorder,
-        )
-        .unwrap();
+        let via_design =
+            OutcomeModelBank::fit_designed(&sc, &design, 0.02, None, &mut rng_b, &NoopRecorder)
+                .unwrap();
         let c = VideoConfig::new(1440.0, 20.0);
         for cam in 0..3 {
             assert_eq!(
@@ -717,13 +684,13 @@ mod tests {
         }
         // A too-small design is rejected like a too-small budget.
         let tiny = ProfilingDesign::draw(&sc, 3, &mut seeded(1));
-        assert!(OutcomeModelBank::fit_initial_designed_recorded(
+        assert!(OutcomeModelBank::fit_designed(
             &sc,
             &tiny,
             0.02,
             None,
             &mut seeded(1),
-            &NoopRecorder,
+            &NoopRecorder
         )
         .is_err());
     }
@@ -772,7 +739,8 @@ mod tests {
             eva_workload::ConfigSpace::default(),
         );
         let mut rng = seeded(3);
-        let bank = OutcomeModelBank::fit_initial(&sc, 80, 0.01, &mut rng).unwrap();
+        let bank =
+            OutcomeModelBank::fit_initial(&sc, 80, 0.01, None, &mut rng, &NoopRecorder).unwrap();
         let c = VideoConfig::new(1440.0, 10.0);
         let (lat_slow, _) = bank.predict_objective(0, idx::LATENCY, &c, 5e6);
         let (lat_fast, _) = bank.predict_objective(0, idx::LATENCY, &c, 30e6);
@@ -847,7 +815,7 @@ mod tests {
             rebuilt in 0usize..5,
         ) {
             let sc = Scenario::standard(5, 3, &mut seeded(seed));
-            let mut bank = OutcomeModelBank::fit_initial(&sc, 12, 0.02, &mut seeded(seed + 1))
+            let mut bank = OutcomeModelBank::fit_initial(&sc, 12, 0.02, None, &mut seeded(seed + 1), &NoopRecorder)
                 .unwrap();
             rebuild_row(&mut bank, rebuilt);
             let mut oracle = bank.clone();

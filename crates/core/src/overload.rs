@@ -1052,7 +1052,7 @@ impl ServingSession {
                     .ok()
                     .and_then(|d| {
                         let a = scenario
-                            .schedule_surviving_recorded(&d.configs, mask.as_deref(), rec)
+                            .schedule_surviving(&d.configs, mask.as_deref(), rec)
                             .ok()?;
                         Some((d.configs, a, false))
                     })
@@ -1077,7 +1077,7 @@ impl ServingSession {
             DecisionRung::Repair => {
                 // Re-place the deployed configurations on the drifted
                 // scenario — Algorithm 1 without the BO/GP pipeline.
-                match self.state.scenario.schedule_surviving_recorded(
+                match self.state.scenario.schedule_surviving(
                     &self.state.configs,
                     mask.as_deref(),
                     rec,

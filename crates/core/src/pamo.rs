@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use eva_bo::{bo_maximize_budgeted, AcqKind, BoConfig, BoResult};
+use eva_bo::{bo_maximize, AcqKind, BoConfig, BoResult};
 use eva_obs::{cost, span, DecisionBudget, NoopRecorder, Phase, Recorder};
 use eva_prefgp::{elicit_preferences, ElicitConfig, PreferenceModel};
 use eva_workload::{Outcome, ProfileSample, Profiler, Scenario, VideoConfig};
@@ -185,30 +185,22 @@ impl Pamo {
         true_pref: &TruePreference,
         rng: &mut R,
     ) -> Result<PamoDecision, CoreError> {
-        self.decide_surviving(scenario, true_pref, None, rng)
+        self.decide_surviving_recorded(scenario, true_pref, None, rng, &NoopRecorder)
     }
 
-    /// Failure-aware Algorithm 2: identical to [`Pamo::decide`] but
-    /// Algorithm-1 placement (both inside the BO loop and for the final
-    /// recommendation) is restricted to the servers marked `true` in
-    /// `alive`. With `alive = None` (or all-true) this is exactly the
-    /// unrestricted pipeline — bit-identical decisions — which keeps
-    /// the zero-fault online path identical to the fault-oblivious one.
-    pub fn decide_surviving<R: Rng + ?Sized>(
-        &self,
-        scenario: &Scenario,
-        true_pref: &TruePreference,
-        alive: Option<&[bool]>,
-        rng: &mut R,
-    ) -> Result<PamoDecision, CoreError> {
-        self.decide_surviving_recorded(scenario, true_pref, alive, rng, &NoopRecorder)
-    }
-
-    /// [`Pamo::decide_surviving`] with telemetry: the decision runs
-    /// under a `decide` span with per-stage sub-spans (outcome fit,
-    /// preference modeling, BO search) emitted through `rec`. With a
-    /// [`NoopRecorder`] this is exactly the plain path — same RNG
-    /// stream, bit-identical decisions.
+    /// Failure-aware Algorithm 2 with telemetry: identical to
+    /// [`Pamo::decide`] but Algorithm-1 placement (both inside the BO
+    /// loop and for the final recommendation) is restricted to the
+    /// servers marked `true` in `alive`. With `alive = None` (or
+    /// all-true) this is exactly the unrestricted pipeline —
+    /// bit-identical decisions — which keeps the zero-fault online path
+    /// identical to the fault-oblivious one.
+    ///
+    /// The decision runs under a `decide` span with per-stage sub-spans
+    /// (outcome fit, preference modeling, BO search) emitted through
+    /// `rec`. Telemetry never changes the decision: a [`NoopRecorder`]
+    /// run draws the same RNG stream and returns the same bits as a
+    /// recorded one.
     pub fn decide_surviving_recorded<R: Rng + ?Sized>(
         &self,
         scenario: &Scenario,
@@ -232,7 +224,7 @@ impl Pamo {
     /// charged stage runs (the outcome-model refit as one lump, then
     /// every BO init point, GP refit, acquisition scan and batch
     /// observation individually via
-    /// [`eva_bo::bo_maximize_budgeted`]), and the BO loop early-exits
+    /// [`eva_bo::bo_maximize`]), and the BO loop early-exits
     /// keeping the best decision found so far once the budget refuses a
     /// charge. Budget exhaustion therefore degrades decision *quality*,
     /// never feasibility: the recommendation is always a placed,
@@ -279,7 +271,7 @@ impl Pamo {
         if !budget.try_charge(fit_lump) {
             budget.force_charge(fit_lump);
         }
-        let bank = OutcomeModelBank::fit_initial_designed_recorded(
+        let bank = OutcomeModelBank::fit_designed(
             scenario,
             &design,
             cfg.profile_noise,
@@ -323,7 +315,7 @@ impl Pamo {
                 rec.add("core.objective_evals", 1);
             }
             let configs = decode_joint(scenario, x);
-            let assignment = match scenario.schedule_surviving_recorded(&configs, alive, rec) {
+            let assignment = match scenario.schedule_surviving(&configs, alive, rec) {
                 Ok(a) => a,
                 Err(_) => return INFEASIBLE_BENEFIT,
             };
@@ -364,7 +356,7 @@ impl Pamo {
         };
         let bo = {
             let _bo_span = span(rec, Phase::BoSearch);
-            bo_maximize_budgeted(objective, fit, &pool, &cfg.bo, rng, budget)
+            bo_maximize(objective, fit, &pool, &cfg.bo, rng, budget)
         };
         if rec.enabled() {
             rec.add("core.decisions", 1);
@@ -374,9 +366,7 @@ impl Pamo {
         // Final recommendation: best observed joint config, scored by
         // the *true* preference on the *noise-free* outcome.
         let configs = decode_joint(scenario, &bo.best_x);
-        let outcome = scenario
-            .evaluate_surviving_recorded(&configs, alive, rec)?
-            .outcome;
+        let outcome = scenario.evaluate_surviving(&configs, alive, rec)?.outcome;
         let true_benefit = true_pref.benefit(&outcome);
         if !true_benefit.is_finite() {
             return Err(CoreError::NonFinite {

@@ -6,7 +6,7 @@
 //! configuration knobs to \[0,1\]); the default bounds reflect that.
 
 use eva_linalg::{vecops, Cholesky, Mat};
-use eva_obs::{span, NoopRecorder, Phase, Recorder};
+use eva_obs::{span, Phase, Recorder};
 use eva_opt::{multi_start, NelderMeadOptions};
 use rand::Rng;
 
@@ -158,21 +158,12 @@ impl LmlEvaluator {
 /// Returns the best model found; hyperparameter search failures on
 /// individual candidates (non-PSD kernels at extreme hyperparameters)
 /// are treated as `-inf` likelihood rather than hard errors.
+///
+/// The whole fit runs under a [`Phase::GpFit`] span, and the solver's
+/// evaluation count and the Cholesky dimension are observed on `rec`;
+/// a [`NoopRecorder`](eva_obs::NoopRecorder) run is bit-identical to a
+/// recorded one.
 pub fn fit_gp<R: Rng + ?Sized>(
-    x: &[Vec<f64>],
-    y: &[f64],
-    config: &FitConfig,
-    rng: &mut R,
-) -> Result<GpModel> {
-    fit_gp_recorded(x, y, config, rng, &NoopRecorder)
-}
-
-/// [`fit_gp`] with telemetry: the whole fit runs under a
-/// [`Phase::GpFit`] span, and the solver's evaluation count and the
-/// Cholesky dimension are observed on `rec`. With a
-/// [`NoopRecorder`] this is bit-identical to [`fit_gp`] (which
-/// delegates here).
-pub fn fit_gp_recorded<R: Rng + ?Sized>(
     x: &[Vec<f64>],
     y: &[f64],
     config: &FitConfig,
@@ -258,6 +249,7 @@ pub fn fit_gp_recorded<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eva_obs::NoopRecorder;
     use eva_stats::metrics::r_squared;
     use eva_stats::rng::seeded;
 
@@ -270,7 +262,7 @@ mod tests {
             .iter()
             .map(|p| (6.0 * p[0]).sin() + 0.01 * eva_stats::rng::standard_normal(&mut rng))
             .collect();
-        let model = fit_gp(&x, &y, &FitConfig::default(), &mut rng).unwrap();
+        let model = fit_gp(&x, &y, &FitConfig::default(), &mut rng, &NoopRecorder).unwrap();
         let test_x: Vec<Vec<f64>> = (0..20).map(|i| vec![(i as f64 + 0.5) / 20.0]).collect();
         let truth: Vec<f64> = test_x.iter().map(|p| (6.0 * p[0]).sin()).collect();
         let pred: Vec<f64> = test_x.iter().map(|p| model.predict_mean(p)).collect();
@@ -290,7 +282,7 @@ mod tests {
             x.push(vec![a, b]);
             y.push((6.0 * a).sin()); // depends only on dim 0
         }
-        let model = fit_gp(&x, &y, &FitConfig::default(), &mut rng).unwrap();
+        let model = fit_gp(&x, &y, &FitConfig::default(), &mut rng, &NoopRecorder).unwrap();
         let ls = model.kernel().lengthscales();
         assert!(
             ls[1] > 2.0 * ls[0],
@@ -309,8 +301,8 @@ mod tests {
             .map(|&v| v + 0.4 * eva_stats::rng::standard_normal(&mut rng))
             .collect();
         let cfg = FitConfig::default();
-        let m_clean = fit_gp(&x, &clean, &cfg, &mut rng).unwrap();
-        let m_noisy = fit_gp(&x, &noisy, &cfg, &mut rng).unwrap();
+        let m_clean = fit_gp(&x, &clean, &cfg, &mut rng, &NoopRecorder).unwrap();
+        let m_noisy = fit_gp(&x, &noisy, &cfg, &mut rng, &NoopRecorder).unwrap();
         assert!(
             m_noisy.noise_var() > 5.0 * m_clean.noise_var(),
             "noisy {} vs clean {}",
@@ -331,7 +323,7 @@ mod tests {
             restarts: 2,
             ..Default::default()
         };
-        let model = fit_gp(&x, &y, &cfg, &mut rng).unwrap();
+        let model = fit_gp(&x, &y, &cfg, &mut rng, &NoopRecorder).unwrap();
         let ls = model.kernel().lengthscales();
         assert_eq!(ls[0], ls[1]);
     }
@@ -343,7 +335,7 @@ mod tests {
             .map(|i| vec![i as f64 / 20.0, (i % 4) as f64 / 4.0])
             .collect();
         let y: Vec<f64> = x.iter().map(|p| (5.0 * p[0]).sin() + p[1]).collect();
-        let m = fit_gp(&x, &y, &FitConfig::default(), &mut rng).unwrap();
+        let m = fit_gp(&x, &y, &FitConfig::default(), &mut rng, &NoopRecorder).unwrap();
         let theta = theta_of(&m);
         assert_eq!(theta.len(), 2 + 2); // 2 ARD lengthscales + signal + noise
         for (t, &l) in theta.iter().zip(m.kernel().lengthscales()) {
@@ -358,7 +350,7 @@ mod tests {
         let mut rng = seeded(27);
         let x: Vec<Vec<f64>> = (0..40).map(|i| vec![i as f64 / 40.0]).collect();
         let y: Vec<f64> = x.iter().map(|p| (6.0 * p[0]).sin()).collect();
-        let cold = fit_gp(&x, &y, &FitConfig::default(), &mut rng).unwrap();
+        let cold = fit_gp(&x, &y, &FitConfig::default(), &mut rng, &NoopRecorder).unwrap();
         // Re-fit the same data seeded from the cold optimum, one restart
         // fewer — the warm fit must land at (or above) the same LML
         // basin, not degrade.
@@ -366,7 +358,7 @@ mod tests {
             warm_start: Some(theta_of(&cold)),
             ..Default::default()
         };
-        let warm = fit_gp(&x, &y, &warm_cfg, &mut rng).unwrap();
+        let warm = fit_gp(&x, &y, &warm_cfg, &mut rng, &NoopRecorder).unwrap();
         assert!(
             warm.log_marginal_likelihood() >= cold.log_marginal_likelihood() - 1e-6,
             "warm {} vs cold {}",
@@ -384,7 +376,7 @@ mod tests {
             warm_start: Some(vec![0.0; 7]), // wrong length for 1-D ARD
             ..Default::default()
         };
-        let m = fit_gp(&x, &y, &cfg, &mut rng).unwrap();
+        let m = fit_gp(&x, &y, &cfg, &mut rng, &NoopRecorder).unwrap();
         assert!(m.log_marginal_likelihood().is_finite());
     }
 
@@ -405,7 +397,7 @@ mod tests {
                 restarts: 2,
                 ..Default::default()
             };
-            let model = fit_gp(&pts, &y, &cfg, &mut rng).unwrap();
+            let model = fit_gp(&pts, &y, &cfg, &mut rng, &NoopRecorder).unwrap();
             let pred: Vec<f64> = test_x.iter().map(|p| model.predict_mean(p)).collect();
             r2s.push(r_squared(&truth, &pred));
         }

@@ -20,7 +20,7 @@ pub mod loocv;
 pub mod model;
 pub mod poly;
 
-pub use fit::{fit_gp, fit_gp_recorded, theta_of, FitConfig};
+pub use fit::{fit_gp, theta_of, FitConfig};
 pub use kernel::{Kernel, KernelType};
 pub use loocv::{loo_diagnostics, LooDiagnostics};
 pub use model::{FactorExtension, FactorSolve, GpModel, GpPosterior, PrefixSolve};

@@ -3,10 +3,9 @@
 //! equivalence in the contention-free regime.
 
 use eva_net::{delivery_rate_bps, EwmaEstimator, LinkEstimator, LinkModel, MaxFilterEstimator};
+use eva_obs::NoopRecorder;
 use eva_sched::{StreamId, Ticks, TICKS_PER_SEC};
-use eva_sim::{
-    simulate_shared_uplink_with_links, simulate_with_links, SimConfig, SimStream, StreamLink,
-};
+use eva_sim::{simulate, simulate_shared_uplink, SimConfig, SimStream, StreamLink, Uplinks};
 use proptest::prelude::*;
 
 proptest! {
@@ -103,15 +102,16 @@ proptest! {
         }
 
         let tandem_cfg = SimConfig { horizon, warmup: 0, deadline: 0 };
-        let tandem = simulate_shared_uplink_with_links(
-            &tandem_streams, &links, n_streams, &tandem_cfg,
+        let tandem = simulate_shared_uplink(
+            &tandem_streams, Some(&links), n_streams, &tandem_cfg,
         );
         // Dedicated arrivals land at gen + trans; extend the horizon by
         // trans so the same frames are admitted.
         let ded_cfg = SimConfig { horizon: horizon + trans, warmup: 0, deadline: 0 };
-        let dedicated = simulate_with_links(
-            &dedicated_streams, &links, n_streams, &ded_cfg,
-        );
+        let dedicated = simulate(
+            &dedicated_streams, Uplinks::Links(&links), n_streams, &ded_cfg, &NoopRecorder,
+        )
+        .unwrap();
 
         for (t, d) in tandem.streams.iter().zip(&dedicated.streams) {
             prop_assert_eq!(t.frames, d.frames, "frame sets differ");

@@ -7,7 +7,7 @@
 //! minimized (Algorithm 1, line 20's objective
 //! `min Σ_G Σ_{i∈G} bits(r_i) / B_q`).
 
-use eva_obs::{span, NoopRecorder, Phase, Recorder};
+use eva_obs::{span, Phase, Recorder};
 
 use crate::group::{group_streams, GroupingError};
 use crate::stream::{split_high_rate, StreamTiming};
@@ -74,53 +74,29 @@ impl Assignment {
 /// * `streams` — original (pre-split) stream timings,
 /// * `bits_per_frame[i]` — transmitted bits of one frame of source
 ///   stream `i` (resolution-dependent, from `eva-workload`),
-/// * `uplink_bps[j]` — uplink bandwidth of server `j` in bits/second.
+/// * `uplink_bps[j]` — uplink bandwidth of server `j` in bits/second,
+/// * `alive` — failure-aware placement: only servers marked `true`
+///   receive groups, and dead servers are never rank-paired. Server
+///   indices in the returned [`Assignment`] still refer to the *full*
+///   server list, so placements map directly onto the unreduced
+///   cluster. `None` (or all-true) is exactly the unrestricted
+///   Algorithm 1 — same operations in the same order, bit-identical
+///   output — which keeps the zero-fault online path identical to the
+///   fault-oblivious one.
 ///
 /// The per-group cost on server `j` is
 /// `Σ_{i ∈ G} bits_per_frame[src(i)] / uplink_bps[j]` — each frame's
 /// transmission latency, matching Eq. 5's `θ_bit(r_i)/B_{q_i}` term.
 ///
-/// Malformed inputs are errors: `bits_per_frame` must have one entry
-/// per stream and every uplink must be positive and finite.
-pub fn assign_groups_to_servers(
-    streams: &[StreamTiming],
-    bits_per_frame: &[f64],
-    uplink_bps: &[f64],
-) -> Result<Assignment, GroupingError> {
-    assign_groups_to_surviving_servers(streams, bits_per_frame, uplink_bps, None)
-}
-
-/// Failure-aware Algorithm 1: identical to [`assign_groups_to_servers`]
-/// but restricted to the servers marked `true` in `alive` — dead servers
-/// receive no groups and are never rank-paired. Server indices
-/// in the returned [`Assignment`] still refer to the *full* server list,
-/// so placements map directly onto the unreduced cluster.
+/// Splitting and grouping run under a [`Phase::Grouping`] span, the
+/// rank pairing under a [`Phase::Assignment`] span, and group/stream
+/// counts land on `rec`; a [`NoopRecorder`](eva_obs::NoopRecorder)
+/// run is bit-identical to a recorded one.
 ///
-/// With `alive = None` (or all-true) this is exactly the unrestricted
-/// Algorithm 1 — same operations in the same order, bit-identical
-/// output — which is what keeps the zero-fault online path identical to
-/// the fault-oblivious one. `alive` must have one entry per server.
-pub fn assign_groups_to_surviving_servers(
-    streams: &[StreamTiming],
-    bits_per_frame: &[f64],
-    uplink_bps: &[f64],
-    alive: Option<&[bool]>,
-) -> Result<Assignment, GroupingError> {
-    assign_groups_to_surviving_servers_recorded(
-        streams,
-        bits_per_frame,
-        uplink_bps,
-        alive,
-        &NoopRecorder,
-    )
-}
-
-/// [`assign_groups_to_surviving_servers`] with telemetry: splitting +
-/// grouping run under a [`Phase::Grouping`] span, the rank pairing
-/// under a [`Phase::Assignment`] span, and group/stream counts land on
-/// `rec`. With a [`NoopRecorder`] this is bit-identical to the plain
-/// entry point (which delegates here).
-pub fn assign_groups_to_surviving_servers_recorded(
+/// Malformed inputs are errors: `bits_per_frame` must have one entry
+/// per stream, `alive` one entry per server, and every uplink must be
+/// positive and finite.
+pub fn assign_groups_to_servers(
     streams: &[StreamTiming],
     bits_per_frame: &[f64],
     uplink_bps: &[f64],
@@ -213,6 +189,8 @@ pub fn assign_groups_to_surviving_servers_recorded(
 
 #[cfg(test)]
 mod tests {
+    use eva_obs::NoopRecorder;
+
     use super::*;
     use crate::stream::{StreamId, TICKS_PER_SEC};
     use crate::theory::const2_zero_jitter_ok;
@@ -231,7 +209,7 @@ mod tests {
         ];
         let bits = vec![1e6, 2e6, 0.5e6, 1e6];
         let uplinks = vec![10e6, 20e6, 30e6];
-        let a = assign_groups_to_servers(&streams, &bits, &uplinks).unwrap();
+        let a = assign_groups_to_servers(&streams, &bits, &uplinks, None, &NoopRecorder).unwrap();
         for server in 0..uplinks.len() {
             let members: Vec<StreamTiming> = a
                 .streams_on(server)
@@ -252,7 +230,7 @@ mod tests {
         // Non-harmonic periods (100 ms vs ~142.9 ms) force two groups.
         let bits = vec![8e6, 0.1e6];
         let uplinks = vec![1e6, 100e6]; // slow, fast
-        let a = assign_groups_to_servers(&streams, &bits, &uplinks).unwrap();
+        let a = assign_groups_to_servers(&streams, &bits, &uplinks, None, &NoopRecorder).unwrap();
         // Stream 0 (heavy) must sit on server 1 (fast).
         let heavy_idx = a.streams.iter().position(|s| s.id.source == 0).unwrap();
         assert_eq!(a.server_of[heavy_idx], 1);
@@ -263,7 +241,7 @@ mod tests {
         let streams = vec![st(0, 10.0, 0.05), st(1, 7.0, 0.05)];
         let bits = vec![4e6, 1e6];
         let uplinks = vec![2e6, 8e6];
-        let a = assign_groups_to_servers(&streams, &bits, &uplinks).unwrap();
+        let a = assign_groups_to_servers(&streams, &bits, &uplinks, None, &NoopRecorder).unwrap();
         assert_eq!(a.groups.len(), 2);
         // Cost of chosen mapping vs the swapped mapping.
         let cost = |g: usize, j: usize| -> f64 {
@@ -285,7 +263,7 @@ mod tests {
         let streams = vec![st(0, 30.0, 0.11)];
         let bits = vec![1e6];
         let uplinks = vec![10e6, 10e6, 10e6, 10e6];
-        let a = assign_groups_to_servers(&streams, &bits, &uplinks).unwrap();
+        let a = assign_groups_to_servers(&streams, &bits, &uplinks, None, &NoopRecorder).unwrap();
         assert_eq!(a.streams.len(), 4);
         let base_period = ((TICKS_PER_SEC as f64) / 30.0).round() as Ticks;
         for s in &a.streams {
@@ -305,7 +283,7 @@ mod tests {
         let streams = vec![st(0, 10.0, 0.09), st(1, 7.0, 0.09), st(2, 11.0, 0.09)];
         let bits = vec![1e6; 3];
         let uplinks = vec![10e6]; // one server for three mutually unpackable streams
-        assert!(assign_groups_to_servers(&streams, &bits, &uplinks).is_err());
+        assert!(assign_groups_to_servers(&streams, &bits, &uplinks, None, &NoopRecorder).is_err());
     }
 
     #[test]
@@ -319,8 +297,8 @@ mod tests {
         let bits = vec![1e6, 2e6, 0.5e6, 1e6];
         let uplinks = vec![10e6, 20e6, 30e6, 40e6];
         let alive = vec![true, false, true, true];
-        let a =
-            assign_groups_to_surviving_servers(&streams, &bits, &uplinks, Some(&alive)).unwrap();
+        let a = assign_groups_to_servers(&streams, &bits, &uplinks, Some(&alive), &NoopRecorder)
+            .unwrap();
         assert!(a.server_of.iter().all(|&s| s != 1), "dead server used");
         assert!(a.server_of.iter().all(|&s| s < uplinks.len()));
         for server in [0usize, 2, 3] {
@@ -339,9 +317,11 @@ mod tests {
         let bits = vec![1e6, 2e6, 0.5e6];
         let uplinks = vec![10e6, 20e6, 30e6];
         let alive = vec![true; 3];
-        let plain = assign_groups_to_servers(&streams, &bits, &uplinks).unwrap();
+        let plain =
+            assign_groups_to_servers(&streams, &bits, &uplinks, None, &NoopRecorder).unwrap();
         let gated =
-            assign_groups_to_surviving_servers(&streams, &bits, &uplinks, Some(&alive)).unwrap();
+            assign_groups_to_servers(&streams, &bits, &uplinks, Some(&alive), &NoopRecorder)
+                .unwrap();
         assert_eq!(plain.server_of, gated.server_of);
         assert_eq!(plain.group_server, gated.group_server);
         assert_eq!(
@@ -358,13 +338,14 @@ mod tests {
         let uplinks = vec![10e6; 3];
         let alive = vec![false, true, false];
         assert!(
-            assign_groups_to_surviving_servers(&streams, &bits, &uplinks, Some(&alive)).is_err()
+            assign_groups_to_servers(&streams, &bits, &uplinks, Some(&alive), &NoopRecorder)
+                .is_err()
         );
     }
 
     #[test]
     fn empty_streams_yield_empty_assignment() {
-        let a = assign_groups_to_servers(&[], &[], &[10e6]).unwrap();
+        let a = assign_groups_to_servers(&[], &[], &[10e6], None, &NoopRecorder).unwrap();
         assert!(a.server_of.is_empty());
         assert_eq!(a.total_comm_latency, 0.0);
     }
@@ -398,7 +379,7 @@ mod tests {
     #[test]
     fn rank_pairing_matches_hungarian_latency_at_scale() {
         let (streams, bits, uplinks) = many_groups(80);
-        let a = assign_groups_to_servers(&streams, &bits, &uplinks).unwrap();
+        let a = assign_groups_to_servers(&streams, &bits, &uplinks, None, &NoopRecorder).unwrap();
         assert_eq!(a.groups.len(), 80);
         let group_bits: Vec<f64> = a
             .groups
@@ -437,7 +418,7 @@ mod tests {
     fn bits_length_mismatch_is_an_error() {
         let streams = vec![st(0, 10.0, 0.03), st(1, 5.0, 0.05)];
         assert_eq!(
-            assign_groups_to_servers(&streams, &[1e6], &[10e6]),
+            assign_groups_to_servers(&streams, &[1e6], &[10e6], None, &NoopRecorder),
             Err(GroupingError::BitsLengthMismatch {
                 streams: 2,
                 bits: 1
@@ -450,7 +431,7 @@ mod tests {
         let streams = vec![st(0, 10.0, 0.03)];
         for bad in [0.0, -5e6, f64::NAN, f64::INFINITY] {
             assert_eq!(
-                assign_groups_to_servers(&streams, &[1e6], &[10e6, bad]),
+                assign_groups_to_servers(&streams, &[1e6], &[10e6, bad], None, &NoopRecorder),
                 Err(GroupingError::InvalidUplink { server: 1 }),
                 "uplink {bad}"
             );
@@ -461,7 +442,13 @@ mod tests {
     fn alive_length_mismatch_is_an_error() {
         let streams = vec![st(0, 10.0, 0.03)];
         assert_eq!(
-            assign_groups_to_surviving_servers(&streams, &[1e6], &[10e6, 20e6], Some(&[true])),
+            assign_groups_to_servers(
+                &streams,
+                &[1e6],
+                &[10e6, 20e6],
+                Some(&[true]),
+                &NoopRecorder
+            ),
             Err(GroupingError::AliveLengthMismatch {
                 alive: 1,
                 servers: 2

@@ -28,10 +28,7 @@ pub mod oracle;
 pub mod stream;
 pub mod theory;
 
-pub use assign::{
-    assign_groups_to_servers, assign_groups_to_surviving_servers,
-    assign_groups_to_surviving_servers_recorded, rank_pair, Assignment,
-};
+pub use assign::{assign_groups_to_servers, rank_pair, Assignment};
 pub use group::{group_streams, group_streams_sequential, GroupingError};
 pub use hungarian::hungarian_min_cost;
 pub use stream::{split_high_rate, StreamId, StreamTiming, Ticks, TICKS_PER_SEC};

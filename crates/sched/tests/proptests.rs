@@ -1,9 +1,9 @@
 //! Property tests for the zero-jitter scheduling stack.
 
+use eva_obs::NoopRecorder;
 use eva_sched::{
-    assign_groups_to_servers, assign_groups_to_surviving_servers, const1_utilization_ok,
-    const2_zero_jitter_ok, group_streams, group_streams_sequential, hungarian_min_cost,
-    split_high_rate, StreamId, StreamTiming,
+    assign_groups_to_servers, const1_utilization_ok, const2_zero_jitter_ok, group_streams,
+    group_streams_sequential, hungarian_min_cost, split_high_rate, StreamId, StreamTiming,
 };
 use proptest::prelude::*;
 
@@ -96,7 +96,7 @@ proptest! {
     fn assignment_invariants(streams in streams_strategy(6), n_extra in 0usize..3) {
         let bits: Vec<f64> = (0..streams.len()).map(|i| 1e5 * (i + 1) as f64).collect();
         let uplinks: Vec<f64> = (0..streams.len() + n_extra).map(|j| 5e6 * (j + 1) as f64).collect();
-        let a = assign_groups_to_servers(&streams, &bits, &uplinks).unwrap();
+        let a = assign_groups_to_servers(&streams, &bits, &uplinks, None, &NoopRecorder).unwrap();
         for server in 0..uplinks.len() {
             let members: Vec<StreamTiming> = a.streams_on(server)
                 .into_iter().map(|i| a.streams[i]).collect();
@@ -148,7 +148,7 @@ proptest! {
         for j in eva_stats::rng::sample_indices(&mut rng, n_servers, n_dead) {
             alive[j] = false;
         }
-        let a = assign_groups_to_surviving_servers(&streams, &bits, &uplinks, Some(&alive))
+        let a = assign_groups_to_servers(&streams, &bits, &uplinks, Some(&alive), &NoopRecorder)
             .unwrap();
 
         let mut servers = a.group_server.clone();

@@ -2,7 +2,7 @@
 //! a placement that keeps the incumbents' benefit above a floor.
 //!
 //! The probe is the survivor-restricted Algorithm 1 path
-//! ([`Scenario::evaluate_surviving_recorded`]) run once per candidate
+//! ([`Scenario::evaluate_surviving`]) run once per candidate
 //! configuration of the newcomer, with every incumbent pinned to its
 //! currently deployed configuration. That makes the probe cheap — one
 //! grouping + assignment per grid point, no BO — while still answering
@@ -176,7 +176,7 @@ impl AdmissionController {
         let mut best: Option<ProbeReport> = None;
         for cand in trial.config_space().iter() {
             configs[m] = cand;
-            let Ok(out) = trial.evaluate_surviving_recorded(&configs, alive, rec) else {
+            let Ok(out) = trial.evaluate_surviving(&configs, alive, rec) else {
                 continue; // no zero-jitter placement at this config
             };
             let total = benefit(&out.outcome);

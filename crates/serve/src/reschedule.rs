@@ -200,7 +200,7 @@ impl Rescheduler {
         rec: &dyn Recorder,
     ) -> Result<(Assignment, ReplanScope), GroupingError> {
         let _replan = span(rec, Phase::Replan);
-        let a = scenario.schedule_surviving_recorded(configs, alive, rec)?;
+        let a = scenario.schedule_surviving(configs, alive, rec)?;
         self.install(&a);
         self.stats.full += 1;
         if rec.enabled() {
@@ -226,7 +226,7 @@ impl Rescheduler {
             rec.add("serve.replan_coalesced", 1);
             rec.add("serve.replan_coalesced_triggers", batched);
         }
-        let a = scenario.schedule_surviving_recorded(configs, alive, rec)?;
+        let a = scenario.schedule_surviving(configs, alive, rec)?;
         self.install(&a);
         self.stats.coalesced += 1;
         Ok(a)

@@ -6,7 +6,7 @@ use std::collections::VecDeque;
 use eva_bond::BundleSim;
 use eva_net::link::secs_to_ticks;
 use eva_net::LinkTrace;
-use eva_obs::{span, NoopRecorder, Phase, Recorder};
+use eva_obs::{span, Phase, Recorder};
 use eva_sched::{StreamId, Ticks, TICKS_PER_SEC};
 use eva_stats::RunningStats;
 
@@ -144,173 +144,190 @@ struct ServerState {
 
 /// How frames reach the servers: the engine's one uplink selector.
 /// Faults ride only on fixed or traced links, never on bundles.
-enum Uplinks<'a> {
+#[derive(Debug)]
+pub enum Uplinks<'a> {
     /// The fixed per-stream `trans` pipeline delay.
     Fixed,
-    /// Per-stream time-varying link traces.
+    /// Per-stream *time-varying* links, one per stream: frame `k`'s
+    /// transmission time is `bits / B(capture_k)` sampled from the
+    /// stream's [`StreamLink`] trace (quasi-static per frame), instead
+    /// of the fixed `trans`. `stream.trans` remains the *nominal*
+    /// pipeline delay: captures are still back-dated by it, so a
+    /// [`LinkTrace`] that is constant at the nominal rate reproduces
+    /// [`Uplinks::Fixed`] exactly, event for event.
     Links(&'a [StreamLink]),
-    /// Per-stream bonded bundles, striped frame by frame.
+    /// Per-stream *bonded multipath* uplinks, one per stream: frame `k`
+    /// is striped packet-by-packet across its [`StreamBundle`]'s member
+    /// links and arrives when the receiver's reorder buffer releases
+    /// the last packet in order ([`BundleSim::frame_delivery`]). As with
+    /// [`Uplinks::Links`], the arrival shifts by the realized-vs-nominal
+    /// transmission difference. A single-member zero-RTT bundle
+    /// computes the *same* floating-point expression as a link
+    /// (`bits / B(capture)`), so the degenerate bundle is bit-identical
+    /// to the single-trace path (property-tested in
+    /// `tests/bond_identity.rs`).
     Bundles(&'a mut [StreamBundle]),
-    /// Planned fault-shaped deliveries over fixed (`None`) or traced
-    /// links, with crash/straggler service on the servers.
+    /// A materialized fault schedule over fixed (`None`) or traced
+    /// links: camera dropout and per-attempt uplink loss (with bounded
+    /// retry + backoff) shape which frames arrive and when; server
+    /// crashes pause processing until recovery and straggler bursts
+    /// dilate it. Frames that can never complete are counted in
+    /// [`StreamReport::dropped`] instead of being left stuck. An inert
+    /// schedule (every process zero) runs as [`Uplinks::Fixed`] /
+    /// [`Uplinks::Links`], so zero-fault runs are bit-identical to them.
     Faulted {
+        /// Per-stream traced links, or `None` for the fixed delay.
         links: Option<&'a [StreamLink]>,
+        /// The materialized fault schedule.
         faults: &'a SimFaults,
     },
 }
+
+/// Why [`simulate`] rejected its inputs.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SimError {
+    /// Stream `stream` is placed on `server`, but only `n_servers`
+    /// servers exist.
+    NonexistentServer {
+        /// Index of the offending stream.
+        stream: usize,
+        /// Its destination server.
+        server: usize,
+        /// Number of simulated servers.
+        n_servers: usize,
+    },
+    /// Stream `stream` has a zero `period` or a zero `proc`.
+    DegenerateTiming {
+        /// Index of the offending stream.
+        stream: usize,
+    },
+    /// A per-stream link or bundle slice does not have one entry per
+    /// stream.
+    UplinkCount {
+        /// Number of streams.
+        streams: usize,
+        /// Number of links or bundles supplied.
+        uplinks: usize,
+    },
+    /// The fault schedule lacks a crash or straggler trace for some of
+    /// the `n_servers` servers.
+    MissingServerFaults {
+        /// Number of simulated servers.
+        n_servers: usize,
+    },
+    /// The fault schedule lacks a dropout or loss trace for camera
+    /// `source`.
+    MissingCameraFaults {
+        /// The source camera of the first stream without traces.
+        source: usize,
+    },
+}
+
+impl std::fmt::Display for SimError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SimError::NonexistentServer {
+                stream,
+                server,
+                n_servers,
+            } => write!(
+                f,
+                "simulate: stream assigned to nonexistent server \
+                 (stream {stream} on server {server} of {n_servers})"
+            ),
+            SimError::DegenerateTiming { stream } => {
+                write!(f, "simulate: degenerate stream timing (stream {stream})")
+            }
+            SimError::UplinkCount { streams, uplinks } => write!(
+                f,
+                "simulate: one link or bundle per stream ({uplinks} for {streams} streams)"
+            ),
+            SimError::MissingServerFaults { n_servers } => write!(
+                f,
+                "simulate: missing server fault traces ({n_servers} servers)"
+            ),
+            SimError::MissingCameraFaults { source } => {
+                write!(f, "simulate: missing camera fault traces (camera {source})")
+            }
+        }
+    }
+}
+
+impl std::error::Error for SimError {}
 
 /// Run the simulation.
 ///
 /// The engine is a classic event-driven loop: `FrameArrival` events
 /// enqueue work on a server; idle servers start the head-of-line frame
 /// immediately and self-schedule a `ServerDone`. FIFO order plus
-/// deterministic tie-breaking makes runs exactly replayable.
-pub fn simulate(streams: &[SimStream], n_servers: usize, cfg: &SimConfig) -> SimReport {
-    simulate_inner(streams, Uplinks::Fixed, n_servers, cfg, &NoopRecorder)
-}
-
-/// [`simulate`] with telemetry: the run executes under a [`Phase::Des`]
-/// span and emits event/frame/miss/drop counters on `rec`. With a
-/// [`NoopRecorder`] this is bit-identical to [`simulate`] (which
-/// delegates here with one).
-pub fn simulate_recorded(
-    streams: &[SimStream],
-    n_servers: usize,
-    cfg: &SimConfig,
-    rec: &dyn Recorder,
-) -> SimReport {
-    simulate_inner(streams, Uplinks::Fixed, n_servers, cfg, rec)
-}
-
-/// Run the simulation with per-stream *time-varying* uplinks: frame
-/// `k`'s transmission time is `bits / B(capture_k)` sampled from the
-/// stream's [`StreamLink`] trace (quasi-static per frame), instead of
-/// the fixed `trans`. `stream.trans` remains the *nominal* pipeline
-/// delay: captures are still back-dated by it, so a [`LinkTrace`] that
-/// is constant at the nominal rate reproduces [`simulate`] exactly,
-/// event for event.
-pub fn simulate_with_links(
-    streams: &[SimStream],
-    links: &[StreamLink],
-    n_servers: usize,
-    cfg: &SimConfig,
-) -> SimReport {
-    simulate_with_links_recorded(streams, links, n_servers, cfg, &NoopRecorder)
-}
-
-/// Run the simulation with per-stream *bonded multipath* uplinks: frame
-/// `k` is striped packet-by-packet across its [`StreamBundle`]'s member
-/// links and arrives when the receiver's reorder buffer releases the
-/// last packet in order ([`BundleSim::frame_delivery`]). As with
-/// [`simulate_with_links`], `stream.trans` remains the *nominal*
-/// pipeline delay anchoring capture back-dating, and the arrival shifts
-/// by the realized-vs-nominal transmission difference.
+/// deterministic tie-breaking makes runs exactly replayable. `uplinks`
+/// selects how frames reach the servers (see [`Uplinks`]).
 ///
-/// A single-member zero-RTT bundle computes the *same* floating-point
-/// expression as [`simulate_with_links`] (`bits / B(capture)`), so the
-/// degenerate bundle is bit-identical to the single-trace path —
-/// property-tested in `tests/bond_identity.rs`.
-pub fn simulate_with_bundles(
-    streams: &[SimStream],
-    bundles: &mut [StreamBundle],
-    n_servers: usize,
-    cfg: &SimConfig,
-) -> SimReport {
-    simulate_with_bundles_recorded(streams, bundles, n_servers, cfg, &NoopRecorder)
-}
-
-/// [`simulate_with_bundles`] with telemetry: striping runs under a
-/// [`Phase::BondStripe`] span and emits `bond.*` frame/packet/HoL
-/// counters on `rec` in addition to the usual `des.*` set.
-pub fn simulate_with_bundles_recorded(
-    streams: &[SimStream],
-    bundles: &mut [StreamBundle],
-    n_servers: usize,
-    cfg: &SimConfig,
-    rec: &dyn Recorder,
-) -> SimReport {
-    assert_eq!(
-        streams.len(),
-        bundles.len(),
-        "simulate_with_bundles: one bundle per stream"
-    );
-    simulate_inner(streams, Uplinks::Bundles(bundles), n_servers, cfg, rec)
-}
-
-/// [`simulate_with_links`] with telemetry (see [`simulate_recorded`]).
-pub fn simulate_with_links_recorded(
-    streams: &[SimStream],
-    links: &[StreamLink],
-    n_servers: usize,
-    cfg: &SimConfig,
-    rec: &dyn Recorder,
-) -> SimReport {
-    assert_eq!(
-        streams.len(),
-        links.len(),
-        "simulate_with_links: one link per stream"
-    );
-    simulate_inner(streams, Uplinks::Links(links), n_servers, cfg, rec)
-}
-
-/// Run the simulation under a materialized fault schedule: camera
-/// dropout and per-attempt uplink loss (with bounded retry + backoff)
-/// shape which frames arrive and when; server crashes pause processing
-/// until recovery and straggler bursts dilate it. Frames that can never
-/// complete are counted in [`StreamReport::dropped`] instead of being
-/// left stuck.
+/// The run executes under a [`Phase::Des`] span and emits
+/// event/frame/miss/drop/retry counters on `rec`; bonded uplinks also
+/// stripe under a [`Phase::BondStripe`] span with `bond.*`
+/// frame/packet/HoL counters. Telemetry never changes the report: a
+/// [`NoopRecorder`](eva_obs::NoopRecorder) run is bit-identical to a
+/// recorded one.
 ///
-/// An inert schedule (every process zero) delegates to the plain
-/// engine, so zero-fault runs are bit-identical to [`simulate`] /
-/// [`simulate_with_links`].
-pub fn simulate_faulted(
+/// Malformed inputs are a [`SimError`], checked before anything runs:
+/// a stream on a nonexistent server, a zero `period` or `proc`, a link
+/// or bundle slice without one entry per stream, and (for a non-inert
+/// fault schedule) missing server or camera fault traces.
+pub fn simulate(
     streams: &[SimStream],
-    links: Option<&[StreamLink]>,
-    faults: &SimFaults,
-    n_servers: usize,
-    cfg: &SimConfig,
-) -> SimReport {
-    simulate_faulted_recorded(streams, links, faults, n_servers, cfg, &NoopRecorder)
-}
-
-/// [`simulate_faulted`] with telemetry (see [`simulate_recorded`]);
-/// additionally counts retransmissions planned by the retry policy.
-pub fn simulate_faulted_recorded(
-    streams: &[SimStream],
-    links: Option<&[StreamLink]>,
-    faults: &SimFaults,
+    uplinks: Uplinks<'_>,
     n_servers: usize,
     cfg: &SimConfig,
     rec: &dyn Recorder,
-) -> SimReport {
-    if let Some(ls) = links {
-        assert_eq!(
-            streams.len(),
-            ls.len(),
-            "simulate_faulted: one link per stream"
-        );
+) -> Result<SimReport, SimError> {
+    let per_stream = match &uplinks {
+        Uplinks::Fixed | Uplinks::Faulted { links: None, .. } => None,
+        Uplinks::Links(links)
+        | Uplinks::Faulted {
+            links: Some(links), ..
+        } => Some(links.len()),
+        Uplinks::Bundles(bundles) => Some(bundles.len()),
+    };
+    if let Some(n) = per_stream.filter(|&n| n != streams.len()) {
+        return Err(SimError::UplinkCount {
+            streams: streams.len(),
+            uplinks: n,
+        });
     }
-    if faults.is_inert() {
-        let uplinks = links.map_or(Uplinks::Fixed, Uplinks::Links);
-        return simulate_inner(streams, uplinks, n_servers, cfg, rec);
+    let uplinks = match uplinks {
+        Uplinks::Faulted { links, faults } if faults.is_inert() => {
+            links.map_or(Uplinks::Fixed, Uplinks::Links)
+        }
+        Uplinks::Faulted { links, faults } => {
+            if faults.server_up.len() < n_servers || faults.server_slow.len() < n_servers {
+                return Err(SimError::MissingServerFaults { n_servers });
+            }
+            if let Some(s) = streams
+                .iter()
+                .find(|s| s.id.source >= faults.camera_up.len() || s.id.source >= faults.loss.len())
+            {
+                return Err(SimError::MissingCameraFaults {
+                    source: s.id.source,
+                });
+            }
+            Uplinks::Faulted { links, faults }
+        }
+        other => other,
+    };
+    for (stream, s) in streams.iter().enumerate() {
+        if s.server >= n_servers {
+            return Err(SimError::NonexistentServer {
+                stream,
+                server: s.server,
+                n_servers,
+            });
+        }
+        if s.period == 0 || s.proc == 0 {
+            return Err(SimError::DegenerateTiming { stream });
+        }
     }
-    assert!(
-        faults.server_up.len() >= n_servers && faults.server_slow.len() >= n_servers,
-        "simulate_faulted: missing server fault traces"
-    );
-    assert!(
-        streams
-            .iter()
-            .all(|s| s.id.source < faults.camera_up.len() && s.id.source < faults.loss.len()),
-        "simulate_faulted: missing camera fault traces"
-    );
-    simulate_inner(
-        streams,
-        Uplinks::Faulted { links, faults },
-        n_servers,
-        cfg,
-        rec,
-    )
+    Ok(run(streams, uplinks, n_servers, cfg, rec))
 }
 
 /// Frame slots `phase + k·period` of `s` inside the horizon.
@@ -321,7 +338,8 @@ fn slots_in_horizon(s: &SimStream, cfg: &SimConfig) -> usize {
     }
 }
 
-fn simulate_inner(
+/// The engine proper, on inputs [`simulate`] has validated.
+fn run(
     streams: &[SimStream],
     uplinks: Uplinks<'_>,
     n_servers: usize,
@@ -329,14 +347,6 @@ fn simulate_inner(
     rec: &dyn Recorder,
 ) -> SimReport {
     let _des_span = span(rec, Phase::Des);
-    assert!(
-        streams.iter().all(|s| s.server < n_servers),
-        "simulate: stream assigned to nonexistent server"
-    );
-    assert!(
-        streams.iter().all(|s| s.period > 0 && s.proc > 0),
-        "simulate: degenerate stream timing"
-    );
 
     let mut arrivals =
         ArrivalList::with_capacity(streams.iter().map(|s| slots_in_horizon(s, cfg)).sum());
@@ -643,7 +653,30 @@ fn start_next(
 
 #[cfg(test)]
 mod tests {
+    use eva_fault::FaultPlan;
+    use eva_obs::NoopRecorder;
+
     use super::*;
+
+    fn fixed(streams: &[SimStream], n_servers: usize, cfg: &SimConfig) -> SimReport {
+        simulate(streams, Uplinks::Fixed, n_servers, cfg, &NoopRecorder).unwrap()
+    }
+
+    fn linked(
+        streams: &[SimStream],
+        links: &[StreamLink],
+        n_servers: usize,
+        cfg: &SimConfig,
+    ) -> SimReport {
+        simulate(
+            streams,
+            Uplinks::Links(links),
+            n_servers,
+            cfg,
+            &NoopRecorder,
+        )
+        .unwrap()
+    }
 
     fn sim_stream(
         source: usize,
@@ -675,7 +708,7 @@ mod tests {
     fn single_stream_latency_is_trans_plus_proc() {
         // One 10 fps stream, 20ms proc, 5ms transmission: no queueing.
         let s = sim_stream(0, 100_000, 20_000, 5_000, 0, 0);
-        let r = simulate(&[s], 1, &short_cfg());
+        let r = fixed(&[s], 1, &short_cfg());
         assert_eq!(r.streams.len(), 1);
         assert!(r.streams[0].frames > 80);
         assert!((r.streams[0].latency.mean() - 0.025).abs() < 1e-9);
@@ -688,7 +721,7 @@ mod tests {
         // Utilization 1.5: queue grows, latency climbs over the run —
         // the Fig. 3(a) pathology.
         let s = sim_stream(0, 100_000, 150_000, 0, 0, 0);
-        let r = simulate(&[s], 1, &short_cfg());
+        let r = fixed(&[s], 1, &short_cfg());
         let st = &r.streams[0];
         assert!(st.jitter_s > 1.0, "jitter = {}", st.jitter_s);
         assert!(st.latency.max() > 2.0, "max latency = {}", st.latency.max());
@@ -703,7 +736,7 @@ mod tests {
         // 2, 4, ... but not in between -> nonzero jitter.
         let a = sim_stream(0, 100_000, 30_000, 0, 0, 0);
         let b = sim_stream(1, 200_000, 50_000, 0, 0, 0);
-        let r = simulate(&[a, b], 1, &short_cfg());
+        let r = fixed(&[a, b], 1, &short_cfg());
         assert!(r.max_jitter_s >= 0.0, "smoke");
         // At least one stream suffers queueing: its latency exceeds its
         // own trans+proc baseline on some frame.
@@ -721,7 +754,7 @@ mod tests {
         // o(τ2) = p1. Const2 holds (30+50 <= gcd(100,200) = 100).
         let a = sim_stream(0, 100_000, 30_000, 0, 0, 0);
         let b = sim_stream(1, 200_000, 50_000, 0, 0, 30_000);
-        let r = simulate(&[a, b], 1, &short_cfg());
+        let r = fixed(&[a, b], 1, &short_cfg());
         assert_eq!(r.max_jitter_s, 0.0, "jitter: {:?}", r.streams);
         // And latencies are exactly proc (trans = 0).
         assert!((r.streams[0].latency.mean() - 0.03).abs() < 1e-9);
@@ -735,7 +768,7 @@ mod tests {
         // any static phases.
         let a = sim_stream(0, 100_000, 40_000, 0, 0, 0);
         let b = sim_stream(1, 150_000, 40_000, 0, 0, 40_000);
-        let r = simulate(&[a, b], 1, &short_cfg());
+        let r = fixed(&[a, b], 1, &short_cfg());
         assert!(r.max_jitter_s > 0.0, "expected jitter, got none");
     }
 
@@ -743,7 +776,7 @@ mod tests {
     fn streams_on_different_servers_do_not_interact() {
         let a = sim_stream(0, 100_000, 90_000, 0, 0, 0);
         let b = sim_stream(1, 100_000, 90_000, 0, 1, 0);
-        let r = simulate(&[a, b], 2, &short_cfg());
+        let r = fixed(&[a, b], 2, &short_cfg());
         assert_eq!(r.max_jitter_s, 0.0);
         assert!((r.streams[0].latency.mean() - 0.09).abs() < 1e-9);
         assert!((r.streams[1].latency.mean() - 0.09).abs() < 1e-9);
@@ -757,7 +790,7 @@ mod tests {
             warmup: TICKS_PER_SEC,
             deadline: 0,
         };
-        let r = simulate(&[s], 1, &cfg);
+        let r = fixed(&[s], 1, &cfg);
         // 10 arrivals per second; only the second second is measured.
         assert_eq!(r.streams[0].frames, 10);
     }
@@ -766,7 +799,7 @@ mod tests {
     fn utilization_matches_offered_load() {
         let a = sim_stream(0, 100_000, 25_000, 0, 0, 0);
         let b = sim_stream(1, 200_000, 50_000, 0, 0, 25_000);
-        let r = simulate(&[a, b], 1, &short_cfg());
+        let r = fixed(&[a, b], 1, &short_cfg());
         // Offered utilization 0.25 + 0.25 = 0.5.
         assert!((r.server_utilization[0] - 0.5).abs() < 0.03);
     }
@@ -780,24 +813,115 @@ mod tests {
             deadline: 10_000,
             ..short_cfg()
         };
-        let r = simulate(&[s], 1, &tight);
+        let r = fixed(&[s], 1, &tight);
         assert_eq!(r.streams[0].deadline_misses, r.streams[0].frames);
         let loose = SimConfig {
             deadline: 50_000,
             ..short_cfg()
         };
-        let r2 = simulate(&[s], 1, &loose);
+        let r2 = fixed(&[s], 1, &loose);
         assert_eq!(r2.streams[0].deadline_misses, 0);
         // Disabled deadline counts nothing.
-        let r3 = simulate(&[s], 1, &short_cfg());
+        let r3 = fixed(&[s], 1, &short_cfg());
         assert_eq!(r3.streams[0].deadline_misses, 0);
     }
 
+    fn err(streams: &[SimStream], uplinks: Uplinks<'_>, n_servers: usize) -> SimError {
+        simulate(streams, uplinks, n_servers, &short_cfg(), &NoopRecorder).unwrap_err()
+    }
+
     #[test]
-    #[should_panic(expected = "nonexistent server")]
     fn rejects_bad_server_index() {
         let s = sim_stream(0, 100_000, 10_000, 0, 3, 0);
-        let _ = simulate(&[s], 2, &short_cfg());
+        assert_eq!(
+            err(&[s], Uplinks::Fixed, 2),
+            SimError::NonexistentServer {
+                stream: 0,
+                server: 3,
+                n_servers: 2
+            }
+        );
+    }
+
+    #[test]
+    fn rejects_zero_period_or_proc() {
+        let ok = sim_stream(0, 100_000, 10_000, 0, 0, 0);
+        let no_proc = sim_stream(1, 100_000, 0, 0, 0, 0);
+        let no_period = sim_stream(2, 0, 10_000, 0, 0, 0);
+        assert_eq!(
+            err(&[ok, no_proc], Uplinks::Fixed, 1),
+            SimError::DegenerateTiming { stream: 1 }
+        );
+        assert_eq!(
+            err(&[no_period], Uplinks::Fixed, 1),
+            SimError::DegenerateTiming { stream: 0 }
+        );
+    }
+
+    #[test]
+    fn rejects_link_or_bundle_count_mismatch() {
+        let streams = [
+            sim_stream(0, 100_000, 10_000, 5_000, 0, 0),
+            sim_stream(1, 100_000, 10_000, 5_000, 0, 50_000),
+        ];
+        let links = [nominal_link(5_000, 20e6)];
+        let want = SimError::UplinkCount {
+            streams: 2,
+            uplinks: 1,
+        };
+        assert_eq!(err(&streams, Uplinks::Links(&links), 1), want);
+        let faults = SimFaults::materialize(&FaultPlan::none(1, 2), short_cfg().horizon + 1);
+        let faulted = Uplinks::Faulted {
+            links: Some(&links),
+            faults: &faults,
+        };
+        assert_eq!(err(&streams, faulted, 1), want);
+        let bundle = StreamBundle {
+            bits_per_frame: 1e5,
+            sim: eva_bond::LinkBundle::single(eva_net::LinkModel::constant(20e6), 0.0)
+                .simulator(short_cfg().horizon, eva_bond::BondPolicy::RoundRobin),
+        };
+        let mut bundles = vec![bundle; 3];
+        assert_eq!(
+            err(&streams, Uplinks::Bundles(&mut bundles), 1),
+            SimError::UplinkCount {
+                streams: 2,
+                uplinks: 3
+            }
+        );
+    }
+
+    #[test]
+    fn rejects_missing_server_fault_traces() {
+        let streams = [sim_stream(0, 100_000, 10_000, 0, 1, 0)];
+        let plan = FaultPlan::none(1, 1).with_frame_loss(0.1, 3);
+        let faults = SimFaults::materialize(&plan, short_cfg().horizon + 1);
+        let faulted = Uplinks::Faulted {
+            links: None,
+            faults: &faults,
+        };
+        assert_eq!(
+            err(&streams, faulted, 2),
+            SimError::MissingServerFaults { n_servers: 2 }
+        );
+    }
+
+    #[test]
+    fn rejects_missing_camera_fault_traces() {
+        let streams = [
+            sim_stream(0, 100_000, 10_000, 0, 0, 0),
+            sim_stream(1, 100_000, 10_000, 0, 0, 50_000),
+        ];
+        let plan = FaultPlan::none(1, 1).with_frame_loss(0.1, 3);
+        let faults = SimFaults::materialize(&plan, short_cfg().horizon + 1);
+        let faulted = Uplinks::Faulted {
+            links: None,
+            faults: &faults,
+        };
+        assert_eq!(
+            err(&streams, faulted, 1),
+            SimError::MissingCameraFaults { source: 1 }
+        );
     }
 
     /// A constant link whose per-frame transmission time equals the
@@ -819,14 +943,14 @@ mod tests {
             .iter()
             .map(|s| nominal_link(s.trans, 20e6))
             .collect();
-        let base = simulate(&streams, 1, &short_cfg());
-        let linked = simulate_with_links(&streams, &links, 1, &short_cfg());
-        for (a, b) in base.streams.iter().zip(&linked.streams) {
+        let base = fixed(&streams, 1, &short_cfg());
+        let traced = linked(&streams, &links, 1, &short_cfg());
+        for (a, b) in base.streams.iter().zip(&traced.streams) {
             assert_eq!(a.frames, b.frames);
             assert_eq!(a.latency.mean().to_bits(), b.latency.mean().to_bits());
             assert_eq!(a.jitter_s.to_bits(), b.jitter_s.to_bits());
         }
-        assert_eq!(base.max_queue_len, linked.max_queue_len);
+        assert_eq!(base.max_queue_len, traced.max_queue_len);
     }
 
     #[test]
@@ -837,7 +961,7 @@ mod tests {
             bits_per_frame: 0.005 * 20e6,
             trace: eva_net::LinkModel::constant(10e6).trace(10 * TICKS_PER_SEC),
         };
-        let r = simulate_with_links(&[s], &[link], 1, &short_cfg());
+        let r = linked(&[s], &[link], 1, &short_cfg());
         assert!((r.streams[0].latency.mean() - 0.030).abs() < 1e-9);
         assert_eq!(r.streams[0].jitter_s, 0.0);
     }
@@ -850,7 +974,7 @@ mod tests {
             trace: eva_net::LinkModel::gilbert_elliott(20e6, 4e6, 1.0, 1.0, 7)
                 .trace(10 * TICKS_PER_SEC),
         };
-        let r = simulate_with_links(&[s], &[link], 1, &short_cfg());
+        let r = linked(&[s], &[link], 1, &short_cfg());
         // Good-state frames see 25 ms, bad-state frames 45 ms.
         assert!(
             r.streams[0].jitter_s > 0.01,

@@ -16,8 +16,9 @@
 //!
 //! Everything here is deterministic given the plan's seeds, so faulted
 //! runs replay exactly — and a zero plan must be observationally
-//! identical to no plan at all (enforced by [`crate::des::simulate_faulted`]
-//! delegating inert plans to the fault-oblivious engine).
+//! identical to no plan at all (enforced by [`crate::des::simulate`]
+//! running an inert [`crate::des::Uplinks::Faulted`] as the
+//! fault-oblivious engine).
 
 use eva_fault::{AvailabilityTrace, FaultPlan, LossProcess, RetryPolicy, SlowdownTrace};
 use eva_net::link::secs_to_ticks;

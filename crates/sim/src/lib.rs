@@ -27,17 +27,12 @@ pub mod runner;
 pub mod tandem;
 
 pub use des::{
-    simulate, simulate_faulted, simulate_faulted_recorded, simulate_recorded,
-    simulate_with_bundles, simulate_with_bundles_recorded, simulate_with_links,
-    simulate_with_links_recorded, SimConfig, SimReport, SimStream, StreamBundle, StreamLink,
-    StreamReport,
+    simulate, SimConfig, SimError, SimReport, SimStream, StreamBundle, StreamLink, StreamReport,
+    Uplinks,
 };
 pub use fault::{plan_stream_deliveries, service_end, PlannedFrame, SimFaults};
 pub use runner::{
-    simulate_scenario, simulate_scenario_faulted, simulate_scenario_faulted_recorded,
-    simulate_scenario_with_deadline, simulate_scenario_with_deadline_recorded, PhasePolicy,
+    simulate_scenario_faulted_recorded, simulate_scenario_with_deadline_recorded, PhasePolicy,
     ScenarioSimReport,
 };
-pub use tandem::{
-    simulate_shared_uplink, simulate_shared_uplink_with_links, TandemReport, TandemStreamReport,
-};
+pub use tandem::{simulate_shared_uplink, TandemReport, TandemStreamReport};

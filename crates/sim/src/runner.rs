@@ -1,15 +1,12 @@
 //! Glue: simulate a full workload scenario under a scheduling decision.
 
 use eva_net::LinkTrace;
-use eva_obs::{emit_warn, NoopRecorder, ObsEvent, Recorder};
+use eva_obs::{emit_warn, ObsEvent, Recorder};
 use eva_sched::theory::zero_jitter_offsets;
 use eva_sched::{Assignment, StreamTiming, Ticks, TICKS_PER_SEC};
 use eva_workload::{Scenario, VideoConfig};
 
-use crate::des::{
-    simulate_faulted_recorded, simulate_recorded, simulate_with_bundles_recorded,
-    simulate_with_links_recorded, SimConfig, SimReport, SimStream, StreamBundle, StreamLink,
-};
+use crate::des::{simulate, SimConfig, SimReport, SimStream, StreamBundle, StreamLink, Uplinks};
 use crate::fault::SimFaults;
 
 /// How stream arrival phases are chosen.
@@ -35,48 +32,25 @@ pub struct ScenarioSimReport {
 }
 
 /// Simulate `scenario` under the given configs and Algorithm-1
-/// `assignment` for `horizon_secs` of simulated time.
+/// `assignment` for `horizon_secs` of simulated time, with a per-frame
+/// end-to-end deadline (`deadline_secs = 0` disables miss counting).
 ///
 /// When the scenario carries per-camera link models
 /// (`Scenario::with_link_models`), each stream's frames are transmitted
-/// over its camera's materialized `B(t)` trace; otherwise transmission
-/// is the fixed Eq. 5 `bits / B` delay.
-pub fn simulate_scenario(
-    scenario: &Scenario,
-    configs: &[VideoConfig],
-    assignment: &Assignment,
-    policy: PhasePolicy,
-    horizon_secs: f64,
-) -> ScenarioSimReport {
-    simulate_scenario_with_deadline(scenario, configs, assignment, policy, horizon_secs, 0.0)
-}
-
-/// [`simulate_scenario`] with a per-frame end-to-end deadline
-/// (`deadline_secs = 0` disables miss counting).
-pub fn simulate_scenario_with_deadline(
-    scenario: &Scenario,
-    configs: &[VideoConfig],
-    assignment: &Assignment,
-    policy: PhasePolicy,
-    horizon_secs: f64,
-    deadline_secs: f64,
-) -> ScenarioSimReport {
-    simulate_scenario_inner(
-        scenario,
-        configs,
-        assignment,
-        policy,
-        horizon_secs,
-        deadline_secs,
-        false,
-        &NoopRecorder,
-    )
-}
-
-/// [`simulate_scenario_with_deadline`] with telemetry threaded into the
-/// DES engine (see [`crate::des::simulate_recorded`]). With a
-/// [`NoopRecorder`] this is bit-identical to the plain entry point
-/// (which delegates here).
+/// over its camera's materialized `B(t)` trace; with bonded uplinks
+/// (`Scenario::with_link_bundles`) they are striped over the camera's
+/// bundle; otherwise transmission is the fixed Eq. 5 `bits / B` delay.
+/// Telemetry goes to `rec` (see [`crate::des::simulate`]); a
+/// [`NoopRecorder`](eva_obs::NoopRecorder) run is bit-identical to a
+/// recorded one.
+///
+/// # Panics
+///
+/// If `configs` does not hold one config per camera, if
+/// `horizon_secs` is not positive, or if the DES rejects the derived
+/// streams (for example an `assignment` server outside the scenario's
+/// servers); the last panics with the [`crate::des::SimError`]
+/// message.
 pub fn simulate_scenario_with_deadline_recorded(
     scenario: &Scenario,
     configs: &[VideoConfig],
@@ -98,35 +72,18 @@ pub fn simulate_scenario_with_deadline_recorded(
     )
 }
 
-/// [`simulate_scenario_with_deadline`] with the scenario's attached
-/// [`eva_workload::Scenario::fault_plan`] injected: camera dropout and
-/// per-frame loss (with bounded retry) shape arrivals, server crashes
-/// pause processing, stragglers dilate it. Without a plan — or with a
-/// zero plan — this is bit-identical to the fault-oblivious path.
-pub fn simulate_scenario_faulted(
-    scenario: &Scenario,
-    configs: &[VideoConfig],
-    assignment: &Assignment,
-    policy: PhasePolicy,
-    horizon_secs: f64,
-    deadline_secs: f64,
-) -> ScenarioSimReport {
-    simulate_scenario_inner(
-        scenario,
-        configs,
-        assignment,
-        policy,
-        horizon_secs,
-        deadline_secs,
-        true,
-        &NoopRecorder,
-    )
-}
-
-/// [`simulate_scenario_faulted`] with telemetry threaded into the DES
-/// engine (see [`crate::des::simulate_faulted_recorded`]). With a
-/// [`NoopRecorder`] this is bit-identical to the plain entry point
-/// (which delegates here).
+/// [`simulate_scenario_with_deadline_recorded`] with the scenario's
+/// attached [`eva_workload::Scenario::fault_plan`] injected: camera
+/// dropout and per-frame loss (with bounded retry) shape arrivals,
+/// server crashes pause processing, stragglers dilate it. Without a
+/// plan — or with a zero plan — this is bit-identical to the
+/// fault-oblivious path.
+///
+/// # Panics
+///
+/// As [`simulate_scenario_with_deadline_recorded`]; also when the
+/// scenario combines a fault plan with bonded uplinks, or when its
+/// fault plan covers fewer servers or cameras than the placement uses.
 pub fn simulate_scenario_faulted_recorded(
     scenario: &Scenario,
     configs: &[VideoConfig],
@@ -278,20 +235,15 @@ fn simulate_scenario_inner(
         "simulate_scenario: faults and bonded uplinks cannot be combined — \
          degrade a bundle member via LinkBundle::scaled_link instead"
     );
-    let report = match (faults, links) {
-        (Some(f), links) => {
-            simulate_faulted_recorded(&sim_streams, links.as_deref(), &f, n_servers, &cfg, rec)
-        }
-        (None, _) if bundles.is_some() => {
-            let Some(bundles) = bundles.as_mut() else {
-                unreachable!("guarded by is_some")
-            };
-            simulate_with_bundles_recorded(&sim_streams, bundles, n_servers, &cfg, rec)
-        }
-        (None, Some(links)) => {
-            simulate_with_links_recorded(&sim_streams, &links, n_servers, &cfg, rec)
-        }
-        (None, None) => simulate_recorded(&sim_streams, n_servers, &cfg, rec),
+    let uplinks = match (&faults, links.as_deref(), bundles.as_deref_mut()) {
+        (Some(faults), links, _) => Uplinks::Faulted { links, faults },
+        (None, _, Some(bundles)) => Uplinks::Bundles(bundles),
+        (None, Some(links), None) => Uplinks::Links(links),
+        (None, None, None) => Uplinks::Fixed,
+    };
+    let report = match simulate(&sim_streams, uplinks, n_servers, &cfg, rec) {
+        Ok(report) => report,
+        Err(e) => panic!("{e}"),
     };
 
     // Eq. 5 analytic prediction over the same (post-split) stream set.
@@ -332,7 +284,27 @@ fn simulate_scenario_inner(
 
 #[cfg(test)]
 mod tests {
+    use eva_obs::NoopRecorder;
+
     use super::*;
+
+    fn run_scenario(
+        scenario: &Scenario,
+        configs: &[VideoConfig],
+        assignment: &Assignment,
+        policy: PhasePolicy,
+        horizon_secs: f64,
+    ) -> ScenarioSimReport {
+        simulate_scenario_with_deadline_recorded(
+            scenario,
+            configs,
+            assignment,
+            policy,
+            horizon_secs,
+            0.0,
+            &NoopRecorder,
+        )
+    }
 
     fn scenario_and_configs() -> (Scenario, Vec<VideoConfig>) {
         let sc = Scenario::uniform(4, 3, 20e6, 7);
@@ -351,7 +323,7 @@ mod tests {
         let assignment = sc
             .schedule(&cfgs)
             .expect("test scenario admits a zero-jitter placement");
-        let r = simulate_scenario(&sc, &cfgs, &assignment, PhasePolicy::ZeroJitter, 20.0);
+        let r = run_scenario(&sc, &cfgs, &assignment, PhasePolicy::ZeroJitter, 20.0);
         assert_eq!(
             r.report.max_jitter_s, 0.0,
             "Theorem 1 violated in simulation: {:?}",
@@ -365,7 +337,7 @@ mod tests {
         let assignment = sc
             .schedule(&cfgs)
             .expect("test scenario admits a zero-jitter placement");
-        let r = simulate_scenario(&sc, &cfgs, &assignment, PhasePolicy::ZeroJitter, 20.0);
+        let r = run_scenario(&sc, &cfgs, &assignment, PhasePolicy::ZeroJitter, 20.0);
         // Tick rounding gives ~µs-scale discrepancies.
         let rel = (r.measured_mean_latency_s - r.analytic_mean_latency_s).abs()
             / r.analytic_mean_latency_s;
@@ -383,8 +355,8 @@ mod tests {
         let assignment = sc
             .schedule(&cfgs)
             .expect("test scenario admits a zero-jitter placement");
-        let zj = simulate_scenario(&sc, &cfgs, &assignment, PhasePolicy::ZeroJitter, 20.0);
-        let naive = simulate_scenario(&sc, &cfgs, &assignment, PhasePolicy::AllZero, 20.0);
+        let zj = run_scenario(&sc, &cfgs, &assignment, PhasePolicy::ZeroJitter, 20.0);
+        let naive = run_scenario(&sc, &cfgs, &assignment, PhasePolicy::AllZero, 20.0);
         assert!(naive.measured_mean_latency_s >= zj.measured_mean_latency_s - 1e-9);
         assert!(naive.report.max_jitter_s >= zj.report.max_jitter_s);
     }
@@ -395,7 +367,7 @@ mod tests {
         let assignment = sc
             .schedule(&cfgs)
             .expect("test scenario admits a zero-jitter placement");
-        let r = simulate_scenario(&sc, &cfgs, &assignment, PhasePolicy::ZeroJitter, 20.0);
+        let r = run_scenario(&sc, &cfgs, &assignment, PhasePolicy::ZeroJitter, 20.0);
         for s in &r.report.streams {
             assert!(
                 s.frames > 10,

@@ -69,33 +69,27 @@ impl Station {
 /// Run the shared-uplink tandem simulation. `stream.phase` is the
 /// *generation* phase (frame `k` is captured at `phase + k·period`);
 /// `stream.trans` is its service time on the shared uplink.
+///
+/// With `links` the link rates vary over time: a frame starting
+/// transmission at `t` occupies the link for `bits / B(t)`
+/// (quasi-static per frame) instead of the fixed `stream.trans`.
+/// `links` is aligned with `streams`; streams sharing a server should
+/// carry (clones of) that server's trace. A constant trace at the
+/// nominal rate reproduces the `links = None` run exactly.
 pub fn simulate_shared_uplink(
     streams: &[SimStream],
+    links: Option<&[StreamLink]>,
     n_servers: usize,
     cfg: &SimConfig,
 ) -> TandemReport {
-    tandem_inner(streams, None, n_servers, cfg, &NoopRecorder)
-}
-
-/// Shared-uplink tandem simulation with *time-varying* link rates: a
-/// frame starting transmission at `t` occupies the link for
-/// `bits / B(t)` (quasi-static per frame) instead of the fixed
-/// `stream.trans`. `links` is aligned with `streams`; streams sharing a
-/// server should carry (clones of) that server's trace. A constant
-/// trace at the nominal rate reproduces [`simulate_shared_uplink`]
-/// exactly.
-pub fn simulate_shared_uplink_with_links(
-    streams: &[SimStream],
-    links: &[StreamLink],
-    n_servers: usize,
-    cfg: &SimConfig,
-) -> TandemReport {
-    assert_eq!(
-        streams.len(),
-        links.len(),
-        "tandem: one link binding per stream"
-    );
-    tandem_inner(streams, Some(links), n_servers, cfg, &NoopRecorder)
+    if let Some(links) = links {
+        assert_eq!(
+            streams.len(),
+            links.len(),
+            "tandem: one link binding per stream"
+        );
+    }
+    tandem_inner(streams, links, n_servers, cfg, &NoopRecorder)
 }
 
 /// The shared-uplink engine. `rec` receives `des.heap_peak`: the
@@ -305,7 +299,7 @@ mod tests {
         // One stream: the shared link never contends, so latency is
         // exactly trans + proc — identical to the dedicated-pipe DES.
         let s = stream(0, 100_000, 20_000, 5_000, 0, 0);
-        let tandem = simulate_shared_uplink(&[s], 1, &cfg());
+        let tandem = simulate_shared_uplink(&[s], None, 1, &cfg());
         assert!((tandem.streams[0].latency.mean() - 0.025).abs() < 1e-9);
         assert_eq!(tandem.streams[0].jitter_s, 0.0);
     }
@@ -316,7 +310,7 @@ mod tests {
         // the second frame waits 10ms on the link every period.
         let a = stream(0, 100_000, 5_000, 10_000, 0, 0);
         let b = stream(1, 100_000, 5_000, 10_000, 0, 0);
-        let r = simulate_shared_uplink(&[a, b], 1, &cfg());
+        let r = simulate_shared_uplink(&[a, b], None, 1, &cfg());
         let lats: Vec<f64> = r.streams.iter().map(|s| s.latency.mean()).collect();
         // One stream sees 15ms (10 trans + 5 proc), the other also
         // queues 10ms on the link (25ms) and possibly 5ms on cpu.
@@ -333,7 +327,7 @@ mod tests {
         let streams: Vec<SimStream> = (0..3)
             .map(|i| stream(i, 100_000, 10_000, 20_000, 0, 0))
             .collect();
-        let r = simulate_shared_uplink(&streams, 1, &cfg());
+        let r = simulate_shared_uplink(&streams, None, 1, &cfg());
         let dedicated_bound = 0.020 + 0.010;
         let worst = r
             .streams
@@ -351,7 +345,7 @@ mod tests {
         // Link demand 2x capacity: latency grows unboundedly.
         let a = stream(0, 100_000, 1_000, 100_000, 0, 0);
         let b = stream(1, 100_000, 1_000, 100_000, 0, 0);
-        let r = simulate_shared_uplink(&[a, b], 1, &cfg());
+        let r = simulate_shared_uplink(&[a, b], None, 1, &cfg());
         assert!(r.max_jitter_s > 1.0, "jitter {}", r.max_jitter_s);
     }
 
@@ -367,8 +361,8 @@ mod tests {
                 trace: eva_net::LinkModel::constant(15e6).trace(10 * TICKS_PER_SEC),
             })
             .collect();
-        let base = simulate_shared_uplink(&streams, 1, &cfg());
-        let linked = simulate_shared_uplink_with_links(&streams, &links, 1, &cfg());
+        let base = simulate_shared_uplink(&streams, None, 1, &cfg());
+        let linked = simulate_shared_uplink(&streams, Some(&links), 1, &cfg());
         for (a, b) in base.streams.iter().zip(&linked.streams) {
             assert_eq!(a.frames, b.frames);
             assert_eq!(a.latency.mean().to_bits(), b.latency.mean().to_bits());
@@ -401,8 +395,8 @@ mod tests {
                     .trace(10 * TICKS_PER_SEC),
             })
             .collect();
-        let a = simulate_shared_uplink_with_links(&streams, &steady, 1, &cfg());
-        let b = simulate_shared_uplink_with_links(&streams, &fading, 1, &cfg());
+        let a = simulate_shared_uplink(&streams, Some(&steady), 1, &cfg());
+        let b = simulate_shared_uplink(&streams, Some(&fading), 1, &cfg());
         assert!(
             b.mean_latency_s > a.mean_latency_s,
             "fading {} vs steady {}",
@@ -434,7 +428,7 @@ mod tests {
     fn distinct_servers_do_not_share_links() {
         let a = stream(0, 100_000, 5_000, 50_000, 0, 0);
         let b = stream(1, 100_000, 5_000, 50_000, 1, 0);
-        let r = simulate_shared_uplink(&[a, b], 2, &cfg());
+        let r = simulate_shared_uplink(&[a, b], None, 2, &cfg());
         for s in &r.streams {
             assert!((s.latency.mean() - 0.055).abs() < 1e-9);
             assert_eq!(s.jitter_s, 0.0);

@@ -1,7 +1,7 @@
 //! Regression guards for the eva-bond DES integration.
 //!
 //! A *single-link, zero-RTT* bundle must reproduce the existing
-//! `simulate_with_links` path **bit-identically** — same frames, same
+//! `Uplinks::Links` path **bit-identically** — same frames, same
 //! latencies to the last mantissa bit — for every link-model family.
 //! The striping machinery must be pay-for-what-you-use: attaching a
 //! degenerate bundle may not perturb a single ulp.
@@ -12,10 +12,11 @@
 
 use eva_bond::{BondPolicy, LinkBundle};
 use eva_net::LinkModel;
+use eva_obs::NoopRecorder;
 use eva_sched::{StreamId, Ticks, TICKS_PER_SEC};
 use eva_sim::{
-    simulate_scenario, simulate_with_bundles, simulate_with_links, PhasePolicy, SimConfig,
-    SimReport, SimStream, StreamBundle, StreamLink,
+    simulate, simulate_scenario_with_deadline_recorded, PhasePolicy, SimConfig, SimReport,
+    SimStream, StreamBundle, StreamLink, Uplinks,
 };
 use eva_workload::{Scenario, VideoConfig};
 use proptest::prelude::*;
@@ -65,7 +66,7 @@ fn assert_reports_bit_identical(a: &SimReport, b: &SimReport) {
     }
 }
 
-/// Run the same contended stream mix through `simulate_with_links` and
+/// Run the same contended stream mix through `Uplinks::Links` and
 /// through single-link zero-RTT bundles over the same models.
 fn run_both(models: &[LinkModel], policy: BondPolicy) -> (SimReport, SimReport) {
     let cfg = cfg();
@@ -96,8 +97,15 @@ fn run_both(models: &[LinkModel], policy: BondPolicy) -> (SimReport, SimReport) 
                 .simulator(cfg.horizon, policy),
         })
         .collect();
-    let linked = simulate_with_links(&streams, &links, 2, &cfg);
-    let bonded = simulate_with_bundles(&streams, &mut bundles, 2, &cfg);
+    let linked = simulate(&streams, Uplinks::Links(&links), 2, &cfg, &NoopRecorder).unwrap();
+    let bonded = simulate(
+        &streams,
+        Uplinks::Bundles(&mut bundles),
+        2,
+        &cfg,
+        &NoopRecorder,
+    )
+    .unwrap();
     (linked, bonded)
 }
 
@@ -173,19 +181,23 @@ fn scenario_single_bundles_reproduce_link_models_run() {
         BondPolicy::EarliestDelivery,
     );
 
-    let linked = simulate_scenario(
+    let linked = simulate_scenario_with_deadline_recorded(
         &linked_sc,
         &cfgs,
         &assignment,
         PhasePolicy::ZeroJitter,
         20.0,
+        0.0,
+        &NoopRecorder,
     );
-    let bonded = simulate_scenario(
+    let bonded = simulate_scenario_with_deadline_recorded(
         &bonded_sc,
         &cfgs,
         &assignment,
         PhasePolicy::ZeroJitter,
         20.0,
+        0.0,
+        &NoopRecorder,
     );
     assert_reports_bit_identical(&linked.report, &bonded.report);
     assert_eq!(
@@ -216,7 +228,15 @@ fn trio_latency(policy: BondPolicy) -> f64 {
             sim: trio.simulator(cfg.horizon, policy),
         })
         .collect();
-    simulate_with_bundles(&streams, &mut bundles, 2, &cfg).mean_latency_s
+    simulate(
+        &streams,
+        Uplinks::Bundles(&mut bundles),
+        2,
+        &cfg,
+        &NoopRecorder,
+    )
+    .unwrap()
+    .mean_latency_s
 }
 
 #[test]

@@ -1,6 +1,6 @@
-//! DES telemetry must be observationally free: the recorded simulator
-//! entry points produce bit-identical reports to the plain ones, under
-//! a [`eva_obs::NoopRecorder`] or a live [`eva_obs::FlightRecorder`].
+//! DES telemetry must be observationally free: the simulator entry
+//! points produce bit-identical reports under a
+//! [`eva_obs::NoopRecorder`] and a live [`eva_obs::FlightRecorder`].
 //! The recorded work counters are exact: `des.heap_peak` is bounded by
 //! the server count on every uplink path.
 
@@ -9,8 +9,8 @@ use eva_fault::{FaultPlan, RetryPolicy};
 use eva_net::LinkModel;
 use eva_obs::{FlightRecorder, NoopRecorder, Phase, Recorder};
 use eva_sim::{
-    simulate_scenario_faulted_recorded, simulate_scenario_with_deadline,
-    simulate_scenario_with_deadline_recorded, PhasePolicy, ScenarioSimReport,
+    simulate_scenario_faulted_recorded, simulate_scenario_with_deadline_recorded, PhasePolicy,
+    ScenarioSimReport,
 };
 use eva_workload::{Scenario, VideoConfig};
 
@@ -66,33 +66,23 @@ fn recorded_des_is_bit_identical_and_counts_its_work() {
     let sc = Scenario::uniform(4, 2, 20e6, 81);
     let configs = vec![VideoConfig::new(600.0, 5.0); 4];
     let assignment = sc.schedule(&configs).expect("uniform config fits");
-    let run = |rec: Option<&dyn Recorder>| match rec {
-        None => simulate_scenario_with_deadline(
+    let run = |rec: &dyn Recorder| {
+        simulate_scenario_with_deadline_recorded(
             &sc,
             &configs,
             &assignment,
             PhasePolicy::ZeroJitter,
             20.0,
             0.5,
-        ),
-        Some(r) => simulate_scenario_with_deadline_recorded(
-            &sc,
-            &configs,
-            &assignment,
-            PhasePolicy::ZeroJitter,
-            20.0,
-            0.5,
-            r,
-        ),
+            rec,
+        )
     };
 
-    let plain = run(None);
-    let noop = run(Some(&NoopRecorder));
+    let noop = run(&NoopRecorder);
     let flight = FlightRecorder::new();
-    let recorded = run(Some(&flight));
+    let recorded = run(&flight);
 
-    assert_reports_identical(&plain, &noop, "plain vs noop");
-    assert_reports_identical(&plain, &recorded, "plain vs flight");
+    assert_reports_identical(&noop, &recorded, "noop vs flight");
 
     let snap = flight.snapshot();
     let des = snap
@@ -102,7 +92,7 @@ fn recorded_des_is_bit_identical_and_counts_its_work() {
         .expect("des phase recorded");
     assert_eq!(des.1.count, 1);
     assert_eq!(snap.metrics.counter("des.runs"), 1);
-    let frames: u64 = plain.report.streams.iter().map(|s| s.frames).sum();
+    let frames: u64 = noop.report.streams.iter().map(|s| s.frames).sum();
     assert_eq!(snap.metrics.counter("des.frames"), frames);
     assert!(snap.metrics.counter("des.events") > 0);
 }

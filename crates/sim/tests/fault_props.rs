@@ -12,9 +12,10 @@
 //!    bit.
 
 use eva_fault::{AvailabilityTrace, FaultPlan, LossProcess, RetryPolicy};
+use eva_obs::NoopRecorder;
 use eva_sched::{StreamId, Ticks, TICKS_PER_SEC};
 use eva_sim::{
-    plan_stream_deliveries, simulate, simulate_faulted, SimConfig, SimFaults, SimReport, SimStream,
+    plan_stream_deliveries, simulate, SimConfig, SimFaults, SimReport, SimStream, Uplinks,
 };
 use proptest::prelude::*;
 
@@ -118,8 +119,15 @@ proptest! {
         };
         let faults = SimFaults::materialize(&FaultPlan::none(2, streams.len()), cfg.horizon);
         prop_assert!(faults.is_inert());
-        let plain = simulate(&streams, 2, &cfg);
-        let faulted = simulate_faulted(&streams, None, &faults, 2, &cfg);
+        let plain = simulate(&streams, Uplinks::Fixed, 2, &cfg, &NoopRecorder).unwrap();
+        let faulted = simulate(
+            &streams,
+            Uplinks::Faulted { links: None, faults: &faults },
+            2,
+            &cfg,
+            &NoopRecorder,
+        )
+        .unwrap();
         assert_reports_bit_identical(&plain, &faulted);
     }
 }

@@ -5,10 +5,11 @@
 //! time-varying machinery must be pay-for-what-you-use.
 
 use eva_net::LinkModel;
-use eva_sched::{StreamId, Ticks, TICKS_PER_SEC};
+use eva_obs::NoopRecorder;
+use eva_sched::{Assignment, StreamId, Ticks, TICKS_PER_SEC};
 use eva_sim::{
-    simulate, simulate_scenario, simulate_shared_uplink, simulate_shared_uplink_with_links,
-    simulate_with_links, PhasePolicy, SimConfig, SimReport, SimStream, StreamLink,
+    simulate, simulate_scenario_with_deadline_recorded, simulate_shared_uplink, PhasePolicy,
+    ScenarioSimReport, SimConfig, SimReport, SimStream, StreamLink, Uplinks,
 };
 use eva_workload::{Scenario, VideoConfig};
 
@@ -57,6 +58,23 @@ fn assert_reports_bit_identical(a: &SimReport, b: &SimReport) {
     }
 }
 
+/// A 20 s zero-jitter DES run of `sc` without a deadline.
+fn zero_jitter_run(
+    sc: &Scenario,
+    cfgs: &[VideoConfig],
+    assignment: &Assignment,
+) -> ScenarioSimReport {
+    simulate_scenario_with_deadline_recorded(
+        sc,
+        cfgs,
+        assignment,
+        PhasePolicy::ZeroJitter,
+        20.0,
+        0.0,
+        &NoopRecorder,
+    )
+}
+
 #[test]
 fn dedicated_pipe_constant_link_is_bit_identical() {
     let cfg = SimConfig {
@@ -76,8 +94,8 @@ fn dedicated_pipe_constant_link_is_bit_identical() {
         .iter()
         .map(|s| nominal_link(s.trans, 17.5e6, cfg.horizon))
         .collect();
-    let base = simulate(&streams, 2, &cfg);
-    let linked = simulate_with_links(&streams, &links, 2, &cfg);
+    let base = simulate(&streams, Uplinks::Fixed, 2, &cfg, &NoopRecorder).unwrap();
+    let linked = simulate(&streams, Uplinks::Links(&links), 2, &cfg, &NoopRecorder).unwrap();
     assert_reports_bit_identical(&base, &linked);
 }
 
@@ -97,8 +115,8 @@ fn tandem_constant_link_is_bit_identical() {
         .iter()
         .map(|s| nominal_link(s.trans, 12e6, cfg.horizon))
         .collect();
-    let base = simulate_shared_uplink(&streams, 2, &cfg);
-    let linked = simulate_shared_uplink_with_links(&streams, &links, 2, &cfg);
+    let base = simulate_shared_uplink(&streams, None, 2, &cfg);
+    let linked = simulate_shared_uplink(&streams, Some(&links), 2, &cfg);
     assert_eq!(base.streams.len(), linked.streams.len());
     for (x, y) in base.streams.iter().zip(&linked.streams) {
         assert_eq!(x.frames, y.frames);
@@ -129,16 +147,10 @@ fn scenario_constant_models_reproduce_fixed_trans_run() {
     let assignment = sc
         .schedule(&cfgs)
         .expect("uniform scenario admits a placement");
-    let base = simulate_scenario(&sc, &cfgs, &assignment, PhasePolicy::ZeroJitter, 20.0);
+    let base = zero_jitter_run(&sc, &cfgs, &assignment);
 
     let linked_sc = sc.with_link_models(vec![LinkModel::constant(20e6); 4]);
-    let linked = simulate_scenario(
-        &linked_sc,
-        &cfgs,
-        &assignment,
-        PhasePolicy::ZeroJitter,
-        20.0,
-    );
+    let linked = zero_jitter_run(&linked_sc, &cfgs, &assignment);
 
     assert_reports_bit_identical(&base.report, &linked.report);
     assert_eq!(
@@ -160,19 +172,13 @@ fn markov_models_change_the_measurement() {
     let assignment = sc
         .schedule(&cfgs)
         .expect("uniform scenario admits a placement");
-    let base = simulate_scenario(&sc, &cfgs, &assignment, PhasePolicy::ZeroJitter, 20.0);
+    let base = zero_jitter_run(&sc, &cfgs, &assignment);
     let linked_sc = sc.with_link_models(
         (0..4)
             .map(|i| LinkModel::gilbert_elliott(25e6, 6e6, 2.0, 1.0, i as u64))
             .collect(),
     );
-    let linked = simulate_scenario(
-        &linked_sc,
-        &cfgs,
-        &assignment,
-        PhasePolicy::ZeroJitter,
-        20.0,
-    );
+    let linked = zero_jitter_run(&linked_sc, &cfgs, &assignment);
     assert!(
         (linked.measured_mean_latency_s - base.measured_mean_latency_s).abs() > 1e-6,
         "Markov link left the measurement unchanged"

@@ -9,9 +9,7 @@ use eva_bond::{BondPolicy, LinkBundle};
 use eva_fault::FaultPlan;
 use eva_net::LinkModel;
 use eva_obs::{NoopRecorder, Recorder};
-use eva_sched::{
-    assign_groups_to_surviving_servers_recorded, Assignment, GroupingError, StreamId, StreamTiming,
-};
+use eva_sched::{assign_groups_to_servers, Assignment, GroupingError, StreamId, StreamTiming};
 use rand::Rng;
 
 use crate::clip::{clip_set, ClipProfile};
@@ -346,26 +344,16 @@ impl Scenario {
     /// under an estimated-B override the scheduler optimizes against
     /// its belief, not the hidden truth.
     pub fn schedule(&self, configs: &[VideoConfig]) -> Result<Assignment, GroupingError> {
-        self.schedule_surviving(configs, None)
+        self.schedule_surviving(configs, None, &NoopRecorder)
     }
 
     /// Failure-aware Algorithm 1: like [`Scenario::schedule`] but only
     /// servers marked `true` in `alive` receive groups (server indices
     /// in the result still refer to the full server list). `None` (or
     /// all-true) reproduces the unrestricted placement bit-identically.
+    /// Telemetry is threaded down to the Algorithm-1
+    /// grouping/assignment spans on `rec`.
     pub fn schedule_surviving(
-        &self,
-        configs: &[VideoConfig],
-        alive: Option<&[bool]>,
-    ) -> Result<Assignment, GroupingError> {
-        self.schedule_surviving_recorded(configs, alive, &NoopRecorder)
-    }
-
-    /// [`Scenario::schedule_surviving`] with telemetry threaded down to
-    /// the Algorithm-1 grouping/assignment spans. With a
-    /// [`NoopRecorder`] this is bit-identical to the plain entry point
-    /// (which delegates here).
-    pub fn schedule_surviving_recorded(
         &self,
         configs: &[VideoConfig],
         alive: Option<&[bool]>,
@@ -377,44 +365,28 @@ impl Scenario {
             .enumerate()
             .map(|(i, c)| self.surfaces[i].bits_per_frame(c.resolution))
             .collect();
-        assign_groups_to_surviving_servers_recorded(
-            &timings,
-            &bits,
-            self.planning_uplinks(),
-            alive,
-            rec,
-        )
+        assign_groups_to_servers(&timings, &bits, self.planning_uplinks(), alive, rec)
     }
 
     /// Evaluate the aggregate outcome of a joint configuration under the
     /// Algorithm-1 placement (Eq. 2-5). Fails when no zero-jitter
     /// placement exists.
     pub fn evaluate(&self, configs: &[VideoConfig]) -> Result<ScenarioOutcome, GroupingError> {
-        self.evaluate_surviving(configs, None)
+        self.evaluate_surviving(configs, None, &NoopRecorder)
     }
 
     /// Failure-aware evaluation: Algorithm 1 restricted to the `alive`
     /// servers, realized latency charged on the (true) uplinks of the
     /// servers actually used. `None` (or all-true) reproduces
-    /// [`Scenario::evaluate`] bit-identically.
+    /// [`Scenario::evaluate`] bit-identically. Telemetry is threaded
+    /// down to the placement spans on `rec`.
     pub fn evaluate_surviving(
-        &self,
-        configs: &[VideoConfig],
-        alive: Option<&[bool]>,
-    ) -> Result<ScenarioOutcome, GroupingError> {
-        self.evaluate_surviving_recorded(configs, alive, &NoopRecorder)
-    }
-
-    /// [`Scenario::evaluate_surviving`] with telemetry threaded down to
-    /// the placement spans. With a [`NoopRecorder`] this is
-    /// bit-identical to the plain entry point (which delegates here).
-    pub fn evaluate_surviving_recorded(
         &self,
         configs: &[VideoConfig],
         alive: Option<&[bool]>,
         rec: &dyn Recorder,
     ) -> Result<ScenarioOutcome, GroupingError> {
-        let assignment = self.schedule_surviving_recorded(configs, alive, rec)?;
+        let assignment = self.schedule_surviving(configs, alive, rec)?;
 
         // Per-source aggregates (splitting does not change source totals).
         let mut acc_sum = 0.0;
@@ -767,7 +739,7 @@ mod tests {
         let cfgs = low_config(4);
         let plain = sc.evaluate(&cfgs).unwrap();
         let gated = sc
-            .evaluate_surviving(&cfgs, Some(&vec![true; sc.n_servers()]))
+            .evaluate_surviving(&cfgs, Some(&vec![true; sc.n_servers()]), &NoopRecorder)
             .unwrap();
         assert_eq!(
             plain.outcome.latency_s.to_bits(),
@@ -781,7 +753,9 @@ mod tests {
         let sc = small_scenario();
         let cfgs = low_config(4);
         let alive = vec![true, false, true];
-        let out = sc.evaluate_surviving(&cfgs, Some(&alive)).unwrap();
+        let out = sc
+            .evaluate_surviving(&cfgs, Some(&alive), &NoopRecorder)
+            .unwrap();
         assert!(out.assignment.server_of.iter().all(|&s| s != 1));
     }
 

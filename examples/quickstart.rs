@@ -4,6 +4,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use pamo::obs::NoopRecorder;
 use pamo::prelude::*;
 use pamo::stats::rng::seeded;
 
@@ -52,12 +53,14 @@ fn main() {
 
     // The placement is zero-jitter by construction — verify in the DES.
     let assignment = scenario.schedule(&decision.configs).unwrap();
-    let sim = simulate_scenario(
+    let sim = simulate_scenario_with_deadline_recorded(
         &scenario,
         &decision.configs,
         &assignment,
         PhasePolicy::ZeroJitter,
         20.0,
+        0.0,
+        &NoopRecorder,
     );
     println!(
         "simulated 20 s: measured jitter = {:.6} s (Theorem 1 says 0), \

@@ -6,11 +6,12 @@
 //! cargo run --release --example zero_jitter_demo
 //! ```
 
+use pamo::obs::NoopRecorder;
 use pamo::sched::theory::{gcd_all, zero_jitter_offsets};
 use pamo::sched::{
     assign_groups_to_servers, const2_zero_jitter_ok, split_high_rate, StreamId, StreamTiming,
 };
-use pamo::sim::des::{simulate, SimConfig, SimStream};
+use pamo::sim::des::{simulate, SimConfig, SimStream, Uplinks};
 
 fn main() {
     // Five streams, one of them high-rate (30 fps with 110 ms frames).
@@ -48,7 +49,8 @@ fn main() {
     // heterogeneous uplinks.
     let bits = vec![8e5, 1.5e6, 4e5, 8e5, 1.2e6];
     let uplinks = vec![5e6, 10e6, 15e6, 20e6, 25e6, 30e6];
-    let assignment = assign_groups_to_servers(&streams, &bits, &uplinks).expect("schedulable");
+    let assignment = assign_groups_to_servers(&streams, &bits, &uplinks, None, &NoopRecorder)
+        .expect("schedulable");
     println!(
         "placement (total comm latency {:.4} s):",
         assignment.total_comm_latency
@@ -98,8 +100,22 @@ fn main() {
             .collect()
     };
     let cfg = SimConfig::default();
-    let zj = simulate(&build(true), uplinks.len(), &cfg);
-    let naive = simulate(&build(false), uplinks.len(), &cfg);
+    let zj = simulate(
+        &build(true),
+        Uplinks::Fixed,
+        uplinks.len(),
+        &cfg,
+        &NoopRecorder,
+    )
+    .expect("valid DES input");
+    let naive = simulate(
+        &build(false),
+        Uplinks::Fixed,
+        uplinks.len(),
+        &cfg,
+        &NoopRecorder,
+    )
+    .expect("valid DES input");
     println!("\nsimulated 20 s:");
     println!(
         "  Theorem-1 offsets: max jitter {:.6} s, mean latency {:.4} s",

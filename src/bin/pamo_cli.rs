@@ -12,6 +12,7 @@
 //! `verify` re-simulates a decision in the DES and reports the
 //! measured jitter (expected: exactly zero).
 
+use pamo::obs::NoopRecorder;
 use pamo::prelude::*;
 use pamo::stats::rng::seeded;
 use pamo::workload::{mot16_library, SurfaceModel, N_OBJECTIVES};
@@ -121,12 +122,14 @@ fn schedule(args: &[String], verify: bool) {
 
     if verify {
         let assignment = scenario.schedule(&decision.configs).expect("feasible");
-        let sim = simulate_scenario(
+        let sim = simulate_scenario_with_deadline_recorded(
             &scenario,
             &decision.configs,
             &assignment,
             PhasePolicy::ZeroJitter,
             20.0,
+            0.0,
+            &NoopRecorder,
         );
         println!(
             "DES verification over 20 s: max jitter = {:.6} s, measured latency \

@@ -63,7 +63,7 @@ pub mod prelude {
     pub use eva_baselines::{Decision, Fact, FactConfig, Jcab, JcabConfig};
     pub use eva_bo::{AcqKind, BoConfig};
     pub use eva_sched::{assign_groups_to_servers, StreamId, StreamTiming};
-    pub use eva_sim::{simulate_scenario, PhasePolicy};
+    pub use eva_sim::{simulate_scenario_with_deadline_recorded, PhasePolicy};
     pub use eva_workload::{ClipProfile, ConfigSpace, Outcome, Scenario, VideoConfig};
     pub use pamo_core::{Pamo, PamoConfig, PamoDecision, PreferenceSource, TruePreference};
 }

@@ -152,15 +152,9 @@ fn conditioned_bank_posteriors_are_bit_pinned() {
     let scenario = scenario();
     let mut rng = seeded(29);
     let design = ProfilingDesign::draw(&scenario, 25, &mut rng);
-    let mut bank = OutcomeModelBank::fit_initial_designed_recorded(
-        &scenario,
-        &design,
-        0.02,
-        None,
-        &mut rng,
-        &NoopRecorder,
-    )
-    .unwrap();
+    let mut bank =
+        OutcomeModelBank::fit_designed(&scenario, &design, 0.02, None, &mut rng, &NoopRecorder)
+            .unwrap();
     let space = scenario.config_space();
     let uplinks = scenario.uplinks();
     // Six measured rounds; cameras repeat (config, uplink) pairs so the
@@ -210,15 +204,9 @@ fn shared_history_bank_posteriors_are_bit_pinned() {
     );
     let mut rng = seeded(43);
     let design = ProfilingDesign::draw(&scenario, 25, &mut rng);
-    let mut bank = OutcomeModelBank::fit_initial_designed_recorded(
-        &scenario,
-        &design,
-        0.02,
-        None,
-        &mut rng,
-        &NoopRecorder,
-    )
-    .unwrap();
+    let mut bank =
+        OutcomeModelBank::fit_designed(&scenario, &design, 0.02, None, &mut rng, &NoopRecorder)
+            .unwrap();
     let space = scenario.config_space();
     let uplinks = scenario.uplinks();
     let rounds = 6;

@@ -4,7 +4,7 @@
 use pamo::core::{run_online, PamoConfig, PreferenceSource};
 use pamo::obs::NoopRecorder;
 use pamo::prelude::*;
-use pamo::sim::des::{simulate, SimConfig, SimStream};
+use pamo::sim::des::{simulate, SimConfig, SimStream, Uplinks};
 use pamo::sim::tandem::simulate_shared_uplink;
 use pamo::stats::rng::seeded;
 use pamo::workload::clip::clip_set;
@@ -35,12 +35,14 @@ fn virtualized_cluster_schedules_zero_jitter_end_to_end() {
         .unwrap();
     let assignment = scenario.schedule(&decision.configs).unwrap();
     // Verify zero jitter on the VM-level schedule...
-    let sim = simulate_scenario(
+    let sim = simulate_scenario_with_deadline_recorded(
         &scenario,
         &decision.configs,
         &assignment,
         PhasePolicy::ZeroJitter,
         15.0,
+        0.0,
+        &NoopRecorder,
     );
     assert_eq!(sim.report.max_jitter_s, 0.0);
     // ...and that the placement maps onto real hardware.
@@ -88,8 +90,8 @@ fn tandem_and_dedicated_agree_without_sharing() {
         warmup: 1_000_000,
         deadline: 0,
     };
-    let dedicated = simulate(&streams, 3, &cfg);
-    let shared = simulate_shared_uplink(&streams, 3, &cfg);
+    let dedicated = simulate(&streams, Uplinks::Fixed, 3, &cfg, &NoopRecorder).unwrap();
+    let shared = simulate_shared_uplink(&streams, None, 3, &cfg);
     for (d, s) in dedicated.streams.iter().zip(&shared.streams) {
         assert!((d.latency.mean() - s.latency.mean()).abs() < 1e-9);
     }
@@ -111,6 +113,6 @@ fn deadline_accounting_flows_through_sim_config() {
         warmup: 1_000_000,
         deadline: 25_000, // tighter than the 30ms processing time
     };
-    let report = simulate(&[stream], 1, &cfg);
+    let report = simulate(&[stream], Uplinks::Fixed, 1, &cfg, &NoopRecorder).unwrap();
     assert_eq!(report.streams[0].deadline_misses, report.streams[0].frames);
 }

@@ -2,6 +2,7 @@
 //! empirically in the simulator (eva-sim) on realistic workloads
 //! (eva-workload) — the paper's Theorem 1/2/3 chain, end to end.
 
+use pamo::obs::NoopRecorder;
 use pamo::prelude::*;
 use pamo::sched::const2_zero_jitter_ok;
 use pamo::stats::rng::seeded;
@@ -43,8 +44,14 @@ proptest! {
                 prop_assert!(const2_zero_jitter_ok(&members));
             }
             // ...and the DES confirms it empirically.
-            let sim = simulate_scenario(
-                &scenario, &configs, &assignment, PhasePolicy::ZeroJitter, 15.0,
+            let sim = simulate_scenario_with_deadline_recorded(
+                &scenario,
+                &configs,
+                &assignment,
+                PhasePolicy::ZeroJitter,
+                15.0,
+                0.0,
+                &NoopRecorder,
             );
             prop_assert_eq!(sim.report.max_jitter_s, 0.0);
             // Measured latency agrees with the Eq. 5 analytic model.
@@ -64,14 +71,24 @@ fn naive_phasing_never_beats_zero_jitter() {
         let Ok(assignment) = scenario.schedule(&configs) else {
             continue;
         };
-        let zj = simulate_scenario(
+        let zj = simulate_scenario_with_deadline_recorded(
             &scenario,
             &configs,
             &assignment,
             PhasePolicy::ZeroJitter,
             15.0,
+            0.0,
+            &NoopRecorder,
         );
-        let naive = simulate_scenario(&scenario, &configs, &assignment, PhasePolicy::AllZero, 15.0);
+        let naive = simulate_scenario_with_deadline_recorded(
+            &scenario,
+            &configs,
+            &assignment,
+            PhasePolicy::AllZero,
+            15.0,
+            0.0,
+            &NoopRecorder,
+        );
         assert!(
             naive.measured_mean_latency_s >= zj.measured_mean_latency_s - 1e-9,
             "seed {seed}: naive {} < zero-jitter {}",
@@ -95,12 +112,14 @@ fn splitting_makes_high_rate_fleets_schedulable() {
         "expected ≥3 substreams, got {}",
         assignment.streams.len()
     );
-    let sim = simulate_scenario(
+    let sim = simulate_scenario_with_deadline_recorded(
         &scenario,
         &configs,
         &assignment,
         PhasePolicy::ZeroJitter,
         10.0,
+        0.0,
+        &NoopRecorder,
     );
     assert_eq!(sim.report.max_jitter_s, 0.0);
 }

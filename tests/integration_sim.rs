@@ -8,10 +8,11 @@
 //! under round-robin and under earliest-delivery striping, and a
 //! crash/straggler/dropout/loss/retry fault plan. Any change to event
 //! ordering, arrival seeding, bond striping or fault planning moves the
-//! pinned hashes.
+//! pinned hashes. Each setup also runs under a `NoopRecorder`, whose
+//! report must hash the same: telemetry never changes a DES result.
 
 use pamo::fault::RetryPolicy;
-use pamo::obs::FlightRecorder;
+use pamo::obs::{FlightRecorder, NoopRecorder, Recorder};
 use pamo::sched::{hungarian_min_cost, Assignment};
 use pamo::sim::{
     simulate_scenario_faulted_recorded, simulate_scenario_with_deadline_recorded, PhasePolicy,
@@ -77,8 +78,8 @@ fn bundles(seed: u64) -> Vec<LinkBundle> {
 }
 
 /// Hash of every stream's frame, drop and miss counts and latency
-/// mean/min/max bits, plus the run's total reorder-buffer HoL wait.
-fn digest(r: &ScenarioSimReport, flight: &FlightRecorder) -> u64 {
+/// mean/min/max bits.
+fn report_hash(r: &ScenarioSimReport) -> u64 {
     let mut h = FNV_OFFSET;
     for s in &r.report.streams {
         for v in [s.frames, s.dropped, s.deadline_misses] {
@@ -88,6 +89,11 @@ fn digest(r: &ScenarioSimReport, flight: &FlightRecorder) -> u64 {
             h = fnv(h, v.to_bits());
         }
     }
+    h
+}
+
+/// [`report_hash`] plus the run's total reorder-buffer HoL wait.
+fn digest(r: &ScenarioSimReport, flight: &FlightRecorder) -> u64 {
     let frames: u64 = r.report.streams.iter().map(|s| s.frames).sum();
     let misses: u64 = r.report.streams.iter().map(|s| s.deadline_misses).sum();
     let hol = flight
@@ -101,7 +107,7 @@ fn digest(r: &ScenarioSimReport, flight: &FlightRecorder) -> u64 {
         r.report.total_dropped(),
         r.report.max_jitter_s
     );
-    fnv(h, hol.to_bits())
+    fnv(report_hash(r), hol.to_bits())
 }
 
 /// The pinned placement is an exact optimum of Algorithm 1's line-20
@@ -156,40 +162,46 @@ fn des_uplink_paths_are_bit_pinned() {
             .with_retry(RetryPolicy::standard()),
     );
 
-    let mut hashes = Vec::new();
-    for (sc, phases) in [
-        (&base, PhasePolicy::AllZero),
-        (&markov, PhasePolicy::ZeroJitter),
-        (&round_robin, PhasePolicy::ZeroJitter),
-        (&earliest, PhasePolicy::ZeroJitter),
-    ] {
-        let flight = FlightRecorder::new();
-        let r = simulate_scenario_with_deadline_recorded(
+    let run = |sc: &Scenario, phases: PhasePolicy, with_faults: bool, rec: &dyn Recorder| {
+        let sim = if with_faults {
+            simulate_scenario_faulted_recorded
+        } else {
+            simulate_scenario_with_deadline_recorded
+        };
+        sim(
             sc,
             &configs,
             &assignment,
             phases,
             HORIZON_S,
             DEADLINE_S,
-            &flight,
+            rec,
+        )
+    };
+    let mut hashes = Vec::new();
+    for (name, sc, phases, with_faults) in [
+        ("fixed", &base, PhasePolicy::AllZero, false),
+        ("markov", &markov, PhasePolicy::ZeroJitter, false),
+        ("round-robin", &round_robin, PhasePolicy::ZeroJitter, false),
+        ("earliest", &earliest, PhasePolicy::ZeroJitter, false),
+        ("faulted", &faulted, PhasePolicy::ZeroJitter, true),
+    ] {
+        let flight = FlightRecorder::new();
+        let r = run(sc, phases, with_faults, &flight);
+        let noop = run(sc, phases, with_faults, &NoopRecorder);
+        assert_eq!(
+            report_hash(&noop),
+            report_hash(&r),
+            "{name}: telemetry changed the DES report"
         );
+        if with_faults {
+            assert!(
+                r.report.total_dropped() > 0,
+                "the fault plan must drop frames"
+            );
+        }
         hashes.push(digest(&r, &flight));
     }
-    let flight = FlightRecorder::new();
-    let r = simulate_scenario_faulted_recorded(
-        &faulted,
-        &configs,
-        &assignment,
-        PhasePolicy::ZeroJitter,
-        HORIZON_S,
-        DEADLINE_S,
-        &flight,
-    );
-    assert!(
-        r.report.total_dropped() > 0,
-        "the fault plan must drop frames"
-    );
-    hashes.push(digest(&r, &flight));
 
     println!("des hashes {hashes:#x?}");
     assert_eq!(hashes, PINNED_DES_HASHES, "a DES uplink path drifted");
