@@ -79,6 +79,20 @@ impl PreferenceEval {
             PreferenceEval::Oracle(pref) => (pref.benefit_of_normalized(y_norm), 0.0),
         }
     }
+
+    /// [`Self::mean_and_std`] of every row of `ys_norm`, bit-identical
+    /// to the per-row calls; the learned model answers the whole batch
+    /// in one column-batched posterior pass.
+    pub fn mean_and_std_many(&self, ys_norm: &[Vec<f64>]) -> Vec<(f64, f64)> {
+        match self {
+            PreferenceEval::Learned(model) => model
+                .predict_utility_many(ys_norm)
+                .into_iter()
+                .map(|(mu, var)| (mu, var.max(0.0).sqrt()))
+                .collect(),
+            PreferenceEval::Oracle(_) => ys_norm.iter().map(|y| self.mean_and_std(y)).collect(),
+        }
+    }
 }
 
 /// Sample-cache key: (point hash, seed, n_mc).
@@ -96,9 +110,9 @@ pub struct CompositeSampler<'a> {
     /// Algorithm-1 placements, shared with the candidate pool and the
     /// other samplers of one decide.
     placements: Arc<Placements>,
-    /// Telemetry for batched posteriors (`bo_prepare` spans and the
+    /// Telemetry for batched posteriors (`bo_prepare` spans, the
     /// `gp.posterior_queries` / `gp.prefix_solves` / `gp.tail_solves`
-    /// counters).
+    /// counters and `prefgp.posterior_points`).
     rec: &'a dyn Recorder,
 }
 
@@ -243,12 +257,13 @@ impl<'a> CompositeSampler<'a> {
 
     /// The common sample-assembly path: per-objective aggregate moments
     /// from the clipped per-camera posteriors, one normal draw per
-    /// objective per MC row, pushed through the preference layer.
-    /// `predict` supplies the GP posterior for each (camera, objective,
-    /// config, uplink) — either the scalar bank call or a lookup into
-    /// batched results (`part` is the split part's index within the
-    /// assignment, used only by the batched latency lookup); both are
-    /// bit-identical, so cached and uncached points agree exactly.
+    /// objective per MC row, and all rows pushed through the preference
+    /// layer in one batched call. `predict` supplies the GP posterior
+    /// for each (camera, objective, config, uplink) — either the scalar
+    /// bank call or a lookup into batched results (`part` is the split
+    /// part's index within the assignment, used only by the batched
+    /// latency lookup); both are bit-identical, so cached and uncached
+    /// points agree exactly.
     /// Returns the samples and the number of camera-objective terms
     /// whose clip bound was near enough to need `Phi`/`phi`.
     #[allow(clippy::too_many_arguments)]
@@ -265,14 +280,16 @@ impl<'a> CompositeSampler<'a> {
         let (moments, clipped) = self.aggregate_moments(configs, assignment, uplinks, predict);
         let point = hash_bits(x);
         let zeta = crn_draws(seed, point ^ 0x5eed_c0de, n_mc);
-        let samples = aggregate_draws(&moments, seed, point, n_mc)
+        let ys: Vec<Vec<f64>> = aggregate_draws(&moments, seed, point, n_mc)
             .iter()
+            .map(|outcome| self.normalizer.normalize(outcome))
+            .collect();
+        let samples = self
+            .pref
+            .mean_and_std_many(&ys)
+            .into_iter()
             .zip(zeta)
-            .map(|(outcome, zeta)| {
-                let y = self.normalizer.normalize(outcome);
-                let (mu_g, sd_g) = self.pref.mean_and_std(&y);
-                mu_g + sd_g * zeta
-            })
+            .map(|((mu_g, sd_g), zeta)| mu_g + sd_g * zeta)
             .collect();
         (samples, clipped)
     }
@@ -568,6 +585,12 @@ impl SurrogateSampler for CompositeSampler<'_> {
             self.rec.add("bo.mc_draws", draws as u64);
             let clipped = assembled.iter().map(|a| a.2).sum::<usize>();
             self.rec.add("bo.clip_moments", clipped as u64);
+            if let PreferenceEval::Learned(_) = self.pref {
+                // Every MC row of every assembled point is one column of
+                // a learned preference posterior.
+                let rows = assembled.len() * n_mc;
+                self.rec.add("prefgp.posterior_points", rows as u64);
+            }
         }
         settled.extend(
             assembled

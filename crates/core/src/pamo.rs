@@ -105,6 +105,8 @@ pub struct PamoDecision {
     pub bo: BoResult,
     /// Comparisons actually asked of the decision maker (0 for PaMO+).
     pub comparisons_used: usize,
+    /// The elicited preference GP the BO scored with (`None` for PaMO+).
+    pub preference_model: Option<PreferenceModel>,
 }
 
 /// The PaMO scheduler.
@@ -373,12 +375,17 @@ impl Pamo {
                 context: "PamoDecision::true_benefit",
             });
         }
+        let preference_model = match pref_eval {
+            PreferenceEval::Learned(model) => Some(model),
+            PreferenceEval::Oracle(_) => None,
+        };
         Ok(PamoDecision {
             configs,
             outcome,
             true_benefit,
             bo,
             comparisons_used,
+            preference_model,
         })
     }
 
@@ -401,11 +408,8 @@ impl Pamo {
                 candidates.push(normalizer.normalize(&outcome));
             }
         }
-        if candidates.len() < 2 {
-            // Not enough predictable outcomes to pose a single
-            // comparison — surface it instead of asserting.
-            return Err(CoreError::Preference(eva_prefgp::PrefError::Empty));
-        }
+        // Fewer than two predictable outcomes pose no comparison:
+        // `elicit_preferences` returns `PrefError::Empty`.
         let mut oracle = TruePreferenceOracle::new(true_pref);
         let mut elicit_cfg = ElicitConfig::for_dim(eva_workload::N_OBJECTIVES);
         elicit_cfg.n_comparisons = self.config.n_comparisons;

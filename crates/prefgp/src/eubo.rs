@@ -20,10 +20,10 @@ use crate::model::{PrefError, PreferenceModel};
 /// numerics misbehave anyway, the pair scores `-inf` and is never
 /// selected.
 pub fn eubo_pair_value(model: &PreferenceModel, y1: &[f64], y2: &[f64]) -> f64 {
-    let Ok((mean, cov)) = model.posterior_joint(&[y1.to_vec(), y2.to_vec()]) else {
+    let Some((mean, cov)) = model.posterior_pair(y1, y2) else {
         return f64::NEG_INFINITY;
     };
-    e_max_bivariate(mean[0], mean[1], cov[(0, 0)], cov[(1, 1)], cov[(0, 1)])
+    e_max_bivariate(mean[0], mean[1], cov[0][0], cov[1][1], cov[0][1])
 }
 
 /// `E[max(X, Y)]` for jointly normal `X ~ N(μ1, σ1²)`, `Y ~ N(μ2, σ2²)`
@@ -69,17 +69,17 @@ impl ElicitConfig {
 /// decision maker, and refit. Returns the final model and the dataset.
 ///
 /// The first comparison pairs the two most distant candidates (EUBO is
-/// undefined before any data exists).
+/// undefined before any data exists). Fewer than two candidates pose no
+/// comparison: [`PrefError::Empty`].
 pub fn elicit_preferences<D: DecisionMaker + ?Sized, R: Rng + ?Sized>(
     oracle: &mut D,
     candidates: &[Vec<f64>],
     config: &ElicitConfig,
     rng: &mut R,
 ) -> Result<(PreferenceModel, PreferenceDataset), PrefError> {
-    assert!(
-        candidates.len() >= 2,
-        "elicit_preferences: need at least two candidate outcomes"
-    );
+    if candidates.len() < 2 {
+        return Err(PrefError::Empty);
+    }
     let mut data = PreferenceDataset::new();
 
     // Bootstrap: most-distant pair spans the outcome space best.
@@ -209,14 +209,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least two")]
     fn rejects_tiny_candidate_sets() {
         let mut oracle = FunctionOracle::new(|y: &[f64]| y[0]);
-        let _ = elicit_preferences(
+        let result = elicit_preferences(
             &mut oracle,
             &[vec![0.0]],
             &ElicitConfig::for_dim(1),
             &mut seeded(0),
         );
+        assert!(matches!(result, Err(PrefError::Empty)));
     }
 }

@@ -10,7 +10,9 @@
 //! also come out bit-identical with a flight recorder attached
 //! (telemetry is observationally free), and that recorder pins the
 //! exact work they did: objective evaluations, GP conditionings and
-//! posterior queries, sample draws, placements and span counts.
+//! posterior queries, sample draws, placements and span counts. One
+//! more pin covers the learned preference: elicitation, the preference
+//! GP's fits and its posteriors inside the BO loop.
 
 use pamo::core::{OutcomeModelBank, PamoConfig, PreferenceSource, ProfilingDesign};
 use pamo::obs::{FlightRecorder, NoopRecorder, Recorder};
@@ -22,6 +24,10 @@ use pamo::workload::{Profiler, N_OBJECTIVES};
 const PINNED_BENEFIT_BITS: [u64; 2] = [13829155640526625027, 13829155640526625027];
 /// FNV-1a hash of both decides' BO observations and per-camera configs.
 const PINNED_DECIDE_HASH: u64 = 0x3586_f081_2651_d3cc;
+/// FNV-1a hash of two learned-preference decides: their `true_benefit`
+/// bits, BO observations, per-camera configs and the elicited model's
+/// MAP utilities.
+const PINNED_LEARNED_DECIDE_HASH: u64 = 0x9d1b_6daa_09e0_1344;
 /// FNV-1a hash of the conditioned bank's posterior means and variances.
 const PINNED_BANK_HASH: u64 = 0x778a_9ba7_cba9_c2c6;
 /// FNV-1a hash of a 60-camera bank's posteriors after six rounds in
@@ -97,6 +103,43 @@ fn shared_design_decide_is_bit_pinned() {
     assert_eq!(
         hash, PINNED_DECIDE_HASH,
         "BO choices or decided configs drifted"
+    );
+}
+
+/// The oracle-preference pins cannot see the preference GP. These two
+/// decides elicit it (EUBO pair selection, Laplace fits) and score every
+/// BO sample and observation with its posterior, so drift in any of
+/// those moves the hash.
+#[test]
+fn learned_decide_is_bit_pinned() {
+    let scenario = scenario();
+    let pref = TruePreference::uniform(&scenario);
+    let mut cfg = cfg();
+    cfg.preference = PreferenceSource::Learned;
+    cfg.n_comparisons = 6;
+    cfg.elicit_candidates = 15;
+    cfg.pool_size = 24;
+    let pamo = Pamo::new(cfg);
+    let mut rng = seeded(31);
+    let mut hash = FNV_OFFSET;
+    for _ in 0..2 {
+        let d = pamo.decide(&scenario, &pref, &mut rng).unwrap();
+        hash = fnv(hash, d.true_benefit);
+        for (x, y) in &d.bo.observations {
+            hash = x.iter().fold(fnv(hash, *y), |h, &v| fnv(h, v));
+        }
+        for c in &d.configs {
+            hash = fnv(fnv(hash, c.resolution), c.fps);
+        }
+        let model = d
+            .preference_model
+            .expect("a learned decide elicits a model");
+        hash = model.map_utilities().iter().fold(hash, |h, &g| fnv(h, g));
+    }
+    println!("learned decide hash {hash:#x}");
+    assert_eq!(
+        hash, PINNED_LEARNED_DECIDE_HASH,
+        "elicitation, preference posteriors or learned BO choices drifted"
     );
 }
 
