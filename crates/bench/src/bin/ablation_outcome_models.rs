@@ -54,7 +54,7 @@ fn main() {
             for rep in 0..reps {
                 let mut rng = seeded(child_seed(616, (n * 100 + obj * 10 + rep) as u64));
                 let train = profiler.measure_random(&space, uplink, n, &mut rng);
-                let xs: Vec<Vec<f64>> = train.iter().map(|s| s.features()).collect();
+                let xs: Vec<Vec<f64>> = train.iter().map(|s| s.features().to_vec()).collect();
                 let ys: Vec<f64> = train.iter().map(|s| s.outcome.to_vec()[obj]).collect();
 
                 let test_cfgs: Vec<_> = (0..n_test)

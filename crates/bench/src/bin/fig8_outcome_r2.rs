@@ -56,7 +56,7 @@ fn main() {
         for rep in 0..reps {
             let mut rng = seeded(child_seed(88, (n * 1000 + rep) as u64));
             let train = profiler.measure_random(&space, uplink, n, &mut rng);
-            let xs: Vec<Vec<f64>> = train.iter().map(|s| s.features()).collect();
+            let xs: Vec<Vec<f64>> = train.iter().map(|s| s.features().to_vec()).collect();
             // Noise-free test points (ground truth targets).
             let test_cfgs: Vec<_> = (0..n_test)
                 .map(|_| space.at(rng.gen_range(0..space.len())))

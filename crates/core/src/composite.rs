@@ -36,7 +36,7 @@ use eva_prefgp::PreferenceModel;
 use eva_stats::normal::{clip_is_far, clipped_moments};
 use eva_stats::rng::{child_seed, standard_normal, standard_normal_vec};
 use eva_workload::outcome::idx;
-use eva_workload::profiler::features_of;
+use eva_workload::profiler::{features_of, N_FEATURES};
 use eva_workload::{Outcome, Scenario, N_OBJECTIVES};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -212,11 +212,11 @@ impl<'a> CompositeSampler<'a> {
         &self,
         cam: usize,
         obj: usize,
-        xs: &[Vec<f64>],
+        xs: &[[f64; N_FEATURES]],
         slots: &[usize],
         solves: &SharedWork<eva_gp::FactorSolve>,
     ) -> Vec<(f64, f64)> {
-        let model = self.bank.model(cam, obj);
+        let model = self.bank.read(cam, obj);
         xs.iter()
             .zip(slots)
             .map(|(x, &slot)| {
@@ -472,7 +472,7 @@ impl SurrogateSampler for CompositeSampler<'_> {
         // at `(configs[cam], uplinks[cam])`, and the latency model once
         // per split part at the part's server; `lat_slot[p][part]` is
         // the part's position in its camera's latency batch.
-        let agg_xs: Vec<Vec<Vec<f64>>> = (0..n_videos)
+        let agg_xs: Vec<Vec<[f64; N_FEATURES]>> = (0..n_videos)
             .map(|cam| {
                 feasible
                     .iter()
@@ -480,7 +480,7 @@ impl SurrogateSampler for CompositeSampler<'_> {
                     .collect()
             })
             .collect();
-        let mut lat_xs: Vec<Vec<Vec<f64>>> = vec![Vec::new(); n_videos];
+        let mut lat_xs: Vec<Vec<[f64; N_FEATURES]>> = vec![Vec::new(); n_videos];
         let mut lat_slot: Vec<Vec<usize>> = Vec::with_capacity(feasible.len());
         for f in &feasible {
             let mut slots = Vec::with_capacity(f.assignment.streams.len());

@@ -13,6 +13,8 @@
 //! cuts fitting cost by ~M× without hurting accuracy.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use eva_gp::{fit_gp, theta_of, FitConfig, GpModel, PrefixSolve};
@@ -76,13 +78,21 @@ impl ProfilingDesign {
 /// bumps rather than a deep copy of 5·M GP models — the BO loop clones
 /// the bank into a fresh surrogate every iteration, and at M = 2000 the
 /// deep copy (~300k allocations) dominated the decision epoch.
-/// [`OutcomeModelBank::update`] replaces a camera's row wholesale
+/// [`OutcomeModelBank::update_all`] replaces a camera's row wholesale
 /// (copy-on-write), so clones held by in-flight surrogates are
 /// unaffected.
+///
+/// A GP back-substitutes for its weights on first read
+/// ([`GpModel::solve_weights`]). Predictions read models through the
+/// bank, which counts the solves they ran in a counter its clones
+/// share; a decide reports it as `gp.weight_solves`.
 #[derive(Debug, Clone)]
 pub struct OutcomeModelBank {
     /// `models[camera][objective]`.
     models: Vec<Arc<Vec<GpModel>>>,
+    /// Weight back-substitutions run by reads through this bank and
+    /// its clones.
+    weight_solves: Arc<AtomicUsize>,
 }
 
 impl OutcomeModelBank {
@@ -145,7 +155,7 @@ impl OutcomeModelBank {
         }
         let _fit_span = span(rec, Phase::OutcomeFit);
         if scenario.n_videos() == 0 {
-            return Ok(OutcomeModelBank { models: Vec::new() });
+            return Ok(OutcomeModelBank::from_rows(Vec::new()));
         }
 
         // Measure the shared design on one camera (noise draws consume
@@ -163,7 +173,7 @@ impl OutcomeModelBank {
 
         // Camera 0: the only hyperparameter fits in the bank.
         let cam0_samples = draw_samples(0, rng);
-        let xs0: Vec<Vec<f64>> = cam0_samples.iter().map(|s| s.features()).collect();
+        let xs0: Vec<Vec<f64>> = cam0_samples.iter().map(|s| s.features().to_vec()).collect();
         let mut cam0_models = Vec::with_capacity(N_OBJECTIVES);
         for obj in 0..N_OBJECTIVES {
             let ys: Vec<f64> = cam0_samples
@@ -221,7 +231,14 @@ impl OutcomeModelBank {
                 (design.len() * scenario.n_videos()) as f64,
             );
         }
-        Ok(OutcomeModelBank { models })
+        Ok(OutcomeModelBank::from_rows(models))
+    }
+
+    fn from_rows(models: Vec<Arc<Vec<GpModel>>>) -> Self {
+        OutcomeModelBank {
+            models,
+            weight_solves: Arc::default(),
+        }
     }
 
     /// The fitted log-parameter vectors `[obj] -> theta` of the shared
@@ -244,15 +261,27 @@ impl OutcomeModelBank {
         &self.models[camera][objective]
     }
 
-    /// Condition camera `camera`'s models on a new measured sample
-    /// (Algorithm 2 line 18; hyperparameters are kept).
-    ///
-    /// A conditioning failure (non-PD updated Gram matrix, non-finite
-    /// outcome) leaves the previous models of that camera in place and
-    /// reports the error — the bank degrades to a stale model rather
-    /// than poisoning the run.
+    /// [`Self::model`] with its weights solved, counting the solve if
+    /// this read ran it: the path every prediction takes.
+    pub(crate) fn read(&self, camera: usize, objective: usize) -> &GpModel {
+        let model = self.model(camera, objective);
+        if model.solve_weights() {
+            self.weight_solves.fetch_add(1, Ordering::Relaxed);
+        }
+        model
+    }
+
+    /// Weight back-substitutions that predictions through this bank and
+    /// its clones have run (the `gp.weight_solves` counter of a decide).
+    pub(crate) fn weight_solves(&self) -> usize {
+        self.weight_solves.load(Ordering::Relaxed)
+    }
+
+    /// Condition camera `camera`'s models on a new measured sample, one
+    /// model at a time: the reference [`Self::update_all`] must match.
+    #[cfg(test)]
     pub fn update(&mut self, camera: usize, sample: &ProfileSample) -> Result<(), CoreError> {
-        let x = sample.features();
+        let x = sample.features().to_vec();
         let ys = sample.outcome.to_array();
         if x.iter().chain(&ys).any(|v| !v.is_finite()) {
             return Err(CoreError::NonFinite {
@@ -260,11 +289,7 @@ impl OutcomeModelBank {
             });
         }
         // Stage all five updated models first so a mid-way failure
-        // cannot leave the camera with a half-updated bank. `condition`
-        // extends the cached Cholesky factor (O(n²) per observation)
-        // and falls back to a full rebuild on numerical trouble. The
-        // row is swapped in as one new `Arc`: clones of this bank held
-        // by in-flight surrogates keep the pre-update row.
+        // cannot leave the camera with a half-updated bank.
         let mut staged = Vec::with_capacity(N_OBJECTIVES);
         for (model, y) in self.models[camera].iter().zip(ys) {
             staged.push(model.condition(std::slice::from_ref(&x), &[y])?);
@@ -273,8 +298,9 @@ impl OutcomeModelBank {
         Ok(())
     }
 
-    /// [`Self::update`] for every camera at once, one sample per
-    /// camera (Algorithm 2 line 18 for a whole measured configuration).
+    /// Condition every camera's models on a new measured sample, one
+    /// sample per camera (Algorithm 2 line 18 for a whole measured
+    /// configuration; hyperparameters are kept).
     ///
     /// A GP's factor depends only on its inputs, and cameras measured
     /// at the same (config, uplink) in every evaluation share one: a
@@ -283,16 +309,20 @@ impl OutcomeModelBank {
     /// reach a pair builds its grown factor ([`GpModel::extend_factor`],
     /// seeded from the design-row solve shared by the whole prefix).
     /// Per camera, [`GpModel::condition_on`] then only appends the
-    /// target, one forward row and the back-substitution for its
-    /// weights. Every camera conditioned on one pair receives the same
-    /// factor, so sharing follows from construction and never compares
-    /// histories. Building on first use keeps a factor's parent alive
-    /// only until the last camera on it has moved on.
-    /// The result is bit-identical to per-camera [`Self::update`] calls
-    /// that ignore errors.
+    /// target and one forward row; the back-substitution for its
+    /// weights waits for the model's first read. Every camera
+    /// conditioned on one pair receives the same factor, so sharing
+    /// follows from construction and never compares histories.
+    /// Building on first use keeps a factor's parent alive only until
+    /// the last camera on it has moved on. The result is bit-identical
+    /// to conditioning each camera's models on their own and ignoring
+    /// errors. Each updated row is swapped in as one new `Arc`, so
+    /// clones of this bank held by in-flight surrogates keep the
+    /// pre-update row.
     ///
     /// A camera whose sample is non-finite or whose conditioning fails
-    /// keeps its previous row; the returned [`BankUpdate`] counts those
+    /// keeps its previous row: the bank degrades to a stale model rather
+    /// than poisoning the run. The returned [`BankUpdate`] counts those
     /// skips, the conditionings that fell back to a full rebuild, and
     /// the prefix solves and factor extensions computed. A sample count
     /// that does not match the bank's cameras is
@@ -304,7 +334,7 @@ impl OutcomeModelBank {
         )?;
         // Per camera: the measured objectives, or `None` for a
         // non-finite sample.
-        let measured: Vec<Option<(Vec<f64>, [f64; N_OBJECTIVES])>> = samples
+        let measured: Vec<Option<([f64; N_FEATURES], [f64; N_OBJECTIVES])>> = samples
             .iter()
             .map(|sample| {
                 let x = sample.features();
@@ -364,7 +394,7 @@ impl OutcomeModelBank {
     pub fn predict(&self, camera: usize, config: &VideoConfig, uplink_bps: f64) -> Outcome {
         let x = features_of(config, uplink_bps);
         let v: Vec<f64> = (0..N_OBJECTIVES)
-            .map(|obj| self.models[camera][obj].predict_mean(&x))
+            .map(|obj| self.read(camera, obj).predict_mean(&x))
             .collect();
         Outcome::from_vec(&v)
     }
@@ -379,23 +409,7 @@ impl OutcomeModelBank {
         uplink_bps: f64,
     ) -> (f64, f64) {
         let x = features_of(config, uplink_bps);
-        self.models[camera][objective].predict(&x)
-    }
-
-    /// Batched [`OutcomeModelBank::predict_objective`]: mean/variance at
-    /// many (config, uplink) queries against one GP
-    /// ([`GpModel::predict_batch`]). Bit-identical to the per-query path.
-    pub fn predict_objective_many(
-        &self,
-        camera: usize,
-        objective: usize,
-        queries: &[(VideoConfig, f64)],
-    ) -> Vec<(f64, f64)> {
-        let xs: Vec<Vec<f64>> = queries
-            .iter()
-            .map(|(cfg, uplink)| features_of(cfg, *uplink))
-            .collect();
-        self.models[camera][objective].predict_batch(&xs)
+        self.read(camera, objective).predict(&x)
     }
 }
 
@@ -443,23 +457,26 @@ impl BankUpdate {
 /// value, computed from the same factor and input, so the result does
 /// not depend on which camera (or thread) fills it. Ids are addresses,
 /// so a memo must not outlive the pass whose models it was filled from.
+///
+/// Slots are numbered in insertion order, so no output depends on the
+/// maps' hasher: they use [`IdHasher`], a multiply-rotate hash of the
+/// keys' words, in place of the std per-map-seeded SipHash.
 #[derive(Default)]
 pub(crate) struct SolveMemo<'m> {
-    prefixes: HashMap<(usize, [u64; N_FEATURES]), usize>,
+    prefixes: HashMap<(usize, [u64; N_FEATURES]), usize, BuildHasherDefault<IdHasher>>,
     prefix_queries: Vec<(&'m GpModel, [f64; N_FEATURES])>,
     /// Keyed by factor id and prefix slot (which stands for the input);
     /// the value is the factor slot.
-    factors: HashMap<(usize, usize), usize>,
+    factors: HashMap<(usize, usize), usize, BuildHasherDefault<IdHasher>>,
     /// Prefix slot of every factor slot.
     factor_prefix: Vec<usize>,
 }
 
 impl<'m> SolveMemo<'m> {
-    /// Slot of `model`'s factor-level work at `x` (a [`features_of`]
-    /// vector), registering the query on first sight.
-    pub(crate) fn slot(&mut self, model: &'m GpModel, x: &[f64]) -> usize {
-        let mut point = [0.0; N_FEATURES];
-        point.copy_from_slice(x);
+    /// Slot of `model`'s factor-level work at `point` (a
+    /// [`features_of`] vector), registering the query on first sight.
+    pub(crate) fn slot(&mut self, model: &'m GpModel, point: &[f64; N_FEATURES]) -> usize {
+        let point = *point;
         let prefix_queries = &mut self.prefix_queries;
         let prefix = *self
             .prefixes
@@ -492,6 +509,40 @@ impl<'m> SolveMemo<'m> {
             .map(|p| (p, OnceLock::new()))
             .collect();
         SharedWork { prefix, work }
+    }
+}
+
+/// The hasher of [`SolveMemo`]'s maps, whose keys are model ids,
+/// slot numbers and feature bits: one multiply-rotate round per 64-bit
+/// word (the `FxHash` scheme), rotated on finish so the bucket index
+/// sees the well-mixed high bits. Fixed, so a pass hashes the same way
+/// in every run; nothing depends on it beyond lookup speed.
+#[derive(Default)]
+pub(crate) struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            let mut w = [0; 8];
+            w.copy_from_slice(word);
+            self.write_u64(u64::from_le_bytes(w));
+        }
+        for &b in words.remainder() {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
     }
 }
 
@@ -696,28 +747,6 @@ mod tests {
     }
 
     #[test]
-    fn predict_objective_many_is_bit_identical_to_scalar_path() {
-        let (sc, bank) = bank(20);
-        let space = sc.config_space();
-        let queries: Vec<(VideoConfig, f64)> = (0..space.len())
-            .step_by(3)
-            .map(|i| (space.at(i), if i % 2 == 0 { 20e6 } else { 5e6 }))
-            .collect();
-        for cam in 0..2 {
-            for obj in 0..N_OBJECTIVES {
-                let batch = bank.predict_objective_many(cam, obj, &queries);
-                assert_eq!(batch.len(), queries.len());
-                for (k, (cfg, uplink)) in queries.iter().enumerate() {
-                    let (mu, var) = bank.predict_objective(cam, obj, cfg, *uplink);
-                    assert_eq!(batch[k].0.to_bits(), mu.to_bits());
-                    assert_eq!(batch[k].1.to_bits(), var.to_bits());
-                }
-            }
-        }
-        assert!(bank.predict_objective_many(0, 0, &[]).is_empty());
-    }
-
-    #[test]
     fn latency_model_sees_uplink() {
         let (_, bank) = bank(80);
         let c = VideoConfig::new(1080.0, 10.0);
@@ -890,6 +919,32 @@ mod tests {
                 a.as_slice().iter().zip(b.as_slice()).all(|(u, v)| u.to_bits() == v.to_bits())
             );
         }
+    }
+
+    #[test]
+    fn weight_solves_count_first_reads_only() {
+        let (sc, mut bank) = bank(12);
+        let c = VideoConfig::new(1080.0, 15.0);
+        assert_eq!(bank.weight_solves(), 0, "fitting solved weights");
+        let clone = bank.clone();
+        bank.predict(0, &c, 20e6);
+        bank.predict(0, &c, 5e6);
+        clone.predict_objective(0, idx::ACCURACY, &c, 20e6);
+        assert_eq!(bank.weight_solves(), N_OBJECTIVES, "camera 0 solved once");
+        clone.predict_objective(1, idx::ACCURACY, &c, 20e6);
+        assert_eq!(bank.weight_solves(), N_OBJECTIVES + 1);
+        // Conditioning leaves the new models unsolved until read.
+        let samples: Vec<ProfileSample> = (0..sc.n_videos())
+            .map(|cam| {
+                Profiler::new(sc.surfaces(cam).clone())
+                    .with_noise(0.0, 0.0)
+                    .measure(&c, 20e6, &mut seeded(4))
+            })
+            .collect();
+        bank.update_all(&samples).unwrap();
+        assert_eq!(bank.weight_solves(), N_OBJECTIVES + 1);
+        bank.predict(1, &c, 20e6);
+        assert_eq!(bank.weight_solves(), 2 * N_OBJECTIVES + 1);
     }
 
     #[test]

@@ -363,6 +363,7 @@ impl Pamo {
         if rec.enabled() {
             rec.add("core.decisions", 1);
             rec.observe("core.bo_observations", bo.observations.len() as f64);
+            rec.add("gp.weight_solves", bank.lock().weight_solves() as u64);
         }
 
         // Final recommendation: best observed joint config, scored by

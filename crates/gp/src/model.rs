@@ -13,6 +13,14 @@
 //! model built from scratch owns its factor (refcount 1) and takes
 //! exactly the same code path.
 //!
+//! The weights are back-substituted on first read, not when the model
+//! is built or conditioned: a bank conditions every camera's models on
+//! each observation but reads only the few it queries before the next
+//! one. Every pivot the deferred solve divides by was checked nonzero
+//! by a forward pass over the same factor rows, so the solve cannot
+//! fail, and it runs the same `backward` on the same `u` as an eager
+//! one would, so the weights are bit-identical.
+//!
 //! Inside a factor the rows split once more into the design *prefix*,
 //! shared by every factor grown from one profiling design, and the
 //! factor's own *tail*. Rows are packed lower-triangular (row `i` holds
@@ -28,7 +36,7 @@
 //! compute each once per distinct query and pass both to
 //! [`GpModel::predict_with`], which then does only the model's mean dot.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use eva_linalg::{vecops, Cholesky, LinalgError, Mat};
 use rand::Rng;
@@ -174,14 +182,15 @@ impl Factor {
     }
 
     /// Back substitution `Lᵀ x = y` in place: the second triangular
-    /// solve of [`Cholesky::solve`], row for row.
-    fn backward(&self, x: &mut [f64]) -> std::result::Result<(), LinalgError> {
+    /// solve of [`Cholesky::solve`], row for row. Callers run it only
+    /// after a forward pass over the same rows succeeded, and that pass
+    /// rejects a zero pivot, so every division here is by a checked
+    /// nonzero diagonal.
+    fn backward(&self, x: &mut [f64]) {
         for i in (0..x.len()).rev() {
             let row = self.row(i);
             let d = row[i];
-            if d == 0.0 {
-                return Err(LinalgError::Singular { pivot: i });
-            }
+            debug_assert!(d != 0.0, "backward: unchecked zero pivot {i}");
             x[i] /= d;
             let xi = x[i];
             // Column i of L below the diagonal eliminates into earlier rows of x.
@@ -189,14 +198,13 @@ impl Factor {
                 x[j] -= row[j] * xi;
             }
         }
-        Ok(())
     }
 
     /// Solve `(K + σ²I) x = b` through the factor.
     fn solve(&self, b: &[f64]) -> std::result::Result<Vec<f64>, LinalgError> {
         let mut x = vec![0.0; self.n()];
         self.forward(0, self.n(), b, &mut x)?;
-        self.backward(&mut x)?;
+        self.backward(&mut x);
         Ok(x)
     }
 
@@ -268,10 +276,13 @@ pub struct GpModel {
     y_raw: Vec<f64>,
     y_mean: f64,
     y_std: f64,
-    /// `L⁻¹z`, the forward-solved standardized targets.
+    /// `L⁻¹z`, the forward-solved standardized targets. Every factor
+    /// row's pivot was checked by the forward passes that built it.
     u: Vec<f64>,
-    /// `(K + σ² I)^{-1} z = L⁻ᵀu`.
-    alpha: Vec<f64>,
+    /// `(K + σ² I)^{-1} z = L⁻ᵀu`, back-substituted on first read
+    /// ([`GpModel::solve_weights`]). A clone carries the cell as it
+    /// stands: filled weights are copied, an empty cell solves on its own.
+    alpha: OnceLock<Vec<f64>>,
 }
 
 /// A query's design-row work against one model prefix: the cross-kernel
@@ -398,22 +409,46 @@ impl GpModel {
         Self::on_factor(Arc::new(factor), y, y_mean, y_std)
     }
 
-    /// A model of targets `y` on `factor`: both triangular solves from
-    /// scratch.
+    /// A model of targets `y` on `factor`: the forward solve from
+    /// scratch; the weights wait for their first read.
     fn on_factor(factor: Arc<Factor>, y: Vec<f64>, y_mean: f64, y_std: f64) -> Result<Self> {
         let z: Vec<f64> = y.iter().map(|&v| (v - y_mean) / y_std).collect();
         let mut u = vec![0.0; factor.n()];
         factor.forward(0, factor.n(), &z, &mut u)?;
-        let mut alpha = u.clone();
-        factor.backward(&mut alpha)?;
         Ok(GpModel {
             factor,
             y_raw: y,
             y_mean,
             y_std,
             u,
-            alpha,
+            alpha: OnceLock::new(),
         })
+    }
+
+    /// The weights `α = L⁻ᵀu`, back-substituted on first read.
+    fn weights(&self) -> &[f64] {
+        self.alpha.get_or_init(|| self.back_substitute())
+    }
+
+    fn back_substitute(&self) -> Vec<f64> {
+        #[cfg(test)]
+        tests::WEIGHT_SOLVES.with(|n| n.set(n.get() + 1));
+        let mut alpha = self.u.clone();
+        self.factor.backward(&mut alpha);
+        alpha
+    }
+
+    /// Back-substitute for the weights now unless an earlier read did;
+    /// true when this call ran the solve. The solve runs at most once
+    /// per model (and once per clone taken before it), so callers that
+    /// read models through one place count the solves a pass paid for.
+    pub fn solve_weights(&self) -> bool {
+        let mut ran = false;
+        self.alpha.get_or_init(|| {
+            ran = true;
+            self.back_substitute()
+        });
+        ran
     }
 
     /// Number of training points.
@@ -546,7 +581,7 @@ impl GpModel {
         if pre.prefix != self.prefix_id() || solve.factor != self.factor_id() {
             return self.predict(x);
         }
-        let mean_z = vecops::dot_concat(&pre.k, &solve.k_tail, &self.alpha);
+        let mean_z = vecops::dot_concat(&pre.k, &solve.k_tail, self.weights());
         (
             self.y_mean + self.y_std * mean_z,
             self.y_std * self.y_std * solve.var_z,
@@ -558,15 +593,10 @@ impl GpModel {
         self.predict(x).0
     }
 
-    /// Predict means and variances at many points.
-    pub fn predict_batch(&self, xs: &[Vec<f64>]) -> Vec<(f64, f64)> {
-        xs.iter().map(|x| self.predict(x)).collect()
-    }
-
     /// A model over the *same inputs and hyperparameters* but fresh
     /// targets: shares this model's factor (the Gram matrix depends only
-    /// on the inputs, kernel, and noise), only re-solving for the weight
-    /// vector. Bit-identical to `GpModel::new(kernel, noise_var, x, y)`
+    /// on the inputs, kernel, and noise), only forward-solving the new
+    /// targets (the weights wait for the first read). Bit-identical to `GpModel::new(kernel, noise_var, x, y)`
     /// on the same inputs, at O(n²) instead of O(n³) — the
     /// shared-profiling-design fit path builds one factor per objective
     /// and shares it across all cameras.
@@ -595,22 +625,22 @@ impl GpModel {
         if xs.is_empty() {
             return Err(GpError::BadData("posterior: empty query set".into()));
         }
-        let kxq = self.kernel().cross_matrix(&self.train_x(), xs); // n x q
+        // The kernel is symmetric bit for bit, so row j of `K(Q, X)` is
+        // column j of `K(X, Q)`.
+        let kqx = self.kernel().cross_matrix(xs, &self.train_x()); // q x n
+        let alpha = self.weights();
         let mean: Vec<f64> = (0..xs.len())
-            .map(|j| {
-                let col = kxq.col(j);
-                self.y_mean + self.y_std * vecops::dot(&col, &self.alpha)
-            })
+            .map(|j| self.y_mean + self.y_std * vecops::dot(kqx.row(j), alpha))
             .collect();
-        // cov = K(Q,Q) - Kxq^T (K+σ²I)^{-1} Kxq
+        // cov = K(Q,Q) - Kqx (K+σ²I)^{-1} Kqxᵀ
         let kqq = self.kernel().matrix(xs);
-        let mut w = Mat::zeros(kxq.rows(), kxq.cols()); // n x q
-        for j in 0..kxq.cols() {
-            for (i, v) in self.factor.solve(&kxq.col(j))?.into_iter().enumerate() {
+        let mut w = Mat::zeros(kqx.cols(), kqx.rows()); // n x q
+        for j in 0..kqx.rows() {
+            for (i, v) in self.factor.solve(kqx.row(j))?.into_iter().enumerate() {
                 w[(i, j)] = v;
             }
         }
-        let reduction = kxq.transpose().matmul(&w)?; // q x q
+        let reduction = kqx.matmul(&w)?; // q x q
         let mut cov = kqq.sub(&reduction)?;
         cov.symmetrize();
         // Clamp round-off negatives on the diagonal.
@@ -636,7 +666,7 @@ impl GpModel {
             .iter()
             .map(|&v| (v - self.y_mean) / self.y_std)
             .collect();
-        let data_fit = vecops::dot(&z, &self.alpha);
+        let data_fit = vecops::dot(&z, self.weights());
         let log_det = (0..n).map(|i| self.factor.row(i)[i].ln()).sum::<f64>() * 2.0;
         -0.5 * data_fit - 0.5 * log_det - 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln()
     }
@@ -729,10 +759,11 @@ impl GpModel {
     }
 
     /// Condition on observations `y_new` at the inputs `ext` grew this
-    /// model's factor by: append the targets, forward-solve their new
-    /// rows of `u` (all rows after a rebuild) and back-substitute for
-    /// `α`. Bit-identical to [`GpModel::condition`]; an extension of
-    /// another factor is rejected.
+    /// model's factor by: append the targets and forward-solve their new
+    /// rows of `u` (all rows after a rebuild). The weights `α` wait for
+    /// the new model's first read. Bit-identical to
+    /// [`GpModel::condition`]; an extension of another factor is
+    /// rejected.
     pub fn condition_on(&self, ext: &FactorExtension, y_new: &[f64]) -> Result<GpModel> {
         if ext.parent != self.factor_id() || self.n() + y_new.len() != ext.factor.n() {
             return Err(GpError::BadData(
@@ -747,24 +778,24 @@ impl GpModel {
             check_standardization(self.y_mean, self.y_std)?;
             return Self::on_factor(Arc::clone(&ext.factor), y_raw, self.y_mean, self.y_std);
         }
-        let z: Vec<f64> = y_raw
-            .iter()
-            .map(|&v| (v - self.y_mean) / self.y_std)
-            .collect();
+        // Only the new rows' standardized targets: rows before
+        // `ext.from` are already solved in `u`.
         let n = ext.factor.n();
+        let mut z = vec![0.0; n];
+        for (zi, &v) in z.iter_mut().zip(&y_raw).skip(ext.from) {
+            *zi = (v - self.y_mean) / self.y_std;
+        }
         let mut u = Vec::with_capacity(n);
         u.extend_from_slice(&self.u);
         u.resize(n, 0.0);
         ext.factor.forward(ext.from, n, &z, &mut u)?;
-        let mut alpha = u.clone();
-        ext.factor.backward(&mut alpha)?;
         Ok(GpModel {
             factor: Arc::clone(&ext.factor),
             y_raw,
             y_mean: self.y_mean,
             y_std: self.y_std,
             u,
-            alpha,
+            alpha: OnceLock::new(),
         })
     }
 
@@ -869,6 +900,11 @@ mod tests {
     use super::*;
     use crate::KernelType;
     use eva_stats::rng::seeded;
+
+    thread_local! {
+        /// Weight back-substitutions run on this test's thread.
+        pub(super) static WEIGHT_SOLVES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
 
     fn toy_model() -> GpModel {
         let x: Vec<Vec<f64>> = (0..8).map(|i| vec![i as f64 * 0.4]).collect();
@@ -1223,7 +1259,7 @@ mod tests {
     }
 
     fn assert_matches(model: &GpModel, oracle: &DenseOracle, queries: &[Vec<f64>], what: &str) {
-        assert!(same_bits(&model.alpha, &oracle.alpha), "{what}: alpha");
+        assert!(same_bits(model.weights(), &oracle.alpha), "{what}: alpha");
         assert_eq!(model.train_x(), oracle.x, "{what}: inputs");
         for q in queries {
             let (m, v) = oracle.predict(q);
@@ -1359,6 +1395,103 @@ mod tests {
             }
             prop_assert!(models[0].shares_prefix(&models[5]));
             prop_assert!(!models[0].shares_factor(&models[5]));
+        }
+    }
+
+    fn weight_solves() -> usize {
+        WEIGHT_SOLVES.with(|n| n.get())
+    }
+
+    #[test]
+    fn conditioned_model_solves_its_weights_once_on_first_read() {
+        let start = weight_solves();
+        let mut m = toy_model();
+        for k in 0..6 {
+            let x = vec![0.25 + k as f64 * 0.6];
+            m = m.condition(&[x], &[k as f64 * 0.5]).unwrap();
+        }
+        assert_eq!(
+            weight_solves(),
+            start,
+            "building and conditioning solved weights"
+        );
+        let unread = m.clone();
+        for q in [[0.4], [1.9], [7.0]] {
+            m.predict(&q);
+        }
+        m.posterior(&[vec![0.4], vec![3.3]]).unwrap();
+        m.log_marginal_likelihood();
+        assert_eq!(weight_solves(), start + 1, "reads of one model");
+        assert!(!m.solve_weights());
+        // A clone taken after the read carries the weights; one taken
+        // before solves its own, once.
+        assert!(!m.clone().solve_weights());
+        assert!(unread.solve_weights());
+        assert!(!unread.solve_weights());
+        assert_eq!(weight_solves(), start + 2);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// A chain of single-point conditionings whose weights are first
+        /// read at generation `read_at` (through the model and a sibling
+        /// on the same factor), with clones taken before and after that
+        /// read, and every generation read again only once the chain is
+        /// finished: each one matches the dense oracle bit for bit.
+        #[test]
+        fn lazy_weights_match_dense_oracle_whenever_first_read(
+            seed in 0u64..10_000,
+            gens in 1usize..=12,
+            read_at in 0usize..=12,
+            family in 0usize..3,
+        ) {
+            let family = [KernelType::Rbf, KernelType::Matern32, KernelType::Matern52][family];
+            let kernel = Kernel::new(family, vec![0.5, 0.8, 1.1], 1.2);
+            let (x, ys) = design(20, 2, seed);
+            let mut model = GpModel::new(kernel.clone(), 1e-3, x.clone(), ys[0].clone()).unwrap();
+            let mut sibling = model.with_targets(ys[1].clone()).unwrap();
+            let mut dense = DenseOracle::new(kernel, 1e-3, x, ys[0].clone());
+            let mut dense_sibling = dense.with_targets(ys[1].clone());
+            let mut rng = seeded(seed ^ 0x51ab);
+            let queries: Vec<Vec<f64>> = (0..3)
+                .map(|_| (0..3).map(|_| rng.gen_range(0.0..1.0)).collect())
+                .collect();
+            let start = weight_solves();
+            // (model, oracle, label) of every generation and clone.
+            let mut kept: Vec<(GpModel, DenseOracle, String)> = Vec::new();
+            for g in 0..=gens {
+                if g == read_at {
+                    let before = model.clone();
+                    prop_assert_eq!(weight_solves(), start);
+                    assert_matches(&model, &dense, &queries, &format!("generation {g}"));
+                    assert_matches(&sibling, &dense_sibling, &queries, &format!("sibling {g}"));
+                    prop_assert_eq!(weight_solves(), start + 2);
+                    // The clone kept below is taken after the read.
+                    prop_assert!(!model.clone().solve_weights());
+                    prop_assert!(before.solve_weights());
+                    kept.push((before, dense.clone(), format!("clone before read {g}")));
+                }
+                kept.push((model.clone(), dense.clone(), format!("generation {g}")));
+                kept.push((sibling.clone(), dense_sibling.clone(), format!("sibling {g}")));
+                if g == gens {
+                    break;
+                }
+                let xn: Vec<f64> = (0..3).map(|_| rng.gen_range(0.0..1.0)).collect();
+                let (yn, yn_sibling) = (rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0));
+                let ext = model.extend_factor(&xn, &model.prefix_solve(&xn)).unwrap();
+                model = model.condition_on(&ext, &[yn]).unwrap();
+                sibling = sibling.condition_on(&ext, &[yn_sibling]).unwrap();
+                let (next, fell_back) = dense.condition(&xn, yn);
+                prop_assert_eq!(ext.rebuilt(), fell_back);
+                dense = next;
+                dense_sibling = dense_sibling.condition(&xn, yn_sibling).0;
+            }
+            let read_before_end = if read_at <= gens { 3 } else { 0 };
+            prop_assert_eq!(weight_solves(), start + read_before_end);
+            for (m, d, what) in kept.iter().rev() {
+                assert_matches(m, d, &queries, what);
+            }
         }
     }
 

@@ -141,7 +141,9 @@ impl Mat {
             .collect()
     }
 
-    /// Transposed copy.
+    /// Transposed copy (tests only: production code reads columns or
+    /// builds the transposed operand directly).
+    #[cfg(test)]
     pub fn transpose(&self) -> Mat {
         let mut t = Mat::zeros(self.cols, self.rows);
         for i in 0..self.rows {

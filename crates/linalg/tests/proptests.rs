@@ -3,6 +3,12 @@
 use eva_linalg::{vecops, Cholesky, Lu, Mat};
 use proptest::prelude::*;
 
+/// Explicit transposed copy (`Mat::transpose` is test-only inside the
+/// crate).
+fn transposed(a: &Mat) -> Mat {
+    Mat::from_fn(a.cols(), a.rows(), |i, j| a[(j, i)])
+}
+
 /// Strategy: a random matrix with entries in [-1, 1].
 fn mat_strategy(rows: usize, cols: usize) -> impl Strategy<Value = Mat> {
     proptest::collection::vec(-1.0f64..1.0, rows * cols)
@@ -12,7 +18,7 @@ fn mat_strategy(rows: usize, cols: usize) -> impl Strategy<Value = Mat> {
 /// Strategy: an SPD matrix `B B^T + I` of size n.
 fn spd_strategy(n: usize) -> impl Strategy<Value = Mat> {
     mat_strategy(n, n).prop_map(move |b| {
-        let mut a = b.matmul(&b.transpose()).unwrap();
+        let mut a = b.matmul(&transposed(&b)).unwrap();
         a.add_diag(1.0);
         a.symmetrize();
         a
@@ -25,7 +31,7 @@ proptest! {
     #[test]
     fn cholesky_reconstructs(a in spd_strategy(6)) {
         let ch = Cholesky::decompose_jittered(&a).unwrap();
-        let rec = ch.l().matmul(&ch.l().transpose()).unwrap();
+        let rec = ch.l().matmul(&transposed(ch.l())).unwrap();
         prop_assert!(rec.max_abs_diff(&a) < 1e-6);
     }
 
@@ -119,7 +125,7 @@ proptest! {
     fn transpose_respects_matvec(a in mat_strategy(4, 6),
                                  x in proptest::collection::vec(-1.0f64..1.0, 4)) {
         let fast = a.matvec_t(&x).unwrap();
-        let explicit = a.transpose().matvec(&x).unwrap();
+        let explicit = transposed(&a).matvec(&x).unwrap();
         prop_assert!(vecops::l1_dist(&fast, &explicit) < 1e-10);
     }
 

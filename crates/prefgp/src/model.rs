@@ -334,8 +334,8 @@ impl PreferenceModel {
         // cov = K** − K*ᵀK⁻¹K* + K*ᵀK⁻¹ Σ K⁻¹K*
         let kqq = self.kernel.matrix(ys);
         let w = self.k_chol.solve_mat(&kxq)?; // K⁻¹ K*, n x q
-        let reduction = kxq.transpose().matmul(&w)?;
-        let middle = w.transpose().matmul(&self.sigma.matmul(&w)?)?;
+        let reduction = transposed(&kxq).matmul(&w)?;
+        let middle = transposed(&w).matmul(&self.sigma.matmul(&w)?)?;
         let mut cov = kqq.sub(&reduction)?.add(&middle)?;
         cov.symmetrize();
         for i in 0..cov.rows() {
@@ -345,6 +345,12 @@ impl PreferenceModel {
         }
         Ok((mean, cov))
     }
+}
+
+/// Explicit transposed copy for the reference posterior.
+#[cfg(test)]
+fn transposed(m: &Mat) -> Mat {
+    Mat::from_fn(m.cols(), m.rows(), |i, j| m[(j, i)])
 }
 
 /// Row-major `n × m` work blocks of `m` posterior query columns.

@@ -24,7 +24,7 @@ pub struct ProfileSample {
 
 impl ProfileSample {
     /// GP input features: `[r/2160, s/30, B/100Mbps]`, unit-ish scales.
-    pub fn features(&self) -> Vec<f64> {
+    pub fn features(&self) -> [f64; N_FEATURES] {
         features_of(&self.config, self.uplink_bps)
     }
 }
@@ -32,9 +32,11 @@ impl ProfileSample {
 /// Length of a [`features_of`] vector.
 pub const N_FEATURES: usize = 3;
 
-/// Shared feature mapping (profiling and prediction must agree).
-pub fn features_of(config: &VideoConfig, uplink_bps: f64) -> Vec<f64> {
-    vec![
+/// Shared feature mapping (profiling and prediction must agree). An
+/// array, so the per-query feature vectors of a posterior scan cost no
+/// allocation.
+pub fn features_of(config: &VideoConfig, uplink_bps: f64) -> [f64; N_FEATURES] {
+    [
         config.resolution / 2160.0,
         config.fps / 30.0,
         uplink_bps / 100e6,
@@ -176,9 +178,9 @@ mod tests {
     #[test]
     fn features_are_unit_scaled() {
         let c = VideoConfig::new(2160.0, 30.0);
-        assert_eq!(features_of(&c, 100e6), vec![1.0, 1.0, 1.0]);
+        assert_eq!(features_of(&c, 100e6), [1.0, 1.0, 1.0]);
         let c2 = VideoConfig::new(1080.0, 15.0);
-        assert_eq!(features_of(&c2, 50e6), vec![0.5, 0.5, 0.5]);
+        assert_eq!(features_of(&c2, 50e6), [0.5, 0.5, 0.5]);
     }
 
     #[test]

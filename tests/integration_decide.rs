@@ -36,7 +36,7 @@ const PINNED_SHARED_HISTORY_HASH: u64 = 0xbf2e_994c_e4bc_4abe;
 /// Exact work of `decide_bits`' two decides under a flight recorder:
 /// counter values, then span counts per phase. Any change means the
 /// algorithm did more or less work, even if every decided bit held.
-const PINNED_WORK: [(&str, u64); 16] = [
+const PINNED_WORK: [(&str, u64); 17] = [
     ("core.objective_evals", 8),
     ("gp.fits", 10),
     ("gp.conditionings", 1600),
@@ -44,6 +44,9 @@ const PINNED_WORK: [(&str, u64); 16] = [
     ("gp.posterior_queries", 4800),
     ("gp.tail_solves", 685),
     ("gp.prefix_solves", 350),
+    // Weights back-substituted on first read: the 200 models each of
+    // the four `bo_prepare` passes reads, not one per conditioning.
+    ("gp.weight_solves", 800),
     ("bo.mc_draws", 1152),
     ("bo.clip_moments", 3061),
     ("sched.assignments", 10),
