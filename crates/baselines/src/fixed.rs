@@ -61,7 +61,7 @@ impl FixedWeight {
 
         // Normalization bounds over the *feasible* range: use the
         // per-objective extremes of single-stream outcomes scaled by n.
-        let norm = outcome_bounds(scenario);
+        let norm = scenario.cost_bounds();
 
         // Knob space: per camera, a flat index into the config grid.
         let dspace =
@@ -103,37 +103,6 @@ impl FixedWeight {
         };
         Decision { configs, server_of }
     }
-}
-
-/// Per-objective (min, max) cost bounds across single-stream extremes,
-/// scaled to system level for normalization.
-fn outcome_bounds(scenario: &Scenario) -> Vec<(f64, f64)> {
-    let space = scenario.config_space();
-    let n = scenario.n_videos() as f64;
-    let mut mins = [f64::INFINITY; 5];
-    let mut maxs = [f64::NEG_INFINITY; 5];
-    for i in 0..scenario.n_videos() {
-        for c in space.iter() {
-            for &b in scenario.uplinks() {
-                let cost = scenario.evaluate_stream(i, &c, b).to_cost_vec();
-                for d in 0..5 {
-                    mins[d] = mins[d].min(cost[d]);
-                    maxs[d] = maxs[d].max(cost[d]);
-                }
-            }
-        }
-    }
-    // Latency & accuracy average over streams (stay per-stream scale);
-    // network/computation/energy sum over streams.
-    (0..5)
-        .map(|d| {
-            if d == 0 || d == 1 {
-                (mins[d], maxs[d])
-            } else {
-                (mins[d] * n, maxs[d] * n)
-            }
-        })
-        .collect()
 }
 
 fn normalized_cost(cost: &[f64], bounds: &[(f64, f64)]) -> Vec<f64> {

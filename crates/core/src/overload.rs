@@ -86,6 +86,22 @@ fn scope_label(scope: ReplanScope) -> &'static str {
     }
 }
 
+/// An admission probe's verdict.
+enum Probe {
+    Accept(Box<Trial>),
+    Queue,
+    Reject,
+}
+
+/// An accepted probe: its report, the trial scenario (the session's
+/// with the tenant appended) and that scenario's preference. Installing
+/// the tenant adopts the pair instead of rebuilding it.
+struct Trial {
+    report: ProbeReport,
+    scenario: Scenario,
+    pref: TruePreference,
+}
+
 /// Overload-control knobs layered on top of a [`ServingConfig`].
 ///
 /// The chaos spec contributes the crash-burst fault plan and the
@@ -131,7 +147,6 @@ impl OverloadConfig {
 /// admitted tenants, the shedding retry queue, the coalescing counter,
 /// and the accumulated outputs.
 struct SessionState {
-    weights: [f64; N_OBJECTIVES],
     serving: ServingConfig,
     policy: BudgetPolicy,
     enforce: bool,
@@ -142,6 +157,9 @@ struct SessionState {
     extras: Vec<(u64, ClipProfile)>,
     configs: Vec<VideoConfig>,
     scenario: Scenario,
+    /// The true preference over `scenario`, refreshed only when the
+    /// scenario is: building its normalizer walks the whole config grid.
+    pref: TruePreference,
     assignment: Option<Assignment>,
     truly_up: Vec<bool>,
     belief: Vec<bool>,
@@ -196,9 +214,8 @@ impl SessionState {
             return;
         };
         let n = self.scenario.n_videos();
-        let pref = TruePreference::new(&self.scenario, self.weights);
         let out = subset_outcome(&self.scenario, &self.configs, a, n);
-        let quality = normalized_benefit(pref.benefit(&out), 0.0, pref.min_reference());
+        let quality = normalized_benefit(self.pref.benefit(&out), 0.0, self.pref.min_reference());
         let mut down = vec![false; n];
         for (i, st) in a.streams.iter().enumerate() {
             if !self.truly_up[a.server_of[i]] {
@@ -227,6 +244,8 @@ impl SessionState {
         }
     }
 
+    /// Rebuild the scenario (and its preference) from the epoch base
+    /// plus the admitted tenants.
     fn rebuild_scenario(&mut self) {
         let mut clips: Vec<ClipProfile> = (0..self.base_n)
             .map(|i| self.base.clip(i).clone())
@@ -237,6 +256,7 @@ impl SessionState {
             self.base.uplinks().to_vec(),
             self.base.config_space().clone(),
         );
+        self.pref = TruePreference::new(&self.scenario, *self.pref.weights());
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -302,16 +322,12 @@ impl SessionState {
 
     /// Probe admission of `tenant`; `queue_len` counts the *other*
     /// waiting tenants.
-    fn admit_probe(&self, rec: &dyn Recorder, tenant: u64, queue_len: usize) -> AdmissionDecision {
+    fn admit_probe(&self, rec: &dyn Recorder, tenant: u64, queue_len: usize) -> Probe {
         if self.assignment.is_none() || self.configs.len() != self.scenario.n_videos() {
             return if queue_len < self.controller.config().queue_capacity {
-                AdmissionDecision::Queue {
-                    reason: "system degraded",
-                }
+                Probe::Queue
             } else {
-                AdmissionDecision::Reject {
-                    reason: "system degraded",
-                }
+                Probe::Reject
             };
         }
         let clip = churn_clip(
@@ -328,7 +344,7 @@ impl SessionState {
             self.scenario.uplinks().to_vec(),
             self.scenario.config_space().clone(),
         );
-        let pref = TruePreference::new(&trial, self.weights);
+        let pref = TruePreference::new(&trial, *self.pref.weights());
         let incumbent_before = match &self.assignment {
             Some(a) => pref.benefit(&subset_outcome(
                 &trial,
@@ -339,7 +355,7 @@ impl SessionState {
             None => f64::NEG_INFINITY,
         };
         let mask = self.mask_vec();
-        self.controller.admit(
+        match self.controller.admit(
             &trial,
             &self.configs,
             mask.as_deref(),
@@ -348,7 +364,15 @@ impl SessionState {
             self.extras.len(),
             queue_len,
             rec,
-        )
+        ) {
+            AdmissionDecision::Accept(report) => Probe::Accept(Box::new(Trial {
+                report: *report,
+                scenario: trial,
+                pref,
+            })),
+            AdmissionDecision::Queue { .. } => Probe::Queue,
+            AdmissionDecision::Reject { .. } => Probe::Reject,
+        }
     }
 
     /// Row-repair `trigger` (already charged by the caller); when the
@@ -406,12 +430,13 @@ impl SessionState {
     /// Install an accepted tenant within budget: charge a repair,
     /// escalate to a charged full solve on the full rung, and roll the
     /// admit back (returning `None` → re-queue) when neither is
-    /// affordable or feasible.
+    /// affordable or feasible. The trial's scenario and preference are
+    /// exactly what `rebuild_scenario` would build after the push.
     fn budgeted_accept(
         &mut self,
         rec: &dyn Recorder,
         tenant: u64,
-        report: &ProbeReport,
+        trial: Trial,
         budget: &DecisionBudget,
         rung: DecisionRung,
     ) -> Option<&'static str> {
@@ -424,11 +449,15 @@ impl SessionState {
             self.base_n + tenant as usize,
         );
         self.extras.push((tenant, clip));
-        self.configs.push(report.newcomer_config);
-        self.rebuild_scenario();
+        self.configs.push(trial.report.newcomer_config);
+        let previous = (
+            std::mem::replace(&mut self.scenario, trial.scenario),
+            std::mem::replace(&mut self.pref, trial.pref),
+        );
         let camera = self.configs.len() - 1;
         match self.repair_or_resolve(rec, ReplanTrigger::Arrival { camera }, budget, rung) {
             Some((a, scope)) => {
+                let report = &trial.report;
                 let floor = report.incumbent_before - self.controller.config().max_benefit_drop;
                 self.min_floor_margin = self.min_floor_margin.min(report.incumbent_after - floor);
                 self.assignment = Some(a);
@@ -437,7 +466,7 @@ impl SessionState {
             None => {
                 self.extras.pop();
                 self.configs.pop();
-                self.rebuild_scenario();
+                (self.scenario, self.pref) = previous;
                 None
             }
         }
@@ -488,10 +517,10 @@ impl SessionState {
             );
             return;
         }
-        let decision = self.admit_probe(rec, ev.tenant, self.queue.len());
-        let (outcome, scope) = match decision {
-            AdmissionDecision::Accept(report) => {
-                match self.budgeted_accept(rec, ev.tenant, &report, budget, rung) {
+        let probe = self.admit_probe(rec, ev.tenant, self.queue.len());
+        let (outcome, scope) = match probe {
+            Probe::Accept(trial) => {
+                match self.budgeted_accept(rec, ev.tenant, *trial, budget, rung) {
                     Some(scope) => {
                         self.accepted += 1;
                         ("accepted", Some(scope))
@@ -503,8 +532,8 @@ impl SessionState {
                     }
                 }
             }
-            AdmissionDecision::Queue { .. } => (self.enqueue(ev.tenant, ev.time_s), None),
-            AdmissionDecision::Reject { .. } => {
+            Probe::Queue => (self.enqueue(ev.tenant, ev.time_s), None),
+            Probe::Reject => {
                 self.rejected += 1;
                 ("rejected", None)
             }
@@ -690,10 +719,9 @@ impl SessionState {
                 break;
             }
             let rung = self.rung(budget);
-            let decision = self.admit_probe(rec, entry.tenant, self.queue.len());
-            match decision {
-                AdmissionDecision::Accept(report) => {
-                    match self.budgeted_accept(rec, entry.tenant, &report, budget, rung) {
+            match self.admit_probe(rec, entry.tenant, self.queue.len()) {
+                Probe::Accept(trial) => {
+                    match self.budgeted_accept(rec, entry.tenant, *trial, budget, rung) {
                         Some(scope) => {
                             self.accepted += 1;
                             let reaction = self.reaction(0.0, budget.spent() - before, divisor);
@@ -714,11 +742,11 @@ impl SessionState {
                         }
                     }
                 }
-                AdmissionDecision::Queue { .. } => {
+                Probe::Queue => {
                     self.queue.push_front(entry);
                     break;
                 }
-                AdmissionDecision::Reject { .. } => {
+                Probe::Reject => {
                     self.rejected += 1;
                     let reaction = self.reaction(0.0, budget.spent() - before, divisor);
                     self.push_event(
@@ -743,7 +771,6 @@ impl SessionState {
 /// ([`ServingSession::restore`]) bit-identically. Every serving run,
 /// budgeted or not, is one session.
 pub struct ServingSession {
-    weights: [f64; N_OBJECTIVES],
     serving: ServingConfig,
     overload: OverloadConfig,
     initial: Scenario,
@@ -851,7 +878,6 @@ impl ServingSession {
         }
         timeline.sort_by(|a, b| a.0.total_cmp(&b.0));
         let state = SessionState {
-            weights,
             serving: *serving,
             policy: overload.policy,
             enforce: overload.enforce_budget,
@@ -862,6 +888,7 @@ impl ServingSession {
             extras: Vec::new(),
             configs: Vec::new(),
             scenario: initial.clone(),
+            pref: TruePreference::new(initial, weights),
             assignment: None,
             truly_up: vec![true; n_servers],
             belief: vec![true; n_servers],
@@ -878,7 +905,6 @@ impl ServingSession {
             pending_batch: 0,
         };
         ServingSession {
-            weights,
             serving: *serving,
             overload: *overload,
             initial: initial.clone(),
@@ -1023,7 +1049,7 @@ impl ServingSession {
         }
 
         // The epoch decision, on the affordable ladder rung.
-        let pref = TruePreference::new(&self.state.scenario, self.weights);
+        let pref = &self.state.pref;
         let mask = self.state.mask_vec();
         let mut rung = self.state.rung(&self.budget);
         let epoch_degraded;
@@ -1043,7 +1069,7 @@ impl ServingSession {
                     .pamo
                     .decide_surviving_budgeted_recorded(
                         scenario,
-                        &pref,
+                        pref,
                         mask.as_deref(),
                         &self.budget,
                         &mut self.rng,
@@ -1057,7 +1083,7 @@ impl ServingSession {
                         Some((d.configs, a, false))
                     })
                     .or_else(|| {
-                        fallback_uniform(scenario, &pref, mask.as_deref(), rec)
+                        fallback_uniform(scenario, pref, mask.as_deref(), rec)
                             .map(|(c, a)| (c, a, true))
                     });
                 epoch_degraded = match planned {

@@ -297,11 +297,6 @@ impl Mat {
             .fold(0.0, f64::max)
     }
 
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|&x| x * x).sum::<f64>().sqrt()
-    }
-
     /// Symmetrize in place: `A <- (A + A^T) / 2`. Useful before Cholesky
     /// when round-off has broken exact symmetry.
     pub fn symmetrize(&mut self) {

@@ -96,7 +96,8 @@ impl LinkModel {
         )
     }
 
-    /// Three-state Markov switching (good / degraded / bad).
+    /// Three-state Markov switching (good / degraded / bad; tests only).
+    #[cfg(test)]
     pub fn three_state(rates_bps: [f64; 3], dwells_s: [f64; 3], seed: u64) -> Self {
         LinkModel::markov(
             rates_bps

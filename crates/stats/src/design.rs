@@ -160,6 +160,7 @@ pub fn scale_to_bounds(point: &[f64], bounds: &[(f64, f64)]) -> Vec<f64> {
 /// and volume measure on anchored boxes defined by the sample itself.
 /// Exact star discrepancy is NP-hard; this one-sided estimate is enough
 /// to sanity-check that designs are space-filling (tests only).
+#[cfg(test)]
 pub fn discrepancy_proxy(points: &[Vec<f64>]) -> f64 {
     let n = points.len();
     if n == 0 {

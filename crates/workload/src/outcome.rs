@@ -83,7 +83,9 @@ impl Outcome {
     }
 
     /// Pareto dominance on *costs* (Sec. 2.3): self dominates other iff
-    /// it is no worse everywhere and strictly better somewhere.
+    /// it is no worse everywhere and strictly better somewhere (tests
+    /// only, like [`pareto_front`], its one caller).
+    #[cfg(test)]
     pub fn dominates(&self, other: &Outcome) -> bool {
         let a = self.to_cost_vec();
         let b = other.to_cost_vec();
@@ -100,7 +102,9 @@ impl Outcome {
     }
 }
 
-/// Indices of the Pareto-optimal (non-dominated) outcomes in a set.
+/// Indices of the Pareto-optimal (non-dominated) outcomes in a set
+/// (tests only).
+#[cfg(test)]
 pub fn pareto_front(outcomes: &[Outcome]) -> Vec<usize> {
     (0..outcomes.len())
         .filter(|&i| {

@@ -431,29 +431,39 @@ impl Scenario {
     /// number of cameras. Used to normalize outcomes before preference
     /// evaluation (Sec. 2.3 normalizes to (0,1)).
     pub fn cost_bounds(&self) -> Vec<(f64, f64)> {
+        use crate::outcome::idx::{ACCURACY, LATENCY};
         let n = self.n_videos() as f64;
         let mut mins = [f64::INFINITY; crate::outcome::N_OBJECTIVES];
         let mut maxs = [f64::NEG_INFINITY; crate::outcome::N_OBJECTIVES];
-        // Only distinct uplink values shift the extremes; at scale the
-        // server list is thousands long but drawn from a handful of
-        // pool values.
-        let mut distinct_uplinks = self.uplink_bps.clone();
-        distinct_uplinks.sort_by(f64::total_cmp);
-        distinct_uplinks.dedup();
-        for i in 0..self.n_videos() {
+        // Latency is the only objective that reads the uplink, and
+        // `proc + bits / b` never rises with `b`: under round-to-nearest
+        // a larger positive divisor never gives a larger quotient, and
+        // adding the same `proc` keeps the order. So the slowest uplink
+        // holds every per-(camera, config) latency maximum and the
+        // fastest every minimum; no server in between moves an extreme.
+        // `new` guarantees at least one uplink, and every one positive.
+        let slowest = self
+            .uplink_bps
+            .iter()
+            .copied()
+            .fold(f64::INFINITY, f64::min);
+        let fastest = self.uplink_bps.iter().copied().fold(0.0, f64::max);
+        for (i, s) in self.surfaces.iter().enumerate() {
             for c in self.space.iter() {
-                for &b in &distinct_uplinks {
-                    let cost = self.evaluate_stream(i, &c, b).to_cost_vec();
-                    for d in 0..cost.len() {
-                        mins[d] = mins[d].min(cost[d]);
-                        maxs[d] = maxs[d].max(cost[d]);
-                    }
+                let mut cost = self.evaluate_stream(i, &c, slowest).to_array();
+                cost[ACCURACY] = -cost[ACCURACY];
+                for d in 0..cost.len() {
+                    mins[d] = mins[d].min(cost[d]);
+                    maxs[d] = maxs[d].max(cost[d]);
                 }
+                let fast = s.e2e_latency_secs(&c, fastest);
+                mins[LATENCY] = mins[LATENCY].min(fast);
+                maxs[LATENCY] = maxs[LATENCY].max(fast);
             }
         }
         (0..mins.len())
             .map(|d| {
-                if d == crate::outcome::idx::LATENCY || d == crate::outcome::idx::ACCURACY {
+                if d == LATENCY || d == ACCURACY {
                     (mins[d], maxs[d])
                 } else {
                     (mins[d] * n, maxs[d] * n)
@@ -481,6 +491,7 @@ mod tests {
     use super::*;
     use eva_sched::const2_zero_jitter_ok;
     use eva_stats::rng::seeded;
+    use proptest::prelude::*;
 
     fn small_scenario() -> Scenario {
         Scenario::uniform(4, 3, 20e6, 42)
@@ -575,6 +586,92 @@ mod tests {
                 "objective {d}: {c} outside {:?}",
                 bounds[d]
             );
+        }
+    }
+
+    /// The bounds by brute force: every (camera, config, server uplink)
+    /// triple, with no appeal to latency's monotonicity in the uplink.
+    fn cost_bounds_reference(sc: &Scenario) -> Vec<(f64, f64)> {
+        let n = sc.n_videos() as f64;
+        let mut mins = [f64::INFINITY; crate::outcome::N_OBJECTIVES];
+        let mut maxs = [f64::NEG_INFINITY; crate::outcome::N_OBJECTIVES];
+        for i in 0..sc.n_videos() {
+            for c in sc.config_space().iter() {
+                for &b in sc.uplinks() {
+                    let cost = sc.evaluate_stream(i, &c, b).to_cost_vec();
+                    for d in 0..cost.len() {
+                        mins[d] = mins[d].min(cost[d]);
+                        maxs[d] = maxs[d].max(cost[d]);
+                    }
+                }
+            }
+        }
+        (0..mins.len())
+            .map(|d| {
+                if d == crate::outcome::idx::LATENCY || d == crate::outcome::idx::ACCURACY {
+                    (mins[d], maxs[d])
+                } else {
+                    (mins[d] * n, maxs[d] * n)
+                }
+            })
+            .collect()
+    }
+
+    /// Strictly increasing knob values from positive steps.
+    fn knob_grid(start: f64, steps: &[f64]) -> Vec<f64> {
+        steps
+            .iter()
+            .scan(start, |v, &dv| {
+                *v += dv;
+                Some(*v)
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The slowest/fastest-uplink bounds equal the brute-force ones
+        /// bit for bit: 1–6 random clips, 1–12 servers whose uplinks
+        /// repeat pool values (all equal when `same == 0`), and the
+        /// default or a random custom config grid.
+        #[test]
+        fn cost_bounds_match_the_per_server_reference(
+            clips in prop::collection::vec(
+                (0.82f64..1.05, 0.86f64..1.2, 0.8f64..1.3, 0.6f64..1.6),
+                1..=6,
+            ),
+            servers in prop::collection::vec((0usize..9, 1.0f64..60.0), 1..=12),
+            same in 0usize..4,
+            (custom, res_steps, fps_steps) in (
+                0usize..2,
+                prop::collection::vec(1.0f64..400.0, 1..=5),
+                prop::collection::vec(0.2f64..8.0, 1..=4),
+            ),
+        ) {
+            let clips: Vec<ClipProfile> = clips
+                .into_iter()
+                .enumerate()
+                .map(|(i, (a, c, b, m))| ClipProfile::new(format!("prop{i}"), a, c, b, m))
+                .collect();
+            let mut uplinks: Vec<f64> = servers
+                .iter()
+                .map(|&(k, mbps)| UPLINK_POOL_MBPS.get(k).copied().unwrap_or(mbps) * 1e6)
+                .collect();
+            if same == 0 {
+                let first = uplinks[0];
+                uplinks.fill(first);
+            }
+            let space = if custom == 0 {
+                ConfigSpace::default()
+            } else {
+                ConfigSpace::new(knob_grid(100.0, &res_steps), knob_grid(0.5, &fps_steps))
+            };
+            let sc = Scenario::new(clips, uplinks, space);
+            let bits = |b: Vec<(f64, f64)>| -> Vec<(u64, u64)> {
+                b.into_iter().map(|(lo, hi)| (lo.to_bits(), hi.to_bits())).collect()
+            };
+            prop_assert_eq!(bits(sc.cost_bounds()), bits(cost_bounds_reference(&sc)));
         }
     }
 

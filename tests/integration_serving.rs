@@ -1,8 +1,8 @@
 //! Tier-1 guards for the serving loop: a seeded serving run under churn
 //! and crashes reproduces bit for bit — reaction times included, since
-//! they are modeled work rather than wall-clock time — and the session
-//! behind `run_serving` restores bit-identically from a checkpoint taken
-//! at any step.
+//! they are modeled work rather than wall-clock time — its outputs hash
+//! to a pinned constant, and the session behind `run_serving` restores
+//! bit-identically from a checkpoint taken at any step.
 
 use pamo::core::{
     run_serving, ControlPlaneSnapshot, OverloadConfig, PamoConfig, PreferenceSource, ServingConfig,
@@ -16,6 +16,20 @@ use pamo::serve::ArrivalModel;
 const WEIGHTS: [f64; 5] = [1.0; 5];
 const DRIFT: f64 = 0.05;
 const SEED: u64 = 2;
+/// FNV-1a hash of `serve()`'s event log (reaction times included),
+/// epoch benefits, value integral and accepted/rejected counts.
+const PINNED_SERVING_HASH: u64 = 0xb01f_e71b_9a3f_3077;
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+fn fnv(h: u64, v: u64) -> u64 {
+    (h ^ v).wrapping_mul(0x0000_0100_0000_01B3)
+}
+
+fn fnv_str(h: u64, s: &str) -> u64 {
+    s.bytes()
+        .fold(fnv(h, s.len() as u64), |h, b| fnv(h, b as u64))
+}
 
 fn tiny_cfg() -> PamoConfig {
     let mut cfg = PamoConfig::default();
@@ -140,6 +154,31 @@ fn seeded_serving_runs_are_bit_identical_reactions_included() {
         assert!(kinds.contains(&kind), "no {kind} event in {kinds:?}");
     }
     assert_bit_identical(&first, &serve());
+}
+
+/// The reproducibility test above compares two runs of the same code,
+/// so a change that moves both goes unseen; this constant catches it.
+#[test]
+fn serving_run_is_bit_pinned() {
+    let run = serve();
+    let mut h = FNV_OFFSET;
+    for e in &run.events {
+        h = fnv(h, e.time_s.to_bits());
+        h = fnv_str(h, e.kind);
+        h = fnv(h, e.tenant.map_or(u64::MAX, |t| t));
+        h = fnv_str(h, e.outcome);
+        h = fnv_str(h, e.scope.unwrap_or("-"));
+        h = fnv_str(h, e.rung);
+        h = fnv(h, e.reaction_s.to_bits());
+        h = fnv(h, e.live_tenants as u64);
+    }
+    for ep in &run.epochs {
+        h = fnv(h, ep.online_benefit.to_bits());
+    }
+    h = fnv(h, run.value_integral.to_bits());
+    h = fnv(fnv(h, run.accepted), run.rejected);
+    println!("serving hash {h:#x}");
+    assert_eq!(h, PINNED_SERVING_HASH, "the seeded serving run drifted");
 }
 
 #[test]
