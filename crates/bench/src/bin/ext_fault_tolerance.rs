@@ -32,7 +32,7 @@ use eva_obs::NoopRecorder;
 use eva_sim::{simulate_scenario_faulted_recorded, PhasePolicy};
 use eva_stats::rng::seeded;
 use eva_workload::{DriftingScenario, Scenario, VideoConfig};
-use pamo_core::{run_online_faulted, FaultedRunConfig, PamoConfig, PreferenceSource};
+use pamo_core::{run_online, FaultedRunConfig, PamoConfig, PreferenceSource};
 
 const N_CAMS: usize = 6;
 const N_SERVERS: usize = 3;
@@ -77,13 +77,12 @@ fn main() {
     // The no-fault ceiling (plan-independent: compute once).
     let oracle = {
         let mut d = DriftingScenario::new(&base, 0.05);
-        run_online_faulted(
+        run_online(
             &mut d,
             &cfg,
             weights,
             n_epochs,
             None,
-            &run_cfg,
             &mut seeded(17),
             &NoopRecorder,
         )
@@ -124,16 +123,16 @@ fn main() {
 
         let run = |aware: bool| {
             let mut d = DriftingScenario::new(&base, 0.05);
-            run_online_faulted(
+            let clock = FaultedRunConfig {
+                fault_aware: aware,
+                ..run_cfg
+            };
+            run_online(
                 &mut d,
                 &cfg,
                 weights,
                 n_epochs,
-                Some(&plan),
-                &FaultedRunConfig {
-                    fault_aware: aware,
-                    ..run_cfg
-                },
+                Some((&plan, &clock)),
                 &mut seeded(17),
                 &NoopRecorder,
             )

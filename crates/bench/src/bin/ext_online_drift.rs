@@ -48,6 +48,7 @@ fn main() {
             &cfg,
             [1.0; 5],
             n_epochs,
+            None,
             &mut seeded(17),
             &NoopRecorder,
         )

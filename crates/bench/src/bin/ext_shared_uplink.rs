@@ -79,7 +79,8 @@ fn main() {
             .collect();
         let dedicated = simulate(&streams, Uplinks::Fixed, n_servers, &sim_cfg, &NoopRecorder)
             .expect("valid DES input");
-        let shared = simulate_shared_uplink(&streams, None, n_servers, &sim_cfg);
+        let shared =
+            simulate_shared_uplink(&streams, None, n_servers, &sim_cfg).expect("valid DES input");
         table.row(vec![
             format!("{slowdown}x"),
             format!("{:.4}", dedicated.mean_latency_s),

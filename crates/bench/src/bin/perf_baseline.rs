@@ -53,8 +53,8 @@ use eva_sim::{simulate_scenario_with_deadline_recorded, PhasePolicy};
 use eva_stats::rng::seeded;
 use eva_workload::{DriftingScenario, Scenario, VideoConfig};
 use pamo_core::{
-    run_online, run_online_faulted, run_serving, FaultedRunConfig, OverloadConfig, PamoConfig,
-    PreferenceSource, ServingConfig, ServingSession,
+    run_online, run_serving, FaultedRunConfig, OverloadConfig, PamoConfig, PreferenceSource,
+    ServingConfig, ServingSession,
 };
 use serde_json::Value;
 
@@ -119,7 +119,7 @@ fn run_workload(name: &str, rec: &FlightRecorder) -> String {
             let base = Scenario::uniform(3, 2, 20e6, 101);
             let mut d = DriftingScenario::new(&base, 0.05);
             let cfg = pamo_config(PreferenceSource::Learned);
-            let run = run_online(&mut d, &cfg, [1.0; 5], n_epochs, &mut seeded(11), rec)
+            let run = run_online(&mut d, &cfg, [1.0; 5], n_epochs, None, &mut seeded(11), rec)
                 .expect("valid inputs");
             format!(
                 "3 cams x 2 servers, learned preference, {n_epochs} epochs, \
@@ -132,7 +132,7 @@ fn run_workload(name: &str, rec: &FlightRecorder) -> String {
             let base = Scenario::uniform(6, 3, 20e6, 102);
             let mut d = DriftingScenario::new(&base, 0.05);
             let cfg = pamo_config(PreferenceSource::Oracle);
-            let run = run_online(&mut d, &cfg, [1.0; 5], n_epochs, &mut seeded(12), rec)
+            let run = run_online(&mut d, &cfg, [1.0; 5], n_epochs, None, &mut seeded(12), rec)
                 .expect("valid inputs");
             format!(
                 "6 cams x 3 servers, oracle preference, {n_epochs} epochs, \
@@ -149,17 +149,17 @@ fn run_workload(name: &str, rec: &FlightRecorder) -> String {
                 .with_retry(RetryPolicy::standard());
             let mut d = DriftingScenario::new(&base, 0.05);
             let cfg = pamo_config(PreferenceSource::Oracle);
-            let run = run_online_faulted(
+            let clock = FaultedRunConfig {
+                epoch_s: 5.0,
+                heartbeat_s: 1.0,
+                fault_aware: true,
+            };
+            let run = run_online(
                 &mut d,
                 &cfg,
                 [1.0, 3.0, 1.0, 1.0, 1.0],
                 n_epochs,
-                Some(&plan),
-                &FaultedRunConfig {
-                    epoch_s: 5.0,
-                    heartbeat_s: 1.0,
-                    fault_aware: true,
-                },
+                Some((&plan, &clock)),
                 &mut seeded(13),
                 rec,
             )

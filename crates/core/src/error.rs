@@ -49,8 +49,8 @@ pub enum CoreError {
         tried: usize,
     },
     /// A run entry point was called with inputs that break its
-    /// preconditions (zero epochs, a non-positive epoch, or a plan or
-    /// estimator set sized for another deployment).
+    /// preconditions (zero epochs, a non-positive epoch, a negative
+    /// heartbeat, or a fault plan sized for another deployment).
     InvalidInput {
         /// Which precondition failed.
         context: &'static str,

@@ -23,7 +23,6 @@
 pub mod benefit;
 pub mod composite;
 pub mod error;
-pub mod faulted;
 pub mod models;
 pub mod online;
 pub mod overload;
@@ -35,9 +34,8 @@ pub mod snapshot;
 pub use benefit::{normalized_benefit, OutcomeNormalizer, TruePreference};
 pub use composite::{CompositeSampler, PreferenceEval};
 pub use error::CoreError;
-pub use faulted::{run_online_faulted, FaultedRunConfig};
 pub use models::{OutcomeModelBank, ProfilingDesign};
-pub use online::{run_online, run_online_estimated, EpochRecord, OnlineRun};
+pub use online::{run_online, EpochRecord, FaultedRunConfig, OnlineRun};
 pub use overload::{OverloadConfig, ServingSession};
 pub use pamo::{Pamo, PamoConfig, PamoDecision, PreferenceSource};
 pub use pool::{build_pool, decode_joint, encode_joint, Placements};

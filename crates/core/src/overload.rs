@@ -57,8 +57,7 @@ use rand::rngs::StdRng;
 
 use crate::benefit::{normalized_benefit, TruePreference};
 use crate::error::CoreError;
-use crate::faulted::fallback_uniform;
-use crate::online::EpochRecord;
+use crate::online::{fallback_uniform, EpochRecord};
 use crate::pamo::{Pamo, PamoConfig};
 use crate::serving::{ServeEvent, ServingConfig, ServingRun};
 use crate::snapshot::{ControlPlaneSnapshot, SnapshotCursor};
@@ -1076,12 +1075,7 @@ impl ServingSession {
                         rec,
                     )
                     .ok()
-                    .and_then(|d| {
-                        let a = scenario
-                            .schedule_surviving(&d.configs, mask.as_deref(), rec)
-                            .ok()?;
-                        Some((d.configs, a, false))
-                    })
+                    .map(|d| (d.configs, d.assignment, false))
                     .or_else(|| {
                         fallback_uniform(scenario, pref, mask.as_deref(), rec)
                             .map(|(c, a)| (c, a, true))
@@ -1164,7 +1158,6 @@ impl ServingSession {
             online_benefit,
             static_benefit: None,
             configs: self.state.configs.clone(),
-            planning_bps: None,
             alive: self.state.belief.clone(),
             degraded: epoch_degraded,
             rung,

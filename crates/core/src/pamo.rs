@@ -13,7 +13,8 @@ use std::sync::Arc;
 use eva_bo::{bo_maximize, AcqKind, BoConfig, BoResult};
 use eva_obs::{cost, span, DecisionBudget, NoopRecorder, Phase, Recorder};
 use eva_prefgp::{elicit_preferences, ElicitConfig, PreferenceModel};
-use eva_workload::{Outcome, ProfileSample, Profiler, Scenario, VideoConfig};
+use eva_sched::Assignment;
+use eva_workload::{Outcome, ProfileSample, Profiler, Scenario, ScenarioOutcome, VideoConfig};
 use parking_lot::Mutex;
 use rand::Rng;
 
@@ -99,6 +100,9 @@ pub struct PamoDecision {
     pub configs: Vec<VideoConfig>,
     /// True (noise-free) aggregate outcome of those configurations.
     pub outcome: Outcome,
+    /// The zero-jitter placement (Algorithm 1, on the surviving
+    /// servers) that produced `outcome`.
+    pub assignment: Assignment,
     /// True benefit `U` under the hidden preference (Eq. 13).
     pub true_benefit: f64,
     /// The BO run (trace, observations, convergence flag).
@@ -369,7 +373,10 @@ impl Pamo {
         // Final recommendation: best observed joint config, scored by
         // the *true* preference on the *noise-free* outcome.
         let configs = decode_joint(scenario, &bo.best_x);
-        let outcome = scenario.evaluate_surviving(&configs, alive, rec)?.outcome;
+        let ScenarioOutcome {
+            outcome,
+            assignment,
+        } = scenario.evaluate_surviving(&configs, alive, rec)?;
         let true_benefit = true_pref.benefit(&outcome);
         if !true_benefit.is_finite() {
             return Err(CoreError::NonFinite {
@@ -383,6 +390,7 @@ impl Pamo {
         Ok(PamoDecision {
             configs,
             outcome,
+            assignment,
             true_benefit,
             bo,
             comparisons_used,
@@ -426,7 +434,7 @@ impl Pamo {
 pub fn measure_aggregate(
     scenario: &Scenario,
     configs: &[VideoConfig],
-    assignment: &eva_sched::Assignment,
+    assignment: &Assignment,
     rel_noise: f64,
 ) -> Option<(Outcome, Vec<ProfileSample>)> {
     let m = scenario.n_videos();

@@ -55,19 +55,18 @@
 //! pure functions of `churn_seed`; the drift walk and the PaMO
 //! decisions draw from one RNG seeded with the run seed, and
 //! mid-window event handling consumes none of it. A silent arrival
-//! model with no fault plan therefore delegates to [`run_online`]
-//! outright, and the epochs are bit-identical to a plain online run.
+//! model with no fault plan therefore decides exactly what
+//! [`crate::online::run_online`] decides: the session's epochs are
+//! bit-identical to a fault-free online run's, which the differential
+//! tests check.
 
 use eva_fault::{ChaosSpec, FaultPlan};
 use eva_obs::{BudgetPolicy, Recorder};
 use eva_serve::{AdmissionConfig, ArrivalModel, ChurnConfig, ChurnTrace};
-use eva_stats::rng::seeded;
-use eva_workload::{DriftingScenario, Scenario, N_OBJECTIVES};
+use eva_workload::{Scenario, N_OBJECTIVES};
 
-use crate::benefit::normalized_benefit;
 use crate::error::{require, CoreError};
-use crate::faulted::{check_plan, check_timing};
-use crate::online::{run_online, EpochRecord};
+use crate::online::{check_plan, check_timing, EpochRecord};
 use crate::overload::{OverloadConfig, ServingSession};
 use crate::pamo::PamoConfig;
 
@@ -291,10 +290,8 @@ pub(crate) fn percentile_99(values: impl Iterator<Item = f64>) -> f64 {
 /// budgets are ignored here — serving models churn and crashes, not
 /// frame loss). The run is a [`ServingSession`] over the caller's plan
 /// with an inert [`ChaosSpec`], an unlimited budget and
-/// [`SERVING_POLICY`], stepped to completion. A silent arrival model
-/// with no effective fault plan delegates to [`run_online`]: the epochs
-/// of such a run are bit-identical to the plain online runner's, which
-/// pins the serving bookkeeping as overhead-free.
+/// [`SERVING_POLICY`], stepped to completion — silent, fault-free runs
+/// included.
 ///
 /// Errors on zero epochs, a non-positive epoch, a negative heartbeat,
 /// or a plan sized for another deployment.
@@ -316,51 +313,6 @@ pub fn run_serving(
     }
     let plan = plan.filter(|p| !p.is_zero());
     let trace = serving.churn_trace();
-
-    if trace.is_empty() && plan.is_none() {
-        // No churn, no faults: the serving loop is the online loop.
-        let mut drifting = DriftingScenario::new(initial, drift_step);
-        let run = run_online(
-            &mut drifting,
-            config,
-            weights,
-            serving.n_epochs,
-            &mut seeded(seed),
-            rec,
-        )?;
-        let min_ref = -0.5 * weights.iter().sum::<f64>();
-        let value_integral = run
-            .epochs
-            .iter()
-            .map(|e| {
-                e.configs.len() as f64
-                    * normalized_benefit(e.online_benefit, 0.0, min_ref)
-                    * serving.epoch_s
-            })
-            .sum();
-        return Ok(ServingRun {
-            epochs: run.epochs,
-            events: Vec::new(),
-            accepted: 0,
-            rejected: 0,
-            queued_peak: 0,
-            replan_incremental: 0,
-            replan_full: 0,
-            value_integral,
-            horizon_s: serving.horizon_s(),
-            n_servers: initial.n_servers(),
-            min_floor_margin: f64::INFINITY,
-            degraded: run.degraded,
-            shed: 0,
-            replan_coalesced: 0,
-            budget_spent: 0,
-            budget_overruns: 0,
-            deadline_hits: 0,
-            deadline_misses: 0,
-            rung_counts: [serving.n_epochs as u64, 0, 0],
-        });
-    }
-
     let overload = OverloadConfig::unbudgeted(ChaosSpec::none(0), SERVING_POLICY);
     let mut session = ServingSession::with_plan(
         initial, drift_step, config, weights, serving, &overload, plan, trace, seed,
@@ -371,9 +323,12 @@ pub fn run_serving(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::online::run_online;
     use crate::pamo::PreferenceSource;
     use eva_bo::{AcqKind, BoConfig};
     use eva_obs::NoopRecorder;
+    use eva_stats::rng::seeded;
+    use eva_workload::DriftingScenario;
     use std::collections::HashSet;
 
     fn tiny_config() -> PamoConfig {
@@ -429,8 +384,11 @@ mod tests {
         )
     }
 
+    /// Differential: a silent, fault-free `ServingSession` and the
+    /// epoch loop of `run_online` are separate implementations of the
+    /// same controller, and must decide the same epochs bit for bit.
     #[test]
-    fn zero_churn_run_is_bit_identical_to_run_online() {
+    fn zero_churn_session_is_bit_identical_to_the_epoch_loop() {
         let plain = {
             let mut d = DriftingScenario::new(&base(), 0.08);
             run_online(
@@ -438,6 +396,7 @@ mod tests {
                 &tiny_config(),
                 [1.0; 5],
                 4,
+                None,
                 &mut seeded(9),
                 &NoopRecorder,
             )

@@ -38,8 +38,9 @@ use crate::models::ProfilingDesign;
 use crate::online::EpochRecord;
 use crate::serving::ServeEvent;
 
-/// Current snapshot format version.
-pub const SNAPSHOT_VERSION: u64 = 2;
+/// Current snapshot format version (3: epoch records no longer carry
+/// `planning_bps`).
+pub const SNAPSHOT_VERSION: u64 = 3;
 
 /// The step cursor: where in the serving run the session stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -239,13 +240,6 @@ fn jepoch(e: &EpochRecord) -> Value {
     o.insert(
         "configs".into(),
         Value::Array(e.configs.iter().map(jconfig).collect()),
-    );
-    o.insert(
-        "planning_bps".into(),
-        e.planning_bps
-            .as_ref()
-            .map(|b| jfv(b))
-            .unwrap_or(Value::Null),
     );
     o.insert("alive".into(), jbv(&e.alive));
     o.insert("degraded".into(), Value::Bool(e.degraded));
@@ -454,16 +448,6 @@ fn depoch(v: &Value) -> Result<EpochRecord, CoreError> {
             .iter()
             .map(dconfig)
             .collect::<Result<_, _>>()?,
-        planning_bps: match get(o, "planning_bps")? {
-            Value::Null => None,
-            v => Some(
-                v.as_array()
-                    .ok_or(snap_err("planning_bps"))?
-                    .iter()
-                    .map(|x| df(x, "planning_bps"))
-                    .collect::<Result<_, _>>()?,
-            ),
-        },
         alive: dbv(o, "alive")?,
         degraded: gb(o, "degraded")?,
         rung: get(o, "rung")?
@@ -853,7 +837,6 @@ mod tests {
                     resolution: 1080.0,
                     fps: 30.0,
                 }],
-                planning_bps: Some(vec![1.0e7]),
                 alive: vec![true, true, true],
                 degraded: false,
                 rung: DecisionRung::Full,
@@ -891,7 +874,7 @@ mod tests {
 
     #[test]
     fn corrupt_or_alien_json_is_a_typed_error() {
-        for bad in ["", "{", "{\"version\": 99}", "{\"version\": 1}", "[1,2,3]"] {
+        for bad in ["", "{", "{\"version\": 99}", "{\"version\": 2}", "[1,2,3]"] {
             let err = ControlPlaneSnapshot::from_json(bad).unwrap_err();
             assert!(matches!(err, CoreError::Snapshot { .. }), "{bad:?}: {err}");
         }

@@ -10,9 +10,7 @@ use eva_fault::FaultPlan;
 use eva_obs::{FlightRecorder, NoopRecorder, Phase, Recorder};
 use eva_stats::rng::seeded;
 use eva_workload::{DriftingScenario, Scenario};
-use pamo_core::{
-    run_online, run_online_faulted, FaultedRunConfig, OnlineRun, PamoConfig, PreferenceSource,
-};
+use pamo_core::{run_online, FaultedRunConfig, OnlineRun, PamoConfig, PreferenceSource};
 
 fn tiny_config(preference: PreferenceSource) -> PamoConfig {
     PamoConfig {
@@ -70,7 +68,7 @@ fn online_run_identical_under_noop_and_flight_recorders() {
     let base = Scenario::uniform(3, 2, 20e6, 71);
     let run = |rec: &dyn Recorder| {
         let mut d = DriftingScenario::new(&base, 0.08);
-        run_online(&mut d, &cfg, [1.0; 5], 3, &mut seeded(5), rec).expect("valid inputs")
+        run_online(&mut d, &cfg, [1.0; 5], 3, None, &mut seeded(5), rec).expect("valid inputs")
     };
 
     let noop = run(&NoopRecorder);
@@ -120,20 +118,19 @@ fn online_run_identical_under_noop_and_flight_recorders() {
 fn faulted_run_identical_under_recorders() {
     // Heavy crashes force detection, whole-cluster outages and survivor
     // re-planning through the recorded path. No decide here fails, so
-    // the fallback ladder never runs; unit tests in `faulted.rs` cover it.
+    // the fallback ladder never runs; unit tests in `online.rs` cover it.
     let cfg = tiny_config(PreferenceSource::Oracle);
     let base = Scenario::uniform(3, 2, 20e6, 72);
     let plan = FaultPlan::none(2, 3).with_server_crashes(20.0, 40.0, 11);
     let run_cfg = FaultedRunConfig::default();
     let run = |rec: &dyn Recorder| {
         let mut d = DriftingScenario::new(&base, 0.05);
-        run_online_faulted(
+        run_online(
             &mut d,
             &cfg,
             [1.0; 5],
             4,
-            Some(&plan),
-            &run_cfg,
+            Some((&plan, &run_cfg)),
             &mut seeded(9),
             rec,
         )
@@ -161,21 +158,20 @@ fn faulted_run_identical_under_recorders() {
 }
 
 #[test]
-fn zero_fault_recorded_run_delegates_to_online_path() {
-    // A zero plan through the faulted entry point must equal the
-    // fault-free loop bit for bit (the faulted loop delegates).
+fn zero_fault_recorded_run_equals_the_unplanned_run() {
+    // A recorded run under a zero plan must equal an unrecorded run
+    // with no plan bit for bit: all-up traces scale nothing.
     let cfg = tiny_config(PreferenceSource::Oracle);
     let base = Scenario::uniform(3, 2, 20e6, 73);
     let flight_a = FlightRecorder::new();
     let a = {
         let mut d = DriftingScenario::new(&base, 0.05);
-        run_online_faulted(
+        run_online(
             &mut d,
             &cfg,
             [1.0; 5],
             3,
-            Some(&FaultPlan::none(2, 3)),
-            &FaultedRunConfig::default(),
+            Some((&FaultPlan::none(2, 3), &FaultedRunConfig::default())),
             &mut seeded(13),
             &flight_a,
         )
@@ -184,8 +180,8 @@ fn zero_fault_recorded_run_delegates_to_online_path() {
     let b = {
         let mut d = DriftingScenario::new(&base, 0.05);
         let mut rng = seeded(13);
-        run_online(&mut d, &cfg, [1.0; 5], 3, &mut rng, &NoopRecorder).expect("valid inputs")
+        run_online(&mut d, &cfg, [1.0; 5], 3, None, &mut rng, &NoopRecorder).expect("valid inputs")
     };
-    assert_runs_bit_identical(&a, &b, "zero-plan faulted vs online");
+    assert_runs_bit_identical(&a, &b, "zero plan vs no plan");
     assert_eq!(flight_a.snapshot().metrics.counter("online.epochs"), 3);
 }

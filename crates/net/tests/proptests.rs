@@ -104,7 +104,8 @@ proptest! {
         let tandem_cfg = SimConfig { horizon, warmup: 0, deadline: 0 };
         let tandem = simulate_shared_uplink(
             &tandem_streams, Some(&links), n_streams, &tandem_cfg,
-        );
+        )
+        .unwrap();
         // Dedicated arrivals land at gen + trans; extend the horizon by
         // trans so the same frames are admitted.
         let ded_cfg = SimConfig { horizon: horizon + trans, warmup: 0, deadline: 0 };

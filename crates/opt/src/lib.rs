@@ -1,20 +1,16 @@
 //! Derivative-free optimizers for the PaMO reproduction.
 //!
-//! Three consumers drive the feature set:
+//! Two consumers drive the feature set:
 //!
 //! * `eva-gp` maximizes GP log-marginal likelihood over a handful of
 //!   kernel hyperparameters → [`fn@nelder_mead`] with [`multi_start`],
 //! * `eva-baselines`' FACT runs block coordinate descent over discrete
-//!   per-stream knobs → [`discrete`] local search,
-//! * one-dimensional line searches (e.g. tuning a single scale) →
-//!   [`golden_section`].
+//!   per-stream knobs → [`discrete`] local search.
 //!
 //! Everything minimizes; wrap with a negation to maximize.
 
 pub mod discrete;
-pub mod golden;
 pub mod nelder_mead;
 
 pub use discrete::{coordinate_descent, exhaustive_best, DiscreteSpace};
-pub use golden::golden_section;
 pub use nelder_mead::{multi_start, nelder_mead, NelderMeadOptions, OptResult};

@@ -183,7 +183,8 @@ pub enum Uplinks<'a> {
     },
 }
 
-/// Why [`simulate`] rejected its inputs.
+/// Why [`simulate`] or [`crate::tandem::simulate_shared_uplink`] rejected
+/// its inputs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
     /// Stream `stream` is placed on `server`, but only `n_servers`

@@ -21,7 +21,7 @@ use eva_obs::{NoopRecorder, Recorder};
 use eva_sched::{Ticks, TICKS_PER_SEC};
 use eva_stats::RunningStats;
 
-use crate::des::{SimConfig, SimStream, StreamLink};
+use crate::des::{SimConfig, SimError, SimStream, StreamLink};
 use crate::event::{ArrivalList, Event, EventQueue};
 
 /// Per-stream results of a tandem run.
@@ -76,24 +76,39 @@ impl Station {
 /// `links` is aligned with `streams`; streams sharing a server should
 /// carry (clones of) that server's trace. A constant trace at the
 /// nominal rate reproduces the `links = None` run exactly.
+///
+/// Errors with [`SimError::UplinkCount`] when `links` does not hold one
+/// entry per stream, and with [`SimError::NonexistentServer`] when a
+/// stream is placed on a server index `>= n_servers`.
 pub fn simulate_shared_uplink(
     streams: &[SimStream],
     links: Option<&[StreamLink]>,
     n_servers: usize,
     cfg: &SimConfig,
-) -> TandemReport {
-    if let Some(links) = links {
-        assert_eq!(
-            streams.len(),
-            links.len(),
-            "tandem: one link binding per stream"
-        );
+) -> Result<TandemReport, SimError> {
+    if let Some(links) = links.filter(|l| l.len() != streams.len()) {
+        return Err(SimError::UplinkCount {
+            streams: streams.len(),
+            uplinks: links.len(),
+        });
     }
-    tandem_inner(streams, links, n_servers, cfg, &NoopRecorder)
+    if let Some((stream, s)) = streams
+        .iter()
+        .enumerate()
+        .find(|(_, s)| s.server >= n_servers)
+    {
+        return Err(SimError::NonexistentServer {
+            stream,
+            server: s.server,
+            n_servers,
+        });
+    }
+    Ok(tandem_inner(streams, links, n_servers, cfg, &NoopRecorder))
 }
 
-/// The shared-uplink engine. `rec` receives `des.heap_peak`: the
-/// completion heap holds at most one event per uplink and one per CPU.
+/// The shared-uplink engine over validated inputs. `rec` receives
+/// `des.heap_peak`: the completion heap holds at most one event per
+/// uplink and one per CPU.
 fn tandem_inner(
     streams: &[SimStream],
     links: Option<&[StreamLink]>,
@@ -101,10 +116,6 @@ fn tandem_inner(
     cfg: &SimConfig,
     rec: &dyn Recorder,
 ) -> TandemReport {
-    assert!(
-        streams.iter().all(|s| s.server < n_servers),
-        "tandem: stream assigned to nonexistent server"
-    );
     // Generation events. We reuse `Event::FrameArrival` as "frame
     // captured" and encode the pipeline stage in the handler's state.
     let mut arrivals = ArrivalList::new();
@@ -299,7 +310,7 @@ mod tests {
         // One stream: the shared link never contends, so latency is
         // exactly trans + proc — identical to the dedicated-pipe DES.
         let s = stream(0, 100_000, 20_000, 5_000, 0, 0);
-        let tandem = simulate_shared_uplink(&[s], None, 1, &cfg());
+        let tandem = simulate_shared_uplink(&[s], None, 1, &cfg()).expect("valid inputs");
         assert!((tandem.streams[0].latency.mean() - 0.025).abs() < 1e-9);
         assert_eq!(tandem.streams[0].jitter_s, 0.0);
     }
@@ -310,7 +321,7 @@ mod tests {
         // the second frame waits 10ms on the link every period.
         let a = stream(0, 100_000, 5_000, 10_000, 0, 0);
         let b = stream(1, 100_000, 5_000, 10_000, 0, 0);
-        let r = simulate_shared_uplink(&[a, b], None, 1, &cfg());
+        let r = simulate_shared_uplink(&[a, b], None, 1, &cfg()).expect("valid inputs");
         let lats: Vec<f64> = r.streams.iter().map(|s| s.latency.mean()).collect();
         // One stream sees 15ms (10 trans + 5 proc), the other also
         // queues 10ms on the link (25ms) and possibly 5ms on cpu.
@@ -327,7 +338,7 @@ mod tests {
         let streams: Vec<SimStream> = (0..3)
             .map(|i| stream(i, 100_000, 10_000, 20_000, 0, 0))
             .collect();
-        let r = simulate_shared_uplink(&streams, None, 1, &cfg());
+        let r = simulate_shared_uplink(&streams, None, 1, &cfg()).expect("valid inputs");
         let dedicated_bound = 0.020 + 0.010;
         let worst = r
             .streams
@@ -345,7 +356,7 @@ mod tests {
         // Link demand 2x capacity: latency grows unboundedly.
         let a = stream(0, 100_000, 1_000, 100_000, 0, 0);
         let b = stream(1, 100_000, 1_000, 100_000, 0, 0);
-        let r = simulate_shared_uplink(&[a, b], None, 1, &cfg());
+        let r = simulate_shared_uplink(&[a, b], None, 1, &cfg()).expect("valid inputs");
         assert!(r.max_jitter_s > 1.0, "jitter {}", r.max_jitter_s);
     }
 
@@ -361,8 +372,9 @@ mod tests {
                 trace: eva_net::LinkModel::constant(15e6).trace(10 * TICKS_PER_SEC),
             })
             .collect();
-        let base = simulate_shared_uplink(&streams, None, 1, &cfg());
-        let linked = simulate_shared_uplink(&streams, Some(&links), 1, &cfg());
+        let base = simulate_shared_uplink(&streams, None, 1, &cfg()).expect("valid inputs");
+        let linked =
+            simulate_shared_uplink(&streams, Some(&links), 1, &cfg()).expect("valid inputs");
         for (a, b) in base.streams.iter().zip(&linked.streams) {
             assert_eq!(a.frames, b.frames);
             assert_eq!(a.latency.mean().to_bits(), b.latency.mean().to_bits());
@@ -395,8 +407,8 @@ mod tests {
                     .trace(10 * TICKS_PER_SEC),
             })
             .collect();
-        let a = simulate_shared_uplink(&streams, Some(&steady), 1, &cfg());
-        let b = simulate_shared_uplink(&streams, Some(&fading), 1, &cfg());
+        let a = simulate_shared_uplink(&streams, Some(&steady), 1, &cfg()).expect("valid inputs");
+        let b = simulate_shared_uplink(&streams, Some(&fading), 1, &cfg()).expect("valid inputs");
         assert!(
             b.mean_latency_s > a.mean_latency_s,
             "fading {} vs steady {}",
@@ -428,10 +440,44 @@ mod tests {
     fn distinct_servers_do_not_share_links() {
         let a = stream(0, 100_000, 5_000, 50_000, 0, 0);
         let b = stream(1, 100_000, 5_000, 50_000, 1, 0);
-        let r = simulate_shared_uplink(&[a, b], None, 2, &cfg());
+        let r = simulate_shared_uplink(&[a, b], None, 2, &cfg()).expect("valid inputs");
         for s in &r.streams {
             assert!((s.latency.mean() - 0.055).abs() < 1e-9);
             assert_eq!(s.jitter_s, 0.0);
         }
+    }
+
+    #[test]
+    fn link_slice_of_the_wrong_length_is_an_error() {
+        let streams: Vec<SimStream> = (0..2)
+            .map(|i| stream(i, 100_000, 5_000, 10_000, 0, 0))
+            .collect();
+        let one = [StreamLink {
+            bits_per_frame: 1e5,
+            trace: eva_net::LinkModel::constant(10e6).trace(10 * TICKS_PER_SEC),
+        }];
+        let err = simulate_shared_uplink(&streams, Some(&one), 1, &cfg()).unwrap_err();
+        assert_eq!(
+            err,
+            SimError::UplinkCount {
+                streams: 2,
+                uplinks: 1
+            }
+        );
+    }
+
+    #[test]
+    fn stream_on_a_missing_server_is_an_error() {
+        let a = stream(0, 100_000, 5_000, 10_000, 0, 0);
+        let b = stream(1, 100_000, 5_000, 10_000, 2, 0);
+        let err = simulate_shared_uplink(&[a, b], None, 2, &cfg()).unwrap_err();
+        assert_eq!(
+            err,
+            SimError::NonexistentServer {
+                stream: 1,
+                server: 2,
+                n_servers: 2
+            }
+        );
     }
 }

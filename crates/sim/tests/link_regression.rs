@@ -115,8 +115,8 @@ fn tandem_constant_link_is_bit_identical() {
         .iter()
         .map(|s| nominal_link(s.trans, 12e6, cfg.horizon))
         .collect();
-    let base = simulate_shared_uplink(&streams, None, 2, &cfg);
-    let linked = simulate_shared_uplink(&streams, Some(&links), 2, &cfg);
+    let base = simulate_shared_uplink(&streams, None, 2, &cfg).unwrap();
+    let linked = simulate_shared_uplink(&streams, Some(&links), 2, &cfg).unwrap();
     assert_eq!(base.streams.len(), linked.streams.len());
     for (x, y) in base.streams.iter().zip(&linked.streams) {
         assert_eq!(x.frames, y.frames);

@@ -28,6 +28,7 @@ fn main() {
         &cfg,
         [1.0; 5],
         8,
+        None,
         &mut seeded(17),
         &NoopRecorder,
     )

@@ -10,7 +10,7 @@
 //! |---|---|---|
 //! | [`linalg`] | `eva-linalg` | dense matrices, Cholesky/LU, solves |
 //! | [`stats`] | `eva-stats` | normal dist, Sobol/LHS, metrics, weights |
-//! | [`opt`] | `eva-opt` | Nelder-Mead, golden section, discrete search |
+//! | [`opt`] | `eva-opt` | Nelder-Mead, multi-start, discrete search |
 //! | [`gp`] | `eva-gp` | Gaussian-process regression (ARD kernels) |
 //! | [`prefgp`] | `eva-prefgp` | pairwise preference GP + EUBO |
 //! | [`bo`] | `eva-bo` | qNEI/qEI/qUCB/qSR + BO driver |
