@@ -12,7 +12,7 @@
 //! ```
 
 use eva_bench::Table;
-use eva_sched::oracle::{
+use eva_sched::reference::{
     const2_first_fit_groups, heuristic_groups, min_groups_const2, unordered_first_fit_groups,
 };
 use eva_sched::{StreamId, StreamTiming};

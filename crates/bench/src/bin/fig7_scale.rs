@@ -24,7 +24,7 @@ use std::time::Instant;
 
 use eva_bench::Table;
 use eva_bo::{AcqKind, BoConfig};
-use eva_sched::hungarian_min_cost;
+use eva_sched::reference::hungarian_min_cost;
 use eva_stats::rng::seeded;
 use eva_workload::Scenario;
 use pamo_core::{Pamo, PamoConfig, PreferenceSource, TruePreference};

@@ -1,23 +1,15 @@
-//! Closed-form single-point acquisition values.
+//! Closed-form single-point acquisition values, compiled for tests only.
 //!
 //! For `q = 1` and a Gaussian posterior the Monte-Carlo acquisitions
-//! have exact analytic counterparts. They serve two roles: fast scoring
-//! when no batch is needed, and ground truth for validating the MC
-//! estimators (see the cross-checking tests below — this is how we know
-//! Eq. 12's sampler is implemented correctly).
+//! have exact analytic counterparts: the ground truth the MC estimators
+//! are cross-checked against below (this is how we know Eq. 12's
+//! sampler is implemented correctly).
 
 use eva_stats::{norm_cdf, norm_pdf};
 
 /// Analytic Expected Improvement for maximization:
 /// `EI(μ, σ; z*) = (μ − z*) Φ(u) + σ φ(u)` with `u = (μ − z*)/σ`.
-///
-/// ```
-/// use eva_bo::expected_improvement;
-/// // At the incumbent with unit uncertainty, EI = φ(0) ≈ 0.3989.
-/// let ei = expected_improvement(0.0, 1.0, 0.0);
-/// assert!((ei - 0.39894).abs() < 1e-4);
-/// ```
-pub fn expected_improvement(mean: f64, std_dev: f64, incumbent: f64) -> f64 {
+fn expected_improvement(mean: f64, std_dev: f64, incumbent: f64) -> f64 {
     assert!(std_dev >= 0.0, "expected_improvement: negative std dev");
     if std_dev < 1e-15 {
         return (mean - incumbent).max(0.0);
@@ -27,18 +19,9 @@ pub fn expected_improvement(mean: f64, std_dev: f64, incumbent: f64) -> f64 {
 }
 
 /// Analytic UCB: `μ + √β σ`.
-pub fn upper_confidence_bound(mean: f64, std_dev: f64, beta: f64) -> f64 {
+fn upper_confidence_bound(mean: f64, std_dev: f64, beta: f64) -> f64 {
     assert!(std_dev >= 0.0 && beta >= 0.0, "ucb: negative input");
     mean + beta.sqrt() * std_dev
-}
-
-/// Analytic probability of improvement: `Φ((μ − z*)/σ)`.
-pub fn probability_of_improvement(mean: f64, std_dev: f64, incumbent: f64) -> f64 {
-    assert!(std_dev >= 0.0, "poi: negative std dev");
-    if std_dev < 1e-15 {
-        return if mean > incumbent { 1.0 } else { 0.0 };
-    }
-    norm_cdf((mean - incumbent) / std_dev)
 }
 
 #[cfg(test)]
@@ -123,15 +106,5 @@ mod tests {
             (qnei - analytic).abs() < 5e-3,
             "qNEI {qnei} vs EI {analytic}"
         );
-    }
-
-    #[test]
-    fn poi_bounds_and_center() {
-        // erfc's Chebyshev fit limits Φ(0) to ~1e-8 accuracy.
-        assert!((probability_of_improvement(1.0, 1.0, 1.0) - 0.5).abs() < 1e-7);
-        assert_eq!(probability_of_improvement(2.0, 0.0, 1.0), 1.0);
-        assert_eq!(probability_of_improvement(0.0, 0.0, 1.0), 0.0);
-        let p = probability_of_improvement(0.3, 0.7, 0.6);
-        assert!((0.0..=1.0).contains(&p));
     }
 }

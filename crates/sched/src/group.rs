@@ -66,106 +66,6 @@ impl std::fmt::Display for GroupingError {
 
 impl std::error::Error for GroupingError {}
 
-/// The original direct implementation of Algorithm 1's grouping:
-/// quadratic priority counting and linear-scan first-fit. No production
-/// code calls it; it is the reference oracle [`group_streams`] is
-/// property-tested against.
-pub fn group_streams_sequential(
-    streams: &[StreamTiming],
-    n_servers: usize,
-) -> Result<Vec<Vec<usize>>, GroupingError> {
-    if streams.is_empty() {
-        return Ok(Vec::new());
-    }
-    // Line 1: sort by period ascending (stable; ties keep input order).
-    let mut order: Vec<usize> = (0..streams.len()).collect();
-    order.sort_by_key(|&i| (streams[i].period, i));
-
-    // Line 2: priority I_i = #{ j < i : T_i % T_j == 0 } over the sorted
-    // order — streams whose period is divisible by many earlier (smaller)
-    // periods are *more* compatible and can wait; streams with few
-    // divisors are harder to place and go first.
-    let priorities: Vec<usize> = order
-        .iter()
-        .enumerate()
-        .map(|(pos, &i)| {
-            order[..pos]
-                .iter()
-                .filter(|&&j| streams[i].period.is_multiple_of(streams[j].period))
-                .count()
-        })
-        .collect();
-
-    // Line 3: re-sort by priority ascending (stable, so the period order
-    // is preserved within equal priorities).
-    let mut final_order: Vec<usize> = (0..order.len()).collect();
-    final_order.sort_by_key(|&pos| (priorities[pos], pos));
-    let final_order: Vec<usize> = final_order.into_iter().map(|pos| order[pos]).collect();
-
-    // Lines 4-19: first-fit into groups under the Theorem-3 condition.
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    for &i in &final_order {
-        let s = streams[i];
-        if s.proc > s.period {
-            return Err(GroupingError::StreamInfeasible {
-                source: s.id.source,
-                part: s.id.part,
-            });
-        }
-        let mut placed = false;
-        for group in groups.iter_mut() {
-            if group_accepts(streams, group, s) {
-                group.push(i);
-                placed = true;
-                break;
-            }
-        }
-        if !placed {
-            if groups.len() == n_servers {
-                return Err(GroupingError::NotEnoughServers {
-                    needed_at_least: n_servers,
-                    available: n_servers,
-                });
-            }
-            groups.push(vec![i]);
-        }
-    }
-
-    // Postcondition: every group satisfies Theorem 3 (and hence Const2).
-    debug_assert!(groups.iter().all(|g| {
-        let members: Vec<StreamTiming> = g.iter().map(|&i| streams[i]).collect();
-        theorem3_group_ok(&members)
-    }));
-    Ok(groups)
-}
-
-/// Theorem-3 admission check for adding `candidate` to `group`.
-///
-/// Slightly more permissive than the paper's literal line 11 (which only
-/// considers `T_new = t * T_min`): we evaluate Theorem 3 on the union, so
-/// a candidate whose period *divides* the group's current minimum is also
-/// admitted when the processing budget fits the new, smaller window. Both
-/// versions are sufficient for Const2; the union check strictly dominates.
-fn group_accepts(streams: &[StreamTiming], group: &[usize], candidate: StreamTiming) -> bool {
-    let t_min_group: Ticks = group
-        .iter()
-        .map(|&i| streams[i].period)
-        .min()
-        .unwrap_or(candidate.period);
-    let t_min = t_min_group.min(candidate.period);
-    // (a) harmonicity w.r.t. the union minimum.
-    let harmonic = candidate.period.is_multiple_of(t_min)
-        && group
-            .iter()
-            .all(|&i| streams[i].period.is_multiple_of(t_min));
-    if !harmonic {
-        return false;
-    }
-    // (b) processing budget within the union minimum period.
-    let total: Ticks = group.iter().map(|&i| streams[i].proc).sum::<Ticks>() + candidate.proc;
-    total <= t_min
-}
-
 fn gcd_ticks(mut a: Ticks, mut b: Ticks) -> Ticks {
     while b != 0 {
         let r = a % b;
@@ -250,7 +150,8 @@ fn shard_first_fit(
 ///
 /// Returns the groups as vectors of indices into `streams`. Groups may
 /// be fewer than `n_servers`; empty groups are not returned. The output
-/// is identical to [`group_streams_sequential`], the paper's direct
+/// is identical to
+/// [`crate::reference::group_streams_sequential`], the paper's direct
 /// first-fit, built scalably.
 ///
 /// Two streams can share a group only if some common member period
@@ -536,65 +437,6 @@ mod tests {
         }
         // The 70/140 pair is harmonic and fits (60 <= 70): expect 2 groups.
         assert_eq!(groups.len(), 2);
-    }
-
-    #[test]
-    fn sharded_matches_sequential_on_mixed_period_classes() {
-        // Three divisibility components (100ms-family, 70ms-family, 90ms)
-        // with repeats and budget pressure.
-        let periods: [Ticks; 12] = [
-            100_000, 200_000, 50_000, 400_000, 70_000, 140_000, 280_000, 90_000, 100_000, 70_000,
-            200_000, 50_000,
-        ];
-        let streams: Vec<StreamTiming> = periods
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| st(i, p, 20_000))
-            .collect();
-        for n_servers in 1..=8 {
-            let seq = group_streams_sequential(&streams, n_servers);
-            let sharded = group_streams(&streams, n_servers);
-            assert_eq!(seq, sharded, "n_servers = {n_servers}");
-        }
-    }
-
-    #[test]
-    fn sharded_matches_sequential_on_random_instances() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(31337);
-        let bases: [Ticks; 4] = [50_000, 70_000, 90_000, 110_000];
-        for trial in 0..50 {
-            let n = rng.gen_range(1..=40);
-            let streams: Vec<StreamTiming> = (0..n)
-                .map(|i| {
-                    let base = bases[rng.gen_range(0..bases.len())];
-                    let period = base * (1 << rng.gen_range(0..3u32));
-                    let proc = rng.gen_range(5_000..=period.min(60_000));
-                    st(i, period, proc)
-                })
-                .collect();
-            let n_servers = rng.gen_range(0..=n + 2);
-            let seq = group_streams_sequential(&streams, n_servers);
-            let sharded = group_streams(&streams, n_servers);
-            assert_eq!(seq, sharded, "trial {trial}, n_servers {n_servers}");
-        }
-    }
-
-    #[test]
-    fn sharded_matches_sequential_past_the_proptest_size() {
-        // 72 streams in two divisibility families: larger than the
-        // property test's instances.
-        let streams: Vec<StreamTiming> = (0..72)
-            .map(|i| {
-                let period = [50_000u64, 100_000, 70_000, 140_000][i % 4];
-                st(i, period, 10_000 + (i as Ticks % 7) * 1_000)
-            })
-            .collect();
-        let n_servers = streams.len();
-        assert_eq!(
-            group_streams(&streams, n_servers),
-            group_streams_sequential(&streams, n_servers)
-        );
     }
 
     /// Deterministic: same input, same grouping.

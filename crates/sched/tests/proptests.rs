@@ -1,9 +1,10 @@
 //! Property tests for the zero-jitter scheduling stack.
 
 use eva_obs::NoopRecorder;
+use eva_sched::reference::{group_streams_sequential, hungarian_min_cost};
 use eva_sched::{
     assign_groups_to_servers, const1_utilization_ok, const2_zero_jitter_ok, group_streams,
-    group_streams_sequential, hungarian_min_cost, split_high_rate, StreamId, StreamTiming,
+    split_high_rate, StreamId, StreamTiming,
 };
 use proptest::prelude::*;
 
