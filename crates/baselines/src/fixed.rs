@@ -43,7 +43,7 @@ impl FixedWeight {
     }
 
     /// The weight vector this scheme induces (length 5, sums to 1).
-    pub fn weights(&self) -> Vec<f64> {
+    pub(crate) fn weights(&self) -> Vec<f64> {
         match self.scheme {
             FixedWeightScheme::Equal => weights::equal(5),
             FixedWeightScheme::RankOrderCentroid => weights::rank_order_centroid(5),

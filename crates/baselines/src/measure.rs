@@ -28,7 +28,7 @@ pub struct Decision {
 }
 
 /// Default measurement horizon (simulated seconds).
-pub const MEASURE_HORIZON_SECS: f64 = 12.0;
+pub(crate) const MEASURE_HORIZON_SECS: f64 = 12.0;
 
 /// Evaluate a decision on the scenario: analytic resource aggregates +
 /// DES-measured latency. Always succeeds (overload shows up as latency,
@@ -120,7 +120,7 @@ pub fn measure_decision(scenario: &Scenario, decision: &Decision) -> Outcome {
 /// Greedy First-Fit placement by utilization (JCAB's allocator): place
 /// streams in decreasing-utilization order into the first server whose
 /// load stays ≤ 1; spill to the least-loaded server when none fits.
-pub fn first_fit_by_utilization(utilizations: &[f64], n_servers: usize) -> Vec<usize> {
+pub(crate) fn first_fit_by_utilization(utilizations: &[f64], n_servers: usize) -> Vec<usize> {
     assert!(n_servers > 0, "first_fit: no servers");
     let mut order: Vec<usize> = (0..utilizations.len()).collect();
     order.sort_by(|&a, &b| utilizations[b].total_cmp(&utilizations[a]));

@@ -66,7 +66,7 @@ impl ExperimentSetting {
     }
 
     /// Build the scenario of repetition `rep`.
-    pub fn scenario(&self, rep: usize) -> Scenario {
+    pub(crate) fn scenario(&self, rep: usize) -> Scenario {
         let seed = child_seed(self.seed, rep as u64);
         match self.uniform_uplink {
             Some(b) => Scenario::uniform(self.n_videos, self.n_servers, b, seed),

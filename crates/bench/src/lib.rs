@@ -9,5 +9,5 @@
 pub mod harness;
 pub mod table;
 
-pub use harness::{run_all_methods, ExperimentSetting, MethodScore};
+pub use harness::{run_all_methods, ExperimentSetting};
 pub use table::Table;

@@ -29,18 +29,8 @@ impl Table {
         self
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Render with aligned columns.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let n = self.header.len();
         let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
         for row in &self.rows {
@@ -79,12 +69,14 @@ impl std::fmt::Display for Table {
 }
 
 /// Format a float with 4 significant-ish decimals for table cells.
-pub fn fmt4(v: f64) -> String {
+#[cfg(test)]
+pub(crate) fn fmt4(v: f64) -> String {
     format!("{v:.4}")
 }
 
 /// Format a percentage.
-pub fn pct(v: f64) -> String {
+#[cfg(test)]
+pub(crate) fn pct(v: f64) -> String {
     format!("{:.1}%", v * 100.0)
 }
 

@@ -43,7 +43,8 @@ impl AcqKind {
     ///   [`AcqKind::QEi`].
     ///
     /// Higher is better.
-    pub fn score(
+    #[cfg(test)]
+    pub(crate) fn score(
         &self,
         cand_samples: &Mat,
         baseline_samples: Option<&Mat>,
@@ -123,7 +124,7 @@ impl AcqKind {
     /// separate matrices: row maxima are taken over column ranges in
     /// place, which removes two `n_mc × cols` allocations per candidate
     /// per batch slot.
-    pub fn score_split(&self, samples: &Mat, q: usize, incumbent: Option<f64>) -> f64 {
+    pub(crate) fn score_split(&self, samples: &Mat, q: usize, incumbent: Option<f64>) -> f64 {
         let n_mc = samples.rows();
         assert!(n_mc > 0 && q > 0 && q <= samples.cols(), "bad split shape");
         match self {
@@ -186,17 +187,13 @@ impl AcqKind {
     }
 
     /// Whether this acquisition needs baseline samples.
-    pub fn needs_baseline(&self) -> bool {
+    pub(crate) fn needs_baseline(&self) -> bool {
         matches!(self, AcqKind::QNei)
-    }
-
-    /// Whether this acquisition needs a fixed incumbent.
-    pub fn needs_incumbent(&self) -> bool {
-        matches!(self, AcqKind::QEi)
     }
 }
 
 #[inline]
+#[cfg(test)]
 fn row_max(m: &Mat, row: usize) -> f64 {
     m.row(row).iter().copied().fold(f64::NEG_INFINITY, f64::max)
 }

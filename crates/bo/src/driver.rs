@@ -7,10 +7,10 @@
 //!
 //! The `fit` callback rebuilds the surrogate after each batch of
 //! observations. When the surrogate wraps a GP with fixed
-//! hyperparameters, prefer the incremental update
-//! ([`crate::GpSurrogate::conditioned`], backed by a Cholesky factor
-//! extension) over a from-scratch refit — the fast path is
-//! property-tested equivalent to the rebuild.
+//! hyperparameters, prefer conditioning it on the new observations
+//! (`GpModel::condition`, backed by a Cholesky factor extension) over a
+//! from-scratch refit — the fast path is property-tested equivalent to
+//! the rebuild.
 
 use eva_obs::{cost, DecisionBudget};
 use rand::Rng;
@@ -252,7 +252,7 @@ fn best_of(observations: &[(Vec<f64>, f64)]) -> (Vec<f64>, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::surrogate::GpSurrogate;
+    use crate::gp_surrogate::GpSurrogate;
     use eva_gp::{fit_gp, FitConfig};
     use eva_obs::NoopRecorder;
     use eva_stats::rng::seeded;

@@ -7,11 +7,7 @@
 //! it in `pamo-core`. Both then share the same acquisition code, the
 //! same driver, and the same common-random-number discipline.
 
-use eva_gp::{GpModel, GpPosterior};
 use eva_linalg::Mat;
-use parking_lot::Mutex;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 /// A model that can draw joint posterior samples of the objective.
 pub trait SurrogateSampler {
@@ -43,222 +39,5 @@ pub trait SurrogateSampler {
     fn joint_samples_indexed(&self, xs: &[Vec<f64>], idx: &[usize], n_mc: usize, seed: u64) -> Mat {
         let query: Vec<Vec<f64>> = idx.iter().map(|&i| xs[i].clone()).collect();
         self.joint_samples(&query, n_mc, seed)
-    }
-}
-
-/// A cached joint posterior over a prepared point set, keyed on the
-/// point-set content hash.
-#[derive(Debug)]
-struct PreparedPosterior {
-    key: u64,
-    mean: Vec<f64>,
-    cov: Mat,
-}
-
-/// Direct GP surrogate on the scalar objective.
-#[derive(Debug)]
-pub struct GpSurrogate {
-    model: GpModel,
-    prepared: Mutex<Option<PreparedPosterior>>,
-}
-
-impl Clone for GpSurrogate {
-    fn clone(&self) -> Self {
-        // The prepared posterior is a pure cache; a clone re-prepares.
-        GpSurrogate {
-            model: self.model.clone(),
-            prepared: Mutex::new(None),
-        }
-    }
-}
-
-impl GpSurrogate {
-    /// Wrap a fitted GP.
-    pub fn new(model: GpModel) -> Self {
-        GpSurrogate {
-            model,
-            prepared: Mutex::new(None),
-        }
-    }
-
-    /// Access the wrapped model.
-    pub fn model(&self) -> &GpModel {
-        &self.model
-    }
-
-    /// Condition the surrogate on new observations without re-fitting
-    /// hyperparameters: extends the wrapped GP's cached Cholesky factor
-    /// ([`GpModel::condition`], O(k·n²)) instead of rebuilding it, the
-    /// cheap between-refit update of the BO loop.
-    pub fn conditioned(&self, x_new: &[Vec<f64>], y_new: &[f64]) -> eva_gp::Result<GpSurrogate> {
-        Ok(GpSurrogate::new(self.model.condition(x_new, y_new)?))
-    }
-}
-
-/// Content hash of a prepared point set (FNV over coordinate bits).
-fn hash_points(xs: &[Vec<f64>]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for x in xs {
-        h = (h ^ x.len() as u64).wrapping_mul(0x0000_0100_0000_01B3);
-        for &v in x {
-            h = (h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    h
-}
-
-impl SurrogateSampler for GpSurrogate {
-    fn joint_samples(&self, xs: &[Vec<f64>], n_mc: usize, seed: u64) -> Mat {
-        // A degenerate posterior (empty query, non-PSD covariance) yields
-        // flat zero samples — the acquisition then scores the batch as
-        // valueless instead of panicking mid-optimization.
-        let Ok(posterior) = self.model.posterior(xs) else {
-            return Mat::from_fn(n_mc, xs.len(), |_, _| 0.0);
-        };
-        let mut rng = StdRng::seed_from_u64(seed);
-        let eps = Mat::from_fn(n_mc, xs.len(), |_, _| {
-            eva_stats::rng::standard_normal(&mut rng)
-        });
-        posterior
-            .sample_with(&eps)
-            .unwrap_or_else(|_| Mat::from_fn(n_mc, xs.len(), |_, _| 0.0))
-    }
-
-    fn posterior_mean(&self, x: &[f64]) -> f64 {
-        self.model.predict_mean(x)
-    }
-
-    /// One batched posterior over the whole prepared set. Every
-    /// subsequent indexed call slices its mean/covariance sub-block out
-    /// of the cache — mathematically (GP marginalization) *and*
-    /// numerically identical to a per-candidate posterior, since each
-    /// covariance entry is computed by the same kernel evaluation and
-    /// the same triangular solve either way.
-    fn prepare(&self, xs: &[Vec<f64>], _n_mc: usize, _seed: u64) {
-        if xs.is_empty() {
-            return;
-        }
-        let key = hash_points(xs);
-        if self.prepared.lock().as_ref().is_some_and(|p| p.key == key) {
-            return;
-        }
-        // A failed posterior leaves the cache empty: indexed calls then
-        // fall back to the per-query path (which degrades to zeros).
-        let prepared = self.model.posterior(xs).ok().map(|p| PreparedPosterior {
-            key,
-            mean: p.mean,
-            cov: p.cov,
-        });
-        *self.prepared.lock() = prepared;
-    }
-
-    fn joint_samples_indexed(&self, xs: &[Vec<f64>], idx: &[usize], n_mc: usize, seed: u64) -> Mat {
-        let key = hash_points(xs);
-        let guard = self.prepared.lock();
-        if let Some(p) = guard.as_ref().filter(|p| p.key == key) {
-            let q = idx.len();
-            let posterior = GpPosterior {
-                mean: idx.iter().map(|&i| p.mean[i]).collect(),
-                cov: Mat::from_fn(q, q, |a, b| p.cov[(idx[a], idx[b])]),
-            };
-            drop(guard);
-            let mut rng = StdRng::seed_from_u64(seed);
-            let eps = Mat::from_fn(n_mc, q, |_, _| eva_stats::rng::standard_normal(&mut rng));
-            return posterior
-                .sample_with(&eps)
-                .unwrap_or_else(|_| Mat::from_fn(n_mc, q, |_, _| 0.0));
-        }
-        drop(guard);
-        let query: Vec<Vec<f64>> = idx.iter().map(|&i| xs[i].clone()).collect();
-        self.joint_samples(&query, n_mc, seed)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use eva_gp::{Kernel, KernelType};
-
-    fn surrogate() -> GpSurrogate {
-        let x: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64 * 0.1]).collect();
-        let y: Vec<f64> = x.iter().map(|p| (5.0 * p[0]).sin()).collect();
-        let kernel = Kernel::isotropic(KernelType::Matern52, 1, 0.3, 1.0);
-        GpSurrogate::new(GpModel::new(kernel, 1e-4, x, y).unwrap())
-    }
-
-    #[test]
-    fn same_seed_same_samples() {
-        let s = surrogate();
-        let xs = vec![vec![0.25], vec![0.55]];
-        let a = s.joint_samples(&xs, 16, 7);
-        let b = s.joint_samples(&xs, 16, 7);
-        assert!(a.max_abs_diff(&b) < 1e-15);
-        let c = s.joint_samples(&xs, 16, 8);
-        assert!(c.max_abs_diff(&a) > 1e-9);
-    }
-
-    #[test]
-    fn sample_mean_tracks_posterior_mean() {
-        let s = surrogate();
-        let xs = vec![vec![0.42]];
-        let samples = s.joint_samples(&xs, 8000, 3);
-        let mc_mean: f64 =
-            (0..samples.rows()).map(|r| samples[(r, 0)]).sum::<f64>() / samples.rows() as f64;
-        let want = s.posterior_mean(&[0.42]);
-        assert!((mc_mean - want).abs() < 0.02, "{mc_mean} vs {want}");
-    }
-
-    #[test]
-    fn conditioned_matches_rebuilt_surrogate() {
-        let s = surrogate();
-        let x_new = vec![vec![0.33], vec![0.77]];
-        let y_new = vec![0.2, -0.4];
-        let fast = s.conditioned(&x_new, &y_new).unwrap();
-        let slow = GpSurrogate::new(s.model().with_added(&x_new, &y_new).unwrap());
-        for q in [0.1f64, 0.5, 0.95] {
-            let a = fast.posterior_mean(&[q]);
-            let b = slow.posterior_mean(&[q]);
-            assert!((a - b).abs() < 1e-8, "{a} vs {b} at {q}");
-        }
-        let xs = vec![vec![0.25], vec![0.6]];
-        let sa = fast.joint_samples(&xs, 32, 5);
-        let sb = slow.joint_samples(&xs, 32, 5);
-        assert!(sa.max_abs_diff(&sb) < 1e-6);
-    }
-
-    #[test]
-    fn prepared_indexed_samples_are_bit_identical_to_direct() {
-        let s = surrogate();
-        let pts: Vec<Vec<f64>> = (0..9).map(|i| vec![i as f64 * 0.11]).collect();
-        s.prepare(&pts, 16, 7);
-        for idx in [vec![2usize], vec![4, 1, 7], vec![0, 8, 3, 5]] {
-            let fast = s.joint_samples_indexed(&pts, &idx, 16, 7);
-            let query: Vec<Vec<f64>> = idx.iter().map(|&i| pts[i].clone()).collect();
-            let slow = s.joint_samples(&query, 16, 7);
-            assert_eq!((fast.rows(), fast.cols()), (16, idx.len()));
-            for r in 0..16 {
-                for c in 0..idx.len() {
-                    assert_eq!(
-                        fast[(r, c)].to_bits(),
-                        slow[(r, c)].to_bits(),
-                        "mismatch at ({r},{c}) for idx {idx:?}"
-                    );
-                }
-            }
-        }
-        // A different point set misses the cache and still agrees via
-        // the fallback path.
-        let other: Vec<Vec<f64>> = (0..4).map(|i| vec![0.05 + i as f64 * 0.2]).collect();
-        let fast = s.joint_samples_indexed(&other, &[1, 3], 8, 3);
-        let slow = s.joint_samples(&[other[1].clone(), other[3].clone()], 8, 3);
-        assert!(fast.max_abs_diff(&slow) < 1e-15);
-    }
-
-    #[test]
-    fn shapes_are_n_mc_by_points() {
-        let s = surrogate();
-        let xs = vec![vec![0.1], vec![0.2], vec![0.9]];
-        let m = s.joint_samples(&xs, 5, 1);
-        assert_eq!((m.rows(), m.cols()), (5, 3));
     }
 }

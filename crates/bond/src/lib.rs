@@ -15,13 +15,13 @@
 //!   *effective-rate* formulas per policy
 //!   ([`LinkBundle::effective_rate_bps`]) that the planner consumes as
 //!   the camera's Eq. 5 bandwidth belief,
-//! * [`BondScheduler`] — packet-striping policies ([`RoundRobin`],
-//!   [`RateWeighted`], [`EarliestDelivery`]) choosing a member per
+//! * `BondScheduler` — packet-striping policies (`RoundRobin`,
+//!   `RateWeighted`, `EarliestDelivery`) choosing a member per
 //!   packet from *believed* rates (per-link BBR-style estimators),
 //!   queue depths and RTTs,
 //! * [`BundleSim`] / [`ReorderBuffer`] — the materialization the DES
 //!   drives: true traces carry the packets, the in-order receiver
-//!   charges HoL blocking, and [`FrameDelivery`] reports the in-order
+//!   charges HoL blocking, and `FrameDelivery` reports the in-order
 //!   frame delivery time plus per-link accounting. [`ReorderBuffer`] is
 //!   the receiver's reference model; `BundleSim` computes the same
 //!   releases by merging its per-member arrival lists.
@@ -34,8 +34,6 @@ pub mod bundle;
 pub mod reorder;
 pub mod sched;
 
-pub use bundle::{BondedLink, BundleSim, FrameDelivery, LinkBundle, DEFAULT_PACKET_BITS};
-pub use reorder::{Release, ReorderBuffer};
-pub use sched::{
-    BondPolicy, BondScheduler, EarliestDelivery, LinkSnapshot, RateWeighted, RoundRobin,
-};
+pub use bundle::{BondedLink, BundleSim, LinkBundle};
+pub use reorder::ReorderBuffer;
+pub use sched::BondPolicy;

@@ -60,7 +60,8 @@ impl ReorderBuffer {
     }
 
     /// Deepest the buffer ever got (held packets), a direct HoL gauge.
-    pub fn max_depth(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn max_depth(&self) -> usize {
         self.max_depth
     }
 

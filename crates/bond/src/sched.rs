@@ -10,15 +10,15 @@
 //!
 //! Three variants span the design space the strata reports describe:
 //!
-//! * [`RoundRobin`] — the naïve striper: ignores everything, deals
+//! * `RoundRobin` — the naïve striper: ignores everything, deals
 //!   packets in rotation. Under heterogeneous RTTs this is the
 //!   multipath-penalty generator: every n-th packet crawls up the slow
 //!   link and head-of-line blocks the reorder buffer.
-//! * [`RateWeighted`] — queue-aware rate weighting: place the packet on
+//! * `RateWeighted` — queue-aware rate weighting: place the packet on
 //!   the link whose queue drains soonest (`(queued + pkt) / rate`). In
 //!   aggregate this splits bits proportionally to believed delivery
 //!   rates, but it is still RTT-blind.
-//! * [`EarliestDelivery`] — HoL-aware: place the packet where it
+//! * `EarliestDelivery` — HoL-aware: place the packet where it
 //!   *arrives* soonest (`(queued + pkt) / rate + rtt/2`). A slow
 //!   high-RTT link only receives a packet when even its one-way delay
 //!   beats the fast links' queueing backlog — the water-filling rule
@@ -27,7 +27,7 @@
 /// What a scheduler may observe about one member link when placing a
 /// packet: beliefs and local queue state, not ground truth.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LinkSnapshot {
+pub(crate) struct LinkSnapshot {
     /// Believed delivery rate (bits/s) — estimator output, falling back
     /// to the model's nominal rate before any observation.
     pub rate_bps: f64,
@@ -51,7 +51,7 @@ impl LinkSnapshot {
 }
 
 /// A packet-striping policy: pick the member link for the next packet.
-pub trait BondScheduler: Send {
+pub(crate) trait BondScheduler: Send {
     /// Stable display name (for tables and JSON results).
     fn name(&self) -> &'static str;
 
@@ -74,7 +74,7 @@ impl Clone for Box<dyn BondScheduler> {
 
 /// Deal packets in rotation, blind to rates, queues and RTTs.
 #[derive(Debug, Clone, Default)]
-pub struct RoundRobin {
+pub(crate) struct RoundRobin {
     next: usize,
 }
 
@@ -96,7 +96,7 @@ impl BondScheduler for RoundRobin {
 
 /// Queue-aware rate weighting: shortest believed drain time wins.
 #[derive(Debug, Clone, Default)]
-pub struct RateWeighted;
+pub(crate) struct RateWeighted;
 
 impl BondScheduler for RateWeighted {
     fn name(&self) -> &'static str {
@@ -114,7 +114,7 @@ impl BondScheduler for RateWeighted {
 
 /// HoL-aware earliest-delivery-first: soonest believed *arrival* wins.
 #[derive(Debug, Clone, Default)]
-pub struct EarliestDelivery;
+pub(crate) struct EarliestDelivery;
 
 impl BondScheduler for EarliestDelivery {
     fn name(&self) -> &'static str {
@@ -148,18 +148,18 @@ fn argmin_by(links: &[LinkSnapshot], key: impl Fn(&LinkSnapshot) -> f64) -> usiz
 /// and JSON configs name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BondPolicy {
-    /// Naïve rotation ([`RoundRobin`]).
+    /// Naïve rotation (`RoundRobin`).
     RoundRobin,
-    /// Queue-aware rate weighting ([`RateWeighted`]).
+    /// Queue-aware rate weighting (`RateWeighted`).
     RateWeighted,
-    /// HoL-aware earliest delivery ([`EarliestDelivery`]) — default.
+    /// HoL-aware earliest delivery (`EarliestDelivery`) — default.
     #[default]
     EarliestDelivery,
 }
 
 impl BondPolicy {
     /// Instantiate the scheduler.
-    pub fn scheduler(self) -> Box<dyn BondScheduler> {
+    pub(crate) fn scheduler(self) -> Box<dyn BondScheduler> {
         match self {
             BondPolicy::RoundRobin => Box::new(RoundRobin::default()),
             BondPolicy::RateWeighted => Box::new(RateWeighted),

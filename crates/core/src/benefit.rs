@@ -34,11 +34,6 @@ impl OutcomeNormalizer {
     pub fn normalize(&self, outcome: &Outcome) -> Vec<f64> {
         self.inner.transform(&outcome.to_cost_vec())
     }
-
-    /// Normalize an already-negated cost vector.
-    pub fn normalize_cost(&self, cost: &[f64]) -> Vec<f64> {
-        self.inner.transform(cost)
-    }
 }
 
 /// The hidden true preference function (Eq. 13) — what the decision
@@ -69,13 +64,8 @@ impl TruePreference {
     }
 
     /// The weight vector.
-    pub fn weights(&self) -> &[f64; N_OBJECTIVES] {
+    pub(crate) fn weights(&self) -> &[f64; N_OBJECTIVES] {
         &self.weights
-    }
-
-    /// The outcome normalizer in use.
-    pub fn normalizer(&self) -> &OutcomeNormalizer {
-        &self.normalizer
     }
 
     /// System benefit of a raw outcome (Eq. 13). Utopia is the origin of

@@ -50,7 +50,7 @@ use crate::pool::{decode_joint, Placements};
 /// Benefit assigned to joint configs with no zero-jitter placement.
 /// Far below any reachable utility on either the learned (GP-prior
 /// scale ~1) or oracle (≥ −Σw) benefit scale.
-pub const INFEASIBLE_BENEFIT: f64 = -1.0e3;
+pub(crate) const INFEASIBLE_BENEFIT: f64 = -1.0e3;
 
 /// GP posterior `(mean, sd)` for `(camera, objective, config, uplink,
 /// part)`; `part` is the split part's index within the assignment, used
@@ -70,7 +70,7 @@ pub enum PreferenceEval {
 impl PreferenceEval {
     /// Posterior mean and standard deviation of the utility of a
     /// normalized outcome vector (oracle: exact value, zero spread).
-    pub fn mean_and_std(&self, y_norm: &[f64]) -> (f64, f64) {
+    pub(crate) fn mean_and_std(&self, y_norm: &[f64]) -> (f64, f64) {
         match self {
             PreferenceEval::Learned(model) => {
                 let (mu, var) = model.predict_utility(y_norm);
@@ -83,7 +83,7 @@ impl PreferenceEval {
     /// [`Self::mean_and_std`] of every row of `ys_norm`, bit-identical
     /// to the per-row calls; the learned model answers the whole batch
     /// in one column-batched posterior pass.
-    pub fn mean_and_std_many(&self, ys_norm: &[Vec<f64>]) -> Vec<(f64, f64)> {
+    pub(crate) fn mean_and_std_many(&self, ys_norm: &[Vec<f64>]) -> Vec<(f64, f64)> {
         match self {
             PreferenceEval::Learned(model) => model
                 .predict_utility_many(ys_norm)
@@ -143,7 +143,7 @@ impl<'a> CompositeSampler<'a> {
     }
 
     /// Report batched-posterior work to `rec`.
-    pub fn recorded(mut self, rec: &'a dyn Recorder) -> Self {
+    pub(crate) fn recorded(mut self, rec: &'a dyn Recorder) -> Self {
         self.rec = rec;
         self
     }

@@ -50,7 +50,8 @@ pub enum CoreError {
     },
     /// A run entry point was called with inputs that break its
     /// preconditions (zero epochs, a non-positive epoch, a negative
-    /// heartbeat, or a fault plan sized for another deployment).
+    /// heartbeat, a fault plan sized for another deployment, or a
+    /// decide config with a zero BO `n_init`, `batch` or `mc_samples`).
     InvalidInput {
         /// Which precondition failed.
         context: &'static str,

@@ -35,9 +35,9 @@ pub use benefit::{normalized_benefit, OutcomeNormalizer, TruePreference};
 pub use composite::{CompositeSampler, PreferenceEval};
 pub use error::CoreError;
 pub use models::{OutcomeModelBank, ProfilingDesign};
-pub use online::{run_online, EpochRecord, FaultedRunConfig, OnlineRun};
+pub use online::{run_online, FaultedRunConfig, OnlineRun};
 pub use overload::{OverloadConfig, ServingSession};
 pub use pamo::{Pamo, PamoConfig, PamoDecision, PreferenceSource};
-pub use pool::{build_pool, decode_joint, encode_joint, Placements};
+pub use pool::{build_pool, decode_joint};
 pub use serving::{run_serving, ServeEvent, ServingConfig, ServingRun, SERVING_POLICY};
-pub use snapshot::{ControlPlaneSnapshot, SnapshotCursor};
+pub use snapshot::ControlPlaneSnapshot;

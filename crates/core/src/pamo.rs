@@ -20,7 +20,7 @@ use rand::Rng;
 
 use crate::benefit::{OutcomeNormalizer, TruePreference, TruePreferenceOracle};
 use crate::composite::{CompositeSampler, PreferenceEval, INFEASIBLE_BENEFIT};
-use crate::error::CoreError;
+use crate::error::{require, CoreError};
 use crate::models::{OutcomeModelBank, ProfilingDesign};
 use crate::pool::{build_pool, decode_joint, Placements};
 
@@ -166,14 +166,18 @@ impl Pamo {
     /// hyperparameters of the last decision and the cached profiling
     /// design (for checkpointing the scheduler).
     #[allow(clippy::type_complexity)]
-    pub fn warm_state(&self) -> (Option<Vec<Vec<f64>>>, Option<ProfilingDesign>) {
+    pub(crate) fn warm_state(&self) -> (Option<Vec<Vec<f64>>>, Option<ProfilingDesign>) {
         (self.warm.lock().clone(), self.design.lock().clone())
     }
 
     /// Overwrite the warm-start state (restoring a checkpointed
     /// scheduler). The next decision then warm-starts exactly as the
     /// checkpointed scheduler's next decision would have.
-    pub fn restore_warm_state(&self, warm: Option<Vec<Vec<f64>>>, design: Option<ProfilingDesign>) {
+    pub(crate) fn restore_warm_state(
+        &self,
+        warm: Option<Vec<Vec<f64>>>,
+        design: Option<ProfilingDesign>,
+    ) {
         *self.warm.lock() = warm;
         *self.design.lock() = design;
     }
@@ -238,7 +242,7 @@ impl Pamo {
     /// charge is ever refused and this is bit-identical to the
     /// unbudgeted path (which delegates here).
     #[allow(clippy::too_many_arguments)]
-    pub fn decide_surviving_budgeted_recorded<R: Rng + ?Sized>(
+    pub(crate) fn decide_surviving_budgeted_recorded<R: Rng + ?Sized>(
         &self,
         scenario: &Scenario,
         true_pref: &TruePreference,
@@ -247,8 +251,12 @@ impl Pamo {
         rng: &mut R,
         rec: &dyn Recorder,
     ) -> Result<PamoDecision, CoreError> {
-        let _decide_span = span(rec, Phase::Decide);
         let cfg = &self.config;
+        // The BO driver asserts these; refuse them before any RNG draw.
+        require(cfg.bo.n_init > 0, "bo.n_init must be positive")?;
+        require(cfg.bo.batch > 0, "bo.batch must be positive")?;
+        require(cfg.bo.mc_samples > 0, "bo.mc_samples must be positive")?;
+        let _decide_span = span(rec, Phase::Decide);
         let normalizer = OutcomeNormalizer::for_scenario(scenario);
 
         // (1) Outcome function fitting, warm-started from the previous
@@ -431,7 +439,7 @@ impl Pamo {
 /// profiling noise. Returns the aggregate and the per-camera samples it
 /// was assembled from (the observations Algorithm 2 line 18 feeds back
 /// into the outcome-model bank); `None` when a camera is unplaced.
-pub fn measure_aggregate(
+pub(crate) fn measure_aggregate(
     scenario: &Scenario,
     configs: &[VideoConfig],
     assignment: &Assignment,

@@ -20,7 +20,7 @@ use crate::error::{require, CoreError};
 
 /// Encode per-camera configs as a flat normalized vector
 /// `[r₀/2160, s₀/30, r₁/2160, …]`.
-pub fn encode_joint(scenario: &Scenario, configs: &[VideoConfig]) -> Vec<f64> {
+pub(crate) fn encode_joint(scenario: &Scenario, configs: &[VideoConfig]) -> Vec<f64> {
     assert_eq!(configs.len(), scenario.n_videos(), "encode: config count");
     let space = scenario.config_space();
     configs.iter().flat_map(|c| space.normalize(c)).collect()

@@ -40,11 +40,11 @@ use crate::serving::ServeEvent;
 
 /// Current snapshot format version (3: epoch records no longer carry
 /// `planning_bps`).
-pub const SNAPSHOT_VERSION: u64 = 3;
+pub(crate) const SNAPSHOT_VERSION: u64 = 3;
 
 /// The step cursor: where in the serving run the session stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SnapshotCursor {
+pub(crate) enum SnapshotCursor {
     /// About to run epoch `usize`'s boundary decision.
     Boundary(usize),
     /// Inside epoch `usize`'s event window.

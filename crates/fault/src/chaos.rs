@@ -161,7 +161,8 @@ impl ChaosSpec {
     }
 
     /// Whether the spec injects anything at all.
-    pub fn is_inert(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_inert(&self) -> bool {
         self.churn_storm.is_none()
             && self.crash_bursts.is_none()
             && self.link_collapse.is_none()

@@ -11,8 +11,8 @@
 //! retry policy that bounds how long a lost frame is chased:
 //!
 //! * [`process`] — the fault processes: two-state up/down Markov chains
-//!   with exponential dwells ([`AvailabilityModel`] → materialized
-//!   [`AvailabilityTrace`]), transient slowdowns ([`SlowdownModel`] →
+//!   with exponential dwells (`AvailabilityModel` → materialized
+//!   [`AvailabilityTrace`]), transient slowdowns (`SlowdownModel` →
 //!   [`SlowdownTrace`]), and per-frame Bernoulli loss ([`LossProcess`]),
 //! * [`plan`] — [`FaultPlan`]: the per-server / per-camera bundle a
 //!   scenario carries, with [`RetryPolicy`] (bounded retries,
@@ -31,7 +31,5 @@ pub mod plan;
 pub mod process;
 
 pub use chaos::{ChaosSpec, ChaosWindow, ChurnStorm, ControlStragglers, CrashBursts, LinkCollapse};
-pub use plan::{CameraFaults, FaultPlan, RetryPolicy, ServerFaults};
-pub use process::{
-    AvailabilityModel, AvailabilityTrace, LossProcess, SlowdownModel, SlowdownTrace,
-};
+pub use plan::{FaultPlan, RetryPolicy};
+pub use process::{AvailabilityTrace, LossProcess, SlowdownTrace};

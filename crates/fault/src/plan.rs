@@ -23,7 +23,7 @@ pub struct ServerFaults {
 
 impl ServerFaults {
     /// A server that never crashes and never straggles.
-    pub fn none() -> Self {
+    pub(crate) fn none() -> Self {
         ServerFaults {
             availability: AvailabilityModel::always_up(),
             slowdown: SlowdownModel::none(),
@@ -31,7 +31,7 @@ impl ServerFaults {
     }
 
     /// True when neither process can fire.
-    pub fn is_zero(&self) -> bool {
+    pub(crate) fn is_zero(&self) -> bool {
         self.availability.is_always_up() && self.slowdown.is_none()
     }
 }
@@ -48,7 +48,7 @@ pub struct CameraFaults {
 
 impl CameraFaults {
     /// A camera that never drops out on a loss-free uplink.
-    pub fn none() -> Self {
+    pub(crate) fn none() -> Self {
         CameraFaults {
             availability: AvailabilityModel::always_up(),
             loss: LossProcess::none(),
@@ -56,7 +56,7 @@ impl CameraFaults {
     }
 
     /// True when neither process can fire.
-    pub fn is_zero(&self) -> bool {
+    pub(crate) fn is_zero(&self) -> bool {
         self.availability.is_always_up() && self.loss.p <= 0.0
     }
 }

@@ -31,7 +31,7 @@ pub struct AvailabilityModel {
 
 impl AvailabilityModel {
     /// A resource that never fails.
-    pub fn always_up() -> Self {
+    pub(crate) fn always_up() -> Self {
         AvailabilityModel {
             mttf_s: f64::INFINITY,
             mttr_s: 1.0,
@@ -40,7 +40,7 @@ impl AvailabilityModel {
     }
 
     /// Crash/recovery with the given MTTF / MTTR (seconds).
-    pub fn crash_recovery(mttf_s: f64, mttr_s: f64, seed: u64) -> Self {
+    pub(crate) fn crash_recovery(mttf_s: f64, mttr_s: f64, seed: u64) -> Self {
         assert!(
             mttf_s > 0.0 && mttr_s > 0.0,
             "AvailabilityModel: non-positive dwell"
@@ -53,12 +53,13 @@ impl AvailabilityModel {
     }
 
     /// True when this model can never produce a down interval.
-    pub fn is_always_up(&self) -> bool {
+    pub(crate) fn is_always_up(&self) -> bool {
         !self.mttf_s.is_finite()
     }
 
     /// Long-run availability `MTTF / (MTTF + MTTR)`.
-    pub fn availability(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn availability(&self) -> f64 {
         if self.is_always_up() {
             1.0
         } else {
@@ -69,7 +70,7 @@ impl AvailabilityModel {
     /// Materialize the chain over `[0, horizon)` ticks. The resource
     /// starts up (epoch 0 always sees a healthy fleet; the first
     /// failure arrives after an exponential MTTF dwell).
-    pub fn materialize(&self, horizon: Ticks) -> AvailabilityTrace {
+    pub(crate) fn materialize(&self, horizon: Ticks) -> AvailabilityTrace {
         assert!(horizon > 0, "AvailabilityModel: empty horizon");
         let mut toggles = Vec::new();
         if !self.is_always_up() {
@@ -199,7 +200,7 @@ pub struct SlowdownModel {
 
 impl SlowdownModel {
     /// A server that never straggles.
-    pub fn none() -> Self {
+    pub(crate) fn none() -> Self {
         SlowdownModel {
             factor: 1.0,
             mean_normal_s: f64::INFINITY,
@@ -209,7 +210,7 @@ impl SlowdownModel {
     }
 
     /// Straggler bursts inflating service time by `factor`.
-    pub fn bursts(factor: f64, mean_normal_s: f64, mean_slow_s: f64, seed: u64) -> Self {
+    pub(crate) fn bursts(factor: f64, mean_normal_s: f64, mean_slow_s: f64, seed: u64) -> Self {
         assert!(factor >= 1.0, "SlowdownModel: factor < 1");
         assert!(
             mean_normal_s > 0.0 && mean_slow_s > 0.0,
@@ -224,12 +225,12 @@ impl SlowdownModel {
     }
 
     /// True when the process never leaves nominal speed.
-    pub fn is_none(&self) -> bool {
+    pub(crate) fn is_none(&self) -> bool {
         self.factor <= 1.0 || !self.mean_normal_s.is_finite()
     }
 
     /// Materialize over `[0, horizon)` (starts at nominal speed).
-    pub fn materialize(&self, horizon: Ticks) -> SlowdownTrace {
+    pub(crate) fn materialize(&self, horizon: Ticks) -> SlowdownTrace {
         assert!(horizon > 0, "SlowdownModel: empty horizon");
         let mut toggles = Vec::new();
         if !self.is_none() {
@@ -301,11 +302,6 @@ impl SlowdownTrace {
     pub fn next_toggle_after(&self, t: Ticks) -> Option<Ticks> {
         let idx = self.toggles.partition_point(|&x| x <= t);
         self.toggles.get(idx).copied()
-    }
-
-    /// The straggler inflation factor.
-    pub fn factor(&self) -> f64 {
-        self.factor
     }
 }
 

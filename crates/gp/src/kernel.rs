@@ -31,7 +31,7 @@ pub struct Kernel {
 
 impl Kernel {
     /// Construct a kernel. Panics on non-positive hyperparameters.
-    pub fn new(family: KernelType, lengthscales: Vec<f64>, signal_var: f64) -> Self {
+    pub(crate) fn new(family: KernelType, lengthscales: Vec<f64>, signal_var: f64) -> Self {
         assert!(
             lengthscales.iter().all(|&l| l > 0.0),
             "Kernel: lengthscales must be positive, got {lengthscales:?}"
@@ -49,13 +49,8 @@ impl Kernel {
         Kernel::new(family, vec![lengthscale; dim], signal_var)
     }
 
-    /// Kernel family.
-    pub fn family(&self) -> KernelType {
-        self.family
-    }
-
     /// ARD lengthscales.
-    pub fn lengthscales(&self) -> &[f64] {
+    pub(crate) fn lengthscales(&self) -> &[f64] {
         &self.lengthscales
     }
 

@@ -39,7 +39,6 @@
 use std::sync::{Arc, OnceLock};
 
 use eva_linalg::{vecops, Cholesky, LinalgError, Mat};
-use rand::Rng;
 
 use crate::{GpError, Kernel, Result};
 
@@ -379,7 +378,7 @@ impl GpModel {
     /// `noise_var` was fitted in a particular standardized scale, so
     /// updates must keep `y_mean`/`y_std` frozen or the noise silently
     /// changes meaning in original units (see [`GpModel::with_added`]).
-    pub fn with_standardization(
+    pub(crate) fn with_standardization(
         kernel: Kernel,
         noise_var: f64,
         x: Vec<Vec<f64>>,
@@ -457,7 +456,7 @@ impl GpModel {
     }
 
     /// Input dimensionality.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.kernel().dim()
     }
 
@@ -672,7 +671,8 @@ impl GpModel {
     }
 
     /// Target standardization `(y_mean, y_std)` this model predicts in.
-    pub fn standardization(&self) -> (f64, f64) {
+    #[cfg(test)]
+    pub(crate) fn standardization(&self) -> (f64, f64) {
         (self.y_mean, self.y_std)
     }
 
@@ -836,18 +836,17 @@ pub(crate) fn standardization_of(y: &[f64]) -> (f64, f64) {
 
 impl GpPosterior {
     /// Number of query points.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.mean.len()
     }
 
-    /// True when there are no query points (unreachable by construction,
-    /// provided for completeness).
-    pub fn is_empty(&self) -> bool {
-        self.mean.is_empty()
-    }
-
     /// Draw `n_samples` joint samples; returns an `n_samples x q` matrix.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R, n_samples: usize) -> Result<Mat> {
+    #[cfg(test)]
+    pub(crate) fn sample<R: rand::Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        n_samples: usize,
+    ) -> Result<Mat> {
         let q = self.len();
         let mut cov = self.cov.clone();
         // Sampling jitter: tiny relative to outcome scales, stabilizes
@@ -900,6 +899,7 @@ mod tests {
     use super::*;
     use crate::KernelType;
     use eva_stats::rng::seeded;
+    use rand::Rng;
 
     thread_local! {
         /// Weight back-substitutions run on this test's thread.

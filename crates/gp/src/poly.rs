@@ -66,16 +66,6 @@ impl PolyModel {
         })
     }
 
-    /// Total polynomial degree.
-    pub fn degree(&self) -> usize {
-        self.degree
-    }
-
-    /// Input dimensionality.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
     /// Predict at a point.
     pub fn predict(&self, x: &[f64]) -> f64 {
         assert_eq!(x.len(), self.dim, "PolyModel::predict: dim mismatch");
@@ -90,7 +80,7 @@ impl PolyModel {
 /// Exponent vectors of all monomials of total degree ≤ `degree` in
 /// `dim` variables, in graded lexicographic order starting with the
 /// constant term.
-pub fn monomials(dim: usize, degree: usize) -> Vec<Vec<usize>> {
+pub(crate) fn monomials(dim: usize, degree: usize) -> Vec<Vec<usize>> {
     let mut out = Vec::new();
     for d in 0..=degree {
         push_degree(dim, d, &mut Vec::new(), &mut out);

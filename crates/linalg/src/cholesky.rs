@@ -163,7 +163,7 @@ impl Cholesky {
     }
 
     /// Dimension of the factored matrix.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.l.rows()
     }
 

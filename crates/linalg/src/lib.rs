@@ -22,7 +22,7 @@ pub mod cholesky;
 pub mod lu;
 pub mod matrix;
 pub mod qr;
-pub mod solve;
+mod solve;
 pub mod vecops;
 
 pub use cholesky::Cholesky;
@@ -73,4 +73,4 @@ impl std::fmt::Display for LinalgError {
 impl std::error::Error for LinalgError {}
 
 /// Convenience alias used across the crate.
-pub type Result<T> = std::result::Result<T, LinalgError>;
+pub(crate) type Result<T> = std::result::Result<T, LinalgError>;

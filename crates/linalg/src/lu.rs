@@ -71,7 +71,7 @@ impl Lu {
     }
 
     /// Dimension of the factored matrix.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.lu.rows()
     }
 
@@ -104,7 +104,8 @@ impl Lu {
     }
 
     /// Solve `A X = B` column by column.
-    pub fn solve_mat(&self, b: &Mat) -> Result<Mat> {
+    #[cfg(test)]
+    pub(crate) fn solve_mat(&self, b: &Mat) -> Result<Mat> {
         if b.rows() != self.dim() {
             return Err(LinalgError::DimMismatch {
                 op: "lu solve_mat",
@@ -129,7 +130,8 @@ impl Lu {
     }
 
     /// Inverse matrix. Prefer [`Lu::solve`] when you only need `A^{-1}b`.
-    pub fn inverse(&self) -> Result<Mat> {
+    #[cfg(test)]
+    pub(crate) fn inverse(&self) -> Result<Mat> {
         self.solve_mat(&Mat::identity(self.dim()))
     }
 }

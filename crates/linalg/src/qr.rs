@@ -82,11 +82,6 @@ impl Qr {
         Ok(Qr { qr, betas })
     }
 
-    /// Number of columns (unknowns).
-    pub fn cols(&self) -> usize {
-        self.qr.cols()
-    }
-
     /// Solve the least-squares problem `min ||A x − b||₂`.
     // Index loops mirror the textbook reflector/back-substitution forms.
     #[allow(clippy::needless_range_loop)]

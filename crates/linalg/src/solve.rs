@@ -4,7 +4,7 @@ use crate::{LinalgError, Mat, Result};
 
 /// Solve `L y = b` with `L` lower triangular (entries above the diagonal
 /// are ignored).
-pub fn forward_substitution(l: &Mat, b: &[f64]) -> Result<Vec<f64>> {
+pub(crate) fn forward_substitution(l: &Mat, b: &[f64]) -> Result<Vec<f64>> {
     check_square_rhs(l, b, "forward_substitution")?;
     let n = l.rows();
     let mut y = vec![0.0; n];
@@ -21,7 +21,8 @@ pub fn forward_substitution(l: &Mat, b: &[f64]) -> Result<Vec<f64>> {
 
 /// Solve `U x = b` with `U` upper triangular (entries below the diagonal
 /// are ignored).
-pub fn backward_substitution(u: &Mat, b: &[f64]) -> Result<Vec<f64>> {
+#[cfg(test)]
+pub(crate) fn backward_substitution(u: &Mat, b: &[f64]) -> Result<Vec<f64>> {
     check_square_rhs(u, b, "backward_substitution")?;
     let n = u.rows();
     let mut x = vec![0.0; n];
@@ -38,7 +39,7 @@ pub fn backward_substitution(u: &Mat, b: &[f64]) -> Result<Vec<f64>> {
 
 /// Solve `L^T x = b` given the *lower* factor `L`, without materializing
 /// the transpose. This is the second half of a Cholesky solve.
-pub fn backward_substitution_transposed(l: &Mat, b: &[f64]) -> Result<Vec<f64>> {
+pub(crate) fn backward_substitution_transposed(l: &Mat, b: &[f64]) -> Result<Vec<f64>> {
     check_square_rhs(l, b, "backward_substitution_transposed")?;
     let n = l.rows();
     let mut x = b.to_vec();

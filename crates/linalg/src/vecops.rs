@@ -88,19 +88,21 @@ pub fn sub(a: &[f64], b: &[f64]) -> Vec<f64> {
 }
 
 /// Elementwise `a + b` into a new vector.
-pub fn add(a: &[f64], b: &[f64]) -> Vec<f64> {
+#[cfg(test)]
+pub(crate) fn add(a: &[f64], b: &[f64]) -> Vec<f64> {
     assert_eq!(a.len(), b.len(), "add: length mismatch");
     a.iter().zip(b).map(|(&x, &y)| x + y).collect()
 }
 
 /// Scale a vector into a new vector.
-pub fn scale(a: &[f64], s: f64) -> Vec<f64> {
+#[cfg(test)]
+pub(crate) fn scale(a: &[f64], s: f64) -> Vec<f64> {
     a.iter().map(|&x| x * s).collect()
 }
 
 /// Sum of all entries.
 #[inline]
-pub fn sum(a: &[f64]) -> f64 {
+pub(crate) fn sum(a: &[f64]) -> f64 {
     a.iter().sum()
 }
 
@@ -116,13 +118,15 @@ pub fn mean(a: &[f64]) -> f64 {
 
 /// Maximum entry; `NEG_INFINITY` for an empty slice.
 #[inline]
-pub fn max(a: &[f64]) -> f64 {
+#[cfg(test)]
+pub(crate) fn max(a: &[f64]) -> f64 {
     a.iter().copied().fold(f64::NEG_INFINITY, f64::max)
 }
 
 /// Minimum entry; `INFINITY` for an empty slice.
 #[inline]
-pub fn min(a: &[f64]) -> f64 {
+#[cfg(test)]
+pub(crate) fn min(a: &[f64]) -> f64 {
     a.iter().copied().fold(f64::INFINITY, f64::min)
 }
 
@@ -142,7 +146,8 @@ pub fn argmax(a: &[f64]) -> Option<usize> {
 }
 
 /// Index of the minimum entry (first on ties); `None` when empty or all NaN.
-pub fn argmin(a: &[f64]) -> Option<usize> {
+#[cfg(test)]
+pub(crate) fn argmin(a: &[f64]) -> Option<usize> {
     let mut best: Option<(usize, f64)> = None;
     for (i, &v) in a.iter().enumerate() {
         if v.is_nan() {
@@ -165,7 +170,8 @@ pub fn l1_dist(a: &[f64], b: &[f64]) -> f64 {
 
 /// Weighted L1 distance `sum_i w_i |a_i - b_i|` — the paper's Eq. 13 core.
 #[inline]
-pub fn weighted_l1_dist(a: &[f64], b: &[f64], w: &[f64]) -> f64 {
+#[cfg(test)]
+pub(crate) fn weighted_l1_dist(a: &[f64], b: &[f64], w: &[f64]) -> f64 {
     assert!(
         a.len() == b.len() && a.len() == w.len(),
         "weighted_l1_dist: length mismatch"

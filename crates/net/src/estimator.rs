@@ -56,7 +56,7 @@ pub struct EwmaEstimator {
 
 impl EwmaEstimator {
     /// `alpha` is the weight of the newest sample, in `(0, 1]`.
-    pub fn new(alpha: f64) -> Self {
+    pub(crate) fn new(alpha: f64) -> Self {
         assert!(
             alpha > 0.0 && alpha <= 1.0,
             "EwmaEstimator: alpha in (0, 1]"

@@ -22,4 +22,4 @@ pub mod estimator;
 pub mod link;
 
 pub use estimator::{delivery_rate_bps, EwmaEstimator, LinkEstimator, MaxFilterEstimator};
-pub use link::{LinkModel, LinkTrace, MarkovState};
+pub use link::{LinkModel, LinkTrace};

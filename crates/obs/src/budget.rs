@@ -41,7 +41,8 @@ pub enum DecisionRung {
 
 impl DecisionRung {
     /// All rungs, most capable first.
-    pub const ALL: [DecisionRung; 3] = [
+    #[cfg(test)]
+    pub(crate) const ALL: [DecisionRung; 3] = [
         DecisionRung::Full,
         DecisionRung::Repair,
         DecisionRung::Stale,
@@ -56,7 +57,7 @@ impl DecisionRung {
         }
     }
 
-    /// Index into [`DecisionRung::ALL`]-ordered storage.
+    /// Index into `DecisionRung::ALL`-ordered storage.
     pub fn index(self) -> usize {
         match self {
             DecisionRung::Full => 0,
@@ -149,7 +150,8 @@ impl DecisionBudget {
     }
 
     /// Whether this budget can never refuse a charge.
-    pub fn is_unlimited(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_unlimited(&self) -> bool {
         self.limit == u64::MAX
     }
 
@@ -164,7 +166,8 @@ impl DecisionBudget {
     }
 
     /// Whether the budget is fully spent.
-    pub fn exhausted(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn exhausted(&self) -> bool {
         self.remaining() == 0
     }
 
@@ -239,7 +242,8 @@ impl BudgetPolicy {
     }
 
     /// Whether a decision that spent `units` met the deadline.
-    pub fn deadline_hit(&self, units: u64) -> bool {
+    #[cfg(test)]
+    pub(crate) fn deadline_hit(&self, units: u64) -> bool {
         self.modeled_time_s(units) <= self.deadline_s
     }
 }

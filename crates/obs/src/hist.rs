@@ -13,11 +13,11 @@
 /// Linear subdivisions per octave. Relative bucket width ≤ 1/16.
 pub const SUBBUCKETS: usize = 16;
 /// Smallest representable exponent: `2^-40 ≈ 9.1e-13`.
-pub const MIN_EXP: i32 = -40;
+pub(crate) const MIN_EXP: i32 = -40;
 /// Largest representable exponent: `2^40 ≈ 1.1e12`.
-pub const MAX_EXP: i32 = 40;
+pub(crate) const MAX_EXP: i32 = 40;
 /// Total bucket count of the fixed layout.
-pub const N_BUCKETS: usize = ((MAX_EXP - MIN_EXP) as usize) * SUBBUCKETS;
+pub(crate) const N_BUCKETS: usize = ((MAX_EXP - MIN_EXP) as usize) * SUBBUCKETS;
 
 /// Bucket index of a strictly positive finite value (values outside the
 /// dynamic range clamp to the first/last bucket).
@@ -44,14 +44,14 @@ fn pow2(e: i32) -> f64 {
 }
 
 /// Lower bound of bucket `i`.
-pub fn bucket_lo(i: usize) -> f64 {
+pub(crate) fn bucket_lo(i: usize) -> f64 {
     let e = MIN_EXP + (i / SUBBUCKETS) as i32;
     let sub = i % SUBBUCKETS;
     pow2(e) * (1.0 + sub as f64 / SUBBUCKETS as f64)
 }
 
 /// Upper bound (exclusive) of bucket `i`.
-pub fn bucket_hi(i: usize) -> f64 {
+pub(crate) fn bucket_hi(i: usize) -> f64 {
     let e = MIN_EXP + (i / SUBBUCKETS) as i32;
     let sub = i % SUBBUCKETS;
     pow2(e) * (1.0 + (sub + 1) as f64 / SUBBUCKETS as f64)
@@ -126,7 +126,7 @@ impl LogLinearHistogram {
     }
 
     /// Mean of recorded values (`None` when empty).
-    pub fn mean(&self) -> Option<f64> {
+    pub(crate) fn mean(&self) -> Option<f64> {
         (self.count > 0).then(|| self.sum / self.count as f64)
     }
 

@@ -5,7 +5,7 @@ use std::fmt::Write as _;
 
 /// Escape a string for embedding in a JSON string literal (without the
 /// surrounding quotes).
-pub fn escape(s: &str) -> String {
+pub(crate) fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {
@@ -25,7 +25,7 @@ pub fn escape(s: &str) -> String {
 
 /// Format an `f64` as a JSON value: shortest round-trip decimal for
 /// finite values, `null` for NaN/±inf (JSON has no non-finite numbers).
-pub fn number(v: f64) -> String {
+pub(crate) fn number(v: f64) -> String {
     if v.is_finite() {
         let s = format!("{v}");
         // `{}` on f64 never prints an exponent for integral values, but
@@ -37,7 +37,7 @@ pub fn number(v: f64) -> String {
 }
 
 /// Push `"key":` onto `out`.
-pub fn key(out: &mut String, k: &str) {
+pub(crate) fn key(out: &mut String, k: &str) {
     out.push('"');
     out.push_str(&escape(k));
     out.push_str("\":");

@@ -19,22 +19,22 @@ pub struct MetricsRegistry {
 
 impl MetricsRegistry {
     /// An empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Increment counter `name` by `delta`.
-    pub fn add(&mut self, name: &str, delta: u64) {
+    pub(crate) fn add(&mut self, name: &str, delta: u64) {
         *self.counters.entry(name.to_string()).or_insert(0) += delta;
     }
 
     /// Set gauge `name` to its latest value.
-    pub fn gauge(&mut self, name: &str, value: f64) {
+    pub(crate) fn gauge(&mut self, name: &str, value: f64) {
         self.gauges.insert(name.to_string(), value);
     }
 
     /// Record `value` into histogram `name`.
-    pub fn observe(&mut self, name: &str, value: f64) {
+    pub(crate) fn observe(&mut self, name: &str, value: f64) {
         self.histograms
             .entry(name.to_string())
             .or_default()
@@ -47,7 +47,8 @@ impl MetricsRegistry {
     }
 
     /// Latest value of a gauge.
-    pub fn gauge_value(&self, name: &str) -> Option<f64> {
+    #[cfg(test)]
+    pub(crate) fn gauge_value(&self, name: &str) -> Option<f64> {
         self.gauges.get(name).copied()
     }
 
@@ -57,28 +58,24 @@ impl MetricsRegistry {
     }
 
     /// All counters, name-ordered.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
+    pub(crate) fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
         self.counters.iter().map(|(k, &v)| (k.as_str(), v))
     }
 
     /// All gauges, name-ordered.
-    pub fn gauges(&self) -> impl Iterator<Item = (&str, f64)> {
+    pub(crate) fn gauges(&self) -> impl Iterator<Item = (&str, f64)> {
         self.gauges.iter().map(|(k, &v)| (k.as_str(), v))
     }
 
     /// All histograms, name-ordered.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &LogLinearHistogram)> {
+    pub(crate) fn histograms(&self) -> impl Iterator<Item = (&str, &LogLinearHistogram)> {
         self.histograms.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }
 
     /// Merge another registry into this one: counters add, histograms
     /// merge bucket-wise, gauges take `other`'s value (latest wins).
-    pub fn merge(&mut self, other: &MetricsRegistry) {
+    #[cfg(test)]
+    pub(crate) fn merge(&mut self, other: &MetricsRegistry) {
         for (k, &v) in &other.counters {
             *self.counters.entry(k.clone()).or_insert(0) += v;
         }

@@ -22,24 +22,25 @@ impl DiscreteSpace {
     }
 
     /// Number of dimensions.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.levels.len()
     }
 
     /// Levels available in dimension `d`.
-    pub fn levels(&self, d: usize) -> &[f64] {
+    pub(crate) fn levels(&self, d: usize) -> &[f64] {
         &self.levels[d]
     }
 
     /// Total number of points (saturating).
-    pub fn size(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn size(&self) -> usize {
         self.levels
             .iter()
             .fold(1usize, |acc, l| acc.saturating_mul(l.len()))
     }
 
     /// Decode a mixed-radix index vector into level values.
-    pub fn decode(&self, idx: &[usize]) -> Vec<f64> {
+    pub(crate) fn decode(&self, idx: &[usize]) -> Vec<f64> {
         assert_eq!(idx.len(), self.dim(), "decode: dim mismatch");
         idx.iter()
             .enumerate()
@@ -49,7 +50,8 @@ impl DiscreteSpace {
 
     /// Iterate over every point in the space (row-major). Intended for
     /// test oracles on small spaces; check [`DiscreteSpace::size`] first.
-    pub fn iter_points(&self) -> impl Iterator<Item = Vec<f64>> + '_ {
+    #[cfg(test)]
+    pub(crate) fn iter_points(&self) -> impl Iterator<Item = Vec<f64>> + '_ {
         let dims: Vec<usize> = self.levels.iter().map(|l| l.len()).collect();
         let total = self.size();
         (0..total).map(move |mut flat| {
@@ -63,7 +65,8 @@ impl DiscreteSpace {
     }
 
     /// Snap an arbitrary point to the nearest grid point, per dimension.
-    pub fn snap(&self, x: &[f64]) -> Vec<usize> {
+    #[cfg(test)]
+    pub(crate) fn snap(&self, x: &[f64]) -> Vec<usize> {
         assert_eq!(x.len(), self.dim(), "snap: dim mismatch");
         x.iter()
             .enumerate()
@@ -125,7 +128,11 @@ pub fn coordinate_descent(
 }
 
 /// Exhaustive minimization over the whole space (test oracle / tiny spaces).
-pub fn exhaustive_best(space: &DiscreteSpace, mut f: impl FnMut(&[f64]) -> f64) -> (Vec<f64>, f64) {
+#[cfg(test)]
+pub(crate) fn exhaustive_best(
+    space: &DiscreteSpace,
+    mut f: impl FnMut(&[f64]) -> f64,
+) -> (Vec<f64>, f64) {
     let mut best_x = None;
     let mut best_v = f64::INFINITY;
     for x in space.iter_points() {

@@ -3,7 +3,7 @@
 //! Two consumers drive the feature set:
 //!
 //! * `eva-gp` maximizes GP log-marginal likelihood over a handful of
-//!   kernel hyperparameters → [`fn@nelder_mead`] with [`multi_start`],
+//!   kernel hyperparameters → `nelder_mead` with [`multi_start`],
 //! * `eva-baselines`' FACT runs block coordinate descent over discrete
 //!   per-stream knobs → [`discrete`] local search.
 //!
@@ -12,5 +12,5 @@
 pub mod discrete;
 pub mod nelder_mead;
 
-pub use discrete::{coordinate_descent, exhaustive_best, DiscreteSpace};
-pub use nelder_mead::{multi_start, nelder_mead, NelderMeadOptions, OptResult};
+pub use discrete::{coordinate_descent, DiscreteSpace};
+pub use nelder_mead::{multi_start, NelderMeadOptions};

@@ -20,7 +20,7 @@ pub struct OptResult {
     pub converged: bool,
 }
 
-/// Tuning knobs for [`nelder_mead`].
+/// Tuning knobs for `nelder_mead`.
 #[derive(Debug, Clone)]
 pub struct NelderMeadOptions {
     /// Maximum number of objective evaluations.
@@ -54,7 +54,7 @@ fn project(x: &mut [f64], bounds: &[(f64, f64)]) {
 ///
 /// `f` may return non-finite values (treated as +inf), which lets callers
 /// expose numerically fragile objectives like log-determinants directly.
-pub fn nelder_mead(
+pub(crate) fn nelder_mead(
     mut f: impl FnMut(&[f64]) -> f64,
     x0: &[f64],
     bounds: &[(f64, f64)],

@@ -51,7 +51,7 @@ impl PreferenceDataset {
     }
 
     /// Intern an outcome vector, returning its item index.
-    pub fn intern(&mut self, y: &[f64]) -> usize {
+    pub(crate) fn intern(&mut self, y: &[f64]) -> usize {
         if let Some(i) = self.find(y) {
             return i;
         }
@@ -66,7 +66,7 @@ impl PreferenceDataset {
     }
 
     /// Record that the decision maker preferred `preferred` over `other`.
-    pub fn add(&mut self, preferred: &[f64], other: &[f64]) {
+    pub(crate) fn add(&mut self, preferred: &[f64], other: &[f64]) {
         let w = self.intern(preferred);
         let l = self.intern(other);
         assert_ne!(w, l, "PreferenceDataset::add: item compared to itself");

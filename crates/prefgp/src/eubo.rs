@@ -19,7 +19,7 @@ use crate::model::{PrefError, PreferenceModel};
 /// A two-point posterior cannot fail on a fitted model; should the
 /// numerics misbehave anyway, the pair scores `-inf` and is never
 /// selected.
-pub fn eubo_pair_value(model: &PreferenceModel, y1: &[f64], y2: &[f64]) -> f64 {
+pub(crate) fn eubo_pair_value(model: &PreferenceModel, y1: &[f64], y2: &[f64]) -> f64 {
     let Some((mean, cov)) = model.posterior_pair(y1, y2) else {
         return f64::NEG_INFINITY;
     };
@@ -28,7 +28,7 @@ pub fn eubo_pair_value(model: &PreferenceModel, y1: &[f64], y2: &[f64]) -> f64 {
 
 /// `E[max(X, Y)]` for jointly normal `X ~ N(μ1, σ1²)`, `Y ~ N(μ2, σ2²)`
 /// with covariance `σ12` (Clark 1961).
-pub fn e_max_bivariate(mu1: f64, mu2: f64, var1: f64, var2: f64, cov12: f64) -> f64 {
+pub(crate) fn e_max_bivariate(mu1: f64, mu2: f64, var1: f64, var2: f64, cov12: f64) -> f64 {
     let s2 = (var1 + var2 - 2.0 * cov12).max(0.0);
     if s2 < 1e-18 {
         return mu1.max(mu2);

@@ -9,7 +9,7 @@
 use crate::stream::{StreamTiming, Ticks};
 
 /// Greatest common divisor of two tick counts.
-pub fn gcd(a: Ticks, b: Ticks) -> Ticks {
+pub(crate) fn gcd(a: Ticks, b: Ticks) -> Ticks {
     let (mut a, mut b) = (a, b);
     while b != 0 {
         let t = a % b;
@@ -47,7 +47,7 @@ pub fn const2_zero_jitter_ok(streams: &[StreamTiming]) -> bool {
 /// Theorem 3's grouping condition: (a) every period is an integer
 /// multiple of the minimum period in the group, and (b) `Σ p_i ≤ T_min`.
 /// Sufficient for `Const2` (and hence zero jitter + `Const1`).
-pub fn theorem3_group_ok(streams: &[StreamTiming]) -> bool {
+pub(crate) fn theorem3_group_ok(streams: &[StreamTiming]) -> bool {
     if streams.is_empty() {
         return true;
     }

@@ -41,7 +41,7 @@ pub enum ArrivalModel {
 
 impl ArrivalModel {
     /// True when the model can never emit an arrival.
-    pub fn is_silent(&self) -> bool {
+    pub(crate) fn is_silent(&self) -> bool {
         match *self {
             ArrivalModel::Poisson { rate_hz } => rate_hz <= 0.0,
             ArrivalModel::Mmpp { rate_hz, .. } => rate_hz.iter().all(|&r| r <= 0.0),
@@ -200,12 +200,14 @@ impl ChurnTrace {
     }
 
     /// True when the trace contains no events at all.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
 
     /// Number of arrivals in the trace.
-    pub fn n_arrivals(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn n_arrivals(&self) -> u64 {
         self.n_arrivals
     }
 }

@@ -118,7 +118,7 @@ impl RetryQueue {
     /// enqueue time). Same capacity rule as [`try_push`].
     ///
     /// [`try_push`]: RetryQueue::try_push
-    pub fn try_push_entry(&mut self, entry: QueueEntry) -> bool {
+    pub(crate) fn try_push_entry(&mut self, entry: QueueEntry) -> bool {
         if self.entries.len() >= self.capacity {
             return false;
         }

@@ -122,18 +122,6 @@ impl SimReport {
     pub fn total_dropped(&self) -> u64 {
         self.streams.iter().map(|s| s.dropped).sum()
     }
-
-    /// Fraction of eligible frames that were delivered (1.0 when no
-    /// frame was measured at all).
-    pub fn delivery_rate(&self) -> f64 {
-        let delivered: u64 = self.streams.iter().map(|s| s.frames).sum();
-        let total = delivered + self.total_dropped();
-        if total == 0 {
-            1.0
-        } else {
-            delivered as f64 / total as f64
-        }
-    }
 }
 
 struct ServerState {

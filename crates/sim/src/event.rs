@@ -3,7 +3,7 @@
 //! Every frame arrival of a run is known before the event loop starts,
 //! and the loop itself only ever schedules server completions. The
 //! queue exploits that split: arrivals are collected into an
-//! [`ArrivalList`], sorted once by `(time, push order)` and read by a
+//! `ArrivalList`, sorted once by `(time, push order)` and read by a
 //! cursor, while completions live in a small heap holding at most one
 //! event per busy station. Popping merges the two, arrival first on
 //! equal time. That is exactly the `(time, push sequence)` order of one
@@ -17,7 +17,7 @@ use eva_sched::Ticks;
 
 /// Events the engine processes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Event {
+pub(crate) enum Event {
     /// A frame of `stream` finishes its uplink transmission and joins
     /// the server queue. `gen_time` is when the camera captured it.
     FrameArrival {
@@ -46,18 +46,18 @@ struct Arrival {
 /// The frame arrivals of one run, collected before the event loop
 /// starts. [`EventQueue::new`] sorts them once.
 #[derive(Debug, Default)]
-pub struct ArrivalList {
+pub(crate) struct ArrivalList {
     items: Vec<Arrival>,
 }
 
 impl ArrivalList {
     /// Empty list.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ArrivalList::default()
     }
 
     /// Empty list with room for `n` arrivals.
-    pub fn with_capacity(n: usize) -> Self {
+    pub(crate) fn with_capacity(n: usize) -> Self {
         ArrivalList {
             items: Vec::with_capacity(n),
         }
@@ -68,7 +68,7 @@ impl ArrivalList {
     ///
     /// # Panics
     /// With more than `u32::MAX` streams or arrivals.
-    pub fn push(&mut self, time: Ticks, stream: usize, gen_time: Ticks) {
+    pub(crate) fn push(&mut self, time: Ticks, stream: usize, gen_time: Ticks) {
         let (Ok(stream), Ok(push_idx)) = (u32::try_from(stream), u32::try_from(self.items.len()))
         else {
             panic!("ArrivalList: more than u32::MAX streams or arrivals");
@@ -85,7 +85,7 @@ impl ArrivalList {
 /// Min-time event queue with deterministic FIFO tie-breaking: seeded
 /// arrivals first, then completions in push order.
 #[derive(Debug, Default)]
-pub struct EventQueue {
+pub(crate) struct EventQueue {
     /// Seeded arrivals sorted by `(time, push_idx)`.
     arrivals: Vec<Arrival>,
     /// Index of the next unread arrival.
@@ -98,7 +98,7 @@ pub struct EventQueue {
 
 impl EventQueue {
     /// A queue over the run's seeded `arrivals`.
-    pub fn new(arrivals: ArrivalList) -> Self {
+    pub(crate) fn new(arrivals: ArrivalList) -> Self {
         let mut arrivals = arrivals.items;
         // In place: keys are unique, so the unstable sort's order is
         // fully determined, and it needs no scratch buffer.
@@ -110,14 +110,14 @@ impl EventQueue {
     }
 
     /// Schedule `server`'s completion at absolute `time`.
-    pub fn push_done(&mut self, time: Ticks, server: usize) {
+    pub(crate) fn push_done(&mut self, time: Ticks, server: usize) {
         self.done.push(Reverse((time, self.next_seq, server)));
         self.next_seq += 1;
         self.heap_peak = self.heap_peak.max(self.done.len());
     }
 
     /// Pop the earliest event, returning `(time, event)`.
-    pub fn pop(&mut self) -> Option<(Ticks, Event)> {
+    pub(crate) fn pop(&mut self) -> Option<(Ticks, Event)> {
         let arrival = self.arrivals.get(self.next_arrival).copied();
         let done_time = self.done.peek().map(|Reverse((t, _, _))| *t);
         match (arrival, done_time) {
@@ -142,19 +142,21 @@ impl EventQueue {
     }
 
     /// Number of pending events.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.arrivals.len() - self.next_arrival + self.done.len()
     }
 
     /// True when no events remain.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// The most completions the heap has held at once: at most one per
     /// station, since a station schedules its next completion only
     /// after the previous one fired.
-    pub fn heap_peak(&self) -> usize {
+    pub(crate) fn heap_peak(&self) -> usize {
         self.heap_peak
     }
 }

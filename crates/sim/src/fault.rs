@@ -10,7 +10,7 @@
 //!   camera dropout, per-attempt loss with bounded retry + exponential
 //!   backoff, deadline-based give-up, and the per-stream FIFO clamp that
 //!   keeps retransmissions from reordering a camera's frames,
-//! * [`service_end`] — completion-time integration over a server's
+//! * `service_end` — completion-time integration over a server's
 //!   availability and slowdown traces (processing pauses across
 //!   outages and dilates by the straggler factor).
 //!
@@ -184,7 +184,7 @@ pub fn plan_stream_deliveries(
 /// finish by `give_up_at` or the server never recovers within the
 /// materialized trace — the caller counts such frames as dropped
 /// instead of leaving them stuck.
-pub fn service_end(
+pub(crate) fn service_end(
     start: Ticks,
     proc: Ticks,
     up: &AvailabilityTrace,

@@ -12,7 +12,7 @@
 //!   streams use the static offsets of Theorem 1.
 //!
 //! Structure:
-//! * [`event`] — the time-ordered event queue,
+//! * `event` — the time-ordered event queue,
 //! * [`des`] — the event-driven engine: periodic frame sources, FIFO
 //!   server queues, per-stream latency statistics; optionally driven by
 //!   `eva-net` link traces (time-varying per-frame transmission times),
@@ -21,18 +21,15 @@
 //!   outcomes.
 
 pub mod des;
-pub mod event;
+mod event;
 pub mod fault;
 pub mod runner;
 pub mod tandem;
 
-pub use des::{
-    simulate, SimConfig, SimError, SimReport, SimStream, StreamBundle, StreamLink, StreamReport,
-    Uplinks,
-};
-pub use fault::{plan_stream_deliveries, service_end, PlannedFrame, SimFaults};
+pub use des::{simulate, SimConfig, SimReport, SimStream, StreamBundle, StreamLink, Uplinks};
+pub use fault::{plan_stream_deliveries, SimFaults};
 pub use runner::{
     simulate_scenario_faulted_recorded, simulate_scenario_with_deadline_recorded, PhasePolicy,
     ScenarioSimReport,
 };
-pub use tandem::{simulate_shared_uplink, TandemReport, TandemStreamReport};
+pub use tandem::simulate_shared_uplink;

@@ -37,7 +37,8 @@ impl RunningStats {
     }
 
     /// Merge another accumulator (parallel reduction; Chan et al.).
-    pub fn merge(&mut self, other: &RunningStats) {
+    #[cfg(test)]
+    pub(crate) fn merge(&mut self, other: &RunningStats) {
         if other.count == 0 {
             return;
         }
@@ -57,7 +58,8 @@ impl RunningStats {
     }
 
     /// Number of observations.
-    pub fn count(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn count(&self) -> u64 {
         self.count
     }
 
@@ -71,7 +73,8 @@ impl RunningStats {
     }
 
     /// Population variance (0.0 when fewer than 2 observations).
-    pub fn variance(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn variance(&self) -> f64 {
         if self.count < 2 {
             0.0
         } else {
@@ -80,7 +83,8 @@ impl RunningStats {
     }
 
     /// Sample (Bessel-corrected) variance.
-    pub fn sample_variance(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn sample_variance(&self) -> f64 {
         if self.count < 2 {
             0.0
         } else {
@@ -89,7 +93,8 @@ impl RunningStats {
     }
 
     /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn std_dev(&self) -> f64 {
         self.variance().sqrt()
     }
 

@@ -6,12 +6,12 @@
 //! we use 9 resolution and 8 frame-rate knobs over the same ranges.
 
 /// Default resolution knobs (pixel height of the long edge).
-pub const DEFAULT_RESOLUTIONS: [f64; 9] = [
+pub(crate) const DEFAULT_RESOLUTIONS: [f64; 9] = [
     360.0, 480.0, 600.0, 720.0, 900.0, 1080.0, 1440.0, 1800.0, 2160.0,
 ];
 
 /// Default frame-rate knobs (fps).
-pub const DEFAULT_FRAME_RATES: [f64; 8] = [1.0, 2.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0];
+pub(crate) const DEFAULT_FRAME_RATES: [f64; 8] = [1.0, 2.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0];
 
 /// One stream's configuration: resolution and frame sampling rate.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -31,7 +31,8 @@ impl VideoConfig {
     }
 
     /// Inter-frame period in seconds.
-    pub fn period_secs(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn period_secs(&self) -> f64 {
         1.0 / self.fps
     }
 }
@@ -54,7 +55,8 @@ impl Default for ConfigSpace {
 
 impl ConfigSpace {
     /// Custom knob grid. Values must be positive and strictly increasing.
-    pub fn new(resolutions: Vec<f64>, frame_rates: Vec<f64>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn new(resolutions: Vec<f64>, frame_rates: Vec<f64>) -> Self {
         assert!(!resolutions.is_empty() && !frame_rates.is_empty());
         assert!(
             resolutions.windows(2).all(|w| w[0] < w[1]) && resolutions[0] > 0.0,
@@ -107,7 +109,8 @@ impl ConfigSpace {
     }
 
     /// Flat index of the knob pair `(resolution_idx, fps_idx)`.
-    pub fn flat_index(&self, resolution_idx: usize, fps_idx: usize) -> usize {
+    #[cfg(test)]
+    pub(crate) fn flat_index(&self, resolution_idx: usize, fps_idx: usize) -> usize {
         resolution_idx * self.frame_rates.len() + fps_idx
     }
 

@@ -19,7 +19,7 @@ use crate::surfaces::SurfaceModel;
 
 /// The uplink pool the paper samples from for the Fig. 7 experiments
 /// ("randomly select bandwidth values for servers from (5..30 Mbps)").
-pub const UPLINK_POOL_MBPS: [f64; 6] = [5.0, 10.0, 15.0, 20.0, 25.0, 30.0];
+pub(crate) const UPLINK_POOL_MBPS: [f64; 6] = [5.0, 10.0, 15.0, 20.0, 25.0, 30.0];
 
 /// Why a planning-bandwidth belief was rejected
 /// ([`Scenario::with_planning_uplinks`], [`Scenario::with_bonded_planning`]).
@@ -219,7 +219,8 @@ impl Scenario {
     }
 
     /// Drop any planning-bandwidth override (back to oracle-B).
-    pub fn clear_planning_uplinks(mut self) -> Self {
+    #[cfg(test)]
+    pub(crate) fn clear_planning_uplinks(mut self) -> Self {
         self.planning_bps = None;
         self
     }
@@ -246,7 +247,8 @@ impl Scenario {
     }
 
     /// Drop the fault plan (back to a fault-free world).
-    pub fn clear_fault_plan(mut self) -> Self {
+    #[cfg(test)]
+    pub(crate) fn clear_fault_plan(mut self) -> Self {
         self.faults = None;
         self
     }
@@ -257,7 +259,7 @@ impl Scenario {
     }
 
     /// The paper's standard testbed shape: `n_videos` MOT16-like clips,
-    /// `n_servers` servers with uplinks drawn from [`UPLINK_POOL_MBPS`].
+    /// `n_servers` servers with uplinks drawn from `UPLINK_POOL_MBPS`.
     pub fn standard<R: Rng + ?Sized>(n_videos: usize, n_servers: usize, rng: &mut R) -> Self {
         let clips = clip_set(n_videos, rng.gen());
         let uplinks: Vec<f64> = (0..n_servers)
@@ -314,7 +316,8 @@ impl Scenario {
     }
 
     /// Camera `i`'s link model, when attached.
-    pub fn link_model(&self, i: usize) -> Option<&LinkModel> {
+    #[cfg(test)]
+    pub(crate) fn link_model(&self, i: usize) -> Option<&LinkModel> {
         self.links.as_ref().map(|ls| &ls[i])
     }
 

@@ -19,32 +19,32 @@ use crate::clip::ClipProfile;
 use crate::config::VideoConfig;
 
 /// Transmission energy per bit (J/bit), Eq. 4's `γ`.
-pub const GAMMA_J_PER_BIT: f64 = 0.5e-5;
+pub(crate) const GAMMA_J_PER_BIT: f64 = 0.5e-5;
 
 /// Frame size coefficient: `bits(r) = BITS_COEFF * r²` for the
 /// reference clip (0.5 Mbit at r = 2000).
-pub const BITS_COEFF: f64 = 0.125;
+pub(crate) const BITS_COEFF: f64 = 0.125;
 
 /// FLOPs per frame coefficient: `flops(r) = FLOPS_COEFF * r²` TFLOP
 /// (1.33 TFLOP at r = 2000 — YOLOv8-scale detector on a 2000 px frame).
-pub const FLOPS_COEFF: f64 = 3.33e-7;
+pub(crate) const FLOPS_COEFF: f64 = 3.33e-7;
 
 /// Per-frame compute time coefficient: `p(r) = PROC_COEFF * r²` seconds
 /// (≈ 0.23 s at r = 2000 — Xavier-NX-class effective throughput).
-pub const PROC_COEFF: f64 = 5.8e-8;
+pub(crate) const PROC_COEFF: f64 = 5.8e-8;
 
 /// Active compute power draw of one inference stream (W). Combined with
 /// `p(r)·s`, gives the compute term of Eq. 4 as energy/s.
-pub const ACTIVE_POWER_W: f64 = 8.0;
+pub(crate) const ACTIVE_POWER_W: f64 = 8.0;
 
 /// Asymptotic mAP of the reference clip at infinite resolution/rate.
-pub const MAX_MAP: f64 = 0.86;
+pub(crate) const MAX_MAP: f64 = 0.86;
 
 /// Resolution scale (px) of the accuracy saturation curve.
-pub const ACC_RES_SCALE: f64 = 700.0;
+pub(crate) const ACC_RES_SCALE: f64 = 700.0;
 
 /// Frame-rate scale (fps) of the accuracy temporal-coverage curve.
-pub const ACC_FPS_SCALE: f64 = 6.0;
+pub(crate) const ACC_FPS_SCALE: f64 = 6.0;
 
 /// Ground-truth outcome surfaces for one clip.
 ///
@@ -61,13 +61,8 @@ impl SurfaceModel {
         SurfaceModel { clip }
     }
 
-    /// The clip these surfaces describe.
-    pub fn clip(&self) -> &ClipProfile {
-        &self.clip
-    }
-
     /// `θ_acc(r)` — resolution term of Eq. 2: concave, saturating.
-    pub fn theta_acc(&self, resolution: f64) -> f64 {
+    pub(crate) fn theta_acc(&self, resolution: f64) -> f64 {
         debug_assert!(resolution > 0.0);
         let sat = 1.0 - (-resolution / ACC_RES_SCALE).exp();
         (MAX_MAP * self.clip.accuracy_scale * sat).clamp(0.0, 1.0)
@@ -75,7 +70,7 @@ impl SurfaceModel {
 
     /// `ε_acc(s)` — frame-rate term of Eq. 2: temporal coverage of the
     /// detector output; high-motion clips decay faster at low rates.
-    pub fn eps_acc(&self, fps: f64) -> f64 {
+    pub(crate) fn eps_acc(&self, fps: f64) -> f64 {
         debug_assert!(fps > 0.0);
         let scale = ACC_FPS_SCALE * self.clip.motion;
         // At 30 fps this is ~1; at 1 fps it drops to ~0.6-0.8.
@@ -100,7 +95,7 @@ impl SurfaceModel {
     }
 
     /// Per-frame detector FLOPs, in TFLOP (quadratic in `r`).
-    pub fn tflop_per_frame(&self, resolution: f64) -> f64 {
+    pub(crate) fn tflop_per_frame(&self, resolution: f64) -> f64 {
         FLOPS_COEFF * resolution * resolution * self.clip.complexity
     }
 
@@ -115,7 +110,7 @@ impl SurfaceModel {
     }
 
     /// Per-frame compute energy `θ_eng(r)` in joules.
-    pub fn compute_energy_j(&self, resolution: f64) -> f64 {
+    pub(crate) fn compute_energy_j(&self, resolution: f64) -> f64 {
         self.proc_time_secs(resolution) * ACTIVE_POWER_W
     }
 

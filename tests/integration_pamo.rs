@@ -6,6 +6,7 @@ use pamo::bo::{AcqKind, BoConfig};
 use pamo::core::{CoreError, PamoConfig, PreferenceSource};
 use pamo::prelude::*;
 use pamo::stats::rng::seeded;
+use rand::Rng;
 
 fn tiny_pamo(preference: PreferenceSource) -> Pamo {
     Pamo::new(PamoConfig {
@@ -162,4 +163,36 @@ fn impossible_decides_are_errors_not_panics() {
         .decide(&sc, &TruePreference::uniform(&sc), &mut seeded(2))
         .unwrap_err();
     assert!(matches!(err, CoreError::InvalidInput { .. }), "{err}");
+}
+
+#[test]
+fn zero_bo_counts_are_errors_not_panics() {
+    // The BO driver asserts positive counts; the decide refuses a config
+    // without them up front, before drawing from the caller's RNG.
+    let sc = Scenario::uniform(3, 2, 20e6, 47);
+    let pref = TruePreference::uniform(&sc);
+    for field in ["n_init", "batch", "mc_samples"] {
+        let mut cfg = PamoConfig {
+            profiling_per_camera: 8,
+            pool_size: 4,
+            preference: PreferenceSource::Oracle,
+            ..PamoConfig::default()
+        };
+        match field {
+            "n_init" => cfg.bo.n_init = 0,
+            "batch" => cfg.bo.batch = 0,
+            _ => cfg.bo.mc_samples = 0,
+        }
+        let mut rng = seeded(3);
+        let err = Pamo::new(cfg).decide(&sc, &pref, &mut rng).unwrap_err();
+        assert!(
+            matches!(err, CoreError::InvalidInput { .. }),
+            "{field}: {err}"
+        );
+        assert_eq!(
+            rng.gen::<u64>(),
+            seeded(3).gen::<u64>(),
+            "{field}: the refused decide drew from the RNG"
+        );
+    }
 }
