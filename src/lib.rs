@@ -9,7 +9,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`linalg`] | `eva-linalg` | dense matrices, Cholesky/LU, solves |
-//! | [`stats`] | `eva-stats` | normal dist, Sobol/LHS, metrics, weights |
+//! | [`stats`] | `eva-stats` | normal dist, LHS, metrics, weights |
 //! | [`opt`] | `eva-opt` | Nelder-Mead, multi-start, discrete search |
 //! | [`gp`] | `eva-gp` | Gaussian-process regression (ARD kernels) |
 //! | [`prefgp`] | `eva-prefgp` | pairwise preference GP + EUBO |
