@@ -86,7 +86,7 @@ impl Outcome {
     /// it is no worse everywhere and strictly better somewhere (tests
     /// only, like [`pareto_front`], its one caller).
     #[cfg(test)]
-    pub fn dominates(&self, other: &Outcome) -> bool {
+    pub(crate) fn dominates(&self, other: &Outcome) -> bool {
         let a = self.to_cost_vec();
         let b = other.to_cost_vec();
         let mut strictly_better = false;
@@ -105,7 +105,7 @@ impl Outcome {
 /// Indices of the Pareto-optimal (non-dominated) outcomes in a set
 /// (tests only).
 #[cfg(test)]
-pub fn pareto_front(outcomes: &[Outcome]) -> Vec<usize> {
+pub(crate) fn pareto_front(outcomes: &[Outcome]) -> Vec<usize> {
     (0..outcomes.len())
         .filter(|&i| {
             !outcomes
