@@ -63,8 +63,9 @@ fn main() {
     let test_items: Vec<Vec<f64>> = test_pool
         .iter()
         .filter_map(|x| {
+            let configs = pamo_core::decode_joint(&scenario, x).ok()?;
             scenario
-                .evaluate(&pamo_core::decode_joint(&scenario, x))
+                .evaluate(&configs)
                 .ok()
                 .map(|so| normalizer.normalize(&so.outcome))
         })

@@ -152,7 +152,7 @@ impl<'a> CompositeSampler<'a> {
     /// assembled from the outcome-GP means under the Algorithm-1
     /// placement); `None` if unschedulable.
     pub fn predict_outcome(&self, x: &[f64]) -> Option<Outcome> {
-        let configs = decode_joint(self.scenario, x);
+        let configs = decode_joint(self.scenario, x).ok()?;
         let assignment = self.placements.schedule(self.scenario, &configs)?;
         let m = self.scenario.n_videos() as f64;
 
@@ -238,7 +238,9 @@ impl<'a> CompositeSampler<'a> {
     }
 
     fn compute_point_samples(&self, x: &[f64], n_mc: usize, seed: u64) -> Vec<f64> {
-        let configs = decode_joint(self.scenario, x);
+        let Ok(configs) = decode_joint(self.scenario, x) else {
+            return vec![INFEASIBLE_BENEFIT; n_mc];
+        };
         let Some(assignment) = self.placements.schedule(self.scenario, &configs) else {
             return vec![INFEASIBLE_BENEFIT; n_mc];
         };
@@ -444,9 +446,12 @@ impl SurrogateSampler for CompositeSampler<'_> {
         let mut feasible: Vec<Feasible> = Vec::new();
         let mut settled: Vec<(SampleKey, Vec<f64>)> = Vec::new();
         for (hash, x) in todo {
-            let configs = decode_joint(self.scenario, x);
-            match self.placements.schedule(self.scenario, &configs) {
-                Some(assignment) => {
+            let placed = decode_joint(self.scenario, x).ok().and_then(|configs| {
+                let assignment = self.placements.schedule(self.scenario, &configs)?;
+                Some((configs, assignment))
+            });
+            match placed {
+                Some((configs, assignment)) => {
                     let uplinks = self.uplink_map(&assignment);
                     feasible.push(Feasible {
                         hash,
@@ -659,7 +664,7 @@ mod tests {
         seed: u64,
     ) -> Vec<Outcome> {
         let sc = sampler.scenario;
-        let configs = decode_joint(sc, x);
+        let configs = decode_joint(sc, x).unwrap();
         let assignment = sampler.placements.schedule(sc, &configs).unwrap();
         let uplinks = sampler.uplink_map(&assignment);
         let mut agg = vec![[0.0f64; N_OBJECTIVES]; n_mc];
@@ -712,7 +717,7 @@ mod tests {
         seed: u64,
     ) -> (Vec<Outcome>, usize) {
         let sc = sampler.scenario;
-        let configs = decode_joint(sc, x);
+        let configs = decode_joint(sc, x).unwrap();
         let assignment = sampler.placements.schedule(sc, &configs).unwrap();
         let uplinks = sampler.uplink_map(&assignment);
         let predict = |cam: usize, obj: usize, cfg: &VideoConfig, uplink: f64, _part: usize| {
@@ -762,7 +767,7 @@ mod tests {
         let pref = TruePreference::uniform(&sc);
         let normalizer = OutcomeNormalizer::for_scenario(&sc);
         let sampler = CompositeSampler::new(&sc, bank, PreferenceEval::Oracle(pref), normalizer);
-        let x = encode_joint(&sc, &vec![VideoConfig::new(480.0, 2.0); m]);
+        let x = encode_joint(&sc, &vec![VideoConfig::new(480.0, 2.0); m]).unwrap();
         let n_mc = 4000;
         let (fast, clipped) = aggregate_outcomes(&sampler, &x, n_mc, 13);
         let slow = per_camera_outcomes(&sampler, &x, n_mc, 13);
@@ -811,7 +816,7 @@ mod tests {
         let normalizer = OutcomeNormalizer::for_scenario(&sc);
         let sampler =
             CompositeSampler::new(&sc, bank, PreferenceEval::Oracle(pref.clone()), normalizer);
-        let x = encode_joint(&sc, &[VideoConfig::new(600.0, 5.0); 3]);
+        let x = encode_joint(&sc, &[VideoConfig::new(600.0, 5.0); 3]).unwrap();
         let s = sampler.joint_samples(std::slice::from_ref(&x), 16, 3);
         // Oracle preference has zero spread in g, but outcome GPs still
         // inject spread; samples vary across rows yet share the mean.
@@ -825,8 +830,8 @@ mod tests {
         let (sc, bank, pref) = setup();
         let normalizer = OutcomeNormalizer::for_scenario(&sc);
         let sampler = CompositeSampler::new(&sc, bank, PreferenceEval::Oracle(pref), normalizer);
-        let a = encode_joint(&sc, &[VideoConfig::new(600.0, 5.0); 3]);
-        let b = encode_joint(&sc, &[VideoConfig::new(900.0, 10.0); 3]);
+        let a = encode_joint(&sc, &[VideoConfig::new(600.0, 5.0); 3]).unwrap();
+        let b = encode_joint(&sc, &[VideoConfig::new(900.0, 10.0); 3]).unwrap();
         // Same point in two different batches, same seed: identical column.
         let s1 = sampler.joint_samples(&[a.clone(), b.clone()], 8, 77);
         let s2 = sampler.joint_samples(&[b, a.clone()], 8, 77);
@@ -846,12 +851,20 @@ mod tests {
             CompositeSampler::new(&sc, bank, PreferenceEval::Oracle(pref.clone()), normalizer);
         // Under uniform weights, an extreme config (huge resource burn)
         // should score below a balanced mid config.
-        let balanced = encode_joint(&sc, &[VideoConfig::new(720.0, 5.0); 3]);
-        let extreme = encode_joint(&sc, &[VideoConfig::new(360.0, 1.0); 3]);
+        let balanced = encode_joint(&sc, &[VideoConfig::new(720.0, 5.0); 3]).unwrap();
+        let extreme = encode_joint(&sc, &[VideoConfig::new(360.0, 1.0); 3]).unwrap();
         let mu_b = sampler.posterior_mean(&balanced);
         // True benefits for reference.
-        let tb = pref.benefit(&sc.evaluate(&decode_joint(&sc, &balanced)).unwrap().outcome);
-        let te = pref.benefit(&sc.evaluate(&decode_joint(&sc, &extreme)).unwrap().outcome);
+        let tb = pref.benefit(
+            &sc.evaluate(&decode_joint(&sc, &balanced).unwrap())
+                .unwrap()
+                .outcome,
+        );
+        let te = pref.benefit(
+            &sc.evaluate(&decode_joint(&sc, &extreme).unwrap())
+                .unwrap()
+                .outcome,
+        );
         let mu_e = sampler.posterior_mean(&extreme);
         // Surrogate ordering matches the truth ordering.
         assert_eq!(mu_b > mu_e, tb > te, "b: {mu_b}/{tb}, e: {mu_e}/{te}");
@@ -871,11 +884,11 @@ mod tests {
         // A mixed pool: distinct feasible points, one duplicate, one
         // infeasible point.
         let xs = vec![
-            encode_joint(&sc, &[VideoConfig::new(600.0, 5.0); 3]),
-            encode_joint(&sc, &[VideoConfig::new(900.0, 10.0); 3]),
-            encode_joint(&sc, &[VideoConfig::new(600.0, 5.0); 3]),
-            encode_joint(&sc, &[VideoConfig::new(2160.0, 30.0); 3]),
-            encode_joint(&sc, &[VideoConfig::new(1440.0, 20.0); 3]),
+            encode_joint(&sc, &[VideoConfig::new(600.0, 5.0); 3]).unwrap(),
+            encode_joint(&sc, &[VideoConfig::new(900.0, 10.0); 3]).unwrap(),
+            encode_joint(&sc, &[VideoConfig::new(600.0, 5.0); 3]).unwrap(),
+            encode_joint(&sc, &[VideoConfig::new(2160.0, 30.0); 3]).unwrap(),
+            encode_joint(&sc, &[VideoConfig::new(1440.0, 20.0); 3]).unwrap(),
         ];
         fast.prepare(&xs, 12, 77);
         let a = fast.joint_samples(&xs, 12, 77);
@@ -905,12 +918,30 @@ mod tests {
         let normalizer = OutcomeNormalizer::for_scenario(&sc);
         let sampler = CompositeSampler::new(&sc, bank, PreferenceEval::Oracle(pref), normalizer);
         // 3 maxed-out cameras on 2 servers: unschedulable.
-        let x = encode_joint(&sc, &[VideoConfig::new(2160.0, 30.0); 3]);
+        let x = encode_joint(&sc, &[VideoConfig::new(2160.0, 30.0); 3]).unwrap();
         let s = sampler.joint_samples(std::slice::from_ref(&x), 4, 1);
         for r in 0..4 {
             assert_eq!(s[(r, 0)], INFEASIBLE_BENEFIT);
         }
         assert_eq!(sampler.posterior_mean(&x), INFEASIBLE_BENEFIT);
+    }
+
+    #[test]
+    fn misshapen_point_gets_penalty() {
+        let (sc, bank, pref) = setup();
+        let normalizer = OutcomeNormalizer::for_scenario(&sc);
+        let sampler = CompositeSampler::new(&sc, bank, PreferenceEval::Oracle(pref), normalizer);
+        // Five knobs for three cameras: no joint config to decode.
+        let short = vec![0.5; 5];
+        let good = encode_joint(&sc, &[VideoConfig::new(600.0, 5.0); 3]).unwrap();
+        let s = sampler.joint_samples(&[short.clone(), short.clone(), good], 4, 1);
+        for r in 0..4 {
+            assert_eq!(s[(r, 0)], INFEASIBLE_BENEFIT);
+            assert_eq!(s[(r, 1)], INFEASIBLE_BENEFIT);
+            assert!(s[(r, 2)] > INFEASIBLE_BENEFIT);
+        }
+        assert_eq!(sampler.posterior_mean(&short), INFEASIBLE_BENEFIT);
+        assert!(sampler.predict_outcome(&short).is_none());
     }
 
     #[test]
@@ -937,7 +968,7 @@ mod tests {
             .unwrap();
         let explicit = sc.clone().with_planning_uplinks(vec![eff; 2], 1.0).unwrap();
 
-        let x = encode_joint(&sc, &[VideoConfig::new(720.0, 10.0); 3]);
+        let x = encode_joint(&sc, &[VideoConfig::new(720.0, 10.0); 3]).unwrap();
 
         // Same belief, same prediction — bit-identically: the bonded
         // scenario's planning path is exactly the explicit override.
@@ -991,7 +1022,7 @@ mod tests {
             normalizer,
         );
         let configs = vec![VideoConfig::new(720.0, 10.0); 3];
-        let x = encode_joint(&sc, &configs);
+        let x = encode_joint(&sc, &configs).unwrap();
         let predicted = sampler.predict_outcome(&x).unwrap();
         let truth = sc.evaluate(&configs).unwrap().outcome;
         assert!((predicted.accuracy - truth.accuracy).abs() < 0.05);

@@ -195,7 +195,9 @@ impl SessionState {
         wait + self.policy.modeled_time_s(units) * divisor
     }
 
-    /// Work units to probe one admission against the current system.
+    /// Work units to probe one admission against the current system:
+    /// one [`cost::ADMISSION_CANDIDATE`] per trial camera, not per grid
+    /// candidate, so skipping candidates moves no reaction time.
     fn probe_cost(&self) -> u64 {
         cost::ADMISSION_CANDIDATE * (self.scenario.n_videos() as u64 + 1)
     }

@@ -328,7 +328,9 @@ impl Pamo {
             if rec.enabled() {
                 rec.add("core.objective_evals", 1);
             }
-            let configs = decode_joint(scenario, x);
+            let Ok(configs) = decode_joint(scenario, x) else {
+                return INFEASIBLE_BENEFIT;
+            };
             let assignment = match scenario.schedule_surviving(&configs, alive, rec) {
                 Ok(a) => a,
                 Err(_) => return INFEASIBLE_BENEFIT,
@@ -380,7 +382,7 @@ impl Pamo {
 
         // Final recommendation: best observed joint config, scored by
         // the *true* preference on the *noise-free* outcome.
-        let configs = decode_joint(scenario, &bo.best_x);
+        let configs = decode_joint(scenario, &bo.best_x)?;
         let ScenarioOutcome {
             outcome,
             assignment,

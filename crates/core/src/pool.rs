@@ -19,22 +19,33 @@ use rand::Rng;
 use crate::error::{require, CoreError};
 
 /// Encode per-camera configs as a flat normalized vector
-/// `[r₀/2160, s₀/30, r₁/2160, …]`.
-pub(crate) fn encode_joint(scenario: &Scenario, configs: &[VideoConfig]) -> Vec<f64> {
-    assert_eq!(configs.len(), scenario.n_videos(), "encode: config count");
+/// `[r₀/2160, s₀/30, r₁/2160, …]`. A config count other than the
+/// scenario's camera count is [`CoreError::InvalidInput`].
+pub(crate) fn encode_joint(
+    scenario: &Scenario,
+    configs: &[VideoConfig],
+) -> Result<Vec<f64>, CoreError> {
+    require(
+        configs.len() == scenario.n_videos(),
+        "encode_joint needs one config per camera",
+    )?;
     let space = scenario.config_space();
-    configs.iter().flat_map(|c| space.normalize(c)).collect()
+    Ok(configs.iter().flat_map(|c| space.normalize(c)).collect())
 }
 
 /// Decode a flat vector back to per-camera configs (snapping to the
-/// knob grid, so arbitrary vectors are legal input).
-pub fn decode_joint(scenario: &Scenario, x: &[f64]) -> Vec<VideoConfig> {
+/// knob grid, so arbitrary values are legal input). A length other than
+/// two entries per camera is [`CoreError::InvalidInput`].
+pub fn decode_joint(scenario: &Scenario, x: &[f64]) -> Result<Vec<VideoConfig>, CoreError> {
     let m = scenario.n_videos();
-    assert_eq!(x.len(), 2 * m, "decode: expected 2M entries");
+    require(
+        x.len() == 2 * m,
+        "decode_joint needs two entries per camera",
+    )?;
     let space = scenario.config_space();
-    (0..m)
+    Ok((0..m)
         .map(|i| space.denormalize_snap(&x[2 * i..2 * i + 2]))
-        .collect()
+        .collect())
 }
 
 /// Algorithm-1 placements of joint configurations, computed once per
@@ -113,7 +124,7 @@ pub fn build_pool<R: Rng + ?Sized>(
     for c in space.iter() {
         let configs = vec![c; m];
         if let Ok(assignment) = scenario.schedule(&configs) {
-            pool.push(encode_joint(scenario, &configs));
+            pool.push(encode_joint(scenario, &configs)?);
             placements.insert(&configs, assignment);
         }
         if pool.len() >= target_size {
@@ -128,9 +139,9 @@ pub fn build_pool<R: Rng + ?Sized>(
         let batch = eva_stats::design::latin_hypercube(rng, 16, 2 * m);
         for u in batch {
             attempts += 1;
-            let configs = decode_joint(scenario, &u);
+            let configs = decode_joint(scenario, &u)?;
             if let Ok(assignment) = scenario.schedule(&configs) {
-                let enc = encode_joint(scenario, &configs);
+                let enc = encode_joint(scenario, &configs)?;
                 if !pool.contains(&enc) {
                     pool.push(enc);
                     placements.insert(&configs, assignment);
@@ -167,10 +178,22 @@ mod tests {
             VideoConfig::new(720.0, 1.0),
             VideoConfig::new(2160.0, 30.0),
         ];
-        let x = encode_joint(&sc, &configs);
+        let x = encode_joint(&sc, &configs).unwrap();
         assert_eq!(x.len(), 8);
-        let back = decode_joint(&sc, &x);
+        let back = decode_joint(&sc, &x).unwrap();
         assert_eq!(back, configs);
+    }
+
+    #[test]
+    fn joint_length_mismatches_are_errors_not_panics() {
+        let sc = scenario();
+        let three = vec![VideoConfig::new(480.0, 5.0); 3];
+        let err = encode_joint(&sc, &three).unwrap_err();
+        assert!(matches!(err, CoreError::InvalidInput { .. }), "{err}");
+        for len in [0, 7, 9] {
+            let err = decode_joint(&sc, &vec![0.5; len]).unwrap_err();
+            assert!(matches!(err, CoreError::InvalidInput { .. }), "{err}");
+        }
     }
 
     #[test]
@@ -179,7 +202,7 @@ mod tests {
         let pool = build_pool(&sc, 40, &mut seeded(1), &Placements::default()).unwrap();
         assert!(pool.len() >= 20, "pool too small: {}", pool.len());
         for x in &pool {
-            let configs = decode_joint(&sc, x);
+            let configs = decode_joint(&sc, x).unwrap();
             assert!(sc.schedule(&configs).is_ok(), "infeasible pool entry");
         }
         let mut keys: Vec<String> = pool.iter().map(|p| format!("{p:?}")).collect();
@@ -192,7 +215,7 @@ mod tests {
     fn pool_contains_cheap_diagonal() {
         let sc = scenario();
         let pool = build_pool(&sc, 30, &mut seeded(2), &Placements::default()).unwrap();
-        let cheapest = encode_joint(&sc, &[VideoConfig::new(360.0, 1.0); 4]);
+        let cheapest = encode_joint(&sc, &[VideoConfig::new(360.0, 1.0); 4]).unwrap();
         assert!(pool.contains(&cheapest));
     }
 
@@ -203,7 +226,7 @@ mod tests {
         let pool = build_pool(&sc, 25, &mut seeded(3), &Placements::default()).unwrap();
         assert!(!pool.is_empty());
         for x in &pool {
-            assert!(sc.schedule(&decode_joint(&sc, x)).is_ok());
+            assert!(sc.schedule(&decode_joint(&sc, x).unwrap()).is_ok());
         }
     }
 
@@ -214,7 +237,7 @@ mod tests {
         let pool = build_pool(&sc, 30, &mut seeded(4), &placements).unwrap();
         assert_eq!(placements.memo.lock().len(), pool.len());
         for x in &pool {
-            let configs = decode_joint(&sc, x);
+            let configs = decode_joint(&sc, x).unwrap();
             let cached = placements.schedule(&sc, &configs).unwrap();
             assert_eq!(*cached, sc.schedule(&configs).unwrap());
         }

@@ -90,8 +90,9 @@ pub mod cost {
     pub const ACQ_CANDIDATE: u64 = 1;
     /// One GP hyperparameter fit (per camera, per objective).
     pub const GP_FIT: u64 = 2;
-    /// One admission-probe candidate (evaluate one grid config for a
-    /// newcomer).
+    /// One trial camera of an admission probe. A probe on `M`
+    /// incumbents charges this `M + 1` times (incumbents plus the
+    /// newcomer), however many grid candidates it evaluates or skips.
     pub const ADMISSION_CANDIDATE: u64 = 1;
     /// One incremental row-repair replan (repair + verify + reprice).
     pub const REPAIR_EVENT: u64 = 8;

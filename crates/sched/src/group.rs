@@ -75,6 +75,31 @@ fn gcd_ticks(mut a: Ticks, mut b: Ticks) -> Ticks {
     a
 }
 
+/// Relative slack of [`exceeds_capacity`]: the refusal threshold is
+/// `n_servers · (1 + CAPACITY_TOLERANCE)`.
+const CAPACITY_TOLERANCE: f64 = 1e-9;
+
+/// True when streams whose utilisations `pᵢ/Tᵢ` sum to
+/// `total_utilization` provably cannot be grouped onto `n_servers`
+/// servers, so Algorithm 1 must fail.
+///
+/// Proof. Algorithm 1 only forms groups that pass Theorem 3's check
+/// `Σ_{i∈G} pᵢ ≤ min_{i∈G} Tᵢ`. Dividing each `pᵢ` by its own period,
+/// which is at least that minimum, gives `Σ_{i∈G} pᵢ/Tᵢ ≤ 1`: every
+/// group's utilisation is at most one. At most `n_servers` groups are
+/// allowed, so a placeable stream set has `Σᵢ pᵢ/Tᵢ ≤ n_servers`.
+/// High-rate splitting keeps the sum: `m` parts of period `m·T` and
+/// processing `p` carry `p/T` between them.
+///
+/// The caller sums in floating point, so the test refuses only above
+/// `n_servers · (1 + 1e-9)`. Each term and each partial sum of `M`
+/// positive terms carries a relative error of at most about `M · 2⁻⁵³`,
+/// about `1.1 · 10⁻¹⁰` at `M = 10⁶`, so a sum over the threshold means
+/// the exact sum exceeds `n_servers`. A NaN sum refuses nothing.
+pub fn exceeds_capacity(total_utilization: f64, n_servers: usize) -> bool {
+    total_utilization > n_servers as f64 * (1.0 + CAPACITY_TOLERANCE)
+}
+
 /// A group under construction in the sharded first-fit, carrying the
 /// cached invariants that make the Theorem-3 admission check O(1):
 ///
@@ -165,6 +190,11 @@ fn shard_first_fit(
 /// Shards run in parallel (rayon) and their groups are merged back in
 /// sequential creation order via each group's first-member position.
 ///
+/// Before any of that, a stream set whose utilisation sum
+/// [`exceeds_capacity`] returns `NotEnoughServers` at once, the error
+/// the first-fit would reach. The bound is skipped when some stream has
+/// `proc > period`, so that `StreamInfeasible` keeps its precedence.
+///
 /// Priorities are computed per distinct period value (`O(D² + M)`
 /// instead of `O(M²)` for `D` distinct values), and the admission check
 /// is O(1) via cached per-group `(min period, gcd, processing sum)`.
@@ -188,6 +218,17 @@ pub fn group_streams(
 
     if streams.is_empty() {
         return Ok(Vec::new());
+    }
+    if !streams.iter().any(StreamTiming::is_high_rate)
+        && exceeds_capacity(
+            streams.iter().map(StreamTiming::utilization).sum(),
+            n_servers,
+        )
+    {
+        return Err(GroupingError::NotEnoughServers {
+            needed_at_least: n_servers,
+            available: n_servers,
+        });
     }
     let m = streams.len();
     // Global (period, index) order — line 1 of Algorithm 1.
@@ -414,6 +455,27 @@ mod tests {
         assert_eq!(groups.len(), 1);
         let g = materialize(&streams, &groups);
         assert!(const2_zero_jitter_ok(&g[0]));
+    }
+
+    #[test]
+    fn capacity_bound_refuses_only_above_the_server_count() {
+        assert!(!exceeds_capacity(3.0, 3));
+        assert!(!exceeds_capacity(3.0 * (1.0 + 1e-12), 3));
+        assert!(exceeds_capacity(3.0 + 1e-6, 3));
+        assert!(!exceeds_capacity(0.0, 0));
+        assert!(exceeds_capacity(1e-12, 0));
+        assert!(!exceeds_capacity(f64::NAN, 0));
+        // Four utilisation-1/2 streams fill two servers exactly and are
+        // placed; on one server the bound refuses them.
+        let streams: Vec<StreamTiming> = (0..4).map(|i| st(i, 100_000, 50_000)).collect();
+        assert_eq!(group_streams(&streams, 2).unwrap().len(), 2);
+        assert_eq!(
+            group_streams(&streams, 1),
+            Err(GroupingError::NotEnoughServers {
+                needed_at_least: 1,
+                available: 1
+            })
+        );
     }
 
     #[test]

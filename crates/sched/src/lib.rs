@@ -29,6 +29,6 @@ pub mod stream;
 pub mod theory;
 
 pub use assign::{assign_groups_to_servers, rank_pair, Assignment};
-pub use group::{group_streams, GroupingError};
+pub use group::{exceeds_capacity, group_streams, GroupingError};
 pub use stream::{split_high_rate, StreamId, StreamTiming, Ticks, TICKS_PER_SEC};
 pub use theory::{const1_utilization_ok, const2_zero_jitter_ok};

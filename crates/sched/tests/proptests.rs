@@ -186,24 +186,56 @@ proptest! {
 
     /// Sharded grouping is exactly equivalent to the sequential pass on
     /// mixed gcd-compatible period classes (including error cases).
+    ///
+    /// The inputs reach both sides of the utilisation bound
+    /// (`exceeds_capacity`) that `group_streams` checks first:
+    /// * `load` 0 draws free processing times, 1 sets `proc == period`
+    ///   (utilisation exactly 1 per stream, so the sum is exactly the
+    ///   stream count) and 2 sets `proc = period / 2`;
+    /// * `server_mode` 0 draws `n_servers` freely, 1 pins it to 0, and
+    ///   2–3 put it within one of the ceiling of the utilisation sum;
+    /// * `over_long` below the stream count makes that one stream
+    ///   unsplit high-rate (`proc > period`), whose `StreamInfeasible`
+    ///   must keep its precedence over the bound.
     #[test]
     fn sharded_grouping_equals_sequential(
         raw in proptest::collection::vec((0usize..4, 0u32..3, 5_000u64..=60_000), 1..=48),
-        n_servers in 0usize..50,
+        load in 0u8..3,
+        (server_mode, n_free) in (0u8..4, 0usize..50),
+        over_long in 0usize..240,
     ) {
         // Four divisibility families with power-of-two multiples: mixed
         // period classes with non-trivial sharing inside each family.
         let bases: [u64; 4] = [50_000, 70_000, 90_000, 110_000];
-        let streams: Vec<StreamTiming> = raw
+        let mut streams: Vec<StreamTiming> = raw
             .into_iter()
             .enumerate()
             .map(|(i, (family, shift, proc))| {
                 let period = bases[family] << shift;
-                StreamTiming::new(StreamId::source(i), period, proc.min(period))
+                let proc = match load {
+                    0 => proc.min(period),
+                    1 => period,
+                    _ => period / 2,
+                };
+                StreamTiming::new(StreamId::source(i), period, proc)
             })
             .collect();
+        if let Some(s) = streams.get_mut(over_long) {
+            s.proc = s.period + 1;
+        }
+        let utilization: f64 = streams.iter().map(StreamTiming::utilization).sum();
+        let n_servers = match server_mode {
+            0 => n_free,
+            1 => 0,
+            _ => (utilization.ceil() as usize + n_free % 3).saturating_sub(1),
+        };
         let seq = group_streams_sequential(&streams, n_servers);
         let sharded = group_streams(&streams, n_servers);
         prop_assert_eq!(&seq, &sharded);
+        if load == 1 && over_long >= streams.len() && n_servers >= streams.len() {
+            // Utilisation-1 streams that sum to at most N are placed,
+            // one per server.
+            prop_assert_eq!(sharded.map(|g| g.len()), Ok(streams.len()));
+        }
     }
 }

@@ -4,8 +4,11 @@
 //! The probe is the survivor-restricted Algorithm 1 path
 //! ([`Scenario::evaluate_surviving`]) run once per candidate
 //! configuration of the newcomer, with every incumbent pinned to its
-//! currently deployed configuration. That makes the probe cheap — one
-//! grouping + assignment per grid point, no BO — while still answering
+//! currently deployed configuration. Candidates whose utilisation sum
+//! [`exceeds_capacity`] of the live servers are skipped before
+//! Algorithm 1, which would refuse them too. That makes the probe
+//! cheap — at most one grouping + assignment per grid point, no BO —
+//! while still answering
 //! the only question admission needs answered: *does a zero-jitter
 //! placement exist that hosts everyone, and does hosting the newcomer
 //! degrade the incumbents by more than the configured floor?*
@@ -17,7 +20,7 @@
 //! outright once the queue is full.
 
 use eva_obs::{emit_warn, span, ObsEvent, Phase, Recorder};
-use eva_sched::Assignment;
+use eva_sched::{exceeds_capacity, Assignment};
 use eva_workload::{Outcome, Scenario, VideoConfig};
 
 /// Admission policy knobs.
@@ -124,6 +127,9 @@ impl AdmissionController {
     /// pinned, keeps the feasible candidate maximizing total system
     /// benefit, and accepts iff that candidate keeps
     /// `incumbent_after >= incumbent_before - max_benefit_drop`.
+    /// Candidates over the live servers' utilisation capacity are
+    /// skipped unplaced (counted as `serve.admission_skipped`); the
+    /// decision is the one a full scan would reach.
     #[allow(clippy::too_many_arguments)]
     pub fn admit(
         &self,
@@ -173,8 +179,20 @@ impl AdmissionController {
             };
         };
         configs.push(placeholder); // overwritten by each candidate below
+        let n_live = alive.map_or(trial.planning_uplinks().len(), |a| {
+            a.iter().filter(|&&up| up).count()
+        });
+        let incumbent_utilization: f64 = (0..m)
+            .map(|i| trial.stream_timing(i, &configs[i]).utilization())
+            .sum();
+        let mut skipped = 0u64;
         let mut best: Option<ProbeReport> = None;
         for cand in trial.config_space().iter() {
+            let utilization = incumbent_utilization + trial.stream_timing(m, &cand).utilization();
+            if exceeds_capacity(utilization, n_live) {
+                skipped += 1;
+                continue; // Algorithm 1 cannot place it either
+            }
             configs[m] = cand;
             let Ok(out) = trial.evaluate_surviving(&configs, alive, rec) else {
                 continue; // no zero-jitter placement at this config
@@ -199,6 +217,9 @@ impl AdmissionController {
             }
         }
 
+        if skipped > 0 && rec.enabled() {
+            rec.add("serve.admission_skipped", skipped);
+        }
         match best {
             None => self.queue_or_reject(queue_len, "no feasible placement"),
             Some(report) => {

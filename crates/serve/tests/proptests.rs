@@ -3,11 +3,11 @@
 //! and the retry queue's bound/drain/shed discipline holds under any
 //! operation sequence.
 
-use eva_obs::NoopRecorder;
+use eva_obs::{FlightRecorder, NoopRecorder};
 use eva_sched::const2_zero_jitter_ok;
 use eva_serve::{
-    AdmissionConfig, AdmissionController, AdmissionDecision, ReplanScope, ReplanTrigger,
-    Rescheduler, RetryQueue,
+    subset_outcome, AdmissionConfig, AdmissionController, AdmissionDecision, ProbeReport,
+    ReplanScope, ReplanTrigger, Rescheduler, RetryQueue,
 };
 use eva_workload::{ClipProfile, Outcome, Scenario, VideoConfig};
 use proptest::prelude::*;
@@ -18,14 +18,174 @@ fn toy_benefit(o: &Outcome) -> f64 {
     o.accuracy - o.latency_s - 1e-9 * o.network_bps - 0.01 * o.power_w
 }
 
+/// A benefit that grows with load, so the best probe candidate is the
+/// heaviest one Algorithm 1 can place: the candidates nearest the
+/// capacity bound decide the probe.
+fn greedy_benefit(o: &Outcome) -> f64 {
+    o.compute_tflops
+}
+
 /// Incumbent configurations drawn from the low-load end of the grid so
 /// the starting system is schedulable most of the time.
 fn configs_strategy(n: usize, grid: usize) -> impl Strategy<Value = Vec<usize>> {
     proptest::collection::vec(0..grid.min(12), n..=n)
 }
 
+/// The admission probe as a plain scan: every grid candidate goes
+/// through `evaluate_surviving`, with no capacity pre-filter. Returns
+/// the accepted report, or the reason a caller with an empty queue
+/// gets the tenant queued, and the number of unplaceable candidates.
+fn reference_probe(
+    trial: &Scenario,
+    incumbent_configs: &[VideoConfig],
+    alive: Option<&[bool]>,
+    incumbent_before: f64,
+    benefit: fn(&Outcome) -> f64,
+    cfg: &AdmissionConfig,
+) -> (Result<ProbeReport, &'static str>, u64) {
+    let m = incumbent_configs.len();
+    let mut configs = incumbent_configs.to_vec();
+    configs.push(trial.config_space().at(0));
+    let mut best: Option<ProbeReport> = None;
+    let mut unplaceable = 0;
+    for cand in trial.config_space().iter() {
+        configs[m] = cand;
+        let Ok(out) = trial.evaluate_surviving(&configs, alive, &NoopRecorder) else {
+            unplaceable += 1;
+            continue;
+        };
+        let total = benefit(&out.outcome);
+        if total.is_finite() && best.as_ref().is_none_or(|b| total > b.total_benefit) {
+            let incumbent_after = if m == 0 {
+                incumbent_before
+            } else {
+                benefit(&subset_outcome(trial, &configs, &out.assignment, m))
+            };
+            best = Some(ProbeReport {
+                newcomer_config: cand,
+                assignment: out.assignment,
+                incumbent_before,
+                incumbent_after,
+                total_benefit: total,
+            });
+        }
+    }
+    let decision = match best {
+        None => Err("no feasible placement"),
+        Some(r) if r.incumbent_after >= incumbent_before - cfg.max_benefit_drop => Ok(r),
+        Some(_) => Err("incumbent benefit floor"),
+    };
+    (decision, unplaceable)
+}
+
+/// `admit` decides exactly as [`reference_probe`] and skips only
+/// unplaceable candidates; returns how many it skipped.
+fn assert_probe_matches_reference(
+    trial: &Scenario,
+    incumbent_configs: &[VideoConfig],
+    alive: Option<&[bool]>,
+    incumbent_before: f64,
+    benefit: fn(&Outcome) -> f64,
+) -> u64 {
+    let cfg = AdmissionConfig::default();
+    let rec = FlightRecorder::new();
+    let decision = AdmissionController::new(cfg).admit(
+        trial,
+        incumbent_configs,
+        alive,
+        incumbent_before,
+        &benefit,
+        incumbent_configs.len(),
+        0,
+        &rec,
+    );
+    let (want, unplaceable) = reference_probe(
+        trial,
+        incumbent_configs,
+        alive,
+        incumbent_before,
+        benefit,
+        &cfg,
+    );
+    match (decision, want) {
+        (AdmissionDecision::Accept(got), Ok(want)) => {
+            assert_eq!(got.newcomer_config, want.newcomer_config);
+            assert_eq!(got.assignment, want.assignment);
+            for (g, w) in [
+                (got.incumbent_before, want.incumbent_before),
+                (got.incumbent_after, want.incumbent_after),
+                (got.total_benefit, want.total_benefit),
+            ] {
+                assert_eq!(g.to_bits(), w.to_bits());
+            }
+        }
+        (AdmissionDecision::Queue { reason }, Err(want)) => assert_eq!(reason, want),
+        (got, want) => panic!("admit decided {got:?}, the full scan {want:?}"),
+    }
+    let skipped = rec.snapshot().metrics.counter("serve.admission_skipped");
+    assert!(
+        skipped <= unplaceable,
+        "{skipped} skipped, {unplaceable} unplaceable"
+    );
+    skipped
+}
+
+/// Three incumbents at utilisation 0.55 each overfill one server, so
+/// every candidate is over capacity; on three servers only the
+/// candidates above utilisation 1.35 are.
+#[test]
+fn over_capacity_candidates_are_skipped_with_the_same_decision() {
+    let trial = Scenario::uniform(4, 3, 20e6, 7);
+    let grid = trial.config_space();
+    let heavy = vec![grid.at(22); 3];
+    let u = trial.stream_timing(0, &heavy[0]).utilization();
+    assert!((0.5..0.6).contains(&u), "{u}");
+    let one_alive = [true, false, false];
+    for benefit in [toy_benefit, greedy_benefit] {
+        let probe = |alive| {
+            assert_probe_matches_reference(&trial, &heavy, alive, f64::NEG_INFINITY, benefit)
+        };
+        assert_eq!(probe(Some(&one_alive)), grid.len() as u64);
+        let skipped = probe(None);
+        assert!(skipped > 0 && skipped < grid.len() as u64, "{skipped}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The capacity pre-filter never changes a probe: over the whole
+    /// grid of incumbent configs, every liveness mask (all-dead
+    /// included), one to three servers and a benefit that favours the
+    /// heaviest placeable candidate, `admit` returns the decision of
+    /// the unfiltered scan, down to the benefit bits.
+    #[test]
+    fn admission_probe_equals_full_scan(
+        n_inc in 0usize..=3,
+        n_servers in 1usize..=3,
+        seed in 0u64..500,
+        cfg_idx in proptest::collection::vec(0usize..72, 3..=3),
+        alive_bits in 0usize..9,
+        floored in 0u8..2,
+        greedy in 0u8..2,
+    ) {
+        let trial = Scenario::uniform(n_inc + 1, n_servers, 20e6, seed);
+        let grid = trial.config_space();
+        let incumbent_configs: Vec<VideoConfig> =
+            cfg_idx[..n_inc].iter().map(|&i| grid.at(i % grid.len())).collect();
+        // Mask 8 stands for "no mask".
+        let alive: Option<Vec<bool>> = (alive_bits < 8)
+            .then(|| (0..n_servers).map(|s| alive_bits >> s & 1 == 1).collect());
+        let before = if floored == 1 { 0.5 } else { f64::NEG_INFINITY };
+        let benefit = if greedy == 1 { greedy_benefit } else { toy_benefit };
+        assert_probe_matches_reference(
+            &trial,
+            &incumbent_configs,
+            alive.as_deref(),
+            before,
+            benefit,
+        );
+    }
 
     /// If admission accepts, the probe placement it reports is a
     /// genuine zero-jitter placement: every group satisfies Const2,

@@ -332,14 +332,18 @@ impl Scenario {
         configs
             .iter()
             .enumerate()
-            .map(|(i, c)| {
-                StreamTiming::from_rate(
-                    StreamId::source(i),
-                    c.fps,
-                    self.surfaces[i].proc_time_secs(c.resolution),
-                )
-            })
+            .map(|(i, c)| self.stream_timing(i, c))
             .collect()
+    }
+
+    /// Periodic-stream timing of camera `i` at `config`: entry `i` of
+    /// [`Scenario::stream_timings`].
+    pub fn stream_timing(&self, i: usize, config: &VideoConfig) -> StreamTiming {
+        StreamTiming::from_rate(
+            StreamId::source(i),
+            config.fps,
+            self.surfaces[i].proc_time_secs(config.resolution),
+        )
     }
 
     /// Run Algorithm 1 for a joint configuration. Placement costs use

@@ -16,8 +16,9 @@ fn outcome_candidates(scenario: &Scenario, n: usize, seed: u64) -> Vec<Vec<f64>>
     let pool = build_pool(scenario, n, &mut rng, &Default::default()).unwrap();
     pool.iter()
         .filter_map(|x| {
+            let configs = decode_joint(scenario, x).ok()?;
             scenario
-                .evaluate(&decode_joint(scenario, x))
+                .evaluate(&configs)
                 .ok()
                 .map(|so| normalizer.normalize(&so.outcome))
         })

@@ -9,7 +9,7 @@ use pamo::core::{
     ServingRun, ServingSession, SERVING_POLICY,
 };
 use pamo::fault::{ChaosSpec, CrashBursts};
-use pamo::obs::NoopRecorder;
+use pamo::obs::{FlightRecorder, NoopRecorder, Recorder};
 use pamo::prelude::*;
 use pamo::serve::ArrivalModel;
 
@@ -19,6 +19,16 @@ const SEED: u64 = 2;
 /// FNV-1a hash of `serve()`'s event log (reaction times included),
 /// epoch benefits, value integral and accepted/rejected counts.
 const PINNED_SERVING_HASH: u64 = 0xb01f_e71b_9a3f_3077;
+/// The seeded run's Algorithm-1 work: admission probes, `grouping`
+/// spans (every Algorithm-1 call), failed placements, and the probe
+/// candidates skipped over the live servers' utilisation capacity.
+/// Without the skip the run made 471 calls, 200 of them failing.
+const PINNED_SERVING_WORK: [(&str, u64); 4] = [
+    ("serve.admission_probes", 6),
+    ("grouping", 317),
+    ("sched.infeasible", 46),
+    ("serve.admission_skipped", 154),
+];
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
@@ -71,6 +81,10 @@ fn serving() -> ServingConfig {
 }
 
 fn serve() -> ServingRun {
+    serve_recorded(&NoopRecorder)
+}
+
+fn serve_recorded(rec: &dyn Recorder) -> ServingRun {
     let sc = scenario();
     let plan = chaos().fault_plan(sc.n_servers(), sc.n_videos());
     run_serving(
@@ -81,7 +95,7 @@ fn serve() -> ServingRun {
         Some(&plan),
         &serving(),
         SEED,
-        &NoopRecorder,
+        rec,
     )
     .expect("valid inputs")
 }
@@ -179,6 +193,27 @@ fn serving_run_is_bit_pinned() {
     h = fnv(fnv(h, run.accepted), run.rejected);
     println!("serving hash {h:#x}");
     assert_eq!(h, PINNED_SERVING_HASH, "the seeded serving run drifted");
+}
+
+/// The serving run's Algorithm-1 work, pinned like the decide's
+/// `PINNED_WORK`; recording it leaves the run bit-identical.
+#[test]
+fn serving_work_is_pinned() {
+    let flight = FlightRecorder::new();
+    assert_bit_identical(&serve(), &serve_recorded(&flight));
+    let snap = flight.snapshot();
+    let spans = snap.phase_stats();
+    let work: Vec<(&str, u64)> = PINNED_SERVING_WORK
+        .iter()
+        .map(|&(name, _)| {
+            let count = spans
+                .iter()
+                .find(|(p, _)| p.as_str() == name)
+                .map_or_else(|| snap.metrics.counter(name), |(_, s)| s.count);
+            (name, count)
+        })
+        .collect();
+    assert_eq!(work, PINNED_SERVING_WORK, "the serving run's work drifted");
 }
 
 #[test]
