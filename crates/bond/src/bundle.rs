@@ -21,11 +21,18 @@
 //! Queueing state is per-frame (queues drain between frames), matching
 //! the DES's quasi-static per-frame link model; estimator and
 //! round-robin state persist across frames.
+//!
+//! A striped frame is a pure function of the frame size, the
+//! round-robin cursor and each member's true and believed rate at
+//! capture time, and those repeat from frame to frame (a link holds a
+//! rate for seconds, estimators settle), so a [`BundleSim`] memoizes
+//! each striped frame's outcome and replays it into the member state
+//! when the same link state comes round again.
 
 use eva_net::{LinkEstimator, LinkModel, LinkTrace, MaxFilterEstimator};
 use eva_sched::Ticks;
 
-use crate::sched::{BondPolicy, BondScheduler, LinkSnapshot};
+use crate::sched::{BondPolicy, LinkSnapshot};
 
 /// Packet quantum: 1500-byte MTU = 12 kbit.
 pub(crate) const DEFAULT_PACKET_BITS: f64 = 12_000.0;
@@ -197,12 +204,16 @@ impl LinkBundle {
                     delivered_packets: 0,
                 })
                 .collect(),
-            scheduler: policy.scheduler(),
+            policy,
+            rr_cursor: 0,
             frames: 0,
             packets: 0,
             hol_wait_s_total: 0.0,
             max_reorder_depth: 0,
             scratch: Scratch::default(),
+            memo: StripeMemo::default(),
+            memo_hits: 0,
+            memo_misses: 0,
         }
     }
 }
@@ -247,13 +258,21 @@ pub struct FrameDelivery {
 }
 
 /// Per-frame buffers of [`BundleSim`]'s striping path, kept across
-/// frames so striping allocates nothing but the returned
-/// [`FrameDelivery::per_link_bits`].
+/// frames so a frame, striped or replayed, allocates nothing but the
+/// returned [`FrameDelivery::per_link_bits`].
 #[derive(Debug, Clone, Default)]
 struct Scratch {
     /// True trace rate of each member at the frame's capture time.
     true_rates: Vec<f64>,
-    /// What the scheduler sees of each member.
+    /// What the striping policy believes each member delivers.
+    believed: Vec<f64>,
+    /// The frame's [`StripeMemo`] key.
+    key: Vec<u64>,
+    /// Bits each member carried in the frame being striped.
+    link_bits: Vec<f64>,
+    /// Packets each member carried in the frame being striped.
+    link_packets: Vec<u64>,
+    /// What the striping policy sees of each member.
     snaps: Vec<LinkSnapshot>,
     /// Arrival time of each packet, indexed by sequence number.
     arrival: Vec<f64>,
@@ -273,17 +292,88 @@ struct Received {
 }
 
 impl Scratch {
-    /// Reset for a frame of `n_pkts` packets captured at `t`.
-    fn start_frame(&mut self, members: &[MemberState], t: Ticks, n_pkts: usize) {
+    /// Read each member's true rate at capture time `t` and believed
+    /// rate, and build the memo key of a `bits`-sized frame dealt from
+    /// `rr_cursor`: the bits of the frame size, the cursor, then each
+    /// member's true and believed rate.
+    fn read_links(&mut self, members: &[MemberState], t: Ticks, bits: f64, rr_cursor: usize) {
         self.true_rates.clear();
         self.true_rates
             .extend(members.iter().map(|m| m.trace.rate_at(t)));
+        self.believed.clear();
+        self.believed
+            .extend(members.iter().map(MemberState::believed_bps));
+        self.key.clear();
+        self.key.push(bits.to_bits());
+        self.key.push(rr_cursor as u64);
+        self.key.extend(self.true_rates.iter().map(|r| r.to_bits()));
+        self.key.extend(self.believed.iter().map(|r| r.to_bits()));
+    }
+
+    /// Stripe a `bits`-sized frame across `members` under `policy`,
+    /// dealing round-robin from `rr_cursor`, and receive it, on the
+    /// true and believed rates [`Scratch::read_links`] left. The per-member
+    /// accounting is left in `link_bits` / `link_packets`; the members
+    /// are not touched.
+    fn stripe(
+        &mut self,
+        members: &[MemberState],
+        policy: BondPolicy,
+        mut rr_cursor: usize,
+        bits: f64,
+    ) -> Striped {
+        let n = members.len();
+        let n_pkts = (bits / DEFAULT_PACKET_BITS).ceil().max(1.0) as u64;
+        self.start_frame(members, n_pkts as usize);
+
+        // Stripe: the policy sees believed rates and this frame's
+        // queue build-up; each packet's true arrival is its link-local
+        // cumulative serialization (on the true rate) plus one-way
+        // delay.
+        let mut remaining = bits;
+        for seq in 0..n_pkts as usize {
+            let pkt = remaining.min(DEFAULT_PACKET_BITS);
+            remaining -= pkt;
+            let idx = policy.pick(&mut rr_cursor, pkt, &self.snaps);
+            debug_assert!(idx < n, "policy returned out-of-range link");
+            let idx = idx.min(n - 1);
+            self.snaps[idx].queued_bits += pkt;
+            self.link_bits[idx] += pkt;
+            self.link_packets[idx] += 1;
+            let arrival = self.link_bits[idx] / self.true_rates[idx] + members[idx].rtt_s * 0.5;
+            self.arrival.push(arrival);
+            self.by_link[idx].push(seq);
+        }
+
+        // Receiver: packets reach it in `(arrival, seq)` order and are
+        // released in sequence order.
+        let rx = self.receive();
+        Striped {
+            packets: n_pkts,
+            delay_s: rx.delay_s,
+            hol_wait_s: rx.hol_wait_s,
+            max_depth: rx.max_depth,
+            rr_cursor,
+        }
+    }
+
+    /// Reset the striping buffers for a frame of `n_pkts` packets.
+    fn start_frame(&mut self, members: &[MemberState], n_pkts: usize) {
+        self.link_bits.clear();
+        self.link_bits.resize(members.len(), 0.0);
+        self.link_packets.clear();
+        self.link_packets.resize(members.len(), 0);
         self.snaps.clear();
-        self.snaps.extend(members.iter().map(|m| LinkSnapshot {
-            rate_bps: m.believed_bps(),
-            queued_bits: 0.0,
-            rtt_s: m.rtt_s,
-        }));
+        self.snaps.extend(
+            members
+                .iter()
+                .zip(&self.believed)
+                .map(|(m, &rate_bps)| LinkSnapshot {
+                    rate_bps,
+                    queued_bits: 0.0,
+                    rtt_s: m.rtt_s,
+                }),
+        );
         self.arrival.clear();
         self.by_link.resize_with(members.len(), Vec::new);
         self.by_link.iter_mut().for_each(Vec::clear);
@@ -352,25 +442,105 @@ impl Scratch {
     }
 }
 
+/// Most striped frames one bundle's [`StripeMemo`] holds. A bundle
+/// of Markov members revisits a handful of link states: the DES
+/// benchmark's 3-link bundles see at most 29 distinct keys per bundle
+/// over 1800 one-second frames (round-robin, whose cursor multiplies
+/// the states; 17 under earliest-delivery, median 6). 64 leaves room
+/// above that while bounding what a continuously varying member (a
+/// sinusoid trace, whose rate changes every quantum) makes the memo
+/// hold and scan.
+const STRIPE_MEMO_CAP: usize = 64;
+
+/// What striping one frame did beside its per-member accounting: the
+/// fields of the [`FrameDelivery`] the receiver measured and the
+/// round-robin cursor after the frame.
+#[derive(Debug, Clone, Copy)]
+struct Striped {
+    packets: u64,
+    delay_s: f64,
+    hol_wait_s: f64,
+    max_depth: usize,
+    rr_cursor: usize,
+}
+
+/// A bounded memo of striped frames, keyed by every input of the
+/// packet loop ([`Scratch::read_links`]). Entries are stored flat —
+/// `key.len()` key words and one bits and one packet count per member
+/// each — in vectors that keep their capacity when cleared, so entries
+/// are not allocated one by one. A lookup scans the entries'
+/// [`fingerprint`]s and compares the key of a matching one. A full
+/// memo is cleared before the next insertion.
+#[derive(Debug, Clone, Default)]
+struct StripeMemo {
+    fingerprints: Vec<u64>,
+    keys: Vec<u64>,
+    link_bits: Vec<f64>,
+    link_packets: Vec<u64>,
+    frames: Vec<Striped>,
+}
+
+/// A multiply-rotate hash of a memo key (the `FxHash` round per word).
+fn fingerprint(key: &[u64]) -> u64 {
+    key.iter().fold(0, |h: u64, &w| {
+        (h.rotate_left(5) ^ w).wrapping_mul(0xf135_7aea_2e62_a9c5)
+    })
+}
+
+impl StripeMemo {
+    /// Slot of the frame striped under `key`, whose [`fingerprint`] is
+    /// `fp`, if any.
+    fn find(&self, fp: u64, key: &[u64]) -> Option<usize> {
+        let k = key.len();
+        (0..self.fingerprints.len())
+            .find(|&e| self.fingerprints[e] == fp && self.keys[e * k..(e + 1) * k] == *key)
+    }
+
+    /// Store the frame [`Scratch::stripe`] just striped under `sc.key`,
+    /// whose [`fingerprint`] is `fp`; returns its slot.
+    fn insert(&mut self, fp: u64, sc: &Scratch, frame: Striped) -> usize {
+        if self.frames.len() == STRIPE_MEMO_CAP {
+            self.fingerprints.clear();
+            self.keys.clear();
+            self.link_bits.clear();
+            self.link_packets.clear();
+            self.frames.clear();
+        }
+        self.fingerprints.push(fp);
+        self.keys.extend_from_slice(&sc.key);
+        self.link_bits.extend_from_slice(&sc.link_bits);
+        self.link_packets.extend_from_slice(&sc.link_packets);
+        self.frames.push(frame);
+        self.frames.len() - 1
+    }
+}
+
 /// A stateful bonded-uplink simulator for one camera: true per-member
-/// traces drive physics, per-member estimators drive the scheduler's
-/// beliefs, and a reorder buffer produces the in-order delivery time.
+/// traces drive physics, per-member estimators drive the striping
+/// policy's beliefs, and a reorder buffer produces the in-order
+/// delivery time.
 #[derive(Clone)]
 pub struct BundleSim {
     members: Vec<MemberState>,
-    scheduler: Box<dyn BondScheduler>,
+    policy: BondPolicy,
+    /// Round-robin rotation state (see [`BondPolicy::pick`]); carried
+    /// across frames.
+    rr_cursor: usize,
     frames: u64,
     packets: u64,
     hol_wait_s_total: f64,
     max_reorder_depth: usize,
     scratch: Scratch,
+    memo: StripeMemo,
+    memo_hits: u64,
+    memo_misses: u64,
 }
 
 impl std::fmt::Debug for BundleSim {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BundleSim")
             .field("links", &self.members.len())
-            .field("policy", &self.scheduler.name())
+            .field("policy", &self.policy.as_str())
             .field("frames", &self.frames)
             .field("packets", &self.packets)
             .finish()
@@ -380,11 +550,13 @@ impl std::fmt::Debug for BundleSim {
 impl BundleSim {
     /// Deliver one frame of `bits` generated at tick `t`.
     ///
-    /// Single-member bundles with zero RTT take a dedicated fast path
-    /// computing `bits / rate_at(t)` in one division — the *same*
-    /// floating-point expression as the unbonded DES link path, which
-    /// keeps the degenerate bundle bit-identical to it (striping would
-    /// re-associate the division into `Σ pktᵢ/r` and drift by ulps).
+    /// Every single-member bundle takes a dedicated fast path: the
+    /// whole frame is one packet, serialized in one division
+    /// `bits / rate_at(t)`, plus the member's one-way delay `rtt/2`.
+    /// At zero RTT that is the *same* floating-point expression as the
+    /// unbonded DES link path, which keeps the degenerate bundle
+    /// bit-identical to it (striping would re-associate the division
+    /// into `Σ pktᵢ/r` and drift by ulps).
     pub fn frame_delivery(&mut self, t: Ticks, bits: f64) -> FrameDelivery {
         assert!(
             bits.is_finite() && bits > 0.0,
@@ -413,60 +585,67 @@ impl BundleSim {
     }
 
     /// The general multi-link path: packetize, stripe on beliefs, fly
-    /// on truth, reorder at the receiver.
+    /// on truth, reorder at the receiver — or, when the memo already
+    /// holds a frame striped from the same link state, take that
+    /// frame's outcome. Either way the outcome is then replayed into
+    /// the member state.
     fn striped_delivery(&mut self, t: Ticks, bits: f64) -> FrameDelivery {
-        let n = self.members.len();
-        let n_pkts = (bits / DEFAULT_PACKET_BITS).ceil().max(1.0) as u64;
         let sc = &mut self.scratch;
-        sc.start_frame(&self.members, t, n_pkts as usize);
-
-        // Stripe: the scheduler sees believed rates and this frame's
-        // queue build-up; each packet's true arrival is its link-local
-        // cumulative serialization (on the true rate) plus one-way
-        // delay.
-        let mut per_link_bits = vec![0.0_f64; n];
-        let mut remaining = bits;
-        for seq in 0..n_pkts as usize {
-            let pkt = remaining.min(DEFAULT_PACKET_BITS);
-            remaining -= pkt;
-            let idx = self.scheduler.pick(pkt, &sc.snaps);
-            debug_assert!(idx < n, "scheduler returned out-of-range link");
-            let idx = idx.min(n - 1);
-            sc.snaps[idx].queued_bits += pkt;
-            per_link_bits[idx] += pkt;
-            let arrival = per_link_bits[idx] / sc.true_rates[idx] + self.members[idx].rtt_s * 0.5;
-            sc.arrival.push(arrival);
-            sc.by_link[idx].push(seq);
-            self.members[idx].delivered_packets += 1;
-        }
-
-        // Receiver: packets reach it in `(arrival, seq)` order and are
-        // released in sequence order.
-        let rx = sc.receive();
+        sc.read_links(&self.members, t, bits, self.rr_cursor);
+        let fp = fingerprint(&sc.key);
+        let slot = match self.memo.find(fp, &sc.key) {
+            Some(slot) => {
+                self.memo_hits += 1;
+                slot
+            }
+            None => {
+                self.memo_misses += 1;
+                let frame = sc.stripe(&self.members, self.policy, self.rr_cursor, bits);
+                self.memo.insert(fp, sc, frame)
+            }
+        };
 
         // Book-keeping and estimator feedback: each used member saw
-        // `per_link_bits` delivered over its true serialization time.
+        // its bits delivered over its true serialization time.
+        let n = self.members.len();
+        let frame = self.memo.frames[slot];
+        let link_bits = &self.memo.link_bits[slot * n..][..n];
+        let link_packets = &self.memo.link_packets[slot * n..][..n];
         let mut serialization_s = 0.0_f64;
         for (i, m) in self.members.iter_mut().enumerate() {
-            if per_link_bits[i] > 0.0 {
-                let ser = per_link_bits[i] / sc.true_rates[i];
+            m.delivered_packets += link_packets[i];
+            let bits = link_bits[i];
+            if bits > 0.0 {
+                let ser = bits / sc.true_rates[i];
                 serialization_s = serialization_s.max(ser);
-                m.estimator.observe(per_link_bits[i] / 8.0, ser);
-                m.delivered_bits += per_link_bits[i];
+                m.estimator.observe(bits / 8.0, ser);
+                m.delivered_bits += bits;
             }
         }
-        self.packets += n_pkts;
-        self.hol_wait_s_total += rx.hol_wait_s;
-        self.max_reorder_depth = self.max_reorder_depth.max(rx.max_depth);
+        self.rr_cursor = frame.rr_cursor;
+        self.packets += frame.packets;
+        self.hol_wait_s_total += frame.hol_wait_s;
+        self.max_reorder_depth = self.max_reorder_depth.max(frame.max_depth);
 
         FrameDelivery {
-            delay_s: rx.delay_s,
+            delay_s: frame.delay_s,
             serialization_s,
-            per_link_bits,
-            packets: n_pkts,
-            hol_wait_s: rx.hol_wait_s,
-            max_reorder_depth: rx.max_depth,
+            per_link_bits: link_bits.to_vec(),
+            packets: frame.packets,
+            hol_wait_s: frame.hol_wait_s,
+            max_reorder_depth: frame.max_depth,
         }
+    }
+
+    /// Multi-member frames whose striping the memo replayed.
+    pub fn stripe_memo_hits(&self) -> u64 {
+        self.memo_hits
+    }
+
+    /// Multi-member frames the memo had not seen and striped packet by
+    /// packet.
+    pub fn stripe_memo_misses(&self) -> u64 {
+        self.memo_misses
     }
 
     /// Frames delivered so far.
@@ -552,7 +731,7 @@ mod tests {
         for seq in 0..n_pkts {
             let pkt = remaining.min(DEFAULT_PACKET_BITS);
             remaining -= pkt;
-            let idx = sim.scheduler.pick(pkt, &snaps).min(n - 1);
+            let idx = sim.policy.pick(&mut sim.rr_cursor, pkt, &snaps).min(n - 1);
             snaps[idx].queued_bits += pkt;
             per_link_bits[idx] += pkt;
             let arrival = per_link_bits[idx] / true_rates[idx] + sim.members[idx].rtt_s * 0.5;
@@ -632,6 +811,7 @@ mod tests {
             b.hol_wait_s_total().to_bits()
         );
         assert_eq!(a.max_reorder_depth(), b.max_reorder_depth());
+        assert_eq!(a.rr_cursor, b.rr_cursor, "round-robin cursor");
         assert_eq!(bits_of(&a.delivered_bits()), bits_of(&b.delivered_bits()));
         assert_eq!(a.delivered_packets(), b.delivered_packets());
         assert_eq!(
@@ -668,11 +848,7 @@ mod tests {
                     ),
                 })
                 .collect();
-            let policy = [
-                BondPolicy::RoundRobin,
-                BondPolicy::RateWeighted,
-                BondPolicy::EarliestDelivery,
-            ][policy];
+            let policy = POLICIES[policy];
             let bundle = LinkBundle::new(links);
             let mut fast = bundle.simulator(HORIZON, policy);
             let mut reference = bundle.simulator(HORIZON, policy);
@@ -685,6 +861,111 @@ mod tests {
                 assert_same_state(&fast, &reference);
             }
         }
+    }
+
+    const POLICIES: [BondPolicy; 3] = [
+        BondPolicy::RoundRobin,
+        BondPolicy::RateWeighted,
+        BondPolicy::EarliestDelivery,
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Replayed frames match the packet loop bit for bit when link
+        /// states repeat — the memo's hit path. Frames draw their size
+        /// from a pool of up to three and their capture time from a
+        /// pool of three ticks inside one second, so keys recur: every
+        /// member constant (`markov == 0`) or Markov members
+        /// sampled at repeated instants, all three policies, with the
+        /// round-robin cursor carried across hits and misses alike.
+        #[test]
+        fn memo_replay_matches_reference_on_repeated_link_states(
+            members in prop::collection::vec((1e5f64..5e7, 0.0f64..0.3, 0u64..1000), 2..=6),
+            markov in 0usize..2,
+            policy in 0usize..3,
+            t0 in 0u64..50 * TICKS_PER_SEC,
+            sizes in prop::collection::vec((1u64..=40, 0.0f64..1.0), 1..=3),
+            frames in prop::collection::vec((0usize..3, 0usize..3), 40..80),
+        ) {
+            let links: Vec<BondedLink> = members
+                .iter()
+                .map(|&(rate, rtt, seed)| {
+                    let model = if markov == 1 && seed % 2 == 1 {
+                        LinkModel::gilbert_elliott(rate, rate / 3.0, 2.0, 1.0, seed)
+                    } else {
+                        LinkModel::constant(rate)
+                    };
+                    BondedLink::new(model, rtt)
+                })
+                .collect();
+            let policy = POLICIES[policy];
+            let bundle = LinkBundle::new(links);
+            let mut fast = bundle.simulator(HORIZON, policy);
+            let mut reference = bundle.simulator(HORIZON, policy);
+            for (k, &(size, at)) in frames.iter().enumerate() {
+                let (n_pkts, frac) = sizes[size % sizes.len()];
+                let bits = (n_pkts as f64 - frac) * DEFAULT_PACKET_BITS;
+                let t = t0 + at as u64 * (TICKS_PER_SEC / 3);
+                let got = fast.frame_delivery(t, bits);
+                let want = reference_delivery(&mut reference, t, bits);
+                assert_same_delivery(&got, &want, k);
+                assert_same_state(&fast, &reference);
+            }
+            prop_assert_eq!(
+                fast.stripe_memo_hits() + fast.stripe_memo_misses(),
+                frames.len() as u64
+            );
+            prop_assert!(fast.stripe_memo_hits() > 0, "no frame hit the memo");
+        }
+    }
+
+    #[test]
+    fn a_continuously_varying_member_keeps_the_memo_bounded() {
+        // A sinusoid member changes rate every quantum, so almost every
+        // frame is a new key: the memo must clear at its cap rather
+        // than grow, and keep matching the packet loop throughout.
+        let horizon = 3600 * TICKS_PER_SEC;
+        let bundle = LinkBundle::new(vec![
+            BondedLink::new(LinkModel::sinusoid(12e6, 6e6, 600.0, 0.05, 7), 0.030),
+            BondedLink::new(LinkModel::constant(8e6), 0.080),
+            BondedLink::new(LinkModel::constant(5e6), 0.200),
+        ]);
+        for policy in POLICIES {
+            let mut fast = bundle.simulator(horizon, policy);
+            let mut reference = bundle.simulator(horizon, policy);
+            for k in 0..horizon / (TICKS_PER_SEC / 4) {
+                let t = k * (TICKS_PER_SEC / 4);
+                let got = fast.frame_delivery(t, 1.1e5);
+                let want = reference_delivery(&mut reference, t, 1.1e5);
+                assert_same_delivery(&got, &want, k as usize);
+                assert!(fast.memo.frames.len() <= STRIPE_MEMO_CAP);
+                assert_eq!(fast.memo.fingerprints.len(), fast.memo.frames.len());
+            }
+            assert_same_state(&fast, &reference);
+            assert!(
+                fast.stripe_memo_misses() > 10 * STRIPE_MEMO_CAP as u64,
+                "{policy:?}: {} misses never filled the memo",
+                fast.stripe_memo_misses()
+            );
+        }
+    }
+
+    #[test]
+    fn a_cloned_simulator_carries_cursor_and_memo_along() {
+        let mut sim = trio().simulator(HORIZON, BondPolicy::RoundRobin);
+        for k in 0..7 {
+            let _ = sim.frame_delivery(k * TICKS_PER_SEC, 5e4);
+        }
+        let mut cloned = sim.clone();
+        assert_eq!(cloned.rr_cursor, sim.rr_cursor);
+        for k in 7..20 {
+            let a = sim.frame_delivery(k * TICKS_PER_SEC, 5e4);
+            let b = cloned.frame_delivery(k * TICKS_PER_SEC, 5e4);
+            assert_same_delivery(&a, &b, k as usize);
+        }
+        assert_same_state(&sim, &cloned);
+        assert_eq!(sim.stripe_memo_hits(), cloned.stripe_memo_hits());
     }
 
     #[test]

@@ -15,16 +15,20 @@
 //!   *effective-rate* formulas per policy
 //!   ([`LinkBundle::effective_rate_bps`]) that the planner consumes as
 //!   the camera's Eq. 5 bandwidth belief,
-//! * `BondScheduler` — packet-striping policies (`RoundRobin`,
-//!   `RateWeighted`, `EarliestDelivery`) choosing a member per
-//!   packet from *believed* rates (per-link BBR-style estimators),
-//!   queue depths and RTTs,
+//! * [`BondPolicy`] — the packet-striping policies (`RoundRobin`,
+//!   `RateWeighted`, `EarliestDelivery`), a plain enum whose `match`
+//!   chooses a member per packet from *believed* rates (per-link
+//!   BBR-style estimators), queue depths and RTTs,
 //! * [`BundleSim`] / [`ReorderBuffer`] — the materialization the DES
 //!   drives: true traces carry the packets, the in-order receiver
 //!   charges HoL blocking, and `FrameDelivery` reports the in-order
 //!   frame delivery time plus per-link accounting. [`ReorderBuffer`] is
 //!   the receiver's reference model; `BundleSim` computes the same
-//!   releases by merging its per-member arrival lists.
+//!   releases by merging its per-member arrival lists, and memoizes
+//!   each striped frame by its full input (frame size, round-robin
+//!   cursor, every member's true and believed rate), replaying the
+//!   outcome when a link state repeats
+//!   ([`BundleSim::stripe_memo_hits`]).
 //!
 //! A single-member zero-RTT bundle is bit-identical to the unbonded
 //! single-trace path (property-tested in `eva-sim`), so bundles are a

@@ -1,7 +1,7 @@
-//! Packet-striping schedulers.
+//! Packet-striping policies.
 //!
 //! A bundle's sender decides, packet by packet, which member link
-//! carries the next packet. The scheduler sees only *beliefs* — each
+//! carries the next packet. The policy sees only *beliefs* — each
 //! link's estimated delivery rate (from the per-link
 //! [`LinkEstimator`](eva_net::LinkEstimator)s), its currently queued
 //! bits this frame, and its base RTT — never the true trace rate, so a
@@ -10,21 +10,26 @@
 //!
 //! Three variants span the design space the strata reports describe:
 //!
-//! * `RoundRobin` — the naïve striper: ignores everything, deals
-//!   packets in rotation. Under heterogeneous RTTs this is the
-//!   multipath-penalty generator: every n-th packet crawls up the slow
-//!   link and head-of-line blocks the reorder buffer.
-//! * `RateWeighted` — queue-aware rate weighting: place the packet on
-//!   the link whose queue drains soonest (`(queued + pkt) / rate`). In
-//!   aggregate this splits bits proportionally to believed delivery
-//!   rates, but it is still RTT-blind.
-//! * `EarliestDelivery` — HoL-aware: place the packet where it
-//!   *arrives* soonest (`(queued + pkt) / rate + rtt/2`). A slow
-//!   high-RTT link only receives a packet when even its one-way delay
-//!   beats the fast links' queueing backlog — the water-filling rule
-//!   that recovers (and exceeds) best-single-link delivery.
+//! * [`BondPolicy::RoundRobin`] — the naïve striper: ignores
+//!   everything, deals packets in rotation. Under heterogeneous RTTs
+//!   this is the multipath-penalty generator: every n-th packet crawls
+//!   up the slow link and head-of-line blocks the reorder buffer.
+//! * [`BondPolicy::RateWeighted`] — queue-aware rate weighting: place
+//!   the packet on the link whose queue drains soonest
+//!   (`(queued + pkt) / rate`). In aggregate this splits bits
+//!   proportionally to believed delivery rates, but it is still
+//!   RTT-blind.
+//! * [`BondPolicy::EarliestDelivery`] — HoL-aware: place the packet
+//!   where it *arrives* soonest (`(queued + pkt) / rate + rtt/2`). A
+//!   slow high-RTT link only receives a packet when even its one-way
+//!   delay beats the fast links' queueing backlog — the water-filling
+//!   rule that recovers (and exceeds) best-single-link delivery.
+//!
+//! The only state any policy keeps is round-robin's rotation cursor,
+//! which the caller owns (a [`BundleSim`](crate::BundleSim) field), so
+//! a policy is a plain value.
 
-/// What a scheduler may observe about one member link when placing a
+/// What a policy may observe about one member link when placing a
 /// packet: beliefs and local queue state, not ground truth.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct LinkSnapshot {
@@ -50,86 +55,6 @@ impl LinkSnapshot {
     }
 }
 
-/// A packet-striping policy: pick the member link for the next packet.
-pub(crate) trait BondScheduler: Send {
-    /// Stable display name (for tables and JSON results).
-    fn name(&self) -> &'static str;
-
-    /// Choose the index of the link to carry a `pkt_bits`-sized packet,
-    /// given one snapshot per member. `links` is never empty; the
-    /// return value must be `< links.len()`. Ties break toward the
-    /// lowest index, so placement is deterministic.
-    fn pick(&mut self, pkt_bits: f64, links: &[LinkSnapshot]) -> usize;
-
-    /// Clone behind the trait object (bundles are cloned per stream
-    /// split part).
-    fn clone_box(&self) -> Box<dyn BondScheduler>;
-}
-
-impl Clone for Box<dyn BondScheduler> {
-    fn clone(&self) -> Self {
-        self.clone_box()
-    }
-}
-
-/// Deal packets in rotation, blind to rates, queues and RTTs.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct RoundRobin {
-    next: usize,
-}
-
-impl BondScheduler for RoundRobin {
-    fn name(&self) -> &'static str {
-        "round_robin"
-    }
-
-    fn pick(&mut self, _pkt_bits: f64, links: &[LinkSnapshot]) -> usize {
-        let idx = self.next % links.len();
-        self.next = (self.next + 1) % links.len();
-        idx
-    }
-
-    fn clone_box(&self) -> Box<dyn BondScheduler> {
-        Box::new(self.clone())
-    }
-}
-
-/// Queue-aware rate weighting: shortest believed drain time wins.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct RateWeighted;
-
-impl BondScheduler for RateWeighted {
-    fn name(&self) -> &'static str {
-        "rate_weighted"
-    }
-
-    fn pick(&mut self, pkt_bits: f64, links: &[LinkSnapshot]) -> usize {
-        argmin_by(links, |l| l.drain_s(pkt_bits))
-    }
-
-    fn clone_box(&self) -> Box<dyn BondScheduler> {
-        Box::new(self.clone())
-    }
-}
-
-/// HoL-aware earliest-delivery-first: soonest believed *arrival* wins.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct EarliestDelivery;
-
-impl BondScheduler for EarliestDelivery {
-    fn name(&self) -> &'static str {
-        "earliest_delivery"
-    }
-
-    fn pick(&mut self, pkt_bits: f64, links: &[LinkSnapshot]) -> usize {
-        argmin_by(links, |l| l.arrival_s(pkt_bits))
-    }
-
-    fn clone_box(&self) -> Box<dyn BondScheduler> {
-        Box::new(self.clone())
-    }
-}
-
 /// Index of the smallest key; first index wins ties (deterministic).
 fn argmin_by(links: &[LinkSnapshot], key: impl Fn(&LinkSnapshot) -> f64) -> usize {
     let mut best = 0;
@@ -144,30 +69,45 @@ fn argmin_by(links: &[LinkSnapshot], key: impl Fn(&LinkSnapshot) -> f64) -> usiz
     best
 }
 
-/// The scheduler menu as a plain value — what scenarios, experiments
-/// and JSON configs name.
+/// The packet-striping policy of a bundle — what scenarios,
+/// experiments and JSON configs name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BondPolicy {
-    /// Naïve rotation (`RoundRobin`).
+    /// Naïve rotation.
     RoundRobin,
-    /// Queue-aware rate weighting (`RateWeighted`).
+    /// Queue-aware rate weighting: shortest believed drain time wins.
     RateWeighted,
-    /// HoL-aware earliest delivery (`EarliestDelivery`) — default.
+    /// HoL-aware earliest delivery: soonest believed *arrival* wins —
+    /// default.
     #[default]
     EarliestDelivery,
 }
 
 impl BondPolicy {
-    /// Instantiate the scheduler.
-    pub(crate) fn scheduler(self) -> Box<dyn BondScheduler> {
+    /// Choose the index of the link to carry a `pkt_bits`-sized packet,
+    /// given one snapshot per member. `links` is never empty; the
+    /// return value is `< links.len()`. Ties break toward the lowest
+    /// index, so placement is deterministic. `rr_cursor` is the
+    /// round-robin rotation state: round-robin deals from it and
+    /// advances it, the other policies leave it alone.
+    pub(crate) fn pick(
+        self,
+        rr_cursor: &mut usize,
+        pkt_bits: f64,
+        links: &[LinkSnapshot],
+    ) -> usize {
         match self {
-            BondPolicy::RoundRobin => Box::new(RoundRobin::default()),
-            BondPolicy::RateWeighted => Box::new(RateWeighted),
-            BondPolicy::EarliestDelivery => Box::new(EarliestDelivery),
+            BondPolicy::RoundRobin => {
+                let idx = *rr_cursor % links.len();
+                *rr_cursor = (idx + 1) % links.len();
+                idx
+            }
+            BondPolicy::RateWeighted => argmin_by(links, |l| l.drain_s(pkt_bits)),
+            BondPolicy::EarliestDelivery => argmin_by(links, |l| l.arrival_s(pkt_bits)),
         }
     }
 
-    /// Stable name (matches the scheduler's `name()`).
+    /// Stable display name (for tables and JSON results).
     pub fn as_str(self) -> &'static str {
         match self {
             BondPolicy::RoundRobin => "round_robin",
@@ -192,18 +132,31 @@ mod tests {
     #[test]
     fn round_robin_rotates() {
         let links = vec![snap(1e6, 0.0, 0.0); 3];
-        let mut rr = RoundRobin::default();
-        let picks: Vec<usize> = (0..7).map(|_| rr.pick(1e4, &links)).collect();
+        let mut cursor = 0;
+        let picks: Vec<usize> = (0..7)
+            .map(|_| BondPolicy::RoundRobin.pick(&mut cursor, 1e4, &links))
+            .collect();
         assert_eq!(picks, vec![0, 1, 2, 0, 1, 2, 0]);
+        assert_eq!(cursor, 1);
+    }
+
+    #[test]
+    fn only_round_robin_moves_the_cursor() {
+        let links = vec![snap(1e6, 0.0, 0.0); 3];
+        for policy in [BondPolicy::RateWeighted, BondPolicy::EarliestDelivery] {
+            let mut cursor = 2;
+            assert_eq!(policy.pick(&mut cursor, 1e4, &links), 0);
+            assert_eq!(cursor, 2, "{policy:?}");
+        }
     }
 
     #[test]
     fn rate_weighted_prefers_fast_then_balances() {
         let mut links = vec![snap(10e6, 0.0, 0.0), snap(5e6, 0.0, 0.0)];
-        let mut rw = RateWeighted;
+        let mut cursor = 0;
         let mut counts = [0usize; 2];
         for _ in 0..30 {
-            let i = rw.pick(1e4, &links);
+            let i = BondPolicy::RateWeighted.pick(&mut cursor, 1e4, &links);
             links[i].queued_bits += 1e4;
             counts[i] += 1;
         }
@@ -217,11 +170,11 @@ mod tests {
         // Same rate — only RTT differs, so EDF uses the far link only
         // once the near queue exceeds the RTT gap (95 ms ≙ 950 kbit).
         let mut links = vec![snap(10e6, 0.0, 0.010), snap(10e6, 0.0, 0.200)];
-        let mut edf = EarliestDelivery;
+        let mut cursor = 0;
         let pkt = 12_000.0;
         let mut first_far = None;
         for k in 0..120 {
-            let i = edf.pick(pkt, &links);
+            let i = BondPolicy::EarliestDelivery.pick(&mut cursor, pkt, &links);
             links[i].queued_bits += pkt;
             if i == 1 && first_far.is_none() {
                 first_far = Some(k);
@@ -234,43 +187,27 @@ mod tests {
             "far link first used at packet {first_far}"
         );
         // RateWeighted, RTT-blind, would have alternated from the start.
-        let mut rw = RateWeighted;
-        assert_eq!(
-            rw.pick(pkt, &[snap(10e6, 0.0, 0.010), snap(10e6, 0.0, 0.200)]),
-            0
-        );
-        assert_eq!(
-            rw.pick(pkt, &[snap(10e6, pkt, 0.010), snap(10e6, 0.0, 0.200)]),
-            1
-        );
+        let rw = |links: &[LinkSnapshot]| BondPolicy::RateWeighted.pick(&mut 0, pkt, links);
+        assert_eq!(rw(&[snap(10e6, 0.0, 0.010), snap(10e6, 0.0, 0.200)]), 0);
+        assert_eq!(rw(&[snap(10e6, pkt, 0.010), snap(10e6, 0.0, 0.200)]), 1);
     }
 
     #[test]
     fn ties_break_low_index_deterministically() {
         let links = vec![snap(10e6, 0.0, 0.01); 4];
-        assert_eq!(RateWeighted.pick(1e4, &links), 0);
-        assert_eq!(EarliestDelivery.pick(1e4, &links), 0);
+        assert_eq!(BondPolicy::RateWeighted.pick(&mut 0, 1e4, &links), 0);
+        assert_eq!(BondPolicy::EarliestDelivery.pick(&mut 0, 1e4, &links), 0);
     }
 
     #[test]
-    fn policies_roundtrip_names() {
-        for p in [
+    fn policies_have_distinct_names() {
+        let names = [
             BondPolicy::RoundRobin,
             BondPolicy::RateWeighted,
             BondPolicy::EarliestDelivery,
-        ] {
-            assert_eq!(p.scheduler().name(), p.as_str());
-        }
+        ]
+        .map(BondPolicy::as_str);
+        assert_eq!(names, ["round_robin", "rate_weighted", "earliest_delivery"]);
         assert_eq!(BondPolicy::default(), BondPolicy::EarliestDelivery);
-    }
-
-    #[test]
-    fn boxed_scheduler_clones() {
-        let mut rr: Box<dyn BondScheduler> = Box::new(RoundRobin::default());
-        let links = vec![snap(1e6, 0.0, 0.0); 2];
-        let _ = rr.pick(1e4, &links);
-        let mut cloned = rr.clone();
-        // Clone carries the rotation state along.
-        assert_eq!(cloned.pick(1e4, &links), rr.pick(1e4, &links));
     }
 }

@@ -255,9 +255,9 @@ impl std::error::Error for SimError {}
 /// The run executes under a [`Phase::Des`] span and emits
 /// event/frame/miss/drop/retry counters on `rec`; bonded uplinks also
 /// stripe under a [`Phase::BondStripe`] span with `bond.*`
-/// frame/packet/HoL counters. Telemetry never changes the report: a
-/// [`NoopRecorder`](eva_obs::NoopRecorder) run is bit-identical to a
-/// recorded one.
+/// frame/packet/HoL and stripe-memo hit/miss counters. Telemetry
+/// never changes the report: a [`NoopRecorder`](eva_obs::NoopRecorder)
+/// run is bit-identical to a recorded one.
 ///
 /// Malformed inputs are a [`SimError`], checked before anything runs:
 /// a stream on a nonexistent server, a zero `period` or `proc`, a link
@@ -576,8 +576,11 @@ fn seed_bonded(
     let mut bond_packets = 0u64;
     let mut bond_hol_s = 0.0f64;
     let mut bond_depth = 0usize;
+    let mut memo_hits = 0u64;
+    let mut memo_misses = 0u64;
     for (i, s) in streams.iter().enumerate() {
         let b = &mut bundles[i];
+        let (hits_before, misses_before) = (b.sim.stripe_memo_hits(), b.sim.stripe_memo_misses());
         let mut k: Ticks = 0;
         loop {
             let slot = s.phase + k * s.period;
@@ -595,9 +598,13 @@ fn seed_bonded(
             arrivals.push(arrival, i, gen_time);
             k += 1;
         }
+        memo_hits += b.sim.stripe_memo_hits() - hits_before;
+        memo_misses += b.sim.stripe_memo_misses() - misses_before;
     }
     if rec.enabled() {
         rec.add("bond.frames", bond_frames);
+        rec.add("bond.stripe_memo_hits", memo_hits);
+        rec.add("bond.stripe_memo_misses", memo_misses);
         rec.add("bond.packets", bond_packets);
         rec.observe("bond.hol_wait_s", bond_hol_s);
         rec.observe("bond.max_reorder_depth", bond_depth as f64);

@@ -10,6 +10,9 @@
 //! ordering, arrival seeding, bond striping or fault planning moves the
 //! pinned hashes. Each setup also runs under a `NoopRecorder`, whose
 //! report must hash the same: telemetry never changes a DES result.
+//! A second guard runs the bonded placement under all three striping
+//! policies, rate-weighted included, and pins the recorder's bond
+//! accounting (packets, deepest reorder buffer, HoL wait) as well.
 
 use pamo::fault::RetryPolicy;
 use pamo::obs::{FlightRecorder, NoopRecorder, Recorder};
@@ -210,6 +213,71 @@ fn des_uplink_paths_are_bit_pinned() {
 
     println!("des hashes {hashes:#x?}");
     assert_eq!(hashes, PINNED_DES_HASHES, "a DES uplink path drifted");
+}
+
+/// FNV-1a hash per striping policy (round-robin, rate-weighted,
+/// earliest-delivery) of the bonded run's report and of the recorder's
+/// bond accounting: the `bond.packets` count and the bits of the
+/// `bond.max_reorder_depth` and `bond.hol_wait_s` observations.
+const PINNED_BOND_HASHES: [u64; 3] = [
+    0x99b2_35a6_1121_adaf,
+    0x58ee_62e0_eccd_9279,
+    0x9497_70c7_520d_348e,
+];
+
+#[test]
+fn bond_striping_accounting_is_bit_pinned() {
+    let (base, configs, assignment) = placement();
+    let mut hashes = Vec::new();
+    for policy in [
+        BondPolicy::RoundRobin,
+        BondPolicy::RateWeighted,
+        BondPolicy::EarliestDelivery,
+    ] {
+        let sc = base.clone().with_link_bundles(bundles(900), policy);
+        let flight = FlightRecorder::new();
+        let r = simulate_scenario_with_deadline_recorded(
+            &sc,
+            &configs,
+            &assignment,
+            PhasePolicy::ZeroJitter,
+            HORIZON_S,
+            DEADLINE_S,
+            &flight,
+        );
+        let snap = flight.snapshot();
+        let observed = |name: &str| {
+            snap.metrics
+                .histogram(name)
+                .map_or(f64::NAN, |hist| hist.sum())
+        };
+        let packets = snap.metrics.counter("bond.packets");
+        let depth = observed("bond.max_reorder_depth");
+        let hol = observed("bond.hol_wait_s");
+        println!(
+            "{}: {packets} packets, max reorder depth {depth}, hol {hol:.6} s",
+            policy.as_str()
+        );
+        assert!(packets > 0, "{policy:?}: the bundles striped no packets");
+        // Every bundle has three members, so each bonded frame is a stripe
+        // memo hit or a miss.
+        assert_eq!(
+            snap.metrics.counter("bond.stripe_memo_hits")
+                + snap.metrics.counter("bond.stripe_memo_misses"),
+            snap.metrics.counter("bond.frames"),
+            "{policy:?}: stripe memo counters"
+        );
+        let mut h = report_hash(&r);
+        for v in [packets, depth.to_bits(), hol.to_bits()] {
+            h = fnv(h, v);
+        }
+        hashes.push(h);
+    }
+    println!("bond hashes {hashes:#x?}");
+    assert_eq!(
+        hashes, PINNED_BOND_HASHES,
+        "bond striping accounting drifted"
+    );
 }
 
 /// FNV-1a hash of the four grouping solvers behind
