@@ -74,13 +74,14 @@ const SUITE: [&str; 8] = [
     "bonded",
 ];
 /// Phases the suite must exercise for the baseline to be trustworthy.
-const REQUIRED_PHASES: [&str; 14] = [
+const REQUIRED_PHASES: [&str; 15] = [
     "outcome_fit",
     "pref_model",
     "bo_search",
     "bo_prepare",
     "bo_posterior",
     "bo_assemble",
+    "bo_acquisition",
     "bank_update",
     "grouping",
     "assignment",

@@ -117,93 +117,133 @@ impl AcqKind {
         }
     }
 
-    /// [`AcqKind::score`] on a single joint sample matrix whose first
-    /// `q` columns are the candidates and whose remaining columns (if
-    /// any) are the baselines — the layout [`crate::bo_maximize`]'s
-    /// candidate scan produces. Avoids materializing the two slices as
-    /// separate matrices: row maxima are taken over column ranges in
-    /// place, which removes two `n_mc × cols` allocations per candidate
-    /// per batch slot.
-    pub(crate) fn score_split(&self, samples: &Mat, q: usize, incumbent: Option<f64>) -> f64 {
-        let n_mc = samples.rows();
-        assert!(n_mc > 0 && q > 0 && q <= samples.cols(), "bad split shape");
-        match self {
-            AcqKind::QNei => {
-                if samples.cols() == q {
-                    return f64::NEG_INFINITY; // no baseline columns
-                }
-                let mut total = 0.0;
-                for s in 0..n_mc {
-                    let row = samples.row(s);
-                    let best_cand = range_max(row, 0, q);
-                    let best_base = range_max(row, q, samples.cols());
-                    total += (best_cand - best_base).max(0.0);
-                }
-                total / n_mc as f64
-            }
-            AcqKind::QEi => {
-                let Some(z_star) = incumbent else {
-                    return f64::NEG_INFINITY;
-                };
-                let mut total = 0.0;
-                for s in 0..n_mc {
-                    total += (range_max(samples.row(s), 0, q) - z_star).max(0.0);
-                }
-                total / n_mc as f64
-            }
-            AcqKind::QUcb { beta } => {
-                assert!(*beta >= 0.0, "qUCB: negative beta");
-                let mut means = vec![0.0; q];
-                for s in 0..n_mc {
-                    let row = samples.row(s);
-                    for (j, m) in means.iter_mut().enumerate() {
-                        *m += row[j];
-                    }
-                }
-                for m in &mut means {
-                    *m /= n_mc as f64;
-                }
-                let scale = (beta * std::f64::consts::PI / 2.0).sqrt();
-                let mut total = 0.0;
-                for s in 0..n_mc {
-                    let row = samples.row(s);
-                    let mut best = f64::NEG_INFINITY;
-                    for j in 0..q {
-                        let v = means[j] + scale * (row[j] - means[j]).abs();
-                        best = best.max(v);
-                    }
-                    total += best;
-                }
-                total / n_mc as f64
-            }
-            AcqKind::QSr => {
-                let mut total = 0.0;
-                for s in 0..n_mc {
-                    total += range_max(samples.row(s), 0, q);
-                }
-                total / n_mc as f64
-            }
-        }
-    }
-
     /// Whether this acquisition needs baseline samples.
     pub(crate) fn needs_baseline(&self) -> bool {
         matches!(self, AcqKind::QNei)
     }
 }
 
-#[inline]
-#[cfg(test)]
-fn row_max(m: &Mat, row: usize) -> f64 {
-    m.row(row).iter().copied().fold(f64::NEG_INFINITY, f64::max)
+/// One BO iteration's candidate scan over a joint sample matrix.
+///
+/// `samples` is `n_mc × (n_pool + n_base)`: the pool's columns first,
+/// then the observed baselines' (qNEI only). A greedy slot scores the
+/// batch "the slot's selected columns plus one candidate" for every
+/// candidate, so all but the candidate's own column is the same across
+/// the slot: the baseline row maxima (the whole iteration), the selected
+/// columns' row maxima (the slot) and, for qUCB, the column means. A
+/// [`Scan`] computes each of those once, and a candidate's score then
+/// reads only its own column. Row maxima fold the selected columns in
+/// order and the candidate last, as [`AcqKind::score`] folds the
+/// materialized `[selected…, candidate]` matrix, and the MC rows are
+/// summed in the same order, so every score is bit-identical to it.
+pub(crate) struct Scan<'a> {
+    kind: AcqKind,
+    samples: &'a Mat,
+    /// The best observed value (qEI's fixed incumbent).
+    incumbent: f64,
+    /// Each row's maximum over the baseline columns; `None` without
+    /// any (qNEI then scores every batch `NEG_INFINITY`).
+    base_max: Option<Vec<f64>>,
+    /// qUCB: each pool column's MC mean; empty for the other kinds.
+    means: Vec<f64>,
+    /// qUCB: the deviation weight `sqrt(β π / 2)`.
+    scale: f64,
+}
+
+impl<'a> Scan<'a> {
+    /// Scan `samples`, whose first `n_pool` columns are the candidates.
+    pub(crate) fn new(kind: AcqKind, samples: &'a Mat, n_pool: usize, incumbent: f64) -> Self {
+        let n_mc = samples.rows();
+        let base_max = (kind.needs_baseline() && samples.cols() > n_pool).then(|| {
+            (0..n_mc)
+                .map(|s| fold_max(&samples.row(s)[n_pool..]))
+                .collect()
+        });
+        let (means, scale) = match kind {
+            AcqKind::QUcb { beta } => {
+                let means = (0..n_pool)
+                    .map(|j| (0..n_mc).fold(0.0, |m, s| m + samples[(s, j)]) / n_mc as f64)
+                    .collect();
+                (means, (beta * std::f64::consts::PI / 2.0).sqrt())
+            }
+            _ => (Vec::new(), 0.0),
+        };
+        Scan {
+            kind,
+            samples,
+            incumbent,
+            base_max,
+            means,
+            scale,
+        }
+    }
+
+    /// The row invariants of a greedy slot that already selected the
+    /// pool columns `selected`.
+    pub(crate) fn slot(&self, selected: &[usize]) -> Slot<'_> {
+        let sel_max = (0..self.samples.rows())
+            .map(|s| {
+                let row = self.samples.row(s);
+                selected
+                    .iter()
+                    .fold(f64::NEG_INFINITY, |m, &j| m.max(self.value(row[j], j)))
+            })
+            .collect();
+        Slot {
+            scan: self,
+            sel_max,
+        }
+    }
+
+    /// What a sample `x` of pool column `j` contributes to a row
+    /// maximum: the sample itself, or qUCB's optimistic transform.
+    #[inline]
+    fn value(&self, x: f64, j: usize) -> f64 {
+        match self.kind {
+            AcqKind::QUcb { .. } => self.means[j] + self.scale * (x - self.means[j]).abs(),
+            _ => x,
+        }
+    }
+}
+
+/// One greedy slot of a [`Scan`]: each row's maximum over the slot's
+/// selected columns (`NEG_INFINITY` before the first selection).
+pub(crate) struct Slot<'s> {
+    scan: &'s Scan<'s>,
+    sel_max: Vec<f64>,
+}
+
+impl Slot<'_> {
+    /// Score of the slot's selected columns plus pool column `col`.
+    /// Higher is better.
+    pub(crate) fn score(&self, col: usize) -> f64 {
+        let scan = self.scan;
+        if scan.kind.needs_baseline() && scan.base_max.is_none() {
+            return f64::NEG_INFINITY;
+        }
+        let base_max = scan.base_max.as_deref().unwrap_or_default();
+        let mut total = 0.0;
+        for (s, &sel) in self.sel_max.iter().enumerate() {
+            let best = sel.max(scan.value(scan.samples[(s, col)], col));
+            total += match scan.kind {
+                AcqKind::QNei => (best - base_max[s]).max(0.0),
+                AcqKind::QEi => (best - scan.incumbent).max(0.0),
+                AcqKind::QUcb { .. } | AcqKind::QSr => best,
+            };
+        }
+        total / self.sel_max.len() as f64
+    }
 }
 
 #[inline]
-fn range_max(row: &[f64], from: usize, to: usize) -> f64 {
-    row[from..to]
-        .iter()
-        .copied()
-        .fold(f64::NEG_INFINITY, f64::max)
+fn fold_max(xs: &[f64]) -> f64 {
+    xs.iter().copied().fold(f64::NEG_INFINITY, f64::max)
+}
+
+#[inline]
+#[cfg(test)]
+fn row_max(m: &Mat, row: usize) -> f64 {
+    fold_max(m.row(row))
 }
 
 #[cfg(test)]
@@ -283,30 +323,75 @@ mod tests {
         assert!((mc - 0.5).abs() < 1e-12);
     }
 
-    #[test]
-    fn score_split_matches_score_on_all_kinds() {
-        // A concatenated matrix: 2 candidate columns + 3 baseline
-        // columns, with varied values across 4 MC rows.
-        let joint = Mat::from_fn(4, 5, |r, c| ((r * 5 + c) as f64 * 0.73).sin() * 2.0);
-        let q = 2;
-        let cand = Mat::from_fn(4, q, |r, c| joint[(r, c)]);
-        let base = Mat::from_fn(4, 3, |r, c| joint[(r, q + c)]);
-        for kind in [
-            AcqKind::QNei,
-            AcqKind::QEi,
-            AcqKind::QUcb { beta: 2.0 },
-            AcqKind::QSr,
-        ] {
-            let split = kind.score_split(&joint, q, Some(0.3));
-            let two = kind.score(&cand, Some(&base), Some(0.3));
-            assert_eq!(split.to_bits(), two.to_bits(), "{kind:?}");
+    /// A sample matrix with `n_pool` candidate and `n_base` baseline
+    /// columns: values on a coarse grid, so rows and columns tie often,
+    /// and some columns wholly at the `-1e3` infeasible-point penalty.
+    /// The grid step 0.1 is inexact in binary, so sums taken in another
+    /// order than the reference's differ in their last bits.
+    fn tied_samples(n_mc: usize, n_pool: usize, n_base: usize, seed: u64) -> Mat {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let infeasible: Vec<bool> = (0..n_pool + n_base)
+            .map(|_| rng.gen_range(0..5) == 0)
+            .collect();
+        Mat::from_fn(n_mc, n_pool + n_base, |_, c| {
+            if infeasible[c] {
+                -1.0e3
+            } else {
+                f64::from(rng.gen_range(-4i32..5)) * 0.1
+            }
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// Every candidate's [`Slot::score`] equals [`AcqKind::score`]
+        /// on the materialized `[selected…, candidate]` and baseline
+        /// matrices, bit for bit, for all four kinds, 1 to `batch`
+        /// selected-plus-candidate columns, with and without baselines.
+        #[test]
+        fn scan_matches_score_on_materialized_matrices(
+            (n_mc, n_pool, n_base) in (1usize..12, 1usize..9, 0usize..5),
+            (batch, seed) in (1usize..5, 0u64..1 << 40),
+            (incumbent, beta) in (-4i32..5, 0usize..3),
+        ) {
+            let samples = tied_samples(n_mc, n_pool, n_base, seed);
+            let incumbent = f64::from(incumbent) * 0.1;
+            let base = (n_base > 0).then(|| {
+                Mat::from_fn(n_mc, n_base, |r, c| samples[(r, n_pool + c)])
+            });
+            for kind in [
+                AcqKind::QNei,
+                AcqKind::QEi,
+                AcqKind::QUcb { beta: [0.0, 0.5, 2.0][beta] },
+                AcqKind::QSr,
+            ] {
+                let scan = Scan::new(kind, &samples, n_pool, incumbent);
+                // Select the first `q - 1` columns of a random order and
+                // score each of the rest.
+                let order = eva_stats::rng::sample_indices(&mut eva_stats::rng::seeded(seed), n_pool, n_pool);
+                for q in 1..=batch.min(n_pool) {
+                    let selected = &order[..q - 1];
+                    let slot = scan.slot(selected);
+                    for &col in &order[q - 1..] {
+                        let mut cols = selected.to_vec();
+                        cols.push(col);
+                        let cand = Mat::from_fn(n_mc, q, |r, c| samples[(r, cols[c])]);
+                        let want = kind.score(&cand, base.as_ref(), Some(incumbent));
+                        let got = slot.score(col);
+                        proptest::prop_assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "{:?}: q {}, column {}: {} vs {}", kind, q, col, got, want
+                        );
+                        if kind == AcqKind::QNei && n_base == 0 {
+                            proptest::prop_assert_eq!(got, f64::NEG_INFINITY);
+                        }
+                    }
+                }
+            }
         }
-        // qNEI without baseline columns is an unattractive batch.
-        let only_cands = Mat::from_fn(4, q, |r, c| joint[(r, c)]);
-        assert_eq!(
-            AcqKind::QNei.score_split(&only_cands, q, None),
-            f64::NEG_INFINITY
-        );
     }
 
     // Misuse (missing baseline/incumbent) scores as NEG_INFINITY — an

@@ -2,8 +2,10 @@
 //!
 //! The paper's search space is finite (per-stream resolution × rate
 //! knobs), so the inner `arg max qNEI` is a scan over candidates with
-//! greedy sequential batch construction. Common random numbers across
-//! candidates make the scan low-variance; rayon parallelizes it.
+//! greedy sequential batch construction. Each iteration draws one joint
+//! sample matrix over the pool and the observed baselines, and every
+//! slot of the greedy batch scores its candidates from that matrix
+//! (`acquisition::Scan`); rayon parallelizes the scan.
 //!
 //! The `fit` callback rebuilds the surrogate after each batch of
 //! observations. When the surrogate wraps a GP with fixed
@@ -12,12 +14,33 @@
 //! from-scratch refit — the fast path is property-tested equivalent to
 //! the rebuild.
 
-use eva_obs::{cost, DecisionBudget};
+use eva_obs::{cost, span, DecisionBudget, Phase, Recorder};
 use rand::Rng;
 use rayon::prelude::*;
 
-use crate::acquisition::AcqKind;
+use crate::acquisition::{AcqKind, Scan};
 use crate::surrogate::SurrogateSampler;
+
+/// Why [`bo_maximize`] refused its inputs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BoError {
+    /// An input breaks a precondition of the loop: an empty pool, a
+    /// zero `n_init`, `batch` or `mc_samples`, or a negative qUCB `β`.
+    InvalidInput {
+        /// Which precondition failed.
+        context: &'static str,
+    },
+}
+
+impl std::fmt::Display for BoError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            BoError::InvalidInput { context } => write!(f, "invalid BO input: {context}"),
+        }
+    }
+}
+
+impl std::error::Error for BoError {}
 
 /// Driver configuration (Algorithm 2's knobs).
 #[derive(Debug, Clone)]
@@ -89,6 +112,10 @@ pub struct BoResult {
 /// and is force-charged, so callers should size budgets to at least
 /// [`cost::OBJ_EVAL`]. [`DecisionBudget::unlimited`] never refuses a
 /// charge, so the loop then runs to convergence or `max_iters`.
+///
+/// Each iteration's candidate scan runs in a [`Phase::BoAcquisition`]
+/// span on `rec`. Refuses, before drawing from `rng`, an empty pool, a
+/// zero `n_init`, `batch` or `mc_samples`, and a negative qUCB `β`.
 pub fn bo_maximize<S, FObj, FFit, R>(
     mut objective: FObj,
     mut fit: FFit,
@@ -96,15 +123,29 @@ pub fn bo_maximize<S, FObj, FFit, R>(
     cfg: &BoConfig,
     rng: &mut R,
     budget: &DecisionBudget,
-) -> BoResult
+    rec: &dyn Recorder,
+) -> Result<BoResult, BoError>
 where
     S: SurrogateSampler + Sync,
     FObj: FnMut(&[f64]) -> f64,
     FFit: FnMut(&[(Vec<f64>, f64)]) -> S,
     R: Rng + ?Sized,
 {
-    assert!(!pool.is_empty(), "bo_maximize: empty candidate pool");
-    assert!(cfg.n_init > 0 && cfg.batch > 0 && cfg.mc_samples > 0);
+    let beta_ok = match cfg.kind {
+        AcqKind::QUcb { beta } => beta >= 0.0,
+        _ => true,
+    };
+    for (ok, context) in [
+        (!pool.is_empty(), "empty candidate pool"),
+        (cfg.n_init > 0, "n_init must be positive"),
+        (cfg.batch > 0, "batch must be positive"),
+        (cfg.mc_samples > 0, "mc_samples must be positive"),
+        (beta_ok, "qUCB beta must be non-negative"),
+    ] {
+        if !ok {
+            return Err(BoError::InvalidInput { context });
+        }
+    }
 
     // (1) Initial design: distinct random pool points. The index draw
     // happens before any budget check so a budget-truncated run keeps
@@ -144,36 +185,31 @@ where
         let incumbent = best_of(&observations).1;
         let crn_seed: u64 = rng.gen();
 
-        // The shared point set of this iteration's candidate scans:
-        // pool first, then (for baseline-hungry acquisitions) the
-        // observed points. Built once; the scan below addresses it by
-        // index, so the surrogate can prepare one batched posterior
-        // over everything instead of one per candidate.
-        let mut pts: Vec<Vec<f64>> = Vec::with_capacity(
-            pool.len()
-                + if cfg.kind.needs_baseline() {
-                    observations.len()
-                } else {
-                    0
-                },
-        );
+        // One joint sample matrix per iteration: the pool's columns,
+        // then (for baseline-hungry acquisitions) the observed points'.
+        // Every slot below scores its candidates from it.
+        let n_base = if cfg.kind.needs_baseline() {
+            observations.len()
+        } else {
+            0
+        };
+        let mut pts: Vec<Vec<f64>> = Vec::with_capacity(pool.len() + n_base);
         pts.extend(pool.iter().cloned());
-        let base_start = pts.len();
-        if cfg.kind.needs_baseline() {
-            pts.extend(observations.iter().map(|(x, _)| x.clone()));
-        }
-        let baseline_idx: Vec<usize> = (base_start..pts.len()).collect();
-        surrogate.prepare(&pts, cfg.mc_samples, crn_seed);
+        pts.extend(observations[..n_base].iter().map(|(x, _)| x.clone()));
+        let samples = surrogate.joint_samples(&pts, cfg.mc_samples, crn_seed);
 
         // (2) Greedy sequential batch construction. Each slot scans
         // the whole pool, so the slot's charge is one ACQ_CANDIDATE
         // per pool entry, checked before the scan starts.
+        let acquisition_span = span(rec, Phase::BoAcquisition);
+        let scan = Scan::new(cfg.kind, &samples, pool.len(), incumbent);
         let mut selected_idx: Vec<usize> = Vec::with_capacity(cfg.batch);
         for _slot in 0..cfg.batch {
             if !budget.try_charge(pool.len() as u64 * cost::ACQ_CANDIDATE) {
                 budget_stopped = true;
                 break;
             }
+            let slot = scan.slot(&selected_idx);
             let scores: Vec<f64> = (0..pool.len())
                 .collect::<Vec<_>>()
                 .par_iter()
@@ -181,25 +217,18 @@ where
                     if selected_idx.iter().any(|&s| pool[s] == pool[ci]) {
                         return f64::NEG_INFINITY; // no duplicates within a batch
                     }
-                    let mut idx: Vec<usize> =
-                        Vec::with_capacity(selected_idx.len() + 1 + baseline_idx.len());
-                    idx.extend_from_slice(&selected_idx);
-                    idx.push(ci);
-                    let q = idx.len();
-                    idx.extend_from_slice(&baseline_idx);
-                    let samples =
-                        surrogate.joint_samples_indexed(&pts, &idx, cfg.mc_samples, crn_seed);
-                    cfg.kind.score_split(&samples, q, Some(incumbent))
+                    slot.score(ci)
                 })
                 .collect();
             let Some(best_idx) = eva_linalg::vecops::argmax(&scores) else {
-                break; // empty pool: nothing left to select
+                break; // no candidate scored
             };
             if scores[best_idx] == f64::NEG_INFINITY {
                 break; // pool exhausted (batch >= pool size)
             }
             selected_idx.push(best_idx);
         }
+        drop(acquisition_span);
         let selected: Vec<Vec<f64>> = selected_idx.iter().map(|&i| pool[i].clone()).collect();
 
         // (3) Observe the batch (Algorithm 2 line 16).
@@ -228,7 +257,7 @@ where
     }
 
     let (best_x, best_value) = best_of(&observations);
-    BoResult {
+    Ok(BoResult {
         best_x,
         best_value,
         observations,
@@ -236,7 +265,7 @@ where
         iters_run,
         converged,
         budget_stopped,
-    }
+    })
 }
 
 fn best_of(observations: &[(Vec<f64>, f64)]) -> (Vec<f64>, f64) {
@@ -269,6 +298,18 @@ mod tests {
         GpSurrogate::new(fit_gp(&xs, &ys, &cfg, &mut seeded(0), &NoopRecorder).unwrap())
     }
 
+    /// [`bo_maximize`] with [`gp_fit`] on valid inputs, untraced.
+    fn run(
+        f: impl FnMut(&[f64]) -> f64,
+        pool: &[Vec<f64>],
+        cfg: &BoConfig,
+        seed: u64,
+        budget: &DecisionBudget,
+    ) -> BoResult {
+        let rng = &mut seeded(seed);
+        bo_maximize(f, gp_fit, pool, cfg, rng, budget, &NoopRecorder).unwrap()
+    }
+
     fn grid_pool(n: usize) -> Vec<Vec<f64>> {
         (0..n).map(|i| vec![i as f64 / (n - 1) as f64]).collect()
     }
@@ -286,14 +327,7 @@ mod tests {
             delta: 1e-6,
             kind: AcqKind::QNei,
         };
-        let r = bo_maximize(
-            f,
-            gp_fit,
-            &pool,
-            &cfg,
-            &mut seeded(1),
-            &DecisionBudget::unlimited(),
-        );
+        let r = run(f, &pool, &cfg, 1, &DecisionBudget::unlimited());
         assert!((r.best_x[0] - 0.3).abs() <= 0.05, "best_x = {:?}", r.best_x);
         assert!(r.best_value > -0.003);
     }
@@ -317,14 +351,7 @@ mod tests {
                 delta: 1e-9,
                 kind: AcqKind::QNei,
             };
-            let r = bo_maximize(
-                f,
-                gp_fit,
-                &pool,
-                &cfg,
-                &mut seeded(seed),
-                &DecisionBudget::unlimited(),
-            );
+            let r = run(f, &pool, &cfg, seed, &DecisionBudget::unlimited());
             // Judge by TRUE value at the recommended point.
             1.0 - 4.0 * (r.best_x[0] - 0.7) * (r.best_x[0] - 0.7)
         };
@@ -367,14 +394,7 @@ mod tests {
             delta: 10.0, // absurdly loose: stop after two iterations
             kind: AcqKind::QNei,
         };
-        let r = bo_maximize(
-            f,
-            gp_fit,
-            &pool,
-            &cfg,
-            &mut seeded(2),
-            &DecisionBudget::unlimited(),
-        );
+        let r = run(f, &pool, &cfg, 2, &DecisionBudget::unlimited());
         assert!(r.converged);
         assert!(r.iters_run <= 2, "ran {} iters", r.iters_run);
     }
@@ -397,14 +417,7 @@ mod tests {
                 delta: 1e-9,
                 kind,
             };
-            let r = bo_maximize(
-                f,
-                gp_fit,
-                &pool,
-                &cfg,
-                &mut seeded(3),
-                &DecisionBudget::unlimited(),
-            );
+            let r = run(f, &pool, &cfg, 3, &DecisionBudget::unlimited());
             assert!(
                 (r.best_x[0] - 0.5).abs() < 0.2,
                 "{kind:?} landed at {:?}",
@@ -425,14 +438,7 @@ mod tests {
             delta: 1e-12,
             kind: AcqKind::QSr,
         };
-        let r = bo_maximize(
-            f,
-            gp_fit,
-            &pool,
-            &cfg,
-            &mut seeded(4),
-            &DecisionBudget::unlimited(),
-        );
+        let r = run(f, &pool, &cfg, 4, &DecisionBudget::unlimited());
         assert!(r.best_trace.windows(2).all(|w| w[1] >= w[0] - 1e-15));
         assert_eq!(r.best_trace.len(), r.iters_run + 1);
     }
@@ -451,16 +457,9 @@ mod tests {
         };
         // A finite budget that never refuses a charge must not perturb
         // the search: charging is bookkeeping, not control flow.
-        let a = bo_maximize(
-            f,
-            gp_fit,
-            &pool,
-            &cfg,
-            &mut seeded(9),
-            &DecisionBudget::unlimited(),
-        );
+        let a = run(f, &pool, &cfg, 9, &DecisionBudget::unlimited());
         let ample = DecisionBudget::limited(u64::MAX / 2);
-        let b = bo_maximize(f, gp_fit, &pool, &cfg, &mut seeded(9), &ample);
+        let b = run(f, &pool, &cfg, 9, &ample);
         assert!(ample.spent() > 0);
         assert_eq!(a.best_x, b.best_x);
         assert_eq!(a.best_value.to_bits(), b.best_value.to_bits());
@@ -483,7 +482,7 @@ mod tests {
         };
         // Enough for the initial design plus one refit, then dry.
         let budget = DecisionBudget::limited(4 * cost::OBJ_EVAL + cost::GP_FIT);
-        let r = bo_maximize(f, gp_fit, &pool, &cfg, &mut seeded(6), &budget);
+        let r = run(f, &pool, &cfg, 6, &budget);
         assert!(r.budget_stopped);
         assert!(!r.converged);
         assert_eq!(r.observations.len(), 4, "only the initial design ran");
@@ -510,7 +509,7 @@ mod tests {
             kind: AcqKind::QNei,
         };
         let budget = DecisionBudget::limited(1); // below even one OBJ_EVAL
-        let r = bo_maximize(f, gp_fit, &pool, &cfg, &mut seeded(7), &budget);
+        let r = run(f, &pool, &cfg, 7, &budget);
         assert_eq!(r.observations.len(), 1);
         assert!(r.budget_stopped);
         assert_eq!(budget.overruns(), 1, "the mandatory floor overran");
@@ -530,7 +529,7 @@ mod tests {
         };
         let run = || {
             let budget = DecisionBudget::limited(120);
-            let r = bo_maximize(f, gp_fit, &pool, &cfg, &mut seeded(8), &budget);
+            let r = run(f, &pool, &cfg, 8, &budget);
             (
                 r.best_x,
                 r.best_value.to_bits(),
@@ -553,14 +552,95 @@ mod tests {
             delta: 1e-12,
             kind: AcqKind::QNei,
         };
-        let r = bo_maximize(
-            f,
-            gp_fit,
-            &pool,
-            &cfg,
-            &mut seeded(5),
-            &DecisionBudget::unlimited(),
-        );
+        let r = run(f, &pool, &cfg, 5, &DecisionBudget::unlimited());
         assert!(r.best_value >= 0.5);
+    }
+
+    /// Each refused input is an error returned before the loop draws
+    /// from the caller's RNG, never a panic.
+    fn refused(pool: &[Vec<f64>], cfg: &BoConfig) -> BoError {
+        use rand::Rng as _;
+        let mut rng = seeded(10);
+        let err = bo_maximize(
+            |x: &[f64]| x[0],
+            gp_fit,
+            pool,
+            cfg,
+            &mut rng,
+            &DecisionBudget::unlimited(),
+            &NoopRecorder,
+        )
+        .unwrap_err();
+        assert_eq!(rng.gen::<u64>(), seeded(10).gen::<u64>(), "{err}");
+        err
+    }
+
+    fn small_cfg() -> BoConfig {
+        BoConfig {
+            n_init: 2,
+            batch: 1,
+            mc_samples: 8,
+            max_iters: 2,
+            delta: 1e-12,
+            kind: AcqKind::QNei,
+        }
+    }
+
+    fn invalid(context: &'static str) -> BoError {
+        BoError::InvalidInput { context }
+    }
+
+    #[test]
+    fn empty_pool_is_an_error() {
+        let err = refused(&[], &small_cfg());
+        assert_eq!(err, invalid("empty candidate pool"));
+    }
+
+    #[test]
+    fn zero_n_init_is_an_error() {
+        let err = refused(
+            &grid_pool(5),
+            &BoConfig {
+                n_init: 0,
+                ..small_cfg()
+            },
+        );
+        assert_eq!(err, invalid("n_init must be positive"));
+    }
+
+    #[test]
+    fn zero_batch_is_an_error() {
+        let err = refused(
+            &grid_pool(5),
+            &BoConfig {
+                batch: 0,
+                ..small_cfg()
+            },
+        );
+        assert_eq!(err, invalid("batch must be positive"));
+    }
+
+    #[test]
+    fn zero_mc_samples_is_an_error() {
+        let cfg = BoConfig {
+            mc_samples: 0,
+            ..small_cfg()
+        };
+        assert_eq!(
+            refused(&grid_pool(5), &cfg),
+            invalid("mc_samples must be positive")
+        );
+    }
+
+    #[test]
+    fn negative_ucb_beta_is_an_error() {
+        let cfg = BoConfig {
+            kind: AcqKind::QUcb { beta: -1.0 },
+            ..small_cfg()
+        };
+        assert_eq!(
+            refused(&grid_pool(5), &cfg),
+            invalid("qUCB beta must be non-negative")
+        );
     }
 }

@@ -3,47 +3,23 @@
 //! The driver's and the acquisitions' tests run on a plain GP; PaMO
 //! itself samples through the composite model in `pamo-core`.
 
-use eva_gp::{GpModel, GpPosterior};
+use eva_gp::GpModel;
 use eva_linalg::Mat;
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::surrogate::SurrogateSampler;
 
-/// A cached joint posterior over a prepared point set, keyed on the
-/// point-set content hash.
-#[derive(Debug)]
-struct PreparedPosterior {
-    key: u64,
-    mean: Vec<f64>,
-    cov: Mat,
-}
-
 /// Direct GP surrogate on the scalar objective.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct GpSurrogate {
     model: GpModel,
-    prepared: Mutex<Option<PreparedPosterior>>,
-}
-
-impl Clone for GpSurrogate {
-    fn clone(&self) -> Self {
-        // The prepared posterior is a pure cache; a clone re-prepares.
-        GpSurrogate {
-            model: self.model.clone(),
-            prepared: Mutex::new(None),
-        }
-    }
 }
 
 impl GpSurrogate {
     /// Wrap a fitted GP.
     pub(crate) fn new(model: GpModel) -> Self {
-        GpSurrogate {
-            model,
-            prepared: Mutex::new(None),
-        }
+        GpSurrogate { model }
     }
 
     /// Access the wrapped model.
@@ -62,18 +38,6 @@ impl GpSurrogate {
     ) -> eva_gp::Result<GpSurrogate> {
         Ok(GpSurrogate::new(self.model.condition(x_new, y_new)?))
     }
-}
-
-/// Content hash of a prepared point set (FNV over coordinate bits).
-fn hash_points(xs: &[Vec<f64>]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for x in xs {
-        h = (h ^ x.len() as u64).wrapping_mul(0x0000_0100_0000_01B3);
-        for &v in x {
-            h = (h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    h
 }
 
 impl SurrogateSampler for GpSurrogate {
@@ -95,51 +59,6 @@ impl SurrogateSampler for GpSurrogate {
 
     fn posterior_mean(&self, x: &[f64]) -> f64 {
         self.model.predict_mean(x)
-    }
-
-    /// One batched posterior over the whole prepared set. Every
-    /// subsequent indexed call slices its mean/covariance sub-block out
-    /// of the cache — mathematically (GP marginalization) *and*
-    /// numerically identical to a per-candidate posterior, since each
-    /// covariance entry is computed by the same kernel evaluation and
-    /// the same triangular solve either way.
-    fn prepare(&self, xs: &[Vec<f64>], _n_mc: usize, _seed: u64) {
-        if xs.is_empty() {
-            return;
-        }
-        let key = hash_points(xs);
-        if self.prepared.lock().as_ref().is_some_and(|p| p.key == key) {
-            return;
-        }
-        // A failed posterior leaves the cache empty: indexed calls then
-        // fall back to the per-query path (which degrades to zeros).
-        let prepared = self.model.posterior(xs).ok().map(|p| PreparedPosterior {
-            key,
-            mean: p.mean,
-            cov: p.cov,
-        });
-        *self.prepared.lock() = prepared;
-    }
-
-    fn joint_samples_indexed(&self, xs: &[Vec<f64>], idx: &[usize], n_mc: usize, seed: u64) -> Mat {
-        let key = hash_points(xs);
-        let guard = self.prepared.lock();
-        if let Some(p) = guard.as_ref().filter(|p| p.key == key) {
-            let q = idx.len();
-            let posterior = GpPosterior {
-                mean: idx.iter().map(|&i| p.mean[i]).collect(),
-                cov: Mat::from_fn(q, q, |a, b| p.cov[(idx[a], idx[b])]),
-            };
-            drop(guard);
-            let mut rng = StdRng::seed_from_u64(seed);
-            let eps = Mat::from_fn(n_mc, q, |_, _| eva_stats::rng::standard_normal(&mut rng));
-            return posterior
-                .sample_with(&eps)
-                .unwrap_or_else(|_| Mat::from_fn(n_mc, q, |_, _| 0.0));
-        }
-        drop(guard);
-        let query: Vec<Vec<f64>> = idx.iter().map(|&i| xs[i].clone()).collect();
-        self.joint_samples(&query, n_mc, seed)
     }
 }
 
@@ -193,34 +112,6 @@ mod tests {
         let sa = fast.joint_samples(&xs, 32, 5);
         let sb = slow.joint_samples(&xs, 32, 5);
         assert!(sa.max_abs_diff(&sb) < 1e-6);
-    }
-
-    #[test]
-    fn prepared_indexed_samples_are_bit_identical_to_direct() {
-        let s = surrogate();
-        let pts: Vec<Vec<f64>> = (0..9).map(|i| vec![i as f64 * 0.11]).collect();
-        s.prepare(&pts, 16, 7);
-        for idx in [vec![2usize], vec![4, 1, 7], vec![0, 8, 3, 5]] {
-            let fast = s.joint_samples_indexed(&pts, &idx, 16, 7);
-            let query: Vec<Vec<f64>> = idx.iter().map(|&i| pts[i].clone()).collect();
-            let slow = s.joint_samples(&query, 16, 7);
-            assert_eq!((fast.rows(), fast.cols()), (16, idx.len()));
-            for r in 0..16 {
-                for c in 0..idx.len() {
-                    assert_eq!(
-                        fast[(r, c)].to_bits(),
-                        slow[(r, c)].to_bits(),
-                        "mismatch at ({r},{c}) for idx {idx:?}"
-                    );
-                }
-            }
-        }
-        // A different point set misses the cache and still agrees via
-        // the fallback path.
-        let other: Vec<Vec<f64>> = (0..4).map(|i| vec![0.05 + i as f64 * 0.2]).collect();
-        let fast = s.joint_samples_indexed(&other, &[1, 3], 8, 3);
-        let slow = s.joint_samples(&[other[1].clone(), other[3].clone()], 8, 3);
-        assert!(fast.max_abs_diff(&slow) < 1e-15);
     }
 
     #[test]

@@ -23,5 +23,5 @@ mod gp_surrogate;
 pub mod surrogate;
 
 pub use acquisition::AcqKind;
-pub use driver::{bo_maximize, BoConfig, BoResult};
+pub use driver::{bo_maximize, BoConfig, BoError, BoResult};
 pub use surrogate::SurrogateSampler;

@@ -13,31 +13,12 @@ use eva_linalg::Mat;
 pub trait SurrogateSampler {
     /// Draw `n_mc` joint samples at `xs`; returns an `n_mc x xs.len()`
     /// matrix. `seed` selects the common random numbers: calls with the
-    /// same seed must reuse the same underlying randomness so that
-    /// acquisition comparisons across candidate batches are low-variance.
+    /// same seed must reuse the same underlying randomness. The driver
+    /// calls this once per BO iteration, with the candidate pool
+    /// followed by the observed baselines, and scores every candidate
+    /// batch of the iteration from the returned columns.
     fn joint_samples(&self, xs: &[Vec<f64>], n_mc: usize, seed: u64) -> Mat;
 
     /// Posterior mean at a single point (used for final recommendation).
     fn posterior_mean(&self, x: &[f64]) -> f64;
-
-    /// Announce the full point set the next [`joint_samples_indexed`]
-    /// calls will index into (candidate pool plus baselines), letting
-    /// implementations precompute one batched posterior instead of one
-    /// per candidate. The default is a no-op — correctness never depends
-    /// on preparation.
-    ///
-    /// [`joint_samples_indexed`]: SurrogateSampler::joint_samples_indexed
-    fn prepare(&self, _xs: &[Vec<f64>], _n_mc: usize, _seed: u64) {}
-
-    /// [`SurrogateSampler::joint_samples`] addressed by indices into a
-    /// shared point set: column `k` of the result holds samples at
-    /// `xs[idx[k]]`. The driver's candidate scan calls this with the
-    /// same `xs` it passed to [`SurrogateSampler::prepare`], so batched
-    /// implementations can slice a cached posterior instead of
-    /// recomputing it. The default materializes the selection and
-    /// delegates.
-    fn joint_samples_indexed(&self, xs: &[Vec<f64>], idx: &[usize], n_mc: usize, seed: u64) -> Mat {
-        let query: Vec<Vec<f64>> = idx.iter().map(|&i| xs[i].clone()).collect();
-        self.joint_samples(&query, n_mc, seed)
-    }
 }

@@ -246,8 +246,6 @@ pub struct FrameDelivery {
     /// Pure serialization component: the slowest member's queue-drain
     /// time (seconds), before propagation delay.
     pub serialization_s: f64,
-    /// Bits each member carried for this frame.
-    pub per_link_bits: Vec<f64>,
     /// Packets the frame was striped into.
     pub packets: u64,
     /// Total time packets spent held in the reorder buffer (seconds) —
@@ -258,8 +256,7 @@ pub struct FrameDelivery {
 }
 
 /// Per-frame buffers of [`BundleSim`]'s striping path, kept across
-/// frames so a frame, striped or replayed, allocates nothing but the
-/// returned [`FrameDelivery::per_link_bits`].
+/// frames so a frame, striped or replayed, allocates nothing.
 #[derive(Debug, Clone, Default)]
 struct Scratch {
     /// True trace rate of each member at the frame's capture time.
@@ -575,7 +572,6 @@ impl BundleSim {
             return FrameDelivery {
                 delay_s,
                 serialization_s,
-                per_link_bits: vec![bits],
                 packets: 1,
                 hol_wait_s: 0.0,
                 max_reorder_depth: 1,
@@ -630,7 +626,6 @@ impl BundleSim {
         FrameDelivery {
             delay_s: frame.delay_s,
             serialization_s,
-            per_link_bits: link_bits.to_vec(),
             packets: frame.packets,
             hol_wait_s: frame.hol_wait_s,
             max_reorder_depth: frame.max_depth,
@@ -764,7 +759,6 @@ mod tests {
         FrameDelivery {
             delay_s,
             serialization_s,
-            per_link_bits,
             packets: n_pkts,
             hol_wait_s,
             max_reorder_depth: rb.max_depth(),
@@ -785,11 +779,6 @@ mod tests {
             a.serialization_s.to_bits(),
             b.serialization_s.to_bits(),
             "frame {frame}: serialization"
-        );
-        assert_eq!(
-            bits_of(&a.per_link_bits),
-            bits_of(&b.per_link_bits),
-            "frame {frame}: per-link bits"
         );
         assert_eq!(a.packets, b.packets, "frame {frame}: packets");
         assert_eq!(
@@ -939,10 +928,10 @@ mod tests {
                 let got = fast.frame_delivery(t, 1.1e5);
                 let want = reference_delivery(&mut reference, t, 1.1e5);
                 assert_same_delivery(&got, &want, k as usize);
+                assert_same_state(&fast, &reference);
                 assert!(fast.memo.frames.len() <= STRIPE_MEMO_CAP);
                 assert_eq!(fast.memo.fingerprints.len(), fast.memo.frames.len());
             }
-            assert_same_state(&fast, &reference);
             assert!(
                 fast.stripe_memo_misses() > 10 * STRIPE_MEMO_CAP as u64,
                 "{policy:?}: {} misses never filled the memo",
@@ -963,8 +952,8 @@ mod tests {
             let a = sim.frame_delivery(k * TICKS_PER_SEC, 5e4);
             let b = cloned.frame_delivery(k * TICKS_PER_SEC, 5e4);
             assert_same_delivery(&a, &b, k as usize);
+            assert_same_state(&sim, &cloned);
         }
-        assert_same_state(&sim, &cloned);
         assert_eq!(sim.stripe_memo_hits(), cloned.stripe_memo_hits());
     }
 
@@ -1039,6 +1028,7 @@ mod tests {
             for k in 0..5 {
                 let _ = sim.frame_delivery(k * TICKS_PER_SEC, frame);
             }
+            let before = sim.delivered_bits();
             let d = sim.frame_delivery(10 * TICKS_PER_SEC, frame);
             let analytic_t = frame / b.effective_rate_bps(policy, frame);
             let rel = (d.delay_s - analytic_t).abs() / analytic_t;
@@ -1048,7 +1038,8 @@ mod tests {
                 d.delay_s
             );
             // All bits accounted for.
-            let total: f64 = d.per_link_bits.iter().sum();
+            let after = sim.delivered_bits();
+            let total: f64 = after.iter().zip(&before).map(|(a, b)| a - b).sum();
             assert!((total - frame).abs() < 1e-6);
         }
     }

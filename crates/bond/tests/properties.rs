@@ -115,14 +115,16 @@ proptest! {
         ][policy_idx];
         let mut sim = bundle.simulator(10 * TICKS_PER_SEC, policy);
         let d = sim.frame_delivery(TICKS_PER_SEC, frame_bits);
-        let total: f64 = d.per_link_bits.iter().sum();
+        // A fresh simulator: the delivered totals are this frame's shares.
+        let per_link_bits = sim.delivered_bits();
+        let total: f64 = per_link_bits.iter().sum();
         prop_assert!(
             (total - frame_bits).abs() <= frame_bits * 1e-9,
             "bits leaked: {total} vs {frame_bits}"
         );
         prop_assert!(d.delay_s >= frame_bits / bundle.nominal_sum_bps() * (1.0 - 1e-9));
         for (i, link) in bundle.links().iter().enumerate() {
-            if d.per_link_bits[i] > 0.0 {
+            if per_link_bits[i] > 0.0 {
                 prop_assert!(
                     d.delay_s >= link.owd_s() * (1.0 - 1e-12),
                     "delivered before link {i}'s one-way delay"

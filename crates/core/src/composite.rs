@@ -26,7 +26,7 @@
 //! correlation is approximated as independence. BoTorch's qNEI makes
 //! the analogous MC-with-CRN trade, just with full joint GP sampling.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use eva_bo::SurrogateSampler;
@@ -38,7 +38,6 @@ use eva_stats::rng::{child_seed, standard_normal, standard_normal_vec};
 use eva_workload::outcome::idx;
 use eva_workload::profiler::{features_of, N_FEATURES};
 use eva_workload::{Outcome, Scenario, N_OBJECTIVES};
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
@@ -95,18 +94,12 @@ impl PreferenceEval {
     }
 }
 
-/// Sample-cache key: (point hash, seed, n_mc).
-type SampleKey = (u64, u64, usize);
-
 /// The composite `g(f(x))` sampler over joint-configuration encodings.
 pub struct CompositeSampler<'a> {
     scenario: &'a Scenario,
     bank: OutcomeModelBank,
     pref: PreferenceEval,
     normalizer: OutcomeNormalizer,
-    /// Memo: (point hash, seed, n_mc) → benefit samples. Exact because
-    /// every sample stream is deterministic in those keys.
-    cache: Mutex<HashMap<SampleKey, Vec<f64>>>,
     /// Algorithm-1 placements, shared with the candidate pool and the
     /// other samplers of one decide.
     placements: Arc<Placements>,
@@ -129,7 +122,6 @@ impl<'a> CompositeSampler<'a> {
             bank,
             pref,
             normalizer,
-            cache: Mutex::new(HashMap::new()),
             placements: Arc::default(),
             rec: &NoopRecorder,
         }
@@ -226,18 +218,11 @@ impl<'a> CompositeSampler<'a> {
             .collect()
     }
 
-    /// Benefit samples at one joint-config point.
-    fn point_samples(&self, x: &[f64], n_mc: usize, seed: u64) -> Vec<f64> {
-        let key = (hash_bits(x), seed, n_mc);
-        if let Some(hit) = self.cache.lock().get(&key) {
-            return hit.clone();
-        }
-        let samples = self.compute_point_samples(x, n_mc, seed);
-        self.cache.lock().insert(key, samples.clone());
-        samples
-    }
-
-    fn compute_point_samples(&self, x: &[f64], n_mc: usize, seed: u64) -> Vec<f64> {
+    /// Samples at one point assembled from the scalar bank calls: the
+    /// reference the batched [`SurrogateSampler::joint_samples`] must
+    /// match bit for bit.
+    #[cfg(test)]
+    pub(crate) fn per_point_samples(&self, x: &[f64], n_mc: usize, seed: u64) -> Vec<f64> {
         let Ok(configs) = decode_joint(self.scenario, x) else {
             return vec![INFEASIBLE_BENEFIT; n_mc];
         };
@@ -246,7 +231,7 @@ impl<'a> CompositeSampler<'a> {
         };
         let uplinks = self.uplink_map(&assignment);
         self.assemble_point_samples(
-            x,
+            hash_bits(x),
             &configs,
             &assignment,
             &uplinks,
@@ -257,21 +242,20 @@ impl<'a> CompositeSampler<'a> {
         .0
     }
 
-    /// The common sample-assembly path: per-objective aggregate moments
-    /// from the clipped per-camera posteriors, one normal draw per
-    /// objective per MC row, and all rows pushed through the preference
-    /// layer in one batched call. `predict` supplies the GP posterior
-    /// for each (camera, objective, config, uplink) — either the scalar
-    /// bank call or a lookup into batched results (`part` is the split
-    /// part's index within the assignment, used only by the batched
-    /// latency lookup); both are bit-identical, so cached and uncached
-    /// points agree exactly.
+    /// The sample-assembly path of the point with content hash `point`:
+    /// per-objective aggregate moments from the clipped per-camera
+    /// posteriors, one normal draw per objective per MC row, and all
+    /// rows pushed through the preference layer in one batched call.
+    /// `predict` supplies the GP posterior for each (camera, objective,
+    /// config, uplink) — a lookup into batched results (`part` is the
+    /// split part's index within the assignment, used only by the
+    /// latency lookup), or in tests the bit-identical scalar bank call.
     /// Returns the samples and the number of camera-objective terms
     /// whose clip bound was near enough to need `Phi`/`phi`.
     #[allow(clippy::too_many_arguments)]
     fn assemble_point_samples(
         &self,
-        x: &[f64],
+        point: u64,
         configs: &[eva_workload::VideoConfig],
         assignment: &eva_sched::Assignment,
         uplinks: &[f64],
@@ -280,7 +264,6 @@ impl<'a> CompositeSampler<'a> {
         predict: &PredictFn<'_>,
     ) -> (Vec<f64>, usize) {
         let (moments, clipped) = self.aggregate_moments(configs, assignment, uplinks, predict);
-        let point = hash_bits(x);
         let zeta = crn_draws(seed, point ^ 0x5eed_c0de, n_mc);
         let ys: Vec<Vec<f64>> = aggregate_draws(&moments, seed, point, n_mc)
             .iter()
@@ -387,65 +370,46 @@ fn aggregate_draws(
 const AGG_KEY: u64 = 0xa66e_0000;
 
 impl SurrogateSampler for CompositeSampler<'_> {
-    fn joint_samples(&self, xs: &[Vec<f64>], n_mc: usize, seed: u64) -> Mat {
-        let cols: Vec<Vec<f64>> = xs
-            .iter()
-            .map(|x| self.point_samples(x, n_mc, seed))
-            .collect();
-        Mat::from_fn(n_mc, xs.len(), |r, c| cols[c][r])
-    }
-
-    fn posterior_mean(&self, x: &[f64]) -> f64 {
-        match self.predict_outcome(x) {
-            Some(outcome) => {
-                let y = self.normalizer.normalize(&outcome);
-                self.pref.mean_and_std(&y).0
-            }
-            None => INFEASIBLE_BENEFIT,
-        }
-    }
-
-    /// Batch-fill the sample cache for a whole candidate set, then
-    /// assemble samples per point from the batched posteriors. Query
-    /// positions are pure indices — aggregate objectives query exactly
-    /// once per (point, camera), and latency once per (point, split
-    /// part). Cameras with the same observation history share one GP
-    /// factor, so a first sequential pass registers every query in a
+    /// Samples at every point of `xs`, assembled from batched
+    /// posteriors. Points are deduplicated by content hash (the BO
+    /// driver's baselines repeat pool points), and query positions are
+    /// pure indices — aggregate objectives query exactly once per
+    /// (point, camera), and latency once per (point, split part).
+    /// Cameras with the same observation history share one GP factor,
+    /// so a first sequential pass registers every query in a
     /// `SolveMemo`: each distinct (prefix, query) design-row solve and
     /// each distinct (factor, query) tail cross-kernel vector and latent
     /// variance is computed once, by the first camera that needs it,
     /// and every camera then only takes its model's mean dot
-    /// ([`eva_gp::GpModel::predict_with`]).
-    /// Bit-identical to the per-point path, so the driver's subsequent
-    /// indexed calls are pure cache hits.
-    fn prepare(&self, xs: &[Vec<f64>], n_mc: usize, seed: u64) {
+    /// ([`eva_gp::GpModel::predict_with`]). Bit-identical to assembling
+    /// each point from the scalar bank calls.
+    fn joint_samples(&self, xs: &[Vec<f64>], n_mc: usize, seed: u64) -> Mat {
         let _prepare_span = span(self.rec, Phase::BoPrepare);
-        // Uncached points, deduped by content hash.
-        let mut todo: Vec<(u64, &Vec<f64>)> = Vec::new();
-        {
-            let cache = self.cache.lock();
-            let mut seen = HashSet::new();
-            for x in xs {
+        // Distinct points by content hash; column `c` of the result
+        // holds the samples of distinct point `col_of[c]`.
+        let mut distinct: Vec<(u64, &[f64])> = Vec::new();
+        let mut first: HashMap<u64, usize> = HashMap::new();
+        let col_of: Vec<usize> = xs
+            .iter()
+            .map(|x| {
                 let h = hash_bits(x);
-                if !cache.contains_key(&(h, seed, n_mc)) && seen.insert(h) {
-                    todo.push((h, x));
-                }
-            }
-        }
-        if todo.len() < 2 {
-            return; // nothing worth batching — the per-point path covers it
-        }
+                *first.entry(h).or_insert_with(|| {
+                    distinct.push((h, x));
+                    distinct.len() - 1
+                })
+            })
+            .collect();
 
-        struct Feasible<'p> {
+        struct Feasible {
+            point: usize,
             hash: u64,
-            x: &'p [f64],
             configs: Vec<eva_workload::VideoConfig>,
             assignment: Arc<eva_sched::Assignment>,
             uplinks: Vec<f64>,
         }
         let mut feasible: Vec<Feasible> = Vec::new();
-        let mut settled: Vec<(SampleKey, Vec<f64>)> = Vec::new();
-        for (hash, x) in todo {
+        let mut samples: Vec<Vec<f64>> = vec![Vec::new(); distinct.len()];
+        for (point, &(hash, x)) in distinct.iter().enumerate() {
             let placed = decode_joint(self.scenario, x).ok().and_then(|configs| {
                 let assignment = self.placements.schedule(self.scenario, &configs)?;
                 Some((configs, assignment))
@@ -454,14 +418,14 @@ impl SurrogateSampler for CompositeSampler<'_> {
                 Some((configs, assignment)) => {
                     let uplinks = self.uplink_map(&assignment);
                     feasible.push(Feasible {
+                        point,
                         hash,
-                        x,
                         configs,
                         assignment,
                         uplinks,
                     });
                 }
-                None => settled.push(((hash, seed, n_mc), vec![INFEASIBLE_BENEFIT; n_mc])),
+                None => samples[point] = vec![INFEASIBLE_BENEFIT; n_mc],
             }
         }
 
@@ -554,7 +518,7 @@ impl SurrogateSampler for CompositeSampler<'_> {
         // sequential *within* a point, so the samples are bit-identical
         // to the sequential per-point loop.
         let _assemble_span = span(self.rec, Phase::BoAssemble);
-        let assembled: Vec<(SampleKey, Vec<f64>, usize)> = feasible
+        let assembled: Vec<(usize, Vec<f64>, usize)> = feasible
             .par_iter()
             .enumerate()
             .map(|(p, f)| {
@@ -572,7 +536,7 @@ impl SurrogateSampler for CompositeSampler<'_> {
                     }
                 };
                 let (samples, clipped) = self.assemble_point_samples(
-                    f.x,
+                    f.hash,
                     &f.configs,
                     &f.assignment,
                     &f.uplinks,
@@ -580,7 +544,7 @@ impl SurrogateSampler for CompositeSampler<'_> {
                     seed,
                     &predict,
                 );
-                ((f.hash, seed, n_mc), samples, clipped)
+                (f.point, samples, clipped)
             })
             .collect();
         if self.rec.enabled() {
@@ -597,15 +561,19 @@ impl SurrogateSampler for CompositeSampler<'_> {
                 self.rec.add("prefgp.posterior_points", rows as u64);
             }
         }
-        settled.extend(
-            assembled
-                .into_iter()
-                .map(|(key, samples, _)| (key, samples)),
-        );
+        for (point, point_samples, _) in assembled {
+            samples[point] = point_samples;
+        }
+        Mat::from_fn(n_mc, xs.len(), |r, c| samples[col_of[c]][r])
+    }
 
-        let mut cache = self.cache.lock();
-        for (key, samples) in settled {
-            cache.insert(key, samples);
+    fn posterior_mean(&self, x: &[f64]) -> f64 {
+        match self.predict_outcome(x) {
+            Some(outcome) => {
+                let y = self.normalizer.normalize(&outcome);
+                self.pref.mean_and_std(&y).0
+            }
+            None => INFEASIBLE_BENEFIT,
         }
     }
 }
@@ -871,16 +839,10 @@ mod tests {
     }
 
     #[test]
-    fn prepared_batch_is_bit_identical_to_per_point_path() {
+    fn batched_samples_are_bit_identical_to_per_point_path() {
         let (sc, bank, pref) = setup();
         let normalizer = OutcomeNormalizer::for_scenario(&sc);
-        let fast = CompositeSampler::new(
-            &sc,
-            bank.clone(),
-            PreferenceEval::Oracle(pref.clone()),
-            normalizer.clone(),
-        );
-        let slow = CompositeSampler::new(&sc, bank, PreferenceEval::Oracle(pref), normalizer);
+        let sampler = CompositeSampler::new(&sc, bank, PreferenceEval::Oracle(pref), normalizer);
         // A mixed pool: distinct feasible points, one duplicate, one
         // infeasible point.
         let xs = vec![
@@ -890,25 +852,16 @@ mod tests {
             encode_joint(&sc, &[VideoConfig::new(2160.0, 30.0); 3]).unwrap(),
             encode_joint(&sc, &[VideoConfig::new(1440.0, 20.0); 3]).unwrap(),
         ];
-        fast.prepare(&xs, 12, 77);
-        let a = fast.joint_samples(&xs, 12, 77);
-        let b = slow.joint_samples(&xs, 12, 77);
-        for r in 0..12 {
-            for c in 0..xs.len() {
+        let batched = sampler.joint_samples(&xs, 12, 77);
+        for (c, x) in xs.iter().enumerate() {
+            let reference = sampler.per_point_samples(x, 12, 77);
+            for (r, want) in reference.iter().enumerate() {
                 assert_eq!(
-                    a[(r, c)].to_bits(),
-                    b[(r, c)].to_bits(),
+                    batched[(r, c)].to_bits(),
+                    want.to_bits(),
                     "mismatch at ({r},{c})"
                 );
             }
-        }
-        // Indexed access through the default trait path agrees too.
-        use eva_bo::SurrogateSampler as _;
-        let sub = fast.joint_samples_indexed(&xs, &[4, 0, 3], 12, 77);
-        for r in 0..12 {
-            assert_eq!(sub[(r, 0)].to_bits(), b[(r, 4)].to_bits());
-            assert_eq!(sub[(r, 1)].to_bits(), b[(r, 0)].to_bits());
-            assert_eq!(sub[(r, 2)].to_bits(), b[(r, 3)].to_bits());
         }
     }
 

@@ -115,6 +115,14 @@ impl From<GroupingError> for CoreError {
     }
 }
 
+impl From<eva_bo::BoError> for CoreError {
+    fn from(e: eva_bo::BoError) -> Self {
+        match e {
+            eva_bo::BoError::InvalidInput { context } => CoreError::InvalidInput { context },
+        }
+    }
+}
+
 impl From<GpError> for CoreError {
     fn from(e: GpError) -> Self {
         CoreError::OutcomeModel(e)

@@ -912,12 +912,13 @@ mod tests {
             )
             .with_placements(placements);
             let scalar = CompositeSampler::new(&sc, oracle, PreferenceEval::Oracle(pref), normalizer);
-            batched.prepare(&pool, 8, seed);
             let a = batched.joint_samples(&pool, 8, seed);
-            let b = scalar.joint_samples(&pool, 8, seed);
-            proptest::prop_assert!(
-                a.as_slice().iter().zip(b.as_slice()).all(|(u, v)| u.to_bits() == v.to_bits())
-            );
+            for (c, x) in pool.iter().enumerate() {
+                let b = scalar.per_point_samples(x, 8, seed);
+                proptest::prop_assert!(
+                    b.iter().enumerate().all(|(r, v)| a[(r, c)].to_bits() == v.to_bits())
+                );
+            }
         }
     }
 

@@ -252,7 +252,8 @@ impl Pamo {
         rec: &dyn Recorder,
     ) -> Result<PamoDecision, CoreError> {
         let cfg = &self.config;
-        // The BO driver asserts these; refuse them before any RNG draw.
+        // The BO driver refuses these too, but only after the outcome
+        // fit and the pool have drawn from `rng`; refuse them first.
         require(cfg.bo.n_init > 0, "bo.n_init must be positive")?;
         require(cfg.bo.batch > 0, "bo.batch must be positive")?;
         require(cfg.bo.mc_samples > 0, "bo.mc_samples must be positive")?;
@@ -372,7 +373,7 @@ impl Pamo {
         };
         let bo = {
             let _bo_span = span(rec, Phase::BoSearch);
-            bo_maximize(objective, fit, &pool, &cfg.bo, rng, budget)
+            bo_maximize(objective, fit, &pool, &cfg.bo, rng, budget, rec)?
         };
         if rec.enabled() {
             rec.add("core.decisions", 1);

@@ -90,6 +90,7 @@ fn online_run_identical_under_noop_and_flight_recorders() {
         Phase::BoPrepare,
         Phase::BoPosterior,
         Phase::BoAssemble,
+        Phase::BoAcquisition,
         Phase::BankUpdate,
         Phase::GpFit,
         Phase::Grouping,

@@ -35,6 +35,9 @@ pub enum Phase {
     /// Common-random-number sample assembly of one batched scan: draws
     /// pushed through the preference layer (inside `BoPrepare`).
     BoAssemble,
+    /// The greedy batch construction of one BO iteration: every slot's
+    /// acquisition scan over the candidate pool (inside `BoSearch`).
+    BoAcquisition,
     /// Conditioning the outcome-model bank on one objective
     /// evaluation's measurements (Algorithm 2 line 18, inside
     /// `BoSearch`).
@@ -65,7 +68,7 @@ pub enum Phase {
 
 impl Phase {
     /// All phases, in pipeline order (the order summaries print in).
-    pub(crate) const ALL: [Phase; 18] = [
+    pub(crate) const ALL: [Phase; 19] = [
         Phase::Epoch,
         Phase::Decide,
         Phase::OutcomeFit,
@@ -74,6 +77,7 @@ impl Phase {
         Phase::BoPrepare,
         Phase::BoPosterior,
         Phase::BoAssemble,
+        Phase::BoAcquisition,
         Phase::BankUpdate,
         Phase::GpFit,
         Phase::Grouping,
@@ -97,6 +101,7 @@ impl Phase {
             Phase::BoPrepare => "bo_prepare",
             Phase::BoPosterior => "bo_posterior",
             Phase::BoAssemble => "bo_assemble",
+            Phase::BoAcquisition => "bo_acquisition",
             Phase::BankUpdate => "bank_update",
             Phase::GpFit => "gp_fit",
             Phase::Grouping => "grouping",
@@ -121,16 +126,17 @@ impl Phase {
             Phase::BoPrepare => 5,
             Phase::BoPosterior => 6,
             Phase::BoAssemble => 7,
-            Phase::BankUpdate => 8,
-            Phase::GpFit => 9,
-            Phase::Grouping => 10,
-            Phase::Assignment => 11,
-            Phase::Des => 12,
-            Phase::Fallback => 13,
-            Phase::Admission => 14,
-            Phase::Replan => 15,
-            Phase::Shed => 16,
-            Phase::BondStripe => 17,
+            Phase::BoAcquisition => 8,
+            Phase::BankUpdate => 9,
+            Phase::GpFit => 10,
+            Phase::Grouping => 11,
+            Phase::Assignment => 12,
+            Phase::Des => 13,
+            Phase::Fallback => 14,
+            Phase::Admission => 15,
+            Phase::Replan => 16,
+            Phase::Shed => 17,
+            Phase::BondStripe => 18,
         }
     }
 }

@@ -36,7 +36,7 @@ const PINNED_SHARED_HISTORY_HASH: u64 = 0xbf2e_994c_e4bc_4abe;
 /// Exact work of `decide_bits`' two decides under a flight recorder:
 /// counter values, then span counts per phase. Any change means the
 /// algorithm did more or less work, even if every decided bit held.
-const PINNED_WORK: [(&str, u64); 17] = [
+const PINNED_WORK: [(&str, u64); 18] = [
     ("core.objective_evals", 8),
     ("gp.fits", 10),
     ("gp.conditionings", 1600),
@@ -53,6 +53,7 @@ const PINNED_WORK: [(&str, u64); 17] = [
     // Span counts.
     ("decide", 2),
     ("bo_prepare", 4),
+    ("bo_acquisition", 4),
     ("bank_update", 8),
     ("gp_fit", 10),
     ("grouping", 10),

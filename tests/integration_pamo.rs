@@ -98,6 +98,29 @@ fn all_methods_produce_valid_decisions() {
     assert!(pamo.bo.best_trace.windows(2).all(|w| w[1] >= w[0] - 1e-12));
 }
 
+/// Per acquisition, in the order qNEI, qEI, qUCB(β = 2), qSR: the
+/// decide's `true_benefit` bits and an FNV-1a hash of its per-camera
+/// configs and of the BO observations in evaluation order. Each kind's
+/// scoring picks the BO batches, so drift in any of the four scorers
+/// moves its hash even where the decided configs agree. On this scenario qNEI and qEI observe the same points, and so do
+/// qUCB and qSR.
+const PINNED_ACQ_DECISIONS: [(u64, u64); 4] = [
+    (13828204423815964161, 17175338265585768023),
+    (13828204423815964161, 17175338265585768023),
+    (13828204423815964161, 17292553341563069888),
+    (13828204423815964161, 17292553341563069888),
+];
+
+fn decision_hash(d: &PamoDecision) -> u64 {
+    let fnv = |h: u64, v: f64| (h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01B3);
+    let h = d.configs.iter().fold(0xcbf2_9ce4_8422_2325, |h, c| {
+        fnv(fnv(h, c.resolution), c.fps)
+    });
+    d.bo.observations
+        .iter()
+        .fold(h, |h, (x, y)| x.iter().fold(fnv(h, *y), |h, &v| fnv(h, v)))
+}
+
 #[test]
 fn acquisition_variants_all_work_end_to_end() {
     let scenario = Scenario::uniform(4, 3, 20e6, 88);
@@ -108,6 +131,7 @@ fn acquisition_variants_all_work_end_to_end() {
             .unwrap()
             .outcome,
     );
+    let mut decisions = Vec::new();
     for kind in [
         AcqKind::QNei,
         AcqKind::QEi,
@@ -136,7 +160,13 @@ fn acquisition_variants_all_work_end_to_end() {
             "{kind:?} under floor: {} vs {floor}",
             d.true_benefit
         );
+        decisions.push((d.true_benefit.to_bits(), decision_hash(&d)));
     }
+    println!("acquisition decisions {decisions:?}");
+    assert_eq!(
+        decisions, PINNED_ACQ_DECISIONS,
+        "an acquisition's decide drifted"
+    );
 }
 
 #[test]
