@@ -1,19 +1,19 @@
 //! Local search over finite Cartesian product spaces.
 //!
 //! The EVA configuration space is a product of small discrete knob sets
-//! (per-stream resolution and frame-rate choices). FACT's block
-//! coordinate descent and the brute-force oracles in tests both operate
-//! on this structure.
+//! (per-stream resolution and frame-rate choices). The fixed-weight
+//! scalarizers ([`crate::fixed`]) search it by coordinate descent, and
+//! the brute-force oracle in the tests enumerates it.
 
 /// A finite product space: dimension `d` takes values `levels[d]`.
 #[derive(Debug, Clone)]
-pub struct DiscreteSpace {
+pub(crate) struct DiscreteSpace {
     levels: Vec<Vec<f64>>,
 }
 
 impl DiscreteSpace {
     /// Build from per-dimension level lists. Panics if any dimension is empty.
-    pub fn new(levels: Vec<Vec<f64>>) -> Self {
+    pub(crate) fn new(levels: Vec<Vec<f64>>) -> Self {
         assert!(
             levels.iter().all(|l| !l.is_empty()),
             "DiscreteSpace: empty dimension"
@@ -92,7 +92,7 @@ impl DiscreteSpace {
 ///
 /// This is exactly the "block coordinate descent" structure of FACT
 /// (Liu et al., INFOCOM'18) restricted to per-stream knobs.
-pub fn coordinate_descent(
+pub(crate) fn coordinate_descent(
     space: &DiscreteSpace,
     mut f: impl FnMut(&[f64]) -> f64,
     start: &[usize],

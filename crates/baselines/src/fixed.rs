@@ -7,7 +7,7 @@
 //! preference-modeling question, and solve the discrete configuration
 //! problem with coordinate descent from several starts.
 
-use eva_opt::{coordinate_descent, DiscreteSpace};
+use crate::discrete::{coordinate_descent, DiscreteSpace};
 use eva_stats::weights;
 use eva_workload::{Scenario, VideoConfig};
 

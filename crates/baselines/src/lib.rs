@@ -18,6 +18,7 @@
 //!   the queueing and jitter their placements actually cause — PaMO's
 //!   zero-jitter placements measure jitter-free by Theorem 1).
 
+mod discrete;
 pub mod fact;
 pub mod fixed;
 pub mod jcab;

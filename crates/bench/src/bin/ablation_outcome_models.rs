@@ -13,13 +13,13 @@
 //! ```
 
 use eva_bench::Table;
-use eva_gp::{fit_gp, FitConfig, PolyModel};
 use eva_obs::NoopRecorder;
 use eva_stats::metrics::r_squared;
 use eva_stats::rng::{child_seed, seeded};
 use eva_workload::{
     mot16_library, ConfigSpace, Profiler, SurfaceModel, N_OBJECTIVES, OBJECTIVE_NAMES,
 };
+use pamo_core::gp::{fit_gp, FitConfig, PolyModel};
 use rand::Rng;
 
 fn main() {

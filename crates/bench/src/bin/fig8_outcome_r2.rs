@@ -9,13 +9,13 @@
 //! ```
 
 use eva_bench::Table;
-use eva_gp::{fit_gp, FitConfig};
 use eva_obs::NoopRecorder;
 use eva_stats::metrics::r_squared;
 use eva_stats::rng::{child_seed, seeded};
 use eva_workload::{
     mot16_library, ConfigSpace, Profiler, SurfaceModel, N_OBJECTIVES, OBJECTIVE_NAMES,
 };
+use pamo_core::gp::{fit_gp, FitConfig};
 use rand::Rng;
 
 fn main() {
@@ -73,7 +73,7 @@ fn main() {
                 let hyper_model = fit_gp(&xs[..sub], &ys[..sub], &cfg, &mut rng, &NoopRecorder)
                     .expect("GP hyperfit");
                 let model = if sub < n {
-                    eva_gp::GpModel::new(
+                    pamo_core::gp::GpModel::new(
                         hyper_model.kernel().clone(),
                         hyper_model.noise_var(),
                         xs.clone(),

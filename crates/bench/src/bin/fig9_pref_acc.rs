@@ -12,10 +12,10 @@
 
 use eva_bench::Table;
 use eva_obs::NoopRecorder;
-use eva_prefgp::{elicit_preferences, ElicitConfig};
 use eva_stats::rng::{child_seed, seeded};
 use eva_workload::{Scenario, N_OBJECTIVES};
 use pamo_core::benefit::{TruePreference, TruePreferenceOracle};
+use pamo_core::prefgp::{elicit_preferences, ElicitConfig};
 use pamo_core::{
     build_pool, CompositeSampler, OutcomeModelBank, OutcomeNormalizer, PreferenceEval,
 };

@@ -282,9 +282,9 @@ fn best_of(observations: &[(Vec<f64>, f64)]) -> (Vec<f64>, f64) {
 mod tests {
     use super::*;
     use crate::gp_surrogate::GpSurrogate;
-    use eva_gp::{fit_gp, FitConfig};
     use eva_obs::NoopRecorder;
     use eva_stats::rng::seeded;
+    use pamo_core::gp::{fit_gp, FitConfig};
 
     /// Fit callback: a fresh GP on all observations, cheap settings.
     fn gp_fit(observations: &[(Vec<f64>, f64)]) -> GpSurrogate {

@@ -3,8 +3,8 @@
 //! The driver's and the acquisitions' tests run on a plain GP; PaMO
 //! itself samples through the composite model in `pamo-core`.
 
-use eva_gp::GpModel;
 use eva_linalg::Mat;
+use pamo_core::gp::GpModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -35,7 +35,7 @@ impl GpSurrogate {
         &self,
         x_new: &[Vec<f64>],
         y_new: &[f64],
-    ) -> eva_gp::Result<GpSurrogate> {
+    ) -> pamo_core::gp::Result<GpSurrogate> {
         Ok(GpSurrogate::new(self.model.condition(x_new, y_new)?))
     }
 }
@@ -65,7 +65,7 @@ impl SurrogateSampler for GpSurrogate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eva_gp::{Kernel, KernelType};
+    use pamo_core::gp::{Kernel, KernelType};
 
     fn surrogate() -> GpSurrogate {
         let x: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64 * 0.1]).collect();

@@ -9,9 +9,10 @@
 //! as printed would send the best value to 0, so we use the evident
 //! intent (affine map sending `min(U) → 0`, `max(U) → 1`).
 
-use eva_prefgp::DecisionMaker;
 use eva_stats::MinMaxNormalizer;
 use eva_workload::{Outcome, Scenario, N_OBJECTIVES};
+
+use crate::prefgp::DecisionMaker;
 
 /// Min-max normalizer over the scenario's cost space (accuracy negated),
 /// mapping raw outcome vectors into `[0,1]^5`.

@@ -32,7 +32,6 @@ use std::sync::Arc;
 use eva_bo::SurrogateSampler;
 use eva_linalg::Mat;
 use eva_obs::{span, NoopRecorder, Phase, Recorder};
-use eva_prefgp::PreferenceModel;
 use eva_stats::normal::{clip_is_far, clipped_moments};
 use eva_stats::rng::{child_seed, standard_normal, standard_normal_vec};
 use eva_workload::outcome::idx;
@@ -43,8 +42,10 @@ use rand::SeedableRng;
 use rayon::prelude::*;
 
 use crate::benefit::{OutcomeNormalizer, TruePreference};
+use crate::gp::FactorSolve;
 use crate::models::{OutcomeModelBank, SharedWork, SolveMemo};
 use crate::pool::{decode_joint, Placements};
+use crate::prefgp::PreferenceModel;
 
 /// Benefit assigned to joint configs with no zero-jitter placement.
 /// Far below any reachable utility on either the learned (GP-prior
@@ -206,7 +207,7 @@ impl<'a> CompositeSampler<'a> {
         obj: usize,
         xs: &[[f64; N_FEATURES]],
         slots: &[usize],
-        solves: &SharedWork<eva_gp::FactorSolve>,
+        solves: &SharedWork<FactorSolve>,
     ) -> Vec<(f64, f64)> {
         let model = self.bank.read(cam, obj);
         xs.iter()
@@ -381,7 +382,7 @@ impl SurrogateSampler for CompositeSampler<'_> {
     /// each distinct (factor, query) tail cross-kernel vector and latent
     /// variance is computed once, by the first camera that needs it,
     /// and every camera then only takes its model's mean dot
-    /// ([`eva_gp::GpModel::predict_with`]). Bit-identical to assembling
+    /// (`GpModel::predict_with`). Bit-identical to assembling
     /// each point from the scalar bank calls.
     fn joint_samples(&self, xs: &[Vec<f64>], n_mc: usize, seed: u64) -> Mat {
         let _prepare_span = span(self.rec, Phase::BoPrepare);

@@ -9,9 +9,10 @@
 //! strictly worse than one that serves the previous decision for one
 //! more epoch.
 
-use eva_gp::GpError;
-use eva_prefgp::PrefError;
 use eva_sched::GroupingError;
+
+use crate::gp::GpError;
+use crate::prefgp::PrefError;
 
 /// Any failure of the PaMO decision pipeline.
 #[derive(Debug, Clone)]

@@ -7,12 +7,12 @@
 
 use eva_linalg::{vecops, Cholesky, Mat};
 use eva_obs::{span, Phase, Recorder};
-use eva_opt::{multi_start, NelderMeadOptions};
 use rand::Rng;
 
-use crate::kernel::base_correlation;
-use crate::model::standardization_of;
-use crate::{GpModel, Kernel, KernelType, Result};
+use super::kernel::base_correlation;
+use super::model::standardization_of;
+use super::nelder_mead::{multi_start, NelderMeadOptions};
+use super::{GpModel, Kernel, KernelType, Result};
 
 /// Configuration for [`fit_gp`].
 #[derive(Debug, Clone)]
@@ -32,7 +32,7 @@ pub struct FitConfig {
     /// Max objective evaluations per local search.
     pub max_evals: usize,
     /// Warm-start log-parameter vector from a previous fit (see
-    /// [`theta_of`]). When set (and the right length for the data), it
+    /// `theta_of`). When set (and the right length for the data), it
     /// replaces the cold default start *and* one random restart is
     /// dropped — the warm seed is already a near-optimum, so the search
     /// both starts closer and does less exploration.
@@ -57,7 +57,7 @@ impl Default for FitConfig {
 /// The log-parameter vector `[ln ls_1 .. ln ls_d, ln signal, ln noise]`
 /// of a fitted model — the shape [`fit_gp`] optimizes over with
 /// `ard: true`, and the shape [`FitConfig::warm_start`] expects.
-pub fn theta_of(model: &GpModel) -> Vec<f64> {
+pub(crate) fn theta_of(model: &GpModel) -> Vec<f64> {
     let k = model.kernel();
     let mut theta: Vec<f64> = k.lengthscales().iter().map(|&l| l.ln()).collect();
     theta.push(k.signal_var().ln());

@@ -60,7 +60,7 @@ impl Kernel {
     }
 
     /// Input dimensionality.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.lengthscales.len()
     }
 
@@ -78,13 +78,13 @@ impl Kernel {
     }
 
     /// Evaluate `k(x, y)`.
-    pub fn eval(&self, x: &[f64], y: &[f64]) -> f64 {
+    pub(crate) fn eval(&self, x: &[f64], y: &[f64]) -> f64 {
         let r2 = self.scaled_sq_dist(x, y);
         self.signal_var * base_correlation(self.family, r2)
     }
 
     /// Symmetric kernel matrix `K(X, X)` (without noise on the diagonal).
-    pub fn matrix(&self, xs: &[Vec<f64>]) -> Mat {
+    pub(crate) fn matrix(&self, xs: &[Vec<f64>]) -> Mat {
         let n = xs.len();
         let mut k = Mat::zeros(n, n);
         if n >= PAR_THRESHOLD {
@@ -111,7 +111,7 @@ impl Kernel {
     }
 
     /// Cross-kernel matrix `K(A, B)` of shape `|A| x |B|`.
-    pub fn cross_matrix(&self, a: &[Vec<f64>], b: &[Vec<f64>]) -> Mat {
+    pub(crate) fn cross_matrix(&self, a: &[Vec<f64>], b: &[Vec<f64>]) -> Mat {
         let (m, n) = (a.len(), b.len());
         let mut k = Mat::zeros(m, n);
         if m >= PAR_THRESHOLD {

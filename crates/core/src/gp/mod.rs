@@ -3,25 +3,31 @@
 //! The paper surrogates every outcome function (latency, accuracy,
 //! bandwidth, computation, energy — Sec. 3) with a GP trained on
 //! profiling data (Algorithm 2, step 1) and refits it as new
-//! observations arrive during Bayesian optimization. This crate provides
-//! the exact-inference machinery BoTorch supplied in the original:
+//! observations arrive during Bayesian optimization. This module
+//! provides the exact-inference machinery BoTorch supplied in the
+//! original:
 //!
-//! * [`kernel`] — RBF and Matérn covariance functions with ARD
+//! * [`Kernel`] — RBF and Matérn covariance functions with ARD
 //!   lengthscales,
-//! * [`model`] — exact GP posterior (Cholesky), predictive mean and
+//! * [`GpModel`] — exact GP posterior (Cholesky), predictive mean and
 //!   variance, joint posteriors and posterior sampling for Monte-Carlo
 //!   acquisition functions,
-//! * [`fit`] — marginal-likelihood hyperparameter optimization via
-//!   multi-start Nelder-Mead on log-parameters.
+//! * [`fit_gp`] — marginal-likelihood hyperparameter optimization via
+//!   multi-start Nelder-Mead on log-parameters,
+//! * [`PolyModel`] — the least-squares polynomial the outcome-model
+//!   ablation compares the GP against.
 
-pub mod fit;
-pub mod kernel;
-pub mod model;
-pub mod poly;
+mod fit;
+mod kernel;
+mod model;
+mod nelder_mead;
+mod poly;
 
-pub use fit::{fit_gp, theta_of, FitConfig};
+pub(crate) use fit::theta_of;
+pub use fit::{fit_gp, FitConfig};
 pub use kernel::{Kernel, KernelType};
-pub use model::{FactorSolve, GpModel, GpPosterior, PrefixSolve};
+pub use model::GpModel;
+pub(crate) use model::{FactorSolve, PrefixSolve};
 pub use poly::PolyModel;
 
 /// Errors produced by GP construction or prediction.
@@ -50,5 +56,5 @@ impl From<eva_linalg::LinalgError> for GpError {
     }
 }
 
-/// Result alias for this crate.
+/// Result alias for this module.
 pub type Result<T> = std::result::Result<T, GpError>;

@@ -40,7 +40,7 @@ use std::sync::{Arc, OnceLock};
 
 use eva_linalg::{vecops, Cholesky, LinalgError, Mat};
 
-use crate::{GpError, Kernel, Result};
+use super::{GpError, Kernel, Result};
 
 /// Start of row `i` in packed lower-triangular storage.
 #[inline]
@@ -266,7 +266,7 @@ impl Factor {
 /// An exact Gaussian-process regression model.
 ///
 /// Targets are standardized internally (zero mean, unit variance) so the
-/// hyperparameter priors/bounds in [`crate::fit`] transfer across
+/// hyperparameter priors/bounds in [`fit_gp`](crate::gp::fit_gp) transfer across
 /// outcome scales — the five EVA objectives span six orders of magnitude
 /// (seconds vs. TFLOPs).
 #[derive(Debug, Clone)]
@@ -289,7 +289,7 @@ pub struct GpModel {
 /// Computed once by [`GpModel::prefix_solve`], it serves every model
 /// that shares the prefix.
 #[derive(Debug, Clone)]
-pub struct PrefixSolve {
+pub(crate) struct PrefixSolve {
     /// [`GpModel::prefix_id`] of the prefix this was solved against.
     prefix: usize,
     k: Vec<f64>,
@@ -304,7 +304,7 @@ pub struct PrefixSolve {
 /// `k(x,x) − ‖L⁻¹k‖²`. Computed once by [`GpModel::factor_solve`], it
 /// serves every model that shares the factor.
 #[derive(Debug, Clone)]
-pub struct FactorSolve {
+pub(crate) struct FactorSolve {
     /// [`GpModel::factor_id`] of the factor this was solved against.
     factor: usize,
     k_tail: Vec<f64>,
@@ -316,7 +316,7 @@ pub struct FactorSolve {
 /// for every model that shares the parent factor and observed the same
 /// inputs: they all receive the same `Arc`.
 #[derive(Debug, Clone)]
-pub struct FactorExtension {
+pub(crate) struct FactorExtension {
     /// [`GpModel::factor_id`] of the parent factor.
     parent: usize,
     factor: Arc<Factor>,
@@ -328,7 +328,7 @@ pub struct FactorExtension {
 impl FactorExtension {
     /// Whether the extension fell back to a from-scratch rebuild (the
     /// new factor then owns its rows and shares no prefix).
-    pub fn rebuilt(&self) -> bool {
+    pub(crate) fn rebuilt(&self) -> bool {
         self.from == 0
     }
 }
@@ -345,7 +345,7 @@ pub struct GpPosterior {
 impl GpModel {
     /// Build a GP from training data. `noise_var` is the observation
     /// noise variance **in standardized target units** (the scale
-    /// [`crate::fit`] optimizes on).
+    /// [`fit_gp`](crate::gp::fit_gp) optimizes on).
     pub fn new(kernel: Kernel, noise_var: f64, x: Vec<Vec<f64>>, y: Vec<f64>) -> Result<Self> {
         if x.is_empty() {
             return Err(GpError::BadData("no training points".into()));
@@ -441,7 +441,7 @@ impl GpModel {
     /// true when this call ran the solve. The solve runs at most once
     /// per model (and once per clone taken before it), so callers that
     /// read models through one place count the solves a pass paid for.
-    pub fn solve_weights(&self) -> bool {
+    pub(crate) fn solve_weights(&self) -> bool {
         let mut ran = false;
         self.alpha.get_or_init(|| {
             ran = true;
@@ -451,7 +451,7 @@ impl GpModel {
     }
 
     /// Number of training points.
-    pub fn n(&self) -> usize {
+    pub(crate) fn n(&self) -> usize {
         self.factor.n()
     }
 
@@ -472,7 +472,7 @@ impl GpModel {
 
     /// Training inputs, one vector per point (a copy: inputs are stored
     /// flat in the shared factor).
-    pub fn train_x(&self) -> Vec<Vec<f64>> {
+    pub(crate) fn train_x(&self) -> Vec<Vec<f64>> {
         (0..self.n())
             .map(|i| self.factor.point(i).to_vec())
             .collect()
@@ -487,17 +487,19 @@ impl GpModel {
     /// same design rows, kernel and factor rows, so one [`PrefixSolve`]
     /// serves all models that report it. Valid as a memo key while those
     /// models are alive.
-    pub fn prefix_id(&self) -> usize {
+    pub(crate) fn prefix_id(&self) -> usize {
         Arc::as_ptr(&self.factor.prefix) as usize
     }
 
     /// Whether `other` shares this model's design prefix.
-    pub fn shares_prefix(&self, other: &GpModel) -> bool {
+    #[cfg(test)]
+    pub(crate) fn shares_prefix(&self, other: &GpModel) -> bool {
         Arc::ptr_eq(&self.factor.prefix, &other.factor.prefix)
     }
 
     /// Number of factor rows in the shared design prefix.
-    pub fn prefix_len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn prefix_len(&self) -> usize {
         self.factor.prefix.n
     }
 
@@ -505,7 +507,7 @@ impl GpModel {
     /// kernel, noise and factor rows, so one [`FactorSolve`] or
     /// [`FactorExtension`] serves all models that report it. Valid as a
     /// memo key while those models are alive.
-    pub fn factor_id(&self) -> usize {
+    pub(crate) fn factor_id(&self) -> usize {
         Arc::as_ptr(&self.factor) as usize
     }
 
@@ -516,7 +518,7 @@ impl GpModel {
 
     /// The design-row work of query `x` against this model's prefix,
     /// shareable by every model with the same [`GpModel::prefix_id`].
-    pub fn prefix_solve(&self, x: &[f64]) -> PrefixSolve {
+    pub(crate) fn prefix_solve(&self, x: &[f64]) -> PrefixSolve {
         let p = &*self.factor.prefix;
         let k: Vec<f64> = (0..p.n).map(|i| p.kernel.eval(x, p.point(i))).collect();
         let mut w = vec![0.0; p.n];
@@ -534,7 +536,7 @@ impl GpModel {
     /// forward rows are computed here. Shareable by every model with the
     /// same [`GpModel::factor_id`]; a prefix solve made against another
     /// prefix is ignored and recomputed.
-    pub fn factor_solve(&self, x: &[f64], pre: &PrefixSolve) -> FactorSolve {
+    pub(crate) fn factor_solve(&self, x: &[f64], pre: &PrefixSolve) -> FactorSolve {
         if pre.prefix != self.prefix_id() {
             return self.factor_solve(x, &self.prefix_solve(x));
         }
@@ -576,7 +578,12 @@ impl GpModel {
     /// [`FactorSolve`]: only this model's mean dot and the variance
     /// scaling are computed here. Bit-identical to `predict`; solves
     /// made against another prefix or factor are ignored and recomputed.
-    pub fn predict_with(&self, x: &[f64], pre: &PrefixSolve, solve: &FactorSolve) -> (f64, f64) {
+    pub(crate) fn predict_with(
+        &self,
+        x: &[f64],
+        pre: &PrefixSolve,
+        solve: &FactorSolve,
+    ) -> (f64, f64) {
         if pre.prefix != self.prefix_id() || solve.factor != self.factor_id() {
             return self.predict(x);
         }
@@ -599,7 +606,7 @@ impl GpModel {
     /// on the same inputs, at O(n²) instead of O(n³) — the
     /// shared-profiling-design fit path builds one factor per objective
     /// and shares it across all cameras.
-    pub fn with_targets(&self, y: Vec<f64>) -> Result<GpModel> {
+    pub(crate) fn with_targets(&self, y: Vec<f64>) -> Result<GpModel> {
         if y.len() != self.n() {
             return Err(GpError::BadData(format!(
                 "with_targets: {} targets vs {} inputs",
@@ -657,7 +664,7 @@ impl GpModel {
 
     /// Log marginal likelihood of the training data under the current
     /// hyperparameters, computed on the standardized scale (the quantity
-    /// [`crate::fit`] maximizes).
+    /// [`fit_gp`](crate::gp::fit_gp) maximizes).
     pub fn log_marginal_likelihood(&self) -> f64 {
         let n = self.n();
         let z: Vec<f64> = self
@@ -705,9 +712,9 @@ impl GpModel {
     }
 
     /// Incremental version of [`GpModel::with_added`]: grows the factor
-    /// by the `k` new rows ([`GpModel::extend_factor`], O(k·n²), the
+    /// by the `k` new rows (`GpModel::extend_factor`, O(k·n²), the
     /// arithmetic of [`Cholesky::extend`]) and reuses the frozen
-    /// standardization ([`GpModel::condition_on`]).
+    /// standardization (`GpModel::condition_on`).
     pub fn condition(&self, x_new: &[Vec<f64>], y_new: &[f64]) -> Result<GpModel> {
         if x_new.len() != y_new.len() {
             return Err(GpError::BadData("condition: length mismatch".into()));
@@ -733,7 +740,11 @@ impl GpModel {
     /// carries jitter the new block can't absorb) — correctness never
     /// depends on the fast path. The rebuilt factor owns its rows; it is
     /// still shared by every model conditioned through this extension.
-    pub fn extend_factor(&self, x_new: &[f64], pre: &PrefixSolve) -> Result<FactorExtension> {
+    pub(crate) fn extend_factor(
+        &self,
+        x_new: &[f64],
+        pre: &PrefixSolve,
+    ) -> Result<FactorExtension> {
         self.check_update(&[x_new], &[])?;
         if pre.prefix != self.prefix_id() {
             return self.extension(&[x_new], &[self.prefix_solve(x_new)]);
@@ -764,7 +775,7 @@ impl GpModel {
     /// the new model's first read. Bit-identical to
     /// [`GpModel::condition`]; an extension of another factor is
     /// rejected.
-    pub fn condition_on(&self, ext: &FactorExtension, y_new: &[f64]) -> Result<GpModel> {
+    pub(crate) fn condition_on(&self, ext: &FactorExtension, y_new: &[f64]) -> Result<GpModel> {
         if ext.parent != self.factor_id() || self.n() + y_new.len() != ext.factor.n() {
             return Err(GpError::BadData(
                 "condition_on: extension of another factor".into(),
@@ -897,7 +908,7 @@ fn mean_diag(m: &Mat) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::KernelType;
+    use crate::gp::KernelType;
     use eva_stats::rng::seeded;
     use rand::Rng;
 

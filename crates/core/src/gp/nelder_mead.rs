@@ -9,28 +9,26 @@ use rand::Rng;
 
 /// Result of a local or multi-start optimization run.
 #[derive(Debug, Clone)]
-pub struct OptResult {
+pub(crate) struct OptResult {
     /// Best point found.
-    pub x: Vec<f64>,
+    pub(crate) x: Vec<f64>,
     /// Objective value at `x`.
-    pub value: f64,
+    pub(crate) value: f64,
     /// Number of objective evaluations consumed.
-    pub evals: usize,
-    /// Whether the simplex converged before hitting the eval budget.
-    pub converged: bool,
+    pub(crate) evals: usize,
 }
 
 /// Tuning knobs for `nelder_mead`.
 #[derive(Debug, Clone)]
-pub struct NelderMeadOptions {
+pub(crate) struct NelderMeadOptions {
     /// Maximum number of objective evaluations.
-    pub max_evals: usize,
+    pub(crate) max_evals: usize,
     /// Terminate when the simplex function-value spread drops below this.
-    pub f_tol: f64,
+    pub(crate) f_tol: f64,
     /// Terminate when the simplex diameter drops below this.
-    pub x_tol: f64,
+    pub(crate) x_tol: f64,
     /// Relative size of the initial simplex (fraction of each bound span).
-    pub init_step: f64,
+    pub(crate) init_step: f64,
 }
 
 impl Default for NelderMeadOptions {
@@ -102,7 +100,6 @@ pub(crate) fn nelder_mead(
     }
     let mut values: Vec<f64> = simplex.iter().map(|v| eval(v, &mut evals)).collect();
 
-    let mut converged = false;
     while evals < opts.max_evals {
         // Order simplex by value.
         let mut order: Vec<usize> = (0..=n).collect();
@@ -124,7 +121,6 @@ pub(crate) fn nelder_mead(
             })
             .fold(0.0, f64::max);
         if f_spread.abs() < opts.f_tol && x_spread < opts.x_tol {
-            converged = true;
             break;
         }
 
@@ -196,13 +192,12 @@ pub(crate) fn nelder_mead(
         x: simplex[best].clone(),
         value: values[best],
         evals,
-        converged,
     }
 }
 
 /// Multi-start Nelder-Mead: one run from `x0` plus `restarts` runs from
 /// uniform random points in the box; returns the best result.
-pub fn multi_start<R: Rng + ?Sized>(
+pub(crate) fn multi_start<R: Rng + ?Sized>(
     mut f: impl FnMut(&[f64]) -> f64,
     x0: &[f64],
     bounds: &[(f64, f64)],
@@ -356,7 +351,8 @@ mod tests {
     }
 
     #[test]
-    fn converged_flag_set_for_easy_problems() {
+    fn converges_before_the_budget_on_easy_problems() {
+        // The loop only stops under budget by meeting both tolerances.
         let r = nelder_mead(
             sphere,
             &[0.5, 0.5],
@@ -366,6 +362,6 @@ mod tests {
                 ..Default::default()
             },
         );
-        assert!(r.converged);
+        assert!(r.evals < 10_000, "{} evals", r.evals);
     }
 }

@@ -10,7 +10,7 @@
 
 use eva_linalg::{Mat, Qr};
 
-use crate::{GpError, Result};
+use super::{GpError, Result};
 
 /// A fitted multivariate polynomial regression model.
 #[derive(Debug, Clone)]

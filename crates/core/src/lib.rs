@@ -23,11 +23,13 @@
 pub mod benefit;
 pub mod composite;
 pub mod error;
+pub mod gp;
 pub mod models;
 pub mod online;
 pub mod overload;
 pub mod pamo;
 pub mod pool;
+pub mod prefgp;
 pub mod serving;
 pub mod snapshot;
 

@@ -17,7 +17,6 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use eva_gp::{fit_gp, theta_of, FitConfig, GpModel, PrefixSolve};
 use eva_obs::{span, Phase, Recorder};
 use eva_workload::profiler::{features_of, N_FEATURES};
 use eva_workload::{Outcome, ProfileSample, Profiler, Scenario, VideoConfig, N_OBJECTIVES};
@@ -25,6 +24,7 @@ use rand::Rng;
 use rayon::prelude::*;
 
 use crate::error::{require, CoreError};
+use crate::gp::{fit_gp, theta_of, FitConfig, GpModel, PrefixSolve};
 
 /// Minimum profiling samples per camera the initial GP fits need.
 const MIN_PROFILING_SAMPLES: usize = 4;
@@ -32,7 +32,7 @@ const MIN_PROFILING_SAMPLES: usize = 4;
 /// A profiling design: the (config, uplink) grid points every camera
 /// measures. Sharing one design across cameras makes the GP inputs `X`
 /// identical bank-wide, so one kernel matrix / Cholesky factor per
-/// objective serves all M cameras ([`GpModel::with_targets`]) — and a
+/// objective serves all M cameras (`GpModel::with_targets`) — and a
 /// cached design can be re-measured across epochs without re-drawing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProfilingDesign {
@@ -78,7 +78,7 @@ impl ProfilingDesign {
 /// unaffected.
 ///
 /// A GP back-substitutes for its weights on first read
-/// ([`GpModel::solve_weights`]). Predictions read models through the
+/// (`GpModel::solve_weights`). Predictions read models through the
 /// bank, which counts the solves they ran in a counter its clones
 /// share; a decide reports it as `gp.weight_solves`.
 #[derive(Debug, Clone)]
@@ -129,7 +129,7 @@ impl OutcomeModelBank {
     /// hyperparameters per objective (one O(n³) Cholesky each), seeded
     /// from `warm` when given, and every later camera is a
     /// hyperparameter-free rebuild that reuses that factor through
-    /// [`GpModel::with_targets`] (O(n²) per model). Their profiling
+    /// `GpModel::with_targets` (O(n²) per model). Their profiling
     /// samples are drawn sequentially and the models built in parallel,
     /// keeping the RNG stream deterministic and independent of thread
     /// scheduling. Callers that cache the design across epochs also
@@ -306,9 +306,9 @@ impl OutcomeModelBank {
     /// at the same (config, uplink) in every evaluation share one: a
     /// sequential first pass registers each (factor, input) pair in a
     /// `SolveMemo`, and in the per-camera pass the first camera to
-    /// reach a pair builds its grown factor ([`GpModel::extend_factor`],
+    /// reach a pair builds its grown factor (`GpModel::extend_factor`,
     /// seeded from the design-row solve shared by the whole prefix).
-    /// Per camera, [`GpModel::condition_on`] then only appends the
+    /// Per camera, `GpModel::condition_on` then only appends the
     /// target and one forward row; the back-substitution for its
     /// weights waits for the model's first read. Every camera
     /// conditioned on one pair receives the same factor, so sharing
@@ -830,7 +830,7 @@ mod tests {
 
         /// `update_all` (design-row solves and grown factors memoized
         /// across cameras) is bit-identical to per-camera `update` calls
-        /// (each model growing its own factor, the path the eva-gp dense
+        /// (each model growing its own factor, the path the `gp` dense
         /// oracle pins) over up to 15 rounds, on a bank mixing shared
         /// and rebuilt rows. Cameras share a factor exactly when they
         /// were fed the same inputs in every round: camera 1 always

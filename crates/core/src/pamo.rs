@@ -12,7 +12,6 @@ use std::sync::Arc;
 
 use eva_bo::{bo_maximize, AcqKind, BoConfig, BoResult};
 use eva_obs::{cost, span, DecisionBudget, NoopRecorder, Phase, Recorder};
-use eva_prefgp::{elicit_preferences, ElicitConfig, PreferenceModel};
 use eva_sched::Assignment;
 use eva_workload::{Outcome, ProfileSample, Profiler, Scenario, ScenarioOutcome, VideoConfig};
 use parking_lot::Mutex;
@@ -23,6 +22,7 @@ use crate::composite::{CompositeSampler, PreferenceEval, INFEASIBLE_BENEFIT};
 use crate::error::{require, CoreError};
 use crate::models::{OutcomeModelBank, ProfilingDesign};
 use crate::pool::{build_pool, decode_joint, Placements};
+use crate::prefgp::{elicit_preferences, ElicitConfig, PreferenceModel};
 
 /// Where the preference layer comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

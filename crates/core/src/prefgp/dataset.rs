@@ -1,5 +1,6 @@
 //! The preference dataset and decision-maker oracles.
 
+#[cfg(test)]
 use rand::Rng;
 
 /// One answered comparison: the decision maker preferred
@@ -114,15 +115,17 @@ impl<F: Fn(&[f64]) -> f64> DecisionMaker for FunctionOracle<F> {
 
 /// Probit-noisy oracle: answers correctly with probability
 /// `Φ(|u(a)-u(b)| / (√2 λ))` — the generative model behind Eq. 9.
-pub struct NoisyOracle<F: Fn(&[f64]) -> f64, R: Rng> {
+#[cfg(test)]
+pub(crate) struct NoisyOracle<F: Fn(&[f64]) -> f64, R: Rng> {
     utility: F,
     lambda: f64,
     rng: R,
 }
 
+#[cfg(test)]
 impl<F: Fn(&[f64]) -> f64, R: Rng> NoisyOracle<F, R> {
     /// Wrap a utility with comparison noise `lambda` (0 = deterministic).
-    pub fn new(utility: F, lambda: f64, rng: R) -> Self {
+    pub(crate) fn new(utility: F, lambda: f64, rng: R) -> Self {
         assert!(lambda >= 0.0, "NoisyOracle: negative lambda");
         NoisyOracle {
             utility,
@@ -132,6 +135,7 @@ impl<F: Fn(&[f64]) -> f64, R: Rng> NoisyOracle<F, R> {
     }
 }
 
+#[cfg(test)]
 impl<F: Fn(&[f64]) -> f64, R: Rng> DecisionMaker for NoisyOracle<F, R> {
     fn prefers(&mut self, a: &[f64], b: &[f64]) -> bool {
         let diff = (self.utility)(a) - (self.utility)(b);

@@ -7,12 +7,12 @@
 //! `μ₁Φ(δ/s) + μ₂Φ(−δ/s) + s·φ(δ/s)` with `δ = μ₁−μ₂`,
 //! `s² = σ₁² + σ₂² − 2σ₁₂`.
 
-use eva_gp::Kernel;
+use crate::gp::Kernel;
 use eva_stats::{norm_cdf, norm_pdf};
 use rand::Rng;
 
-use crate::dataset::{DecisionMaker, PreferenceDataset};
-use crate::model::{PrefError, PreferenceModel};
+use super::dataset::{DecisionMaker, PreferenceDataset};
+use super::model::{PrefError, PreferenceModel};
 
 /// Closed-form `E[max(g(y1), g(y2))]` under the model posterior.
 ///
@@ -45,9 +45,9 @@ pub struct ElicitConfig {
     pub n_comparisons: usize,
     /// Candidate pairs scored by EUBO per round (sampled from the
     /// candidate pool).
-    pub pairs_per_round: usize,
+    pub(crate) pairs_per_round: usize,
     /// Kernel for the preference GP over (normalized) outcome space.
-    pub kernel: Kernel,
+    pub(crate) kernel: Kernel,
     /// Probit noise scale `λ` of Eq. 9.
     pub lambda: f64,
 }
@@ -58,7 +58,7 @@ impl ElicitConfig {
         ElicitConfig {
             n_comparisons: 18,
             pairs_per_round: 64,
-            kernel: Kernel::isotropic(eva_gp::KernelType::Rbf, dim, 0.5, 1.0),
+            kernel: Kernel::isotropic(crate::gp::KernelType::Rbf, dim, 0.5, 1.0),
             lambda: 0.1,
         }
     }
@@ -130,8 +130,8 @@ fn most_distant_pair(candidates: &[Vec<f64>]) -> (usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::FunctionOracle;
-    use eva_gp::KernelType;
+    use crate::gp::KernelType;
+    use crate::prefgp::dataset::FunctionOracle;
     use eva_stats::rng::seeded;
 
     #[test]

@@ -7,11 +7,11 @@
 //! posterior is approximated as `N(ĝ, (K⁻¹ + Λ)⁻¹)` with `Λ` the
 //! likelihood curvature (Laplace).
 
-use eva_gp::Kernel;
+use crate::gp::Kernel;
 use eva_linalg::{vecops, Cholesky, Mat};
 use eva_stats::norm_cdf;
 
-use crate::dataset::PreferenceDataset;
+use super::dataset::PreferenceDataset;
 
 /// Errors from preference-model fitting or prediction.
 #[derive(Debug, Clone)]
@@ -183,7 +183,7 @@ impl PreferenceModel {
     }
 
     /// Posterior mean and variance of the latent utility at `y`: the
-    /// one-column case of [`Self::predict_utility_many`].
+    /// one-column case of `Self::predict_utility_many`.
     ///
     /// A single-point posterior cannot fail after a successful fit; in
     /// the impossible event that it does, fall back to the prior
@@ -197,7 +197,7 @@ impl PreferenceModel {
     /// floating-point operations of the one-point joint posterior in
     /// the same order, so every entry is bit-identical to a one-query
     /// call; the batch only lets the inner loops run across columns.
-    pub fn predict_utility_many<Y: AsRef<[f64]>>(&self, ys: &[Y]) -> Vec<(f64, f64)> {
+    pub(crate) fn predict_utility_many<Y: AsRef<[f64]>>(&self, ys: &[Y]) -> Vec<(f64, f64)> {
         if ys.is_empty() {
             return Vec::new();
         }
@@ -456,8 +456,8 @@ fn likelihood_derivatives(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::FunctionOracle;
-    use eva_gp::KernelType;
+    use crate::gp::KernelType;
+    use crate::prefgp::dataset::FunctionOracle;
     use eva_stats::rng::seeded;
     use rand::Rng;
 

@@ -75,8 +75,9 @@ use crate::pamo::PamoConfig;
 /// `unit_time_s = 0.01` modeled seconds per work unit — the unit time
 /// the unbudgeted serve workloads of `perf_baseline` and `perfbench`
 /// already use. Uncalibrated: the [`eva_obs::cost`] units are constants
-/// not yet fitted to measured CPU time (ROADMAP item 5), so reaction
-/// times compare policies, not hardware.
+/// not yet fitted to measured CPU time (ROADMAP, "A calibrated cost
+/// model, then the cameras-per-core question"), so reaction times
+/// compare policies, not hardware.
 pub const SERVING_POLICY: BudgetPolicy = BudgetPolicy {
     window_units: u64::MAX,
     full_floor: 0,

@@ -1,6 +1,6 @@
 //! Property tests for GP regression invariants.
 
-use eva_gp::{GpModel, Kernel, KernelType};
+use pamo_core::gp::{GpModel, Kernel, KernelType};
 use proptest::prelude::*;
 
 /// A 1-D dataset of distinct inputs with bounded targets.

@@ -1,8 +1,8 @@
 //! Property tests for preference learning.
 
-use eva_gp::{Kernel, KernelType};
-use eva_prefgp::{FunctionOracle, PreferenceDataset, PreferenceModel};
 use eva_stats::rng::seeded;
+use pamo_core::gp::{Kernel, KernelType};
+use pamo_core::prefgp::{FunctionOracle, PreferenceDataset, PreferenceModel};
 use proptest::prelude::*;
 use rand::Rng;
 

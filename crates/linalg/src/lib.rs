@@ -1,8 +1,8 @@
 //! Dense linear-algebra kernels for the PaMO reproduction.
 //!
-//! The Gaussian-process stack (`eva-gp`, `eva-prefgp`) needs exact dense
-//! factorizations on kernel matrices of a few hundred to a few thousand
-//! rows. Rather than pulling a full BLAS/LAPACK binding, this crate
+//! The Gaussian-process stack (`pamo_core::gp`, `pamo_core::prefgp`)
+//! needs exact dense factorizations on kernel matrices of a few hundred
+//! to a few thousand rows. Rather than pulling a full BLAS/LAPACK binding, this crate
 //! implements the handful of kernels the system actually uses:
 //!
 //! * [`Mat`] — a row-major dense matrix with cache-blocked,

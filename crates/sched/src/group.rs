@@ -32,6 +32,9 @@ pub enum GroupingError {
     /// The liveness mask has `alive` entries for `servers` servers;
     /// there must be one per server.
     AliveLengthMismatch { alive: usize, servers: usize },
+    /// The joint configuration has `configs` entries for `cameras`
+    /// cameras; there must be one per camera.
+    ConfigsLengthMismatch { configs: usize, cameras: usize },
 }
 
 impl std::fmt::Display for GroupingError {
@@ -59,6 +62,10 @@ impl std::fmt::Display for GroupingError {
             GroupingError::AliveLengthMismatch { alive, servers } => write!(
                 f,
                 "liveness mask has {alive} entries for {servers} servers; need one per server"
+            ),
+            GroupingError::ConfigsLengthMismatch { configs, cameras } => write!(
+                f,
+                "{configs} configurations for {cameras} cameras; need one per camera"
             ),
         }
     }

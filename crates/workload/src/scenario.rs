@@ -359,13 +359,21 @@ impl Scenario {
     /// in the result still refer to the full server list). `None` (or
     /// all-true) reproduces the unrestricted placement bit-identically.
     /// Telemetry is threaded down to the Algorithm-1
-    /// grouping/assignment spans on `rec`.
+    /// grouping/assignment spans on `rec`. A `configs` slice without
+    /// exactly one entry per camera is a
+    /// [`GroupingError::ConfigsLengthMismatch`].
     pub fn schedule_surviving(
         &self,
         configs: &[VideoConfig],
         alive: Option<&[bool]>,
         rec: &dyn Recorder,
     ) -> Result<Assignment, GroupingError> {
+        if configs.len() != self.n_videos() {
+            return Err(GroupingError::ConfigsLengthMismatch {
+                configs: configs.len(),
+                cameras: self.n_videos(),
+            });
+        }
         let timings = self.stream_timings(configs);
         let bits: Vec<f64> = configs
             .iter()
@@ -556,6 +564,33 @@ mod tests {
         let sc = Scenario::uniform(4, 1, 20e6, 1);
         let heavy = vec![VideoConfig::new(2160.0, 30.0); 4];
         assert!(sc.evaluate(&heavy).is_err());
+    }
+
+    #[test]
+    fn too_few_configs_are_an_error() {
+        let sc = small_scenario();
+        let want = Err(GroupingError::ConfigsLengthMismatch {
+            configs: 3,
+            cameras: 4,
+        });
+        assert_eq!(sc.schedule(&low_config(3)), want);
+        assert_eq!(sc.evaluate(&low_config(3)).map(|_| ()), want.map(|_| ()));
+    }
+
+    #[test]
+    fn too_many_configs_are_an_error() {
+        let sc = small_scenario();
+        let want = Err(GroupingError::ConfigsLengthMismatch {
+            configs: 5,
+            cameras: 4,
+        });
+        assert_eq!(sc.schedule(&low_config(5)), want);
+        let alive = [true, false, true];
+        assert_eq!(
+            sc.evaluate_surviving(&low_config(5), Some(&alive), &NoopRecorder)
+                .map(|_| ()),
+            want.map(|_| ())
+        );
     }
 
     #[test]

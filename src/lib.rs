@@ -10,9 +10,8 @@
 //! |---|---|---|
 //! | [`linalg`] | `eva-linalg` | dense matrices, Cholesky/LU, solves |
 //! | [`stats`] | `eva-stats` | normal dist, LHS, metrics, weights |
-//! | [`opt`] | `eva-opt` | Nelder-Mead, multi-start, discrete search |
-//! | [`gp`] | `eva-gp` | Gaussian-process regression (ARD kernels) |
-//! | [`prefgp`] | `eva-prefgp` | pairwise preference GP + EUBO |
+//! | [`gp`] | `pamo-core` | Gaussian-process regression (ARD kernels) |
+//! | [`prefgp`] | `pamo-core` | pairwise preference GP + EUBO |
 //! | [`bo`] | `eva-bo` | qNEI/qEI/qUCB/qSR + BO driver |
 //! | [`sched`] | `eva-sched` | zero-jitter grouping + rank-pairing placement |
 //! | [`fault`] | `eva-fault` | seeded fault plans, composed chaos |
@@ -46,17 +45,16 @@
 pub use eva_baselines as baselines;
 pub use eva_bo as bo;
 pub use eva_fault as fault;
-pub use eva_gp as gp;
 pub use eva_linalg as linalg;
 pub use eva_obs as obs;
-pub use eva_opt as opt;
-pub use eva_prefgp as prefgp;
 pub use eva_sched as sched;
 pub use eva_serve as serve;
 pub use eva_sim as sim;
 pub use eva_stats as stats;
 pub use eva_workload as workload;
 pub use pamo_core as core;
+pub use pamo_core::gp;
+pub use pamo_core::prefgp;
 
 /// The most commonly used types, re-exported flat.
 pub mod prelude {

@@ -1,7 +1,7 @@
 //! End-to-end integration: PaMO against the baselines on small
 //! scenarios — the Fig. 6/7 comparison in miniature.
 
-use pamo::baselines::measure_decision;
+use pamo::baselines::{measure_decision, FixedWeight, FixedWeightScheme};
 use pamo::bo::{AcqKind, BoConfig};
 use pamo::core::{CoreError, PamoConfig, PreferenceSource};
 use pamo::prelude::*;
@@ -225,4 +225,45 @@ fn zero_bo_counts_are_errors_not_panics() {
             "{field}: the refused decide drew from the RNG"
         );
     }
+}
+
+/// FNV-1a hash, per fixed-weight scheme (Equal, ROC, Rank-Sum), of the
+/// decided per-camera configs and servers and of the decision's true
+/// benefit bits under each of `ext_fixed_weights`' four hidden
+/// preferences, on that binary's `--quick` scenario.
+const PINNED_FIXED_WEIGHT_DECISIONS: [u64; 3] =
+    [81870833706943485, 17287651789884440037, 5256912619782042059];
+
+#[test]
+fn fixed_weight_decisions_are_bit_pinned() {
+    let fnv = |h: u64, v: u64| (h ^ v).wrapping_mul(0x0000_0100_0000_01B3);
+    let scenario = Scenario::uniform(5, 4, 20e6, 4711);
+    let prefs = [
+        [1.0; 5],
+        [3.2, 1.0, 1.0, 1.0, 1.0],
+        [1.0, 3.2, 1.0, 1.0, 1.0],
+        [1.0, 1.0, 1.0, 1.0, 3.2],
+    ]
+    .map(|w| TruePreference::new(&scenario, w));
+    let hashes = [
+        FixedWeightScheme::Equal,
+        FixedWeightScheme::RankOrderCentroid,
+        FixedWeightScheme::RankSum,
+    ]
+    .map(|scheme| {
+        let d = FixedWeight::new(scheme).decide(&scenario);
+        let h = d.configs.iter().fold(0xcbf2_9ce4_8422_2325, |h, c| {
+            fnv(fnv(h, c.resolution.to_bits()), c.fps.to_bits())
+        });
+        let h = d.server_of.iter().fold(h, |h, &s| fnv(h, s as u64));
+        let outcome = measure_decision(&scenario, &d);
+        prefs
+            .iter()
+            .fold(h, |h, p| fnv(h, p.benefit(&outcome).to_bits()))
+    });
+    println!("fixed-weight decisions {hashes:?}");
+    assert_eq!(
+        hashes, PINNED_FIXED_WEIGHT_DECISIONS,
+        "a fixed-weight decision drifted"
+    );
 }

@@ -1,5 +1,5 @@
 //! Integration: preference learning across crates — the GP stack
-//! (eva-gp, eva-prefgp) must recover Eq. 13-style utilities well enough
+//! (`pamo::gp`, `pamo::prefgp`) must recover Eq. 13-style utilities well enough
 //! to rank real outcome vectors from the workload layer.
 
 use pamo::core::benefit::{TruePreference, TruePreferenceOracle};
