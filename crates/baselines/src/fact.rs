@@ -222,8 +222,8 @@ mod tests {
             ..Default::default()
         })
         .decide(&sc);
-        let o_lat = measure_decision(&sc, &lat_heavy);
-        let o_acc = measure_decision(&sc, &acc_heavy);
+        let o_lat = measure_decision(&sc, &lat_heavy).unwrap();
+        let o_acc = measure_decision(&sc, &acc_heavy).unwrap();
         assert!(o_lat.latency_s <= o_acc.latency_s + 1e-9);
         assert!(o_acc.accuracy >= o_lat.accuracy - 1e-9);
     }

@@ -163,8 +163,8 @@ mod tests {
             configs: vec![VideoConfig::new(360.0, 1.0); 4],
             server_of: d.server_of.clone(),
         };
-        let got = measure_decision(&sc, &d);
-        let base = measure_decision(&sc, &floor);
+        let got = measure_decision(&sc, &d).unwrap();
+        let base = measure_decision(&sc, &floor).unwrap();
         // The optimizer should at least buy some accuracy over the floor.
         assert!(got.accuracy >= base.accuracy);
     }

@@ -276,7 +276,7 @@ mod tests {
             ..Default::default()
         })
         .decide(&sc);
-        let acc = |d: &Decision| measure_decision(&sc, d).accuracy;
+        let acc = |d: &Decision| measure_decision(&sc, d).unwrap().accuracy;
         assert!(acc(&high) >= acc(&low), "{} vs {}", acc(&high), acc(&low));
     }
 

@@ -27,4 +27,4 @@ pub mod measure;
 pub use fact::{Fact, FactConfig};
 pub use fixed::{FixedWeight, FixedWeightScheme};
 pub use jcab::{Jcab, JcabConfig};
-pub use measure::{measure_decision, Decision};
+pub use measure::{measure_decision, Decision, MeasureError};

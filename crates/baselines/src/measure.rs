@@ -14,7 +14,7 @@
 
 use eva_obs::NoopRecorder;
 use eva_sched::{StreamId, StreamTiming, Ticks, TICKS_PER_SEC};
-use eva_sim::des::{simulate, SimConfig, SimStream, Uplinks};
+use eva_sim::des::{simulate, SimConfig, SimError, SimStream, Uplinks};
 use eva_workload::{Outcome, Scenario, VideoConfig};
 
 /// A baseline scheduler's decision: per-camera configuration plus a
@@ -30,17 +30,105 @@ pub struct Decision {
 /// Default measurement horizon (simulated seconds).
 pub(crate) const MEASURE_HORIZON_SECS: f64 = 12.0;
 
+/// Why [`measure_decision`] rejected a decision.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum MeasureError {
+    /// The decision holds `configs` configurations for `cameras` cameras.
+    ConfigCount {
+        /// Configurations in the decision.
+        configs: usize,
+        /// Cameras in the scenario.
+        cameras: usize,
+    },
+    /// The decision places `placements` cameras for `cameras` cameras.
+    PlacementCount {
+        /// Server indices in the decision.
+        placements: usize,
+        /// Cameras in the scenario.
+        cameras: usize,
+    },
+    /// Camera `camera`'s configuration has a resolution or frame rate
+    /// that is not a positive finite number.
+    InvalidConfig {
+        /// The offending camera.
+        camera: usize,
+    },
+    /// The simulator rejected the decision's streams; a camera placed on
+    /// a server the scenario does not have is
+    /// [`SimError::NonexistentServer`] (stream index = camera index).
+    Sim(SimError),
+}
+
+impl std::fmt::Display for MeasureError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            MeasureError::ConfigCount { configs, cameras } => {
+                write!(f, "measure: {configs} configurations for {cameras} cameras")
+            }
+            MeasureError::PlacementCount {
+                placements,
+                cameras,
+            } => write!(
+                f,
+                "measure: {placements} server indices for {cameras} cameras"
+            ),
+            MeasureError::InvalidConfig { camera } => {
+                write!(f, "measure: invalid configuration (camera {camera})")
+            }
+            MeasureError::Sim(e) => write!(f, "measure: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for MeasureError {}
+
+impl From<SimError> for MeasureError {
+    fn from(e: SimError) -> Self {
+        MeasureError::Sim(e)
+    }
+}
+
 /// Evaluate a decision on the scenario: analytic resource aggregates +
-/// DES-measured latency. Always succeeds (overload shows up as latency,
-/// not as an error).
-pub fn measure_decision(scenario: &Scenario, decision: &Decision) -> Outcome {
+/// DES-measured latency. Overload shows up as latency, not as an
+/// error; a malformed decision (wrong number of configurations or
+/// server indices, a non-positive rate or resolution, a server the
+/// scenario does not have) is a [`MeasureError`].
+pub fn measure_decision(scenario: &Scenario, decision: &Decision) -> Result<Outcome, MeasureError> {
     let n = scenario.n_videos();
-    assert_eq!(decision.configs.len(), n, "measure: configs length");
-    assert_eq!(decision.server_of.len(), n, "measure: placement length");
-    assert!(
-        decision.server_of.iter().all(|&s| s < scenario.n_servers()),
-        "measure: server index out of range"
-    );
+    if decision.configs.len() != n {
+        return Err(MeasureError::ConfigCount {
+            configs: decision.configs.len(),
+            cameras: n,
+        });
+    }
+    if decision.server_of.len() != n {
+        return Err(MeasureError::PlacementCount {
+            placements: decision.server_of.len(),
+            cameras: n,
+        });
+    }
+    let positive = |x: f64| x.is_finite() && x > 0.0;
+    if let Some(camera) = decision
+        .configs
+        .iter()
+        .position(|c| !positive(c.fps) || !positive(c.resolution))
+    {
+        return Err(MeasureError::InvalidConfig { camera });
+    }
+    let n_servers = scenario.n_servers();
+    if let Some((camera, &server)) = decision
+        .server_of
+        .iter()
+        .enumerate()
+        .find(|&(_, &s)| s >= n_servers)
+    {
+        return Err(SimError::NonexistentServer {
+            stream: camera,
+            server,
+            n_servers,
+        }
+        .into());
+    }
 
     // Analytic aggregates (Eq. 2-4).
     let mut acc = 0.0;
@@ -87,14 +175,7 @@ pub fn measure_decision(scenario: &Scenario, decision: &Decision) -> Outcome {
         warmup: TICKS_PER_SEC,
         deadline: 0,
     };
-    let report = simulate(
-        &sim_streams,
-        Uplinks::Fixed,
-        scenario.n_servers(),
-        &cfg,
-        &NoopRecorder,
-    )
-    .unwrap_or_else(|e| panic!("{e}"));
+    let report = simulate(&sim_streams, Uplinks::Fixed, n_servers, &cfg, &NoopRecorder)?;
     let measured: Vec<f64> = report
         .streams
         .iter()
@@ -108,13 +189,13 @@ pub fn measure_decision(scenario: &Scenario, decision: &Decision) -> Outcome {
         measured.iter().sum::<f64>() / measured.len() as f64
     };
 
-    Outcome {
+    Ok(Outcome {
         latency_s: latency,
         accuracy: acc / n as f64,
         network_bps: net,
         compute_tflops: com,
         power_w: eng,
-    }
+    })
 }
 
 /// Greedy First-Fit placement by utilization (JCAB's allocator): place
@@ -158,7 +239,7 @@ mod tests {
             configs: configs.clone(),
             server_of: vec![0, 1, 0],
         };
-        let out = measure_decision(&sc, &decision);
+        let out = measure_decision(&sc, &decision).unwrap();
         let analytic: f64 = (0..3)
             .map(|i| sc.surfaces(i).e2e_latency_secs(&configs[i], 20e6))
             .sum::<f64>()
@@ -185,8 +266,8 @@ mod tests {
             configs,
             server_of: vec![0, 1, 0],
         };
-        let bad = measure_decision(&sc, &all_on_one);
-        let good = measure_decision(&sc, &spread);
+        let bad = measure_decision(&sc, &all_on_one).unwrap();
+        let good = measure_decision(&sc, &spread).unwrap();
         assert!(
             bad.latency_s > good.latency_s,
             "overload {} vs spread {}",
@@ -196,6 +277,78 @@ mod tests {
         // Resource aggregates are placement-independent.
         assert!((bad.power_w - good.power_w).abs() < 1e-9);
         assert!((bad.accuracy - good.accuracy).abs() < 1e-12);
+    }
+
+    /// A well-formed decision for [`scenario`].
+    fn valid_decision() -> Decision {
+        Decision {
+            configs: vec![VideoConfig::new(480.0, 5.0); 3],
+            server_of: vec![0, 1, 0],
+        }
+    }
+
+    #[test]
+    fn too_few_or_too_many_configs_are_an_error() {
+        let sc = scenario();
+        for configs in [2, 4] {
+            let mut d = valid_decision();
+            d.configs.resize(configs, VideoConfig::new(480.0, 5.0));
+            assert_eq!(
+                measure_decision(&sc, &d).unwrap_err(),
+                MeasureError::ConfigCount {
+                    configs,
+                    cameras: 3
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn a_placement_of_the_wrong_length_is_an_error() {
+        let sc = scenario();
+        let mut d = valid_decision();
+        d.server_of.pop();
+        assert_eq!(
+            measure_decision(&sc, &d).unwrap_err(),
+            MeasureError::PlacementCount {
+                placements: 2,
+                cameras: 3
+            }
+        );
+    }
+
+    #[test]
+    fn a_non_positive_rate_or_resolution_is_an_error() {
+        let sc = scenario();
+        let mut d = valid_decision();
+        d.configs[1].fps = 0.0;
+        assert_eq!(
+            measure_decision(&sc, &d).unwrap_err(),
+            MeasureError::InvalidConfig { camera: 1 }
+        );
+        let mut d = valid_decision();
+        d.configs[2].resolution = f64::NAN;
+        assert_eq!(
+            measure_decision(&sc, &d).unwrap_err(),
+            MeasureError::InvalidConfig { camera: 2 }
+        );
+    }
+
+    #[test]
+    fn a_nonexistent_server_is_the_simulators_error() {
+        let sc = scenario();
+        let mut d = valid_decision();
+        d.server_of[2] = 2;
+        let err = measure_decision(&sc, &d).unwrap_err();
+        assert_eq!(
+            err,
+            MeasureError::Sim(SimError::NonexistentServer {
+                stream: 2,
+                server: 2,
+                n_servers: 2
+            })
+        );
+        assert!(err.to_string().contains("nonexistent server"), "{err}");
     }
 
     #[test]

@@ -66,7 +66,9 @@ fn main() {
 
         let fixed_score = |scheme: FixedWeightScheme| -> f64 {
             let d = FixedWeight::new(scheme).decide(&scenario);
-            norm(pref.benefit(&measure_decision(&scenario, &d)))
+            let outcome = measure_decision(&scenario, &d)
+                .expect("a fixed-weight decision has one valid config and server per camera");
+            norm(pref.benefit(&outcome))
         };
         let equal = fixed_score(FixedWeightScheme::Equal);
         let roc = fixed_score(FixedWeightScheme::RankOrderCentroid);

@@ -89,14 +89,14 @@ fn weights_experiment(quick: bool, results: &mut Vec<serde_json::Value>) {
                 w_lct: w,
                 ..Default::default()
             });
-            let u_jcab = setup.pref.benefit(&measure_decision(
-                &setup.scenario,
-                &jcab.decide(&setup.scenario),
-            ));
-            let u_fact = setup.pref.benefit(&measure_decision(
-                &setup.scenario,
-                &fact.decide(&setup.scenario),
-            ));
+            let u_jcab = setup.pref.benefit(
+                &measure_decision(&setup.scenario, &jcab.decide(&setup.scenario))
+                    .expect("JCAB decides one valid config and server per camera"),
+            );
+            let u_fact = setup.pref.benefit(
+                &measure_decision(&setup.scenario, &fact.decide(&setup.scenario))
+                    .expect("FACT decides one valid config and server per camera"),
+            );
             table.row(vec![
                 setup.label.to_string(),
                 format!("{w}"),
@@ -156,14 +156,14 @@ fn thresholds_experiment(quick: bool, results: &mut Vec<serde_json::Value>) {
                 delta,
                 ..Default::default()
             });
-            let u_jcab = setup.pref.benefit(&measure_decision(
-                &setup.scenario,
-                &jcab.decide(&setup.scenario),
-            ));
-            let u_fact = setup.pref.benefit(&measure_decision(
-                &setup.scenario,
-                &fact.decide(&setup.scenario),
-            ));
+            let u_jcab = setup.pref.benefit(
+                &measure_decision(&setup.scenario, &jcab.decide(&setup.scenario))
+                    .expect("JCAB decides one valid config and server per camera"),
+            );
+            let u_fact = setup.pref.benefit(
+                &measure_decision(&setup.scenario, &fact.decide(&setup.scenario))
+                    .expect("FACT decides one valid config and server per camera"),
+            );
             table.row(vec![
                 setup.label.to_string(),
                 format!("{delta}"),

@@ -173,6 +173,7 @@ fn jcab_outcome(scenario: &Scenario, setting: &ExperimentSetting) -> Outcome {
         ..Default::default()
     });
     measure_decision(scenario, &jcab.decide(scenario))
+        .expect("JCAB decides one valid config and server per camera")
 }
 
 fn fact_outcome(scenario: &Scenario, setting: &ExperimentSetting) -> Outcome {
@@ -182,6 +183,7 @@ fn fact_outcome(scenario: &Scenario, setting: &ExperimentSetting) -> Outcome {
         ..Default::default()
     });
     measure_decision(scenario, &fact.decide(scenario))
+        .expect("FACT decides one valid config and server per camera")
 }
 
 fn pamo_outcome(

@@ -1,5 +1,7 @@
 //! The event-driven engine: periodic sources, FIFO servers, latency and
-//! jitter measurement.
+//! jitter measurement. Each server's FIFO runs on its own (the private
+//! `server` module); this module seeds the arrivals and assembles the
+//! report.
 
 use std::collections::VecDeque;
 
@@ -10,8 +12,8 @@ use eva_obs::{span, Phase, Recorder};
 use eva_sched::{StreamId, Ticks, TICKS_PER_SEC};
 use eva_stats::RunningStats;
 
-use crate::event::{ArrivalList, Event, EventQueue};
-use crate::fault::{plan_stream_deliveries, service_end, SimFaults};
+use crate::fault::{plan_stream_deliveries, SimFaults};
+use crate::server::{run_server, ServerArrivals, Tally};
 
 /// Per-stream uplink binding for the time-varying-link engine: the
 /// frame size together with the materialized bandwidth trace the frame
@@ -109,7 +111,9 @@ pub struct SimReport {
     pub streams: Vec<StreamReport>,
     /// Fraction of (post-warmup) time each server spent processing.
     pub server_utilization: Vec<f64>,
-    /// Mean end-to-end latency across all measured frames (seconds).
+    /// Mean end-to-end latency across all measured frames (seconds):
+    /// the [`RunningStats::merge`] of each server's accumulator, taken
+    /// in server order.
     pub mean_latency_s: f64,
     /// Largest per-stream jitter (seconds).
     pub max_jitter_s: f64,
@@ -122,12 +126,6 @@ impl SimReport {
     pub fn total_dropped(&self) -> u64 {
         self.streams.iter().map(|s| s.dropped).sum()
     }
-}
-
-struct ServerState {
-    queue: VecDeque<(usize, Ticks)>, // (stream index, gen_time)
-    busy: bool,
-    busy_ticks: Ticks,
 }
 
 /// How frames reach the servers: the engine's one uplink selector.
@@ -246,11 +244,15 @@ impl std::error::Error for SimError {}
 
 /// Run the simulation.
 ///
-/// The engine is a classic event-driven loop: `FrameArrival` events
-/// enqueue work on a server; idle servers start the head-of-line frame
-/// immediately and self-schedule a `ServerDone`. FIFO order plus
-/// deterministic tie-breaking makes runs exactly replayable. `uplinks`
-/// selects how frames reach the servers (see [`Uplinks`]).
+/// Every stream is pinned to one server and servers share no state, so
+/// the engine simulates each server's FIFO on its own, in server order:
+/// the frame arrivals are seeded into one region per server, each
+/// region is sorted by `(time, push order)`, and the server's single
+/// in-flight frame is replayed against it. An arrival goes before a
+/// completion at the same tick, which makes runs exactly replayable.
+/// `uplinks` selects how frames reach the servers (see [`Uplinks`]).
+/// [`SimReport::mean_latency_s`] is the merge of the per-server latency
+/// accumulators, taken in server order.
 ///
 /// The run executes under a [`Phase::Des`] span and emits
 /// event/frame/miss/drop/retry counters on `rec`; bonded uplinks also
@@ -270,6 +272,17 @@ pub fn simulate(
     cfg: &SimConfig,
     rec: &dyn Recorder,
 ) -> Result<SimReport, SimError> {
+    let uplinks = validate(streams, uplinks, n_servers)?;
+    Ok(run(streams, uplinks, n_servers, cfg, rec))
+}
+
+/// Check [`simulate`]'s inputs; an inert fault schedule comes back as
+/// the fault-free uplinks it is equivalent to.
+fn validate<'a>(
+    streams: &[SimStream],
+    uplinks: Uplinks<'a>,
+    n_servers: usize,
+) -> Result<Uplinks<'a>, SimError> {
     let per_stream = match &uplinks {
         Uplinks::Fixed | Uplinks::Faulted { links: None, .. } => None,
         Uplinks::Links(links)
@@ -316,15 +329,7 @@ pub fn simulate(
             return Err(SimError::DegenerateTiming { stream });
         }
     }
-    Ok(run(streams, uplinks, n_servers, cfg, rec))
-}
-
-/// Frame slots `phase + k·period` of `s` inside the horizon.
-fn slots_in_horizon(s: &SimStream, cfg: &SimConfig) -> usize {
-    match cfg.horizon.checked_sub(s.phase) {
-        Some(span) if span > 0 => ((span - 1) / s.period + 1) as usize,
-        _ => 0,
-    }
+    Ok(uplinks)
 }
 
 /// The engine proper, on inputs [`simulate`] has validated.
@@ -336,34 +341,72 @@ fn run(
     rec: &dyn Recorder,
 ) -> SimReport {
     let _des_span = span(rec, Phase::Des);
-
-    let mut arrivals =
-        ArrivalList::with_capacity(streams.iter().map(|s| slots_in_horizon(s, cfg)).sum());
-    let mut drop_counts = vec![0u64; streams.len()];
+    let Seeded {
+        mut arrivals,
+        mut tally,
+        retries,
+        faults,
+    } = seed(streams, uplinks, n_servers, cfg, rec);
     // Hot-loop telemetry accumulates in locals and is emitted once at
     // the end: no recorder dispatch inside the event loop.
-    let mut n_events = 0u64;
-    let mut n_retries = 0u64;
-    // Seed all frame arrivals within the horizon. (Arrival = end of
-    // transmission; capture happened `trans` earlier.) `slot` is the
-    // nominal arrival instant under the fixed-`trans` model; with a
-    // link trace the arrival shifts by the difference between the
-    // realized transmission time and the nominal one, while capture
-    // stays anchored to the slot. Slow links can reorder arrivals of
-    // consecutive frames' slots; the FIFO server queue absorbs that.
-    let faults = match uplinks {
-        Uplinks::Fixed => {
-            seed_linked(streams, None, cfg, &mut arrivals);
-            None
-        }
-        Uplinks::Links(links) => {
-            seed_linked(streams, Some(links), cfg, &mut arrivals);
-            None
-        }
-        Uplinks::Bundles(bundles) => {
-            seed_bonded(streams, bundles, cfg, rec, &mut arrivals);
-            None
-        }
+    let mut totals = ServerTotals {
+        busy_ticks: Vec::with_capacity(n_servers),
+        max_queue_len: 0,
+        events: 0,
+        mean_latency_s: 0.0,
+    };
+    let mut latency = RunningStats::new();
+    let mut fifo = VecDeque::new();
+    for server in 0..n_servers {
+        let region = arrivals.sorted_region(server);
+        let run = run_server(server, region, streams, faults, cfg, &mut fifo, &mut tally);
+        totals.busy_ticks.push(run.busy_ticks);
+        totals.max_queue_len = totals.max_queue_len.max(run.max_queue_len);
+        totals.events += run.events;
+        latency.merge(&run.latency);
+    }
+    totals.mean_latency_s = latency.mean();
+    report(streams, tally, totals, retries, cfg, rec)
+}
+
+/// A run's seeded frame arrivals, and what seeding already decided.
+struct Seeded<'a> {
+    /// Every delivered frame's arrival, in its server's region.
+    arrivals: ServerArrivals,
+    /// Per-stream measurements; faulted seeding has counted the frames
+    /// that never reach a server.
+    tally: Tally,
+    /// Uplink retransmissions.
+    retries: u64,
+    /// The fault schedule servers run under, if any.
+    faults: Option<&'a SimFaults>,
+}
+
+/// Seed all frame arrivals within the horizon, stream by stream in
+/// stream order. (Arrival = end of transmission; capture happened
+/// `trans` earlier.) `slot` is the nominal arrival instant under the
+/// fixed-`trans` model; with a link trace the arrival shifts by the
+/// difference between the realized transmission time and the nominal
+/// one, while capture stays anchored to the slot. Slow links can
+/// reorder arrivals of consecutive frames' slots; the FIFO server
+/// queue absorbs that.
+fn seed<'a>(
+    streams: &[SimStream],
+    uplinks: Uplinks<'a>,
+    n_servers: usize,
+    cfg: &SimConfig,
+    rec: &dyn Recorder,
+) -> Seeded<'a> {
+    let mut seeded = Seeded {
+        arrivals: ServerArrivals::new(streams, n_servers, cfg),
+        tally: Tally::new(streams.len()),
+        retries: 0,
+        faults: None,
+    };
+    match uplinks {
+        Uplinks::Fixed => seed_linked(streams, None, cfg, &mut seeded.arrivals),
+        Uplinks::Links(links) => seed_linked(streams, Some(links), cfg, &mut seeded.arrivals),
+        Uplinks::Bundles(bundles) => seed_bonded(streams, bundles, cfg, rec, &mut seeded.arrivals),
         Uplinks::Faulted { links, faults } => {
             // Frame fates (camera dropout, loss, retry, deadline
             // give-up) are planned up front, deterministically.
@@ -378,155 +421,83 @@ fn run(
                     cfg,
                 );
                 for pf in planned {
-                    n_retries += u64::from(pf.attempts.saturating_sub(1));
+                    seeded.retries += u64::from(pf.attempts.saturating_sub(1));
                     match pf.arrival {
-                        Some(t) => arrivals.push(t, i, pf.gen_time),
+                        Some(t) => seeded.arrivals.push(s.server, t, i, pf.gen_time),
                         // Eligibility mirrors the completion path: keyed
                         // to the nominal arrival slot.
                         None => {
                             if pf.gen_time + s.trans >= cfg.warmup {
-                                drop_counts[i] += 1;
+                                seeded.tally.dropped[i] += 1;
                             }
                         }
                     }
                 }
             }
-            Some(faults)
-        }
-    };
-    let mut queue = EventQueue::new(arrivals);
-
-    let mut servers: Vec<ServerState> = (0..n_servers)
-        .map(|_| ServerState {
-            queue: VecDeque::new(),
-            busy: false,
-            busy_ticks: 0,
-        })
-        .collect();
-    let mut lat_stats: Vec<RunningStats> = streams.iter().map(|_| RunningStats::new()).collect();
-    let mut frame_counts = vec![0u64; streams.len()];
-    let mut miss_counts = vec![0u64; streams.len()];
-    let mut total_lat = RunningStats::new();
-    let mut max_queue_len = 0usize;
-
-    // In-flight frame per server: (stream, gen_time, start_time).
-    let mut in_flight: Vec<Option<(usize, Ticks, Ticks)>> = vec![None; n_servers];
-
-    while let Some((now, event)) = queue.pop() {
-        n_events += 1;
-        match event {
-            Event::FrameArrival { stream, gen_time } => {
-                let sv_idx = streams[stream].server;
-                let sv = &mut servers[sv_idx];
-                sv.queue.push_back((stream, gen_time));
-                max_queue_len = max_queue_len.max(sv.queue.len());
-                if !sv.busy {
-                    start_next(
-                        sv_idx,
-                        now,
-                        streams,
-                        &mut servers,
-                        &mut in_flight,
-                        &mut queue,
-                        faults,
-                        cfg,
-                    );
-                }
-            }
-            Event::ServerDone { server } => {
-                // A spurious completion (no in-flight frame) is a
-                // no-op, not a panic.
-                let Some((stream, gen_time, start)) = in_flight[server].take() else {
-                    continue;
-                };
-                servers[server].busy = false;
-                // Utilization accounting is clipped to the measured
-                // window [warmup, horizon].
-                let clipped_start = start.max(cfg.warmup);
-                let clipped_end = now.min(cfg.horizon).max(clipped_start);
-                servers[server].busy_ticks += clipped_end - clipped_start;
-                // Record the completed frame if it arrived post-warmup.
-                // Eligibility is keyed to the *nominal* arrival slot so
-                // the measured frame set is the same with and without a
-                // link trace (time-varying links shift latencies, not
-                // which frames count).
-                let arrival = gen_time + streams[stream].trans;
-                if arrival >= cfg.warmup {
-                    let latency_s = (now - gen_time) as f64 / TICKS_PER_SEC as f64;
-                    lat_stats[stream].push(latency_s);
-                    frame_counts[stream] += 1;
-                    if cfg.deadline > 0 && now > gen_time + cfg.deadline {
-                        miss_counts[stream] += 1;
-                    }
-                    total_lat.push(latency_s);
-                }
-                if !servers[server].queue.is_empty() {
-                    start_next(
-                        server,
-                        now,
-                        streams,
-                        &mut servers,
-                        &mut in_flight,
-                        &mut queue,
-                        faults,
-                        cfg,
-                    );
-                }
-            }
+            seeded.faults = Some(faults);
         }
     }
+    seeded
+}
 
-    // Frames stranded on servers that never recovered count as dropped
-    // (the queue drained: any leftover work can never complete).
-    for (sv_idx, sv) in servers.iter().enumerate() {
-        if let Some((stream, gen_time, _)) = in_flight[sv_idx] {
-            if gen_time + streams[stream].trans >= cfg.warmup {
-                drop_counts[stream] += 1;
-            }
-        }
-        for &(stream, gen_time) in &sv.queue {
-            if gen_time + streams[stream].trans >= cfg.warmup {
-                drop_counts[stream] += 1;
-            }
-        }
-    }
+/// What the servers' runs add up to.
+struct ServerTotals {
+    /// Busy ticks inside `[warmup, horizon]`, per server.
+    busy_ticks: Vec<Ticks>,
+    /// Deepest backlog of any server queue.
+    max_queue_len: usize,
+    /// Arrivals plus completions processed.
+    events: u64,
+    /// Mean latency (seconds) over every measured frame.
+    mean_latency_s: f64,
+}
 
+/// Assemble the report and emit the run's counters on `rec`.
+fn report(
+    streams: &[SimStream],
+    tally: Tally,
+    totals: ServerTotals,
+    retries: u64,
+    cfg: &SimConfig,
+    rec: &dyn Recorder,
+) -> SimReport {
     let span = (cfg.horizon.saturating_sub(cfg.warmup)).max(1) as f64;
     let reports: Vec<StreamReport> = streams
         .iter()
+        .zip(tally.latency)
         .enumerate()
-        .map(|(i, s)| StreamReport {
+        .map(|(i, (s, latency))| StreamReport {
             id: s.id,
-            jitter_s: lat_stats[i].range(),
-            frames: frame_counts[i],
-            deadline_misses: miss_counts[i],
-            dropped: drop_counts[i],
-            latency: lat_stats[i].clone(),
+            jitter_s: latency.range(),
+            frames: tally.frames[i],
+            deadline_misses: tally.misses[i],
+            dropped: tally.dropped[i],
+            latency,
         })
         .collect();
     let max_jitter_s = reports.iter().map(|r| r.jitter_s).fold(0.0, f64::max);
     if rec.enabled() {
         rec.add("des.runs", 1);
-        rec.add("des.events", n_events);
-        rec.add("des.retries", n_retries);
+        rec.add("des.events", totals.events);
+        rec.add("des.retries", retries);
         rec.add("des.frames", reports.iter().map(|r| r.frames).sum());
         rec.add(
             "des.deadline_misses",
             reports.iter().map(|r| r.deadline_misses).sum(),
         );
         rec.add("des.dropped", reports.iter().map(|r| r.dropped).sum());
-        rec.observe("des.max_queue_len", max_queue_len as f64);
-        rec.observe("des.heap_peak", queue.heap_peak() as f64);
+        rec.observe("des.max_queue_len", totals.max_queue_len as f64);
     }
     SimReport {
         streams: reports,
-        server_utilization: servers
+        server_utilization: totals
+            .busy_ticks
             .iter()
-            .map(|s| (s.busy_ticks as f64 / span).min(1.0))
+            .map(|&b| (b as f64 / span).min(1.0))
             .collect(),
-        mean_latency_s: total_lat.mean(),
+        mean_latency_s: totals.mean_latency_s,
         max_jitter_s,
-        max_queue_len,
+        max_queue_len: totals.max_queue_len,
     }
 }
 
@@ -535,7 +506,7 @@ fn seed_linked(
     streams: &[SimStream],
     links: Option<&[StreamLink]>,
     cfg: &SimConfig,
-    arrivals: &mut ArrivalList,
+    arrivals: &mut ServerArrivals,
 ) {
     for (i, s) in streams.iter().enumerate() {
         let mut k: Ticks = 0;
@@ -554,7 +525,7 @@ fn seed_linked(
                     (slot + d).saturating_sub(s.trans)
                 }
             };
-            arrivals.push(arrival, i, gen_time);
+            arrivals.push(s.server, arrival, i, gen_time);
             k += 1;
         }
     }
@@ -569,7 +540,7 @@ fn seed_bonded(
     bundles: &mut [StreamBundle],
     cfg: &SimConfig,
     rec: &dyn Recorder,
-    arrivals: &mut ArrivalList,
+    arrivals: &mut ServerArrivals,
 ) {
     let _stripe_span = span(rec, Phase::BondStripe);
     let mut bond_frames = 0u64;
@@ -595,7 +566,7 @@ fn seed_bonded(
             bond_packets += fd.packets;
             bond_hol_s += fd.hol_wait_s;
             bond_depth = bond_depth.max(fd.max_reorder_depth);
-            arrivals.push(arrival, i, gen_time);
+            arrivals.push(s.server, arrival, i, gen_time);
             k += 1;
         }
         memo_hits += b.sim.stripe_memo_hits() - hits_before;
@@ -608,42 +579,6 @@ fn seed_bonded(
         rec.add("bond.packets", bond_packets);
         rec.observe("bond.hol_wait_s", bond_hol_s);
         rec.observe("bond.max_reorder_depth", bond_depth as f64);
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn start_next(
-    server: usize,
-    now: Ticks,
-    streams: &[SimStream],
-    servers: &mut [ServerState],
-    in_flight: &mut [Option<(usize, Ticks, Ticks)>],
-    queue: &mut EventQueue,
-    faults: Option<&SimFaults>,
-    cfg: &SimConfig,
-) {
-    let sv = &mut servers[server];
-    let Some((stream, gen_time)) = sv.queue.pop_front() else {
-        return; // nothing queued — spurious call, not a panic
-    };
-    sv.busy = true;
-    in_flight[server] = Some((stream, gen_time, now));
-    let done = match faults {
-        None => Some(now + streams[stream].proc),
-        // Crashes pause processing until recovery; stragglers dilate
-        // it. A frame that cannot finish within twice the horizon (or
-        // on a server that never recovers) gets no completion event and
-        // is counted as dropped when the queue drains.
-        Some(f) => service_end(
-            now,
-            streams[stream].proc,
-            &f.server_up[server],
-            &f.server_slow[server],
-            cfg.horizon.saturating_mul(2),
-        ),
-    };
-    if let Some(t) = done {
-        queue.push_done(t, server);
     }
 }
 
@@ -977,5 +912,434 @@ mod tests {
             "jitter {}",
             r.streams[0].jitter_s
         );
+    }
+
+    /// The engine the per-server loop replaced, kept as the
+    /// differential oracle: every arrival of the run in one global sort
+    /// by `(time, push order)`, merged with one completion heap across
+    /// all servers. Seeding and report assembly are shared; the event
+    /// loop is the old one, `mean_latency_s` included (one Welford
+    /// accumulator in global completion order).
+    mod global_oracle {
+        use std::collections::VecDeque;
+
+        use eva_obs::Recorder;
+        use eva_sched::{Ticks, TICKS_PER_SEC};
+        use eva_stats::RunningStats;
+
+        use crate::des::{
+            report, seed, validate, Seeded, ServerTotals, SimConfig, SimError, SimReport,
+            SimStream, Uplinks,
+        };
+        use crate::event::{ArrivalList, Event, EventQueue};
+        use crate::fault::{service_end, SimFaults};
+
+        struct ServerState {
+            queue: VecDeque<(usize, Ticks)>, // (stream index, gen_time)
+            busy: bool,
+            busy_ticks: Ticks,
+        }
+
+        /// [`crate::des::simulate`] with the global event loop.
+        pub(super) fn simulate(
+            streams: &[SimStream],
+            uplinks: Uplinks<'_>,
+            n_servers: usize,
+            cfg: &SimConfig,
+            rec: &dyn Recorder,
+        ) -> Result<SimReport, SimError> {
+            let uplinks = validate(streams, uplinks, n_servers)?;
+            let Seeded {
+                arrivals: regions,
+                mut tally,
+                retries,
+                faults,
+            } = seed(streams, uplinks, n_servers, cfg, rec);
+            let mut arrivals = ArrivalList::new();
+            for a in regions.in_push_order() {
+                arrivals.push(a.time, a.stream as usize, a.gen_time);
+            }
+            let mut queue = EventQueue::new(arrivals);
+            let mut servers: Vec<ServerState> = (0..n_servers)
+                .map(|_| ServerState {
+                    queue: VecDeque::new(),
+                    busy: false,
+                    busy_ticks: 0,
+                })
+                .collect();
+            let mut total_lat = RunningStats::new();
+            let mut max_queue_len = 0usize;
+            let mut n_events = 0u64;
+            // In-flight frame per server: (stream, gen_time, start_time).
+            let mut in_flight: Vec<Option<(usize, Ticks, Ticks)>> = vec![None; n_servers];
+
+            while let Some((now, event)) = queue.pop() {
+                n_events += 1;
+                match event {
+                    Event::FrameArrival { stream, gen_time } => {
+                        let sv_idx = streams[stream].server;
+                        let sv = &mut servers[sv_idx];
+                        sv.queue.push_back((stream, gen_time));
+                        max_queue_len = max_queue_len.max(sv.queue.len());
+                        if !sv.busy {
+                            start_next(
+                                sv_idx,
+                                now,
+                                streams,
+                                &mut servers,
+                                &mut in_flight,
+                                &mut queue,
+                                faults,
+                                cfg,
+                            );
+                        }
+                    }
+                    Event::ServerDone { server } => {
+                        let Some((stream, gen_time, start)) = in_flight[server].take() else {
+                            continue;
+                        };
+                        servers[server].busy = false;
+                        let clipped_start = start.max(cfg.warmup);
+                        let clipped_end = now.min(cfg.horizon).max(clipped_start);
+                        servers[server].busy_ticks += clipped_end - clipped_start;
+                        let arrival = gen_time + streams[stream].trans;
+                        if arrival >= cfg.warmup {
+                            let latency_s = (now - gen_time) as f64 / TICKS_PER_SEC as f64;
+                            tally.latency[stream].push(latency_s);
+                            tally.frames[stream] += 1;
+                            if cfg.deadline > 0 && now > gen_time + cfg.deadline {
+                                tally.misses[stream] += 1;
+                            }
+                            total_lat.push(latency_s);
+                        }
+                        if !servers[server].queue.is_empty() {
+                            start_next(
+                                server,
+                                now,
+                                streams,
+                                &mut servers,
+                                &mut in_flight,
+                                &mut queue,
+                                faults,
+                                cfg,
+                            );
+                        }
+                    }
+                }
+            }
+            for (sv_idx, sv) in servers.iter().enumerate() {
+                let stranded = in_flight[sv_idx].map(|(stream, gen_time, _)| (stream, gen_time));
+                for (stream, gen_time) in stranded.into_iter().chain(sv.queue.iter().copied()) {
+                    if gen_time + streams[stream].trans >= cfg.warmup {
+                        tally.dropped[stream] += 1;
+                    }
+                }
+            }
+            let totals = ServerTotals {
+                busy_ticks: servers.iter().map(|s| s.busy_ticks).collect(),
+                max_queue_len,
+                events: n_events,
+                mean_latency_s: total_lat.mean(),
+            };
+            Ok(report(streams, tally, totals, retries, cfg, rec))
+        }
+
+        #[allow(clippy::too_many_arguments)]
+        fn start_next(
+            server: usize,
+            now: Ticks,
+            streams: &[SimStream],
+            servers: &mut [ServerState],
+            in_flight: &mut [Option<(usize, Ticks, Ticks)>],
+            queue: &mut EventQueue,
+            faults: Option<&SimFaults>,
+            cfg: &SimConfig,
+        ) {
+            let sv = &mut servers[server];
+            let Some((stream, gen_time)) = sv.queue.pop_front() else {
+                return;
+            };
+            sv.busy = true;
+            in_flight[server] = Some((stream, gen_time, now));
+            let done = match faults {
+                None => Some(now + streams[stream].proc),
+                Some(f) => service_end(
+                    now,
+                    streams[stream].proc,
+                    &f.server_up[server],
+                    &f.server_slow[server],
+                    cfg.horizon.saturating_mul(2),
+                ),
+            };
+            if let Some(t) = done {
+                queue.push_done(t, server);
+            }
+        }
+    }
+
+    mod differential {
+        use eva_bond::{BondPolicy, BondedLink, LinkBundle};
+        use eva_fault::{AvailabilityTrace, LossProcess, RetryPolicy, SlowdownTrace};
+        use eva_net::LinkModel;
+        use eva_obs::FlightRecorder;
+        use proptest::prelude::*;
+
+        use super::super::*;
+        use super::global_oracle;
+
+        const HORIZON: Ticks = 3 * TICKS_PER_SEC;
+
+        /// Raw draws for one stream: period, proc, trans, server and
+        /// phase choices.
+        type RawStream = (usize, usize, usize, usize, usize);
+
+        fn raw_placement() -> impl Strategy<Value = (usize, Vec<RawStream>, usize)> {
+            (
+                1usize..5,
+                prop::collection::vec(
+                    (0usize..4, 0usize..6, 0usize..3, 0usize..8, 0usize..5),
+                    1..11,
+                ),
+                // Phases: 0 = drawn from a few shared values, 1 = the
+                // Theorem-1 offsets of each server's streams, 2 = all
+                // zero. Bit 2 enables a deadline.
+                0usize..6,
+            )
+        }
+
+        /// Streams with dense ties: few distinct periods, processing
+        /// and transmission times, and phases shared within and across
+        /// servers. Theorem-1 phasing offsets each server's streams by
+        /// the processing times of the streams before them.
+        fn placement(
+            n_servers: usize,
+            raw: &[RawStream],
+            mode: usize,
+        ) -> (Vec<SimStream>, SimConfig) {
+            let mut offset = vec![0; n_servers];
+            let streams = raw
+                .iter()
+                .enumerate()
+                .map(|(i, &(period, proc, trans, server, phase))| {
+                    let period = [40_000, 50_000, 100_000, 200_000][period];
+                    let proc = [5_000, 10_000, 20_000, 25_000, 40_000, 90_000][proc];
+                    let server = server % n_servers;
+                    let phase = match mode % 3 {
+                        0 => [0, 10_000, 20_000, 25_000, 50_000][phase],
+                        1 => {
+                            let o = offset[server];
+                            offset[server] += proc;
+                            o
+                        }
+                        _ => 0,
+                    };
+                    SimStream {
+                        id: StreamId::source(i),
+                        period,
+                        proc,
+                        trans: [0, 5_000, 12_000][trans],
+                        server,
+                        phase,
+                    }
+                })
+                .collect();
+            let cfg = SimConfig {
+                horizon: HORIZON,
+                warmup: TICKS_PER_SEC / 2,
+                deadline: if mode >= 3 { 60_000 } else { 0 },
+            };
+            (streams, cfg)
+        }
+
+        /// Per-stream links: constant at the nominal rate (arrival ties
+        /// survive) or a two-state Markov link seeded by `seed`.
+        fn links(streams: &[SimStream], seed: u64) -> Vec<StreamLink> {
+            streams
+                .iter()
+                .enumerate()
+                .map(|(i, s)| {
+                    let bits_per_frame = s.trans.max(1_000) as f64 / TICKS_PER_SEC as f64 * 20e6;
+                    let model = if (seed + i as u64).is_multiple_of(3) {
+                        LinkModel::constant(20e6)
+                    } else {
+                        LinkModel::gilbert_elliott(20e6, 4e6, 0.5, 0.3, seed + i as u64)
+                    };
+                    StreamLink {
+                        bits_per_frame,
+                        trace: model.trace(HORIZON + 1),
+                    }
+                })
+                .collect()
+        }
+
+        /// Run both engines and compare them: every stream report,
+        /// utilization, the queue peak, the event and drop counters bit
+        /// for bit, and the mean latency within 1e-12 relative.
+        fn assert_engines_agree(
+            streams: &[SimStream],
+            per_server: Uplinks<'_>,
+            global: Uplinks<'_>,
+            n_servers: usize,
+            cfg: &SimConfig,
+        ) {
+            let (fa, fb) = (FlightRecorder::new(), FlightRecorder::new());
+            let a = simulate(streams, per_server, n_servers, cfg, &fa).unwrap();
+            let b = global_oracle::simulate(streams, global, n_servers, cfg, &fb).unwrap();
+            // `{:?}` prints each f64 as its shortest round-trip form, so
+            // equal strings mean equal bits.
+            assert_eq!(format!("{:?}", a.streams), format!("{:?}", b.streams));
+            let bits = |r: &SimReport| -> Vec<u64> {
+                r.server_utilization.iter().map(|u| u.to_bits()).collect()
+            };
+            assert_eq!(bits(&a), bits(&b), "server utilization");
+            assert_eq!(a.max_queue_len, b.max_queue_len, "max queue length");
+            assert_eq!(a.max_jitter_s.to_bits(), b.max_jitter_s.to_bits());
+            assert_eq!(a.total_dropped(), b.total_dropped());
+            let (sa, sb) = (fa.snapshot(), fb.snapshot());
+            for name in ["des.events", "des.dropped", "des.frames", "des.retries"] {
+                assert_eq!(sa.metrics.counter(name), sb.metrics.counter(name), "{name}");
+            }
+            let scale = a.mean_latency_s.abs().max(b.mean_latency_s.abs());
+            assert!(
+                (a.mean_latency_s - b.mean_latency_s).abs() <= 1e-12 * scale,
+                "mean latency {} vs {}",
+                a.mean_latency_s,
+                b.mean_latency_s
+            );
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            #[test]
+            fn fixed_uplinks_match_the_global_loop(
+                (n_servers, raw, mode) in raw_placement(),
+            ) {
+                let (streams, cfg) = placement(n_servers, &raw, mode);
+                assert_engines_agree(&streams, Uplinks::Fixed, Uplinks::Fixed, n_servers, &cfg);
+            }
+
+            #[test]
+            fn traced_links_match_the_global_loop(
+                (n_servers, raw, mode) in raw_placement(),
+                seed in 0u64..1_000,
+            ) {
+                let (streams, cfg) = placement(n_servers, &raw, mode);
+                let links = links(&streams, seed);
+                assert_engines_agree(
+                    &streams,
+                    Uplinks::Links(&links),
+                    Uplinks::Links(&links),
+                    n_servers,
+                    &cfg,
+                );
+            }
+
+            #[test]
+            fn bonded_uplinks_match_the_global_loop(
+                (n_servers, raw, mode) in raw_placement(),
+                (seed, members, policy) in (0u64..1_000, 1usize..4, 0usize..3),
+            ) {
+                let (streams, cfg) = placement(n_servers, &raw, mode);
+                let policy = [
+                    BondPolicy::RoundRobin,
+                    BondPolicy::RateWeighted,
+                    BondPolicy::EarliestDelivery,
+                ][policy];
+                let bundles: Vec<StreamBundle> = streams
+                    .iter()
+                    .enumerate()
+                    .map(|(i, s)| {
+                        let c = seed + i as u64;
+                        let mut links = vec![BondedLink::new(
+                            LinkModel::gilbert_elliott(12e6, 4e6, 0.5, 0.3, c),
+                            0.010,
+                        )];
+                        if members > 1 {
+                            links.push(BondedLink::new(LinkModel::constant(8e6), 0.030));
+                        }
+                        if members > 2 {
+                            links.push(BondedLink::new(
+                                LinkModel::gilbert_elliott(6e6, 2e6, 0.5, 0.3, c + 1_000),
+                                0.050,
+                            ));
+                        }
+                        StreamBundle {
+                            bits_per_frame: s.trans.max(1_000) as f64 / TICKS_PER_SEC as f64 * 20e6,
+                            sim: LinkBundle::new(links).simulator(HORIZON + 1, policy),
+                        }
+                    })
+                    .collect();
+                let (mut a, mut b) = (bundles.clone(), bundles);
+                assert_engines_agree(
+                    &streams,
+                    Uplinks::Bundles(&mut a),
+                    Uplinks::Bundles(&mut b),
+                    n_servers,
+                    &cfg,
+                );
+            }
+
+            /// Crashes that recover and crashes that never do, straggler
+            /// bursts, camera dropout, and loss with or without retry,
+            /// over fixed or traced links.
+            #[test]
+            fn faulted_uplinks_match_the_global_loop(
+                (n_servers, raw, mode) in raw_placement(),
+                (seed, server_faults, camera_faults, loss, retry, traced) in
+                    (0u64..1_000, 0usize..64, 0usize..8, 0usize..3, 0usize..2, 0usize..2),
+            ) {
+                let (streams, cfg) = placement(n_servers, &raw, mode);
+                let at = |k: u64| k * TICKS_PER_SEC / 10 + seed % 7 * 1_000;
+                let faults = SimFaults {
+                    // Per server (two bits each): up, a crash at 0.8 s
+                    // that recovers at 1.5 s, a crash at 1.2 s that
+                    // never recovers, or down from the start.
+                    server_up: (0..n_servers)
+                        .map(|j| {
+                            let toggles = match (server_faults >> (2 * j)) & 3 {
+                                0 => vec![],
+                                1 => vec![at(8), at(15)],
+                                2 => vec![at(12)],
+                                _ => vec![0],
+                            };
+                            AvailabilityTrace::from_toggles(toggles, cfg.horizon + 1)
+                        })
+                        .collect(),
+                    server_slow: (0..n_servers)
+                        .map(|j| {
+                            if (server_faults + j).is_multiple_of(3) {
+                                SlowdownTrace::from_toggles(vec![at(6), at(20)], 2.5)
+                            } else {
+                                SlowdownTrace::nominal()
+                            }
+                        })
+                        .collect(),
+                    camera_up: (0..streams.len())
+                        .map(|c| {
+                            let toggles = if (camera_faults + c).is_multiple_of(4) {
+                                vec![at(10), at(14)]
+                            } else {
+                                vec![]
+                            };
+                            AvailabilityTrace::from_toggles(toggles, cfg.horizon + 1)
+                        })
+                        .collect(),
+                    loss: (0..streams.len())
+                        .map(|c| LossProcess::bernoulli([0.0, 0.1, 0.4][loss], seed + c as u64))
+                        .collect(),
+                    retry: [RetryPolicy::standard(), RetryPolicy::no_retry()][retry],
+                };
+                let links = links(&streams, seed);
+                let links = (traced == 1).then_some(links.as_slice());
+                assert_engines_agree(
+                    &streams,
+                    Uplinks::Faulted { links, faults: &faults },
+                    Uplinks::Faulted { links, faults: &faults },
+                    n_servers,
+                    &cfg,
+                );
+            }
+        }
     }
 }

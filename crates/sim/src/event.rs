@@ -1,11 +1,14 @@
-//! Time-ordered event queue for the DES engine.
+//! Time-ordered event queue of the shared-uplink tandem engine.
 //!
-//! Every frame arrival of a run is known before the event loop starts,
-//! and the loop itself only ever schedules server completions. The
-//! queue exploits that split: arrivals are collected into an
-//! `ArrivalList`, sorted once by `(time, push order)` and read by a
-//! cursor, while completions live in a small heap holding at most one
-//! event per busy station. Popping merges the two, arrival first on
+//! [`crate::tandem`] runs its uplink and CPU stations in one global
+//! loop, and the DES test suite keeps the global loop the per-server
+//! engine ([`crate::server`]) replaced as its differential oracle; both
+//! use this queue. Every frame arrival of a run is known before the
+//! event loop starts, and the loop itself only ever schedules station
+//! completions. The queue exploits that split: arrivals are collected
+//! into an `ArrivalList`, sorted once by `(time, push order)` and read
+//! by a cursor, while completions live in a small heap holding at most
+//! one event per busy station. Popping merges the two, arrival first on
 //! equal time. That is exactly the `(time, push sequence)` order of one
 //! heap holding every event, because every arrival is pushed before any
 //! completion.
@@ -35,12 +38,16 @@ pub(crate) enum Event {
 
 /// One seeded frame arrival (24 bytes). `push_idx` breaks time ties in
 /// push order, so simultaneous arrivals replay FIFO.
-#[derive(Debug, Clone, Copy)]
-struct Arrival {
-    time: Ticks,
-    gen_time: Ticks,
-    stream: u32,
-    push_idx: u32,
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Arrival {
+    /// When the frame reaches its server (ticks).
+    pub(crate) time: Ticks,
+    /// When the camera captured it (ticks).
+    pub(crate) gen_time: Ticks,
+    /// Index into the simulation's stream table.
+    pub(crate) stream: u32,
+    /// Position in the run's push order.
+    pub(crate) push_idx: u32,
 }
 
 /// The frame arrivals of one run, collected before the event loop
@@ -54,13 +61,6 @@ impl ArrivalList {
     /// Empty list.
     pub(crate) fn new() -> Self {
         ArrivalList::default()
-    }
-
-    /// Empty list with room for `n` arrivals.
-    pub(crate) fn with_capacity(n: usize) -> Self {
-        ArrivalList {
-            items: Vec::with_capacity(n),
-        }
     }
 
     /// Record that a frame of `stream`, captured at `gen_time`, arrives

@@ -12,10 +12,13 @@
 //!   streams use the static offsets of Theorem 1.
 //!
 //! Structure:
-//! * `event` — the time-ordered event queue,
+//! * `event` — the time-ordered event queue of the shared-uplink
+//!   tandem engine,
 //! * [`des`] — the event-driven engine: periodic frame sources, FIFO
 //!   server queues, per-stream latency statistics; optionally driven by
 //!   `eva-net` link traces (time-varying per-frame transmission times),
+//! * `server` — one server's FIFO replayed on its own against its
+//!   region of the seeded arrivals (the engine's run loop),
 //! * [`runner`] — glue from (`eva-workload` scenario, configs,
 //!   `eva-sched` assignment) to a simulation and back to measured
 //!   outcomes.
@@ -24,6 +27,7 @@ pub mod des;
 mod event;
 pub mod fault;
 pub mod runner;
+mod server;
 pub mod tandem;
 
 pub use des::{simulate, SimConfig, SimReport, SimStream, StreamBundle, StreamLink, Uplinks};

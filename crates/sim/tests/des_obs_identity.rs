@@ -1,17 +1,14 @@
 //! DES telemetry must be observationally free: the simulator entry
 //! points produce bit-identical reports under a
 //! [`eva_obs::NoopRecorder`] and a live [`eva_obs::FlightRecorder`].
-//! The recorded work counters are exact: `des.heap_peak` is bounded by
-//! the server count on every uplink path.
+//! The engine runs each server's FIFO without an event heap, so it
+//! records no `des.heap_peak`; its equivalence with the global
+//! heap-merged loop it replaced is the differential property test in
+//! `des.rs`, and the tandem engine's heap bound is a unit test in
+//! `tandem.rs`.
 
-use eva_bond::{BondPolicy, BondedLink, LinkBundle};
-use eva_fault::{FaultPlan, RetryPolicy};
-use eva_net::LinkModel;
 use eva_obs::{FlightRecorder, NoopRecorder, Phase, Recorder};
-use eva_sim::{
-    simulate_scenario_faulted_recorded, simulate_scenario_with_deadline_recorded, PhasePolicy,
-    ScenarioSimReport,
-};
+use eva_sim::{simulate_scenario_with_deadline_recorded, PhasePolicy, ScenarioSimReport};
 use eva_workload::{Scenario, VideoConfig};
 
 fn assert_reports_identical(a: &ScenarioSimReport, b: &ScenarioSimReport, what: &str) {
@@ -95,86 +92,8 @@ fn recorded_des_is_bit_identical_and_counts_its_work() {
     let frames: u64 = noop.report.streams.iter().map(|s| s.frames).sum();
     assert_eq!(snap.metrics.counter("des.frames"), frames);
     assert!(snap.metrics.counter("des.events") > 0);
-}
-
-/// The most events the DES completion heap held at once in the one run
-/// `flight` recorded.
-fn heap_peak(flight: &FlightRecorder) -> f64 {
-    let snap = flight.snapshot();
-    let hist = snap
-        .metrics
-        .histogram("des.heap_peak")
-        .expect("des.heap_peak recorded");
-    assert_eq!(hist.count(), 1, "one run, one observation");
-    hist.max().expect("one observation")
-}
-
-#[test]
-fn heap_peak_is_bounded_by_the_server_count_on_every_path() {
-    let (cameras, servers) = (12, 4);
-    let base = Scenario::uniform(cameras, servers, 20e6, 5);
-    let configs: Vec<VideoConfig> = (0..cameras)
-        .map(|c| VideoConfig::new(480.0, [2.0, 5.0, 10.0][c % 3]))
-        .collect();
-    let assignment = base.schedule(&configs).expect("mixed configs fit");
-    let markov = base.clone().with_link_models(
-        (0..cameras as u64)
-            .map(|c| LinkModel::gilbert_elliott(20e6, 6e6, 3.0, 1.0, c))
-            .collect(),
-    );
-    let bonded = base.clone().with_link_bundles(
-        (0..cameras as u64)
-            .map(|c| {
-                LinkBundle::new(vec![
-                    BondedLink::new(LinkModel::gilbert_elliott(12e6, 4e6, 3.0, 1.0, c), 0.03),
-                    BondedLink::new(LinkModel::constant(5e6), 0.2),
-                ])
-            })
-            .collect(),
-        BondPolicy::RoundRobin,
-    );
-    let faulted = base.clone().with_fault_plan(
-        FaultPlan::none(servers, cameras)
-            .with_server_crashes(10.0, 2.0, 3)
-            .with_camera_dropout(8.0, 2.0, 6)
-            .with_frame_loss(0.05, 4)
-            .with_retry(RetryPolicy::standard()),
-    );
-    for (name, sc, phases) in [
-        ("fixed, all-zero phases", &base, PhasePolicy::AllZero),
-        ("markov", &markov, PhasePolicy::ZeroJitter),
-        ("bonded", &bonded, PhasePolicy::ZeroJitter),
-    ] {
-        let flight = FlightRecorder::new();
-        let _ = simulate_scenario_with_deadline_recorded(
-            sc,
-            &configs,
-            &assignment,
-            phases,
-            30.0,
-            0.5,
-            &flight,
-        );
-        let peak = heap_peak(&flight);
-        assert!(
-            peak > 0.0 && peak <= servers as f64,
-            "{name}: heap peak {peak}"
-        );
-    }
-    let flight = FlightRecorder::new();
-    let r = simulate_scenario_faulted_recorded(
-        &faulted,
-        &configs,
-        &assignment,
-        PhasePolicy::ZeroJitter,
-        30.0,
-        0.5,
-        &flight,
-    );
-    assert!(r.report.total_dropped() > 0, "the fault plan must bite");
-    let peak = heap_peak(&flight);
     assert!(
-        peak > 0.0 && peak <= servers as f64,
-        "faulted: heap peak {peak}"
+        snap.metrics.histogram("des.heap_peak").is_none(),
+        "the per-server engine has no completion heap"
     );
 }

@@ -37,8 +37,9 @@ impl RunningStats {
     }
 
     /// Merge another accumulator (parallel reduction; Chan et al.).
-    #[cfg(test)]
-    pub(crate) fn merge(&mut self, other: &RunningStats) {
+    /// The merged mean equals the sequential one up to rounding; the
+    /// count, min and max are exact.
+    pub fn merge(&mut self, other: &RunningStats) {
         if other.count == 0 {
             return;
         }

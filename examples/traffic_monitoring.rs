@@ -42,8 +42,10 @@ fn main() {
         w_acc: 1.0,
         ..Default::default()
     });
-    let u_jcab = pref.benefit(&measure_decision(&scenario, &jcab.decide(&scenario)));
-    let u_fact = pref.benefit(&measure_decision(&scenario, &fact.decide(&scenario)));
+    let u_jcab =
+        pref.benefit(&measure_decision(&scenario, &jcab.decide(&scenario)).expect("valid"));
+    let u_fact =
+        pref.benefit(&measure_decision(&scenario, &fact.decide(&scenario)).expect("valid"));
 
     // PaMO learns the pricing preference from 15 comparisons.
     let mut cfg = PamoConfig::default();

@@ -35,14 +35,10 @@ fn pamo_plus_beats_or_matches_baselines() {
         let scenario = Scenario::uniform(5, 3, 20e6, 100 + seed);
         let pref = TruePreference::uniform(&scenario);
 
-        let u_jcab = pref.benefit(&measure_decision(
-            &scenario,
-            &Jcab::default().decide(&scenario),
-        ));
-        let u_fact = pref.benefit(&measure_decision(
-            &scenario,
-            &Fact::default().decide(&scenario),
-        ));
+        let u_jcab =
+            pref.benefit(&measure_decision(&scenario, &Jcab::default().decide(&scenario)).unwrap());
+        let u_fact =
+            pref.benefit(&measure_decision(&scenario, &Fact::default().decide(&scenario)).unwrap());
         let plus = tiny_pamo(PreferenceSource::Oracle)
             .decide(&scenario, &pref, &mut seeded(seed))
             .unwrap();
@@ -84,7 +80,7 @@ fn all_methods_produce_valid_decisions() {
     for (name, d) in [("jcab", &jcab), ("fact", &fact)] {
         assert_eq!(d.configs.len(), 5, "{name}");
         assert!(d.server_of.iter().all(|&s| s < 4), "{name}");
-        let out = measure_decision(&scenario, d);
+        let out = measure_decision(&scenario, d).unwrap();
         assert!(out.accuracy > 0.0 && out.accuracy <= 1.0, "{name}");
         assert!(out.latency_s > 0.0, "{name}");
     }
@@ -256,7 +252,7 @@ fn fixed_weight_decisions_are_bit_pinned() {
             fnv(fnv(h, c.resolution.to_bits()), c.fps.to_bits())
         });
         let h = d.server_of.iter().fold(h, |h, &s| fnv(h, s as u64));
-        let outcome = measure_decision(&scenario, &d);
+        let outcome = measure_decision(&scenario, &d).unwrap();
         prefs
             .iter()
             .fold(h, |h, p| fnv(h, p.benefit(&outcome).to_bits()))

@@ -10,6 +10,9 @@
 //! ordering, arrival seeding, bond striping or fault planning moves the
 //! pinned hashes. Each setup also runs under a `NoopRecorder`, whose
 //! report must hash the same: telemetry never changes a DES result.
+//! The report-level fields that hash leaves out (server utilization,
+//! the deepest queue, the largest jitter, the drop and event counts)
+//! are pinned per setup as well.
 //! A second guard runs the bonded placement under all three striping
 //! policies, rate-weighted included, and pins the recorder's bond
 //! accounting (packets, deepest reorder buffer, HoL wait) as well.
@@ -146,10 +149,9 @@ fn assert_placement_is_optimal(base: &Scenario, configs: &[VideoConfig], a: &Ass
     );
 }
 
-#[test]
-fn des_uplink_paths_are_bit_pinned() {
-    let (base, configs, assignment) = placement();
-    assert_placement_is_optimal(&base, &configs, &assignment);
+/// The five uplink setups of [`PINNED_DES_HASHES`], in its order:
+/// name, scenario, phase policy and whether the run is faulted.
+fn uplink_setups(base: &Scenario) -> Vec<(&'static str, Scenario, PhasePolicy, bool)> {
     let markov = base.clone().with_link_models(
         (0..CAMERAS as u64)
             .map(|c| LinkModel::gilbert_elliott(20e6, 6e6, 3.0, 1.0, 700 + c))
@@ -169,34 +171,43 @@ fn des_uplink_paths_are_bit_pinned() {
             .with_frame_loss(0.05, 14)
             .with_retry(RetryPolicy::standard()),
     );
+    vec![
+        ("fixed", base.clone(), PhasePolicy::AllZero, false),
+        ("markov", markov, PhasePolicy::ZeroJitter, false),
+        ("round-robin", round_robin, PhasePolicy::ZeroJitter, false),
+        ("earliest", earliest, PhasePolicy::ZeroJitter, false),
+        ("faulted", faulted, PhasePolicy::ZeroJitter, true),
+    ]
+}
 
-    let run = |sc: &Scenario, phases: PhasePolicy, with_faults: bool, rec: &dyn Recorder| {
-        let sim = if with_faults {
-            simulate_scenario_faulted_recorded
-        } else {
-            simulate_scenario_with_deadline_recorded
-        };
-        sim(
-            sc,
-            &configs,
-            &assignment,
-            phases,
-            HORIZON_S,
-            DEADLINE_S,
-            rec,
-        )
+/// Simulate one uplink setup of the pinned placement.
+fn run_setup(
+    sc: &Scenario,
+    configs: &[VideoConfig],
+    assignment: &Assignment,
+    phases: PhasePolicy,
+    with_faults: bool,
+    rec: &dyn Recorder,
+) -> ScenarioSimReport {
+    let sim = if with_faults {
+        simulate_scenario_faulted_recorded
+    } else {
+        simulate_scenario_with_deadline_recorded
     };
+    sim(sc, configs, assignment, phases, HORIZON_S, DEADLINE_S, rec)
+}
+
+#[test]
+fn des_uplink_paths_are_bit_pinned() {
+    let (base, configs, assignment) = placement();
+    assert_placement_is_optimal(&base, &configs, &assignment);
     let mut hashes = Vec::new();
-    for (name, sc, phases, with_faults) in [
-        ("fixed", &base, PhasePolicy::AllZero, false),
-        ("markov", &markov, PhasePolicy::ZeroJitter, false),
-        ("round-robin", &round_robin, PhasePolicy::ZeroJitter, false),
-        ("earliest", &earliest, PhasePolicy::ZeroJitter, false),
-        ("faulted", &faulted, PhasePolicy::ZeroJitter, true),
-    ] {
+    for (name, sc, phases, with_faults) in uplink_setups(&base) {
+        let run =
+            |rec: &dyn Recorder| run_setup(&sc, &configs, &assignment, phases, with_faults, rec);
         let flight = FlightRecorder::new();
-        let r = run(sc, phases, with_faults, &flight);
-        let noop = run(sc, phases, with_faults, &NoopRecorder);
+        let r = run(&flight);
+        let noop = run(&NoopRecorder);
         assert_eq!(
             report_hash(&noop),
             report_hash(&r),
@@ -213,6 +224,58 @@ fn des_uplink_paths_are_bit_pinned() {
 
     println!("des hashes {hashes:#x?}");
     assert_eq!(hashes, PINNED_DES_HASHES, "a DES uplink path drifted");
+}
+
+/// FNV-1a hash per uplink setup (the five of [`PINNED_DES_HASHES`]) of
+/// the report-level fields that hash leaves out: the bits of every
+/// server's utilization and of the largest jitter, the deepest server
+/// queue, the dropped total, and the recorder's `des.events` and
+/// `des.dropped` counters.
+const PINNED_DES_REPORT_HASHES: [u64; 5] = [
+    0xc507_08bb_9250_2023,
+    0x4a87_9308_4dca_834a,
+    0x6ec8_5320_64fd_814d,
+    0x20ef_15a6_38d1_efea,
+    0x835f_9a92_ad0d_1fdd,
+];
+
+#[test]
+fn des_report_fields_are_bit_pinned() {
+    let (base, configs, assignment) = placement();
+    let mut hashes = Vec::new();
+    for (name, sc, phases, with_faults) in uplink_setups(&base) {
+        let flight = FlightRecorder::new();
+        let r = run_setup(&sc, &configs, &assignment, phases, with_faults, &flight);
+        let snap = flight.snapshot();
+        let (events, dropped) = (
+            snap.metrics.counter("des.events"),
+            snap.metrics.counter("des.dropped"),
+        );
+        assert_eq!(dropped, r.report.total_dropped(), "{name}: des.dropped");
+        println!(
+            "{name}: {events} events, {dropped} dropped, max queue {}, utilization {:?}",
+            r.report.max_queue_len, r.report.server_utilization
+        );
+        let mut h = FNV_OFFSET;
+        for u in &r.report.server_utilization {
+            h = fnv(h, u.to_bits());
+        }
+        for v in [
+            r.report.max_jitter_s.to_bits(),
+            r.report.max_queue_len as u64,
+            r.report.total_dropped(),
+            events,
+            dropped,
+        ] {
+            h = fnv(h, v);
+        }
+        hashes.push(h);
+    }
+    println!("des report hashes {hashes:#x?}");
+    assert_eq!(
+        hashes, PINNED_DES_REPORT_HASHES,
+        "a DES report-level field drifted"
+    );
 }
 
 /// FNV-1a hash per striping policy (round-robin, rate-weighted,
