@@ -31,15 +31,13 @@ pub mod pamo;
 pub mod pool;
 pub mod prefgp;
 pub mod serving;
-pub mod snapshot;
 
 pub use benefit::{normalized_benefit, OutcomeNormalizer, TruePreference};
 pub use composite::{CompositeSampler, PreferenceEval};
 pub use error::CoreError;
 pub use models::{OutcomeModelBank, ProfilingDesign};
 pub use online::{run_online, FaultedRunConfig, OnlineRun};
-pub use overload::{OverloadConfig, ServingSession};
+pub use overload::{ControlPlaneSnapshot, OverloadConfig, ServingSession};
 pub use pamo::{Pamo, PamoConfig, PamoDecision, PreferenceSource};
 pub use pool::{build_pool, decode_joint};
 pub use serving::{run_serving, ServeEvent, ServingConfig, ServingRun, SERVING_POLICY};
-pub use snapshot::ControlPlaneSnapshot;

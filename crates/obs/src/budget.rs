@@ -136,15 +136,6 @@ impl DecisionBudget {
         }
     }
 
-    /// Rebuild a budget from checkpointed accounting state.
-    pub fn from_parts(limit: u64, spent: u64, overruns: u64) -> Self {
-        DecisionBudget {
-            limit,
-            spent: AtomicU64::new(spent),
-            overruns: AtomicU64::new(overruns),
-        }
-    }
-
     /// The budget's limit in work units.
     pub fn limit(&self) -> u64 {
         self.limit
@@ -283,16 +274,6 @@ mod tests {
         }
         assert_eq!(b.overruns(), 0);
         assert!(!b.exhausted());
-    }
-
-    #[test]
-    fn from_parts_round_trips_accounting() {
-        let b = DecisionBudget::limited(100);
-        assert!(b.try_charge(37));
-        let r = DecisionBudget::from_parts(b.limit(), b.spent(), b.overruns());
-        assert_eq!(r.limit(), 100);
-        assert_eq!(r.spent(), 37);
-        assert_eq!(r.remaining(), 63);
     }
 
     #[test]

@@ -57,23 +57,6 @@ impl RetryQueue {
         }
     }
 
-    /// Rebuild from checkpointed state (entries in FIFO order).
-    pub fn from_parts(
-        cfg: &AdmissionConfig,
-        entries: Vec<QueueEntry>,
-        peak: usize,
-        shed: u64,
-    ) -> Self {
-        RetryQueue {
-            entries: entries.into(),
-            capacity: cfg.queue_capacity,
-            max_age_s: cfg.max_queue_age_s,
-            high_water: cfg.high_water,
-            peak,
-            shed,
-        }
-    }
-
     /// Current depth.
     pub fn len(&self) -> usize {
         self.entries.len()

@@ -113,25 +113,6 @@ impl Rescheduler {
         self.stats
     }
 
-    /// The internal placement state, for checkpointing: materialized
-    /// groups, their servers, and the replan totals.
-    pub fn parts(&self) -> (&[Vec<StreamTiming>], &[usize], ReplanStats) {
-        (&self.groups, &self.group_server, self.stats)
-    }
-
-    /// Rebuild from checkpointed [`parts`](Self::parts).
-    pub fn from_parts(
-        groups: Vec<Vec<StreamTiming>>,
-        group_server: Vec<usize>,
-        stats: ReplanStats,
-    ) -> Self {
-        Rescheduler {
-            groups,
-            group_server,
-            stats,
-        }
-    }
-
     /// React to one event. `scenario` / `configs` describe the world
     /// *after* the event (the departed camera removed, the arrived one
     /// appended); `alive` is the post-event server liveness. Attempts a
@@ -1011,24 +992,5 @@ mod tests {
         let sources: std::collections::HashSet<usize> =
             a.streams.iter().map(|s| s.id.source).collect();
         assert_eq!(sources.len(), 4);
-    }
-
-    #[test]
-    fn parts_round_trip_preserves_placement() {
-        let sc = scenario(4, 3);
-        let cfgs = low(4);
-        let mut r = installed(&sc, &cfgs);
-        let _ = r.replan(
-            &sc,
-            &cfgs,
-            None,
-            ReplanTrigger::ServerRestore { server: 0 },
-            &NoopRecorder,
-        );
-        let (g, s, st) = r.parts();
-        let clone = Rescheduler::from_parts(g.to_vec(), s.to_vec(), st);
-        assert_eq!(clone.groups, r.groups);
-        assert_eq!(clone.group_server, r.group_server);
-        assert_eq!(clone.stats(), r.stats());
     }
 }

@@ -44,18 +44,6 @@ impl DriftingScenario {
         }
     }
 
-    /// The current clip states (for checkpointing the drift walk).
-    pub fn clips(&self) -> &[ClipProfile] {
-        &self.clips
-    }
-
-    /// Overwrite the clip states (restoring a checkpointed drift walk;
-    /// the clip count must match).
-    pub fn set_clips(&mut self, clips: Vec<ClipProfile>) {
-        debug_assert_eq!(clips.len(), self.clips.len());
-        self.clips = clips;
-    }
-
     /// The current epoch's scenario snapshot.
     pub fn snapshot(&self) -> Scenario {
         Scenario::new(
