@@ -34,7 +34,7 @@ const MIN_PROFILING_SAMPLES: usize = 4;
 /// identical bank-wide, so one kernel matrix / Cholesky factor per
 /// objective serves all M cameras (`GpModel::with_targets`) — and a
 /// cached design can be re-measured across epochs without re-drawing.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct ProfilingDesign {
     /// Configurations to profile, one per sample.
     pub configs: Vec<VideoConfig>,

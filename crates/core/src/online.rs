@@ -54,7 +54,7 @@ use crate::error::{require, CoreError};
 use crate::pamo::{Pamo, PamoConfig};
 
 /// Per-epoch record of the online run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct EpochRecord {
     /// Epoch index (0-based).
     pub epoch: usize,
