@@ -281,6 +281,14 @@ pub trait Recorder: Sync {
     fn event(&self, event: ObsEvent) {
         let _ = event;
     }
+
+    /// Whether [`emit_warn`] also prints the warning to stderr. `true`
+    /// by default; a recorder for steps that already ran once (a
+    /// checkpoint's replay) returns `false` so their warnings are not
+    /// printed twice.
+    fn mirrors_warnings(&self) -> bool {
+        true
+    }
 }
 
 /// The default recorder: stores nothing, `enabled() == false`, every
@@ -320,11 +328,14 @@ impl Drop for Span<'_> {
 
 /// Record a warning event *and* mirror its message to stderr.
 ///
-/// The stderr line is printed for every recorder — including the
-/// no-op one — so replacing an ad-hoc `eprintln!` with `emit_warn`
-/// preserves the exact observable behaviour of uninstrumented runs.
+/// The stderr line is printed for every recorder whose
+/// [`Recorder::mirrors_warnings`] holds — the no-op one included — so
+/// replacing an ad-hoc `eprintln!` with `emit_warn` preserves the exact
+/// observable behaviour of uninstrumented runs.
 pub fn emit_warn(rec: &dyn Recorder, event: ObsEvent) {
-    eprintln!("{}", event.message);
+    if rec.mirrors_warnings() {
+        eprintln!("{}", event.message);
+    }
     if rec.enabled() {
         rec.event(event);
     }
