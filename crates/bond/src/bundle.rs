@@ -197,6 +197,7 @@ impl LinkBundle {
                 .iter()
                 .map(|l| MemberState {
                     trace: l.model.trace(horizon),
+                    seen: 0,
                     rtt_s: l.rtt_s,
                     nominal_bps: l.model.nominal_bps(),
                     estimator: MaxFilterEstimator::default(),
@@ -222,6 +223,9 @@ impl LinkBundle {
 #[derive(Debug, Clone)]
 struct MemberState {
     trace: LinkTrace,
+    /// The reader's position in `trace`: frames come in capture order,
+    /// so [`LinkTrace::rate_from`] reads forward from it.
+    seen: usize,
     rtt_s: f64,
     nominal_bps: f64,
     estimator: MaxFilterEstimator,
@@ -230,6 +234,11 @@ struct MemberState {
 }
 
 impl MemberState {
+    /// The true trace rate at capture time `t` (bits/s).
+    fn rate_at(&mut self, t: Ticks) -> f64 {
+        self.trace.rate_from(&mut self.seen, t)
+    }
+
     /// What the scheduler believes this link delivers (bits/s):
     /// estimator output, nominal before any observation.
     fn believed_bps(&self) -> f64 {
@@ -293,10 +302,10 @@ impl Scratch {
     /// rate, and build the memo key of a `bits`-sized frame dealt from
     /// `rr_cursor`: the bits of the frame size, the cursor, then each
     /// member's true and believed rate.
-    fn read_links(&mut self, members: &[MemberState], t: Ticks, bits: f64, rr_cursor: usize) {
+    fn read_links(&mut self, members: &mut [MemberState], t: Ticks, bits: f64, rr_cursor: usize) {
         self.true_rates.clear();
         self.true_rates
-            .extend(members.iter().map(|m| m.trace.rate_at(t)));
+            .extend(members.iter_mut().map(|m| m.rate_at(t)));
         self.believed.clear();
         self.believed
             .extend(members.iter().map(MemberState::believed_bps));
@@ -562,7 +571,7 @@ impl BundleSim {
         self.frames += 1;
         if self.members.len() == 1 {
             let m = &mut self.members[0];
-            let rate = m.trace.rate_at(t);
+            let rate = m.rate_at(t);
             let serialization_s = bits / rate;
             let delay_s = serialization_s + m.rtt_s * 0.5;
             m.estimator.observe(bits / 8.0, serialization_s);
@@ -587,7 +596,7 @@ impl BundleSim {
     /// the member state.
     fn striped_delivery(&mut self, t: Ticks, bits: f64) -> FrameDelivery {
         let sc = &mut self.scratch;
-        sc.read_links(&self.members, t, bits, self.rr_cursor);
+        sc.read_links(&mut self.members, t, bits, self.rr_cursor);
         let fp = fingerprint(&sc.key);
         let slot = match self.memo.find(fp, &sc.key) {
             Some(slot) => {

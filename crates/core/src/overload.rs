@@ -832,6 +832,12 @@ impl ServingSession {
     /// seeding the run RNG from `seed`. The churn trace comes from
     /// `serving` (compose the chaos spec's storm into it); the fault
     /// plan and chaos windows come from `overload.chaos`.
+    ///
+    /// # Panics
+    /// If `drift_step` lies outside `[0, 1)` or is NaN
+    /// ([`DriftingScenario::new`]'s check);
+    /// [`run_serving`](crate::serving::run_serving) returns
+    /// [`CoreError::InvalidInput`] for it instead.
     pub fn new(
         initial: &Scenario,
         drift_step: f64,

@@ -294,8 +294,9 @@ pub(crate) fn percentile_99(values: impl Iterator<Item = f64>) -> f64 {
 /// [`SERVING_POLICY`], stepped to completion — silent, fault-free runs
 /// included.
 ///
-/// Errors on zero epochs, a non-positive epoch, a negative heartbeat,
-/// or a plan sized for another deployment.
+/// Errors on a drift step outside `[0, 1)` (NaN included), zero epochs,
+/// a non-positive epoch, a negative heartbeat, or a plan sized for
+/// another deployment.
 #[allow(clippy::too_many_arguments)]
 pub fn run_serving(
     initial: &Scenario,
@@ -307,6 +308,10 @@ pub fn run_serving(
     seed: u64,
     rec: &dyn Recorder,
 ) -> Result<ServingRun, CoreError> {
+    require(
+        (0.0..1.0).contains(&drift_step),
+        "drift step outside [0, 1)",
+    )?;
     require(serving.n_epochs > 0, "zero epochs")?;
     check_timing(serving.epoch_s, serving.heartbeat_s)?;
     if let Some(p) = plan {
@@ -520,6 +525,17 @@ mod tests {
                 .map(|_| ())
                 .unwrap_err();
             assert!(matches!(err, CoreError::InvalidInput { .. }), "{err}");
+        }
+    }
+
+    #[test]
+    fn drift_steps_outside_the_unit_interval_are_errors() {
+        for step in [1.0, 1.5, -0.01, f64::NAN, f64::INFINITY] {
+            let err = serve(step, None, &storm(true), 2).map(|_| ()).unwrap_err();
+            assert!(
+                matches!(err, CoreError::InvalidInput { context } if context.contains("drift")),
+                "{step}: {err}"
+            );
         }
     }
 

@@ -303,6 +303,16 @@ impl SlowdownTrace {
         let idx = self.toggles.partition_point(|&x| x <= t);
         self.toggles.get(idx).copied()
     }
+
+    /// The state-flip instants (even index = slow begins, odd = ends).
+    pub fn toggles(&self) -> &[Ticks] {
+        &self.toggles
+    }
+
+    /// Service-time multiplier while straggling (`>= 1`).
+    pub fn factor(&self) -> f64 {
+        self.factor
+    }
 }
 
 /// Per-frame Bernoulli loss, deterministic in `(stream, frame,

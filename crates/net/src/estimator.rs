@@ -102,6 +102,9 @@ impl LinkEstimator for EwmaEstimator {
 pub struct MaxFilterEstimator {
     window: usize,
     samples: VecDeque<f64>,
+    /// The largest of `samples`, kept up to date by `observe` so a
+    /// read does not scan the window.
+    max: Option<f64>,
 }
 
 impl MaxFilterEstimator {
@@ -111,6 +114,7 @@ impl MaxFilterEstimator {
         MaxFilterEstimator {
             window,
             samples: VecDeque::with_capacity(window),
+            max: None,
         }
     }
 }
@@ -127,23 +131,29 @@ impl LinkEstimator for MaxFilterEstimator {
         if !valid_observation(bytes, duration_s) {
             return;
         }
-        if self.samples.len() == self.window {
-            self.samples.pop_front();
-        }
-        self.samples.push_back(delivery_rate_bps(bytes, duration_s));
+        let sample = delivery_rate_bps(bytes, duration_s);
+        let evicted = if self.samples.len() == self.window {
+            self.samples.pop_front()
+        } else {
+            None
+        };
+        self.samples.push_back(sample);
+        // Samples are never NaN, so `max` is a total order here and
+        // only evicting the maximum forces a rescan.
+        self.max = if evicted.is_some() && evicted == self.max {
+            self.samples.iter().copied().reduce(f64::max)
+        } else {
+            Some(self.max.map_or(sample, |m| m.max(sample)))
+        };
     }
 
     fn estimate_bps(&self) -> Option<f64> {
-        self.samples
-            .iter()
-            .copied()
-            .fold(None, |acc: Option<f64>, s| {
-                Some(acc.map_or(s, |m| m.max(s)))
-            })
+        self.max
     }
 
     fn reset(&mut self) {
         self.samples.clear();
+        self.max = None;
     }
 }
 

@@ -282,9 +282,17 @@ pub struct LinkTrace {
 impl LinkTrace {
     /// Instantaneous rate at time `t` (bits/s).
     pub fn rate_at(&self, t: Ticks) -> f64 {
-        // First segment with start > t, minus one. starts[0] == 0.
-        let idx = self.starts.partition_point(|&s| s <= t);
-        self.rates[idx - 1]
+        self.rate_from(&mut 0, t)
+    }
+
+    /// [`LinkTrace::rate_at`] for a reader that asks about later and
+    /// later times. `seen` is the reader's position in the trace (start
+    /// it at 0); the search starts there and leaves the position of `t`
+    /// behind, so a reader whose times never decrease pays O(1) per
+    /// read. Any `seen` gives the same rate (see [`count_at_or_before`]).
+    pub fn rate_from(&self, seen: &mut usize, t: Ticks) -> f64 {
+        // starts[0] == 0, so at least one segment starts at or before t.
+        self.rates[count_at_or_before(&self.starts, seen, t) - 1]
     }
 
     /// The segments as `(start, end, rate_bps)` triples, in time order.
@@ -340,6 +348,34 @@ impl LinkTrace {
     pub(crate) fn max_bps(&self) -> f64 {
         self.rates.iter().copied().fold(f64::NEG_INFINITY, f64::max)
     }
+}
+
+/// Instants [`count_at_or_before`] steps over one by one before it falls
+/// back to a binary search.
+const FORWARD_SCAN: usize = 4;
+
+/// The number of `instants` (strictly increasing) at or before `t`,
+/// searched from `*seen` and then stored there. A reader whose times
+/// never decrease keeps `seen` between calls and steps forward a few
+/// instants per call; when `t` lies before the `*seen`-th instant or
+/// more than a few instants ahead, the search falls back to a binary
+/// search. The count does not depend on `*seen`.
+pub fn count_at_or_before(instants: &[Ticks], seen: &mut usize, t: Ticks) -> usize {
+    let mut n = *seen;
+    if n > instants.len() || (n > 0 && instants[n - 1] > t) {
+        n = 0;
+    }
+    let mut steps = 0;
+    while instants.get(n).is_some_and(|&x| x <= t) {
+        if steps == FORWARD_SCAN {
+            n += instants[n..].partition_point(|&x| x <= t);
+            break;
+        }
+        n += 1;
+        steps += 1;
+    }
+    *seen = n;
+    n
 }
 
 /// Convert seconds to ticks (rounded).
@@ -505,6 +541,88 @@ mod tests {
         let s = LinkModel::sinusoid(20e6, 5e6, 30.0, 0.0, 7).scaled(2.0);
         assert!((s.nominal_bps() - 40e6).abs() < 1.0);
         assert!((LinkModel::constant(10e6).scaled(0.25).nominal_bps() - 2.5e6).abs() < 1e-9);
+    }
+
+    /// The binary search every lookup used to be.
+    fn searched_rate(t: &LinkTrace, at: Ticks) -> f64 {
+        t.rates[t.starts.partition_point(|&s| s <= at) - 1]
+    }
+
+    mod forward_reads {
+        use proptest::prelude::*;
+
+        use super::*;
+
+        /// A Markov, a sinusoid or a constant model.
+        fn model(kind: usize, seed: u64) -> LinkModel {
+            match kind {
+                0 => LinkModel::gilbert_elliott(25e6, 8e6, 0.2, 0.1, seed),
+                1 => LinkModel::three_state([30e6, 15e6, 5e6], [0.1, 0.3, 0.05], seed),
+                2 => LinkModel::sinusoid(20e6, 5e6, 10.0, 0.05, seed),
+                _ => LinkModel::constant(10e6),
+            }
+        }
+
+        /// Query times over `[0, 1.2 · horizon)`: mostly small forward
+        /// steps, with jumps ahead, steps back and reads past the
+        /// horizon.
+        fn queries(horizon: Ticks) -> impl Strategy<Value = Vec<Ticks>> {
+            prop::collection::vec((0usize..10, 0u64..u64::MAX), 1..200).prop_map(move |steps| {
+                let mut t: Ticks = 0;
+                steps
+                    .into_iter()
+                    .map(|(kind, r)| {
+                        t = match kind {
+                            // Back to any earlier time.
+                            0 => r % (t + 1),
+                            // Anywhere, past the horizon included.
+                            1 => r % (horizon + horizon / 5),
+                            // Far ahead.
+                            2 => t + r % (horizon / 4),
+                            // A small step forward (often within a segment).
+                            _ => t + r % (TICKS_PER_SEC / 5),
+                        };
+                        t
+                    })
+                    .collect()
+            })
+        }
+
+        proptest! {
+            /// A reader that keeps its position reads exactly the rate
+            /// (the same bits) the binary search finds, whatever order
+            /// it asks in.
+            #[test]
+            fn held_position_reads_the_searched_rate(
+                kind in 0usize..4,
+                seed in 0u64..1_000,
+                times in queries(HORIZON),
+            ) {
+                let trace = model(kind, seed).trace(HORIZON);
+                let mut seen = 0;
+                for &t in &times {
+                    let want = searched_rate(&trace, t);
+                    prop_assert_eq!(trace.rate_from(&mut seen, t).to_bits(), want.to_bits());
+                    prop_assert_eq!(trace.rate_at(t).to_bits(), want.to_bits());
+                }
+            }
+
+            /// The count does not depend on where the search starts,
+            /// out-of-range positions included.
+            #[test]
+            fn count_ignores_the_start_position(
+                mut instants in prop::collection::vec(0u64..1_000, 0..40),
+                seen in 0usize..50,
+                t in 0u64..1_100,
+            ) {
+                instants.sort_unstable();
+                instants.dedup();
+                let mut from = seen;
+                let n = count_at_or_before(&instants, &mut from, t);
+                prop_assert_eq!(n, instants.partition_point(|&x| x <= t));
+                prop_assert_eq!(from, n);
+            }
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Property tests for the eva-net estimators and the link-aware DES
-//! paths: estimator convergence/boundedness, and the tandem ↔ dedicated
+//! paths: estimator convergence/boundedness, the max-filter's kept
+//! maximum against a fold over its window, and the tandem ↔ dedicated
 //! equivalence in the contention-free regime.
 
 use eva_net::{delivery_rate_bps, EwmaEstimator, LinkEstimator, LinkModel, MaxFilterEstimator};
@@ -53,6 +54,37 @@ proptest! {
             est <= max_rate * (1.0 + 1e-12),
             "estimate {est} exceeds max observed {max_rate}"
         );
+    }
+
+    /// The max-filter's kept maximum equals the fold over its window
+    /// after every observation: samples drawn from a few values, so
+    /// ties are common and the window often evicts its maximum, with
+    /// invalid observations mixed in.
+    #[test]
+    fn max_filter_keeps_the_window_maximum(
+        window in 1usize..8,
+        samples in prop::collection::vec((0usize..5, 0usize..4), 1..80),
+    ) {
+        let mut maxf = MaxFilterEstimator::new(window);
+        let mut kept = std::collections::VecDeque::new();
+        for &(size, duration) in &samples {
+            // A zero or non-finite duration is ignored.
+            let duration_s = [1e-3, 2e-3, 0.0, f64::NAN][duration];
+            let bytes = [1e3, 2e3, 2e3, 4e3, 8e3][size];
+            maxf.observe(bytes, duration_s);
+            if duration_s > 0.0 {
+                if kept.len() == window {
+                    kept.pop_front();
+                }
+                kept.push_back(delivery_rate_bps(bytes, duration_s));
+            }
+            let fold = kept.iter().copied().fold(None, |acc: Option<f64>, s| {
+                Some(acc.map_or(s, |m| m.max(s)))
+            });
+            prop_assert_eq!(maxf.estimate_bps().map(f64::to_bits), fold.map(f64::to_bits));
+        }
+        maxf.reset();
+        prop_assert_eq!(maxf.estimate_bps(), None);
     }
 
     /// With one stream per server on a constant link there is no

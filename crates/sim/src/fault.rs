@@ -21,7 +21,7 @@
 //! fault-oblivious engine).
 
 use eva_fault::{AvailabilityTrace, FaultPlan, LossProcess, RetryPolicy, SlowdownTrace};
-use eva_net::link::secs_to_ticks;
+use eva_net::link::{count_at_or_before, secs_to_ticks};
 use eva_sched::Ticks;
 
 use crate::des::{SimConfig, SimStream, StreamLink};
@@ -104,10 +104,13 @@ pub fn plan_stream_deliveries(
     retry: &RetryPolicy,
     cfg: &SimConfig,
 ) -> Vec<PlannedFrame> {
-    let dur_at = |t: Ticks| -> Ticks {
+    // The trace is read at captures and retry starts, which mostly
+    // grow, so each read starts where the last one left off.
+    let mut seen = 0;
+    let mut dur_at = |t: Ticks| -> Ticks {
         match link {
             None => s.trans,
-            Some(l) => secs_to_ticks(l.bits_per_frame / l.trace.rate_at(t)),
+            Some(l) => secs_to_ticks(l.bits_per_frame / l.trace.rate_from(&mut seen, t)),
         }
     };
     let mut out = Vec::new();
@@ -174,9 +177,20 @@ pub fn plan_stream_deliveries(
     out
 }
 
+/// Where a server's replay last read its availability and slowdown
+/// traces: per trace, the number of toggles at or before the last time
+/// read. A server starts its frames at nondecreasing times, so each
+/// read steps forward from there.
+#[derive(Debug, Default)]
+pub(crate) struct TraceCursor {
+    up: usize,
+    slow: usize,
+}
+
 /// When does a frame started at `start` with nominal processing time
 /// `proc` complete on a server with the given availability and slowdown
-/// traces?
+/// traces? `at` is where the server's previous frame left off reading
+/// them; any cursor gives the same answer.
 ///
 /// Work accrues at rate `1/factor` while the server is up and not at
 /// all while it is down (processing pauses across outages and resumes
@@ -190,6 +204,7 @@ pub(crate) fn service_end(
     up: &AvailabilityTrace,
     slow: &SlowdownTrace,
     give_up_at: Ticks,
+    at: &mut TraceCursor,
 ) -> Option<Ticks> {
     // Fault-free server: exact integer arithmetic, no f64 rounding.
     if up.toggles().is_empty() && slow.next_toggle_after(0).is_none() {
@@ -201,18 +216,27 @@ pub(crate) fn service_end(
         if t > give_up_at {
             return None;
         }
-        if !up.is_up(t) {
-            let resume = up.next_up_at(t);
+        // Toggles at or before `t`: odd = down (or slow), and the next
+        // toggle is the one after them.
+        let up_flips = count_at_or_before(up.toggles(), &mut at.up, t);
+        let next_up_toggle = up.toggles().get(up_flips).copied();
+        if !up_flips.is_multiple_of(2) {
+            // A trace that ends down stays down: resume past the horizon.
+            let resume = next_up_toggle.unwrap_or(up.horizon().max(t) + 1);
             if resume > up.horizon() || resume > give_up_at {
                 return None; // never recovers within the trace
             }
             t = resume;
             continue;
         }
-        let f = slow.factor_at(t);
-        let next_down = next_avail_toggle_after(up, t);
-        let next_slow = slow.next_toggle_after(t);
-        let boundary = match (next_down, next_slow) {
+        let slow_flips = count_at_or_before(slow.toggles(), &mut at.slow, t);
+        let f = if slow_flips.is_multiple_of(2) {
+            1.0
+        } else {
+            slow.factor()
+        };
+        let next_slow_toggle = slow.toggles().get(slow_flips).copied();
+        let boundary = match (next_up_toggle, next_slow_toggle) {
             (None, None) => None,
             (Some(a), None) => Some(a),
             (None, Some(b)) => Some(b),
@@ -230,11 +254,6 @@ pub(crate) fn service_end(
             }
         }
     }
-}
-
-fn next_avail_toggle_after(up: &AvailabilityTrace, t: Ticks) -> Option<Ticks> {
-    let idx = up.toggles().partition_point(|&x| x <= t);
-    up.toggles().get(idx).copied()
 }
 
 #[cfg(test)]
@@ -381,7 +400,14 @@ mod tests {
         let up = AvailabilityTrace::perfect(TICKS_PER_SEC);
         let slow = SlowdownTrace::nominal();
         assert_eq!(
-            service_end(1_000, 20_000, &up, &slow, u64::MAX),
+            service_end(
+                1_000,
+                20_000,
+                &up,
+                &slow,
+                u64::MAX,
+                &mut TraceCursor::default()
+            ),
             Some(21_000)
         );
     }
@@ -392,7 +418,10 @@ mod tests {
         // of work does 10_000 before the crash and 10_000 after repair.
         let up = AvailabilityTrace::from_toggles(vec![10_000, 50_000], TICKS_PER_SEC);
         let slow = SlowdownTrace::nominal();
-        assert_eq!(service_end(0, 20_000, &up, &slow, u64::MAX), Some(60_000));
+        assert_eq!(
+            service_end(0, 20_000, &up, &slow, u64::MAX, &mut TraceCursor::default()),
+            Some(60_000)
+        );
     }
 
     #[test]
@@ -401,7 +430,10 @@ mod tests {
         // Slow (factor 3) from t = 5_000 on.
         let slow = SlowdownTrace::from_toggles(vec![5_000], 3.0);
         // 5_000 of work at speed 1, the remaining 5_000 at 1/3 speed.
-        assert_eq!(service_end(0, 10_000, &up, &slow, u64::MAX), Some(20_000));
+        assert_eq!(
+            service_end(0, 10_000, &up, &slow, u64::MAX, &mut TraceCursor::default()),
+            Some(20_000)
+        );
     }
 
     #[test]
@@ -409,9 +441,22 @@ mod tests {
         // Crashes at 1_000 and the trace ends down.
         let up = AvailabilityTrace::from_toggles(vec![1_000], TICKS_PER_SEC);
         let slow = SlowdownTrace::nominal();
-        assert_eq!(service_end(0, 20_000, &up, &slow, u64::MAX), None);
+        assert_eq!(
+            service_end(0, 20_000, &up, &slow, u64::MAX, &mut TraceCursor::default()),
+            None
+        );
         // Started while already down: same verdict.
-        assert_eq!(service_end(5_000, 20_000, &up, &slow, u64::MAX), None);
+        assert_eq!(
+            service_end(
+                5_000,
+                20_000,
+                &up,
+                &slow,
+                u64::MAX,
+                &mut TraceCursor::default()
+            ),
+            None
+        );
     }
 
     #[test]
@@ -419,7 +464,10 @@ mod tests {
         let up = AvailabilityTrace::from_toggles(vec![10_000, 90_000], TICKS_PER_SEC);
         let slow = SlowdownTrace::nominal();
         // Completion would land at 100_000 > give_up_at 50_000.
-        assert_eq!(service_end(0, 20_000, &up, &slow, 50_000), None);
+        assert_eq!(
+            service_end(0, 20_000, &up, &slow, 50_000, &mut TraceCursor::default()),
+            None
+        );
     }
 
     #[test]

@@ -3,9 +3,12 @@
 //! Every stream is pinned to one server and servers share no state, so
 //! the DES runs each server's queue by itself. The seeders write each
 //! frame arrival into its destination server's region of one
-//! [`ServerArrivals`] buffer; [`run_server`] sorts one region in place
-//! and replays it against the server's single in-flight frame, with no
-//! event heap. The per-server replay keeps the two tie rules of a
+//! [`ServerArrivals`] buffer, stream by stream, so a region is one run
+//! of arrivals per stream, ascending unless a slow link let a later
+//! frame overtake an earlier one. [`ServerArrivals::sorted_region`]
+//! merges those runs in place with a stable sort, and [`run_server`]
+//! replays the region against the server's single in-flight frame,
+//! with no event heap. The per-server replay keeps the two tie rules of a
 //! global time-ordered merge: an arrival goes before a completion at
 //! the same tick, and simultaneous arrivals go in push order. A
 //! server's events therefore happen in exactly the order a global loop
@@ -18,7 +21,7 @@ use eva_stats::RunningStats;
 
 use crate::des::{SimConfig, SimStream};
 use crate::event::Arrival;
-use crate::fault::{service_end, SimFaults};
+use crate::fault::{service_end, SimFaults, TraceCursor};
 
 /// The frame arrivals of one run, one region per destination server,
 /// in one buffer allocated once. A region's capacity is the number of
@@ -78,12 +81,16 @@ impl ServerArrivals {
     }
 
     /// Server `server`'s filled region, sorted in place by
-    /// `(time, push index)`. Keys are unique, so the unstable sort's
-    /// order is fully determined, and it needs no scratch buffer.
+    /// `(time, push index)`. Keys are unique, so the order is fully
+    /// determined. The seeders push stream by stream, so a region is a
+    /// concatenation of one run per stream, each ascending unless a
+    /// slow link let a later frame overtake an earlier one. The
+    /// standard library's stable sort detects those runs and merges
+    /// them, at the cost of a scratch buffer up to the region's size.
     pub(crate) fn sorted_region(&mut self, server: usize) -> &[Arrival] {
         let start = self.start[server];
         let region = &mut self.items[start..start + self.fill[server]];
-        region.sort_unstable_by_key(|a| (a.time, a.push_idx));
+        region.sort_by_key(|a| (a.time, a.push_idx));
         region
     }
 
@@ -205,6 +212,7 @@ pub(crate) fn run_server(
     let mut in_flight: Option<(usize, Ticks, Ticks)> = None;
     let mut done_at: Option<Ticks> = None;
     let mut next = 0;
+    let mut faults_read = TraceCursor::default();
     loop {
         // An arrival goes before a completion at the same tick.
         let arrival = arrivals
@@ -249,6 +257,7 @@ pub(crate) fn run_server(
                     &f.server_up[server],
                     &f.server_slow[server],
                     cfg.horizon.saturating_mul(2),
+                    &mut faults_read,
                 ),
             };
         }

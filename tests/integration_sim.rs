@@ -239,6 +239,37 @@ const PINNED_DES_REPORT_HASHES: [u64; 5] = [
     0x835f_9a92_ad0d_1fdd,
 ];
 
+/// Hash of the report-level fields [`report_hash`] leaves out: the
+/// bits of every server's utilization and of the largest jitter, the
+/// deepest server queue, the dropped total, and the recorder's
+/// `des.events` and `des.dropped` counters.
+fn report_fields_hash(name: &str, r: &ScenarioSimReport, flight: &FlightRecorder) -> u64 {
+    let snap = flight.snapshot();
+    let (events, dropped) = (
+        snap.metrics.counter("des.events"),
+        snap.metrics.counter("des.dropped"),
+    );
+    assert_eq!(dropped, r.report.total_dropped(), "{name}: des.dropped");
+    println!(
+        "{name}: {events} events, {dropped} dropped, max queue {}, utilization {:?}",
+        r.report.max_queue_len, r.report.server_utilization
+    );
+    let mut h = FNV_OFFSET;
+    for u in &r.report.server_utilization {
+        h = fnv(h, u.to_bits());
+    }
+    for v in [
+        r.report.max_jitter_s.to_bits(),
+        r.report.max_queue_len as u64,
+        r.report.total_dropped(),
+        events,
+        dropped,
+    ] {
+        h = fnv(h, v);
+    }
+    h
+}
+
 #[test]
 fn des_report_fields_are_bit_pinned() {
     let (base, configs, assignment) = placement();
@@ -246,35 +277,61 @@ fn des_report_fields_are_bit_pinned() {
     for (name, sc, phases, with_faults) in uplink_setups(&base) {
         let flight = FlightRecorder::new();
         let r = run_setup(&sc, &configs, &assignment, phases, with_faults, &flight);
-        let snap = flight.snapshot();
-        let (events, dropped) = (
-            snap.metrics.counter("des.events"),
-            snap.metrics.counter("des.dropped"),
-        );
-        assert_eq!(dropped, r.report.total_dropped(), "{name}: des.dropped");
-        println!(
-            "{name}: {events} events, {dropped} dropped, max queue {}, utilization {:?}",
-            r.report.max_queue_len, r.report.server_utilization
-        );
-        let mut h = FNV_OFFSET;
-        for u in &r.report.server_utilization {
-            h = fnv(h, u.to_bits());
-        }
-        for v in [
-            r.report.max_jitter_s.to_bits(),
-            r.report.max_queue_len as u64,
-            r.report.total_dropped(),
-            events,
-            dropped,
-        ] {
-            h = fnv(h, v);
-        }
-        hashes.push(h);
+        hashes.push(report_fields_hash(name, &r, &flight));
     }
     println!("des report hashes {hashes:#x?}");
     assert_eq!(
         hashes, PINNED_DES_REPORT_HASHES,
         "a DES report-level field drifted"
+    );
+}
+
+/// [`report_hash`] and [`report_fields_hash`] of the out-of-order
+/// setup: every stream at phase 0, so co-located arrivals tie, over
+/// Markov links whose bad state is slow enough that a frame sent in it
+/// arrives after frames captured later.
+const PINNED_OUT_OF_ORDER_HASHES: [u64; 2] = [0x0b8a_81ad_932a_9d68, 0xf0a7_ad5e_5ee3_a520];
+
+/// The per-server replay sorts each server's arrivals by time and push
+/// order. Seeding pushes them stream by stream, as one ascending run
+/// per stream unless a slow link lets a later frame overtake an
+/// earlier one; this setup makes it do so (`eva-sim`'s
+/// `des::tests::differential::overtaking_frames_match_the_global_loop`
+/// checks the same mechanism against the global event loop).
+#[test]
+fn out_of_order_arrivals_are_bit_pinned() {
+    let (base, configs, assignment) = placement();
+    let slow = base.with_link_models(
+        (0..CAMERAS as u64)
+            .map(|c| LinkModel::gilbert_elliott(20e6, 0.3e6, 3.0, 1.0, 1_700 + c))
+            .collect(),
+    );
+    let run = |rec: &dyn Recorder| {
+        simulate_scenario_with_deadline_recorded(
+            &slow,
+            &configs,
+            &assignment,
+            PhasePolicy::AllZero,
+            HORIZON_S,
+            DEADLINE_S,
+            rec,
+        )
+    };
+    let flight = FlightRecorder::new();
+    let r = run(&flight);
+    assert_eq!(
+        report_hash(&run(&NoopRecorder)),
+        report_hash(&r),
+        "telemetry changed the DES report"
+    );
+    let hashes = [
+        digest(&r, &flight),
+        report_fields_hash("out-of-order", &r, &flight),
+    ];
+    println!("out-of-order hashes {hashes:#x?}");
+    assert_eq!(
+        hashes, PINNED_OUT_OF_ORDER_HASHES,
+        "the out-of-order DES run drifted"
     );
 }
 
