@@ -265,7 +265,8 @@ impl SessionState {
     }
 
     /// Rebuild the scenario (and its preference) from the epoch base
-    /// plus the admitted tenants.
+    /// plus the admitted tenants: every camera's cost extremes afresh,
+    /// as a drifted base needs.
     fn rebuild_scenario(&mut self) {
         let mut clips: Vec<ClipProfile> = (0..self.base_n)
             .map(|i| self.base.clip(i).clone())
@@ -355,15 +356,22 @@ impl SessionState {
             tenant,
             self.base_n + tenant as usize,
         );
-        let mut clips: Vec<ClipProfile> = (0..self.scenario.n_videos())
-            .map(|i| self.scenario.clip(i).clone())
-            .collect();
-        clips.push(clip);
-        let trial = Scenario::new(
-            clips,
-            self.scenario.uplinks().to_vec(),
-            self.scenario.config_space().clone(),
-        );
+        // The incumbents' cost extremes carry over: the preference
+        // evaluates only the newcomer's config grid.
+        let trial = match self.scenario.with_camera(clip) {
+            Ok(trial) => trial,
+            Err(err) => {
+                // Unreachable: the session builds its scenarios without
+                // per-camera attachments. Refuse rather than panic.
+                emit_warn(
+                    rec,
+                    ObsEvent::warn("admission_probe_malformed", "trial scenario refused")
+                        .with("tenant", tenant)
+                        .with("error", err.to_string()),
+                );
+                return Probe::Reject;
+            }
+        };
         let pref = TruePreference::new(&trial, *self.pref.weights());
         let incumbent_before = match &self.assignment {
             Some(a) => pref.benefit(&subset_outcome(
@@ -617,7 +625,14 @@ impl SessionState {
         self.extras.remove(pos);
         self.configs.remove(camera);
         self.zombies.remove(&ev.tenant);
-        self.rebuild_scenario();
+        // The remaining cameras' cost extremes carry over.
+        match self.scenario.without_camera(camera) {
+            Ok(scenario) => {
+                self.scenario = scenario;
+                self.pref = TruePreference::new(&self.scenario, *self.pref.weights());
+            }
+            Err(_) => self.rebuild_scenario(),
+        }
         let (outcome, scope) = if self.assignment.is_some() {
             let planned = if pressured {
                 self.coalesce(rec)
@@ -835,9 +850,10 @@ impl ServingSession {
     ///
     /// # Panics
     /// If `drift_step` lies outside `[0, 1)` or is NaN
-    /// ([`DriftingScenario::new`]'s check);
+    /// ([`DriftingScenario::new`]'s check), or if a weight is negative
+    /// or NaN or all weights are zero ([`TruePreference::new`]'s check);
     /// [`run_serving`](crate::serving::run_serving) returns
-    /// [`CoreError::InvalidInput`] for it instead.
+    /// [`CoreError::InvalidInput`] for both instead.
     pub fn new(
         initial: &Scenario,
         drift_step: f64,

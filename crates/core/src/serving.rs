@@ -294,8 +294,9 @@ pub(crate) fn percentile_99(values: impl Iterator<Item = f64>) -> f64 {
 /// [`SERVING_POLICY`], stepped to completion — silent, fault-free runs
 /// included.
 ///
-/// Errors on a drift step outside `[0, 1)` (NaN included), zero epochs,
-/// a non-positive epoch, a negative heartbeat, or a plan sized for
+/// Errors on a drift step outside `[0, 1)` (NaN included), preference
+/// weights that are negative, NaN, infinite or all zero, zero epochs, a
+/// non-positive epoch, a negative heartbeat, or a plan sized for
 /// another deployment.
 #[allow(clippy::too_many_arguments)]
 pub fn run_serving(
@@ -311,6 +312,10 @@ pub fn run_serving(
     require(
         (0.0..1.0).contains(&drift_step),
         "drift step outside [0, 1)",
+    )?;
+    require(
+        weights.iter().all(|w| w.is_finite() && *w >= 0.0) && weights.iter().sum::<f64>() > 0.0,
+        "preference weights must be finite, nonnegative and not all zero",
     )?;
     require(serving.n_epochs > 0, "zero epochs")?;
     check_timing(serving.epoch_s, serving.heartbeat_s)?;
@@ -526,6 +531,45 @@ mod tests {
                 .unwrap_err();
             assert!(matches!(err, CoreError::InvalidInput { .. }), "{err}");
         }
+    }
+
+    fn weights_error(weights: [f64; 5]) {
+        let err = run_serving(
+            &base(),
+            0.05,
+            &tiny_config(),
+            weights,
+            None,
+            &storm(true),
+            2,
+            &NoopRecorder,
+        )
+        .map(|_| ())
+        .unwrap_err();
+        assert!(
+            matches!(err, CoreError::InvalidInput { context } if context.contains("weights")),
+            "{weights:?}: {err}"
+        );
+    }
+
+    #[test]
+    fn negative_weights_are_errors() {
+        weights_error([1.0, -0.5, 1.0, 1.0, 1.0]);
+    }
+
+    #[test]
+    fn nan_weights_are_errors() {
+        weights_error([1.0, 1.0, f64::NAN, 1.0, 1.0]);
+    }
+
+    #[test]
+    fn infinite_weights_are_errors() {
+        weights_error([f64::INFINITY, 1.0, 1.0, 1.0, 1.0]);
+    }
+
+    #[test]
+    fn all_zero_weights_are_errors() {
+        weights_error([0.0; 5]);
     }
 
     #[test]

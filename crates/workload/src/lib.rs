@@ -36,5 +36,5 @@ pub use eva_net::LinkModel; // appears in Scenario's builder API
 pub use hetero::{PhysicalServer, Virtualization};
 pub use outcome::{Outcome, N_OBJECTIVES, OBJECTIVE_NAMES};
 pub use profiler::{ProfileSample, Profiler};
-pub use scenario::{Scenario, ScenarioOutcome};
+pub use scenario::{DeriveError, LastCameraProbe, Scenario, ScenarioOutcome};
 pub use surfaces::SurfaceModel;

@@ -4,7 +4,9 @@
 //! to a pinned constant, and the session behind `run_serving` restores
 //! bit-identically from a checkpoint taken at any step. A checkpoint
 //! that does not fit (other parameters, a step count past the end of
-//! the run, another format version) is an error, not a panic.
+//! the run, another format version) is an error, not a panic. The
+//! scenarios a serving step derives (one camera in or out) have the
+//! bounds of a scratch build.
 
 use pamo::core::{
     run_serving, ControlPlaneSnapshot, CoreError, OverloadConfig, PamoConfig, PreferenceSource,
@@ -216,6 +218,45 @@ fn serving_work_is_pinned() {
         })
         .collect();
     assert_eq!(work, PINNED_SERVING_WORK, "the serving run's work drifted");
+}
+
+/// A serving step derives its scenario from the current one (a probe
+/// adds the newcomer, a departure removes a camera) and carries the
+/// other cameras' cost extremes. The derived bounds, and so every
+/// benefit scored on them, equal a fresh build's over the same clips.
+#[test]
+fn derived_scenario_bounds_equal_a_fresh_build() {
+    let base = Scenario::standard(12, 4, &mut pamo::stats::rng::seeded(3));
+    let _ = base.cost_bounds(); // computes the incumbents' extremes
+    let newcomer = ClipProfile::random(&mut pamo::stats::rng::seeded(4), 12);
+    let grown = base
+        .with_camera(newcomer)
+        .expect("no per-camera attachments");
+    let shrunk = grown.without_camera(5).expect("camera 5 exists");
+    let bits = |b: Vec<(f64, f64)>| -> Vec<(u64, u64)> {
+        b.iter()
+            .map(|(lo, hi)| (lo.to_bits(), hi.to_bits()))
+            .collect()
+    };
+    let configs = |n: usize| vec![VideoConfig::new(720.0, 5.0); n];
+    for derived in [&grown, &shrunk] {
+        let fresh = Scenario::new(
+            (0..derived.n_videos())
+                .map(|i| derived.clip(i).clone())
+                .collect(),
+            derived.uplinks().to_vec(),
+            derived.config_space().clone(),
+        );
+        assert_eq!(bits(derived.cost_bounds()), bits(fresh.cost_bounds()));
+        let outcome = fresh
+            .evaluate(&configs(fresh.n_videos()))
+            .expect("feasible")
+            .outcome;
+        assert_eq!(
+            TruePreference::uniform(derived).benefit(&outcome).to_bits(),
+            TruePreference::uniform(&fresh).benefit(&outcome).to_bits()
+        );
+    }
 }
 
 #[test]
