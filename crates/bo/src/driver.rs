@@ -113,6 +113,12 @@ pub struct BoResult {
 /// [`cost::OBJ_EVAL`]. [`DecisionBudget::unlimited`] never refuses a
 /// charge, so the loop then runs to convergence or `max_iters`.
 ///
+/// Each iteration's surrogate is dropped as soon as its joint sample
+/// matrix is drawn, before the batch's first objective call. An
+/// objective that updates the models the surrogate was built from
+/// relies on this order: by the time it runs, no surrogate shares those
+/// models, so it can update them in place instead of copying them.
+///
 /// Each iteration's candidate scan runs in a [`Phase::BoAcquisition`]
 /// span on `rec`. Refuses, before drawing from `rng`, an empty pool, a
 /// zero `n_init`, `batch` or `mc_samples`, and a negative qUCB `β`.
@@ -197,6 +203,9 @@ where
         pts.extend(pool.iter().cloned());
         pts.extend(observations[..n_base].iter().map(|(x, _)| x.clone()));
         let samples = surrogate.joint_samples(&pts, cfg.mc_samples, crn_seed);
+        // Everything below reads only `samples`; the surrogate goes
+        // before the batch is observed (see the doc comment).
+        drop(surrogate);
 
         // (2) Greedy sequential batch construction. Each slot scans
         // the whole pool, so the slot's charge is one ACQ_CANDIDATE
@@ -285,6 +294,7 @@ mod tests {
     use eva_obs::NoopRecorder;
     use eva_stats::rng::seeded;
     use pamo_core::gp::{fit_gp, FitConfig};
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     /// Fit callback: a fresh GP on all observations, cheap settings.
     fn gp_fit(observations: &[(Vec<f64>, f64)]) -> GpSurrogate {
@@ -441,6 +451,63 @@ mod tests {
         let r = run(f, &pool, &cfg, 4, &DecisionBudget::unlimited());
         assert!(r.best_trace.windows(2).all(|w| w[1] >= w[0] - 1e-15));
         assert_eq!(r.best_trace.len(), r.iters_run + 1);
+    }
+
+    /// A surrogate with flat samples that clears `live` when dropped.
+    struct Flagged<'a> {
+        live: &'a AtomicBool,
+    }
+
+    impl SurrogateSampler for Flagged<'_> {
+        fn joint_samples(&self, xs: &[Vec<f64>], n_mc: usize, _seed: u64) -> eva_linalg::Mat {
+            eva_linalg::Mat::zeros(n_mc, xs.len())
+        }
+
+        fn posterior_mean(&self, _x: &[f64]) -> f64 {
+            0.0
+        }
+    }
+
+    impl Drop for Flagged<'_> {
+        fn drop(&mut self) {
+            self.live.store(false, Ordering::Relaxed);
+        }
+    }
+
+    #[test]
+    fn surrogate_is_dropped_before_the_batch_is_observed() {
+        let live = AtomicBool::new(false);
+        let objective = |x: &[f64]| {
+            assert!(!live.load(Ordering::Relaxed), "a surrogate was alive");
+            x[0]
+        };
+        let fit = |_: &[(Vec<f64>, f64)]| {
+            live.store(true, Ordering::Relaxed);
+            Flagged { live: &live }
+        };
+        let cfg = BoConfig {
+            n_init: 2,
+            batch: 2,
+            mc_samples: 4,
+            max_iters: 3,
+            delta: 0.0,
+            kind: AcqKind::QNei,
+        };
+        let rng = &mut seeded(11);
+        let budget = DecisionBudget::unlimited();
+        let r = bo_maximize(
+            objective,
+            fit,
+            &grid_pool(9),
+            &cfg,
+            rng,
+            &budget,
+            &NoopRecorder,
+        )
+        .unwrap();
+        // Two initial points, then three observed batches of two.
+        assert_eq!(r.iters_run, 3);
+        assert_eq!(r.observations.len(), 8);
     }
 
     #[test]

@@ -312,7 +312,7 @@ pub(crate) struct FactorSolve {
 }
 
 /// A model's factor grown by new inputs, built once by
-/// [`GpModel::extend_factor`] and handed to [`GpModel::condition_on`]
+/// [`GpModel::extend_factor`] and handed to [`GpModel::stage`]
 /// for every model that shares the parent factor and observed the same
 /// inputs: they all receive the same `Arc`.
 #[derive(Debug, Clone)]
@@ -331,6 +331,24 @@ impl FactorExtension {
     pub(crate) fn rebuilt(&self) -> bool {
         self.from == 0
     }
+}
+
+/// Conditioning staged by [`GpModel::stage`] and not yet written by
+/// [`GpModel::commit`]. It borrows the extension and the targets it
+/// was computed from, so the commit appends exactly those.
+#[derive(Debug)]
+pub(crate) struct Staged<'e> {
+    ext: &'e FactorExtension,
+    y_new: &'e [f64],
+    step: Step,
+}
+
+#[derive(Debug)]
+enum Step {
+    /// The new rows of `u`, forward-solved on the grown factor.
+    Append(Vec<f64>),
+    /// The model on the factor a fallback rebuilt from scratch.
+    Replace(GpModel),
 }
 
 /// Joint latent posterior at a set of query points.
@@ -714,7 +732,8 @@ impl GpModel {
     /// Incremental version of [`GpModel::with_added`]: grows the factor
     /// by the `k` new rows (`GpModel::extend_factor`, O(k·n²), the
     /// arithmetic of [`Cholesky::extend`]) and reuses the frozen
-    /// standardization (`GpModel::condition_on`).
+    /// standardization. It clones this model and conditions the clone
+    /// in place (`GpModel::stage`, then `GpModel::commit`).
     pub fn condition(&self, x_new: &[Vec<f64>], y_new: &[f64]) -> Result<GpModel> {
         if x_new.len() != y_new.len() {
             return Err(GpError::BadData("condition: length mismatch".into()));
@@ -726,7 +745,10 @@ impl GpModel {
         self.check_update(&xs, y_new)?;
         let pres: Vec<PrefixSolve> = xs.iter().map(|x| self.prefix_solve(x)).collect();
         let ext = self.extension(&xs, &pres)?;
-        self.condition_on(&ext, y_new)
+        let staged = self.stage(&ext, y_new)?;
+        let mut next = self.clone();
+        next.commit(staged);
+        Ok(next)
     }
 
     /// This model's factor grown by input `x_new`, given its
@@ -769,45 +791,68 @@ impl GpModel {
         })
     }
 
-    /// Condition on observations `y_new` at the inputs `ext` grew this
-    /// model's factor by: append the targets and forward-solve their new
-    /// rows of `u` (all rows after a rebuild). The weights `α` wait for
-    /// the new model's first read. Bit-identical to
-    /// [`GpModel::condition`]; an extension of another factor is
-    /// rejected.
-    pub(crate) fn condition_on(&self, ext: &FactorExtension, y_new: &[f64]) -> Result<GpModel> {
-        if ext.parent != self.factor_id() || self.n() + y_new.len() != ext.factor.n() {
+    /// The first half of conditioning on observations `y_new` at the
+    /// inputs `ext` grew this model's factor by, which leaves the model
+    /// untouched: the new rows of `u`, forward-solved on the grown
+    /// factor with the arithmetic of `forward_packed` row for row (a
+    /// dot product with the rows before it, then one division), or,
+    /// when the extension fell back to a rebuild, the whole model on
+    /// the rebuilt factor. [`GpModel::commit`] writes the result. An
+    /// extension of another factor, a non-finite target or a zero pivot
+    /// is an error.
+    pub(crate) fn stage<'e>(
+        &self,
+        ext: &'e FactorExtension,
+        y_new: &'e [f64],
+    ) -> Result<Staged<'e>> {
+        let n = ext.factor.n();
+        if ext.parent != self.factor_id() || self.n() + y_new.len() != n {
             return Err(GpError::BadData(
-                "condition_on: extension of another factor".into(),
+                "condition: extension of another factor".into(),
             ));
         }
         self.check_update(&[], y_new)?;
-        let mut y_raw = Vec::with_capacity(ext.factor.n());
-        y_raw.extend_from_slice(&self.y_raw);
-        y_raw.extend_from_slice(y_new);
-        if ext.rebuilt() {
+        let step = if ext.rebuilt() {
             check_standardization(self.y_mean, self.y_std)?;
-            return Self::on_factor(Arc::clone(&ext.factor), y_raw, self.y_mean, self.y_std);
+            let mut y_raw = Vec::with_capacity(n);
+            y_raw.extend_from_slice(&self.y_raw);
+            y_raw.extend_from_slice(y_new);
+            let model = Self::on_factor(Arc::clone(&ext.factor), y_raw, self.y_mean, self.y_std)?;
+            Step::Replace(model)
+        } else {
+            // Row `i` reads `u[..i]`: this model's rows, then the new
+            // rows solved so far.
+            let mut rows = Vec::with_capacity(y_new.len());
+            for (i, &v) in (ext.from..n).zip(y_new) {
+                let row = ext.factor.row(i);
+                let s = vecops::dot_concat(&self.u, &rows, &row[..i]);
+                let d = row[i];
+                if d == 0.0 {
+                    return Err(LinalgError::Singular { pivot: i }.into());
+                }
+                rows.push(((v - self.y_mean) / self.y_std - s) / d);
+            }
+            Step::Append(rows)
+        };
+        Ok(Staged { ext, y_new, step })
+    }
+
+    /// The second half of conditioning: write what [`GpModel::stage`]
+    /// computed. The targets and the new rows of `u` are appended, the
+    /// grown factor's `Arc` replaces this model's, and the weights `α`
+    /// are cleared to wait for their next first read. The result is the
+    /// model a fresh conditioning would build, bit for bit; a rebuild
+    /// replaces the model whole.
+    pub(crate) fn commit(&mut self, staged: Staged<'_>) {
+        match staged.step {
+            Step::Replace(model) => *self = model,
+            Step::Append(rows) => {
+                self.y_raw.extend_from_slice(staged.y_new);
+                self.u.extend_from_slice(&rows);
+                self.factor = Arc::clone(&staged.ext.factor);
+                self.alpha = OnceLock::new();
+            }
         }
-        // Only the new rows' standardized targets: rows before
-        // `ext.from` are already solved in `u`.
-        let n = ext.factor.n();
-        let mut z = vec![0.0; n];
-        for (zi, &v) in z.iter_mut().zip(&y_raw).skip(ext.from) {
-            *zi = (v - self.y_mean) / self.y_std;
-        }
-        let mut u = Vec::with_capacity(n);
-        u.extend_from_slice(&self.u);
-        u.resize(n, 0.0);
-        ext.factor.forward(ext.from, n, &z, &mut u)?;
-        Ok(GpModel {
-            factor: Arc::clone(&ext.factor),
-            y_raw,
-            y_mean: self.y_mean,
-            y_std: self.y_std,
-            u,
-            alpha: OnceLock::new(),
-        })
     }
 
     fn check_update(&self, xs: &[&[f64]], ys: &[f64]) -> Result<()> {
@@ -1390,12 +1435,12 @@ mod tests {
                 for c in 0..models.len() {
                     let yn = rng.gen_range(-1.0..1.0);
                     let ext = memo.extension(&models[c], &inputs[c]);
-                    let next = models[c].condition_on(&ext, &[yn]).unwrap();
+                    let before = models[c].clone();
+                    condition_in_place(&mut models[c], &ext, yn);
                     let (next_dense, fell_back) = dense[c].condition(&inputs[c], yn);
                     prop_assert_eq!(ext.rebuilt(), fell_back);
                     prop_assert!(!fell_back);
-                    prop_assert!(next.shares_prefix(&models[c]));
-                    models[c] = next;
+                    prop_assert!(models[c].shares_prefix(&before));
                     dense[c] = next_dense;
                 }
                 for (c, (m, d)) in models.iter().zip(&dense).enumerate() {
@@ -1407,6 +1452,13 @@ mod tests {
             prop_assert!(models[0].shares_prefix(&models[5]));
             prop_assert!(!models[0].shares_factor(&models[5]));
         }
+    }
+
+    /// Condition `model` in place through `ext` on target `y`.
+    fn condition_in_place(model: &mut GpModel, ext: &FactorExtension, y: f64) {
+        let y = [y];
+        let staged = model.stage(ext, &y).unwrap();
+        model.commit(staged);
     }
 
     fn weight_solves() -> usize {
@@ -1491,8 +1543,8 @@ mod tests {
                 let xn: Vec<f64> = (0..3).map(|_| rng.gen_range(0.0..1.0)).collect();
                 let (yn, yn_sibling) = (rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0));
                 let ext = model.extend_factor(&xn, &model.prefix_solve(&xn)).unwrap();
-                model = model.condition_on(&ext, &[yn]).unwrap();
-                sibling = sibling.condition_on(&ext, &[yn_sibling]).unwrap();
+                condition_in_place(&mut model, &ext, yn);
+                condition_in_place(&mut sibling, &ext, yn_sibling);
                 let (next, fell_back) = dense.condition(&xn, yn);
                 prop_assert_eq!(ext.rebuilt(), fell_back);
                 dense = next;
@@ -1527,8 +1579,9 @@ mod tests {
         let mut rebuilds = 0;
         for (dup, &y_dup) in x.iter().zip(&y) {
             let ext = base.extend_factor(dup, &base.prefix_solve(dup)).unwrap();
-            let m2 = base.condition_on(&ext, &[y_dup]).unwrap();
-            let s2 = sibling.condition_on(&ext, &[y_dup + 1.0]).unwrap();
+            let (mut m2, mut s2) = (base.clone(), sibling.clone());
+            condition_in_place(&mut m2, &ext, y_dup);
+            condition_in_place(&mut s2, &ext, y_dup + 1.0);
             let (d2, rebuilt) = dense.condition(dup, y_dup);
             let (ds2, _) = dense_sibling.condition(dup, y_dup + 1.0);
             assert_eq!(ext.rebuilt(), rebuilt, "at {dup:?}");
@@ -1547,6 +1600,6 @@ mod tests {
             .extend_factor(&x[0], &base.prefix_solve(&x[0]))
             .unwrap();
         let other = base.condition(&[vec![0.33]], &[0.1]).unwrap();
-        assert!(other.condition_on(&ext, &[0.0]).is_err());
+        assert!(other.stage(&ext, &[0.0]).is_err());
     }
 }

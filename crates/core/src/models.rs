@@ -73,9 +73,9 @@ impl ProfilingDesign {
 /// bumps rather than a deep copy of 5·M GP models — the BO loop clones
 /// the bank into a fresh surrogate every iteration, and at M = 2000 the
 /// deep copy (~300k allocations) dominated the decision epoch.
-/// [`OutcomeModelBank::update_all`] replaces a camera's row wholesale
-/// (copy-on-write), so clones held by in-flight surrogates are
-/// unaffected.
+/// [`OutcomeModelBank::update_all`] conditions a row in place when this
+/// bank holds the only reference to it, and copies the row first when
+/// a clone still shares it, so a held clone keeps its snapshot.
 ///
 /// A GP back-substitutes for its weights on first read
 /// (`GpModel::solve_weights`). Predictions read models through the
@@ -308,23 +308,31 @@ impl OutcomeModelBank {
     /// `SolveMemo`, and in the per-camera pass the first camera to
     /// reach a pair builds its grown factor (`GpModel::extend_factor`,
     /// seeded from the design-row solve shared by the whole prefix).
-    /// Per camera, `GpModel::condition_on` then only appends the
-    /// target and one forward row; the back-substitution for its
-    /// weights waits for the model's first read. Every camera
+    /// Per camera, each model then only appends the target and one
+    /// forward row; the back-substitution for its weights waits for the
+    /// model's first read. Every camera
     /// conditioned on one pair receives the same factor, so sharing
     /// follows from construction and never compares histories.
     /// Building on first use keeps a factor's parent alive only until
     /// the last camera on it has moved on. The result is bit-identical
     /// to conditioning each camera's models on their own and ignoring
-    /// errors. Each updated row is swapped in as one new `Arc`, so
-    /// clones of this bank held by in-flight surrogates keep the
-    /// pre-update row.
+    /// errors.
+    ///
+    /// A camera is updated in two phases. The first computes all five
+    /// models' new rows (`GpModel::stage`) without touching the row;
+    /// if any objective fails, the camera is skipped. The second takes
+    /// the row with `Arc::make_mut` and appends in place
+    /// (`GpModel::commit`). A row that a clone of this bank still
+    /// shares is copied first, so the clone keeps the pre-update row;
+    /// the BO driver drops its surrogate's clone before the batch is
+    /// observed, so in a decide no row is copied.
     ///
     /// A camera whose sample is non-finite or whose conditioning fails
     /// keeps its previous row: the bank degrades to a stale model rather
     /// than poisoning the run. The returned [`BankUpdate`] counts those
-    /// skips, the conditionings that fell back to a full rebuild, and
-    /// the prefix solves and factor extensions computed. A sample count
+    /// skips, the conditionings that fell back to a full rebuild, the
+    /// rows copied because a clone shared them, and the prefix solves
+    /// and factor extensions computed. A sample count
     /// that does not match the bank's cameras is
     /// [`CoreError::InvalidInput`].
     pub fn update_all(&mut self, samples: &[ProfileSample]) -> Result<BankUpdate, CoreError> {
@@ -361,8 +369,9 @@ impl OutcomeModelBank {
         let extensions = memo.finish();
 
         // Per camera: `None` when skipped, else the number of its
-        // conditionings that fell back to a rebuild.
-        let outcomes: Vec<Option<usize>> = self
+        // conditionings that fell back to a rebuild and whether its row
+        // was copied.
+        let outcomes: Vec<Option<(usize, bool)>> = self
             .models
             .par_iter_mut()
             .zip(measured.par_iter().zip(slots.par_iter()))
@@ -370,20 +379,24 @@ impl OutcomeModelBank {
                 let (x, y) = m.as_ref()?;
                 let mut staged = Vec::with_capacity(N_OBJECTIVES);
                 let mut rebuilds = 0;
-                for ((model, &slot), &y) in row.iter().zip(slots).zip(y) {
+                for ((model, &slot), y) in row.iter().zip(slots).zip(y) {
                     let (_, ext) = extensions.get(slot, |pre| model.extend_factor(x, pre));
                     let ext = ext.as_ref().ok()?;
-                    staged.push(model.condition_on(ext, &[y]).ok()?);
+                    staged.push(model.stage(ext, std::slice::from_ref(y)).ok()?);
                     rebuilds += usize::from(ext.rebuilt());
                 }
-                *row = Arc::new(staged);
-                Some(rebuilds)
+                let copied = Arc::get_mut(row).is_none();
+                for (model, staged) in Arc::make_mut(row).iter_mut().zip(staged) {
+                    model.commit(staged);
+                }
+                Some((rebuilds, copied))
             })
             .collect();
         let skipped = outcomes.iter().filter(|o| o.is_none()).count();
         Ok(BankUpdate {
             skipped,
-            rebuilds: outcomes.iter().flatten().sum(),
+            rebuilds: outcomes.iter().flatten().map(|o| o.0).sum(),
+            copied: outcomes.iter().flatten().filter(|o| o.1).count(),
             conditioned: (outcomes.len() - skipped) * N_OBJECTIVES,
             prefix_solves: extensions.prefix_solves(),
             factor_extensions: extensions.computed().filter(|e| e.is_ok()).count(),
@@ -422,6 +435,9 @@ pub struct BankUpdate {
     /// Conditionings that fell back to a full rebuild and so left the
     /// shared design prefix.
     pub rebuilds: usize,
+    /// Camera rows copied before being updated because a clone of the
+    /// bank still shared them.
+    pub copied: usize,
     /// Models conditioned: one per objective of every updated camera.
     pub conditioned: usize,
     /// Distinct design-row solves computed (`SolveMemo` prefix misses).
@@ -433,12 +449,14 @@ pub struct BankUpdate {
 
 impl BankUpdate {
     /// Report the pass as `core.bank_update_skipped`,
-    /// `core.bank_rebuilds`, `gp.conditionings`, `gp.prefix_solves` and
+    /// `core.bank_rebuilds`, `core.bank_rows_copied`,
+    /// `gp.conditionings`, `gp.prefix_solves` and
     /// `gp.factor_extensions`.
     pub(crate) fn record(&self, rec: &dyn Recorder) {
         if rec.enabled() {
             rec.add("core.bank_update_skipped", self.skipped as u64);
             rec.add("core.bank_rebuilds", self.rebuilds as u64);
+            rec.add("core.bank_rows_copied", self.copied as u64);
             rec.add("gp.conditionings", self.conditioned as u64);
             rec.add("gp.prefix_solves", self.prefix_solves as u64);
             rec.add("gp.factor_extensions", self.factor_extensions as u64);

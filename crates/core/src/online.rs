@@ -173,7 +173,8 @@ impl Default for FaultedRunConfig {
 /// events, and degradations become warn events (mirrored to stderr).
 /// Recorders never touch the RNG stream: a
 /// [`eva_obs::NoopRecorder`] run and a recorded run are bit-identical.
-/// Errors on zero epochs, a non-positive epoch, a negative heartbeat,
+/// Errors on preference weights that are negative, NaN, infinite or
+/// all zero, zero epochs, a non-positive epoch, a negative heartbeat,
 /// or a plan sized for another deployment.
 pub fn run_online<R: Rng + ?Sized>(
     drifting: &mut DriftingScenario,
@@ -190,6 +191,7 @@ pub fn run_online<R: Rng + ?Sized>(
         FaultedRunConfig::default(),
     );
     let (plan, cfg) = faults.unwrap_or((&none.0, &none.1));
+    check_weights(&weights)?;
     require(n_epochs > 0, "zero epochs")?;
     check_timing(cfg.epoch_s, cfg.heartbeat_s)?;
     check_plan(plan, &initial)?;
@@ -381,6 +383,16 @@ pub fn run_online<R: Rng + ?Sized>(
         epochs,
         degraded: any_degraded,
     })
+}
+
+/// Preconditions on hidden-preference weights: every weight finite and
+/// nonnegative, and not all zero ([`TruePreference::new`] asserts the
+/// same, so an entry point checks first).
+pub(crate) fn check_weights(weights: &[f64; eva_workload::N_OBJECTIVES]) -> Result<(), CoreError> {
+    require(
+        weights.iter().all(|w| w.is_finite() && *w >= 0.0) && weights.iter().sum::<f64>() > 0.0,
+        "preference weights must be finite, nonnegative and not all zero",
+    )
 }
 
 /// Preconditions on an epoch clock: `epoch_s > 0`, `heartbeat_s ≥ 0`.
@@ -732,6 +744,46 @@ mod tests {
             Some((&plan, &FaultedRunConfig::default())),
             1,
         ));
+    }
+
+    /// `run_online` refuses `weights` as an input error, not a panic.
+    fn weights_error(weights: [f64; 5]) {
+        let mut d = DriftingScenario::new(&base(), 0.05);
+        let err = run_online(
+            &mut d,
+            &tiny_config(),
+            weights,
+            2,
+            None,
+            &mut seeded(1),
+            &NoopRecorder,
+        )
+        .map(|_| ())
+        .unwrap_err();
+        assert!(
+            matches!(err, CoreError::InvalidInput { context } if context.contains("weights")),
+            "{weights:?}: {err}"
+        );
+    }
+
+    #[test]
+    fn negative_weights_are_errors() {
+        weights_error([1.0, -0.5, 1.0, 1.0, 1.0]);
+    }
+
+    #[test]
+    fn nan_weights_are_errors() {
+        weights_error([1.0, 1.0, f64::NAN, 1.0, 1.0]);
+    }
+
+    #[test]
+    fn infinite_weights_are_errors() {
+        weights_error([f64::INFINITY, 1.0, 1.0, 1.0, 1.0]);
+    }
+
+    #[test]
+    fn all_zero_weights_are_errors() {
+        weights_error([0.0; 5]);
     }
 
     #[test]

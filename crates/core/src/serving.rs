@@ -66,7 +66,7 @@ use eva_serve::{AdmissionConfig, ArrivalModel, ChurnConfig, ChurnTrace};
 use eva_workload::{Scenario, N_OBJECTIVES};
 
 use crate::error::{require, CoreError};
-use crate::online::{check_plan, check_timing, EpochRecord};
+use crate::online::{check_plan, check_timing, check_weights, EpochRecord};
 use crate::overload::{OverloadConfig, ServingSession};
 use crate::pamo::PamoConfig;
 
@@ -313,10 +313,7 @@ pub fn run_serving(
         (0.0..1.0).contains(&drift_step),
         "drift step outside [0, 1)",
     )?;
-    require(
-        weights.iter().all(|w| w.is_finite() && *w >= 0.0) && weights.iter().sum::<f64>() > 0.0,
-        "preference weights must be finite, nonnegative and not all zero",
-    )?;
+    check_weights(&weights)?;
     require(serving.n_epochs > 0, "zero epochs")?;
     check_timing(serving.epoch_s, serving.heartbeat_s)?;
     if let Some(p) = plan {

@@ -36,8 +36,11 @@ const PINNED_SHARED_HISTORY_HASH: u64 = 0xbf2e_994c_e4bc_4abe;
 /// Exact work of `decide_bits`' two decides under a flight recorder:
 /// counter values, then span counts per phase. Any change means the
 /// algorithm did more or less work, even if every decided bit held.
-const PINNED_WORK: [(&str, u64); 18] = [
+const PINNED_WORK: [(&str, u64); 19] = [
     ("core.objective_evals", 8),
+    // The BO driver drops each surrogate's bank clone before the batch
+    // is observed, so every row is conditioned in place.
+    ("core.bank_rows_copied", 0),
     ("gp.fits", 10),
     ("gp.conditionings", 1600),
     ("gp.factor_extensions", 190),
@@ -194,31 +197,11 @@ fn telemetry_is_observationally_free() {
     assert_eq!(work, PINNED_WORK, "the decides' work drifted");
 }
 
-#[test]
-fn conditioned_bank_posteriors_are_bit_pinned() {
-    let scenario = scenario();
-    let mut rng = seeded(29);
-    let design = ProfilingDesign::draw(&scenario, 25, &mut rng);
-    let mut bank =
-        OutcomeModelBank::fit_designed(&scenario, &design, 0.02, None, &mut rng, &NoopRecorder)
-            .unwrap();
+/// FNV-1a hash of `bank`'s posterior means and variances at three
+/// configurations per camera and objective.
+fn bank_hash(bank: &OutcomeModelBank, scenario: &Scenario) -> u64 {
     let space = scenario.config_space();
     let uplinks = scenario.uplinks();
-    // Six measured rounds; cameras repeat (config, uplink) pairs so the
-    // shared design-row solves are exercised.
-    for round in 0..6 {
-        let samples: Vec<_> = (0..scenario.n_videos())
-            .map(|cam| {
-                let config = space.at((cam % 5 + 3 * round) % space.len());
-                let uplink = uplinks[(cam + round) % uplinks.len()];
-                Profiler::new(scenario.surfaces(cam).clone())
-                    .with_noise(0.02, 0.02)
-                    .measure(&config, uplink, &mut rng)
-            })
-            .collect();
-        let report = bank.update_all(&samples).unwrap();
-        assert_eq!(report.skipped, 0);
-    }
     let mut hash = FNV_OFFSET;
     for cam in 0..scenario.n_videos() {
         for obj in 0..N_OBJECTIVES {
@@ -229,8 +212,73 @@ fn conditioned_bank_posteriors_are_bit_pinned() {
             }
         }
     }
+    hash
+}
+
+/// Six rounds of `update_all` on a seeded 40-camera bank; cameras
+/// repeat (config, uplink) pairs so the shared design-row solves are
+/// exercised. With `hold_clones`, a clone of the bank is held across
+/// each round and must still hash to its pre-update posteriors.
+fn conditioned_bank(hold_clones: bool) -> (OutcomeModelBank, Scenario) {
+    let scenario = scenario();
+    let mut rng = seeded(29);
+    let design = ProfilingDesign::draw(&scenario, 25, &mut rng);
+    let mut bank =
+        OutcomeModelBank::fit_designed(&scenario, &design, 0.02, None, &mut rng, &NoopRecorder)
+            .unwrap();
+    let space = scenario.config_space();
+    let uplinks = scenario.uplinks();
+    for round in 0..6 {
+        let samples: Vec<_> = (0..scenario.n_videos())
+            .map(|cam| {
+                let config = space.at((cam % 5 + 3 * round) % space.len());
+                let uplink = uplinks[(cam + round) % uplinks.len()];
+                Profiler::new(scenario.surfaces(cam).clone())
+                    .with_noise(0.02, 0.02)
+                    .measure(&config, uplink, &mut rng)
+            })
+            .collect();
+        let held = hold_clones.then(|| {
+            let clone = bank.clone();
+            let before = bank_hash(&clone, &scenario);
+            (clone, before)
+        });
+        let report = bank.update_all(&samples).unwrap();
+        assert_eq!(report.skipped, 0);
+        match held {
+            Some((clone, before)) => {
+                assert_eq!(report.copied, scenario.n_videos(), "round {round}");
+                assert_eq!(
+                    bank_hash(&clone, &scenario),
+                    before,
+                    "round {round}: the held clone moved"
+                );
+            }
+            None => assert_eq!(report.copied, 0, "round {round}"),
+        }
+    }
+    (bank, scenario)
+}
+
+#[test]
+fn conditioned_bank_posteriors_are_bit_pinned() {
+    let (bank, scenario) = conditioned_bank(false);
+    let hash = bank_hash(&bank, &scenario);
     println!("bank hash {hash:#x}");
     assert_eq!(hash, PINNED_BANK_HASH, "bank posteriors drifted");
+}
+
+/// A row that a held clone shares is copied before it is conditioned:
+/// the copy path gives the in-place path's bits, and the clone keeps
+/// its snapshot.
+#[test]
+fn held_bank_clone_keeps_its_snapshot() {
+    let (bank, scenario) = conditioned_bank(true);
+    assert_eq!(
+        bank_hash(&bank, &scenario),
+        PINNED_BANK_HASH,
+        "the copy path drifted from the in-place path"
+    );
 }
 
 /// Round `round`'s (config index, uplink index) for camera `cam`: the
