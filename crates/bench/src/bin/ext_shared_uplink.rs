@@ -16,7 +16,6 @@ use eva_bench::Table;
 use eva_obs::NoopRecorder;
 use eva_sched::{Ticks, TICKS_PER_SEC};
 use eva_sim::des::{simulate, SimConfig, SimStream, Uplinks};
-use eva_sim::tandem::simulate_shared_uplink;
 use eva_stats::rng::seeded;
 use eva_workload::Scenario;
 use pamo_core::{Pamo, PamoConfig, TruePreference};
@@ -77,10 +76,13 @@ fn main() {
                 ..*s
             })
             .collect();
-        let dedicated = simulate(&streams, Uplinks::Fixed, n_servers, &sim_cfg, &NoopRecorder)
-            .expect("valid DES input");
-        let shared =
-            simulate_shared_uplink(&streams, None, n_servers, &sim_cfg).expect("valid DES input");
+        // Both runs capture frame `k` at `k·T − trans`.
+        let run = |uplinks| {
+            simulate(&streams, uplinks, n_servers, &sim_cfg, &NoopRecorder)
+                .expect("valid DES input")
+        };
+        let dedicated = run(Uplinks::Fixed);
+        let shared = run(Uplinks::Shared(None));
         table.row(vec![
             format!("{slowdown}x"),
             format!("{:.4}", dedicated.mean_latency_s),

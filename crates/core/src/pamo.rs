@@ -8,18 +8,18 @@
 //!    the feasible joint-configuration pool with Algorithm-1 placement
 //!    inside the loop (lines 12-26).
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use eva_bo::{bo_maximize, AcqKind, BoConfig, BoResult};
 use eva_obs::{cost, span, DecisionBudget, NoopRecorder, Phase, Recorder};
 use eva_sched::Assignment;
 use eva_workload::{Outcome, ProfileSample, Profiler, Scenario, ScenarioOutcome, VideoConfig};
-use parking_lot::Mutex;
 use rand::Rng;
 
 use crate::benefit::{OutcomeNormalizer, TruePreference, TruePreferenceOracle};
 use crate::composite::{CompositeSampler, PreferenceEval, INFEASIBLE_BENEFIT};
 use crate::error::{require, CoreError};
+use crate::lock;
 use crate::models::{OutcomeModelBank, ProfilingDesign};
 use crate::pool::{build_pool, decode_joint, Placements};
 use crate::prefgp::{elicit_preferences, ElicitConfig, PreferenceModel};
@@ -136,8 +136,8 @@ impl Clone for Pamo {
     fn clone(&self) -> Self {
         Pamo {
             config: self.config.clone(),
-            warm: Mutex::new(self.warm.lock().clone()),
-            design: Mutex::new(self.design.lock().clone()),
+            warm: Mutex::new(lock(&self.warm).clone()),
+            design: Mutex::new(lock(&self.design).clone()),
         }
     }
 }
@@ -158,8 +158,8 @@ impl Pamo {
     /// hyperparameters). A reset decision redraws exactly the cold RNG
     /// stream, so it bit-reproduces a fresh scheduler's decision.
     pub fn reset_warm_start(&self) {
-        *self.warm.lock() = None;
-        *self.design.lock() = None;
+        *lock(&self.warm) = None;
+        *lock(&self.design) = None;
     }
 
     /// The tuning this scheduler runs with.
@@ -250,9 +250,9 @@ impl Pamo {
         // The profiling design (the shared (config, uplink) grid) is
         // cached alongside: later epochs re-measure the same points
         // instead of redrawing them.
-        let warm_thetas = self.warm.lock().clone();
+        let warm_thetas = lock(&self.warm).clone();
         let design = {
-            let mut guard = self.design.lock();
+            let mut guard = lock(&self.design);
             match guard.as_ref() {
                 Some(d) if d.len() == cfg.profiling_per_camera => d.clone(),
                 _ => {
@@ -279,7 +279,7 @@ impl Pamo {
             rng,
             rec,
         )?;
-        *self.warm.lock() = Some(bank.shared_thetas());
+        *lock(&self.warm) = Some(bank.shared_thetas());
 
         // (2) System preference modeling. The pool's placements serve
         // every surrogate of this decide.
@@ -334,7 +334,7 @@ impl Pamo {
                 // Conditioning failures keep a camera's previous models
                 // (stale beats poisoned); the measurements still count.
                 let _update_span = span(rec, Phase::BankUpdate);
-                match bank.lock().update_all(&samples) {
+                match lock(&bank).update_all(&samples) {
                     Ok(report) => report.record(rec),
                     Err(_) => {
                         if rec.enabled() {
@@ -349,7 +349,7 @@ impl Pamo {
         let fit = |_observations: &[(Vec<f64>, f64)]| -> CompositeSampler<'_> {
             CompositeSampler::new(
                 scenario,
-                bank.lock().clone(),
+                lock(&bank).clone(),
                 pref_eval.clone(),
                 normalizer.clone(),
             )
@@ -363,7 +363,7 @@ impl Pamo {
         if rec.enabled() {
             rec.add("core.decisions", 1);
             rec.observe("core.bo_observations", bo.observations.len() as f64);
-            rec.add("gp.weight_solves", bank.lock().weight_solves() as u64);
+            rec.add("gp.weight_solves", lock(&bank).weight_solves() as u64);
         }
 
         // Final recommendation: best observed joint config, scored by

@@ -9,14 +9,14 @@
 //! configs, all pre-filtered by Algorithm-1 schedulability.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use eva_sched::Assignment;
 use eva_workload::{Scenario, VideoConfig};
-use parking_lot::Mutex;
 use rand::Rng;
 
 use crate::error::{require, CoreError};
+use crate::lock;
 
 /// Encode per-camera configs as a flat normalized vector
 /// `[r₀/2160, s₀/30, r₁/2160, …]`. A config count other than the
@@ -70,18 +70,16 @@ impl Placements {
         configs: &[VideoConfig],
     ) -> Option<Arc<Assignment>> {
         let key = config_key(configs);
-        if let Some(hit) = self.memo.lock().get(&key) {
+        if let Some(hit) = lock(&self.memo).get(&key) {
             return hit.clone();
         }
         let placed = scenario.schedule(configs).ok().map(Arc::new);
-        self.memo.lock().insert(key, placed.clone());
+        lock(&self.memo).insert(key, placed.clone());
         placed
     }
 
     fn insert(&self, configs: &[VideoConfig], assignment: Assignment) {
-        self.memo
-            .lock()
-            .insert(config_key(configs), Some(Arc::new(assignment)));
+        lock(&self.memo).insert(config_key(configs), Some(Arc::new(assignment)));
     }
 }
 
@@ -235,14 +233,14 @@ mod tests {
         let sc = scenario();
         let placements = Placements::default();
         let pool = build_pool(&sc, 30, &mut seeded(4), &placements).unwrap();
-        assert_eq!(placements.memo.lock().len(), pool.len());
+        assert_eq!(lock(&placements.memo).len(), pool.len());
         for x in &pool {
             let configs = decode_joint(&sc, x).unwrap();
             let cached = placements.schedule(&sc, &configs).unwrap();
             assert_eq!(*cached, sc.schedule(&configs).unwrap());
         }
         // Nothing new was scheduled: every lookup hit an admitted entry.
-        assert_eq!(placements.memo.lock().len(), pool.len());
+        assert_eq!(lock(&placements.memo).len(), pool.len());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The event-driven engine: periodic sources, FIFO servers, latency and
-//! jitter measurement. Each server's FIFO runs on its own (the private
-//! `server` module); this module seeds the arrivals and assembles the
-//! report.
+//! jitter measurement. Each server's FIFO, and a shared uplink's FIFO
+//! in front of it, runs on its own (the private `server` module); this
+//! module seeds the arrivals and assembles the report.
 
 use std::collections::VecDeque;
 
@@ -13,7 +13,7 @@ use eva_sched::{StreamId, Ticks, TICKS_PER_SEC};
 use eva_stats::RunningStats;
 
 use crate::fault::{plan_stream_deliveries, SimFaults};
-use crate::server::{run_server, ServerArrivals, Tally};
+use crate::server::{run_server, ServerArrivals, SharedUplink, Tally};
 
 /// Per-stream uplink binding for the time-varying-link engine: the
 /// frame size together with the materialized bandwidth trace the frame
@@ -47,15 +47,19 @@ pub struct SimStream {
     pub period: Ticks,
     /// Per-frame processing time on the server (ticks).
     pub proc: Ticks,
-    /// Per-frame uplink transmission time (ticks). Modeled as a fixed
-    /// pipeline delay, matching Eq. 5's `θ_bit(r)/B` term (the uplink is
-    /// provisioned per-camera; serialization contention on the radio is
-    /// outside the paper's model).
+    /// Per-frame uplink transmission time (ticks). On a dedicated pipe
+    /// it is a fixed pipeline delay, matching Eq. 5's `θ_bit(r)/B` term
+    /// (the uplink is provisioned per camera); under
+    /// [`Uplinks::Shared`] it is the frame's service time on its
+    /// server's one link, where frames serialize.
     pub trans: Ticks,
     /// Destination server index.
     pub server: usize,
-    /// Arrival phase: frame `k` *arrives at the server* at
-    /// `phase + k * period`. The camera back-dates capture by `trans`.
+    /// Arrival phase: frame `k`'s nominal arrival slot is
+    /// `phase + k * period`, and the camera captures it `trans` earlier
+    /// (at 0 if the slot is earlier than `trans`). Every [`Uplinks`]
+    /// mode captures at these instants; a fixed dedicated pipe also
+    /// delivers at the slot.
     pub phase: Ticks,
 }
 
@@ -167,10 +171,21 @@ pub enum Uplinks<'a> {
         /// The materialized fault schedule.
         faults: &'a SimFaults,
     },
+    /// One uplink per server, shared by its streams: frames queue on
+    /// the link in capture order, then on the CPU, each a FIFO. A
+    /// frame holds the link for its `trans` (at least one tick), or
+    /// with per-stream links (`Some`, one per stream; streams sharing a
+    /// server should carry that server's trace) for `bits / B(start)`
+    /// read at the start of its transmission. A constant trace at the
+    /// nominal rate reproduces the `None` run exactly. Where no two
+    /// frames meet on a link (one stream per server, transmissions
+    /// shorter than the period), every `trans` is at least one tick and
+    /// no capture saturates at 0, every stream report equals the
+    /// dedicated pipe's. Utilization and the queue peak are the CPU's.
+    Shared(Option<&'a [StreamLink]>),
 }
 
-/// Why [`simulate`] or [`crate::tandem::simulate_shared_uplink`] rejected
-/// its inputs.
+/// Why [`simulate`] rejected its inputs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
     /// Stream `stream` is placed on `server`, but only `n_servers`
@@ -250,7 +265,8 @@ impl std::error::Error for SimError {}
 /// region is sorted by `(time, push order)`, and the server's single
 /// in-flight frame is replayed against it. An arrival goes before a
 /// completion at the same tick, which makes runs exactly replayable.
-/// `uplinks` selects how frames reach the servers (see [`Uplinks`]).
+/// `uplinks` selects how frames reach the servers (see [`Uplinks`]);
+/// a shared uplink is replayed the same way, before its server's CPU.
 /// [`SimReport::mean_latency_s`] is the merge of the per-server latency
 /// accumulators, taken in server order.
 ///
@@ -284,11 +300,12 @@ fn validate<'a>(
     n_servers: usize,
 ) -> Result<Uplinks<'a>, SimError> {
     let per_stream = match &uplinks {
-        Uplinks::Fixed | Uplinks::Faulted { links: None, .. } => None,
+        Uplinks::Fixed | Uplinks::Faulted { links: None, .. } | Uplinks::Shared(None) => None,
         Uplinks::Links(links)
         | Uplinks::Faulted {
             links: Some(links), ..
-        } => Some(links.len()),
+        }
+        | Uplinks::Shared(Some(links)) => Some(links.len()),
         Uplinks::Bundles(bundles) => Some(bundles.len()),
     };
     if let Some(n) = per_stream.filter(|&n| n != streams.len()) {
@@ -346,6 +363,7 @@ fn run(
         mut tally,
         retries,
         faults,
+        mut shared,
     } = seed(streams, uplinks, n_servers, cfg, rec);
     // Hot-loop telemetry accumulates in locals and is emitted once at
     // the end: no recorder dispatch inside the event loop.
@@ -359,6 +377,9 @@ fn run(
     let mut fifo = VecDeque::new();
     for server in 0..n_servers {
         let region = arrivals.sorted_region(server);
+        if let Some(uplink) = &mut shared {
+            uplink.transmit(region, streams);
+        }
         let run = run_server(server, region, streams, faults, cfg, &mut fifo, &mut tally);
         totals.busy_ticks.push(run.busy_ticks);
         totals.max_queue_len = totals.max_queue_len.max(run.max_queue_len);
@@ -380,6 +401,9 @@ struct Seeded<'a> {
     retries: u64,
     /// The fault schedule servers run under, if any.
     faults: Option<&'a SimFaults>,
+    /// The shared uplinks, if any: `arrivals` then holds captures,
+    /// which the link turns into arrivals server by server.
+    shared: Option<SharedUplink<'a>>,
 }
 
 /// Seed all frame arrivals within the horizon, stream by stream in
@@ -402,6 +426,7 @@ fn seed<'a>(
         tally: Tally::new(streams.len()),
         retries: 0,
         faults: None,
+        shared: None,
     };
     match uplinks {
         Uplinks::Fixed => seed_linked(streams, None, cfg, &mut seeded.arrivals),
@@ -435,6 +460,10 @@ fn seed<'a>(
                 }
             }
             seeded.faults = Some(faults);
+        }
+        Uplinks::Shared(links) => {
+            seed_captures(streams, cfg, &mut seeded.arrivals);
+            seeded.shared = Some(SharedUplink::new(links, streams.len()));
         }
     }
     seeded
@@ -529,6 +558,24 @@ fn seed_linked(
                 }
             };
             arrivals.push(s.server, arrival, i, gen_time);
+            k += 1;
+        }
+    }
+}
+
+/// Seed the captures of shared uplinks, at the same instants as a
+/// dedicated pipe's; [`SharedUplink::transmit`] turns them into
+/// arrivals.
+fn seed_captures(streams: &[SimStream], cfg: &SimConfig, arrivals: &mut ServerArrivals) {
+    for (i, s) in streams.iter().enumerate() {
+        let mut k: Ticks = 0;
+        loop {
+            let slot = s.phase + k * s.period;
+            if slot >= cfg.horizon {
+                break;
+            }
+            let gen_time = slot.saturating_sub(s.trans);
+            arrivals.push(s.server, gen_time, i, gen_time);
             k += 1;
         }
     }
@@ -810,6 +857,7 @@ mod tests {
             faults: &faults,
         };
         assert_eq!(err(&streams, faulted, 1), want);
+        assert_eq!(err(&streams, Uplinks::Shared(Some(&links)), 1), want);
         let bundle = StreamBundle {
             bits_per_frame: 1e5,
             sim: eva_bond::LinkBundle::single(eva_net::LinkModel::constant(20e6), 0.0)
@@ -917,6 +965,131 @@ mod tests {
         );
     }
 
+    fn shared(streams: &[SimStream], links: Option<&[StreamLink]>, n_servers: usize) -> SimReport {
+        let uplinks = Uplinks::Shared(links);
+        simulate(streams, uplinks, n_servers, &short_cfg(), &NoopRecorder).unwrap()
+    }
+
+    #[test]
+    fn single_stream_on_a_shared_link_matches_the_dedicated_pipe() {
+        // One stream: the shared link never contends, so latency is
+        // exactly trans + proc, frame for frame.
+        let s = sim_stream(0, 100_000, 20_000, 5_000, 0, 0);
+        let r = shared(&[s], None, 1);
+        assert_eq!(
+            format!("{:?}", r.streams),
+            format!("{:?}", fixed(&[s], 1, &short_cfg()).streams)
+        );
+        assert!((r.streams[0].latency.mean() - 0.025).abs() < 1e-9);
+        assert_eq!(r.streams[0].jitter_s, 0.0);
+    }
+
+    #[test]
+    fn shared_link_serializes_simultaneous_frames() {
+        // Two synchronized streams share one uplink with 10ms frames:
+        // the second frame waits 10ms on the link every period.
+        let a = sim_stream(0, 100_000, 5_000, 10_000, 0, 0);
+        let b = sim_stream(1, 100_000, 5_000, 10_000, 0, 0);
+        let r = shared(&[a, b], None, 1);
+        // The first captured sees 15ms (10 trans + 5 proc), the other
+        // also queues 10ms on the link.
+        assert!((r.streams[0].latency.mean() - 0.015).abs() < 1e-9);
+        assert!((r.streams[1].latency.mean() - 0.025).abs() < 1e-9);
+        assert_eq!(r.max_jitter_s, 0.0);
+    }
+
+    #[test]
+    fn dedicated_model_underestimates_shared_contention() {
+        // Three bursty streams on one uplink: the shared-link latency
+        // must exceed the dedicated model's trans + proc.
+        let streams: Vec<SimStream> = (0..3)
+            .map(|i| sim_stream(i, 100_000, 10_000, 20_000, 0, 0))
+            .collect();
+        let r = shared(&streams, None, 1);
+        let worst = r
+            .streams
+            .iter()
+            .map(|s| s.latency.mean())
+            .fold(f64::NEG_INFINITY, f64::max);
+        assert!(worst > 0.030 + 0.01, "no serialization visible: {worst}");
+    }
+
+    #[test]
+    fn overloaded_shared_link_accumulates() {
+        // Link demand 2x capacity: latency grows without bound.
+        let a = sim_stream(0, 100_000, 1_000, 100_000, 0, 0);
+        let b = sim_stream(1, 100_000, 1_000, 100_000, 0, 0);
+        let r = shared(&[a, b], None, 1);
+        assert!(r.max_jitter_s > 1.0, "jitter {}", r.max_jitter_s);
+    }
+
+    #[test]
+    fn constant_link_matches_fixed_trans_shared_link() {
+        let streams: Vec<SimStream> = (0..3)
+            .map(|i| sim_stream(i, 100_000, 10_000, 20_000, 0, 7_000 * i as Ticks))
+            .collect();
+        let links: Vec<StreamLink> = streams
+            .iter()
+            .map(|s| nominal_link(s.trans, 15e6))
+            .collect();
+        let base = shared(&streams, None, 1);
+        let traced = shared(&streams, Some(&links), 1);
+        assert_eq!(
+            format!("{:?}", base.streams),
+            format!("{:?}", traced.streams)
+        );
+        assert_eq!(
+            base.mean_latency_s.to_bits(),
+            traced.mean_latency_s.to_bits()
+        );
+    }
+
+    #[test]
+    fn fading_shared_link_serializes_harder() {
+        // A link oscillating below the nominal rate lengthens service
+        // times; the backlog and latency must exceed the constant-rate
+        // run's.
+        let streams: Vec<SimStream> = (0..2)
+            .map(|i| sim_stream(i, 100_000, 5_000, 30_000, 0, 0))
+            .collect();
+        let nominal = 12e6;
+        let link = |model: eva_net::LinkModel| StreamLink {
+            bits_per_frame: 0.030 * nominal,
+            trace: model.trace(10 * TICKS_PER_SEC),
+        };
+        let steady = vec![link(eva_net::LinkModel::constant(nominal)); 2];
+        let fading = vec![
+            link(eva_net::LinkModel::gilbert_elliott(
+                nominal,
+                nominal / 3.0,
+                1.0,
+                1.0,
+                3
+            ));
+            2
+        ];
+        let a = shared(&streams, Some(&steady), 1);
+        let b = shared(&streams, Some(&fading), 1);
+        assert!(
+            b.mean_latency_s > a.mean_latency_s,
+            "fading {} vs steady {}",
+            b.mean_latency_s,
+            a.mean_latency_s
+        );
+        assert!(b.max_jitter_s > a.max_jitter_s);
+    }
+
+    #[test]
+    fn distinct_servers_do_not_share_links() {
+        let a = sim_stream(0, 100_000, 5_000, 50_000, 0, 0);
+        let b = sim_stream(1, 100_000, 5_000, 50_000, 1, 0);
+        let r = shared(&[a, b], None, 2);
+        for s in &r.streams {
+            assert!((s.latency.mean() - 0.055).abs() < 1e-9);
+            assert_eq!(s.jitter_s, 0.0);
+        }
+    }
+
     /// The engine the per-server loop replaced, kept as the
     /// differential oracle: every arrival of the run in one global sort
     /// by `(time, push order)`, merged with one completion heap across
@@ -957,6 +1130,7 @@ mod tests {
                 mut tally,
                 retries,
                 faults,
+                ..
             } = seed(streams, uplinks, n_servers, cfg, rec);
             let mut arrivals = ArrivalList::new();
             for a in regions.in_push_order() {
@@ -1081,6 +1255,204 @@ mod tests {
         }
     }
 
+    /// The shared-uplink engine the per-server replay replaced, kept as
+    /// the differential oracle for [`Uplinks::Shared`]: an uplink and a
+    /// CPU station per server in one global loop over captures and
+    /// completions. Captures pop before completions at the same tick,
+    /// and completions in push order. Captures and the warmup rule
+    /// follow [`SimStream`]'s convention; the event loop is the old one,
+    /// `mean_latency_s` included (one Welford accumulator in global
+    /// completion order).
+    mod tandem_oracle {
+        use std::collections::VecDeque;
+
+        use eva_net::link::secs_to_ticks;
+        use eva_sched::{Ticks, TICKS_PER_SEC};
+        use eva_stats::RunningStats;
+
+        use crate::des::{SimConfig, SimStream, StreamLink};
+        use crate::event::{ArrivalList, Event, EventQueue};
+
+        /// Per-stream latencies and measured frames, and the run mean.
+        pub(super) struct OracleReport {
+            pub(super) streams: Vec<(RunningStats, u64)>,
+            pub(super) mean_latency_s: f64,
+        }
+
+        #[derive(Debug, Clone, Copy)]
+        struct Frame {
+            stream: usize,
+            gen_time: Ticks,
+        }
+
+        struct Station {
+            queue: VecDeque<Frame>,
+            busy: bool,
+        }
+
+        impl Station {
+            fn new() -> Self {
+                Station {
+                    queue: VecDeque::new(),
+                    busy: false,
+                }
+            }
+        }
+
+        /// The shared-uplink run of `streams` (validated by the caller).
+        pub(super) fn simulate(
+            streams: &[SimStream],
+            links: Option<&[StreamLink]>,
+            n_servers: usize,
+            cfg: &SimConfig,
+        ) -> OracleReport {
+            // Capture events. `Event::FrameArrival` is "frame
+            // captured"; the pipeline stage is in the handler's state.
+            let mut arrivals = ArrivalList::new();
+            for (i, s) in streams.iter().enumerate() {
+                let mut k: Ticks = 0;
+                loop {
+                    let slot = s.phase + k * s.period;
+                    if slot >= cfg.horizon {
+                        break;
+                    }
+                    let gen = slot.saturating_sub(s.trans);
+                    arrivals.push(gen, i, gen);
+                    k += 1;
+                }
+            }
+            let mut queue = EventQueue::new(arrivals);
+
+            let mut link_q: Vec<Station> = (0..n_servers).map(|_| Station::new()).collect();
+            let mut cpus: Vec<Station> = (0..n_servers).map(|_| Station::new()).collect();
+            // In-flight frame per station: link j -> done id 2j, cpu
+            // j -> 2j + 1.
+            let mut link_frame: Vec<Option<Frame>> = vec![None; n_servers];
+            let mut cpu_frame: Vec<Option<Frame>> = vec![None; n_servers];
+
+            let mut stats: Vec<RunningStats> =
+                streams.iter().map(|_| RunningStats::new()).collect();
+            let mut counts = vec![0u64; streams.len()];
+            let mut total = RunningStats::new();
+
+            while let Some((now, event)) = queue.pop() {
+                match event {
+                    Event::FrameArrival { stream, gen_time } => {
+                        // Captured: join the uplink FIFO of its server.
+                        let sv = streams[stream].server;
+                        link_q[sv].queue.push_back(Frame { stream, gen_time });
+                        if !link_q[sv].busy {
+                            start_link(
+                                sv,
+                                now,
+                                streams,
+                                links,
+                                &mut link_q,
+                                &mut link_frame,
+                                &mut queue,
+                            );
+                        }
+                    }
+                    Event::ServerDone { server } => {
+                        let sv = server / 2;
+                        if server % 2 == 0 {
+                            // Uplink finished: the frame moves to the
+                            // CPU FIFO. A done-event with no in-flight
+                            // frame would be an engine bug; tolerate it
+                            // as a no-op rather than panicking
+                            // mid-simulation.
+                            let Some(frame) = link_frame[sv].take() else {
+                                debug_assert!(false, "link done without frame");
+                                continue;
+                            };
+                            link_q[sv].busy = false;
+                            cpus[sv].queue.push_back(frame);
+                            if !cpus[sv].busy {
+                                start_cpu(sv, now, streams, &mut cpus, &mut cpu_frame, &mut queue);
+                            }
+                            if !link_q[sv].queue.is_empty() {
+                                start_link(
+                                    sv,
+                                    now,
+                                    streams,
+                                    links,
+                                    &mut link_q,
+                                    &mut link_frame,
+                                    &mut queue,
+                                );
+                            }
+                        } else {
+                            // CPU finished: the frame completes (same
+                            // no-op tolerance as the uplink stage).
+                            let Some(frame) = cpu_frame[sv].take() else {
+                                debug_assert!(false, "cpu done without frame");
+                                continue;
+                            };
+                            cpus[sv].busy = false;
+                            if frame.gen_time + streams[frame.stream].trans >= cfg.warmup {
+                                let lat = (now - frame.gen_time) as f64 / TICKS_PER_SEC as f64;
+                                stats[frame.stream].push(lat);
+                                counts[frame.stream] += 1;
+                                total.push(lat);
+                            }
+                            if !cpus[sv].queue.is_empty() {
+                                start_cpu(sv, now, streams, &mut cpus, &mut cpu_frame, &mut queue);
+                            }
+                        }
+                    }
+                }
+            }
+            OracleReport {
+                streams: stats.into_iter().zip(counts).collect(),
+                mean_latency_s: total.mean(),
+            }
+        }
+
+        fn start_link(
+            sv: usize,
+            now: Ticks,
+            streams: &[SimStream],
+            links: Option<&[StreamLink]>,
+            link_q: &mut [Station],
+            link_frame: &mut [Option<Frame>],
+            queue: &mut EventQueue,
+        ) {
+            // Callers only start the station when the FIFO is
+            // non-empty; an empty pop is a no-op, not a panic.
+            let Some(frame) = link_q[sv].queue.pop_front() else {
+                debug_assert!(false, "start_link: empty");
+                return;
+            };
+            link_q[sv].busy = true;
+            // Service time: nominal `trans`, or `bits / B(now)` sampled
+            // from the link trace at transmission start.
+            let trans = match links.map(|ls| &ls[frame.stream]) {
+                None => streams[frame.stream].trans.max(1),
+                Some(link) => secs_to_ticks(link.bits_per_frame / link.trace.rate_at(now)).max(1),
+            };
+            link_frame[sv] = Some(frame);
+            queue.push_done(now + trans, 2 * sv);
+        }
+
+        fn start_cpu(
+            sv: usize,
+            now: Ticks,
+            streams: &[SimStream],
+            cpus: &mut [Station],
+            cpu_frame: &mut [Option<Frame>],
+            queue: &mut EventQueue,
+        ) {
+            let Some(frame) = cpus[sv].queue.pop_front() else {
+                debug_assert!(false, "start_cpu: empty");
+                return;
+            };
+            cpus[sv].busy = true;
+            let proc = streams[frame.stream].proc;
+            cpu_frame[sv] = Some(frame);
+            queue.push_done(now + proc, 2 * sv + 1);
+        }
+    }
+
     mod differential {
         use eva_bond::{BondPolicy, BondedLink, LinkBundle};
         use eva_fault::{AvailabilityTrace, LossProcess, RetryPolicy, SlowdownTrace};
@@ -1089,7 +1461,7 @@ mod tests {
         use proptest::prelude::*;
 
         use super::super::*;
-        use super::global_oracle;
+        use super::{global_oracle, tandem_oracle};
 
         const HORIZON: Ticks = 3 * TICKS_PER_SEC;
 
@@ -1334,6 +1706,51 @@ mod tests {
                     Uplinks::Bundles(&mut b),
                     n_servers,
                     &cfg,
+                );
+            }
+
+            /// Dense ties on shared uplinks, over fixed links (`trans` 0
+            /// included), mixed constant and Markov links, or constant
+            /// links at the nominal rate.
+            #[test]
+            fn shared_uplinks_match_the_tandem_loop(
+                (n_servers, raw, mode) in raw_placement(),
+                (seed, link_kind) in (0u64..1_000, 0usize..3),
+            ) {
+                let (streams, cfg) = placement(n_servers, &raw, mode);
+                let links = match link_kind {
+                    0 => None,
+                    1 => Some(links(&streams, seed)),
+                    _ => Some(
+                        streams
+                            .iter()
+                            .map(|s| StreamLink {
+                                bits_per_frame: s.trans as f64 / TICKS_PER_SEC as f64 * 20e6,
+                                trace: LinkModel::constant(20e6).trace(HORIZON + 1),
+                            })
+                            .collect(),
+                    ),
+                };
+                let links = links.as_deref();
+                let a = simulate(&streams, Uplinks::Shared(links), n_servers, &cfg, &eva_obs::NoopRecorder)
+                    .unwrap();
+                let b = tandem_oracle::simulate(&streams, links, n_servers, &cfg);
+                let mut max_jitter_s = 0.0f64;
+                for (x, (latency, frames)) in a.streams.iter().zip(&b.streams) {
+                    // `{:?}` prints each f64 as its shortest round-trip
+                    // form, so equal strings mean equal bits.
+                    prop_assert_eq!(format!("{:?}", x.latency), format!("{latency:?}"));
+                    prop_assert_eq!(x.frames, *frames);
+                    prop_assert_eq!(x.jitter_s.to_bits(), latency.range().to_bits());
+                    max_jitter_s = max_jitter_s.max(latency.range());
+                }
+                prop_assert_eq!(a.max_jitter_s.to_bits(), max_jitter_s.to_bits());
+                let scale = a.mean_latency_s.abs().max(b.mean_latency_s.abs());
+                prop_assert!(
+                    (a.mean_latency_s - b.mean_latency_s).abs() <= 1e-12 * scale,
+                    "mean latency {} vs {}",
+                    a.mean_latency_s,
+                    b.mean_latency_s
                 );
             }
 

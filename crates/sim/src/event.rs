@@ -1,11 +1,11 @@
-//! Time-ordered event queue of the shared-uplink tandem engine.
+//! Time-ordered event queue of the DES's differential oracles.
 //!
-//! [`crate::tandem`] runs its uplink and CPU stations in one global
-//! loop, and the DES test suite keeps the global loop the per-server
-//! engine ([`crate::server`]) replaced as its differential oracle; both
-//! use this queue. Every frame arrival of a run is known before the
-//! event loop starts, and the loop itself only ever schedules station
-//! completions. The queue exploits that split: arrivals are collected
+//! The DES test suite keeps the two global event loops the per-server
+//! engine ([`crate::server`]) replaced: one over dedicated pipes, one
+//! over shared uplinks (an uplink and a CPU station per server). Both
+//! use this queue, which compiles only for tests. Every frame arrival
+//! of a run is known before the event loop starts, and the loop itself
+//! only ever schedules station completions. The queue exploits that split: arrivals are collected
 //! into an `ArrivalList`, sorted once by `(time, push order)` and read
 //! by a cursor, while completions live in a small heap holding at most
 //! one event per busy station. Popping merges the two, arrival first on
@@ -17,6 +17,8 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use eva_sched::Ticks;
+
+use crate::server::Arrival;
 
 /// Events the engine processes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,20 +36,6 @@ pub(crate) enum Event {
         /// Server index.
         server: usize,
     },
-}
-
-/// One seeded frame arrival (24 bytes). `push_idx` breaks time ties in
-/// push order, so simultaneous arrivals replay FIFO.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct Arrival {
-    /// When the frame reaches its server (ticks).
-    pub(crate) time: Ticks,
-    /// When the camera captured it (ticks).
-    pub(crate) gen_time: Ticks,
-    /// Index into the simulation's stream table.
-    pub(crate) stream: u32,
-    /// Position in the run's push order.
-    pub(crate) push_idx: u32,
 }
 
 /// The frame arrivals of one run, collected before the event loop
@@ -93,7 +81,6 @@ pub(crate) struct EventQueue {
     /// Pending completions keyed by `(time, push sequence, server)`.
     done: BinaryHeap<Reverse<(Ticks, u64, usize)>>,
     next_seq: u64,
-    heap_peak: usize,
 }
 
 impl EventQueue {
@@ -113,7 +100,6 @@ impl EventQueue {
     pub(crate) fn push_done(&mut self, time: Ticks, server: usize) {
         self.done.push(Reverse((time, self.next_seq, server)));
         self.next_seq += 1;
-        self.heap_peak = self.heap_peak.max(self.done.len());
     }
 
     /// Pop the earliest event, returning `(time, event)`.
@@ -142,22 +128,13 @@ impl EventQueue {
     }
 
     /// Number of pending events.
-    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.arrivals.len() - self.next_arrival + self.done.len()
     }
 
     /// True when no events remain.
-    #[cfg(test)]
     pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// The most completions the heap has held at once: at most one per
-    /// station, since a station schedules its next completion only
-    /// after the previous one fired.
-    pub(crate) fn heap_peak(&self) -> usize {
-        self.heap_peak
     }
 }
 
@@ -228,7 +205,6 @@ mod tests {
         q.push_done(20, 2);
         let order: Vec<Ticks> = drain(&mut q).into_iter().map(|(t, _)| t).collect();
         assert_eq!(order, vec![10, 20, 30]);
-        assert_eq!(q.heap_peak(), 3);
     }
 
     #[test]
@@ -276,7 +252,6 @@ mod tests {
         assert_eq!(q.len(), 1);
         assert!(q.pop().is_some());
         assert!(q.is_empty());
-        assert_eq!(q.heap_peak(), 0);
     }
 
     proptest! {

@@ -12,23 +12,24 @@
 //!   streams use the static offsets of Theorem 1.
 //!
 //! Structure:
-//! * `event` — the time-ordered event queue of the shared-uplink
-//!   tandem engine,
 //! * [`des`] — the event-driven engine: periodic frame sources, FIFO
 //!   server queues, per-stream latency statistics; optionally driven by
 //!   `eva-net` link traces (time-varying per-frame transmission times),
+//!   bonded multipath uplinks, fault schedules, or one uplink per server
+//!   shared by its streams,
 //! * `server` — one server's FIFO replayed on its own against its
-//!   region of the seeded arrivals (the engine's run loop),
+//!   region of the seeded arrivals (the engine's run loop), with a
+//!   shared uplink's FIFO replayed in front of it,
 //! * [`runner`] — glue from (`eva-workload` scenario, configs,
 //!   `eva-sched` assignment) to a simulation and back to measured
 //!   outcomes.
 
 pub mod des;
+#[cfg(test)]
 mod event;
 pub mod fault;
 pub mod runner;
 mod server;
-pub mod tandem;
 
 pub use des::{simulate, SimConfig, SimReport, SimStream, StreamBundle, StreamLink, Uplinks};
 pub use fault::{plan_stream_deliveries, SimFaults};
@@ -36,4 +37,3 @@ pub use runner::{
     simulate_scenario_faulted_recorded, simulate_scenario_with_deadline_recorded, PhasePolicy,
     ScenarioSimReport,
 };
-pub use tandem::simulate_shared_uplink;

@@ -13,15 +13,45 @@
 //! the same tick, and simultaneous arrivals go in push order. A
 //! server's events therefore happen in exactly the order a global loop
 //! over all servers would process them.
+//!
+//! A shared uplink puts a second FIFO station, the server's one link,
+//! in front of the CPU. Its region is seeded with captures instead of
+//! arrivals, and [`SharedUplink::transmit`] replays the link in one
+//! pass, turning each capture into the instant its transmission ends;
+//! [`run_server`] then replays the CPU as for a dedicated pipe. A
+//! global loop over both stations orders same-tick events as
+//! capture, then link done, then CPU done, and the split replay is
+//! exact whatever that order is. Each station is a single FIFO whose
+//! inputs arrive in order, and every transmission lasts at least one
+//! tick, so transmission ends strictly increase. A capture and a link
+//! completion at one tick, or a link completion and a CPU completion
+//! at one tick, therefore start the next frame at that same tick in
+//! either order, and no frame's service start depends on how the tie
+//! is broken.
 
 use std::collections::VecDeque;
 
+use eva_net::link::secs_to_ticks;
 use eva_sched::{Ticks, TICKS_PER_SEC};
 use eva_stats::RunningStats;
 
-use crate::des::{SimConfig, SimStream};
-use crate::event::Arrival;
+use crate::des::{SimConfig, SimStream, StreamLink};
 use crate::fault::{service_end, SimFaults, TraceCursor};
+
+/// One seeded frame (24 bytes). `push_idx` breaks time ties in push
+/// order, so simultaneous arrivals replay FIFO.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Arrival {
+    /// When the frame reaches its server (ticks); on a shared uplink,
+    /// its capture until [`SharedUplink::transmit`] has run.
+    pub(crate) time: Ticks,
+    /// When the camera captured it (ticks).
+    pub(crate) gen_time: Ticks,
+    /// Index into the simulation's stream table.
+    pub(crate) stream: u32,
+    /// Position in the run's push order.
+    pub(crate) push_idx: u32,
+}
 
 /// The frame arrivals of one run, one region per destination server,
 /// in one buffer allocated once. A region's capacity is the number of
@@ -87,7 +117,7 @@ impl ServerArrivals {
     /// slow link let a later frame overtake an earlier one. The
     /// standard library's stable sort detects those runs and merges
     /// them, at the cost of a scratch buffer up to the region's size.
-    pub(crate) fn sorted_region(&mut self, server: usize) -> &[Arrival] {
+    pub(crate) fn sorted_region(&mut self, server: usize) -> &mut [Arrival] {
         let start = self.start[server];
         let region = &mut self.items[start..start + self.fill[server]];
         region.sort_by_key(|a| (a.time, a.push_idx));
@@ -112,6 +142,52 @@ fn slots_in_horizon(s: &SimStream, cfg: &SimConfig) -> usize {
     match cfg.horizon.checked_sub(s.phase) {
         Some(span) if span > 0 => ((span - 1) / s.period + 1) as usize,
         _ => 0,
+    }
+}
+
+/// The uplink every stream of a server shares: one link per server,
+/// frames served FIFO in capture order.
+pub(crate) struct SharedUplink<'a> {
+    /// Per-stream traced links, or `None` for the fixed `trans`.
+    links: Option<&'a [StreamLink]>,
+    /// Each stream's position in its link trace.
+    read: Vec<usize>,
+}
+
+impl<'a> SharedUplink<'a> {
+    /// The shared uplinks of `n_streams` streams over `links`, if any.
+    pub(crate) fn new(links: Option<&'a [StreamLink]>, n_streams: usize) -> Self {
+        SharedUplink {
+            links,
+            read: vec![0; n_streams],
+        }
+    }
+
+    /// Replace each capture in `region` (one server's captures, sorted
+    /// by `(time, push index)`) with the instant the frame's
+    /// transmission ends. A frame starts when it is captured or when
+    /// the link frees, whichever is later, and holds the link for its
+    /// `trans`, or with links for `bits / B(start)` read at the start
+    /// (quasi-static per frame); at least one tick either way. Ends
+    /// strictly increase, so the region stays sorted.
+    pub(crate) fn transmit(&mut self, region: &mut [Arrival], streams: &[SimStream]) {
+        let mut link_free: Ticks = 0;
+        for a in region {
+            let stream = a.stream as usize;
+            let start = a.time.max(link_free);
+            let service = match self.links {
+                None => streams[stream].trans,
+                Some(links) => {
+                    // A stream's starts only grow, so its trace is read
+                    // forward.
+                    let link = &links[stream];
+                    let rate = link.trace.rate_from(&mut self.read[stream], start);
+                    secs_to_ticks(link.bits_per_frame / rate)
+                }
+            };
+            link_free = start + service.max(1);
+            a.time = link_free;
+        }
     }
 }
 

@@ -1,14 +1,18 @@
 //! DES telemetry must be observationally free: the simulator entry
 //! points produce bit-identical reports under a
 //! [`eva_obs::NoopRecorder`] and a live [`eva_obs::FlightRecorder`].
-//! The engine runs each server's FIFO without an event heap, so it
-//! records no `des.heap_peak`; its equivalence with the global
-//! heap-merged loop it replaced is the differential property test in
-//! `des.rs`, and the tandem engine's heap bound is a unit test in
-//! `tandem.rs`.
+//! The engine runs each server's FIFO (and a shared uplink's) without
+//! an event heap, so it records no `des.heap_peak`; its equivalence
+//! with the global heap-merged loops it replaced is the differential
+//! property tests in `des.rs`.
 
+use eva_net::LinkModel;
 use eva_obs::{FlightRecorder, NoopRecorder, Phase, Recorder};
-use eva_sim::{simulate_scenario_with_deadline_recorded, PhasePolicy, ScenarioSimReport};
+use eva_sched::{StreamId, TICKS_PER_SEC};
+use eva_sim::{
+    simulate, simulate_scenario_with_deadline_recorded, PhasePolicy, ScenarioSimReport, SimConfig,
+    SimReport, SimStream, StreamLink, Uplinks,
+};
 use eva_workload::{Scenario, VideoConfig};
 
 fn assert_reports_identical(a: &ScenarioSimReport, b: &ScenarioSimReport, what: &str) {
@@ -22,19 +26,23 @@ fn assert_reports_identical(a: &ScenarioSimReport, b: &ScenarioSimReport, what: 
         b.analytic_mean_latency_s.to_bits(),
         "{what}: analytic latency"
     );
-    assert_eq!(a.report.max_queue_len, b.report.max_queue_len, "{what}");
+    assert_sim_reports_identical(&a.report, &b.report, what);
+}
+
+fn assert_sim_reports_identical(a: &SimReport, b: &SimReport, what: &str) {
+    assert_eq!(a.max_queue_len, b.max_queue_len, "{what}");
     assert_eq!(
-        a.report.mean_latency_s.to_bits(),
-        b.report.mean_latency_s.to_bits(),
+        a.mean_latency_s.to_bits(),
+        b.mean_latency_s.to_bits(),
         "{what}: mean latency"
     );
     assert_eq!(
-        a.report.max_jitter_s.to_bits(),
-        b.report.max_jitter_s.to_bits(),
+        a.max_jitter_s.to_bits(),
+        b.max_jitter_s.to_bits(),
         "{what}: max jitter"
     );
-    assert_eq!(a.report.streams.len(), b.report.streams.len(), "{what}");
-    for (x, y) in a.report.streams.iter().zip(&b.report.streams) {
+    assert_eq!(a.streams.len(), b.streams.len(), "{what}");
+    for (x, y) in a.streams.iter().zip(&b.streams) {
         assert_eq!(x.id, y.id, "{what}");
         assert_eq!(x.frames, y.frames, "{what}: stream {:?} frames", x.id);
         assert_eq!(
@@ -96,4 +104,45 @@ fn recorded_des_is_bit_identical_and_counts_its_work() {
         snap.metrics.histogram("des.heap_peak").is_none(),
         "the per-server engine has no completion heap"
     );
+
+    // Shared uplinks, over fixed and Markov links: six contending
+    // streams on two servers.
+    let streams: Vec<SimStream> = (0..6)
+        .map(|i| SimStream {
+            id: StreamId::source(i),
+            period: [100_000, 200_000, 100_000][i % 3],
+            proc: 20_000,
+            trans: [15_000, 30_000][i % 2],
+            server: i % 2,
+            phase: 0,
+        })
+        .collect();
+    let cfg = SimConfig {
+        horizon: 20 * TICKS_PER_SEC,
+        warmup: TICKS_PER_SEC,
+        deadline: TICKS_PER_SEC / 10,
+    };
+    let links: Vec<StreamLink> = streams
+        .iter()
+        .map(|s| StreamLink {
+            bits_per_frame: s.trans as f64 / TICKS_PER_SEC as f64 * 20e6,
+            trace: LinkModel::gilbert_elliott(20e6, 6e6, 2.0, 0.5, 5 + s.server as u64)
+                .trace(cfg.horizon),
+        })
+        .collect();
+    for links in [None, Some(links.as_slice())] {
+        let run = |rec: &dyn Recorder| {
+            simulate(&streams, Uplinks::Shared(links), 2, &cfg, rec).expect("valid DES input")
+        };
+        let noop = run(&NoopRecorder);
+        let flight = FlightRecorder::new();
+        let recorded = run(&flight);
+        assert_sim_reports_identical(&noop, &recorded, "shared uplinks: noop vs flight");
+        let snap = flight.snapshot();
+        assert_eq!(snap.metrics.counter("des.runs"), 1);
+        let frames: u64 = noop.streams.iter().map(|s| s.frames).sum();
+        assert_eq!(snap.metrics.counter("des.frames"), frames);
+        assert!(snap.metrics.counter("des.events") > 0);
+        assert!(snap.metrics.histogram("des.heap_peak").is_none());
+    }
 }

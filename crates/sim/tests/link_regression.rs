@@ -8,8 +8,8 @@ use eva_net::LinkModel;
 use eva_obs::NoopRecorder;
 use eva_sched::{Assignment, StreamId, Ticks, TICKS_PER_SEC};
 use eva_sim::{
-    simulate, simulate_scenario_with_deadline_recorded, simulate_shared_uplink, PhasePolicy,
-    ScenarioSimReport, SimConfig, SimReport, SimStream, StreamLink, Uplinks,
+    simulate, simulate_scenario_with_deadline_recorded, PhasePolicy, ScenarioSimReport, SimConfig,
+    SimReport, SimStream, StreamLink, Uplinks,
 };
 use eva_workload::{Scenario, VideoConfig};
 
@@ -100,7 +100,7 @@ fn dedicated_pipe_constant_link_is_bit_identical() {
 }
 
 #[test]
-fn tandem_constant_link_is_bit_identical() {
+fn shared_uplink_constant_link_is_bit_identical() {
     let cfg = SimConfig {
         horizon: 12 * TICKS_PER_SEC,
         warmup: TICKS_PER_SEC,
@@ -115,21 +115,10 @@ fn tandem_constant_link_is_bit_identical() {
         .iter()
         .map(|s| nominal_link(s.trans, 12e6, cfg.horizon))
         .collect();
-    let base = simulate_shared_uplink(&streams, None, 2, &cfg).unwrap();
-    let linked = simulate_shared_uplink(&streams, Some(&links), 2, &cfg).unwrap();
-    assert_eq!(base.streams.len(), linked.streams.len());
-    for (x, y) in base.streams.iter().zip(&linked.streams) {
-        assert_eq!(x.frames, y.frames);
-        assert_eq!(x.jitter_s.to_bits(), y.jitter_s.to_bits());
-        assert_eq!(x.latency.mean().to_bits(), y.latency.mean().to_bits());
-        assert_eq!(x.latency.min().to_bits(), y.latency.min().to_bits());
-        assert_eq!(x.latency.max().to_bits(), y.latency.max().to_bits());
-    }
-    assert_eq!(
-        base.mean_latency_s.to_bits(),
-        linked.mean_latency_s.to_bits()
-    );
-    assert_eq!(base.max_jitter_s.to_bits(), linked.max_jitter_s.to_bits());
+    let base = simulate(&streams, Uplinks::Shared(None), 2, &cfg, &NoopRecorder).unwrap();
+    let shared = Uplinks::Shared(Some(&links));
+    let linked = simulate(&streams, shared, 2, &cfg, &NoopRecorder).unwrap();
+    assert_reports_bit_identical(&base, &linked);
 }
 
 #[test]

@@ -1,14 +1,13 @@
 //! Integration tests for the extension features: virtualization,
-//! drift + online adaptation, and the shared-uplink tandem model.
+//! drift + online adaptation, and shared per-server uplinks.
 
 use pamo::core::{run_online, PamoConfig, PreferenceSource};
 use pamo::obs::NoopRecorder;
 use pamo::prelude::*;
-use pamo::sim::des::{simulate, SimConfig, SimStream, Uplinks};
-use pamo::sim::tandem::simulate_shared_uplink;
+use pamo::sim::des::{simulate, SimConfig, SimReport, SimStream, StreamLink, Uplinks};
 use pamo::stats::rng::seeded;
 use pamo::workload::clip::clip_set;
-use pamo::workload::{DriftingScenario, PhysicalServer, Virtualization};
+use pamo::workload::{DriftingScenario, LinkModel, PhysicalServer, Virtualization};
 
 fn tiny_cfg() -> PamoConfig {
     let mut cfg = PamoConfig::default();
@@ -77,7 +76,8 @@ fn online_loop_survives_aggressive_drift() {
 #[test]
 fn tandem_and_dedicated_agree_without_sharing() {
     // One stream per server: shared-uplink serialization cannot occur,
-    // so both simulators must report identical means.
+    // and the frame whose capture saturates at 0 falls in the warmup,
+    // so both uplink modes report the same run, bit for bit.
     let streams: Vec<SimStream> = (0..3)
         .map(|i| SimStream {
             id: StreamId::source(i),
@@ -94,11 +94,93 @@ fn tandem_and_dedicated_agree_without_sharing() {
         deadline: 0,
     };
     let dedicated = simulate(&streams, Uplinks::Fixed, 3, &cfg, &NoopRecorder).unwrap();
-    let shared = simulate_shared_uplink(&streams, None, 3, &cfg).unwrap();
-    for (d, s) in dedicated.streams.iter().zip(&shared.streams) {
-        assert!((d.latency.mean() - s.latency.mean()).abs() < 1e-9);
-    }
+    let shared = simulate(&streams, Uplinks::Shared(None), 3, &cfg, &NoopRecorder).unwrap();
+    // `{:?}` prints each f64 as its shortest round-trip form, so equal
+    // strings mean equal bits.
+    assert_eq!(format!("{dedicated:?}"), format!("{shared:?}"));
     assert_eq!(shared.max_jitter_s, 0.0);
+}
+
+/// FNV-1a hash of a contended shared-uplink run (four streams per
+/// server, links and CPUs both queueing), over fixed and Markov links.
+const PINNED_SHARED_UPLINK_HASHES: [u64; 2] = [0xb427_686d_bf1c_33e4, 0x43dc_3053_6f40_5ab9];
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+fn fnv(h: u64, v: u64) -> u64 {
+    (h ^ v).wrapping_mul(0x0000_0100_0000_01B3)
+}
+
+/// Hash of every stream's frame, miss and drop counts and its latency
+/// mean/min/max and jitter bits.
+fn stream_report_hash(r: &SimReport) -> u64 {
+    let mut h = FNV_OFFSET;
+    for s in &r.streams {
+        for v in [s.frames, s.deadline_misses, s.dropped] {
+            h = fnv(h, v);
+        }
+        for v in [
+            s.latency.mean(),
+            s.latency.min(),
+            s.latency.max(),
+            s.jitter_s,
+        ] {
+            h = fnv(h, v.to_bits());
+        }
+    }
+    h
+}
+
+#[test]
+fn contended_shared_uplinks_are_bit_pinned() {
+    let n_servers = 3;
+    let streams: Vec<SimStream> = (0..12)
+        .map(|i| SimStream {
+            id: StreamId::source(i),
+            period: [100_000, 200_000, 100_000, 400_000][i % 4],
+            proc: [15_000, 30_000, 10_000, 40_000][i % 4],
+            trans: [12_000, 25_000, 8_000, 30_000][(i / 3) % 4],
+            server: i % n_servers,
+            phase: [0, 0, 20_000][i % 3],
+        })
+        .collect();
+    let cfg = SimConfig {
+        horizon: 20_000_000,
+        warmup: 1_000_000,
+        deadline: 120_000,
+    };
+    let markov: Vec<StreamLink> = streams
+        .iter()
+        .map(|s| StreamLink {
+            bits_per_frame: s.trans as f64 / 1e6 * 20e6,
+            trace: LinkModel::gilbert_elliott(20e6, 6e6, 2.0, 0.5, 40 + s.server as u64)
+                .trace(cfg.horizon),
+        })
+        .collect();
+    let mut hashes = Vec::new();
+    for links in [None, Some(markov.as_slice())] {
+        let r = simulate(
+            &streams,
+            Uplinks::Shared(links),
+            n_servers,
+            &cfg,
+            &NoopRecorder,
+        )
+        .unwrap();
+        let frames: u64 = r.streams.iter().map(|s| s.frames).sum();
+        let misses: u64 = r.streams.iter().map(|s| s.deadline_misses).sum();
+        println!(
+            "{frames} frames, {misses} misses, mean {:.6} s, jitter {:.6} s",
+            r.mean_latency_s, r.max_jitter_s
+        );
+        assert!(r.max_jitter_s > 0.0, "the shared links must contend");
+        hashes.push(stream_report_hash(&r));
+    }
+    println!("shared-uplink hashes {hashes:#x?}");
+    assert_eq!(
+        hashes, PINNED_SHARED_UPLINK_HASHES,
+        "the shared-uplink DES drifted"
+    );
 }
 
 #[test]
