@@ -15,7 +15,7 @@
 use eva_obs::NoopRecorder;
 use eva_sched::{StreamId, StreamTiming, Ticks, TICKS_PER_SEC};
 use eva_sim::des::{simulate, SimConfig, SimError, SimStream, Uplinks};
-use eva_workload::{Outcome, Scenario, VideoConfig};
+use eva_workload::{AggregateError, Cameras, Outcome, Scenario, VideoConfig};
 
 /// A baseline scheduler's decision: per-camera configuration plus a
 /// per-camera server assignment (baselines do not split streams).
@@ -53,10 +53,11 @@ pub enum MeasureError {
         /// The offending camera.
         camera: usize,
     },
-    /// The simulator rejected the decision's streams; a camera placed on
-    /// a server the scenario does not have is
-    /// [`SimError::NonexistentServer`] (stream index = camera index).
+    /// The simulator rejected the decision's streams.
     Sim(SimError),
+    /// A camera is placed on a server the scenario does not have
+    /// ([`AggregateError::Placement`], stream index = camera index).
+    Aggregate(AggregateError),
 }
 
 impl std::fmt::Display for MeasureError {
@@ -76,6 +77,7 @@ impl std::fmt::Display for MeasureError {
                 write!(f, "measure: invalid configuration (camera {camera})")
             }
             MeasureError::Sim(e) => write!(f, "measure: {e}"),
+            MeasureError::Aggregate(e) => write!(f, "measure: {e}"),
         }
     }
 }
@@ -115,33 +117,12 @@ pub fn measure_decision(scenario: &Scenario, decision: &Decision) -> Result<Outc
     {
         return Err(MeasureError::InvalidConfig { camera });
     }
-    let n_servers = scenario.n_servers();
-    if let Some((camera, &server)) = decision
-        .server_of
-        .iter()
-        .enumerate()
-        .find(|&(_, &s)| s >= n_servers)
-    {
-        return Err(SimError::NonexistentServer {
-            stream: camera,
-            server,
-            n_servers,
-        }
-        .into());
-    }
 
-    // Analytic aggregates (Eq. 2-4).
-    let mut acc = 0.0;
-    let mut net = 0.0;
-    let mut com = 0.0;
-    let mut eng = 0.0;
-    for (i, c) in decision.configs.iter().enumerate() {
-        let s = scenario.surfaces(i);
-        acc += s.accuracy(c);
-        net += s.bandwidth_bps(c);
-        com += s.compute_tflops(c);
-        eng += s.power_w(c);
-    }
+    // Analytic aggregates (Eq. 2-4); latency is measured below.
+    let placement = decision.server_of.iter().copied().enumerate();
+    let analytic = scenario
+        .outcome_over(&decision.configs, placement, Cameras::All)
+        .map_err(MeasureError::Aggregate)?;
 
     // Measured latency (DES with naive phases, no splitting).
     let sim_streams: Vec<SimStream> = decision
@@ -175,6 +156,7 @@ pub fn measure_decision(scenario: &Scenario, decision: &Decision) -> Result<Outc
         warmup: TICKS_PER_SEC,
         deadline: 0,
     };
+    let n_servers = scenario.n_servers();
     let report = simulate(&sim_streams, Uplinks::Fixed, n_servers, &cfg, &NoopRecorder)?;
     let measured: Vec<f64> = report
         .streams
@@ -191,10 +173,7 @@ pub fn measure_decision(scenario: &Scenario, decision: &Decision) -> Result<Outc
 
     Ok(Outcome {
         latency_s: latency,
-        accuracy: acc / n as f64,
-        network_bps: net,
-        compute_tflops: com,
-        power_w: eng,
+        ..analytic
     })
 }
 
@@ -335,20 +314,16 @@ mod tests {
     }
 
     #[test]
-    fn a_nonexistent_server_is_the_simulators_error() {
+    fn a_nonexistent_server_is_an_aggregation_error() {
         let sc = scenario();
         let mut d = valid_decision();
         d.server_of[2] = 2;
         let err = measure_decision(&sc, &d).unwrap_err();
         assert_eq!(
             err,
-            MeasureError::Sim(SimError::NonexistentServer {
-                stream: 2,
-                server: 2,
-                n_servers: 2
-            })
+            MeasureError::Aggregate(AggregateError::Placement(2, 2, 2))
         );
-        assert!(err.to_string().contains("nonexistent server"), "{err}");
+        assert!(err.to_string().contains("no camera 2 or server 2"), "{err}");
     }
 
     #[test]

@@ -31,7 +31,7 @@ use eva_net::{EwmaEstimator, LinkEstimator, LinkModel};
 use eva_obs::NoopRecorder;
 use eva_sched::{Ticks, TICKS_PER_SEC};
 use eva_sim::{simulate, SimConfig, SimStream, StreamLink, Uplinks};
-use eva_workload::{Outcome, Scenario};
+use eva_workload::{Cameras, Scenario};
 use pamo_core::TruePreference;
 
 const N_CAMS: usize = 6;
@@ -125,29 +125,12 @@ fn main() {
         let d = jcab.decide(sc);
 
         // Realized analytic outcome: JCAB's placement, charged at the
-        // TRUE mean uplinks (same formula as Scenario::evaluate, minus
-        // the Algorithm-1 placement JCAB does not use).
-        let mut acc = 0.0;
-        let mut net = 0.0;
-        let mut com = 0.0;
-        let mut eng = 0.0;
-        let mut lat = 0.0;
-        for i in 0..N_CAMS {
-            let s = sc.surfaces(i);
-            let c = &d.configs[i];
-            acc += s.accuracy(c);
-            net += s.bandwidth_bps(c);
-            com += s.compute_tflops(c);
-            eng += s.power_w(c);
-            lat += s.e2e_latency_secs(c, truth.uplinks()[d.server_of[i]]);
-        }
-        let outcome = Outcome {
-            latency_s: lat / N_CAMS as f64,
-            accuracy: acc / N_CAMS as f64,
-            network_bps: net,
-            compute_tflops: com,
-            power_w: eng,
-        };
+        // TRUE mean uplinks. `sc` is `truth` with a planning override,
+        // so the two share their surfaces and true uplinks.
+        let placement = d.server_of.iter().copied().enumerate();
+        let outcome = truth
+            .outcome_over(&d.configs, placement, Cameras::All)
+            .expect("JCAB decides one config and one server per camera");
         let benefit = pref.benefit(&outcome);
 
         // DES under the true link dynamics with JCAB's own placement

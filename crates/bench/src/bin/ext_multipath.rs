@@ -49,7 +49,7 @@ use eva_net::LinkModel;
 use eva_obs::NoopRecorder;
 use eva_sched::{Ticks, TICKS_PER_SEC};
 use eva_sim::{simulate, SimConfig, SimStream, StreamBundle, Uplinks};
-use eva_workload::{clip_set, ConfigSpace, Outcome, Scenario, VideoConfig};
+use eva_workload::{clip_set, Cameras, ConfigSpace, Outcome, Scenario, VideoConfig};
 use pamo_core::TruePreference;
 
 const N_CAMS: usize = 6;
@@ -133,15 +133,12 @@ fn main() {
         ..Default::default()
     });
 
-    // Fixed outcome terms shared by every arm (the fixed joint config).
-    let (mut acc, mut net, mut com, mut eng) = (0.0, 0.0, 0.0, 0.0);
-    for (i, c) in configs.iter().enumerate() {
-        let s = truth.surfaces(i);
-        acc += s.accuracy(c);
-        net += s.bandwidth_bps(c);
-        com += s.compute_tflops(c);
-        eng += s.power_w(c);
-    }
+    // Fixed outcome terms shared by every arm (the fixed joint config
+    // and placement); each arm measures its own latency.
+    let placement = (0..N_CAMS).map(|i| (i, i % N_SERVERS));
+    let fixed = truth
+        .outcome_over(&configs, placement, Cameras::All)
+        .expect("one config per camera, placed on existing servers");
 
     let mut table = Table::new(vec![
         "arm",
@@ -222,10 +219,7 @@ fn main() {
         // the bond; everything else fixed by construction.
         let outcome = Outcome {
             latency_s: r.mean_latency_s,
-            accuracy: acc / N_CAMS as f64,
-            network_bps: net,
-            compute_tflops: com,
-            power_w: eng,
+            ..fixed
         };
         let benefit = pref.benefit(&outcome);
         belief_of.push((name.to_string(), belief));

@@ -46,7 +46,9 @@ use eva_fault::process::secs_to_ticks;
 use eva_fault::{AvailabilityTrace, FaultPlan};
 use eva_obs::{emit_warn, span, DecisionRung, NoopRecorder, ObsEvent, Phase, Recorder};
 use eva_sched::Assignment;
-use eva_workload::{DriftingScenario, Outcome, Scenario, VideoConfig};
+use eva_workload::{
+    AggregateError, Cameras, DriftingScenario, FrameFractions, Scenario, VideoConfig,
+};
 use rand::Rng;
 
 use crate::benefit::TruePreference;
@@ -326,7 +328,7 @@ pub fn run_online<R: Rng + ?Sized>(
             rec.add("fault.fallbacks", 1);
         }
 
-        let online_benefit = realized_epoch_benefit(
+        let realized = realized_epoch_benefit(
             &scenario,
             &configs,
             &assignment,
@@ -336,7 +338,7 @@ pub fn run_online<R: Rng + ?Sized>(
             &survive,
             window,
         );
-        if !online_benefit.is_finite() {
+        let Some(online_benefit) = realized.ok().filter(|b| b.is_finite()) else {
             emit_warn(
                 rec,
                 ObsEvent::warn(
@@ -351,18 +353,18 @@ pub fn run_online<R: Rng + ?Sized>(
             any_degraded = true;
             drifting.advance(rng);
             continue;
-        }
+        };
 
         if static_configs.is_none() {
             static_configs = Some(configs.clone());
         }
         // The frozen epoch-0 policy, charged under the same faults.
         let static_benefit = static_configs.as_ref().and_then(|sc| {
-            scenario.schedule(sc).ok().map(|a| {
-                realized_epoch_benefit(
-                    &scenario, sc, &a, &pref, &server_up, &camera_up, &survive, window,
-                )
-            })
+            let a = scenario.schedule(sc).ok()?;
+            realized_epoch_benefit(
+                &scenario, sc, &a, &pref, &server_up, &camera_up, &survive, window,
+            )
+            .ok()
         });
 
         let degraded = fell_back || n_alive < alive.len();
@@ -445,10 +447,9 @@ pub(crate) fn fallback_uniform(
 }
 
 /// Score a placed configuration against the *materialized* fault traces
-/// over one epoch window: per-camera accuracy scales with the fraction
-/// of frames generated (camera up), delivered (residual loss after
-/// retries) and processed (assigned server up); compute/energy scale
-/// with processing, network with transmission. Latency keeps its
+/// over one epoch window: a camera's frames are generated while it is up,
+/// delivered at its survival rate and processed at the mean up-fraction
+/// of its parts' servers ([`FrameFractions`]). Latency keeps its
 /// fault-free value — delivered frames still ride the provisioned
 /// uplink, and undelivered ones are charged through accuracy.
 #[allow(clippy::too_many_arguments)]
@@ -461,49 +462,30 @@ fn realized_epoch_benefit(
     camera_up: &[AvailabilityTrace],
     survive: &[f64],
     (a, b): (u64, u64),
-) -> f64 {
+) -> Result<f64, AggregateError> {
     let m = scenario.n_videos();
-    // A source may split across servers: use the mean up-fraction of
-    // its parts' servers as its processing availability.
     let mut proc_frac = vec![0.0; m];
     let mut parts = vec![0usize; m];
     for (i, st) in assignment.streams.iter().enumerate() {
         proc_frac[st.id.source] += server_up[assignment.server_of[i]].up_fraction(a, b);
         parts[st.id.source] += 1;
     }
-    for (f, p) in proc_frac.iter_mut().zip(&parts) {
-        *f /= (*p).max(1) as f64;
-    }
-
-    let mut acc = 0.0;
-    let mut net = 0.0;
-    let mut com = 0.0;
-    let mut eng = 0.0;
-    for (cam, c) in configs.iter().enumerate() {
-        let s = scenario.surfaces(cam);
-        let gen = camera_up[cam].up_fraction(a, b);
-        let delivered = gen * survive[cam] * proc_frac[cam];
-        acc += s.accuracy(c) * delivered;
-        net += s.bandwidth_bps(c) * gen;
-        com += s.compute_tflops(c) * gen * proc_frac[cam];
-        eng += s.power_w(c) * gen * proc_frac[cam];
-    }
-    let mut lat_sum = 0.0;
-    for (idx, st) in assignment.streams.iter().enumerate() {
-        let src = st.id.source;
-        let uplink = scenario.uplinks()[assignment.server_of[idx]];
-        lat_sum += scenario
-            .surfaces(src)
-            .e2e_latency_secs(&configs[src], uplink);
-    }
-    let outcome = Outcome {
-        latency_s: lat_sum / assignment.streams.len().max(1) as f64,
-        accuracy: acc / m as f64,
-        network_bps: net,
-        compute_tflops: com,
-        power_w: eng,
-    };
-    pref.benefit(&outcome)
+    let fractions: Vec<FrameFractions> = camera_up
+        .iter()
+        .zip(survive)
+        .zip(proc_frac.iter().zip(&parts))
+        .map(|((up, &delivered), (&up_sum, &p))| FrameFractions {
+            generated: up.up_fraction(a, b),
+            delivered,
+            processed: up_sum / p.max(1) as f64,
+        })
+        .collect();
+    let outcome = scenario.outcome_over(
+        configs,
+        assignment.placement(),
+        Cameras::Fractions(&fractions),
+    )?;
+    Ok(pref.benefit(&outcome))
 }
 
 #[cfg(test)]
@@ -659,6 +641,7 @@ mod tests {
                 &[1.0; 4],
                 (0, 50),
             );
+            let realized = realized.expect("one trace per camera");
             assert_eq!(realized.to_bits(), pref.benefit(&out.outcome).to_bits());
         }
     }

@@ -57,10 +57,12 @@ use eva_obs::{
 };
 use eva_sched::{Assignment, TICKS_PER_SEC};
 use eva_serve::{
-    subset_outcome, AdmissionController, AdmissionDecision, ChurnAction, ChurnEvent, ChurnTrace,
-    ProbeReport, ReplanScope, ReplanTrigger, Rescheduler, RetryQueue,
+    AdmissionController, AdmissionDecision, ChurnAction, ChurnEvent, ChurnTrace, ProbeReport,
+    ReplanScope, ReplanTrigger, Rescheduler, RetryQueue,
 };
-use eva_workload::{ClipProfile, DriftingScenario, Scenario, VideoConfig, N_OBJECTIVES};
+use eva_workload::{
+    Cameras, ClipProfile, DriftingScenario, Outcome, Scenario, VideoConfig, N_OBJECTIVES,
+};
 use rand::rngs::StdRng;
 
 use crate::benefit::{normalized_benefit, TruePreference};
@@ -229,12 +231,11 @@ impl SessionState {
     }
 
     fn recompute_rate(&mut self) {
-        let Some(a) = &self.assignment else {
+        let (Some(a), Some(out)) = (&self.assignment, self.deployed_outcome()) else {
             self.rate = 0.0;
             return;
         };
         let n = self.scenario.n_videos();
-        let out = subset_outcome(&self.scenario, &self.configs, a, n);
         let quality = normalized_benefit(self.pref.benefit(&out), 0.0, self.pref.min_reference());
         let mut down = vec![false; n];
         for (i, st) in a.streams.iter().enumerate() {
@@ -254,6 +255,15 @@ impl SessionState {
                 .extras
                 .get(camera - self.base_n)
                 .is_some_and(|(id, _)| self.zombies.contains(id))
+    }
+
+    /// Every camera's outcome under the deployed plan (`None` while dark).
+    fn deployed_outcome(&self) -> Option<Outcome> {
+        let a = self.assignment.as_ref()?;
+        let outcome = self
+            .scenario
+            .outcome_over(&self.configs, a.placement(), Cameras::All);
+        outcome.ok()
     }
 
     fn mask_vec(&self) -> Option<Vec<bool>> {
@@ -373,15 +383,10 @@ impl SessionState {
             }
         };
         let pref = TruePreference::new(&trial, *self.pref.weights());
-        let incumbent_before = match &self.assignment {
-            Some(a) => pref.benefit(&subset_outcome(
-                &trial,
-                &self.configs,
-                a,
-                self.scenario.n_videos(),
-            )),
-            None => f64::NEG_INFINITY,
-        };
+        // The trial keeps the incumbents' surfaces and the uplinks.
+        let incumbent_before = self
+            .deployed_outcome()
+            .map_or(f64::NEG_INFINITY, |o| pref.benefit(&o));
         let mask = self.mask_vec();
         match self.controller.admit(
             &trial,
@@ -1185,15 +1190,10 @@ impl ServingSession {
         }
         self.rung_counts[rung.index()] += 1;
         self.state.degraded |= epoch_degraded || self.state.belief.iter().any(|&b| !b);
-        let online_benefit = match &self.state.assignment {
-            Some(a) => pref.benefit(&subset_outcome(
-                &self.state.scenario,
-                &self.state.configs,
-                a,
-                self.state.scenario.n_videos(),
-            )),
-            None => pref.min_reference() - 1.0,
-        };
+        let online_benefit = self
+            .state
+            .deployed_outcome()
+            .map_or(pref.min_reference() - 1.0, |o| pref.benefit(&o));
         self.epochs.push(EpochRecord {
             epoch: e,
             divergence: self.drifting.divergence_from(&self.initial),

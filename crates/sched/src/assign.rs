@@ -66,6 +66,15 @@ impl Assignment {
             .map(|(i, _)| i)
             .collect()
     }
+
+    /// `(source camera, server)` of each post-split stream, in stream
+    /// order. Streams past the end of `server_of` are not yielded.
+    pub fn placement(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.streams
+            .iter()
+            .map(|st| st.id.source)
+            .zip(self.server_of.iter().copied())
+    }
 }
 
 /// Run Algorithm 1: split high-rate streams, group, then assign groups

@@ -24,7 +24,7 @@
 
 use eva_obs::{emit_warn, span, ObsEvent, Phase, Recorder};
 use eva_sched::Assignment;
-use eva_workload::{Outcome, Scenario, VideoConfig};
+use eva_workload::{Cameras, Outcome, Scenario, VideoConfig};
 
 /// Admission policy knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -194,7 +194,11 @@ impl AdmissionController {
                 let incumbent_after = if m == 0 {
                     incumbent_before
                 } else {
-                    benefit(&subset_outcome(trial, probe.configs(), &out.assignment, m))
+                    let placement = out.assignment.placement();
+                    match trial.outcome_over(probe.configs(), placement, Cameras::Prefix(m)) {
+                        Ok(incumbents) => benefit(&incumbents),
+                        Err(_) => continue, // unreachable: Algorithm 1 placed every stream
+                    }
                 };
                 best = Some(ProbeReport {
                     newcomer_config: cand,
@@ -227,61 +231,6 @@ impl AdmissionController {
         } else {
             AdmissionDecision::Reject { reason }
         }
-    }
-}
-
-/// The aggregate outcome restricted to cameras `0..cameras`: accuracy
-/// averaged and resources summed over the subset, latency averaged over
-/// the subset's post-split streams at the (true) uplinks `assignment`
-/// placed them on. This is the incumbents-only view of a joint
-/// placement — the quantity the admission floor is checked against.
-pub fn subset_outcome(
-    scenario: &Scenario,
-    configs: &[VideoConfig],
-    assignment: &Assignment,
-    cameras: usize,
-) -> Outcome {
-    // Panic-free: clamp an oversized subset and return a neutral
-    // (all-zero) outcome for an empty one.
-    let cameras = cameras.min(configs.len());
-    if cameras == 0 {
-        return Outcome {
-            latency_s: 0.0,
-            accuracy: 0.0,
-            network_bps: 0.0,
-            compute_tflops: 0.0,
-            power_w: 0.0,
-        };
-    }
-    let mut acc_sum = 0.0;
-    let mut net = 0.0;
-    let mut com = 0.0;
-    let mut eng = 0.0;
-    for (i, c) in configs.iter().take(cameras).enumerate() {
-        let s = scenario.surfaces(i);
-        acc_sum += s.accuracy(c);
-        net += s.bandwidth_bps(c);
-        com += s.compute_tflops(c);
-        eng += s.power_w(c);
-    }
-    let mut lat_sum = 0.0;
-    let mut n_streams = 0usize;
-    for (idx, st) in assignment.streams.iter().enumerate() {
-        let src = st.id.source;
-        if src < cameras {
-            let uplink = scenario.uplinks()[assignment.server_of[idx]];
-            lat_sum += scenario
-                .surfaces(src)
-                .e2e_latency_secs(&configs[src], uplink);
-            n_streams += 1;
-        }
-    }
-    Outcome {
-        latency_s: lat_sum / n_streams.max(1) as f64,
-        accuracy: acc_sum / cameras as f64,
-        network_bps: net,
-        compute_tflops: com,
-        power_w: eng,
     }
 }
 
@@ -364,7 +313,9 @@ mod tests {
                 let incumbent_after = if m == 0 {
                     incumbent_before
                 } else {
-                    benefit(&subset_outcome(trial, &configs, &out.assignment, m))
+                    let placement = out.assignment.placement();
+                    let incumbents = trial.outcome_over(&configs, placement, Cameras::Prefix(m));
+                    benefit(&incumbents.expect("Algorithm 1 placed every stream"))
                 };
                 best = Some(ProbeReport {
                     newcomer_config: cand,
@@ -677,34 +628,6 @@ mod tests {
         );
         if let AdmissionDecision::Accept(report) = d {
             assert!(report.assignment.server_of.iter().all(|&s| s != 1));
-        }
-    }
-
-    #[test]
-    fn subset_outcome_matches_full_outcome_when_subset_is_everything() {
-        let (sc, _) = trial(2, 3);
-        let cfgs = vec![VideoConfig::new(720.0, 5.0); 3];
-        let full = sc.evaluate(&cfgs).unwrap();
-        let sub = subset_outcome(&sc, &cfgs, &full.assignment, 3);
-        assert!((sub.latency_s - full.outcome.latency_s).abs() < 1e-12);
-        assert!((sub.accuracy - full.outcome.accuracy).abs() < 1e-12);
-        assert!((sub.network_bps - full.outcome.network_bps).abs() < 1e-9);
-    }
-
-    #[test]
-    fn subset_outcome_sums_only_the_subset() {
-        let (sc, _) = trial(2, 3);
-        let cfgs = vec![
-            VideoConfig::new(720.0, 5.0),
-            VideoConfig::new(720.0, 5.0),
-            VideoConfig::new(2160.0, 15.0), // heavy newcomer
-        ];
-        if let Ok(full) = sc.evaluate(&cfgs) {
-            let sub = subset_outcome(&sc, &cfgs, &full.assignment, 2);
-            // The newcomer's bandwidth must not leak into the subset.
-            let manual: f64 = (0..2).map(|i| sc.surfaces(i).bandwidth_bps(&cfgs[i])).sum();
-            assert!((sub.network_bps - manual).abs() < 1e-9);
-            assert!(sub.network_bps < full.outcome.network_bps);
         }
     }
 }

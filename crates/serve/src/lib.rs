@@ -36,9 +36,7 @@ pub mod arrival;
 pub mod queue;
 pub mod reschedule;
 
-pub use admission::{
-    subset_outcome, AdmissionConfig, AdmissionController, AdmissionDecision, ProbeReport,
-};
+pub use admission::{AdmissionConfig, AdmissionController, AdmissionDecision, ProbeReport};
 pub use arrival::{ArrivalModel, ChurnAction, ChurnConfig, ChurnEvent, ChurnTrace};
 pub use queue::{QueueEntry, RetryQueue};
 pub use reschedule::{ReplanScope, ReplanStats, ReplanTrigger, Rescheduler};

@@ -6,10 +6,10 @@
 use eva_obs::{FlightRecorder, NoopRecorder};
 use eva_sched::const2_zero_jitter_ok;
 use eva_serve::{
-    subset_outcome, AdmissionConfig, AdmissionController, AdmissionDecision, ProbeReport,
-    ReplanScope, ReplanTrigger, Rescheduler, RetryQueue,
+    AdmissionConfig, AdmissionController, AdmissionDecision, ProbeReport, ReplanScope,
+    ReplanTrigger, Rescheduler, RetryQueue,
 };
-use eva_workload::{ClipProfile, Outcome, Scenario, VideoConfig};
+use eva_workload::{Cameras, ClipProfile, Outcome, Scenario, VideoConfig};
 use proptest::prelude::*;
 
 /// A benefit function that prefers accurate, fast outcomes — any
@@ -59,7 +59,9 @@ fn reference_probe(
             let incumbent_after = if m == 0 {
                 incumbent_before
             } else {
-                benefit(&subset_outcome(trial, &configs, &out.assignment, m))
+                let placement = out.assignment.placement();
+                let incumbents = trial.outcome_over(&configs, placement, Cameras::Prefix(m));
+                benefit(&incumbents.expect("Algorithm 1 placed every stream"))
             };
             best = Some(ProbeReport {
                 newcomer_config: cand,

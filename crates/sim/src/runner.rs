@@ -4,7 +4,7 @@ use eva_net::LinkTrace;
 use eva_obs::{emit_warn, ObsEvent, Recorder};
 use eva_sched::theory::zero_jitter_offsets;
 use eva_sched::{Assignment, StreamTiming, Ticks, TICKS_PER_SEC};
-use eva_workload::{Scenario, VideoConfig};
+use eva_workload::{Cameras, Scenario, VideoConfig};
 
 use crate::des::{simulate, SimConfig, SimReport, SimStream, StreamBundle, StreamLink, Uplinks};
 use crate::fault::SimFaults;
@@ -247,18 +247,8 @@ fn simulate_scenario_inner(
     };
 
     // Eq. 5 analytic prediction over the same (post-split) stream set.
-    let analytic: f64 = assignment
-        .streams
-        .iter()
-        .enumerate()
-        .map(|(idx, st)| {
-            let src = st.id.source;
-            scenario
-                .surfaces(src)
-                .e2e_latency_secs(&configs[src], scenario.uplinks()[assignment.server_of[idx]])
-        })
-        .sum::<f64>()
-        / assignment.streams.len().max(1) as f64;
+    let analytic = scenario.outcome_over(configs, assignment.placement(), Cameras::All);
+    let analytic = analytic.unwrap_or_else(|e| panic!("{e}")).latency_s;
 
     // Stream-weighted mean (Eq. 5 averages over streams, not frames —
     // the DES's `mean_latency_s` would overweight high-fps streams).

@@ -16,8 +16,10 @@
 //! * [`surfaces`] — ground-truth θ(·)/ε(·) response functions (Eq. 2-5),
 //! * [`outcome`] — the five-objective outcome vector,
 //! * [`profiler`] — noisy profiling-sample generation (Algorithm 2 line 3),
-//! * [`scenario`] — cameras + servers + analytic aggregate outcomes.
+//! * [`scenario`] — cameras + servers + analytic aggregate outcomes,
+//! * [`aggregate`] — the one Eq. 2-5 sum of cameras into an outcome.
 
+pub mod aggregate;
 pub mod clip;
 pub mod config;
 pub mod drift;
@@ -27,6 +29,7 @@ pub mod profiler;
 pub mod scenario;
 pub mod surfaces;
 
+pub use aggregate::{AggregateError, Cameras, FrameFractions};
 pub use clip::{clip_set, mot16_library, ClipProfile};
 pub use config::{ConfigSpace, VideoConfig};
 pub use drift::DriftingScenario;

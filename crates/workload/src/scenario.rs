@@ -16,6 +16,7 @@ use eva_sched::{
 };
 use rand::Rng;
 
+use crate::aggregate::{AggregateError, Cameras, ConfigSums, FrameFractions};
 use crate::clip::{clip_set, ClipProfile};
 use crate::config::{ConfigSpace, VideoConfig};
 use crate::outcome::Outcome;
@@ -560,42 +561,8 @@ impl Scenario {
         rec: &dyn Recorder,
     ) -> Result<ScenarioOutcome, GroupingError> {
         let assignment = self.schedule_surviving(configs, alive, rec)?;
-        let mut sums = ConfigSums::default();
-        for (i, c) in configs.iter().enumerate() {
-            sums.add(&self.surfaces[i], c);
-        }
-        Ok(self.placed_outcome(configs, &sums, assignment))
-    }
-
-    /// Eq. 2-5 of a placed joint configuration whose configuration-only
-    /// sums over every camera are `sums`. The one outcome formula of
-    /// [`Scenario::evaluate_surviving`] and [`LastCameraProbe`].
-    fn placed_outcome(
-        &self,
-        configs: &[VideoConfig],
-        sums: &ConfigSums,
-        assignment: Assignment,
-    ) -> ScenarioOutcome {
-        // Latency is averaged over the post-split stream set (Eq. 5 sums
-        // over the M scheduler-visible streams), using each part's
-        // assigned uplink. Splitting does not change the per-source sums.
-        let mut lat_sum = 0.0;
-        for (idx, st) in assignment.streams.iter().enumerate() {
-            let src = st.id.source;
-            let uplink = self.uplink_bps[assignment.server_of[idx]];
-            lat_sum += self.surfaces[src].e2e_latency_secs(&configs[src], uplink);
-        }
-        let m = assignment.streams.len().max(1) as f64;
-        ScenarioOutcome {
-            outcome: Outcome {
-                latency_s: lat_sum / m,
-                accuracy: sums.accuracy / configs.len() as f64,
-                network_bps: sums.network_bps,
-                compute_tflops: sums.compute_tflops,
-                power_w: sums.power_w,
-            },
-            assignment,
-        }
+        let outcome = self.outcome_over(configs, assignment.placement(), Cameras::All);
+        Ok(placed(outcome, assignment))
     }
 
     /// Prepare Algorithm-1 evaluations of the last camera at candidate
@@ -615,7 +582,7 @@ impl Scenario {
         }
         let mut pinned_sums = ConfigSums::default();
         for (i, c) in pinned.iter().enumerate() {
-            pinned_sums.add(&self.surfaces[i], c);
+            pinned_sums.add(&self.surfaces[i], c, FrameFractions::FULL);
         }
         let timings: Vec<StreamTiming> = pinned
             .iter()
@@ -737,22 +704,13 @@ impl Scenario {
     }
 }
 
-/// The configuration-only outcome sums of a joint configuration
-/// (accuracy, network, compute, power), added camera by camera.
-#[derive(Debug, Clone, Copy, Default)]
-struct ConfigSums {
-    accuracy: f64,
-    network_bps: f64,
-    compute_tflops: f64,
-    power_w: f64,
-}
-
-impl ConfigSums {
-    fn add(&mut self, s: &SurfaceModel, c: &VideoConfig) {
-        self.accuracy += s.accuracy(c);
-        self.network_bps += s.bandwidth_bps(c);
-        self.compute_tflops += s.compute_tflops(c);
-        self.power_w += s.power_w(c);
+/// An Algorithm-1 placement with its outcome, whose aggregation cannot
+/// fail: Algorithm 1 places only the scenario's cameras on its servers.
+fn placed(outcome: Result<Outcome, AggregateError>, assignment: Assignment) -> ScenarioOutcome {
+    let outcome = outcome.unwrap_or_else(|e| unreachable!("Algorithm 1 placed {e}"));
+    ScenarioOutcome {
+        outcome,
+        assignment,
     }
 }
 
@@ -820,8 +778,9 @@ impl LastCameraProbe<'_> {
             rec,
         )?;
         let mut sums = self.pinned_sums;
-        sums.add(&sc.surfaces[last], &candidate);
-        Ok(Some(sc.placed_outcome(&self.configs, &sums, assignment)))
+        sums.add(&sc.surfaces[last], &candidate, FrameFractions::FULL);
+        let outcome = sc.outcome_from_sums(&self.configs, &sums, last + 1, assignment.placement());
+        Ok(Some(placed(outcome, assignment)))
     }
 }
 

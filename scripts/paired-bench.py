@@ -7,6 +7,11 @@ Every run is untraced. For each end-to-end metric in BENCHMARK.json it
 prints both medians with their quartiles, how many pairs the change
 won, and whether the change's median differs from the base's by more
 than the base's quartile spread and by more than the metric's bound.
+Beside that verdict it judges the pairs themselves: the median of the
+per-pair log ratios ln(change/base) and a sign-test interval for it
+(order statistics of the sorted ratios, at the smallest coverage of at
+least 95 % the pair count allows, or the full range below 6 pairs);
+an interval that excludes 0 is a gain or a loss.
 It also checks that both sides report the same output digest per seed
 and that no operation failed. When the info record's `op_kinds` names
 more than one op kind (serving's arrival, departure, failure, ...
@@ -23,6 +28,7 @@ perfbench/Cargo.toml` in its own checkout and pass the executables.
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -58,6 +64,38 @@ def quartiles(vs):
         return vs[0], vs[0]
     q1, _, q3 = statistics.quantiles(vs, n=4)
     return q1, q3
+
+
+def sign_test_interval(values):
+    """(lo, hi, coverage): the order-statistic interval for the median of
+    `values` with the smallest coverage of at least 95 %, or the full
+    range (and its coverage) when too few values allow 95 %."""
+    xs = sorted(values)
+    n = len(xs)
+    # P(Binomial(n, 1/2) <= j) for j = 0 .. n
+    cdf = []
+    total = 0
+    for j in range(n + 1):
+        total += math.comb(n, j)
+        cdf.append(total / 2 ** n)
+    k = 1
+    while k + 1 <= n - k and 1 - 2 * cdf[k] >= 0.95:
+        k += 1
+    return xs[k - 1], xs[n - k], 1 - 2 * cdf[k - 1]
+
+
+def pair_verdict(base, change, lower):
+    """Median per-pair ln(change/base), its sign-test interval and the
+    verdict it gives, over the pairs where both sides are positive."""
+    ratios = [math.log(c / b) for b, c in zip(base, change) if b > 0 and c > 0]
+    if not ratios:
+        return "n/a"
+    lo, hi, coverage = sign_test_interval(ratios)
+    better = hi < 0 if lower else lo > 0
+    worse = lo > 0 if lower else hi < 0
+    verdict = "gain" if better else ("loss" if worse else "no")
+    return (f"{statistics.median(ratios):>+8.4f} [{lo:>+8.4f}, {hi:>+8.4f}]"
+            f" {coverage:>6.1%} {verdict:>5}")
 
 
 def main():
@@ -105,7 +143,8 @@ def main():
     n = len(seeds_of(args.seeds))
     print(f"\n{args.workload}, {n} pairs, {seconds} s per run, untraced")
     print(f"{'metric':<14} {'base median [q1, q3]':>34} {'change median [q1, q3]':>34}"
-          f" {'delta':>8} {'won':>6} {'> base IQR':>10} {'bound':>6} {'within':>6}")
+          f" {'delta':>8} {'won':>6} {'> base IQR':>10} {'bound':>6} {'within':>6}"
+          f"   {'ln(c/b) median [sign-test interval] cover':>43} {'pairs':>5}")
     for m in metrics:
         name, bound = m["name"], m["bound"]
         lower = m["better"] == "lower"
@@ -123,7 +162,8 @@ def main():
         print(f"{name:<14} {b_med:>12.6g} [{b_q1:>8.5g}, {b_q3:>8.5g}]"
               f" {c_med:>12.6g} [{c_q1:>8.5g}, {c_q3:>8.5g}]"
               f" {delta:>+8.2%} {won:>3}/{n:<2} {verdict:>10} {bound:>6}"
-              f" {'yes' if worse <= bound else 'NO':>6}")
+              f" {'yes' if worse <= bound else 'NO':>6}"
+              f"   {pair_verdict(base, change, lower)}")
     if len(kind_pairs) > 1:
         print(f"\n{'op kind p50':<14} {'base median [q1, q3]':>34}"
               f" {'change median [q1, q3]':>34} {'delta':>8} {'won':>6}")

@@ -6,6 +6,7 @@ use pamo::obs::NoopRecorder;
 use pamo::prelude::*;
 use pamo::sched::const2_zero_jitter_ok;
 use pamo::stats::rng::seeded;
+use pamo::workload::Cameras;
 use proptest::prelude::*;
 use rand::Rng;
 
@@ -138,4 +139,71 @@ fn scheduling_is_deterministic_across_calls() {
         (Err(_), Err(_)) => {}
         _ => panic!("nondeterministic feasibility"),
     }
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+fn fnv(h: u64, v: u64) -> u64 {
+    (h ^ v).wrapping_mul(0x0000_0100_0000_01B3)
+}
+
+fn fnv_outcome(h: u64, o: &Outcome) -> u64 {
+    o.to_array().iter().fold(h, |h, v| fnv(h, v.to_bits()))
+}
+
+/// FNV-1a over the bits of the Eq. 2–5 aggregations of one placement
+/// in which Algorithm 1 splits a 1080p@30 camera across servers: the
+/// full outcome, the prefix (incumbents-only) outcomes at k = 0, 1,
+/// M−1 and M, the DES runner's analytic Eq. 5 mean, and the Eq. 2–4
+/// fields of `measure_decision` for a per-camera placement.
+#[test]
+fn outcome_aggregation_is_bit_pinned() {
+    const PINNED: u64 = 0x7585_faa4_3209_df5d;
+    let scenario = Scenario::new(
+        pamo::workload::clip_set(4, 3),
+        vec![20e6, 10e6, 30e6, 15e6, 25e6],
+        ConfigSpace::default(),
+    );
+    let configs = vec![
+        VideoConfig::new(480.0, 5.0),
+        VideoConfig::new(1080.0, 30.0),
+        VideoConfig::new(720.0, 10.0),
+        VideoConfig::new(360.0, 2.0),
+    ];
+    let m = configs.len();
+    let out = scenario.evaluate(&configs).expect("the split fleet places");
+    let parts = out.assignment.placement().filter(|&(c, _)| c == 1).count();
+    assert!(parts > 1, "camera 1 splits: {parts} parts");
+    let mut h = fnv_outcome(FNV_OFFSET, &out.outcome);
+    for k in [0, 1, m - 1, m] {
+        let prefix = scenario
+            .outcome_over(&configs, out.assignment.placement(), Cameras::Prefix(k))
+            .expect("Algorithm 1 placed every stream");
+        h = fnv_outcome(h, &prefix);
+    }
+    let sim = simulate_scenario_with_deadline_recorded(
+        &scenario,
+        &configs,
+        &out.assignment,
+        PhasePolicy::ZeroJitter,
+        2.0,
+        0.0,
+        &NoopRecorder,
+    );
+    h = fnv(h, sim.analytic_mean_latency_s.to_bits());
+    let decision = Decision {
+        configs: configs.clone(),
+        server_of: vec![3, 0, 2, 1],
+    };
+    let measured =
+        pamo::baselines::measure_decision(&scenario, &decision).expect("a well-formed decision");
+    for v in [
+        measured.accuracy,
+        measured.network_bps,
+        measured.compute_tflops,
+        measured.power_w,
+    ] {
+        h = fnv(h, v.to_bits());
+    }
+    assert_eq!(h, PINNED, "outcome aggregation hash {h:#018x}");
 }
