@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use eva_sched::Assignment;
+use eva_sched::{exceeds_capacity, Assignment};
 use eva_workload::{Scenario, VideoConfig};
 use rand::Rng;
 
@@ -90,6 +90,49 @@ fn config_key(configs: &[VideoConfig]) -> Vec<u64> {
         .collect()
 }
 
+/// True when `utilizations`, the cameras' `p/T` in camera order, reach
+/// a partial sum that [`exceeds_capacity`] of `n_servers`. Algorithm 1
+/// then cannot place the configuration on that many servers, so
+/// [`Scenario::schedule`] fails: a partial sum of positive terms is at
+/// most the full sum, and a placeable stream set's full sum is at most
+/// the server count (DESIGN §12, "Capacity bound").
+fn over_capacity(utilizations: impl IntoIterator<Item = f64>, n_servers: usize) -> bool {
+    let mut sum = 0.0;
+    for u in utilizations {
+        sum += u;
+        if exceeds_capacity(sum, n_servers) {
+            return true;
+        }
+    }
+    false
+}
+
+/// Every camera's utilisation at every grid configuration:
+/// entry `i · C + k` is camera `i` at [`eva_workload::ConfigSpace::at`]`(k)`,
+/// for `C` configurations.
+fn utilization_table(scenario: &Scenario) -> Vec<f64> {
+    let space = scenario.config_space();
+    (0..scenario.n_videos())
+        .flat_map(|i| {
+            space
+                .iter()
+                .map(move |c| scenario.stream_timing(i, &c).utilization())
+        })
+        .collect()
+}
+
+/// [`over_capacity`] of a flat joint vector `u` (two knobs per camera,
+/// as [`decode_joint`] reads it), each camera's utilisation read from
+/// `util` ([`utilization_table`]) at the configuration `u` snaps to.
+fn draw_over_capacity(scenario: &Scenario, util: &[f64], u: &[f64], n_servers: usize) -> bool {
+    let space = scenario.config_space();
+    let utilizations = u
+        .chunks_exact(2)
+        .enumerate()
+        .map(|(i, knobs)| util[i * space.len() + space.snap_index(knobs)]);
+    over_capacity(utilizations, n_servers)
+}
+
 /// Build a feasible candidate pool of roughly `target_size` joint
 /// configurations, recording each admitted entry's placement in
 /// `placements`.
@@ -100,6 +143,10 @@ fn config_key(configs: &[VideoConfig]) -> Vec<u64> {
 ///    Pareto "diagonal",
 /// 2. Latin-hypercube mixed configs (independent knobs per camera),
 ///    kept only if schedulable, until the target is reached.
+///
+/// A candidate whose utilisation sum is over the servers' capacity is
+/// refused before it is decoded or placed; Algorithm 1 would refuse it
+/// too, so the pool is the same as when every candidate is scheduled.
 ///
 /// A zero `target_size` is [`CoreError::InvalidInput`]; a scenario in
 /// which no tried configuration can be placed is
@@ -116,14 +163,18 @@ pub fn build_pool<R: Rng + ?Sized>(
     )?;
     let space = scenario.config_space();
     let m = scenario.n_videos();
+    let n_servers = scenario.planning_uplinks().len();
     let mut pool: Vec<Vec<f64>> = Vec::new();
 
     // (1) Uniform diagonals.
     for c in space.iter() {
-        let configs = vec![c; m];
-        if let Ok(assignment) = scenario.schedule(&configs) {
-            pool.push(encode_joint(scenario, &configs)?);
-            placements.insert(&configs, assignment);
+        let utilizations = (0..m).map(|i| scenario.stream_timing(i, &c).utilization());
+        if !over_capacity(utilizations, n_servers) {
+            let configs = vec![c; m];
+            if let Ok(assignment) = scenario.schedule(&configs) {
+                pool.push(encode_joint(scenario, &configs)?);
+                placements.insert(&configs, assignment);
+            }
         }
         if pool.len() >= target_size {
             return Ok(pool);
@@ -131,12 +182,17 @@ pub fn build_pool<R: Rng + ?Sized>(
     }
 
     // (2) LHS mixed configs; oversample since many draws are infeasible.
+    // Only they read the table, so a pool the diagonal fills builds none.
+    let util = utilization_table(scenario);
     let mut attempts = 0usize;
     let max_attempts = 60 * target_size;
     while pool.len() < target_size && attempts < max_attempts {
         let batch = eva_stats::design::latin_hypercube(rng, 16, 2 * m);
         for u in batch {
             attempts += 1;
+            if draw_over_capacity(scenario, &util, &u, n_servers) {
+                continue;
+            }
             let configs = decode_joint(scenario, &u)?;
             if let Ok(assignment) = scenario.schedule(&configs) {
                 let enc = encode_joint(scenario, &configs)?;
@@ -162,6 +218,7 @@ pub fn build_pool<R: Rng + ?Sized>(
 mod tests {
     use super::*;
     use eva_stats::rng::seeded;
+    use rand::RngCore;
 
     fn scenario() -> Scenario {
         Scenario::uniform(4, 3, 20e6, 37)
@@ -241,6 +298,114 @@ mod tests {
         }
         // Nothing new was scheduled: every lookup hit an admitted entry.
         assert_eq!(lock(&placements.memo).len(), pool.len());
+    }
+
+    /// `build_pool` as it was before the capacity pre-check: every
+    /// candidate is decoded and scheduled.
+    fn build_pool_reference<R: Rng + ?Sized>(
+        scenario: &Scenario,
+        target_size: usize,
+        rng: &mut R,
+        placements: &Placements,
+    ) -> Result<Vec<Vec<f64>>, CoreError> {
+        require(
+            target_size >= 1,
+            "build_pool needs a pool size of at least 1",
+        )?;
+        let space = scenario.config_space();
+        let m = scenario.n_videos();
+        let mut pool: Vec<Vec<f64>> = Vec::new();
+        for c in space.iter() {
+            let configs = vec![c; m];
+            if let Ok(assignment) = scenario.schedule(&configs) {
+                pool.push(encode_joint(scenario, &configs)?);
+                placements.insert(&configs, assignment);
+            }
+            if pool.len() >= target_size {
+                return Ok(pool);
+            }
+        }
+        let mut attempts = 0usize;
+        let max_attempts = 60 * target_size;
+        while pool.len() < target_size && attempts < max_attempts {
+            let batch = eva_stats::design::latin_hypercube(rng, 16, 2 * m);
+            for u in batch {
+                attempts += 1;
+                let configs = decode_joint(scenario, &u)?;
+                if let Ok(assignment) = scenario.schedule(&configs) {
+                    let enc = encode_joint(scenario, &configs)?;
+                    if !pool.contains(&enc) {
+                        pool.push(enc);
+                        placements.insert(&configs, assignment);
+                    }
+                    if pool.len() >= target_size {
+                        break;
+                    }
+                }
+            }
+        }
+        if pool.is_empty() {
+            return Err(CoreError::NoFeasibleConfig {
+                tried: space.len() + attempts,
+            });
+        }
+        Ok(pool)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// On random scenarios, from one camera on six servers to forty
+        /// on one, over tight and loose uplinks: (a) every uniform or
+        /// Latin-hypercube candidate the capacity check refuses is one
+        /// Algorithm 1 cannot place, high-rate (split) streams included,
+        /// and (b) `build_pool` returns the reference loop's pool,
+        /// records the same placements and leaves the RNG where the
+        /// reference leaves it.
+        #[test]
+        fn capacity_refusals_are_sound_and_leave_the_pool_unchanged(
+            seed in 0u64..1_000,
+            cameras in 1usize..=40,
+            servers in 1usize..=6,
+            uplink_exp in 5.0f64..9.0,
+            target in 1usize..=30,
+        ) {
+            let sc = Scenario::uniform(cameras, servers, 10f64.powf(uplink_exp), seed);
+            let space = sc.config_space();
+            let util = utilization_table(&sc);
+            let mut candidates: Vec<Vec<f64>> = space
+                .iter()
+                .map(|c| encode_joint(&sc, &vec![c; cameras]).unwrap())
+                .collect();
+            candidates.extend(eva_stats::design::latin_hypercube(
+                &mut seeded(seed + 1),
+                64,
+                2 * cameras,
+            ));
+            let mut saw_high_rate = false;
+            for u in &candidates {
+                let configs = decode_joint(&sc, u).unwrap();
+                saw_high_rate |= sc.stream_timings(&configs).iter().any(|t| t.is_high_rate());
+                if draw_over_capacity(&sc, &util, u, servers) {
+                    proptest::prop_assert!(sc.schedule(&configs).is_err(), "{configs:?}");
+                }
+            }
+            proptest::prop_assert!(saw_high_rate);
+
+            let (fast, slow) = (Placements::default(), Placements::default());
+            let (mut fast_rng, mut slow_rng) = (seeded(seed + 2), seeded(seed + 2));
+            let got = build_pool(&sc, target, &mut fast_rng, &fast);
+            let want = build_pool_reference(&sc, target, &mut slow_rng, &slow);
+            match (got, want) {
+                (Ok(got), Ok(want)) => proptest::prop_assert_eq!(got, want),
+                (Err(got), Err(want)) => {
+                    proptest::prop_assert_eq!(got.to_string(), want.to_string())
+                }
+                (got, want) => proptest::prop_assert!(false, "{got:?} against {want:?}"),
+            }
+            proptest::prop_assert!(*lock(&fast.memo) == *lock(&slow.memo));
+            proptest::prop_assert_eq!(fast_rng.next_u64(), slow_rng.next_u64());
+        }
     }
 
     #[test]

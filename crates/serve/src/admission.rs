@@ -24,7 +24,7 @@
 
 use eva_obs::{emit_warn, span, ObsEvent, Phase, Recorder};
 use eva_sched::Assignment;
-use eva_workload::{Cameras, Outcome, Scenario, VideoConfig};
+use eva_workload::{Outcome, Scenario, VideoConfig};
 
 /// Admission policy knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -194,8 +194,7 @@ impl AdmissionController {
                 let incumbent_after = if m == 0 {
                     incumbent_before
                 } else {
-                    let placement = out.assignment.placement();
-                    match trial.outcome_over(probe.configs(), placement, Cameras::Prefix(m)) {
+                    match probe.pinned_outcome(out.assignment.placement()) {
                         Ok(incumbents) => benefit(&incumbents),
                         Err(_) => continue, // unreachable: Algorithm 1 placed every stream
                     }
@@ -240,7 +239,7 @@ mod tests {
     use eva_obs::NoopRecorder;
     use eva_sched::exceeds_capacity;
     use eva_workload::outcome::idx;
-    use eva_workload::ClipProfile;
+    use eva_workload::{Cameras, ClipProfile};
     use proptest::prelude::*;
     use std::collections::BTreeMap;
     use std::sync::Mutex;

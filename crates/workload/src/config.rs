@@ -123,21 +123,32 @@ impl ConfigSpace {
         ]
     }
 
-    /// Snap an arbitrary `[0,1]²` point back to the nearest grid config.
-    pub fn denormalize_snap(&self, u: &[f64]) -> VideoConfig {
-        assert_eq!(u.len(), 2, "denormalize_snap: expected 2-d input");
-        let nearest = |grid: &[f64], target: f64| -> f64 {
-            grid.iter()
-                .copied()
-                .min_by(|a, b| (a - target).abs().total_cmp(&(b - target).abs()))
-                .unwrap_or(target)
+    /// Flat grid index (enumeration order, see [`ConfigSpace::at`]) of
+    /// the configuration nearest an arbitrary `[0,1]²` point, knob by
+    /// knob. Of equally near knobs the first (smallest) wins; a NaN
+    /// coordinate snaps to the smallest knob.
+    pub fn snap_index(&self, u: &[f64]) -> usize {
+        assert_eq!(u.len(), 2, "snap_index: expected 2-d input");
+        let nearest = |grid: &[f64], target: f64| -> usize {
+            let mut best = (0, (grid[0] - target).abs());
+            for (k, &g) in grid.iter().enumerate().skip(1) {
+                let d = (g - target).abs();
+                if d < best.1 {
+                    best = (k, d);
+                }
+            }
+            best.0
         };
         let r_target = u[0] * self.resolutions.last().copied().unwrap_or(1.0);
         let s_target = u[1] * self.frame_rates.last().copied().unwrap_or(1.0);
-        VideoConfig::new(
-            nearest(&self.resolutions, r_target),
-            nearest(&self.frame_rates, s_target),
-        )
+        nearest(&self.resolutions, r_target) * self.frame_rates.len()
+            + nearest(&self.frame_rates, s_target)
+    }
+
+    /// Snap an arbitrary `[0,1]²` point back to the nearest grid config:
+    /// the configuration at [`ConfigSpace::snap_index`].
+    pub fn denormalize_snap(&self, u: &[f64]) -> VideoConfig {
+        self.at(self.snap_index(u))
     }
 }
 
@@ -190,6 +201,55 @@ mod tests {
         let high = s.denormalize_snap(&[1.0, 1.0]);
         assert_eq!(high.resolution, 2160.0);
         assert_eq!(high.fps, 30.0);
+    }
+
+    /// The nearest-knob scan `snap_index` replaced: `min_by` over
+    /// `total_cmp` of the distances, which keeps the first minimum.
+    fn scan_snap(s: &ConfigSpace, u: &[f64]) -> VideoConfig {
+        let nearest = |grid: &[f64], target: f64| -> f64 {
+            grid.iter()
+                .copied()
+                .min_by(|a, b| (a - target).abs().total_cmp(&(b - target).abs()))
+                .unwrap_or(target)
+        };
+        VideoConfig::new(
+            nearest(s.resolutions(), u[0] * 2160.0),
+            nearest(s.frame_rates(), u[1] * 30.0),
+        )
+    }
+
+    #[test]
+    fn snap_index_matches_the_nearest_knob_scan() {
+        let s = ConfigSpace::default();
+        let mut coords = vec![
+            0.0,
+            -0.0,
+            -1.5,
+            2.5,
+            f64::NAN,
+            f64::INFINITY,
+            -f64::INFINITY,
+        ];
+        // Every knob, every midpoint between neighbours (a tie) and a
+        // nudge either side of it, on both axes.
+        for (grid, max) in [(s.resolutions(), 2160.0), (s.frame_rates(), 30.0)] {
+            coords.extend(grid.iter().map(|g| g / max));
+            for w in grid.windows(2) {
+                let mid = 0.5 * (w[0] + w[1]) / max;
+                coords.extend([mid, mid * (1.0 - 1e-12), mid * (1.0 + 1e-12)]);
+            }
+        }
+        coords.extend((0..=200).map(|k| k as f64 / 200.0));
+        for &a in &coords {
+            for &b in &coords {
+                let u = [a, b];
+                assert_eq!(s.at(s.snap_index(&u)), scan_snap(&s, &u), "u = {u:?}");
+            }
+        }
+        // A midpoint snaps to the smaller knob.
+        let tie = 0.5 * (480.0 + 600.0) / 2160.0;
+        assert_eq!(s.denormalize_snap(&[tie, 0.0]).resolution, 480.0);
+        assert_eq!(s.snap_index(&[f64::NAN, f64::NAN]), 0);
     }
 
     #[test]

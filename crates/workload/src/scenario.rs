@@ -782,6 +782,28 @@ impl LastCameraProbe<'_> {
         let outcome = sc.outcome_from_sums(&self.configs, &sums, last + 1, assignment.placement());
         Ok(Some(placed(outcome, assignment)))
     }
+
+    /// The pinned cameras' Eq. 2-5 outcome under `placement`, with the
+    /// joint configuration of the last evaluation:
+    /// [`Scenario::outcome_over`] of [`LastCameraProbe::configs`] with
+    /// [`Cameras::Prefix`] of the pinned count, bit for bit, from the
+    /// pinned sums prepared once. Before the first evaluation the
+    /// configurations are one short, an [`AggregateError::Length`].
+    pub fn pinned_outcome<P>(&self, placement: P) -> Result<Outcome, AggregateError>
+    where
+        P: IntoIterator<Item = (usize, usize)>,
+    {
+        let sc = self.scenario;
+        let pinned = sc.n_videos() - 1;
+        if self.configs.len() != sc.n_videos() {
+            return Err(AggregateError::Length(
+                "configurations",
+                self.configs.len(),
+                sc.n_videos(),
+            ));
+        }
+        sc.outcome_from_sums(&self.configs, &self.pinned_sums, pinned, placement)
+    }
 }
 
 #[cfg(test)]
@@ -951,6 +973,53 @@ mod tests {
                 Some(*v)
             })
             .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// `LastCameraProbe::pinned_outcome` of every placed candidate
+        /// equals `outcome_over` of the probe's configurations with the
+        /// pinned cameras as the prefix, bit for bit, on random fleets,
+        /// pinned configurations and live-server masks. With every
+        /// incumbent at the cheapest configuration and a live server,
+        /// some candidate is placed.
+        #[test]
+        fn pinned_outcome_matches_the_prefix_outcome(
+            seed in 0u64..1_000,
+            cameras in 1usize..=12,
+            servers in 1usize..=5,
+            dead in 0usize..6,
+            cheapest in 0usize..2,
+        ) {
+            let sc = Scenario::standard(cameras, servers, &mut seeded(seed));
+            let space = sc.config_space();
+            let mut rng = seeded(seed + 1);
+            let pinned: Vec<VideoConfig> = (1..cameras)
+                .map(|_| space.at(if cheapest == 1 { 0 } else { rng.gen_range(0..space.len()) }))
+                .collect();
+            let alive: Vec<bool> = (0..servers).map(|j| j != dead).collect();
+            let mut probe = sc.last_camera_probe(&pinned, Some(&alive)).unwrap();
+            prop_assert!(probe.pinned_outcome(std::iter::empty()).is_err());
+            let bits = |o: &Outcome| o.to_array().map(f64::to_bits);
+            let mut placed = 0;
+            for cand in space.iter() {
+                let Ok(Some(out)) = probe.evaluate(cand, &NoopRecorder) else {
+                    continue;
+                };
+                placed += 1;
+                let got = probe.pinned_outcome(out.assignment.placement()).unwrap();
+                let want = sc
+                    .outcome_over(
+                        probe.configs(),
+                        out.assignment.placement(),
+                        Cameras::Prefix(cameras - 1),
+                    )
+                    .unwrap();
+                prop_assert_eq!(bits(&got), bits(&want));
+            }
+            prop_assert!(placed > 0 || cheapest == 0 || alive.iter().all(|&up| !up));
+        }
     }
 
     proptest! {

@@ -349,3 +349,41 @@ fn shared_history_bank_posteriors_are_bit_pinned() {
         }
     }
 }
+
+/// FNV-1a hash of an overloaded scenario's candidate pool, then of the
+/// RNG's next draw after `build_pool` returned.
+const PINNED_OVERLOADED_POOL_HASH: u64 = 0xbdd2_78a3_04aa_fcef;
+
+/// The serving regime: 100 cameras on 10 servers with a pool of 20. No
+/// Latin-hypercube draw fits the servers' utilisation capacity, so the
+/// pool is the schedulable uniform diagonal and all `60 · 20` mixed
+/// draws are refused. Refusing them earlier must not move the pool, nor
+/// the RNG stream the draws consumed.
+#[test]
+fn overloaded_pool_is_bit_pinned() {
+    use pamo::core::pool::{build_pool, Placements};
+    use rand::RngCore;
+
+    let scenario = Scenario::standard(100, 10, &mut seeded(2024));
+    let mut rng = seeded(5);
+    let pool = build_pool(&scenario, 20, &mut rng, &Placements::default()).unwrap();
+    let m = scenario.n_videos();
+    for x in &pool {
+        assert!(
+            x.chunks(2).all(|knobs| knobs == &x[..2]),
+            "a mixed configuration was admitted"
+        );
+    }
+    assert!(pool.len() < 20, "the diagonal alone filled the pool");
+    let mut hash = FNV_OFFSET;
+    for x in &pool {
+        assert_eq!(x.len(), 2 * m);
+        hash = x.iter().fold(hash, |h, &v| fnv(h, v));
+    }
+    hash = (hash ^ rng.next_u64()).wrapping_mul(0x0000_0100_0000_01B3);
+    println!("overloaded pool: {} entries, hash {hash:#x}", pool.len());
+    assert_eq!(
+        hash, PINNED_OVERLOADED_POOL_HASH,
+        "pool or RNG stream drifted"
+    );
+}
