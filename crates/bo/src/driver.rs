@@ -5,7 +5,7 @@
 //! greedy sequential batch construction. Each iteration draws one joint
 //! sample matrix over the pool and the observed baselines, and every
 //! slot of the greedy batch scores its candidates from that matrix
-//! (`acquisition::Scan`); rayon parallelizes the scan.
+//! (`acquisition::Scan`).
 //!
 //! The `fit` callback rebuilds the surrogate after each batch of
 //! observations. When the surrogate wraps a GP with fixed
@@ -16,7 +16,6 @@
 
 use eva_obs::{cost, span, DecisionBudget, Phase, Recorder};
 use rand::Rng;
-use rayon::prelude::*;
 
 use crate::acquisition::{AcqKind, Scan};
 use crate::surrogate::SurrogateSampler;
@@ -132,7 +131,7 @@ pub fn bo_maximize<S, FObj, FFit, R>(
     rec: &dyn Recorder,
 ) -> Result<BoResult, BoError>
 where
-    S: SurrogateSampler + Sync,
+    S: SurrogateSampler,
     FObj: FnMut(&[f64]) -> f64,
     FFit: FnMut(&[(Vec<f64>, f64)]) -> S,
     R: Rng + ?Sized,
@@ -220,9 +219,7 @@ where
             }
             let slot = scan.slot(&selected_idx);
             let scores: Vec<f64> = (0..pool.len())
-                .collect::<Vec<_>>()
-                .par_iter()
-                .map(|&ci| {
+                .map(|ci| {
                     if selected_idx.iter().any(|&s| pool[s] == pool[ci]) {
                         return f64::NEG_INFINITY; // no duplicates within a batch
                     }

@@ -39,7 +39,6 @@ use eva_workload::profiler::{features_of, N_FEATURES};
 use eva_workload::{Outcome, Scenario, N_OBJECTIVES};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 
 use crate::benefit::{OutcomeNormalizer, TruePreference};
 use crate::gp::FactorSolve;
@@ -485,19 +484,15 @@ impl SurrogateSampler for CompositeSampler<'_> {
         let solves = memo.finish();
 
         // Second pass: per-camera posteriors, `agg_post[cam * 4 +
-        // slot][p]` and `lat_post[cam][part slot]`. Cameras are
-        // independent (a shared slot holds the same value whichever
-        // camera fills it), so they run in parallel; ordered collect
-        // keeps the layout.
+        // slot][p]` and `lat_post[cam][part slot]`. A shared slot holds
+        // the same value whichever camera fills it first.
         let agg_post: Vec<Vec<(f64, f64)>> = (0..n_videos * AGG_OBJS.len())
-            .into_par_iter()
             .map(|b| {
                 let (cam, obj) = (b / AGG_OBJS.len(), AGG_OBJS[b % AGG_OBJS.len()]);
                 self.predict_batch(cam, obj, &agg_xs[cam], &agg_memo[b], &solves)
             })
             .collect();
         let lat_post: Vec<Vec<(f64, f64)>> = (0..n_videos)
-            .into_par_iter()
             .map(|cam| self.predict_batch(cam, idx::LATENCY, &lat_xs[cam], &lat_memo[cam], &solves))
             .collect();
         if self.rec.enabled() {
@@ -514,13 +509,12 @@ impl SurrogateSampler for CompositeSampler<'_> {
         }
         drop(posterior_span);
 
-        // Points are independent too: every CRN stream is seeded by its
-        // own (seed, point, objective) key and accumulation stays
-        // sequential *within* a point, so the samples are bit-identical
-        // to the sequential per-point loop.
+        // Every CRN stream is seeded by its own (seed, point, objective)
+        // key, so a point's samples do not depend on which points were
+        // assembled before it.
         let _assemble_span = span(self.rec, Phase::BoAssemble);
         let assembled: Vec<(usize, Vec<f64>, usize)> = feasible
-            .par_iter()
+            .iter()
             .enumerate()
             .map(|(p, f)| {
                 let slots = &lat_slot[p];

@@ -1,10 +1,6 @@
 //! Stationary covariance functions with ARD lengthscales.
 
 use eva_linalg::Mat;
-use rayon::prelude::*;
-
-/// Point count above which kernel-matrix assembly parallelizes by row.
-const PAR_THRESHOLD: usize = 200;
 
 /// Supported stationary kernel families.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,27 +80,17 @@ impl Kernel {
     }
 
     /// Symmetric kernel matrix `K(X, X)` (without noise on the diagonal).
+    ///
+    /// Fills one triangle and mirrors it: [`Kernel::eval`] is bitwise
+    /// symmetric, since `(x − y)/l` and `(y − x)/l` differ only in sign.
     pub(crate) fn matrix(&self, xs: &[Vec<f64>]) -> Mat {
         let n = xs.len();
         let mut k = Mat::zeros(n, n);
-        if n >= PAR_THRESHOLD {
-            // Fill full rows in parallel; redundant work on the lower
-            // triangle is cheaper than synchronizing a packed fill.
-            k.as_mut_slice()
-                .par_chunks_mut(n)
-                .enumerate()
-                .for_each(|(i, row)| {
-                    for (j, slot) in row.iter_mut().enumerate() {
-                        *slot = self.eval(&xs[i], &xs[j]);
-                    }
-                });
-        } else {
-            for i in 0..n {
-                for j in 0..=i {
-                    let v = self.eval(&xs[i], &xs[j]);
-                    k[(i, j)] = v;
-                    k[(j, i)] = v;
-                }
+        for i in 0..n {
+            for j in 0..=i {
+                let v = self.eval(&xs[i], &xs[j]);
+                k[(i, j)] = v;
+                k[(j, i)] = v;
             }
         }
         k
@@ -114,20 +100,9 @@ impl Kernel {
     pub(crate) fn cross_matrix(&self, a: &[Vec<f64>], b: &[Vec<f64>]) -> Mat {
         let (m, n) = (a.len(), b.len());
         let mut k = Mat::zeros(m, n);
-        if m >= PAR_THRESHOLD {
-            k.as_mut_slice()
-                .par_chunks_mut(n)
-                .enumerate()
-                .for_each(|(i, row)| {
-                    for (j, slot) in row.iter_mut().enumerate() {
-                        *slot = self.eval(&a[i], &b[j]);
-                    }
-                });
-        } else {
-            for i in 0..m {
-                for j in 0..n {
-                    k[(i, j)] = self.eval(&a[i], &b[j]);
-                }
+        for i in 0..m {
+            for j in 0..n {
+                k[(i, j)] = self.eval(&a[i], &b[j]);
             }
         }
         k
@@ -234,13 +209,25 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matrix_matches_serial() {
-        // Cross the PAR_THRESHOLD and compare against direct evaluation.
-        let xs: Vec<Vec<f64>> = (0..230).map(|i| vec![i as f64 * 0.01]).collect();
-        let k = Kernel::isotropic(KernelType::Matern52, 1, 0.5, 1.0);
-        let m = k.matrix(&xs);
-        for &(i, j) in &[(0usize, 229usize), (100, 3), (229, 229), (17, 92)] {
-            assert!((m[(i, j)] - k.eval(&xs[i], &xs[j])).abs() < 1e-15);
+    fn large_matrix_equals_direct_evaluation() {
+        // The fill evaluates one triangle and mirrors it; on 230 points
+        // with ARD lengthscales every entry of both triangles has the
+        // bits of a direct evaluation in that orientation.
+        let xs: Vec<Vec<f64>> = (0..230)
+            .map(|i| vec![i as f64 * 0.01, (i % 7) as f64 * 0.3 - 1.0])
+            .collect();
+        for fam in all_families() {
+            let k = Kernel::new(fam, vec![0.5, 1.7], 1.3);
+            let m = k.matrix(&xs);
+            for (i, x) in xs.iter().enumerate() {
+                for (j, y) in xs.iter().enumerate() {
+                    assert_eq!(
+                        m[(i, j)].to_bits(),
+                        k.eval(x, y).to_bits(),
+                        "{fam:?} ({i}, {j})"
+                    );
+                }
+            }
         }
     }
 

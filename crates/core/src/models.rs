@@ -12,16 +12,16 @@
 //! camera's data and reused — data (not hypers) stays per-camera. This
 //! cuts fitting cost by ~M× without hurting accuracy.
 
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use eva_obs::{span, Phase, Recorder};
 use eva_workload::profiler::{features_of, N_FEATURES};
 use eva_workload::{Outcome, ProfileSample, Profiler, Scenario, VideoConfig, N_OBJECTIVES};
 use rand::Rng;
-use rayon::prelude::*;
 
 use crate::error::{require, CoreError};
 use crate::gp::{fit_gp, theta_of, FitConfig, GpModel, PrefixSolve};
@@ -129,11 +129,11 @@ impl OutcomeModelBank {
     /// hyperparameters per objective (one O(n³) Cholesky each), seeded
     /// from `warm` when given, and every later camera is a
     /// hyperparameter-free rebuild that reuses that factor through
-    /// `GpModel::with_targets` (O(n²) per model). Their profiling
-    /// samples are drawn sequentially and the models built in parallel,
-    /// keeping the RNG stream deterministic and independent of thread
-    /// scheduling. Callers that cache the design across epochs also
-    /// skip re-drawing it.
+    /// `GpModel::with_targets` (O(n²) per model). Every camera's
+    /// profiling samples are drawn before any of those models is built,
+    /// so the RNG stream is the same whether a build fails or not.
+    /// Callers that cache the design across epochs also skip re-drawing
+    /// it.
     pub fn fit_designed<R: Rng + ?Sized>(
         scenario: &Scenario,
         design: &ProfilingDesign,
@@ -192,16 +192,15 @@ impl OutcomeModelBank {
             cam0_models.push(fit_gp(&xs0, &ys, &cfg, rng, rec)?);
         }
 
-        // Remaining cameras: draw sequentially (deterministic RNG
-        // stream), build in parallel. The shared design makes every
-        // camera's `X` equal to camera 0's, so each build is a
-        // target-swap on camera 0's cached Cholesky factor instead of a
-        // fresh decomposition.
+        // Remaining cameras: draw them all, then build. The shared
+        // design makes every camera's `X` equal to camera 0's, so each
+        // build is a target-swap on camera 0's cached Cholesky factor
+        // instead of a fresh decomposition.
         let rest_samples: Vec<Vec<ProfileSample>> = (1..scenario.n_videos())
             .map(|cam| draw_samples(cam, rng))
             .collect();
         let rest_models: Vec<Vec<GpModel>> = rest_samples
-            .par_iter()
+            .iter()
             .map(|samples| {
                 (0..N_OBJECTIVES)
                     .map(|obj| {
@@ -373,8 +372,8 @@ impl OutcomeModelBank {
         // was copied.
         let outcomes: Vec<Option<(usize, bool)>> = self
             .models
-            .par_iter_mut()
-            .zip(measured.par_iter().zip(slots.par_iter()))
+            .iter_mut()
+            .zip(measured.iter().zip(&slots))
             .map(|(row, (m, slots))| {
                 let (x, y) = m.as_ref()?;
                 let mut staged = Vec::with_capacity(N_OBJECTIVES);
@@ -473,7 +472,7 @@ impl BankUpdate {
 /// each distinct (factor, input) slot of the returned [`SharedWork`] on
 /// first use. Every camera that reaches a slot receives the same
 /// value, computed from the same factor and input, so the result does
-/// not depend on which camera (or thread) fills it. Ids are addresses,
+/// not depend on which camera fills it. Ids are addresses,
 /// so a memo must not outlive the pass whose models it was filled from.
 ///
 /// Slots are numbered in insertion order, so no output depends on the
@@ -518,13 +517,13 @@ impl<'m> SolveMemo<'m> {
     pub(crate) fn finish<T>(self) -> SharedWork<T> {
         let prefix = self
             .prefix_queries
-            .par_iter()
+            .iter()
             .map(|(model, x)| model.prefix_solve(x))
             .collect();
         let work = self
             .factor_prefix
             .into_iter()
-            .map(|p| (p, OnceLock::new()))
+            .map(|p| (p, OnceCell::new()))
             .collect();
         SharedWork { prefix, work }
     }
@@ -569,7 +568,7 @@ impl Hasher for IdHasher {
 pub(crate) struct SharedWork<T> {
     prefix: Vec<PrefixSolve>,
     /// Prefix slot and value of every factor slot.
-    work: Vec<(usize, OnceLock<T>)>,
+    work: Vec<(usize, OnceCell<T>)>,
 }
 
 impl<T> SharedWork<T> {

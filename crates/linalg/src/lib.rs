@@ -5,11 +5,10 @@
 //! to a few thousand rows. Rather than pulling a full BLAS/LAPACK binding, this crate
 //! implements the handful of kernels the system actually uses:
 //!
-//! * [`Mat`] — a row-major dense matrix with cache-blocked,
-//!   rayon-parallel multiplication,
+//! * [`Mat`] — a row-major dense matrix with cache-blocked
+//!   multiplication,
 //! * [`Cholesky`] — SPD factorization with automatic jitter escalation
 //!   (kernel matrices are frequently near-singular),
-//! * [`Lu`] — partial-pivoting LU for general square systems,
 //! * [`Qr`] — Householder QR for least squares (polynomial regression),
 //! * triangular/linear solves, log-determinants and the small vector
 //!   helpers in [`vecops`].
@@ -19,14 +18,12 @@
 //! round-off.
 
 pub mod cholesky;
-pub mod lu;
 pub mod matrix;
 pub mod qr;
 mod solve;
 pub mod vecops;
 
 pub use cholesky::Cholesky;
-pub use lu::Lu;
 pub use matrix::Mat;
 pub use qr::Qr;
 
@@ -44,7 +41,8 @@ pub enum LinalgError {
     },
     /// Cholesky failed even after the maximum jitter was added.
     NotPositiveDefinite { pivot: usize, value: f64 },
-    /// LU hit an (effectively) zero pivot: matrix is singular.
+    /// A factorization or solve hit an (effectively) zero pivot:
+    /// the matrix is singular (or rank-deficient).
     Singular { pivot: usize },
 }
 

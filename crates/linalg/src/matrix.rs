@@ -1,15 +1,10 @@
-//! Row-major dense matrix with blocked, parallel multiplication.
-
-use rayon::prelude::*;
+//! Row-major dense matrix with cache-blocked multiplication.
 
 use crate::{LinalgError, Result};
 
 /// Block edge (in elements) for the cache-blocked multiply. 64x64 f64
 /// tiles are 32 KiB — three of them fit in a typical 256 KiB L2 slice.
 const BLOCK: usize = 64;
-
-/// Row count above which `matmul` fans rows out across the rayon pool.
-const PAR_THRESHOLD: usize = 128;
 
 /// A dense, row-major `f64` matrix.
 ///
@@ -240,8 +235,7 @@ impl Mat {
         Ok(out)
     }
 
-    /// Matrix product `self * other`, cache-blocked and row-parallel for
-    /// larger operands.
+    /// Matrix product `self * other`, cache-blocked.
     pub fn matmul(&self, other: &Mat) -> Result<Mat> {
         if self.cols != other.rows {
             return Err(LinalgError::DimMismatch {
@@ -252,16 +246,9 @@ impl Mat {
         }
         let (m, k, n) = (self.rows, self.cols, other.cols);
         let mut out = Mat::zeros(m, n);
-        if m >= PAR_THRESHOLD && k * n >= BLOCK * BLOCK {
-            out.data
-                .par_chunks_mut(n)
-                .enumerate()
-                .for_each(|(i, out_row)| mul_row_blocked(self.row(i), other, out_row, k, n));
-        } else {
-            for i in 0..m {
-                let (a_row, out_row) = (self.row(i), &mut out.data[i * n..(i + 1) * n]);
-                mul_row_blocked(a_row, other, out_row, k, n);
-            }
+        for i in 0..m {
+            let (a_row, out_row) = (self.row(i), &mut out.data[i * n..(i + 1) * n]);
+            mul_row_blocked(a_row, other, out_row, k, n);
         }
         Ok(out)
     }
@@ -394,7 +381,7 @@ mod tests {
     fn blocked_matmul_matches_naive_large() {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        let (m, k, n) = (150, 90, 70); // crosses the parallel threshold
+        let (m, k, n) = (150, 90, 70); // spans more than one 64-wide block
         let a = Mat::from_fn(m, k, |_, _| rng.gen_range(-1.0..1.0));
         let b = Mat::from_fn(k, n, |_, _| rng.gen_range(-1.0..1.0));
         let fast = a.matmul(&b).unwrap();

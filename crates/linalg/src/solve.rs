@@ -1,4 +1,4 @@
-//! Triangular solves used by the Cholesky and LU factorizations.
+//! Triangular solves used by the Cholesky factorization.
 
 use crate::{LinalgError, Mat, Result};
 

@@ -1,6 +1,6 @@
 //! Property-based tests for the dense linear-algebra kernels.
 
-use eva_linalg::{vecops, Cholesky, Lu, Mat};
+use eva_linalg::{vecops, Cholesky, Mat};
 use proptest::prelude::*;
 
 /// Explicit transposed copy (`Mat::transpose` is test-only inside the
@@ -49,24 +49,6 @@ proptest! {
                                       b in proptest::collection::vec(-1.0f64..1.0, 4)) {
         let ch = Cholesky::decompose_jittered(&a).unwrap();
         prop_assert!(ch.quad_form(&b).unwrap() >= -1e-12);
-    }
-
-    #[test]
-    fn lu_solve_residual_small(a in spd_strategy(5),
-                               b in proptest::collection::vec(-1.0f64..1.0, 5)) {
-        // SPD inputs are conveniently always nonsingular.
-        let lu = Lu::decompose(&a).unwrap();
-        let x = lu.solve(&b).unwrap();
-        let ax = a.matvec(&x).unwrap();
-        prop_assert!(vecops::l1_dist(&ax, &b) < 1e-6);
-    }
-
-    #[test]
-    fn lu_det_matches_cholesky_logdet(a in spd_strategy(4)) {
-        let det = Lu::decompose(&a).unwrap().det();
-        let log_det = Cholesky::decompose(&a).unwrap().log_det();
-        prop_assert!(det > 0.0);
-        prop_assert!((det.ln() - log_det).abs() < 1e-6);
     }
 
     /// Incremental `extend` of a leading-block factor matches a

@@ -248,9 +248,8 @@ impl ObsEvent {
 }
 
 /// The telemetry sink. All methods default to no-ops so recorders
-/// implement only what they store; `Sync` lets a single recorder be
-/// shared across rayon workers inside the BO loop.
-pub trait Recorder: Sync {
+/// implement only what they store.
+pub trait Recorder {
     /// Whether this recorder stores anything. `false` lets call sites
     /// skip clock reads and event construction entirely.
     fn enabled(&self) -> bool {

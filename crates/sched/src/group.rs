@@ -5,10 +5,8 @@
 //! such that every group satisfies Theorem 3's condition — hence
 //! `Const2`, hence zero delay jitter.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use crate::stream::{StreamTiming, Ticks};
-use crate::theory::theorem3_group_ok;
+use crate::theory::{gcd, theorem3_group_ok};
 
 /// Failure modes of Algorithm 1: malformed placement inputs, or no
 /// feasible grouping.
@@ -73,15 +71,6 @@ impl std::fmt::Display for GroupingError {
 
 impl std::error::Error for GroupingError {}
 
-fn gcd_ticks(mut a: Ticks, mut b: Ticks) -> Ticks {
-    while b != 0 {
-        let r = a % b;
-        a = b;
-        b = r;
-    }
-    a
-}
-
 /// Relative slack of [`exceeds_capacity`]: the refusal threshold is
 /// `n_servers · (1 + CAPACITY_TOLERANCE)`.
 const CAPACITY_TOLERANCE: f64 = 1e-9;
@@ -107,104 +96,68 @@ pub fn exceeds_capacity(total_utilization: f64, n_servers: usize) -> bool {
     total_utilization > n_servers as f64 * (1.0 + CAPACITY_TOLERANCE)
 }
 
-/// A group under construction in the sharded first-fit, carrying the
-/// cached invariants that make the Theorem-3 admission check O(1):
+/// A group under construction, carrying the cached invariants that
+/// make the Theorem-3 admission check O(1):
 ///
 /// * `t_min` — minimum member period,
 /// * `gcd` — gcd of member periods (all members divisible by `t` iff
 ///   `gcd % t == 0`),
 /// * `proc_sum` — total member processing time.
-///
-/// `first_pos` is the position (in the global priority order) of the
-/// member that created the group; the sequential algorithm creates
-/// groups in exactly that order, so sorting merged shard groups by
-/// `first_pos` reconstructs the sequential output.
 struct GroupAcc {
     members: Vec<usize>,
-    first_pos: usize,
     t_min: Ticks,
     gcd: Ticks,
     proc_sum: Ticks,
 }
 
-/// First-fit over one shard's streams, given as `(final_pos, index)`
-/// pairs in global priority order. Equivalent to the sequential loop
-/// restricted to this shard (cross-shard admissions are impossible —
-/// see [`group_streams`]). `opened` counts the groups opened across all
-/// shards; once it passes `cap` the grouping has failed, and the shard
-/// stops with `None`.
-fn shard_first_fit(
-    streams: &[StreamTiming],
-    shard: &[(usize, usize)],
-    opened: &AtomicUsize,
-    cap: usize,
-) -> Option<Vec<GroupAcc>> {
-    let mut groups: Vec<GroupAcc> = Vec::new();
-    for &(pos, i) in shard {
-        let s = streams[i];
-        let mut placed = false;
-        for g in groups.iter_mut() {
-            // O(1) equivalent of `group_accepts`: harmonicity of the
-            // union w.r.t. its minimum period reduces to two
-            // divisibility checks on the cached gcd and minimum.
-            let t_min_new = g.t_min.min(s.period);
-            if s.period.is_multiple_of(t_min_new)
-                && g.gcd.is_multiple_of(t_min_new)
-                && g.proc_sum + s.proc <= t_min_new
-            {
-                g.members.push(i);
-                g.t_min = t_min_new;
-                g.gcd = gcd_ticks(g.gcd, s.period);
-                g.proc_sum += s.proc;
-                placed = true;
-                break;
-            }
-        }
-        if !placed {
-            // A plain count that publishes no other data: `Relaxed`.
-            if opened.fetch_add(1, Ordering::Relaxed) >= cap {
-                return None;
-            }
-            groups.push(GroupAcc {
-                members: vec![i],
-                first_pos: pos,
-                t_min: s.period,
-                gcd: s.period,
-                proc_sum: s.proc,
-            });
+impl GroupAcc {
+    /// A new group holding stream `i` alone.
+    fn open(i: usize, s: StreamTiming) -> Self {
+        GroupAcc {
+            members: vec![i],
+            t_min: s.period,
+            gcd: s.period,
+            proc_sum: s.proc,
         }
     }
-    Some(groups)
+
+    /// Admit stream `i` if the union still satisfies Theorem 3 (the
+    /// check of `reference::group_streams_sequential`'s `group_accepts`):
+    /// harmonicity of the union with respect to its minimum period
+    /// reduces to two divisibility checks on the cached gcd and minimum.
+    fn try_admit(&mut self, i: usize, s: StreamTiming) -> bool {
+        let t_min = self.t_min.min(s.period);
+        let fits = s.period.is_multiple_of(t_min)
+            && self.gcd.is_multiple_of(t_min)
+            && self.proc_sum + s.proc <= t_min;
+        if fits {
+            self.members.push(i);
+            self.t_min = t_min;
+            self.gcd = gcd(self.gcd, s.period);
+            self.proc_sum += s.proc;
+        }
+        fits
+    }
 }
 
 /// Run Algorithm 1's grouping phase (lines 1-19): partition `streams`
 /// into at most `n_servers` groups, each satisfying Theorem 3.
 ///
 /// Returns the groups as vectors of indices into `streams`. Groups may
-/// be fewer than `n_servers`; empty groups are not returned. The output
-/// is identical to
+/// be fewer than `n_servers`; empty groups are not returned. The output,
+/// errors included, is identical to
 /// [`crate::reference::group_streams_sequential`], the paper's direct
-/// first-fit, built scalably.
+/// first-fit: the same single pass in the same priority order, with
+/// two shortcuts that change no result.
 ///
-/// Two streams can share a group only if some common member period
-/// divides both of theirs, so the *distinct period values*, connected by
-/// divisibility, partition the streams into independent shards: the
-/// Theorem-3 union check can never admit a candidate into a group from
-/// another component (the union's minimum period would be a common
-/// divisor linking the components). Within a shard, first-fit over the
-/// restriction of the global priority order makes exactly the decisions
-/// the sequential pass makes, because foreign groups always reject.
-/// Shards run in parallel (rayon) and their groups are merged back in
-/// sequential creation order via each group's first-member position.
-///
-/// Before any of that, a stream set whose utilisation sum
-/// [`exceeds_capacity`] returns `NotEnoughServers` at once, the error
-/// the first-fit would reach. The bound is skipped when some stream has
-/// `proc > period`, so that `StreamInfeasible` keeps its precedence.
-///
-/// Priorities are computed per distinct period value (`O(D² + M)`
-/// instead of `O(M²)` for `D` distinct values), and the admission check
-/// is O(1) via cached per-group `(min period, gcd, processing sum)`.
+/// * A stream set whose utilisation sum [`exceeds_capacity`] returns
+///   `NotEnoughServers` at once, the error the first-fit would reach.
+///   The bound is skipped when some stream has `proc > period`, so that
+///   `StreamInfeasible` keeps its precedence.
+/// * Priorities are computed per distinct period value (`O(D² + M)`
+///   instead of `O(M²)` for `D` distinct values), and the admission
+///   check is O(1) via cached per-group `(min period, gcd, processing
+///   sum)`.
 ///
 /// ```
 /// use eva_sched::{group_streams, StreamId, StreamTiming};
@@ -221,21 +174,20 @@ pub fn group_streams(
     streams: &[StreamTiming],
     n_servers: usize,
 ) -> Result<Vec<Vec<usize>>, GroupingError> {
-    use rayon::prelude::*;
-
     if streams.is_empty() {
         return Ok(Vec::new());
     }
+    let not_enough = GroupingError::NotEnoughServers {
+        needed_at_least: n_servers,
+        available: n_servers,
+    };
     if !streams.iter().any(StreamTiming::is_high_rate)
         && exceeds_capacity(
             streams.iter().map(StreamTiming::utilization).sum(),
             n_servers,
         )
     {
-        return Err(GroupingError::NotEnoughServers {
-            needed_at_least: n_servers,
-            available: n_servers,
-        });
+        return Err(not_enough);
     }
     let m = streams.len();
     // Global (period, index) order — line 1 of Algorithm 1.
@@ -280,93 +232,27 @@ pub fn group_streams(
     let mut final_pos: Vec<usize> = (0..m).collect();
     final_pos.sort_by_key(|&pos| (priorities[pos], pos));
 
-    // Union-find over distinct period values by divisibility.
-    let mut parent: Vec<usize> = (0..d).collect();
-    fn find(parent: &mut [usize], mut x: usize) -> usize {
-        while parent[x] != x {
-            parent[x] = parent[parent[x]];
-            x = parent[x];
-        }
-        x
-    }
-    for a in 0..d {
-        for b in (a + 1)..d {
-            if values[b].is_multiple_of(values[a]) {
-                let ra = find(&mut parent, a);
-                let rb = find(&mut parent, b);
-                if ra != rb {
-                    parent[rb] = ra;
-                }
-            }
-        }
-    }
-    let comp_of_value: Vec<usize> = (0..d).map(|v| find(&mut parent, v)).collect();
-    let mut shard_of_comp = vec![usize::MAX; d];
-    let mut n_shards = 0usize;
-    for &c in &comp_of_value {
-        if shard_of_comp[c] == usize::MAX {
-            shard_of_comp[c] = n_shards;
-            n_shards += 1;
-        }
-    }
-
-    // Distribute streams (in final priority order) to their shards.
-    let mut shards: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n_shards];
-    for (fp, &pos) in final_pos.iter().enumerate() {
-        let shard = shard_of_comp[comp_of_value[vi_of_pos[pos]]];
-        shards[shard].push((fp, order[pos]));
-    }
-
-    // Error semantics identical to the sequential pass: it errors at the
-    // first priority-order position where either a stream is infeasible
-    // (proc > period) or a new group would exceed `n_servers`; group
-    // counts before any such position are unaffected by later streams.
-    // Without an infeasible stream, the first group past `n_servers`
-    // decides the error, so the shards stop there.
-    let first_infeasible = final_pos.iter().enumerate().find_map(|(fp, &pos)| {
-        let s = streams[order[pos]];
-        (s.proc > s.period).then_some((fp, s))
-    });
-    let cap = if first_infeasible.is_some() {
-        usize::MAX
-    } else {
-        n_servers
-    };
-    let opened = AtomicUsize::new(0);
-    let shard_groups: Option<Vec<Vec<GroupAcc>>> = shards
-        .par_iter()
-        .map(|shard| shard_first_fit(streams, shard, &opened, cap))
-        .collect();
-    let Some(shard_groups) = shard_groups else {
-        return Err(GroupingError::NotEnoughServers {
-            needed_at_least: n_servers,
-            available: n_servers,
-        });
-    };
-    let mut all: Vec<GroupAcc> = shard_groups.into_iter().flatten().collect();
-    all.sort_by_key(|g| g.first_pos);
-
-    if let Some((fi, s)) = first_infeasible {
-        let groups_before = all.iter().filter(|g| g.first_pos < fi).count();
-        if groups_before > n_servers {
-            return Err(GroupingError::NotEnoughServers {
-                needed_at_least: n_servers,
-                available: n_servers,
+    // Lines 4-19: first-fit into groups under the Theorem-3 condition.
+    let mut groups: Vec<GroupAcc> = Vec::new();
+    for &pos in &final_pos {
+        let i = order[pos];
+        let s = streams[i];
+        if s.proc > s.period {
+            return Err(GroupingError::StreamInfeasible {
+                source: s.id.source,
+                part: s.id.part,
             });
         }
-        return Err(GroupingError::StreamInfeasible {
-            source: s.id.source,
-            part: s.id.part,
-        });
-    }
-    if all.len() > n_servers {
-        return Err(GroupingError::NotEnoughServers {
-            needed_at_least: n_servers,
-            available: n_servers,
-        });
+        if groups.iter_mut().any(|g| g.try_admit(i, s)) {
+            continue;
+        }
+        if groups.len() == n_servers {
+            return Err(not_enough);
+        }
+        groups.push(GroupAcc::open(i, s));
     }
 
-    let groups: Vec<Vec<usize>> = all.into_iter().map(|g| g.members).collect();
+    let groups: Vec<Vec<usize>> = groups.into_iter().map(|g| g.members).collect();
     debug_assert!(groups.iter().all(|g| {
         let members: Vec<StreamTiming> = g.iter().map(|&i| streams[i]).collect();
         theorem3_group_ok(&members)

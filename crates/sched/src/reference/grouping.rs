@@ -351,7 +351,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_matches_sequential_on_mixed_period_classes() {
+    fn one_pass_matches_sequential_on_mixed_period_classes() {
         // Three divisibility components (100ms-family, 70ms-family, 90ms)
         // with repeats and budget pressure.
         let periods: [Ticks; 12] = [
@@ -365,13 +365,13 @@ mod tests {
             .collect();
         for n_servers in 1..=8 {
             let seq = group_streams_sequential(&streams, n_servers);
-            let sharded = group_streams(&streams, n_servers);
-            assert_eq!(seq, sharded, "n_servers = {n_servers}");
+            let one_pass = group_streams(&streams, n_servers);
+            assert_eq!(seq, one_pass, "n_servers = {n_servers}");
         }
     }
 
     #[test]
-    fn sharded_matches_sequential_on_random_instances() {
+    fn one_pass_matches_sequential_on_random_instances() {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(31337);
         let bases: [Ticks; 4] = [50_000, 70_000, 90_000, 110_000];
@@ -387,13 +387,13 @@ mod tests {
                 .collect();
             let n_servers = rng.gen_range(0..=n + 2);
             let seq = group_streams_sequential(&streams, n_servers);
-            let sharded = group_streams(&streams, n_servers);
-            assert_eq!(seq, sharded, "trial {trial}, n_servers {n_servers}");
+            let one_pass = group_streams(&streams, n_servers);
+            assert_eq!(seq, one_pass, "trial {trial}, n_servers {n_servers}");
         }
     }
 
     #[test]
-    fn sharded_matches_sequential_past_the_proptest_size() {
+    fn one_pass_matches_sequential_past_the_proptest_size() {
         // 72 streams in two divisibility families: larger than the
         // property test's instances.
         let streams: Vec<StreamTiming> = (0..72)

@@ -46,13 +46,11 @@ pub fn const2_zero_jitter_ok(streams: &[StreamTiming]) -> bool {
 
 /// Theorem 3's grouping condition: (a) every period is an integer
 /// multiple of the minimum period in the group, and (b) `Σ p_i ≤ T_min`.
-/// Sufficient for `Const2` (and hence zero jitter + `Const1`).
-pub(crate) fn theorem3_group_ok(streams: &[StreamTiming]) -> bool {
-    if streams.is_empty() {
-        return true;
-    }
+/// Sufficient for `Const2` (and hence zero jitter + `Const1`). The
+/// empty group satisfies it.
+pub fn theorem3_group_ok(streams: &[StreamTiming]) -> bool {
     let Some(t_min) = streams.iter().map(|s| s.period).min() else {
-        return true; // unreachable: the empty group was handled above
+        return true;
     };
     let harmonic = streams.iter().all(|s| s.period % t_min == 0);
     let total: Ticks = streams.iter().map(|s| s.proc).sum();

@@ -184,7 +184,7 @@ proptest! {
         prop_assert_eq!(ours, reference);
     }
 
-    /// Sharded grouping is exactly equivalent to the sequential pass on
+    /// `group_streams` is exactly equivalent to the direct sequential pass on
     /// mixed gcd-compatible period classes (including error cases).
     ///
     /// The inputs reach both sides of the utilisation bound
@@ -198,7 +198,7 @@ proptest! {
     ///   unsplit high-rate (`proc > period`), whose `StreamInfeasible`
     ///   must keep its precedence over the bound.
     #[test]
-    fn sharded_grouping_equals_sequential(
+    fn one_pass_grouping_equals_sequential(
         raw in proptest::collection::vec((0usize..4, 0u32..3, 5_000u64..=60_000), 1..=48),
         load in 0u8..3,
         (server_mode, n_free) in (0u8..4, 0usize..50),
@@ -230,12 +230,12 @@ proptest! {
             _ => (utilization.ceil() as usize + n_free % 3).saturating_sub(1),
         };
         let seq = group_streams_sequential(&streams, n_servers);
-        let sharded = group_streams(&streams, n_servers);
-        prop_assert_eq!(&seq, &sharded);
+        let one_pass = group_streams(&streams, n_servers);
+        prop_assert_eq!(&seq, &one_pass);
         if load == 1 && over_long >= streams.len() && n_servers >= streams.len() {
             // Utilisation-1 streams that sum to at most N are placed,
             // one per server.
-            prop_assert_eq!(sharded.map(|g| g.len()), Ok(streams.len()));
+            prop_assert_eq!(one_pass.map(|g| g.len()), Ok(streams.len()));
         }
     }
 }

@@ -26,6 +26,7 @@
 //! boundary's full re-optimization wins it back.
 
 use eva_obs::{span, Phase, Recorder};
+use eva_sched::theory::theorem3_group_ok;
 use eva_sched::{
     const2_zero_jitter_ok, rank_pair, split_high_rate, Assignment, GroupingError, StreamId,
     StreamTiming, Ticks,
@@ -290,7 +291,7 @@ impl Rescheduler {
             for (g, members) in self.groups.iter().enumerate() {
                 let mut trial: Vec<StreamTiming> = members.clone();
                 trial.push(part);
-                if theorem3_ok(&trial)
+                if theorem3_group_ok(&trial)
                     && host.is_none_or(|h| {
                         uplinks[self.group_server[g]] > uplinks[self.group_server[h]]
                     })
@@ -394,7 +395,7 @@ impl Rescheduler {
                     let mut trial: Vec<StreamTiming> = hg.clone();
                     trial.extend(placed.iter().filter(|&&(ph, _)| ph == h).map(|&(_, s)| s));
                     trial.push(m);
-                    if theorem3_ok(&trial) {
+                    if theorem3_group_ok(&trial) {
                         host = Some(h);
                         break;
                     }
@@ -570,17 +571,6 @@ impl Rescheduler {
 
 fn is_alive(alive: Option<&[bool]>, server: usize) -> bool {
     alive.is_none_or(|a| a.get(server).copied().unwrap_or(false))
-}
-
-/// Theorem-3 admission on a materialized group (harmonic periods and
-/// `Σp ≤ T_min`) — the same union check Algorithm 1's packing uses.
-fn theorem3_ok(group: &[StreamTiming]) -> bool {
-    let Some(t_min) = group.iter().map(|s| s.period).min() else {
-        return true;
-    };
-    let harmonic = group.iter().all(|s| s.period % t_min == 0);
-    let total: Ticks = group.iter().map(|s| s.proc).sum();
-    harmonic && total <= t_min
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //!
 //! | module | crate | contents |
 //! |---|---|---|
-//! | [`linalg`] | `eva-linalg` | dense matrices, Cholesky/LU, solves |
+//! | [`linalg`] | `eva-linalg` | dense matrices, Cholesky, QR, solves |
 //! | [`stats`] | `eva-stats` | normal dist, LHS, metrics, weights |
 //! | [`gp`] | `pamo-core` | Gaussian-process regression (ARD kernels) |
 //! | [`prefgp`] | `pamo-core` | pairwise preference GP + EUBO |

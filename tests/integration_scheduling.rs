@@ -207,3 +207,94 @@ fn outcome_aggregation_is_bit_pinned() {
     }
     assert_eq!(h, PINNED, "outcome aggregation hash {h:#018x}");
 }
+
+/// How a seeded draw picks each camera's (resolution, frame rate) grid
+/// indices.
+#[derive(Debug, Clone, Copy)]
+enum Draw {
+    /// Anywhere on the grid.
+    Uniform,
+    /// The lowest third of each knob for one camera in `n`, the lower
+    /// half for the rest.
+    Mixed(u32),
+    /// The lowest third of each knob.
+    LowGrid,
+}
+
+/// One seeded M = 2000 split stream set of `Scenario::standard`.
+fn fleet_streams(sc: &Scenario, draw: Draw, seed: u64) -> Vec<StreamTiming> {
+    let mut rng = seeded(seed);
+    let space = sc.config_space();
+    let (nr, nf) = (space.resolutions().len(), space.frame_rates().len());
+    let configs: Vec<VideoConfig> = (0..sc.n_videos())
+        .map(|_| {
+            let (r_end, f_end) = match draw {
+                Draw::Uniform => (nr, nf),
+                Draw::Mixed(n) if rng.gen_range(0..n) != 0 => (nr.div_ceil(2), nf.div_ceil(2)),
+                Draw::Mixed(_) | Draw::LowGrid => (nr / 3, nf / 3),
+            };
+            let (r, f) = (rng.gen_range(0..r_end), rng.gen_range(0..f_end));
+            VideoConfig::new(space.resolutions()[r], space.frame_rates()[f])
+        })
+        .collect();
+    pamo::sched::split_high_rate(&sc.stream_timings(&configs))
+}
+
+/// `group_streams` (distinct-period priorities, cached O(1) admission)
+/// returns exactly the paper's direct first-fit `Result`, group
+/// membership and error variant included, on fleet-scale stream sets:
+/// sets the first-fit places, sets the capacity bound refuses before
+/// any grouping, and sets under the bound that the first-fit still
+/// cannot fit onto the servers.
+#[test]
+fn grouping_equals_the_direct_first_fit_at_fleet_scale() {
+    use pamo::sched::reference::group_streams_sequential;
+    use pamo::sched::{exceeds_capacity, group_streams, GroupingError};
+
+    let n_servers = 200;
+    let sc = Scenario::standard(2000, n_servers, &mut seeded(2000));
+    let (mut placed, mut refused_by_bound, mut refused_by_first_fit) = (0, 0, 0);
+    for draw in [Draw::Uniform, Draw::Mixed(3), Draw::Mixed(6), Draw::LowGrid] {
+        for seed in 0..4 {
+            let streams = fleet_streams(&sc, draw, seed);
+            let one_pass = group_streams(&streams, n_servers);
+            assert_eq!(
+                one_pass,
+                group_streams_sequential(&streams, n_servers),
+                "{draw:?} draw, seed {seed}"
+            );
+            let utilization: f64 = streams.iter().map(StreamTiming::utilization).sum();
+            match one_pass {
+                Ok(_) => placed += 1,
+                Err(GroupingError::NotEnoughServers { .. }) => {
+                    if exceeds_capacity(utilization, n_servers) {
+                        refused_by_bound += 1;
+                    } else {
+                        refused_by_first_fit += 1;
+                    }
+                }
+                Err(e) => panic!("{draw:?} draw, seed {seed}: unexpected {e}"),
+            }
+        }
+    }
+    assert!(
+        placed > 0 && refused_by_bound > 0 && refused_by_first_fit > 0,
+        "placed {placed}, refused by the bound {refused_by_bound}, \
+         by the first-fit {refused_by_first_fit}"
+    );
+
+    // Eight utilisation-0.6 streams are far over two servers' capacity,
+    // but an unsplit over-long stream with the smallest period comes
+    // first in priority order: its `StreamInfeasible` wins.
+    let mut streams: Vec<StreamTiming> = (0..8)
+        .map(|i| StreamTiming::new(StreamId::source(i), 100_000, 60_000))
+        .collect();
+    assert!(matches!(
+        group_streams(&streams, 2),
+        Err(GroupingError::NotEnoughServers { .. })
+    ));
+    streams.push(StreamTiming::new(StreamId::source(8), 50_000, 70_000));
+    let infeasible = Err(GroupingError::StreamInfeasible { source: 8, part: 0 });
+    assert_eq!(group_streams(&streams, 2), infeasible);
+    assert_eq!(group_streams_sequential(&streams, 2), infeasible);
+}
