@@ -11,8 +11,9 @@
 //!   isolating outcome-fit + BO cost from elicitation,
 //! * `faulted_3x2` — the failure-aware loop under heavy crashes
 //!   (detection, survivor re-planning),
-//! * `des_shared_uplink` — the discrete-event simulator on a schedule
-//!   whose streams share server uplinks,
+//! * `des_deadline` — the discrete-event simulator on a zero-jitter
+//!   schedule over dedicated per-stream uplinks, with deadline
+//!   accounting,
 //! * `serve_churn` — the continuous-serving loop under a Poisson
 //!   arrival storm with server crashes (admission probes, incremental
 //!   replans), tracking replan reaction latency,
@@ -22,7 +23,7 @@
 //!   queue and age shedding — pins the budgeted-decide, coalesced
 //!   replan and shed phases,
 //! * `scale_m2000` — one oracle decision epoch at fleet scale (2000
-//!   cameras × 200 servers), pinning the sharded grouping,
+//!   cameras × 200 servers), pinning the one-pass grouping,
 //!   rank-pairing assignment and batched posterior paths,
 //! * `bonded` — the DES with every camera on a heterogeneous three-link
 //!   bonded uplink under HoL-aware striping, pinning the packet-level
@@ -67,7 +68,7 @@ const SUITE: [&str; 8] = [
     "online_3x2_learned",
     "online_6x3_oracle",
     "faulted_3x2",
-    "des_shared_uplink",
+    "des_deadline",
     "serve_churn",
     "serve_chaos",
     "scale_m2000",
@@ -171,7 +172,7 @@ fn run_workload(name: &str, rec: &FlightRecorder) -> String {
                 run.mean_online_benefit()
             )
         }
-        "des_shared_uplink" => {
+        "des_deadline" => {
             let horizon_s = 60.0;
             let base = Scenario::uniform(4, 2, 20e6, 104);
             let space = base.config_space();
@@ -351,7 +352,7 @@ fn run_workload(name: &str, rec: &FlightRecorder) -> String {
         }
         "scale_m2000" => {
             // One decision epoch at fleet scale: 2000 cameras on 200
-            // servers, oracle preference. Exercises sharded grouping,
+            // servers, oracle preference. Exercises one-pass grouping,
             // rank-pairing assignment, the shared profiling design, and
             // the batched posterior path.
             let (m, n) = (2000, 200);
