@@ -33,8 +33,7 @@ use eva_bench::Table;
 use eva_fault::{FaultPlan, RetryPolicy};
 use eva_obs::NoopRecorder;
 use eva_sim::{simulate_scenario_faulted_recorded, PhasePolicy};
-use eva_stats::rng::seeded;
-use eva_workload::{DriftingScenario, Scenario, VideoConfig};
+use eva_workload::{Scenario, VideoConfig};
 use pamo_core::{run_online, FaultedRunConfig, OnlineRun, PamoConfig, PreferenceSource};
 
 const N_CAMS: usize = 6;
@@ -79,14 +78,14 @@ fn main() {
 
     // The no-fault ceiling (plan-independent: run once).
     let oracle_run = {
-        let mut d = DriftingScenario::new(&base, 0.05);
         run_online(
-            &mut d,
+            &base,
+            0.05,
             &cfg,
             weights,
             n_epochs,
             None,
-            &mut seeded(17),
+            17,
             &NoopRecorder,
         )
         .expect("valid inputs")
@@ -125,18 +124,18 @@ fn main() {
         let availability = mttf / (mttf + mttr);
 
         let run = |aware: bool| {
-            let mut d = DriftingScenario::new(&base, 0.05);
             let clock = FaultedRunConfig {
                 fault_aware: aware,
                 ..run_cfg
             };
             run_online(
-                &mut d,
+                &base,
+                0.05,
                 &cfg,
                 weights,
                 n_epochs,
                 Some((&plan, &clock)),
-                &mut seeded(17),
+                17,
                 &NoopRecorder,
             )
             .expect("valid inputs")

@@ -10,8 +10,7 @@
 
 use eva_bench::Table;
 use eva_obs::NoopRecorder;
-use eva_stats::rng::seeded;
-use eva_workload::{DriftingScenario, Scenario};
+use eva_workload::Scenario;
 use pamo_core::{run_online, PamoConfig, PreferenceSource};
 
 fn main() {
@@ -42,14 +41,14 @@ fn main() {
 
     for &step in &[0.0, 0.05, 0.10, 0.20] {
         let base = Scenario::uniform(5, 3, 20e6, 99);
-        let mut drifting = DriftingScenario::new(&base, step);
         let run = run_online(
-            &mut drifting,
+            &base,
+            step,
             &cfg,
             [1.0; 5],
             n_epochs,
             None,
-            &mut seeded(17),
+            17,
             &NoopRecorder,
         )
         .expect("valid inputs");

@@ -52,7 +52,7 @@ use eva_obs::{BudgetPolicy, FlightRecorder, ObsSnapshot};
 use eva_serve::{AdmissionConfig, ArrivalModel};
 use eva_sim::{simulate_scenario_with_deadline_recorded, PhasePolicy};
 use eva_stats::rng::seeded;
-use eva_workload::{DriftingScenario, Scenario, VideoConfig};
+use eva_workload::{Scenario, VideoConfig};
 use pamo_core::{
     run_online, run_serving, FaultedRunConfig, OverloadConfig, PamoConfig, PreferenceSource,
     ServingConfig, ServingSession,
@@ -119,9 +119,8 @@ fn run_workload(name: &str, rec: &FlightRecorder) -> String {
         "online_3x2_learned" => {
             let n_epochs = 4;
             let base = Scenario::uniform(3, 2, 20e6, 101);
-            let mut d = DriftingScenario::new(&base, 0.05);
             let cfg = pamo_config(PreferenceSource::Learned);
-            let run = run_online(&mut d, &cfg, [1.0; 5], n_epochs, None, &mut seeded(11), rec)
+            let run = run_online(&base, 0.05, &cfg, [1.0; 5], n_epochs, None, 11, rec)
                 .expect("valid inputs");
             format!(
                 "3 cams x 2 servers, learned preference, {n_epochs} epochs, \
@@ -132,9 +131,8 @@ fn run_workload(name: &str, rec: &FlightRecorder) -> String {
         "online_6x3_oracle" => {
             let n_epochs = 3;
             let base = Scenario::uniform(6, 3, 20e6, 102);
-            let mut d = DriftingScenario::new(&base, 0.05);
             let cfg = pamo_config(PreferenceSource::Oracle);
-            let run = run_online(&mut d, &cfg, [1.0; 5], n_epochs, None, &mut seeded(12), rec)
+            let run = run_online(&base, 0.05, &cfg, [1.0; 5], n_epochs, None, 12, rec)
                 .expect("valid inputs");
             format!(
                 "6 cams x 3 servers, oracle preference, {n_epochs} epochs, \
@@ -149,7 +147,6 @@ fn run_workload(name: &str, rec: &FlightRecorder) -> String {
                 .with_server_crashes(20.0, 40.0, 11)
                 .with_frame_loss(0.02, 7)
                 .with_retry(RetryPolicy::standard());
-            let mut d = DriftingScenario::new(&base, 0.05);
             let cfg = pamo_config(PreferenceSource::Oracle);
             let clock = FaultedRunConfig {
                 epoch_s: 5.0,
@@ -157,12 +154,13 @@ fn run_workload(name: &str, rec: &FlightRecorder) -> String {
                 fault_aware: true,
             };
             let run = run_online(
-                &mut d,
+                &base,
+                0.05,
                 &cfg,
                 [1.0, 3.0, 1.0, 1.0, 1.0],
                 n_epochs,
                 Some((&plan, &clock)),
-                &mut seeded(13),
+                13,
                 rec,
             )
             .expect("valid inputs");

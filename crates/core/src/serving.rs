@@ -55,10 +55,11 @@
 //! pure functions of `churn_seed`; the drift walk and the PaMO
 //! decisions draw from one RNG seeded with the run seed, and
 //! mid-window event handling consumes none of it. A silent arrival
-//! model with no fault plan therefore decides exactly what
-//! [`crate::online::run_online`] decides: the session's epochs are
-//! bit-identical to a fault-free online run's, which the differential
-//! tests check.
+//! model with no fault plan therefore decides the same epochs under
+//! either discipline: an event-driven session's epochs are
+//! bit-identical to those of [`crate::online::run_online`], which
+//! steps the same session epoch-synchronously, as the zero-churn tests
+//! check.
 
 use eva_fault::{ChaosSpec, FaultPlan};
 use eva_obs::{BudgetPolicy, Recorder};
@@ -66,7 +67,7 @@ use eva_serve::{AdmissionConfig, ArrivalModel, ChurnConfig, ChurnTrace};
 use eva_workload::{Scenario, N_OBJECTIVES};
 
 use crate::error::{require, CoreError};
-use crate::online::{check_plan, check_timing, check_weights, EpochRecord};
+use crate::online::{check_drift, check_plan, check_timing, check_weights, EpochRecord};
 use crate::overload::{OverloadConfig, ServingSession};
 use crate::pamo::PamoConfig;
 
@@ -309,10 +310,7 @@ pub fn run_serving(
     seed: u64,
     rec: &dyn Recorder,
 ) -> Result<ServingRun, CoreError> {
-    require(
-        (0.0..1.0).contains(&drift_step),
-        "drift step outside [0, 1)",
-    )?;
+    check_drift(drift_step)?;
     check_weights(&weights)?;
     require(serving.n_epochs > 0, "zero epochs")?;
     check_timing(serving.epoch_s, serving.heartbeat_s)?;
@@ -323,7 +321,7 @@ pub fn run_serving(
     let trace = serving.churn_trace();
     let overload = OverloadConfig::unbudgeted(ChaosSpec::none(0), SERVING_POLICY);
     let mut session = ServingSession::with_plan(
-        initial, drift_step, config, weights, serving, &overload, plan, trace, seed,
+        initial, drift_step, config, weights, serving, &overload, plan, true, trace, seed,
     );
     Ok(session.run(rec))
 }
@@ -335,8 +333,6 @@ mod tests {
     use crate::pamo::PreferenceSource;
     use eva_bo::{AcqKind, BoConfig};
     use eva_obs::NoopRecorder;
-    use eva_stats::rng::seeded;
-    use eva_workload::DriftingScenario;
     use std::collections::HashSet;
 
     fn tiny_config() -> PamoConfig {
@@ -392,24 +388,22 @@ mod tests {
         )
     }
 
-    /// Differential: a silent, fault-free `ServingSession` and the
-    /// epoch loop of `run_online` are separate implementations of the
-    /// same controller, and must decide the same epochs bit for bit.
+    /// A silent, fault-free serving run (event-driven) and `run_online`
+    /// (the same session, epoch-synchronous) must decide the same epochs
+    /// bit for bit: with nothing to react to, the two disciplines agree.
     #[test]
     fn zero_churn_session_is_bit_identical_to_the_epoch_loop() {
-        let plain = {
-            let mut d = DriftingScenario::new(&base(), 0.08);
-            run_online(
-                &mut d,
-                &tiny_config(),
-                [1.0; 5],
-                4,
-                None,
-                &mut seeded(9),
-                &NoopRecorder,
-            )
-            .expect("valid inputs")
-        };
+        let plain = run_online(
+            &base(),
+            0.08,
+            &tiny_config(),
+            [1.0; 5],
+            4,
+            None,
+            9,
+            &NoopRecorder,
+        )
+        .expect("valid inputs");
         let silent = ServingConfig {
             epoch_s: 30.0,
             n_epochs: 4,

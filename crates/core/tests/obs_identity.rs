@@ -8,8 +8,7 @@
 use eva_bo::{AcqKind, BoConfig};
 use eva_fault::FaultPlan;
 use eva_obs::{FlightRecorder, NoopRecorder, Phase, Recorder};
-use eva_stats::rng::seeded;
-use eva_workload::{DriftingScenario, Scenario};
+use eva_workload::Scenario;
 use pamo_core::{run_online, FaultedRunConfig, OnlineRun, PamoConfig, PreferenceSource};
 
 fn tiny_config(preference: PreferenceSource) -> PamoConfig {
@@ -67,8 +66,7 @@ fn online_run_identical_under_noop_and_flight_recorders() {
     let cfg = tiny_config(PreferenceSource::Learned);
     let base = Scenario::uniform(3, 2, 20e6, 71);
     let run = |rec: &dyn Recorder| {
-        let mut d = DriftingScenario::new(&base, 0.08);
-        run_online(&mut d, &cfg, [1.0; 5], 3, None, &mut seeded(5), rec).expect("valid inputs")
+        run_online(&base, 0.08, &cfg, [1.0; 5], 3, None, 5, rec).expect("valid inputs")
     };
 
     let noop = run(&NoopRecorder);
@@ -125,14 +123,14 @@ fn faulted_run_identical_under_recorders() {
     let plan = FaultPlan::none(2, 3).with_server_crashes(20.0, 40.0, 11);
     let run_cfg = FaultedRunConfig::default();
     let run = |rec: &dyn Recorder| {
-        let mut d = DriftingScenario::new(&base, 0.05);
         run_online(
-            &mut d,
+            &base,
+            0.05,
             &cfg,
             [1.0; 5],
             4,
             Some((&plan, &run_cfg)),
-            &mut seeded(9),
+            9,
             rec,
         )
         .expect("valid inputs")
@@ -166,22 +164,20 @@ fn zero_fault_recorded_run_equals_the_unplanned_run() {
     let base = Scenario::uniform(3, 2, 20e6, 73);
     let flight_a = FlightRecorder::new();
     let a = {
-        let mut d = DriftingScenario::new(&base, 0.05);
         run_online(
-            &mut d,
+            &base,
+            0.05,
             &cfg,
             [1.0; 5],
             3,
             Some((&FaultPlan::none(2, 3), &FaultedRunConfig::default())),
-            &mut seeded(13),
+            13,
             &flight_a,
         )
         .expect("valid inputs")
     };
     let b = {
-        let mut d = DriftingScenario::new(&base, 0.05);
-        let mut rng = seeded(13);
-        run_online(&mut d, &cfg, [1.0; 5], 3, None, &mut rng, &NoopRecorder).expect("valid inputs")
+        run_online(&base, 0.05, &cfg, [1.0; 5], 3, None, 13, &NoopRecorder).expect("valid inputs")
     };
     assert_runs_bit_identical(&a, &b, "zero plan vs no plan");
     assert_eq!(flight_a.snapshot().metrics.counter("online.epochs"), 3);

@@ -1,14 +1,13 @@
-//! Differential test of the two controller implementations: with a
-//! silent arrival process and no fault plan, the `ServingSession` step
-//! machine behind `run_serving` and the epoch loop of `run_online` must
-//! decide bit-identical epochs, epoch for epoch — the serving machinery
-//! changes nothing when nothing churns.
+//! Differential test of the two reaction disciplines: with a silent
+//! arrival process and no fault plan, the event-driven `ServingSession`
+//! behind `run_serving` and the epoch-synchronous one `run_online`
+//! steps must decide bit-identical epochs, epoch for epoch — the
+//! serving machinery changes nothing when nothing churns.
 
 use eva_bo::{AcqKind, BoConfig};
 use eva_obs::NoopRecorder;
 use eva_serve::ArrivalModel;
-use eva_stats::rng::seeded;
-use eva_workload::{DriftingScenario, Scenario};
+use eva_workload::Scenario;
 use pamo_core::{run_online, run_serving, PamoConfig, PreferenceSource, ServingConfig};
 use proptest::prelude::*;
 
@@ -45,14 +44,10 @@ proptest! {
     ) {
         let base = Scenario::uniform(3, 2, 20e6, scenario_seed);
         let plain = {
-            let mut d = DriftingScenario::new(&base, drift);
-            run_online(
-                &mut d,
-                &tiny_config(),
+            run_online(&base, drift, &tiny_config(),
                 [1.0; 5],
                 n_epochs,
-                None,
-                &mut seeded(rng_seed),
+                None, rng_seed,
                 &NoopRecorder,
             )
             .expect("valid inputs")

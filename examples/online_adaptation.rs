@@ -10,12 +10,9 @@
 use pamo::core::{run_online, PamoConfig, PreferenceSource};
 use pamo::obs::NoopRecorder;
 use pamo::prelude::*;
-use pamo::stats::rng::seeded;
-use pamo::workload::DriftingScenario;
 
 fn main() {
     let base = Scenario::uniform(5, 3, 20e6, 99);
-    let mut drifting = DriftingScenario::new(&base, 0.10); // 10 %/epoch content drift
 
     let mut cfg = PamoConfig::default();
     cfg.bo.max_iters = 4;
@@ -24,12 +21,13 @@ fn main() {
     cfg.preference = PreferenceSource::Oracle; // isolate the adaptation effect
 
     let run = run_online(
-        &mut drifting,
+        &base,
+        0.10, // 10 %/epoch content drift
         &cfg,
         [1.0; 5],
         8,
         None,
-        &mut seeded(17),
+        17,
         &NoopRecorder,
     )
     .expect("valid inputs");

@@ -7,7 +7,7 @@ use pamo::prelude::*;
 use pamo::sim::des::{simulate, SimConfig, SimReport, SimStream, StreamLink, Uplinks};
 use pamo::stats::rng::seeded;
 use pamo::workload::clip::clip_set;
-use pamo::workload::{DriftingScenario, LinkModel, PhysicalServer, Virtualization};
+use pamo::workload::{LinkModel, PhysicalServer, Virtualization};
 
 fn tiny_cfg() -> PamoConfig {
     let mut cfg = PamoConfig::default();
@@ -52,14 +52,14 @@ fn virtualized_cluster_schedules_zero_jitter_end_to_end() {
 #[test]
 fn online_loop_survives_aggressive_drift() {
     let base = Scenario::uniform(4, 3, 20e6, 71);
-    let mut drifting = DriftingScenario::new(&base, 0.25);
     let run = run_online(
-        &mut drifting,
+        &base,
+        0.25,
         &tiny_cfg(),
         [1.0; 5],
         5,
         None,
-        &mut seeded(2),
+        2,
         &NoopRecorder,
     )
     .expect("valid inputs");
