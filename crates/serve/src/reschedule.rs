@@ -228,7 +228,9 @@ impl Rescheduler {
     ) -> Option<(Assignment, ReplanScope)> {
         let saved = (self.groups.clone(), self.group_server.clone());
         let repaired = match trigger {
-            ReplanTrigger::Arrival { camera } => self.repair_arrival(scenario, configs, camera),
+            ReplanTrigger::Arrival { camera } => {
+                self.repair_arrival(scenario, configs, alive, camera)
+            }
             ReplanTrigger::Departure { camera } => Some(self.repair_departure(camera)),
             ReplanTrigger::ServerFailure { server } => self.repair_failure(scenario, server, alive),
             ReplanTrigger::ServerRestore { .. } => Some((0, Vec::new())),
@@ -266,6 +268,7 @@ impl Rescheduler {
         &mut self,
         scenario: &Scenario,
         configs: &[VideoConfig],
+        alive: Option<&[bool]>,
         camera: usize,
     ) -> Option<(usize, Vec<usize>)> {
         if camera >= configs.len() {
@@ -306,7 +309,7 @@ impl Rescheduler {
             }
             // No group accepts: open a new one on the fastest free
             // surviving server.
-            let Some(server) = self.best_free_server(scenario, None) else {
+            let Some(server) = self.best_free_server_excluding(scenario, alive, usize::MAX) else {
                 return None; // rolled back by the caller
             };
             self.groups.push(vec![part]);
@@ -477,11 +480,8 @@ impl Rescheduler {
         }
     }
 
-    /// Fastest (planning-uplink) surviving server hosting no group.
-    fn best_free_server(&self, scenario: &Scenario, alive: Option<&[bool]>) -> Option<usize> {
-        self.best_free_server_excluding(scenario, alive, usize::MAX)
-    }
-
+    /// Fastest (planning-uplink) surviving server hosting no group,
+    /// other than `exclude`.
     fn best_free_server_excluding(
         &self,
         scenario: &Scenario,
@@ -657,6 +657,45 @@ mod tests {
                 .map(|i| a.streams[i])
                 .collect();
             assert!(const2_zero_jitter_ok(&members));
+        }
+    }
+
+    #[test]
+    fn arrival_opens_its_group_on_the_fastest_live_free_server() {
+        // Two (900 px, 15 fps) streams cannot share a group, so the
+        // newcomer needs a server of its own; the fastest free one is
+        // dead.
+        let c = VideoConfig::new(900.0, 15.0);
+        let base = scenario(2, 3);
+        let clips: Vec<_> = (0..2).map(|i| base.clip(i).clone()).collect();
+        let uplinks = vec![10e6, 30e6, 20e6];
+        let space = base.config_space().clone();
+        let sc1 = Scenario::new(clips[..1].to_vec(), uplinks.clone(), space.clone());
+        let sc2 = Scenario::new(clips, uplinks.clone(), space);
+        let mut r = installed(&sc1, &[c]);
+        let incumbent = sc1.schedule(&[c]).expect("one camera fits").group_server[0];
+        let mut free: Vec<usize> = (0..3).filter(|&j| j != incumbent).collect();
+        free.sort_by(|&a, &b| uplinks[b].total_cmp(&uplinks[a]));
+        let (dead, survivor) = (free[0], free[1]);
+        let mut alive = vec![true; 3];
+        alive[dead] = false;
+        let (a, scope) = r
+            .replan(
+                &sc2,
+                &[c, c],
+                Some(&alive),
+                ReplanTrigger::Arrival { camera: 1 },
+                &NoopRecorder,
+            )
+            .expect("a live server is free");
+        assert!(
+            matches!(scope, ReplanScope::Incremental { .. }),
+            "{scope:?}"
+        );
+        for (i, st) in a.streams.iter().enumerate() {
+            if st.id.source == 1 {
+                assert_eq!(a.server_of[i], survivor);
+            }
         }
     }
 

@@ -22,14 +22,14 @@ const DRIFT: f64 = 0.05;
 const SEED: u64 = 2;
 /// FNV-1a hash of `serve()`'s event log (reaction times included),
 /// epoch benefits, value integral and accepted/rejected counts.
-const PINNED_SERVING_HASH: u64 = 0xb01f_e71b_9a3f_3077;
+const PINNED_SERVING_HASH: u64 = 0x0b91_7f29_541c_bd4d;
 /// The seeded run's Algorithm-1 work: admission probes, `grouping`
 /// spans (every Algorithm-1 call), failed placements, and the probe
 /// candidates skipped over the live servers' utilisation capacity.
 /// Without the skip the run made 471 calls, 200 of them failing.
 const PINNED_SERVING_WORK: [(&str, u64); 4] = [
     ("serve.admission_probes", 6),
-    ("grouping", 317),
+    ("grouping", 316),
     ("sched.infeasible", 46),
     ("serve.admission_skipped", 154),
 ];
