@@ -122,7 +122,7 @@ fn main() {
         let mut cpu_ms = Vec::with_capacity(REPS);
         let mut decision = None;
         for _ in 0..REPS {
-            let pamo = Pamo::new(scale_config());
+            let mut pamo = Pamo::new(scale_config());
             let wall = Instant::now();
             let cpu0 = cpu_time_ms();
             let d = pamo

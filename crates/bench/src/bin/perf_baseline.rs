@@ -358,7 +358,7 @@ fn run_workload(name: &str, rec: &FlightRecorder) -> String {
             let pref = pamo_core::TruePreference::uniform(&sc);
             let mut cfg = pamo_config(PreferenceSource::Oracle);
             cfg.pool_size = 12;
-            let pamo = pamo_core::Pamo::new(cfg);
+            let mut pamo = pamo_core::Pamo::new(cfg);
             let d = pamo
                 .decide_surviving_recorded(&sc, &pref, None, &mut seeded(15), rec)
                 .expect("scale decision epoch succeeds");

@@ -291,7 +291,7 @@ mod tests {
     use eva_obs::NoopRecorder;
     use eva_stats::rng::seeded;
     use pamo_core::gp::{fit_gp, FitConfig};
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::cell::Cell;
 
     /// Fit callback: a fresh GP on all observations, cheap settings.
     fn gp_fit(observations: &[(Vec<f64>, f64)]) -> GpSurrogate {
@@ -452,7 +452,7 @@ mod tests {
 
     /// A surrogate with flat samples that clears `live` when dropped.
     struct Flagged<'a> {
-        live: &'a AtomicBool,
+        live: &'a Cell<bool>,
     }
 
     impl SurrogateSampler for Flagged<'_> {
@@ -467,19 +467,19 @@ mod tests {
 
     impl Drop for Flagged<'_> {
         fn drop(&mut self) {
-            self.live.store(false, Ordering::Relaxed);
+            self.live.set(false);
         }
     }
 
     #[test]
     fn surrogate_is_dropped_before_the_batch_is_observed() {
-        let live = AtomicBool::new(false);
+        let live = Cell::new(false);
         let objective = |x: &[f64]| {
-            assert!(!live.load(Ordering::Relaxed), "a surrogate was alive");
+            assert!(!live.get(), "a surrogate was alive");
             x[0]
         };
         let fit = |_: &[(Vec<f64>, f64)]| {
-            live.store(true, Ordering::Relaxed);
+            live.set(true);
             Flagged { live: &live }
         };
         let cfg = BoConfig {

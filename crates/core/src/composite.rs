@@ -27,7 +27,7 @@
 //! the analogous MC-with-CRN trade, just with full joint GP sampling.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use eva_bo::SurrogateSampler;
 use eva_linalg::Mat;
@@ -102,7 +102,7 @@ pub struct CompositeSampler<'a> {
     normalizer: OutcomeNormalizer,
     /// Algorithm-1 placements, shared with the candidate pool and the
     /// other samplers of one decide.
-    placements: Arc<Placements>,
+    placements: Rc<Placements>,
     /// Telemetry for batched posteriors (`bo_prepare` spans, the
     /// `gp.posterior_queries` / `gp.prefix_solves` / `gp.tail_solves`
     /// counters and `prefgp.posterior_points`).
@@ -122,14 +122,14 @@ impl<'a> CompositeSampler<'a> {
             bank,
             pref,
             normalizer,
-            placements: Arc::default(),
+            placements: Rc::default(),
             rec: &NoopRecorder,
         }
     }
 
     /// Read and record placements in `placements` (the decide's shared
     /// cache) instead of a cache of this sampler's own.
-    pub(crate) fn with_placements(mut self, placements: Arc<Placements>) -> Self {
+    pub(crate) fn with_placements(mut self, placements: Rc<Placements>) -> Self {
         self.placements = placements;
         self
     }
@@ -404,7 +404,7 @@ impl SurrogateSampler for CompositeSampler<'_> {
             point: usize,
             hash: u64,
             configs: Vec<eva_workload::VideoConfig>,
-            assignment: Arc<eva_sched::Assignment>,
+            assignment: Rc<eva_sched::Assignment>,
             uplinks: Vec<f64>,
         }
         let mut feasible: Vec<Feasible> = Vec::new();

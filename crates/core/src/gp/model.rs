@@ -4,7 +4,7 @@
 //! A model splits into an input-determined **factor** and its own
 //! targets. The factor — kernel, noise, training inputs and the packed
 //! Cholesky rows of `K + σ²I` (plus the jitter they carry) — sits behind
-//! an `Arc`, so every model with the same inputs points at one copy:
+//! an `Rc`, so every model with the same inputs points at one copy:
 //! the models of one shared profiling design ([`GpModel::with_targets`])
 //! and, after conditioning, every model that observed the same inputs
 //! in the same order ([`GpModel::extend_factor`]). Per model only the
@@ -36,7 +36,8 @@
 //! compute each once per distinct query and pass both to
 //! [`GpModel::predict_with`], which then does only the model's mean dot.
 
-use std::sync::{Arc, OnceLock};
+use std::cell::OnceCell;
+use std::rc::Rc;
 
 use eva_linalg::{vecops, Cholesky, LinalgError, Mat};
 
@@ -98,7 +99,7 @@ impl Prefix {
 /// diagonal jitter in effect on any row.
 #[derive(Debug)]
 struct Factor {
-    prefix: Arc<Prefix>,
+    prefix: Rc<Prefix>,
     /// Inputs added after the prefix, row-major.
     tail_x: Vec<f64>,
     /// Packed factor rows `prefix.n..n`.
@@ -127,7 +128,7 @@ impl Factor {
             n,
         };
         Ok(Factor {
-            prefix: Arc::new(prefix),
+            prefix: Rc::new(prefix),
             tail_x: Vec::new(),
             tail_l: Vec::new(),
             tail_n: 0,
@@ -254,7 +255,7 @@ impl Factor {
             tail_x.extend_from_slice(x);
         }
         Some(Factor {
-            prefix: Arc::clone(&self.prefix),
+            prefix: Rc::clone(&self.prefix),
             tail_x,
             tail_l,
             tail_n: self.tail_n + k,
@@ -271,7 +272,7 @@ impl Factor {
 /// (seconds vs. TFLOPs).
 #[derive(Debug, Clone)]
 pub struct GpModel {
-    factor: Arc<Factor>,
+    factor: Rc<Factor>,
     y_raw: Vec<f64>,
     y_mean: f64,
     y_std: f64,
@@ -281,7 +282,7 @@ pub struct GpModel {
     /// `(K + σ² I)^{-1} z = L⁻ᵀu`, back-substituted on first read
     /// ([`GpModel::solve_weights`]). A clone carries the cell as it
     /// stands: filled weights are copied, an empty cell solves on its own.
-    alpha: OnceLock<Vec<f64>>,
+    alpha: OnceCell<Vec<f64>>,
 }
 
 /// A query's design-row work against one model prefix: the cross-kernel
@@ -314,12 +315,12 @@ pub(crate) struct FactorSolve {
 /// A model's factor grown by new inputs, built once by
 /// [`GpModel::extend_factor`] and handed to [`GpModel::stage`]
 /// for every model that shares the parent factor and observed the same
-/// inputs: they all receive the same `Arc`.
+/// inputs: they all receive the same `Rc`.
 #[derive(Debug, Clone)]
 pub(crate) struct FactorExtension {
     /// [`GpModel::factor_id`] of the parent factor.
     parent: usize,
-    factor: Arc<Factor>,
+    factor: Rc<Factor>,
     /// First row whose forward-solved target is new: the parent's row
     /// count, or 0 when the extension fell back to a full rebuild.
     from: usize,
@@ -387,7 +388,7 @@ impl GpModel {
         }
         let (y_mean, y_std) = standardization_of(&y);
         let factor = Factor::build(kernel, noise_var, &x)?;
-        Self::on_factor(Arc::new(factor), y, y_mean, y_std)
+        Self::on_factor(Rc::new(factor), y, y_mean, y_std)
     }
 
     /// Build a GP with an *explicitly given* target standardization
@@ -423,12 +424,12 @@ impl GpModel {
         }
         check_standardization(y_mean, y_std)?;
         let factor = Factor::build(kernel, noise_var, &x)?;
-        Self::on_factor(Arc::new(factor), y, y_mean, y_std)
+        Self::on_factor(Rc::new(factor), y, y_mean, y_std)
     }
 
     /// A model of targets `y` on `factor`: the forward solve from
     /// scratch; the weights wait for their first read.
-    fn on_factor(factor: Arc<Factor>, y: Vec<f64>, y_mean: f64, y_std: f64) -> Result<Self> {
+    fn on_factor(factor: Rc<Factor>, y: Vec<f64>, y_mean: f64, y_std: f64) -> Result<Self> {
         let z: Vec<f64> = y.iter().map(|&v| (v - y_mean) / y_std).collect();
         let mut u = vec![0.0; factor.n()];
         factor.forward(0, factor.n(), &z, &mut u)?;
@@ -438,7 +439,7 @@ impl GpModel {
             y_mean,
             y_std,
             u,
-            alpha: OnceLock::new(),
+            alpha: OnceCell::new(),
         })
     }
 
@@ -506,13 +507,13 @@ impl GpModel {
     /// serves all models that report it. Valid as a memo key while those
     /// models are alive.
     pub(crate) fn prefix_id(&self) -> usize {
-        Arc::as_ptr(&self.factor.prefix) as usize
+        Rc::as_ptr(&self.factor.prefix) as usize
     }
 
     /// Whether `other` shares this model's design prefix.
     #[cfg(test)]
     pub(crate) fn shares_prefix(&self, other: &GpModel) -> bool {
-        Arc::ptr_eq(&self.factor.prefix, &other.factor.prefix)
+        Rc::ptr_eq(&self.factor.prefix, &other.factor.prefix)
     }
 
     /// Number of factor rows in the shared design prefix.
@@ -526,12 +527,12 @@ impl GpModel {
     /// [`FactorExtension`] serves all models that report it. Valid as a
     /// memo key while those models are alive.
     pub(crate) fn factor_id(&self) -> usize {
-        Arc::as_ptr(&self.factor) as usize
+        Rc::as_ptr(&self.factor) as usize
     }
 
     /// Whether `other` shares this model's factor.
     pub fn shares_factor(&self, other: &GpModel) -> bool {
-        Arc::ptr_eq(&self.factor, &other.factor)
+        Rc::ptr_eq(&self.factor, &other.factor)
     }
 
     /// The design-row work of query `x` against this model's prefix,
@@ -636,7 +637,7 @@ impl GpModel {
             return Err(GpError::BadData("with_targets: non-finite target".into()));
         }
         let (y_mean, y_std) = standardization_of(&y);
-        Self::on_factor(Arc::clone(&self.factor), y, y_mean, y_std)
+        Self::on_factor(Rc::clone(&self.factor), y, y_mean, y_std)
     }
 
     /// Observation-noise variance in original units.
@@ -786,7 +787,7 @@ impl GpModel {
         };
         Ok(FactorExtension {
             parent: self.factor_id(),
-            factor: Arc::new(factor),
+            factor: Rc::new(factor),
             from,
         })
     }
@@ -817,7 +818,7 @@ impl GpModel {
             let mut y_raw = Vec::with_capacity(n);
             y_raw.extend_from_slice(&self.y_raw);
             y_raw.extend_from_slice(y_new);
-            let model = Self::on_factor(Arc::clone(&ext.factor), y_raw, self.y_mean, self.y_std)?;
+            let model = Self::on_factor(Rc::clone(&ext.factor), y_raw, self.y_mean, self.y_std)?;
             Step::Replace(model)
         } else {
             // Row `i` reads `u[..i]`: this model's rows, then the new
@@ -839,7 +840,7 @@ impl GpModel {
 
     /// The second half of conditioning: write what [`GpModel::stage`]
     /// computed. The targets and the new rows of `u` are appended, the
-    /// grown factor's `Arc` replaces this model's, and the weights `α`
+    /// grown factor's `Rc` replaces this model's, and the weights `α`
     /// are cleared to wait for their next first read. The result is the
     /// model a fresh conditioning would build, bit for bit; a rebuild
     /// replaces the model whole.
@@ -849,8 +850,8 @@ impl GpModel {
             Step::Append(rows) => {
                 self.y_raw.extend_from_slice(staged.y_new);
                 self.u.extend_from_slice(&rows);
-                self.factor = Arc::clone(&staged.ext.factor);
-                self.alpha = OnceLock::new();
+                self.factor = Rc::clone(&staged.ext.factor);
+                self.alpha = OnceCell::new();
             }
         }
     }
@@ -1380,7 +1381,7 @@ mod tests {
         /// Cameras on one design, conditioned one point at a time
         /// through memoized prefix solves and factor extensions, stay
         /// bit-identical to dense per-camera models for up to 15
-        /// updates. Cameras fed the same inputs share one factor `Arc`;
+        /// updates. Cameras fed the same inputs share one factor `Rc`;
         /// a pair whose histories diverge stops sharing; a camera
         /// rebuilt mid-way owns its prefix and keeps conditioning.
         #[test]

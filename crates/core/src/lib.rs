@@ -41,9 +41,3 @@ pub use overload::{ControlPlaneSnapshot, OverloadConfig, ServingSession};
 pub use pamo::{Pamo, PamoConfig, PamoDecision, PreferenceSource};
 pub use pool::{build_pool, decode_joint};
 pub use serving::{run_serving, ServeEvent, ServingConfig, ServingRun, SERVING_POLICY};
-
-/// Lock `m`, ignoring poisoning: a poisoned lock hands back its guard,
-/// so a panic under one holder does not make every later lock panic.
-pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}

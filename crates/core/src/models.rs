@@ -12,11 +12,10 @@
 //! camera's data and reused — data (not hypers) stays per-camera. This
 //! cuts fitting cost by ~M× without hurting accuracy.
 
-use std::cell::OnceCell;
+use std::cell::{Cell, OnceCell};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 
 use eva_obs::{span, Phase, Recorder};
 use eva_workload::profiler::{features_of, N_FEATURES};
@@ -69,7 +68,7 @@ impl ProfilingDesign {
 
 /// GPs for all cameras and objectives.
 ///
-/// Camera rows sit behind `Arc`, so cloning the bank is `M` refcount
+/// Camera rows sit behind `Rc`, so cloning the bank is `M` refcount
 /// bumps rather than a deep copy of 5·M GP models — the BO loop clones
 /// the bank into a fresh surrogate every iteration, and at M = 2000 the
 /// deep copy (~300k allocations) dominated the decision epoch.
@@ -84,10 +83,10 @@ impl ProfilingDesign {
 #[derive(Debug, Clone)]
 pub struct OutcomeModelBank {
     /// `models[camera][objective]`.
-    models: Vec<Arc<Vec<GpModel>>>,
+    models: Vec<Rc<Vec<GpModel>>>,
     /// Weight back-substitutions run by reads through this bank and
     /// its clones.
-    weight_solves: Arc<AtomicUsize>,
+    weight_solves: Rc<Cell<usize>>,
 }
 
 impl OutcomeModelBank {
@@ -213,8 +212,8 @@ impl OutcomeModelBank {
             .collect::<Result<Vec<_>, _>>()?;
 
         let mut models = Vec::with_capacity(scenario.n_videos());
-        models.push(Arc::new(cam0_models));
-        models.extend(rest_models.into_iter().map(Arc::new));
+        models.push(Rc::new(cam0_models));
+        models.extend(rest_models.into_iter().map(Rc::new));
         if rec.enabled() {
             rec.add("core.outcome_fits", 1);
             if warm.is_some() {
@@ -228,10 +227,10 @@ impl OutcomeModelBank {
         Ok(OutcomeModelBank::from_rows(models))
     }
 
-    fn from_rows(models: Vec<Arc<Vec<GpModel>>>) -> Self {
+    fn from_rows(models: Vec<Rc<Vec<GpModel>>>) -> Self {
         OutcomeModelBank {
             models,
-            weight_solves: Arc::default(),
+            weight_solves: Rc::default(),
         }
     }
 
@@ -261,7 +260,7 @@ impl OutcomeModelBank {
     pub(crate) fn read(&self, camera: usize, objective: usize) -> &GpModel {
         let model = self.model(camera, objective);
         if model.solve_weights() {
-            self.weight_solves.fetch_add(1, Ordering::Relaxed);
+            self.weight_solves.set(self.weight_solves.get() + 1);
         }
         model
     }
@@ -269,7 +268,7 @@ impl OutcomeModelBank {
     /// Weight back-substitutions that predictions through this bank and
     /// its clones have run (the `gp.weight_solves` counter of a decide).
     pub(crate) fn weight_solves(&self) -> usize {
-        self.weight_solves.load(Ordering::Relaxed)
+        self.weight_solves.get()
     }
 
     /// Condition camera `camera`'s models on a new measured sample, one
@@ -293,7 +292,7 @@ impl OutcomeModelBank {
         for (model, y) in self.models[camera].iter().zip(ys) {
             staged.push(model.condition(std::slice::from_ref(&x), &[y])?);
         }
-        self.models[camera] = Arc::new(staged);
+        self.models[camera] = Rc::new(staged);
         Ok(())
     }
 
@@ -320,7 +319,7 @@ impl OutcomeModelBank {
     /// A camera is updated in two phases. The first computes all five
     /// models' new rows (`GpModel::stage`) without touching the row;
     /// if any objective fails, the camera is skipped. The second takes
-    /// the row with `Arc::make_mut` and appends in place
+    /// the row with `Rc::make_mut` and appends in place
     /// (`GpModel::commit`). A row that a clone of this bank still
     /// shares is copied first, so the clone keeps the pre-update row;
     /// the BO driver drops its surrogate's clone before the batch is
@@ -384,8 +383,8 @@ impl OutcomeModelBank {
                     staged.push(model.stage(ext, std::slice::from_ref(y)).ok()?);
                     rebuilds += usize::from(ext.rebuilt());
                 }
-                let copied = Arc::get_mut(row).is_none();
-                for (model, staged) in Arc::make_mut(row).iter_mut().zip(staged) {
+                let copied = Rc::get_mut(row).is_none();
+                for (model, staged) in Rc::make_mut(row).iter_mut().zip(staged) {
                     model.commit(staged);
                 }
                 Some((rebuilds, copied))
@@ -820,7 +819,7 @@ mod tests {
             .iter()
             .map(|m| m.with_added(&[], &[]).unwrap())
             .collect();
-        bank.models[cam] = Arc::new(row);
+        bank.models[cam] = Rc::new(row);
     }
 
     fn assert_banks_bit_identical(a: &OutcomeModelBank, b: &OutcomeModelBank, sc: &Scenario) {
@@ -919,7 +918,7 @@ mod tests {
 
             let pref = TruePreference::uniform(&sc);
             let normalizer = OutcomeNormalizer::for_scenario(&sc);
-            let placements = Arc::new(crate::pool::Placements::default());
+            let placements = Rc::new(crate::pool::Placements::default());
             let pool = crate::pool::build_pool(&sc, 6, &mut rng, &placements).unwrap();
             let batched = CompositeSampler::new(
                 &sc,

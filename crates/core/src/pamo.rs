@@ -8,7 +8,8 @@
 //!    the feasible joint-configuration pool with Algorithm-1 placement
 //!    inside the loop (lines 12-26).
 
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use eva_bo::{bo_maximize, AcqKind, BoConfig, BoResult};
 use eva_obs::{cost, span, DecisionBudget, NoopRecorder, Phase, Recorder};
@@ -19,7 +20,6 @@ use rand::Rng;
 use crate::benefit::{OutcomeNormalizer, TruePreference, TruePreferenceOracle};
 use crate::composite::{CompositeSampler, PreferenceEval, INFEASIBLE_BENEFIT};
 use crate::error::{require, CoreError};
-use crate::lock;
 use crate::models::{OutcomeModelBank, ProfilingDesign};
 use crate::pool::{build_pool, decode_joint, Placements};
 use crate::prefgp::{elicit_preferences, ElicitConfig, PreferenceModel};
@@ -119,27 +119,18 @@ pub struct PamoDecision {
 /// fitted by one decision seed the next decision's outcome-model fits
 /// (which then drop one random restart). The online/serving loops
 /// construct one `Pamo` and reuse it across epochs, so per-epoch refits
-/// warm-start automatically; a fresh `Pamo` always fits cold.
-#[derive(Debug, Default)]
+/// warm-start automatically; a fresh `Pamo` always fits cold. A
+/// decision updates that state, so it takes `&mut self`.
+#[derive(Debug, Clone, Default)]
 pub struct Pamo {
     config: PamoConfig,
     /// `[objective] -> theta` of the previous decision's shared fits.
-    warm: Mutex<Option<Vec<Vec<f64>>>>,
+    warm: Option<Vec<Vec<f64>>>,
     /// The profiling design of the previous decision, reused across
     /// epochs: the (config, uplink) grid stays fixed while each epoch
     /// re-measures it, so GP inputs stay identical bank-wide and the
     /// design-drawing RNG cost is paid once.
-    design: Mutex<Option<ProfilingDesign>>,
-}
-
-impl Clone for Pamo {
-    fn clone(&self) -> Self {
-        Pamo {
-            config: self.config.clone(),
-            warm: Mutex::new(lock(&self.warm).clone()),
-            design: Mutex::new(lock(&self.design).clone()),
-        }
-    }
+    design: Option<ProfilingDesign>,
 }
 
 impl Pamo {
@@ -147,8 +138,8 @@ impl Pamo {
     pub fn new(config: PamoConfig) -> Self {
         Pamo {
             config,
-            warm: Mutex::new(None),
-            design: Mutex::new(None),
+            warm: None,
+            design: None,
         }
     }
 
@@ -157,9 +148,9 @@ impl Pamo {
     /// cold (e.g. after a workload change that invalidates the previous
     /// hyperparameters). A reset decision redraws exactly the cold RNG
     /// stream, so it bit-reproduces a fresh scheduler's decision.
-    pub fn reset_warm_start(&self) {
-        *lock(&self.warm) = None;
-        *lock(&self.design) = None;
+    pub fn reset_warm_start(&mut self) {
+        self.warm = None;
+        self.design = None;
     }
 
     /// The tuning this scheduler runs with.
@@ -175,7 +166,7 @@ impl Pamo {
     /// preference-model breakdown — comes back as a [`CoreError`]; this
     /// path never panics.
     pub fn decide<R: Rng + ?Sized>(
-        &self,
+        &mut self,
         scenario: &Scenario,
         true_pref: &TruePreference,
         rng: &mut R,
@@ -197,7 +188,7 @@ impl Pamo {
     /// run draws the same RNG stream and returns the same bits as a
     /// recorded one.
     pub fn decide_surviving_recorded<R: Rng + ?Sized>(
-        &self,
+        &mut self,
         scenario: &Scenario,
         true_pref: &TruePreference,
         alive: Option<&[bool]>,
@@ -228,7 +219,7 @@ impl Pamo {
     /// unbudgeted path (which delegates here).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn decide_surviving_budgeted_recorded<R: Rng + ?Sized>(
-        &self,
+        &mut self,
         scenario: &Scenario,
         true_pref: &TruePreference,
         alive: Option<&[bool]>,
@@ -250,17 +241,13 @@ impl Pamo {
         // The profiling design (the shared (config, uplink) grid) is
         // cached alongside: later epochs re-measure the same points
         // instead of redrawing them.
-        let warm_thetas = lock(&self.warm).clone();
-        let design = {
-            let mut guard = lock(&self.design);
-            match guard.as_ref() {
-                Some(d) if d.len() == cfg.profiling_per_camera => d.clone(),
-                _ => {
-                    let d = ProfilingDesign::draw(scenario, cfg.profiling_per_camera, rng);
-                    *guard = Some(d.clone());
-                    d
-                }
-            }
+        let design = match &self.design {
+            Some(d) if d.len() == cfg.profiling_per_camera => d,
+            _ => self.design.insert(ProfilingDesign::draw(
+                scenario,
+                cfg.profiling_per_camera,
+                rng,
+            )),
         };
         // The refit is mandatory (a decision without outcome models is
         // no decision), so a refused lump is force-charged: the overrun
@@ -273,17 +260,17 @@ impl Pamo {
         }
         let bank = OutcomeModelBank::fit_designed(
             scenario,
-            &design,
+            design,
             cfg.profile_noise,
-            warm_thetas.as_deref(),
+            self.warm.as_deref(),
             rng,
             rec,
         )?;
-        *lock(&self.warm) = Some(bank.shared_thetas());
+        self.warm = Some(bank.shared_thetas());
 
         // (2) System preference modeling. The pool's placements serve
         // every surrogate of this decide.
-        let placements = Arc::new(Placements::default());
+        let placements = Rc::new(Placements::default());
         let (pool, pref_eval, comparisons_used) = {
             let _pref_span = span(rec, Phase::PrefModel);
             let pool = build_pool(scenario, cfg.pool_size, rng, &placements)?;
@@ -296,7 +283,7 @@ impl Pamo {
                         PreferenceEval::Oracle(true_pref.clone()), // unused: predict only
                         normalizer.clone(),
                     )
-                    .with_placements(Arc::clone(&placements));
+                    .with_placements(Rc::clone(&placements));
                     let model = self.elicit(&predictor, &normalizer, true_pref, &pool, rng)?;
                     (PreferenceEval::Learned(model), cfg.n_comparisons)
                 }
@@ -309,7 +296,7 @@ impl Pamo {
         }
 
         // (3) Best configuration solving.
-        let bank = Mutex::new(bank);
+        let bank = RefCell::new(bank);
         let objective = |x: &[f64]| -> f64 {
             if rec.enabled() {
                 rec.add("core.objective_evals", 1);
@@ -334,7 +321,8 @@ impl Pamo {
                 // Conditioning failures keep a camera's previous models
                 // (stale beats poisoned); the measurements still count.
                 let _update_span = span(rec, Phase::BankUpdate);
-                match lock(&bank).update_all(&samples) {
+                let updated = bank.borrow_mut().update_all(&samples);
+                match updated {
                     Ok(report) => report.record(rec),
                     Err(_) => {
                         if rec.enabled() {
@@ -349,11 +337,11 @@ impl Pamo {
         let fit = |_observations: &[(Vec<f64>, f64)]| -> CompositeSampler<'_> {
             CompositeSampler::new(
                 scenario,
-                lock(&bank).clone(),
+                bank.borrow().clone(),
                 pref_eval.clone(),
                 normalizer.clone(),
             )
-            .with_placements(Arc::clone(&placements))
+            .with_placements(Rc::clone(&placements))
             .recorded(rec)
         };
         let bo = {
@@ -363,7 +351,7 @@ impl Pamo {
         if rec.enabled() {
             rec.add("core.decisions", 1);
             rec.observe("core.bo_observations", bo.observations.len() as f64);
-            rec.add("gp.weight_solves", lock(&bank).weight_solves() as u64);
+            rec.add("gp.weight_solves", bank.borrow().weight_solves() as u64);
         }
 
         // Final recommendation: best observed joint config, scored by
@@ -517,7 +505,7 @@ mod tests {
     fn pamo_plus_finds_good_configurations() {
         let sc = scenario();
         let pref = TruePreference::uniform(&sc);
-        let pamo = Pamo::new(tiny_config().plus());
+        let mut pamo = Pamo::new(tiny_config().plus());
         let d = pamo.decide(&sc, &pref, &mut seeded(1)).unwrap();
         // Compare against the floor config: PaMO+ must do better.
         let floor = sc
@@ -580,7 +568,7 @@ mod tests {
         // Accuracy-heavy vs energy-heavy true preferences.
         let acc_pref = TruePreference::new(&sc, [0.2, 3.2, 0.2, 0.2, 0.2]);
         let eng_pref = TruePreference::new(&sc, [0.2, 0.2, 0.2, 0.2, 3.2]);
-        let pamo = Pamo::new(tiny_config().plus());
+        let mut pamo = Pamo::new(tiny_config().plus());
         let d_acc = pamo.decide(&sc, &acc_pref, &mut seeded(4)).unwrap();
         let d_eng = pamo.decide(&sc, &eng_pref, &mut seeded(4)).unwrap();
         assert!(
@@ -601,7 +589,7 @@ mod tests {
     fn warm_started_second_decision_stays_good() {
         let sc = scenario();
         let pref = TruePreference::uniform(&sc);
-        let pamo = Pamo::new(tiny_config().plus());
+        let mut pamo = Pamo::new(tiny_config().plus());
         let first = pamo.decide(&sc, &pref, &mut seeded(7)).unwrap();
         // Second decision on the same scheduler warm-starts its GP fits;
         // quality must not regress below the trivial floor and the
@@ -625,7 +613,7 @@ mod tests {
     fn budgeted_decision_early_exits_but_stays_feasible() {
         let sc = scenario();
         let pref = TruePreference::uniform(&sc);
-        let pamo = Pamo::new(tiny_config().plus());
+        let mut pamo = Pamo::new(tiny_config().plus());
         let full = pamo.decide(&sc, &pref, &mut seeded(11)).unwrap();
         pamo.reset_warm_start();
         // Affords the mandatory fit lump plus the init design only:

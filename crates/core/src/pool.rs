@@ -8,15 +8,15 @@
 //! configs (all cameras share one knob pair) plus Latin-hypercube mixed
 //! configs, all pre-filtered by Algorithm-1 schedulability.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 use eva_sched::{exceeds_capacity, Assignment};
 use eva_workload::{Scenario, VideoConfig};
 use rand::Rng;
 
 use crate::error::{require, CoreError};
-use crate::lock;
 
 /// Encode per-camera configs as a flat normalized vector
 /// `[r₀/2160, s₀/30, r₁/2160, …]`. A config count other than the
@@ -58,7 +58,7 @@ pub fn decode_joint(scenario: &Scenario, x: &[f64]) -> Result<Vec<VideoConfig>, 
 /// used with.
 #[derive(Debug, Default)]
 pub struct Placements {
-    memo: Mutex<HashMap<Vec<u64>, Option<Arc<Assignment>>>>,
+    memo: RefCell<HashMap<Vec<u64>, Option<Rc<Assignment>>>>,
 }
 
 impl Placements {
@@ -68,18 +68,20 @@ impl Placements {
         &self,
         scenario: &Scenario,
         configs: &[VideoConfig],
-    ) -> Option<Arc<Assignment>> {
+    ) -> Option<Rc<Assignment>> {
         let key = config_key(configs);
-        if let Some(hit) = lock(&self.memo).get(&key) {
+        if let Some(hit) = self.memo.borrow().get(&key) {
             return hit.clone();
         }
-        let placed = scenario.schedule(configs).ok().map(Arc::new);
-        lock(&self.memo).insert(key, placed.clone());
+        let placed = scenario.schedule(configs).ok().map(Rc::new);
+        self.memo.borrow_mut().insert(key, placed.clone());
         placed
     }
 
     fn insert(&self, configs: &[VideoConfig], assignment: Assignment) {
-        lock(&self.memo).insert(config_key(configs), Some(Arc::new(assignment)));
+        self.memo
+            .borrow_mut()
+            .insert(config_key(configs), Some(Rc::new(assignment)));
     }
 }
 
@@ -290,14 +292,14 @@ mod tests {
         let sc = scenario();
         let placements = Placements::default();
         let pool = build_pool(&sc, 30, &mut seeded(4), &placements).unwrap();
-        assert_eq!(lock(&placements.memo).len(), pool.len());
+        assert_eq!(placements.memo.borrow().len(), pool.len());
         for x in &pool {
             let configs = decode_joint(&sc, x).unwrap();
             let cached = placements.schedule(&sc, &configs).unwrap();
             assert_eq!(*cached, sc.schedule(&configs).unwrap());
         }
         // Nothing new was scheduled: every lookup hit an admitted entry.
-        assert_eq!(lock(&placements.memo).len(), pool.len());
+        assert_eq!(placements.memo.borrow().len(), pool.len());
     }
 
     /// `build_pool` as it was before the capacity pre-check: every
@@ -403,7 +405,7 @@ mod tests {
                 }
                 (got, want) => proptest::prop_assert!(false, "{got:?} against {want:?}"),
             }
-            proptest::prop_assert!(*lock(&fast.memo) == *lock(&slow.memo));
+            proptest::prop_assert!(*fast.memo.borrow() == *slow.memo.borrow());
             proptest::prop_assert_eq!(fast_rng.next_u64(), slow_rng.next_u64());
         }
     }

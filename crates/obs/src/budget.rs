@@ -23,7 +23,7 @@
 //! are emitted as structured [`crate::ObsEvent`]s carrying the rung so
 //! experiments can attribute benefit loss per degradation mode.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// The escalation ladder rung a decision ran at when its budget was
 /// consulted. Ordering is by decreasing fidelity.
@@ -104,15 +104,14 @@ pub mod cost {
 /// A deterministic work-unit budget shared by the stages of one
 /// decision window.
 ///
-/// Interior-mutable (atomic) so one budget can be threaded by shared
+/// Interior-mutable (`Cell`) so one budget can be threaded by shared
 /// reference through `decide` → BO → placement; all charges happen at
-/// sequential points of the pipeline so the accounting is
-/// deterministic despite the atomics.
+/// sequential points of one thread, so the accounting is deterministic.
 #[derive(Debug)]
 pub struct DecisionBudget {
     limit: u64,
-    spent: AtomicU64,
-    overruns: AtomicU64,
+    spent: Cell<u64>,
+    overruns: Cell<u64>,
 }
 
 impl DecisionBudget {
@@ -122,8 +121,8 @@ impl DecisionBudget {
     pub fn unlimited() -> Self {
         DecisionBudget {
             limit: u64::MAX,
-            spent: AtomicU64::new(0),
-            overruns: AtomicU64::new(0),
+            spent: Cell::new(0),
+            overruns: Cell::new(0),
         }
     }
 
@@ -131,8 +130,8 @@ impl DecisionBudget {
     pub fn limited(units: u64) -> Self {
         DecisionBudget {
             limit: units,
-            spent: AtomicU64::new(0),
-            overruns: AtomicU64::new(0),
+            spent: Cell::new(0),
+            overruns: Cell::new(0),
         }
     }
 
@@ -149,7 +148,7 @@ impl DecisionBudget {
 
     /// Work units spent so far.
     pub fn spent(&self) -> u64 {
-        self.spent.load(Ordering::Relaxed)
+        self.spent.get()
     }
 
     /// Work units still available (0 when exhausted).
@@ -167,7 +166,7 @@ impl DecisionBudget {
     /// pushed `spent` past `limit`. Stays 0 under the
     /// check-before-work discipline.
     pub fn overruns(&self) -> u64 {
-        self.overruns.load(Ordering::Relaxed)
+        self.overruns.get()
     }
 
     /// Charge `units` if and only if they fit in the remaining budget.
@@ -175,7 +174,7 @@ impl DecisionBudget {
     /// must then degrade instead of doing the work.
     pub fn try_charge(&self, units: u64) -> bool {
         if units <= self.remaining() {
-            self.spent.fetch_add(units, Ordering::Relaxed);
+            self.spent.set(self.spent.get() + units);
             true
         } else {
             false
@@ -187,9 +186,10 @@ impl DecisionBudget {
     /// floors; a control plane that sizes its floors correctly never
     /// triggers the overrun path.
     pub fn force_charge(&self, units: u64) {
-        let after = self.spent.fetch_add(units, Ordering::Relaxed) + units;
+        let after = self.spent.get().saturating_add(units);
+        self.spent.set(after);
         if after > self.limit {
-            self.overruns.fetch_add(1, Ordering::Relaxed);
+            self.overruns.set(self.overruns.get() + 1);
         }
     }
 }

@@ -3,8 +3,8 @@
 //! and exports them as a machine-readable JSON snapshot (tests also
 //! read the event log as JSONL).
 
+use std::cell::RefCell;
 use std::fmt::Write as _;
-use std::sync::Mutex;
 
 use crate::hist::LogLinearHistogram;
 use crate::json;
@@ -22,10 +22,10 @@ struct Inner {
     events_dropped: u64,
 }
 
-/// An enabled, thread-safe recorder backing the perf baseline and any
-/// diagnostic run.
+/// An enabled recorder backing the perf baseline and any diagnostic
+/// run. It is single-threaded by type (`!Sync`), like the library.
 pub struct FlightRecorder {
-    inner: Mutex<Inner>,
+    inner: RefCell<Inner>,
     max_events: usize,
 }
 
@@ -39,7 +39,7 @@ impl FlightRecorder {
     /// A fresh recorder with the default event cap.
     pub fn new() -> Self {
         FlightRecorder {
-            inner: Mutex::new(Inner {
+            inner: RefCell::new(Inner {
                 phases: (0..Phase::ALL.len())
                     .map(|_| LogLinearHistogram::new())
                     .collect(),
@@ -58,15 +58,9 @@ impl FlightRecorder {
         self
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        // A panicked recording thread cannot corrupt count/histogram
-        // state in a way worth dying for; recover the poisoned lock.
-        self.inner.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
     /// Immutable copy of everything recorded so far.
     pub fn snapshot(&self) -> ObsSnapshot {
-        let inner = self.lock();
+        let inner = self.inner.borrow();
         ObsSnapshot {
             phases: Phase::ALL
                 .iter()
@@ -86,23 +80,23 @@ impl Recorder for FlightRecorder {
     }
 
     fn record_span(&self, phase: Phase, nanos: u64) {
-        self.lock().phases[phase.index()].record(nanos as f64 * 1e-9);
+        self.inner.borrow_mut().phases[phase.index()].record(nanos as f64 * 1e-9);
     }
 
     fn add(&self, name: &'static str, delta: u64) {
-        self.lock().metrics.add(name, delta);
+        self.inner.borrow_mut().metrics.add(name, delta);
     }
 
     fn gauge(&self, name: &'static str, value: f64) {
-        self.lock().metrics.gauge(name, value);
+        self.inner.borrow_mut().metrics.gauge(name, value);
     }
 
     fn observe(&self, name: &'static str, value: f64) {
-        self.lock().metrics.observe(name, value);
+        self.inner.borrow_mut().metrics.observe(name, value);
     }
 
     fn event(&self, event: ObsEvent) {
-        let mut inner = self.lock();
+        let mut inner = self.inner.borrow_mut();
         if inner.events.len() >= self.max_events {
             inner.events_dropped += 1;
         } else {

@@ -1,9 +1,8 @@
 //! The metrics registry: named counters, gauges and histograms.
 //!
-//! A plain (unsynchronized) container — [`crate::FlightRecorder`] wraps
-//! one in a mutex for concurrent recording, and aggregation jobs merge
-//! per-run registries after the fact. `BTreeMap` keys keep every
-//! export deterministically ordered.
+//! A plain container — [`crate::FlightRecorder`] keeps one in a
+//! `RefCell`, and aggregation jobs merge per-run registries after the
+//! fact. `BTreeMap` keys keep every export deterministically ordered.
 
 use std::collections::BTreeMap;
 

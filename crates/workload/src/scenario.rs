@@ -5,7 +5,7 @@
 //! Algorithm-1 placement: the quantity the BO loop optimizes and the
 //! discrete-event simulator cross-checks.
 
-use std::sync::OnceLock;
+use std::cell::OnceCell;
 
 use eva_bond::{BondPolicy, LinkBundle};
 use eva_fault::FaultPlan;
@@ -138,7 +138,7 @@ pub struct Scenario {
     /// Per-camera cost extremes behind [`Scenario::cost_bounds`],
     /// computed on the first bounds read (a scenario that never reads
     /// them, such as a DES run's, pays nothing).
-    extremes: OnceLock<Vec<CostExtremes>>,
+    extremes: OnceCell<Vec<CostExtremes>>,
 }
 
 /// The derived `Debug` form without the cost-extremes cache, so that a
@@ -188,7 +188,7 @@ impl Scenario {
             bond_policy: BondPolicy::default(),
             planning_bps: None,
             faults: None,
-            extremes: OnceLock::new(),
+            extremes: OnceCell::new(),
         }
     }
 
@@ -213,7 +213,7 @@ impl Scenario {
             let mut all = Vec::with_capacity(derived.n_videos());
             all.extend_from_slice(carried);
             all.push(derived.camera_extremes(self.n_videos(), slowest, fastest));
-            derived.extremes = OnceLock::from(all);
+            derived.extremes = OnceCell::from(all);
         }
         Ok(derived)
     }
@@ -239,7 +239,7 @@ impl Scenario {
         let mut derived = self.derive(clips.collect(), surfaces.collect())?;
         if let Some(carried) = self.extremes.get() {
             let kept: Vec<CostExtremes> = (0..cameras).filter(keep).map(|i| carried[i]).collect();
-            derived.extremes = OnceLock::from(kept);
+            derived.extremes = OnceCell::from(kept);
         }
         Ok(derived)
     }
@@ -264,7 +264,7 @@ impl Scenario {
             bond_policy: self.bond_policy,
             planning_bps: self.planning_bps.clone(),
             faults: None,
-            extremes: OnceLock::new(),
+            extremes: OnceCell::new(),
         })
     }
 

@@ -23,7 +23,7 @@ fn main() {
     let mut cfg = PamoConfig::default();
     cfg.bo.max_iters = 5;
     cfg.n_comparisons = 12;
-    let pamo = Pamo::new(cfg);
+    let mut pamo = Pamo::new(cfg);
 
     let mut rng = seeded(7);
     let decision = pamo

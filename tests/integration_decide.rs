@@ -90,7 +90,7 @@ fn cfg() -> PamoConfig {
 fn shared_design_decide_is_bit_pinned() {
     let scenario = scenario();
     let pref = TruePreference::uniform(&scenario);
-    let pamo = Pamo::new(cfg());
+    let mut pamo = Pamo::new(cfg());
     let mut rng = seeded(23);
     let mut bits = Vec::new();
     let mut hash = FNV_OFFSET;
@@ -126,7 +126,7 @@ fn learned_decide_is_bit_pinned() {
     cfg.n_comparisons = 6;
     cfg.elicit_candidates = 15;
     cfg.pool_size = 24;
-    let pamo = Pamo::new(cfg);
+    let mut pamo = Pamo::new(cfg);
     let mut rng = seeded(31);
     let mut hash = FNV_OFFSET;
     for _ in 0..2 {
@@ -155,7 +155,7 @@ fn learned_decide_is_bit_pinned() {
 fn decide_bits(rec: &dyn Recorder) -> Vec<u64> {
     let scenario = scenario();
     let pref = TruePreference::uniform(&scenario);
-    let pamo = Pamo::new(cfg());
+    let mut pamo = Pamo::new(cfg());
     let mut rng = seeded(23);
     let mut bits = Vec::new();
     for _ in 0..2 {
