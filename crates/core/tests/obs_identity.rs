@@ -103,7 +103,7 @@ fn online_run_identical_under_noop_and_flight_recorders() {
         assert!(s.count > 0, "phase {p:?} has zero spans");
         assert!(s.total_s >= 0.0 && s.total_s.is_finite());
     }
-    assert_eq!(snap.metrics.counter("online.epochs"), 3);
+    assert_eq!(snap.metrics.counter("serve.epochs"), 3);
     assert!(snap.metrics.counter("core.objective_evals") > 0);
     assert!(snap.metrics.counter("gp.fits") > 0);
     assert!(snap.metrics.counter("gp.prefix_solves") > 0);
@@ -143,7 +143,7 @@ fn faulted_run_identical_under_recorders() {
     assert_runs_bit_identical(&noop, &recorded, "faulted noop vs flight");
 
     let snap = flight.snapshot();
-    assert_eq!(snap.metrics.counter("online.epochs"), 4);
+    assert_eq!(snap.metrics.counter("serve.epochs"), 4);
     // This plan crashes servers most of the time: the detector must
     // have fired at least once, as a counter and a structured event.
     assert!(
@@ -180,5 +180,5 @@ fn zero_fault_recorded_run_equals_the_unplanned_run() {
         run_online(&base, 0.05, &cfg, [1.0; 5], 3, None, 13, &NoopRecorder).expect("valid inputs")
     };
     assert_runs_bit_identical(&a, &b, "zero plan vs no plan");
-    assert_eq!(flight_a.snapshot().metrics.counter("online.epochs"), 3);
+    assert_eq!(flight_a.snapshot().metrics.counter("serve.epochs"), 3);
 }
