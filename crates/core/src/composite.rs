@@ -26,6 +26,7 @@
 //! correlation is approximated as independence. BoTorch's qNEI makes
 //! the analogous MC-with-CRN trade, just with full joint GP sampling.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -41,10 +42,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::benefit::{OutcomeNormalizer, TruePreference};
-use crate::gp::FactorSolve;
-use crate::models::{OutcomeModelBank, SharedWork, SolveMemo};
+use crate::gp::GpModel;
+use crate::models::OutcomeModelBank;
 use crate::pool::{decode_joint, Placements};
 use crate::prefgp::PreferenceModel;
+use crate::solves::SolveStore;
 
 /// Benefit assigned to joint configs with no zero-jitter placement.
 /// Far below any reachable utility on either the learned (GP-prior
@@ -103,9 +105,12 @@ pub struct CompositeSampler<'a> {
     /// Algorithm-1 placements, shared with the candidate pool and the
     /// other samplers of one decide.
     placements: Rc<Placements>,
+    /// Design-row solves kept from scan to scan, shared with the bank
+    /// updates and the other samplers of one decide.
+    solves: Rc<RefCell<SolveStore>>,
     /// Telemetry for batched posteriors (`bo_prepare` spans, the
-    /// `gp.posterior_queries` / `gp.prefix_solves` / `gp.tail_solves`
-    /// counters and `prefgp.posterior_points`).
+    /// `gp.posterior_queries` / `gp.prefix_solves` / `gp.tail_solves` /
+    /// `gp.tail_rows` counters and `prefgp.posterior_points`).
     rec: &'a dyn Recorder,
 }
 
@@ -123,6 +128,7 @@ impl<'a> CompositeSampler<'a> {
             pref,
             normalizer,
             placements: Rc::default(),
+            solves: Rc::default(),
             rec: &NoopRecorder,
         }
     }
@@ -131,6 +137,13 @@ impl<'a> CompositeSampler<'a> {
     /// cache) instead of a cache of this sampler's own.
     pub(crate) fn with_placements(mut self, placements: Rc<Placements>) -> Self {
         self.placements = placements;
+        self
+    }
+
+    /// Keep design-row solves in `solves` (the decide's store) instead
+    /// of a store of this sampler's own.
+    pub(crate) fn with_solves(mut self, solves: Rc<RefCell<SolveStore>>) -> Self {
+        self.solves = solves;
         self
     }
 
@@ -196,26 +209,6 @@ impl<'a> CompositeSampler<'a> {
             }
         }
         map.into_iter().map(|u| u.unwrap_or(ups[0])).collect()
-    }
-
-    /// Posteriors of one (camera, objective) model at `xs`, given each
-    /// query's memoized factor solve.
-    fn predict_batch(
-        &self,
-        cam: usize,
-        obj: usize,
-        xs: &[[f64; N_FEATURES]],
-        slots: &[usize],
-        solves: &SharedWork<FactorSolve>,
-    ) -> Vec<(f64, f64)> {
-        let model = self.bank.read(cam, obj);
-        xs.iter()
-            .zip(slots)
-            .map(|(x, &slot)| {
-                let (pre, solve) = solves.get(slot, |pre| model.factor_solve(x, pre));
-                model.predict_with(x, pre, solve)
-            })
-            .collect()
     }
 
     /// Samples at one point assembled from the scalar bank calls: the
@@ -335,6 +328,119 @@ impl<'a> CompositeSampler<'a> {
 /// Objectives summed over cameras; latency is summed over split parts.
 const AGG_OBJS: [usize; 4] = [idx::ACCURACY, idx::NETWORK, idx::COMPUTATION, idx::ENERGY];
 
+/// The posterior queries of one scan over feasible points, flat and
+/// numbered batch after batch. Batch `cam * 4 + k` asks camera `cam`'s
+/// model of objective `AGG_OBJS[k]` at its config and uplink at every
+/// point; batch `4M + cam` asks camera `cam`'s latency model once per
+/// split part of each point, at the part's server.
+struct Queries {
+    n_videos: usize,
+    n_points: usize,
+    /// `agg_xs[cam * n_points + p]`: camera `cam`'s input at point `p`,
+    /// shared by its four aggregate batches.
+    agg_xs: Vec<[f64; N_FEATURES]>,
+    /// Inputs of the latency batches, camera after camera.
+    lat_xs: Vec<[f64; N_FEATURES]>,
+    /// First query of every batch, then the query count.
+    offsets: Vec<usize>,
+    /// `parts[part_offsets[p] + i]`: the query of split part `i` of
+    /// point `p`.
+    parts: Vec<usize>,
+    part_offsets: Vec<usize>,
+}
+
+impl Queries {
+    fn new(scenario: &Scenario, feasible: &[Feasible]) -> Self {
+        let (n_videos, n_points) = (scenario.n_videos(), feasible.len());
+        let planning = scenario.planning_uplinks();
+        let agg_xs: Vec<[f64; N_FEATURES]> = (0..n_videos)
+            .flat_map(|cam| {
+                feasible
+                    .iter()
+                    .map(move |f| features_of(&f.configs[cam], f.uplinks[cam]))
+            })
+            .collect();
+        let n_agg = n_videos * AGG_OBJS.len();
+        let mut offsets: Vec<usize> = (0..=n_agg).map(|b| b * n_points).collect();
+        // Latency batch sizes, then their offsets.
+        let mut lat_len = vec![0; n_videos];
+        for f in feasible {
+            for st in &f.assignment.streams {
+                lat_len[st.id.source] += 1;
+            }
+        }
+        for len in &lat_len {
+            offsets.push(offsets[offsets.len() - 1] + len);
+        }
+        let lat_base = offsets[n_agg];
+        let mut next: Vec<usize> = offsets[n_agg..n_agg + n_videos].to_vec();
+        let mut lat_xs = vec![[0.0; N_FEATURES]; offsets[n_agg + n_videos] - lat_base];
+        let mut parts = Vec::new();
+        let mut part_offsets = Vec::with_capacity(n_points + 1);
+        for f in feasible {
+            part_offsets.push(parts.len());
+            for (i, st) in f.assignment.streams.iter().enumerate() {
+                let cam = st.id.source;
+                let q = next[cam];
+                next[cam] += 1;
+                lat_xs[q - lat_base] =
+                    features_of(&f.configs[cam], planning[f.assignment.server_of[i]]);
+                parts.push(q);
+            }
+        }
+        part_offsets.push(parts.len());
+        Queries {
+            n_videos,
+            n_points,
+            agg_xs,
+            lat_xs,
+            offsets,
+            parts,
+            part_offsets,
+        }
+    }
+
+    fn batches(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// The (camera, objective) model batch `b` asks.
+    fn model_of(&self, b: usize) -> (usize, usize) {
+        let n_agg = self.n_videos * AGG_OBJS.len();
+        if b < n_agg {
+            (b / AGG_OBJS.len(), AGG_OBJS[b % AGG_OBJS.len()])
+        } else {
+            (b - n_agg, idx::LATENCY)
+        }
+    }
+
+    /// The input of query `q` of batch `b`.
+    fn x(&self, b: usize, q: usize) -> [f64; N_FEATURES] {
+        let n_agg = self.n_videos * AGG_OBJS.len();
+        if b < n_agg {
+            let cam = b / AGG_OBJS.len();
+            self.agg_xs[cam * self.n_points + q - self.offsets[b]]
+        } else {
+            self.lat_xs[q - self.offsets[n_agg]]
+        }
+    }
+
+    /// The query of camera `cam`'s `k`-th aggregate objective at point
+    /// `p`.
+    fn agg(&self, cam: usize, k: usize, p: usize) -> usize {
+        (cam * AGG_OBJS.len() + k) * self.n_points + p
+    }
+}
+
+/// A distinct point of a scan that has a placement.
+struct Feasible {
+    point: usize,
+    hash: u64,
+    configs: Vec<eva_workload::VideoConfig>,
+    assignment: Rc<eva_sched::Assignment>,
+    uplinks: Vec<f64>,
+}
+
 /// `n_mc` aggregate outcomes from per-objective `(mean, variance)`
 /// moments: objective `k` of row `r` is `mean + sd · z_k[r]`, clipped
 /// like the per-camera values (accuracy to [0, 1], the rest ≥ 0), with
@@ -376,13 +482,13 @@ impl SurrogateSampler for CompositeSampler<'_> {
     /// pure indices — aggregate objectives query exactly once per
     /// (point, camera), and latency once per (point, split part).
     /// Cameras with the same observation history share one GP factor,
-    /// so a first sequential pass registers every query in a
-    /// `SolveMemo`: each distinct (prefix, query) design-row solve and
-    /// each distinct (factor, query) tail cross-kernel vector and latent
-    /// variance is computed once, by the first camera that needs it,
-    /// and every camera then only takes its model's mean dot
-    /// (`GpModel::predict_with`). Bit-identical to assembling
-    /// each point from the scalar bank calls.
+    /// so the sampler's `SolveStore` computes each distinct (prefix,
+    /// query) design-row solve and each distinct (factor, query) tail
+    /// solve once, and every camera then only takes its model's mean
+    /// dot (`GpModel::predict_with`). The store is the decide's, so a
+    /// scan reuses the design-row solves of earlier scans and bank
+    /// updates. Bit-identical to assembling each point from the scalar
+    /// bank calls.
     fn joint_samples(&self, xs: &[Vec<f64>], n_mc: usize, seed: u64) -> Mat {
         let _prepare_span = span(self.rec, Phase::BoPrepare);
         // Distinct points by content hash; column `c` of the result
@@ -400,13 +506,6 @@ impl SurrogateSampler for CompositeSampler<'_> {
             })
             .collect();
 
-        struct Feasible {
-            point: usize,
-            hash: u64,
-            configs: Vec<eva_workload::VideoConfig>,
-            assignment: Rc<eva_sched::Assignment>,
-            uplinks: Vec<f64>,
-        }
         let mut feasible: Vec<Feasible> = Vec::new();
         let mut samples: Vec<Vec<f64>> = vec![Vec::new(); distinct.len()];
         for (point, &(hash, x)) in distinct.iter().enumerate() {
@@ -433,79 +532,24 @@ impl SurrogateSampler for CompositeSampler<'_> {
         for (k, &obj) in AGG_OBJS.iter().enumerate() {
             agg_slot[obj] = k;
         }
-        let n_videos = self.scenario.n_videos();
-        let planning = self.scenario.planning_uplinks();
 
         let posterior_span = span(self.rec, Phase::BoPosterior);
-        // Queries per camera: point `p` queries the aggregate objectives
-        // at `(configs[cam], uplinks[cam])`, and the latency model once
-        // per split part at the part's server; `lat_slot[p][part]` is
-        // the part's position in its camera's latency batch.
-        let agg_xs: Vec<Vec<[f64; N_FEATURES]>> = (0..n_videos)
-            .map(|cam| {
-                feasible
-                    .iter()
-                    .map(|f| features_of(&f.configs[cam], f.uplinks[cam]))
-                    .collect()
-            })
-            .collect();
-        let mut lat_xs: Vec<Vec<[f64; N_FEATURES]>> = vec![Vec::new(); n_videos];
-        let mut lat_slot: Vec<Vec<usize>> = Vec::with_capacity(feasible.len());
-        for f in &feasible {
-            let mut slots = Vec::with_capacity(f.assignment.streams.len());
-            for (i, st) in f.assignment.streams.iter().enumerate() {
-                let cam = st.id.source;
-                let batch = &mut lat_xs[cam];
-                slots.push(batch.len());
-                batch.push(features_of(
-                    &f.configs[cam],
-                    planning[f.assignment.server_of[i]],
-                ));
-            }
-            lat_slot.push(slots);
-        }
-
-        // First pass (sequential): the memo slot of every query, laid
-        // out like the posteriors below.
-        let mut memo = SolveMemo::default();
-        let agg_memo: Vec<Vec<usize>> = (0..n_videos)
-            .flat_map(|cam| AGG_OBJS.iter().map(move |&obj| (cam, obj)))
-            .map(|(cam, obj)| {
-                let model = self.bank.model(cam, obj);
-                agg_xs[cam].iter().map(|x| memo.slot(model, x)).collect()
-            })
-            .collect();
-        let lat_memo: Vec<Vec<usize>> = (0..n_videos)
-            .map(|cam| {
-                let model = self.bank.model(cam, idx::LATENCY);
-                lat_xs[cam].iter().map(|x| memo.slot(model, x)).collect()
-            })
-            .collect();
-        let solves = memo.finish();
-
-        // Second pass: per-camera posteriors, `agg_post[cam * 4 +
-        // slot][p]` and `lat_post[cam][part slot]`. A shared slot holds
-        // the same value whichever camera fills it first.
-        let agg_post: Vec<Vec<(f64, f64)>> = (0..n_videos * AGG_OBJS.len())
+        let queries = Queries::new(self.scenario, &feasible);
+        let models: Vec<&GpModel> = (0..queries.batches())
             .map(|b| {
-                let (cam, obj) = (b / AGG_OBJS.len(), AGG_OBJS[b % AGG_OBJS.len()]);
-                self.predict_batch(cam, obj, &agg_xs[cam], &agg_memo[b], &solves)
+                let (cam, obj) = queries.model_of(b);
+                self.bank.read(cam, obj)
             })
             .collect();
-        let lat_post: Vec<Vec<(f64, f64)>> = (0..n_videos)
-            .map(|cam| self.predict_batch(cam, idx::LATENCY, &lat_xs[cam], &lat_memo[cam], &solves))
-            .collect();
+        let (post, work) = self
+            .solves
+            .borrow_mut()
+            .scan(&models, &queries.offsets, |b, q| queries.x(b, q));
         if self.rec.enabled() {
-            let queries = agg_memo
-                .iter()
-                .chain(&lat_memo)
-                .map(Vec::len)
-                .sum::<usize>();
-            self.rec.add("gp.posterior_queries", queries as u64);
-            self.rec
-                .add("gp.prefix_solves", solves.prefix_solves() as u64);
-            self.rec
-                .add("gp.tail_solves", solves.computed().count() as u64);
+            self.rec.add("gp.posterior_queries", work.queries as u64);
+            self.rec.add("gp.prefix_solves", work.prefix_solves as u64);
+            self.rec.add("gp.tail_solves", work.tail_solves as u64);
+            self.rec.add("gp.tail_rows", work.tail_rows as u64);
         }
         drop(posterior_span);
 
@@ -517,7 +561,7 @@ impl SurrogateSampler for CompositeSampler<'_> {
             .iter()
             .enumerate()
             .map(|(p, f)| {
-                let slots = &lat_slot[p];
+                let parts = &queries.parts[queries.part_offsets[p]..];
                 let predict = |cam: usize,
                                obj: usize,
                                _cfg: &eva_workload::VideoConfig,
@@ -525,9 +569,9 @@ impl SurrogateSampler for CompositeSampler<'_> {
                                part: usize|
                  -> (f64, f64) {
                     if obj == idx::LATENCY {
-                        lat_post[cam][slots[part]]
+                        post[parts[part]]
                     } else {
-                        agg_post[cam * AGG_OBJS.len() + agg_slot[obj]][p]
+                        post[queries.agg(cam, agg_slot[obj], p)]
                     }
                 };
                 let (samples, clipped) = self.assemble_point_samples(

@@ -35,8 +35,12 @@
 //! factor ([`GpModel::factor_solve`]). Callers that query many models
 //! compute each once per distinct query and pass both to
 //! [`GpModel::predict_with`], which then does only the model's mean dot.
+//!
+//! Prefixes and factors are named by serial numbers that are never
+//! reused, so a memo keyed by them stays valid after the models it was
+//! filled from are gone.
 
-use std::cell::OnceCell;
+use std::cell::{Cell, OnceCell};
 use std::rc::Rc;
 
 use eva_linalg::{vecops, Cholesky, LinalgError, Mat};
@@ -75,9 +79,26 @@ fn forward_packed(
     Ok(())
 }
 
+thread_local! {
+    /// The last serial handed out to a prefix or factor on this thread
+    /// (both are `Rc`-shared, so they never leave it).
+    static LAST_SERIAL: Cell<u64> = const { Cell::new(0) };
+}
+
+/// A serial number no prefix or factor on this thread had before; 0 is
+/// never handed out.
+fn next_serial() -> u64 {
+    LAST_SERIAL.with(|last| {
+        let serial = last.get() + 1;
+        last.set(serial);
+        serial
+    })
+}
+
 /// The design rows a factor may share with others.
 #[derive(Debug)]
 struct Prefix {
+    serial: u64,
     kernel: Kernel,
     noise_var: f64,
     /// Inputs, row-major `n × dim`.
@@ -99,6 +120,7 @@ impl Prefix {
 /// diagonal jitter in effect on any row.
 #[derive(Debug)]
 struct Factor {
+    serial: u64,
     prefix: Rc<Prefix>,
     /// Inputs added after the prefix, row-major.
     tail_x: Vec<f64>,
@@ -121,6 +143,7 @@ impl Factor {
             l.extend_from_slice(&chol.l().row(i)[..=i]);
         }
         let prefix = Prefix {
+            serial: next_serial(),
             kernel,
             noise_var,
             x: x.concat(),
@@ -128,6 +151,7 @@ impl Factor {
             n,
         };
         Ok(Factor {
+            serial: next_serial(),
             prefix: Rc::new(prefix),
             tail_x: Vec::new(),
             tail_l: Vec::new(),
@@ -255,6 +279,7 @@ impl Factor {
             tail_x.extend_from_slice(x);
         }
         Some(Factor {
+            serial: next_serial(),
             prefix: Rc::clone(&self.prefix),
             tail_x,
             tail_l,
@@ -288,27 +313,28 @@ pub struct GpModel {
 /// A query's design-row work against one model prefix: the cross-kernel
 /// entries `k₀ = k(x, X₀)`, their forward solve `L₀⁻¹k₀`, and `k(x, x)`.
 /// Computed once by [`GpModel::prefix_solve`], it serves every model
-/// that shares the prefix.
-#[derive(Debug, Clone)]
+/// that shares the prefix. The default value was solved against no
+/// prefix, so every model recomputes instead of reading it.
+#[derive(Debug, Clone, Default)]
 pub(crate) struct PrefixSolve {
     /// [`GpModel::prefix_id`] of the prefix this was solved against.
-    prefix: usize,
+    prefix: u64,
     k: Vec<f64>,
     /// `None` when the prefix factor is singular.
     w: Option<Vec<f64>>,
     kxx: f64,
 }
 
-/// A query's work against one whole factor beyond its design prefix:
-/// the tail cross-kernel entries (the prefix entries stay in the
+/// A query's work against one whole factor: the cross-kernel entries
+/// `k = k(x, X)` over all its rows (the prefix entries copied from the
 /// query's [`PrefixSolve`]) and the standardized latent variance
 /// `k(x,x) − ‖L⁻¹k‖²`. Computed once by [`GpModel::factor_solve`], it
 /// serves every model that shares the factor.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct FactorSolve {
     /// [`GpModel::factor_id`] of the factor this was solved against.
-    factor: usize,
-    k_tail: Vec<f64>,
+    factor: u64,
+    k: Vec<f64>,
     var_z: f64,
 }
 
@@ -319,7 +345,7 @@ pub(crate) struct FactorSolve {
 #[derive(Debug, Clone)]
 pub(crate) struct FactorExtension {
     /// [`GpModel::factor_id`] of the parent factor.
-    parent: usize,
+    parent: u64,
     factor: Rc<Factor>,
     /// First row whose forward-solved target is new: the parent's row
     /// count, or 0 when the extension fell back to a full rebuild.
@@ -504,10 +530,10 @@ impl GpModel {
 
     /// Identity of this model's shared design prefix: equal ids mean the
     /// same design rows, kernel and factor rows, so one [`PrefixSolve`]
-    /// serves all models that report it. Valid as a memo key while those
-    /// models are alive.
-    pub(crate) fn prefix_id(&self) -> usize {
-        Rc::as_ptr(&self.factor.prefix) as usize
+    /// serves all models that report it. A serial number: no other
+    /// prefix on this thread, live or freed, ever had it.
+    pub(crate) fn prefix_id(&self) -> u64 {
+        self.factor.prefix.serial
     }
 
     /// Whether `other` shares this model's design prefix.
@@ -524,10 +550,11 @@ impl GpModel {
 
     /// Identity of this model's factor: equal ids mean the same inputs,
     /// kernel, noise and factor rows, so one [`FactorSolve`] or
-    /// [`FactorExtension`] serves all models that report it. Valid as a
-    /// memo key while those models are alive.
-    pub(crate) fn factor_id(&self) -> usize {
-        Rc::as_ptr(&self.factor) as usize
+    /// [`FactorExtension`] serves all models that report it. A serial
+    /// number: no other factor on this thread, live or freed, ever had
+    /// it.
+    pub(crate) fn factor_id(&self) -> u64 {
+        self.factor.serial
     }
 
     /// Whether `other` shares this model's factor.
@@ -556,33 +583,48 @@ impl GpModel {
     /// same [`GpModel::factor_id`]; a prefix solve made against another
     /// prefix is ignored and recomputed.
     pub(crate) fn factor_solve(&self, x: &[f64], pre: &PrefixSolve) -> FactorSolve {
+        let mut out = FactorSolve::default();
+        self.factor_solve_into(x, pre, &mut Vec::new(), &mut out);
+        out
+    }
+
+    /// [`GpModel::factor_solve`] into `out`, forward-solving in `y`:
+    /// callers that solve many queries reuse both buffers. Returns the
+    /// number of tail rows forward-solved.
+    pub(crate) fn factor_solve_into(
+        &self,
+        x: &[f64],
+        pre: &PrefixSolve,
+        y: &mut Vec<f64>,
+        out: &mut FactorSolve,
+    ) -> usize {
         if pre.prefix != self.prefix_id() {
-            return self.factor_solve(x, &self.prefix_solve(x));
+            return self.factor_solve_into(x, &self.prefix_solve(x), y, out);
         }
         let f = &*self.factor;
         let (n0, n) = (f.prefix.n, f.n());
-        let mut kx = Vec::with_capacity(n);
-        kx.extend_from_slice(&pre.k);
-        kx.extend((n0..n).map(|i| f.kernel().eval(x, f.point(i))));
+        out.factor = self.factor_id();
+        out.k.clear();
+        out.k.extend_from_slice(&pre.k);
+        out.k
+            .extend((n0..n).map(|i| f.kernel().eval(x, f.point(i))));
         // var = k(x,x) - kx^T (K+σ²I)^{-1} kx. The factorization
         // dimension is consistent by construction; if it ever were not,
         // fall back to the (conservative) prior variance.
         let v = match &pre.w {
             Some(w) => {
-                let mut y = vec![0.0; n];
-                y[..n0].copy_from_slice(w);
-                match f.forward(n0, n, &kx, &mut y) {
-                    Ok(()) => vecops::dot(&y, &y),
+                y.clear();
+                y.extend_from_slice(w);
+                y.resize(n, 0.0);
+                match f.forward(n0, n, &out.k, y) {
+                    Ok(()) => vecops::dot(y, y),
                     Err(_) => 0.0,
                 }
             }
             None => 0.0,
         };
-        FactorSolve {
-            factor: self.factor_id(),
-            k_tail: kx.split_off(n0),
-            var_z: (pre.kxx - v).max(0.0),
-        }
+        out.var_z = (pre.kxx - v).max(0.0);
+        n - n0
     }
 
     /// Predictive mean and *latent* variance at one point, in original
@@ -606,7 +648,7 @@ impl GpModel {
         if pre.prefix != self.prefix_id() || solve.factor != self.factor_id() {
             return self.predict(x);
         }
-        let mean_z = vecops::dot_concat(&pre.k, &solve.k_tail, self.weights());
+        let mean_z = vecops::dot(&solve.k, self.weights());
         (
             self.y_mean + self.y_std * mean_z,
             self.y_std * self.y_std * solve.var_z,
@@ -1145,6 +1187,23 @@ mod tests {
     }
 
     #[test]
+    fn prefix_and_factor_ids_are_never_handed_out_twice() {
+        // Models are built and freed in turn, so an allocator would hand
+        // a new prefix or factor a freed one's address; their ids must
+        // still be new, or a memo that outlives a model could serve its
+        // solves to the next one.
+        let mut seen = std::collections::HashSet::new();
+        for k in 0..20 {
+            let m = toy_model();
+            let c = m.condition(&[vec![0.3 + k as f64 * 0.01]], &[1.0]).unwrap();
+            assert_eq!(c.prefix_id(), m.prefix_id());
+            for id in [m.prefix_id(), m.factor_id(), c.factor_id()] {
+                assert!(seen.insert(id), "id {id} handed out twice");
+            }
+        }
+    }
+
+    #[test]
     fn with_targets_matches_fresh_build() {
         let m = toy_model();
         let y2: Vec<f64> = m.train_x().iter().map(|p| p[0] * 0.7 - 2.0).collect();
@@ -1355,8 +1414,8 @@ mod tests {
     /// input).
     #[derive(Default)]
     struct PassMemo {
-        prefix: HashMap<(usize, Vec<u64>), PrefixSolve>,
-        extensions: HashMap<(usize, Vec<u64>), FactorExtension>,
+        prefix: HashMap<(u64, Vec<u64>), PrefixSolve>,
+        extensions: HashMap<(u64, Vec<u64>), FactorExtension>,
     }
 
     impl PassMemo {

@@ -31,6 +31,7 @@ pub mod pamo;
 pub mod pool;
 pub mod prefgp;
 pub mod serving;
+mod solves;
 
 pub use benefit::{normalized_benefit, OutcomeNormalizer, TruePreference};
 pub use composite::{CompositeSampler, PreferenceEval};

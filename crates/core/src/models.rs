@@ -12,9 +12,7 @@
 //! camera's data and reused — data (not hypers) stays per-camera. This
 //! cuts fitting cost by ~M× without hurting accuracy.
 
-use std::cell::{Cell, OnceCell};
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::cell::Cell;
 use std::rc::Rc;
 
 use eva_obs::{span, Phase, Recorder};
@@ -23,7 +21,8 @@ use eva_workload::{Outcome, ProfileSample, Profiler, Scenario, VideoConfig, N_OB
 use rand::Rng;
 
 use crate::error::{require, CoreError};
-use crate::gp::{fit_gp, theta_of, FitConfig, GpModel, PrefixSolve};
+use crate::gp::{fit_gp, theta_of, FitConfig, GpModel};
+use crate::solves::{SolveMemo, SolveStore};
 
 /// Minimum profiling samples per camera the initial GP fits need.
 const MIN_PROFILING_SAMPLES: usize = 4;
@@ -334,6 +333,16 @@ impl OutcomeModelBank {
     /// that does not match the bank's cameras is
     /// [`CoreError::InvalidInput`].
     pub fn update_all(&mut self, samples: &[ProfileSample]) -> Result<BankUpdate, CoreError> {
+        self.update_all_with(samples, &mut SolveStore::default())
+    }
+
+    /// [`Self::update_all`] reading and adding design-row solves in
+    /// `solves`, the store a decide's scans share.
+    pub(crate) fn update_all_with(
+        &mut self,
+        samples: &[ProfileSample],
+        solves: &mut SolveStore,
+    ) -> Result<BankUpdate, CoreError> {
         require(
             samples.len() == self.models.len(),
             "update_all needs exactly one sample per camera",
@@ -349,6 +358,7 @@ impl OutcomeModelBank {
                 finite.then_some((x, y))
             })
             .collect();
+        let computed = solves.prefix_solves();
         let mut memo = SolveMemo::default();
         let slots: Vec<[usize; N_OBJECTIVES]> = self
             .models
@@ -358,13 +368,14 @@ impl OutcomeModelBank {
                 let mut slots = [0; N_OBJECTIVES];
                 if let Some((x, _)) = m {
                     for (slot, model) in slots.iter_mut().zip(row.iter()) {
-                        *slot = memo.slot(model, x);
+                        *slot = memo.slot(model.factor_id(), solves.prefix_slot(model, x));
                     }
                 }
                 slots
             })
             .collect();
         let extensions = memo.finish();
+        let solves = &*solves;
 
         // Per camera: `None` when skipped, else the number of its
         // conditionings that fell back to a rebuild and whether its row
@@ -378,7 +389,7 @@ impl OutcomeModelBank {
                 let mut staged = Vec::with_capacity(N_OBJECTIVES);
                 let mut rebuilds = 0;
                 for ((model, &slot), y) in row.iter().zip(slots).zip(y) {
-                    let (_, ext) = extensions.get(slot, |pre| model.extend_factor(x, pre));
+                    let ext = extensions.get(slot, |p| model.extend_factor(x, solves.prefix(p)));
                     let ext = ext.as_ref().ok()?;
                     staged.push(model.stage(ext, std::slice::from_ref(y)).ok()?);
                     rebuilds += usize::from(ext.rebuilt());
@@ -396,7 +407,7 @@ impl OutcomeModelBank {
             rebuilds: outcomes.iter().flatten().map(|o| o.0).sum(),
             copied: outcomes.iter().flatten().filter(|o| o.1).count(),
             conditioned: (outcomes.len() - skipped) * N_OBJECTIVES,
-            prefix_solves: extensions.prefix_solves(),
+            prefix_solves: solves.prefix_solves() - computed,
             factor_extensions: extensions.computed().filter(|e| e.is_ok()).count(),
         })
     }
@@ -438,7 +449,8 @@ pub struct BankUpdate {
     pub copied: usize,
     /// Models conditioned: one per objective of every updated camera.
     pub conditioned: usize,
-    /// Distinct design-row solves computed (`SolveMemo` prefix misses).
+    /// Design-row solves computed: the distinct (prefix, input) pairs
+    /// that the decide's earlier passes had not solved.
     pub prefix_solves: usize,
     /// Grown factors built: one per distinct (factor, input) pair,
     /// against one conditioning per camera and objective.
@@ -459,138 +471,6 @@ impl BankUpdate {
             rec.add("gp.prefix_solves", self.prefix_solves as u64);
             rec.add("gp.factor_extensions", self.factor_extensions as u64);
         }
-    }
-}
-
-/// Query work shared across cameras within one bank pass, at the two
-/// levels a model shares: its design prefix and its whole factor.
-///
-/// A sequential first pass registers every (model, input) query
-/// ([`SolveMemo::slot`]); [`SolveMemo::finish`] computes each distinct
-/// (prefix, input) design-row solve once, and the per-camera pass fills
-/// each distinct (factor, input) slot of the returned [`SharedWork`] on
-/// first use. Every camera that reaches a slot receives the same
-/// value, computed from the same factor and input, so the result does
-/// not depend on which camera fills it. Ids are addresses,
-/// so a memo must not outlive the pass whose models it was filled from.
-///
-/// Slots are numbered in insertion order, so no output depends on the
-/// maps' hasher: they use [`IdHasher`], a multiply-rotate hash of the
-/// keys' words, in place of the std per-map-seeded SipHash.
-#[derive(Default)]
-pub(crate) struct SolveMemo<'m> {
-    prefixes: HashMap<(usize, [u64; N_FEATURES]), usize, BuildHasherDefault<IdHasher>>,
-    prefix_queries: Vec<(&'m GpModel, [f64; N_FEATURES])>,
-    /// Keyed by factor id and prefix slot (which stands for the input);
-    /// the value is the factor slot.
-    factors: HashMap<(usize, usize), usize, BuildHasherDefault<IdHasher>>,
-    /// Prefix slot of every factor slot.
-    factor_prefix: Vec<usize>,
-}
-
-impl<'m> SolveMemo<'m> {
-    /// Slot of `model`'s factor-level work at `point` (a
-    /// [`features_of`] vector), registering the query on first sight.
-    pub(crate) fn slot(&mut self, model: &'m GpModel, point: &[f64; N_FEATURES]) -> usize {
-        let point = *point;
-        let prefix_queries = &mut self.prefix_queries;
-        let prefix = *self
-            .prefixes
-            .entry((model.prefix_id(), point.map(f64::to_bits)))
-            .or_insert_with(|| {
-                prefix_queries.push((model, point));
-                prefix_queries.len() - 1
-            });
-        let factor_prefix = &mut self.factor_prefix;
-        *self
-            .factors
-            .entry((model.factor_id(), prefix))
-            .or_insert_with(|| {
-                factor_prefix.push(prefix);
-                factor_prefix.len() - 1
-            })
-    }
-
-    /// Solve every registered design-row query; the factor-level work
-    /// is left to the per-camera pass.
-    pub(crate) fn finish<T>(self) -> SharedWork<T> {
-        let prefix = self
-            .prefix_queries
-            .iter()
-            .map(|(model, x)| model.prefix_solve(x))
-            .collect();
-        let work = self
-            .factor_prefix
-            .into_iter()
-            .map(|p| (p, OnceCell::new()))
-            .collect();
-        SharedWork { prefix, work }
-    }
-}
-
-/// The hasher of [`SolveMemo`]'s maps, whose keys are model ids,
-/// slot numbers and feature bits: one multiply-rotate round per 64-bit
-/// word (the `FxHash` scheme), rotated on finish so the bucket index
-/// sees the well-mixed high bits. Fixed, so a pass hashes the same way
-/// in every run; nothing depends on it beyond lookup speed.
-#[derive(Default)]
-pub(crate) struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        let mut words = bytes.chunks_exact(8);
-        for word in &mut words {
-            let mut w = [0; 8];
-            w.copy_from_slice(word);
-            self.write_u64(u64::from_le_bytes(w));
-        }
-        for &b in words.remainder() {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0xf135_7aea_2e62_a9c5);
-    }
-
-    fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0.rotate_left(26)
-    }
-}
-
-/// The design-row solves of one pass and its factor-level work, filled
-/// on first use by whichever camera reaches a slot first.
-pub(crate) struct SharedWork<T> {
-    prefix: Vec<PrefixSolve>,
-    /// Prefix slot and value of every factor slot.
-    work: Vec<(usize, OnceCell<T>)>,
-}
-
-impl<T> SharedWork<T> {
-    /// The design-row solve and work of the query at `slot`, computing
-    /// the work from the design-row solve on first use.
-    pub(crate) fn get(
-        &self,
-        slot: usize,
-        work: impl FnOnce(&PrefixSolve) -> T,
-    ) -> (&PrefixSolve, &T) {
-        let (prefix, cell) = &self.work[slot];
-        let pre = &self.prefix[*prefix];
-        (pre, cell.get_or_init(|| work(pre)))
-    }
-
-    /// Distinct design-row solves computed.
-    pub(crate) fn prefix_solves(&self) -> usize {
-        self.prefix.len()
-    }
-
-    /// The factor-level work computed so far.
-    pub(crate) fn computed(&self) -> impl Iterator<Item = &T> {
-        self.work.iter().filter_map(|(_, cell)| cell.get())
     }
 }
 
@@ -822,6 +702,29 @@ mod tests {
         bank.models[cam] = Rc::new(row);
     }
 
+    /// [`rebuild_row`], freeing the camera's models before building
+    /// their replacements, so the new prefixes and factors may take the
+    /// freed ones' addresses.
+    fn renew_row(bank: &mut OutcomeModelBank, cam: usize) {
+        let old = std::mem::take(&mut bank.models[cam]);
+        let data: Vec<_> = old
+            .iter()
+            .map(|m| {
+                let (y_mean, y_std) = m.standardization();
+                let spec = (m.kernel().clone(), m.noise_var(), m.train_x());
+                (spec, m.train_y().to_vec(), y_mean, y_std)
+            })
+            .collect();
+        drop(old);
+        let row = data
+            .into_iter()
+            .map(|((kernel, noise, x), y, mean, std)| {
+                GpModel::with_standardization(kernel, noise, x, y, mean, std).unwrap()
+            })
+            .collect();
+        bank.models[cam] = Rc::new(row);
+    }
+
     fn assert_banks_bit_identical(a: &OutcomeModelBank, b: &OutcomeModelBank, sc: &Scenario) {
         let space = sc.config_space();
         for cam in 0..a.n_cameras() {
@@ -935,6 +838,189 @@ mod tests {
                     b.iter().enumerate().all(|(r, v)| a[(r, c)].to_bits() == v.to_bits())
                 );
             }
+        }
+    }
+
+    /// A bank of nearly noiseless, smooth GPs on eight design points
+    /// along the resolution axis, on which re-measuring design point
+    /// `dup` leaves a non-positive Schur complement, so conditioning on
+    /// it falls back to a rebuild. All cameras start on camera 0's
+    /// factors. The layout is searched for, since whether a duplicate
+    /// rebuilds turns on round-off.
+    fn stiff_bank(sc: &Scenario) -> (OutcomeModelBank, ProfilingDesign, usize) {
+        let targets = |cam: usize, design: &ProfilingDesign| -> Vec<[f64; N_OBJECTIVES]> {
+            let profiler = Profiler::new(sc.surfaces(cam).clone()).with_noise(0.0, 0.0);
+            design
+                .configs
+                .iter()
+                .zip(&design.uplinks)
+                .map(|(c, &u)| profiler.measure(c, u, &mut seeded(0)).outcome.to_array())
+                .collect()
+        };
+        let column = |ys: &[[f64; N_OBJECTIVES]], obj: usize| ys.iter().map(|y| y[obj]).collect();
+        for (tenths, k) in (3..30).flat_map(|l| (7..=12).map(move |k| (l, k))) {
+            let design = ProfilingDesign {
+                configs: (1..=8)
+                    .map(|i| VideoConfig::new(2160.0 * i as f64 / k as f64, 10.0))
+                    .collect(),
+                uplinks: vec![sc.uplinks()[0]; 8],
+            };
+            let x: Vec<Vec<f64>> = (0..8)
+                .map(|i| features_of(&design.configs[i], design.uplinks[i]).to_vec())
+                .collect();
+            let kernel = crate::gp::Kernel::isotropic(
+                crate::gp::KernelType::Rbf,
+                N_FEATURES,
+                tenths as f64 / 10.0,
+                1.0,
+            );
+            let y0 = targets(0, &design);
+            let base: Vec<GpModel> = (0..N_OBJECTIVES)
+                .map(|obj| {
+                    GpModel::new(kernel.clone(), 1e-300, x.clone(), column(&y0, obj)).unwrap()
+                })
+                .collect();
+            let rebuilds = |p: &Vec<f64>| {
+                base.iter()
+                    .all(|m| m.extend_factor(p, &m.prefix_solve(p)).unwrap().rebuilt())
+            };
+            let Some(dup) = x.iter().position(rebuilds) else {
+                continue;
+            };
+            let rows = (0..sc.n_videos())
+                .map(|cam| {
+                    let ys = targets(cam, &design);
+                    let row = base.iter().enumerate();
+                    Rc::new(
+                        row.map(|(obj, m)| m.with_targets(column(&ys, obj)).unwrap())
+                            .collect(),
+                    )
+                })
+                .collect();
+            return (OutcomeModelBank::from_rows(rows), design, dup);
+        }
+        panic!("no design layout makes a duplicate input rebuild");
+    }
+
+    /// One scan through `store` of every camera's five models at every
+    /// input of `grid`, laid out like `CompositeSampler`'s batches: each
+    /// posterior must equal a fresh `prefix_solve` + `factor_solve`
+    /// prediction bit for bit. Returns the scan's work.
+    fn scan_matches_fresh_solves(
+        bank: &OutcomeModelBank,
+        store: &mut SolveStore,
+        grid: &[[f64; N_FEATURES]],
+        what: &str,
+    ) -> crate::solves::ScanWork {
+        let models: Vec<&GpModel> = (0..bank.n_cameras())
+            .flat_map(|cam| (0..N_OBJECTIVES).map(move |obj| (cam, obj)))
+            .map(|(cam, obj)| bank.read(cam, obj))
+            .collect();
+        let offsets: Vec<usize> = (0..=models.len()).map(|b| b * grid.len()).collect();
+        let (posts, work) = store.scan(&models, &offsets, |b, q| grid[q - offsets[b]]);
+        for (b, model) in models.iter().enumerate() {
+            for (i, x) in grid.iter().enumerate() {
+                let pre = model.prefix_solve(x);
+                let fresh = model.predict_with(x, &pre, &model.factor_solve(x, &pre));
+                let got = posts[offsets[b] + i];
+                assert_eq!(
+                    got.0.to_bits(),
+                    fresh.0.to_bits(),
+                    "{what}: mean, batch {b}"
+                );
+                assert_eq!(got.1.to_bits(), fresh.1.to_bits(), "{what}: var, batch {b}");
+            }
+        }
+        work
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8))]
+
+        /// A decide's `SolveStore` kept over a random chain of scans and
+        /// `update_all_with` rounds gives every posterior a fresh solve's
+        /// bits, and the bank it updates stays bit-identical to
+        /// per-camera `update` calls. The chain covers the rebuild
+        /// fallback (camera 4 re-measures a design point in round 0), a
+        /// factor two cameras share and then leave on different inputs
+        /// (cameras 2 and 3), a camera whose factors are freed and then
+        /// rebuilt between two scans (the ABA case: a new prefix or
+        /// factor may take a freed one's address), and a scan position
+        /// whose input changes between scans.
+        #[test]
+        fn stored_solves_match_fresh_solves_over_update_chains(
+            seed in 0u64..1_000,
+            rounds in 2usize..=6,
+            split_at in 0usize..6,
+            renew_at in 1usize..6,
+        ) {
+            let sc = Scenario::standard(5, 3, &mut seeded(seed));
+            let (mut bank, design, dup) = stiff_bank(&sc);
+            let mut oracle = bank.clone();
+            let mut store = SolveStore::default();
+            let space = sc.config_space();
+            let mut rng = seeded(seed + 2);
+            // A few configs only, so cameras and rounds share inputs.
+            let pick = |rng: &mut rand::rngs::StdRng| (rng.gen_range(0..3), rng.gen_range(0..sc.n_servers()));
+            let input = |(c, u): (usize, usize)| (space.at(c * (space.len() / 3)), sc.uplinks()[u]);
+            let mut grid: Vec<[f64; N_FEATURES]> = (0..5)
+                .map(|_| input(pick(&mut rng)))
+                .map(|(c, u)| features_of(&c, u))
+                .collect();
+            grid.push(features_of(&design.configs[dup], design.uplinks[dup]));
+            for round in 0..rounds {
+                let what = format!("seed {seed} round {round}");
+                let work = scan_matches_fresh_solves(&bank, &mut store, &grid, &what);
+                if round > 0 {
+                    // Earlier passes solved the design rows of all but
+                    // the renewed camera's new prefixes.
+                    proptest::prop_assert!(work.prefix_solves <= grid.len() * N_OBJECTIVES);
+                }
+                if round == renew_at {
+                    renew_row(&mut bank, 4);
+                    renew_row(&mut oracle, 4);
+                }
+                // A new input at one grid position, so the position's
+                // last design-row slot no longer fits it.
+                grid[round % 5] = {
+                    let (c, u) = input(pick(&mut rng));
+                    features_of(&c, u)
+                };
+                let mut picks: Vec<_> = (0..sc.n_videos()).map(|_| pick(&mut rng)).collect();
+                picks[1] = picks[0];
+                if round < split_at {
+                    picks[3] = picks[2];
+                } else if picks[3] == picks[2] {
+                    picks[3].0 = (picks[2].0 + 1) % 3;
+                }
+                let mut inputs: Vec<_> = picks.into_iter().map(input).collect();
+                if round == 0 {
+                    inputs[4] = (design.configs[dup], design.uplinks[dup]);
+                }
+                let samples: Vec<ProfileSample> = inputs
+                    .iter()
+                    .enumerate()
+                    .map(|(cam, (c, u))| {
+                        let profiler = Profiler::new(sc.surfaces(cam).clone()).with_noise(0.0, 0.0);
+                        profiler.measure(c, *u, &mut rng)
+                    })
+                    .collect();
+                let report = bank.update_all_with(&samples, &mut store).unwrap();
+                proptest::prop_assert_eq!(report.skipped, 0);
+                if round == 0 {
+                    proptest::prop_assert!(report.rebuilds >= N_OBJECTIVES);
+                }
+                for (cam, s) in samples.iter().enumerate() {
+                    oracle.update(cam, s).unwrap();
+                }
+                proptest::prop_assert!(bank.model(0, 0).shares_factor(bank.model(1, 0)));
+                proptest::prop_assert_eq!(
+                    bank.model(2, 0).shares_factor(bank.model(3, 0)),
+                    round < split_at
+                );
+            }
+            scan_matches_fresh_solves(&bank, &mut store, &grid, "final scan");
+            assert_banks_bit_identical(&bank, &oracle, &sc);
         }
     }
 

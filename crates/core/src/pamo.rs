@@ -23,6 +23,7 @@ use crate::error::{require, CoreError};
 use crate::models::{OutcomeModelBank, ProfilingDesign};
 use crate::pool::{build_pool, decode_joint, Placements};
 use crate::prefgp::{elicit_preferences, ElicitConfig, PreferenceModel};
+use crate::solves::SolveStore;
 
 /// Where the preference layer comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -295,8 +296,11 @@ impl Pamo {
             rec.observe("core.comparisons_used", comparisons_used as f64);
         }
 
-        // (3) Best configuration solving.
+        // (3) Best configuration solving. Design-row solves are kept
+        // from scan to scan and read by the bank updates in between;
+        // the store goes when the decide returns.
         let bank = RefCell::new(bank);
+        let solves = Rc::new(RefCell::new(SolveStore::default()));
         let objective = |x: &[f64]| -> f64 {
             if rec.enabled() {
                 rec.add("core.objective_evals", 1);
@@ -321,7 +325,9 @@ impl Pamo {
                 // Conditioning failures keep a camera's previous models
                 // (stale beats poisoned); the measurements still count.
                 let _update_span = span(rec, Phase::BankUpdate);
-                let updated = bank.borrow_mut().update_all(&samples);
+                let updated = bank
+                    .borrow_mut()
+                    .update_all_with(&samples, &mut solves.borrow_mut());
                 match updated {
                     Ok(report) => report.record(rec),
                     Err(_) => {
@@ -342,6 +348,7 @@ impl Pamo {
                 normalizer.clone(),
             )
             .with_placements(Rc::clone(&placements))
+            .with_solves(Rc::clone(&solves))
             .recorded(rec)
         };
         let bo = {

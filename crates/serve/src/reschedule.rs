@@ -59,6 +59,32 @@ pub enum ReplanTrigger {
     },
 }
 
+/// The check a repaired placement failed in [`Rescheduler`]'s
+/// verification, which then rolls the repair back.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum VerifyError {
+    /// Two groups sit on one server.
+    SharedServer,
+    /// A group sits on a server out of range or not alive.
+    DeadServer,
+    /// A group fails Const2's zero-jitter condition.
+    Const2,
+    /// The placed streams are not the scenario's post-split stream set.
+    StreamSet,
+}
+
+impl VerifyError {
+    /// The counter a rejected repair adds to: `serve.repair_rejected_*`.
+    fn counter(self) -> &'static str {
+        match self {
+            VerifyError::SharedServer => "serve.repair_rejected_shared_server",
+            VerifyError::DeadServer => "serve.repair_rejected_dead_server",
+            VerifyError::Const2 => "serve.repair_rejected_const2",
+            VerifyError::StreamSet => "serve.repair_rejected_stream_set",
+        }
+    }
+}
+
 /// How much of the assignment a replan had to re-solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplanScope {
@@ -236,14 +262,20 @@ impl Rescheduler {
             ReplanTrigger::ServerRestore { .. } => Some((0, Vec::new())),
         };
         if let Some((rows, touched)) = repaired {
-            if self.verify(scenario, configs, alive) {
+            let verified = self.verify(scenario, configs, alive);
+            if let Err(rejected) = verified {
+                if rec.enabled() {
+                    rec.add(rejected.counter(), 1);
+                }
+            }
+            if verified.is_ok() {
                 if !touched.is_empty() {
                     // Re-place only the rows the repair touched (their
                     // costs changed), recovering communication latency
                     // the greedy repair left on the table. A
                     // zero-touched repair (restore) changes nothing.
                     self.reprice(scenario, configs, alive, &touched, rec);
-                    debug_assert!(self.verify(scenario, configs, alive));
+                    debug_assert_eq!(self.verify(scenario, configs, alive), Ok(()));
                 }
                 self.stats.incremental += 1;
                 if rec.enabled() {
@@ -496,28 +528,33 @@ impl Rescheduler {
     }
 
     /// Full zero-jitter validity of the current placement against the
-    /// scenario's (post-split) stream set.
-    fn verify(&self, scenario: &Scenario, configs: &[VideoConfig], alive: Option<&[bool]>) -> bool {
+    /// scenario's (post-split) stream set, or the first check it fails.
+    fn verify(
+        &self,
+        scenario: &Scenario,
+        configs: &[VideoConfig],
+        alive: Option<&[bool]>,
+    ) -> Result<(), VerifyError> {
         // Servers: distinct and alive.
         let mut servers = self.group_server.clone();
         servers.sort_unstable();
         let n = servers.len();
         servers.dedup();
         if servers.len() != n {
-            return false;
+            return Err(VerifyError::SharedServer);
         }
         if !self
             .group_server
             .iter()
             .all(|&j| j < scenario.n_servers() && is_alive(alive, j))
         {
-            return false;
+            return Err(VerifyError::DeadServer);
         }
         // Every group zero-jitter feasible (Const2, not just Theorem 3 —
         // repairs only ever add under Theorem 3, but installed plans may
         // use the weaker predicate's full slack).
         if !self.groups.iter().all(|g| const2_zero_jitter_ok(g)) {
-            return false;
+            return Err(VerifyError::Const2);
         }
         // The placed stream multiset matches the scenario's exactly.
         let mut placed: Vec<(StreamId, Ticks, Ticks)> = self
@@ -533,7 +570,10 @@ impl Rescheduler {
                 .collect();
         placed.sort_unstable();
         expected.sort_unstable();
-        placed == expected
+        if placed != expected {
+            return Err(VerifyError::StreamSet);
+        }
+        Ok(())
     }
 
     /// Materialize the current placement as an [`Assignment`]

@@ -5,13 +5,15 @@ Runs two prebuilt perfbench executables (a base and a change) on the
 same seeds, one pair per seed, alternating which of the two runs first.
 Every run is untraced. For each end-to-end metric in BENCHMARK.json it
 prints both medians with their quartiles, how many pairs the change
-won, and whether the change's median differs from the base's by more
-than the base's quartile spread and by more than the metric's bound.
-Beside that verdict it judges the pairs themselves: the median of the
-per-pair log ratios ln(change/base) and a sign-test interval for it
-(order statistics of the sorted ratios, at the smallest coverage of at
-least 95 % the pair count allows, or the full range below 6 pairs);
-an interval that excludes 0 is a gain or a loss.
+won, and whether the change's median is worse than the base's by more
+than the metric's bound. The verdict judges the pairs themselves: the
+median of the per-pair log ratios ln(change/base) and a sign-test
+interval for it (order statistics of the sorted ratios, at the smallest
+coverage of at least 95 % the pair count allows, or the full range
+below 6 pairs). An interval wholly on the better side of 0 is a gain,
+one wholly on the worse side a loss, and any other "no". Each pair runs
+both sides on one seed, so the seed-to-seed spread of a metric does not
+count as noise.
 It also checks that both sides report the same output digest per seed
 and that no operation failed. When the info record's `op_kinds` names
 more than one op kind (serving's arrival, departure, failure, ...
@@ -143,8 +145,8 @@ def main():
     n = len(seeds_of(args.seeds))
     print(f"\n{args.workload}, {n} pairs, {seconds} s per run, untraced")
     print(f"{'metric':<14} {'base median [q1, q3]':>34} {'change median [q1, q3]':>34}"
-          f" {'delta':>8} {'won':>6} {'> base IQR':>10} {'bound':>6} {'within':>6}"
-          f"   {'ln(c/b) median [sign-test interval] cover':>43} {'pairs':>5}")
+          f" {'delta':>8} {'won':>6} {'bound':>6} {'within':>6}"
+          f"   {'ln(c/b) median [sign-test interval] cover':>43} {'verdict':>5}")
     for m in metrics:
         name, bound = m["name"], m["bound"]
         lower = m["better"] == "lower"
@@ -155,13 +157,10 @@ def main():
         won = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
         delta = (c_med - b_med) / b_med if b_med else float("inf")
         gain = (b_med - c_med) if lower else (c_med - b_med)
-        beyond_iqr = abs(c_med - b_med) > (b_q3 - b_q1)
         worse = -gain / b_med if b_med else float("inf")
-        verdict = "gain" if beyond_iqr and gain > 0 else (
-            "loss" if beyond_iqr else "no")
         print(f"{name:<14} {b_med:>12.6g} [{b_q1:>8.5g}, {b_q3:>8.5g}]"
               f" {c_med:>12.6g} [{c_q1:>8.5g}, {c_q3:>8.5g}]"
-              f" {delta:>+8.2%} {won:>3}/{n:<2} {verdict:>10} {bound:>6}"
+              f" {delta:>+8.2%} {won:>3}/{n:<2} {bound:>6}"
               f" {'yes' if worse <= bound else 'NO':>6}"
               f"   {pair_verdict(base, change, lower)}")
     if len(kind_pairs) > 1:

@@ -36,7 +36,7 @@ const PINNED_SHARED_HISTORY_HASH: u64 = 0xbf2e_994c_e4bc_4abe;
 /// Exact work of `decide_bits`' two decides under a flight recorder:
 /// counter values, then span counts per phase. Any change means the
 /// algorithm did more or less work, even if every decided bit held.
-const PINNED_WORK: [(&str, u64); 19] = [
+const PINNED_WORK: [(&str, u64); 20] = [
     ("core.objective_evals", 8),
     // The BO driver drops each surrogate's bank clone before the batch
     // is observed, so every row is conditioned in place.
@@ -46,7 +46,11 @@ const PINNED_WORK: [(&str, u64); 19] = [
     ("gp.factor_extensions", 190),
     ("gp.posterior_queries", 4800),
     ("gp.tail_solves", 685),
-    ("gp.prefix_solves", 350),
+    // Tail rows forward-solved for those slots.
+    ("gp.tail_rows", 1750),
+    // Design-row solves, computed once per decide and read by every
+    // scan and bank update after.
+    ("gp.prefix_solves", 130),
     // Weights back-substituted on first read: the 200 models each of
     // the four `bo_prepare` passes reads, not one per conditioning.
     ("gp.weight_solves", 800),
